@@ -238,7 +238,7 @@ func New(cfg Config) (*Peer, error) {
 		observe.Emit(p.cfg.Observer, observe.Event{
 			Component: p.comp,
 			Type:      observe.WriteError,
-			Wire:      string(kind),
+			Wire:      kind.String(),
 			Err:       err,
 		})
 	}

@@ -96,7 +96,7 @@ func NewServer(seed int64) *Server {
 		observe.Emit(s.Observer, observe.Event{
 			Component: "directory",
 			Type:      observe.WriteError,
-			Wire:      string(kind),
+			Wire:      kind.String(),
 			Err:       err,
 		})
 	}

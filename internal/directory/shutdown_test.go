@@ -21,7 +21,7 @@ func TestReplyWriteErrorHook(t *testing.T) {
 		if ev.Type != observe.WriteError {
 			return
 		}
-		if ev.Wire != string(transport.KindCandidates) || ev.Err == nil {
+		if ev.Wire != transport.KindCandidates.String() || ev.Err == nil {
 			t.Errorf("observer got wire=%s err=%v", ev.Wire, ev.Err)
 		}
 		hooked.Add(1)

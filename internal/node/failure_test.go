@@ -218,7 +218,7 @@ func (s *abortableSession) readOne() error {
 		return errors.New(e.Message)
 	}
 	if env.Kind != transport.KindSegment {
-		return errors.New("unexpected " + string(env.Kind))
+		return errors.New("unexpected " + env.Kind.String())
 	}
 	return nil
 }

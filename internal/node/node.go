@@ -218,9 +218,9 @@ type Node struct {
 	disc Discovery
 	comp string // observer component name, precomputed off the hot paths
 	// multi reports multi-object mode (Config.Objects). In single-object
-	// mode every wire frame carries an empty object field — byte-identical
-	// to the pre-multi-object format — and discovery uses the default
-	// registry; in multi-object mode the real object names go on the wire.
+	// mode every wire frame carries an empty object field and discovery
+	// uses the default registry; in multi-object mode the real object
+	// names go on the wire.
 	multi bool
 	// primary is the default object name: the single File's, or the first
 	// catalog entry's (legacy frames with no object field route to it).
@@ -333,7 +333,7 @@ func newNode(cfg Config) (*Node, error) {
 		observe.Emit(n.cfg.Observer, observe.Event{
 			Component: n.comp,
 			Type:      observe.WriteError,
-			Wire:      string(kind),
+			Wire:      kind.String(),
 			Err:       err,
 		})
 	}
@@ -341,8 +341,8 @@ func newNode(cfg Config) (*Node, error) {
 }
 
 // wireObject translates a catalog object name to its wire spelling: the
-// empty string in single-object mode (keeping every frame byte-identical
-// to the legacy format), the name itself in multi-object mode.
+// empty string in single-object mode (the default registry and admission
+// state everywhere), the name itself in multi-object mode.
 func (n *Node) wireObject(name string) string {
 	if !n.multi {
 		return ""
@@ -706,6 +706,13 @@ func (n *Node) handleStart(conn net.Conn, req transport.Start) {
 	n.streamAdaptive(conn, req, file, store)
 }
 
+// minPace is the shortest wait streamFixed sleeps for. A shorter one is
+// beneath what a timer resolves: the sleep returns a timer slack and a
+// thread wake-up later — 50 µs at best, a few hundred on an idle virtual
+// machine — and puts the segment further behind its deadline than sending
+// it now puts it ahead, which a receiver only buffers.
+const minPace = 100 * time.Microsecond
+
 // streamFixed is the legacy data plane: each assigned segment goes out as
 // one full-quality burst at its protocol deadline, with no feedback.
 func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File, store *media.Store) {
@@ -715,7 +722,7 @@ func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File,
 		// Pace against the absolute schedule to avoid drift: transmission
 		// of the i-th assigned segment completes at its protocol deadline.
 		deadline := start.Add(protocol.TransmissionDeadline(i, n.cfg.Class, file.SegmentTime))
-		if d := deadline.Sub(n.clk.Now()); d > 0 {
+		if d := deadline.Sub(n.clk.Now()); d >= minPace {
 			n.clk.Sleep(d)
 		}
 		seg, ok := store.Get(media.SegmentID(segID))

@@ -483,3 +483,41 @@ func TestSupplierDownTreatedAsDown(t *testing.T) {
 		}
 	}
 }
+
+// TestFixedScheduleWaits pins streamFixed's pacing on both sides of
+// minPace: a schedule whose every wait is shorter is sent without sleeping
+// (the session lasts what the link takes, not the schedule's length), one
+// of longer waits is kept to (the session lasts the schedule).
+func TestFixedScheduleWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		dt    time.Duration
+		paced bool
+	}{
+		{"waits beneath minPace", minPace / 10, false},
+		{"waits above minPace", minPace, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t)
+			file := &media.File{Name: "video", Segments: 64, SegmentBytes: 256, SegmentTime: tc.dt}
+			config := func(id string) Config {
+				cfg := c.config(id, 1)
+				cfg.File, cfg.NoAdapt = file, true
+				return cfg
+			}
+			c.start(NewSeed(config("seed1")))
+			c.start(NewSeed(config("seed2")))
+			report, err := c.start(NewRequester(config("peer1"))).Request(context.Background(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each class-1 seed sends 32 segments, one every 2·δt.
+			schedule := 32 * 2 * tc.dt
+			if link := time.Millisecond; tc.paced && report.Duration < schedule-link {
+				t.Errorf("session took %v of a %v schedule: the supplier ran ahead of it", report.Duration, schedule)
+			} else if !tc.paced && report.Duration >= schedule {
+				t.Errorf("session took %v, the whole %v schedule: the supplier slept for waits of %v", report.Duration, schedule, 2*tc.dt)
+			}
+		})
+	}
+}

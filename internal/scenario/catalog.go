@@ -539,25 +539,31 @@ func reshardDrain() Spec {
 // The congestion-control flow family. All three scenarios route the
 // seeds' access links into one shared bandwidth-limited "core" resource
 // (netx.LinkConfig.Bottleneck), so every concurrent session serializes
-// into the same pipe. They stream congestionFile — 1 KiB segments so the
-// JSON framing (~40% at this size) doesn't dominate the payload the way
-// it does the default 128 B conformance file. One full-quality flow
-// (segment every δt plus acks) is ~185 KB/s on the wire; one downgrade
-// roughly halves that (~100 KB/s), the next again (~58 KB/s). A
-// supplying peer serves one session at a time, so each class-1 requester
+// into the same pipe. They stream congestionFile — 1 KiB segments, which
+// the wire's framing inflates by 1%, so a flow's wire rate is its payload
+// rate. One full-quality flow is flowWire on the wire; one downgrade
+// roughly halves that, the next again. A sender paces at 1.25x its
+// estimate, so while it transmits a full-quality flow takes 1.25 flowWire.
+// A supplying peer serves one session at a time, so each class-1 requester
 // binds two exclusive class-1 suppliers — concurrent flows need four
 // seeds. The second requester starts 3 ms after the first so their
 // admission sweeps don't race for the same two grants (and their
 // transmission schedules de-phase at the bottleneck).
 
 // congestionFile returns the flow family's media item: 1 KiB segments,
-// 8 ms each → R0 = 128 KiB/s payload. The longer δt both doubles the
+// 8 ms each → R0 = 128 KB/s payload. The longer δt both doubles the
 // playback allowance (Theorem 1 buffering scales with δt) and halves the
 // wire rate, which is what lets a transient bottleneck queue drain before
 // it eats the whole allowance.
 func congestionFile() *media.File {
 	return &media.File{Name: "stream", Segments: 16, SegmentBytes: 1024, SegmentTime: 8 * time.Millisecond}
 }
+
+// flowWire is the wire rate of one full-quality congestionFile flow, in
+// bytes per second: every δt one segment frame (the 1 KiB payload under 10
+// bytes of length, version, kind and fields) and the 9-byte ack that
+// answers it — 130,375 B/s. The family's bottlenecks are multiples of it.
+const flowWire = (1024 + 10 + 9) * int64(time.Second/(8*time.Millisecond))
 
 // coreBottleneck is a bandwidth-limited access link serializing into the
 // shared "core" resource. No jitter: the ABR assertions want the RTT
@@ -567,8 +573,9 @@ func coreBottleneck(bps int64) netx.LinkConfig {
 }
 
 // competingMediaFlows starts two near-simultaneous media flows behind one
-// bottleneck that fits ~1.2 full-quality flows: together they
-// oversubscribe the pipe, both must step down the bitrate ladder, and
+// bottleneck of 1.6 flowWire, which fits ~1.3 full-quality flows at their
+// paced rate: together they oversubscribe the pipe, both must step down
+// the bitrate ladder (two half-rate flows need 1.0 flowWire), and
 // they converge to comparable shares — with playback continuous
 // throughout. The detail test re-runs the spec with NoAdapt as the
 // unpaced control and asserts the congestion the adaptation avoided.
@@ -587,10 +594,10 @@ func competingMediaFlows() Spec {
 			{ID: "r2", Class: 1, Start: 3 * time.Millisecond},
 		},
 		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(280 << 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(280 << 10)},
-			{A: "s3", B: Wildcard, Config: coreBottleneck(280 << 10)},
-			{A: "s4", B: Wildcard, Config: coreBottleneck(280 << 10)},
+			{A: "s1", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
+			{A: "s2", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
+			{A: "s3", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
+			{A: "s4", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
 		},
 		Expect: Expect{FairShare: 1.5, MinDowngraded: 1},
 	}
@@ -598,8 +605,9 @@ func competingMediaFlows() Spec {
 
 // mediaVsTCPFlows runs one media flow against a greedy elastic cross-flow
 // (the TCP stand-in: delay-based AIMD with no committed ceiling) through
-// a bottleneck that cannot carry the full-quality flow alongside it. The
-// media session must finish with continuous playback — downgrading is how
+// a bottleneck of 1.65 flowWire that cannot carry the full-quality flow
+// alongside it (the cross-flow alone offers 1.0 flowWire). The media
+// session must finish with continuous playback — downgrading is how
 // it holds its share — and the cross-flow must still move bytes: neither
 // starves the other.
 func mediaVsTCPFlows() Spec {
@@ -613,9 +621,9 @@ func mediaVsTCPFlows() Spec {
 			{ID: "r1", Class: 1, Start: 0},
 		},
 		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(240 << 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(240 << 10)},
-			{A: "tcp-src", B: "tcp-sink", Config: coreBottleneck(240 << 10)},
+			{A: "s1", B: Wildcard, Config: coreBottleneck(flowWire * 165 / 100)},
+			{A: "s2", B: Wildcard, Config: coreBottleneck(flowWire * 165 / 100)},
+			{A: "tcp-src", B: "tcp-sink", Config: coreBottleneck(flowWire * 165 / 100)},
 		},
 		Traffic: []TrafficFlow{
 			{From: "tcp-src", To: "tcp-sink", Start: 0, Chunk: 1024, Rate: 128 << 10},
@@ -628,7 +636,9 @@ func mediaVsTCPFlows() Spec {
 // best-effort one. The priority steps multiply the supplier-side sustain
 // window before a downgrade (2·δt base, doubled per step → 64ms for hi,
 // the whole session), so the best-effort flow steps down first and frees
-// the capacity that keeps the priority flow at full quality.
+// the capacity that keeps the priority flow at full quality: the
+// bottleneck of 1.7 flowWire holds one full-quality and one half-rate flow
+// (1.5 flowWire) but not two full-quality ones.
 func priorityFlows() Spec {
 	return Spec{
 		Name:     "priority-flows",
@@ -644,10 +654,10 @@ func priorityFlows() Spec {
 			{ID: "lo", Class: 1, Start: 3 * time.Millisecond},
 		},
 		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(320 << 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(320 << 10)},
-			{A: "s3", B: Wildcard, Config: coreBottleneck(320 << 10)},
-			{A: "s4", B: Wildcard, Config: coreBottleneck(320 << 10)},
+			{A: "s1", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
+			{A: "s2", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
+			{A: "s3", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
+			{A: "s4", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
 		},
 		Expect: Expect{MinDowngraded: 1, FullQuality: []string{"hi"}},
 	}

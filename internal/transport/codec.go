@@ -1,573 +1,350 @@
 package transport
 
 import (
-	"encoding/base64"
+	"encoding/binary"
 	"strconv"
-
-	"p2pstream/internal/bandwidth"
-	"p2pstream/internal/dac"
 )
 
-// Hand-rolled canonical codec for the hot wire messages. At population
-// scale an admission wave is hundreds of thousands of probe, lookup and
-// reminder exchanges, and reflective encoding/json marshal/unmarshal of
-// their tiny bodies dominates the wire path's CPU. Every message type
-// below appends its canonical encoding directly into the outgoing frame
-// (bodyAppender) and decodes the same canonical layout with a
-// zero-reflection scanner (bodyDecoder). The layouts match what
-// encoding/json produces for these structs — exact key order, omitempty
-// behavior, no whitespace — and anything else (escaped strings, reordered
-// keys, third-party senders) falls back to encoding/json, so the wire
-// format is unchanged and fully interoperable.
-
-// bodyAppender is implemented by message bodies that append their own
-// canonical JSON; Write uses it to skip json.Marshal and the intermediate
-// allocation it returns.
-type bodyAppender interface{ appendBody([]byte) []byte }
-
-// bodyDecoder is implemented by message bodies that parse their canonical
-// JSON layout. It returns false — leaving the receiver untouched — for any
-// other layout; the caller then falls back to encoding/json.
-type bodyDecoder interface{ decodeBody([]byte) bool }
-
-// jscan is a minimal cursor over a canonical JSON body. Any mismatch
-// clears ok; callers check done() once at the end.
-type jscan struct {
-	b  []byte
-	ok bool
+// kinds is the codec's registry: every kind byte, the name it prints as,
+// a constructor of its (empty) body, and the encoder of that body passed by
+// value. Only a kind's row names its message type; only fields lays it out.
+var kinds = [...]kindRow{
+	KindRegister:           row[Register]("register"),
+	KindRegisterOK:         row[struct{}]("register-ok"),
+	KindLookup:             row[Lookup]("lookup"),
+	KindCandidates:         row[Candidates]("candidates"),
+	KindProbe:              row[Probe]("probe"),
+	KindProbeReply:         row[ProbeReply]("probe-reply"),
+	KindReminder:           row[Reminder]("reminder"),
+	KindReminderOK:         row[ReminderReply]("reminder-ok"),
+	KindStart:              row[Start]("start"),
+	KindStartReply:         row[StartReply]("start-reply"),
+	KindSegment:            row[Segment]("segment"),
+	KindAck:                row[Ack]("ack"),
+	KindSessionDone:        row[SessionDone]("session-done"),
+	KindError:              row[Error]("error"),
+	KindUnregister:         row[Unregister]("unregister"),
+	KindUnregisterOK:       row[struct{}]("unregister-ok"),
+	KindRegisterBatch:      row[RegisterBatch]("register-batch"),
+	KindRegisterBatchOK:    row[struct{}]("register-batch-ok"),
+	KindChordJoin:          row[ChordJoin]("chord-join"),
+	KindChordJoinOK:        row[ChordJoinReply]("chord-join-ok"),
+	KindChordNotify:        row[ChordNotify]("chord-notify"),
+	KindChordNotifyOK:      row[ChordNotifyReply]("chord-notify-ok"),
+	KindChordFingerQuery:   row[ChordFingerQuery]("chord-finger-query"),
+	KindChordFingerOK:      row[ChordFingerReply]("chord-finger-ok"),
+	KindChordLookup:        row[ChordLookup]("chord-lookup"),
+	KindChordLookupOK:      row[ChordLookupReply]("chord-lookup-ok"),
+	KindChordLeave:         row[ChordLeave]("chord-leave"),
+	KindChordLeaveOK:       row[ChordLeaveReply]("chord-leave-ok"),
+	KindChordReplicate:     row[ChordReplicate]("chord-replicate"),
+	KindChordReplicateOK:   row[ChordReplicateReply]("chord-replicate-ok"),
+	KindChordReplicaPull:   row[ChordReplicaPull]("chord-replica-pull"),
+	KindChordReplicaPullOK: row[ChordReplicaPullReply]("chord-replica-pull-ok"),
+	KindDirEpochWatch:      row[DirEpochWatch]("dir-epoch-watch"),
+	KindDirEpoch:           row[DirEpoch]("dir-epoch"),
 }
 
-func (s *jscan) lit(l string) {
-	if s.ok && len(s.b) >= len(l) && string(s.b[:len(l)]) == l {
-		s.b = s.b[len(l):]
+type kindRow struct {
+	name    string
+	body    func() any
+	byValue func(b []byte, body any) ([]byte, bool)
+}
+
+// row builds the kind's row for message type T. Its byValue appends the
+// fields of body to b if body is a T: the type assertion yields a copy
+// whose address fields can take, which only code that names T can do.
+func row[T any](name string) kindRow {
+	return kindRow{name, func() any { return new(T) }, func(b []byte, body any) ([]byte, bool) {
+		m, ok := body.(T)
+		c := coder{b: b}
+		ok = ok && c.fields(&m)
+		return c.b, ok
+	}}
+}
+
+func (k Kind) known() bool { return int(k) < len(kinds) && kinds[k].name != "" }
+
+// String returns the kind's protocol name.
+func (k Kind) String() string {
+	if k.known() {
+		return kinds[k].name
+	}
+	return "kind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// coder carries one message's fields between its struct and its bytes, in
+// whichever direction dec says. Every method takes a pointer to the field:
+// encoding appends *p to b and leaves *p alone, decoding consumes b from i
+// and stores into *p — so one field list per message (fields) serves both
+// directions and they cannot disagree. A decoding failure is sticky: bad
+// records the first one and i jumps to the end, so the fields that follow
+// find nothing left to read.
+type coder struct {
+	b     []byte
+	i     int    // decoding: the read cursor in b
+	dec   bool   // decoding, not encoding
+	alias bool   // decoding: []byte fields may alias b instead of copying
+	s     string // decoding: b as a string, made on the first string field; every decoded string is a slice of it
+	bad   string // decoding: why b is malformed, "" while it is not
+}
+
+func (c *coder) fail(why string) {
+	if c.bad == "" {
+		c.bad = why
+	}
+	c.i = len(c.b)
+}
+
+// uint64 is the base of every integer and length: a varint, which decoding
+// accepts in its shortest form only.
+func (c *coder) uint64(p *uint64) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, *p)
 		return
 	}
-	s.ok = false
-}
-
-func (s *jscan) peek(l string) bool {
-	return s.ok && len(s.b) >= len(l) && string(s.b[:len(l)]) == l
-}
-
-// str parses a plain string literal: printable ASCII, no escapes —
-// everything the overlay's IDs, addresses and file names are made of.
-// Anything else aborts to the encoding/json fallback.
-func (s *jscan) str() string {
-	if !s.ok || len(s.b) < 2 || s.b[0] != '"' {
-		s.ok = false
-		return ""
+	v, n := binary.Uvarint(c.b[c.i:])
+	if n <= 0 || n > 1 && c.b[c.i+n-1] == 0 {
+		c.fail("truncated, overflowing or non-minimal varint")
+		v, n = 0, 0
 	}
-	for i := 1; i < len(s.b); i++ {
-		c := s.b[i]
-		if c == '"' {
-			out := string(s.b[1:i])
-			s.b = s.b[i+1:]
-			return out
-		}
-		if c == '\\' || c < 0x20 || c >= 0x7f {
-			break
+	c.i += n
+	*p = v
+}
+
+// vint is a signed integer of any width, zig-zag folded into a varint.
+func vint[T ~int | ~int64](c *coder, p *T) {
+	u := uint64(int64(*p)<<1 ^ int64(*p)>>63)
+	c.uint64(&u)
+	if c.dec {
+		v := int64(u>>1) ^ -int64(u&1)
+		if *p = T(v); int64(*p) != v {
+			c.fail("integer overflows its field")
 		}
 	}
-	s.ok = false
-	return ""
 }
 
-func (s *jscan) num() int64 {
-	if !s.ok {
+// bool is the one-byte varint 0 or 1.
+func (c *coder) bool(p *bool) {
+	var u uint64
+	if *p {
+		u = 1
+	}
+	c.uint64(&u)
+	if c.dec {
+		if *p = u == 1; u > 1 {
+			c.fail("boolean is not 0 or 1")
+		}
+	}
+}
+
+// count codes a length or element count. Decoding validates it before
+// anything is allocated from it: what it counts takes at least min bytes
+// apiece, and that must fit in the rest of the frame.
+func (c *coder) count(n, min int) int {
+	u := uint64(n)
+	c.uint64(&u)
+	if c.dec && u > uint64((len(c.b)-c.i)/min) {
+		c.fail("length or count runs past the end of the frame")
 		return 0
 	}
-	i := 0
-	neg := false
-	if i < len(s.b) && s.b[i] == '-' {
-		neg = true
-		i++
-	}
-	start := i
-	var n int64
-	for i < len(s.b) && s.b[i] >= '0' && s.b[i] <= '9' {
-		n = n*10 + int64(s.b[i]-'0')
-		i++
-	}
-	// 18 digits always fit an int64; longer (or empty) falls back.
-	if i == start || i-start > 18 {
-		s.ok = false
-		return 0
-	}
-	s.b = s.b[i:]
-	if neg {
-		return -n
-	}
-	return n
+	return int(u)
 }
 
-func (s *jscan) boolean() bool {
-	if s.peek("true") {
-		s.b = s.b[4:]
-		return true
+func (c *coder) str(p *string) {
+	n := c.count(len(*p), 1)
+	if !c.dec {
+		c.b = append(c.b, *p...)
+		return
 	}
-	if s.peek("false") {
-		s.b = s.b[5:]
-		return false
-	}
-	s.ok = false
-	return false
-}
-
-func (s *jscan) done() bool { return s.ok && len(s.b) == 0 }
-
-// --- Probe / Reminder (identical shape) ---
-
-func (p Probe) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"requester_id":`...)
-	dst = appendJSONString(dst, p.RequesterID)
-	dst = append(dst, `,"class":`...)
-	dst = strconv.AppendInt(dst, int64(p.Class), 10)
-	if p.Object != "" {
-		dst = append(dst, `,"object":`...)
-		dst = appendJSONString(dst, p.Object)
-	}
-	return append(dst, '}')
-}
-
-func (p *Probe) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"requester_id":`)
-	id := s.str()
-	s.lit(`,"class":`)
-	class := s.num()
-	var object string
-	if s.peek(`,"object":`) {
-		s.lit(`,"object":`)
-		object = s.str()
-	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	p.RequesterID, p.Class, p.Object = id, bandwidth.Class(class), object
-	return true
-}
-
-func (r Reminder) appendBody(dst []byte) []byte {
-	return Probe(r).appendBody(dst)
-}
-
-func (r *Reminder) decodeBody(b []byte) bool {
-	return (*Probe)(r).decodeBody(b)
-}
-
-// --- ProbeReply / ReminderReply ---
-
-func (r ProbeReply) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"decision":`...)
-	dst = strconv.AppendInt(dst, int64(r.Decision), 10)
-	if r.Favors {
-		return append(dst, `,"favors":true}`...)
-	}
-	return append(dst, `,"favors":false}`...)
-}
-
-func (r *ProbeReply) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"decision":`)
-	dec := s.num()
-	s.lit(`,"favors":`)
-	favors := s.boolean()
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	r.Decision, r.Favors = dac.Decision(dec), favors
-	return true
-}
-
-func (r ReminderReply) appendBody(dst []byte) []byte {
-	if r.Kept {
-		return append(dst, `{"kept":true}`...)
-	}
-	return append(dst, `{"kept":false}`...)
-}
-
-func (r *ReminderReply) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"kept":`)
-	kept := s.boolean()
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	r.Kept = kept
-	return true
-}
-
-// --- Lookup / Candidates ---
-
-func (l Lookup) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"m":`...)
-	dst = strconv.AppendInt(dst, int64(l.M), 10)
-	if l.Exclude != "" {
-		dst = append(dst, `,"exclude":`...)
-		dst = appendJSONString(dst, l.Exclude)
-	}
-	if l.Object != "" {
-		dst = append(dst, `,"object":`...)
-		dst = appendJSONString(dst, l.Object)
-	}
-	return append(dst, '}')
-}
-
-func (l *Lookup) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"m":`)
-	m := s.num()
-	var exclude, object string
-	if s.peek(`,"exclude":`) {
-		s.lit(`,"exclude":`)
-		exclude = s.str()
-	}
-	if s.peek(`,"object":`) {
-		s.lit(`,"object":`)
-		object = s.str()
-	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	l.M, l.Exclude, l.Object = int(m), exclude, object
-	return true
-}
-
-func (c Candidate) appendJSON(dst []byte) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, c.ID)
-	dst = append(dst, `,"addr":`...)
-	dst = appendJSONString(dst, c.Addr)
-	dst = append(dst, `,"class":`...)
-	dst = strconv.AppendInt(dst, int64(c.Class), 10)
-	return append(dst, '}')
-}
-
-func (s *jscan) candidate(c *Candidate) {
-	s.lit(`{"id":`)
-	c.ID = s.str()
-	s.lit(`,"addr":`)
-	c.Addr = s.str()
-	s.lit(`,"class":`)
-	c.Class = bandwidth.Class(s.num())
-	s.lit(`}`)
-}
-
-func (c Candidates) appendBody(dst []byte) []byte {
-	if c.Peers == nil {
-		dst = append(dst, `{"peers":null`...)
-	} else {
-		dst = append(dst, `{"peers":[`...)
-		for i, p := range c.Peers {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = p.appendJSON(dst)
+	*p = ""
+	if n > 0 {
+		if c.s == "" {
+			c.s = string(c.b)
 		}
-		dst = append(dst, ']')
+		*p = c.s[c.i : c.i+n]
+		c.i += n
 	}
-	if c.Len != 0 {
-		dst = append(dst, `,"len":`...)
-		dst = strconv.AppendInt(dst, int64(c.Len), 10)
-	}
-	return append(dst, '}')
 }
 
-func (c *Candidates) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	var peers []Candidate
-	if s.peek(`{"peers":null`) {
-		s.lit(`{"peers":null`)
-	} else {
-		s.lit(`{"peers":[`)
-		if s.peek(`]`) {
-			peers = []Candidate{}
-			s.lit(`]`)
-		} else {
-			for s.ok {
-				var p Candidate
-				s.candidate(&p)
-				peers = append(peers, p)
-				if !s.peek(`,`) {
-					break
-				}
-				s.lit(`,`)
-			}
-			s.lit(`]`)
+func (c *coder) bytes(p *[]byte) {
+	n := c.count(len(*p), 1)
+	switch {
+	case !c.dec:
+		c.b = append(c.b, *p...)
+		return
+	case n == 0:
+		*p = nil
+	case c.alias:
+		*p = c.b[c.i : c.i+n : c.i+n]
+	default:
+		*p = append([]byte(nil), c.b[c.i:c.i+n]...)
+	}
+	c.i += n
+}
+
+// list codes the element count of *p — each element at least min bytes on
+// the wire, one per field when all are empty or zero — then, decoding,
+// sizes *p to it (nil for none), and codes each element in place as the
+// message or field that fields knows it to be.
+func list[T any](c *coder, p *[]T, min int) {
+	n := c.count(len(*p), min)
+	if c.dec {
+		*p = nil
+		if n > 0 {
+			*p = make([]T, n)
 		}
 	}
-	var n int64
-	if s.peek(`,"len":`) {
-		s.lit(`,"len":`)
-		n = s.num()
+	for i := range *p {
+		c.fields(&(*p)[i])
 	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	c.Peers, c.Len = peers, int(n)
-	return true
 }
 
-// --- Register / Unregister ---
+// minContact is the least a ChordContact takes on the wire (every field
+// empty or zero), for list's count check.
+const minContact = 6
 
-func (r Register) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, r.ID)
-	dst = append(dst, `,"addr":`...)
-	dst = appendJSONString(dst, r.Addr)
-	dst = append(dst, `,"class":`...)
-	dst = strconv.AppendInt(dst, int64(r.Class), 10)
-	if r.Refresh {
-		dst = append(dst, `,"refresh":true`...)
-	}
-	if r.Object != "" {
-		dst = append(dst, `,"object":`...)
-		dst = appendJSONString(dst, r.Object)
-	}
-	return append(dst, '}')
-}
-
-func (r *Register) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"id":`)
-	id := s.str()
-	s.lit(`,"addr":`)
-	addr := s.str()
-	s.lit(`,"class":`)
-	class := s.num()
-	refresh := false
-	if s.peek(`,"refresh":`) {
-		s.lit(`,"refresh":`)
-		refresh = s.boolean()
-	}
-	var object string
-	if s.peek(`,"object":`) {
-		s.lit(`,"object":`)
-		object = s.str()
-	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	r.ID, r.Addr, r.Class, r.Refresh, r.Object = id, addr, bandwidth.Class(class), refresh, object
-	return true
-}
-
-func (u Unregister) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = appendJSONString(dst, u.ID)
-	if u.Object != "" {
-		dst = append(dst, `,"object":`...)
-		dst = appendJSONString(dst, u.Object)
-	}
-	return append(dst, '}')
-}
-
-func (u *Unregister) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"id":`)
-	id := s.str()
-	var object string
-	if s.peek(`,"object":`) {
-		s.lit(`,"object":`)
-		object = s.str()
-	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	u.ID, u.Object = id, object
-	return true
-}
-
-// --- Start / StartReply / Segment / SessionDone ---
-
-func (st Start) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"requester_id":`...)
-	dst = appendJSONString(dst, st.RequesterID)
-	dst = append(dst, `,"file_name":`...)
-	dst = appendJSONString(dst, st.FileName)
-	if st.Segments == nil {
-		dst = append(dst, `,"segments":null`...)
-	} else {
-		dst = append(dst, `,"segments":[`...)
-		for i, seg := range st.Segments {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(seg), 10)
-		}
-		dst = append(dst, ']')
-	}
-	if st.Priority != 0 {
-		dst = append(dst, `,"priority":`...)
-		dst = strconv.AppendInt(dst, int64(st.Priority), 10)
-	}
-	return append(dst, '}')
-}
-
-func (st *Start) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"requester_id":`)
-	id := s.str()
-	s.lit(`,"file_name":`)
-	name := s.str()
-	var segs []int
-	if s.peek(`,"segments":null`) {
-		s.lit(`,"segments":null`)
-	} else {
-		s.lit(`,"segments":[`)
-		if s.peek(`]`) {
-			segs = []int{}
-			s.lit(`]`)
-		} else {
-			for s.ok {
-				segs = append(segs, int(s.num()))
-				if !s.peek(`,`) {
-					break
-				}
-				s.lit(`,`)
-			}
-			s.lit(`]`)
+// optContact is a presence byte, then the contact if it is 1.
+func (c *coder) optContact(p **ChordContact) {
+	has := *p != nil
+	c.bool(&has)
+	if c.dec {
+		*p = nil
+		if has {
+			*p = new(ChordContact)
 		}
 	}
-	var prio int64
-	if s.peek(`,"priority":`) {
-		s.lit(`,"priority":`)
-		prio = s.num()
+	if *p != nil {
+		c.fields(*p)
 	}
-	s.lit(`}`)
-	if !s.done() {
+}
+
+// fields is the wire layout of every message: it passes the fields of
+// body — a pointer to a message, to a struct nested in one or to a list
+// element — through c in wire order, and reports false for anything else.
+func (c *coder) fields(body any) bool {
+	switch m := body.(type) {
+	case nil, *struct{}, *DirEpochWatch, *ChordLeaveReply, *ChordReplicateReply:
+		// The bare acknowledgements and the epoch subscription: no fields.
+	case *string:
+		c.str(m)
+	case *int:
+		vint(c, m)
+	case *Register:
+		c.str(&m.ID)
+		c.str(&m.Addr)
+		vint(c, &m.Class)
+		c.bool(&m.Refresh)
+		c.str(&m.Object)
+	case *RegisterBatch:
+		list(c, &m.Regs, 5)
+	case *Unregister:
+		c.str(&m.ID)
+		c.str(&m.Object)
+	case *DirEpoch:
+		vint(c, &m.Epoch)
+		list(c, &m.Shards, 2)
+	case *DirShard:
+		c.str(&m.Name)
+		c.str(&m.Addr)
+	case *Lookup:
+		vint(c, &m.M)
+		c.str(&m.Exclude)
+		c.str(&m.Object)
+	case *Candidates:
+		list(c, &m.Peers, 3)
+		vint(c, &m.Len)
+	case *Candidate:
+		c.str(&m.ID)
+		c.str(&m.Addr)
+		vint(c, &m.Class)
+	case *Probe:
+		c.str(&m.RequesterID)
+		vint(c, &m.Class)
+		c.str(&m.Object)
+	case *ProbeReply:
+		vint(c, &m.Decision)
+		c.bool(&m.Favors)
+	case *Reminder:
+		return c.fields((*Probe)(m))
+	case *ReminderReply:
+		c.bool(&m.Kept)
+	case *Start:
+		c.str(&m.RequesterID)
+		c.str(&m.FileName)
+		list(c, &m.Segments, 1)
+		vint(c, &m.Priority)
+	case *StartReply:
+		c.bool(&m.OK)
+		c.str(&m.Reason)
+	case *Segment:
+		vint(c, &m.ID)
+		vint(c, &m.Quality)
+		c.bytes(&m.Data)
+	case *Ack:
+		vint(c, &m.Seq)
+		vint(c, &m.Bytes)
+	case *SessionDone:
+		vint(c, &m.Sent)
+	case *Error:
+		c.str(&m.Message)
+	case *ChordContact:
+		c.str(&m.Name)
+		c.str(&m.Addr)
+		c.str(&m.NodeAddr)
+		vint(c, &m.Class)
+		list(c, &m.Objects, 1)
+		vint(c, &m.Epoch)
+	case *ChordRecord:
+		c.uint64(&m.Pos)
+		c.fields(&m.Peer)
+	case *ChordJoin:
+		c.fields(&m.Peer)
+	case *ChordJoinReply:
+		c.optContact(&m.Predecessor)
+		list(c, &m.Successors, minContact)
+	case *ChordNotify:
+		c.fields(&m.Peer)
+	case *ChordNotifyReply:
+		c.optContact(&m.Predecessor)
+		list(c, &m.Successors, minContact)
+		c.optContact(&m.Self)
+	case *ChordFingerQuery:
+		c.uint64(&m.Key)
+	case *ChordFingerReply:
+		c.bool(&m.Done)
+		c.fields(&m.Next)
+		list(c, &m.Backups, minContact)
+	case *ChordLookup:
+		c.uint64(&m.Key)
+		c.bool(&m.Topo)
+	case *ChordLookupReply:
+		c.fields(&m.Owner)
+		vint(c, &m.Hops)
+	case *ChordLeave:
+		c.fields(&m.Peer)
+		c.optContact(&m.Predecessor)
+		list(c, &m.Successors, minContact)
+		list(c, &m.Records, 1+minContact)
+	case *ChordReplicate:
+		c.bool(&m.Replace)
+		c.bool(&m.Withdraw)
+		c.uint64(&m.Lo)
+		c.uint64(&m.Hi)
+		list(c, &m.Records, 1+minContact)
+		vint(c, &m.Hops)
+	case *ChordReplicaPull:
+		c.uint64(&m.Key)
+		list(c, &m.Dead, 1)
+		c.bool(&m.All)
+		c.uint64(&m.Lo)
+		c.uint64(&m.Hi)
+	case *ChordReplicaPullReply:
+		c.bool(&m.Found)
+		c.fields(&m.Record)
+		list(c, &m.Records, 1+minContact)
+	default:
 		return false
 	}
-	st.RequesterID, st.FileName, st.Segments, st.Priority = id, name, segs, int(prio)
 	return true
-}
-
-func (r StartReply) appendBody(dst []byte) []byte {
-	if r.OK {
-		dst = append(dst, `{"ok":true`...)
-	} else {
-		dst = append(dst, `{"ok":false`...)
-	}
-	if r.Reason != "" {
-		dst = append(dst, `,"reason":`...)
-		dst = appendJSONString(dst, r.Reason)
-	}
-	return append(dst, '}')
-}
-
-func (r *StartReply) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"ok":`)
-	ok := s.boolean()
-	var reason string
-	if s.peek(`,"reason":`) {
-		s.lit(`,"reason":`)
-		reason = s.str()
-	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	r.OK, r.Reason = ok, reason
-	return true
-}
-
-func (sg Segment) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendInt(dst, int64(sg.ID), 10)
-	if sg.Quality != 0 {
-		dst = append(dst, `,"quality":`...)
-		dst = strconv.AppendInt(dst, int64(sg.Quality), 10)
-	}
-	if sg.Data == nil {
-		return append(dst, `,"data":null}`...)
-	}
-	dst = append(dst, `,"data":"`...)
-	dst = base64.StdEncoding.AppendEncode(dst, sg.Data)
-	return append(dst, `"}`...)
-}
-
-func (sg *Segment) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"id":`)
-	id := s.num()
-	var quality int64
-	if s.peek(`,"quality":`) {
-		s.lit(`,"quality":`)
-		quality = s.num()
-	}
-	var data []byte
-	if s.peek(`,"data":null`) {
-		s.lit(`,"data":null`)
-	} else {
-		s.lit(`,"data":`)
-		enc := s.str()
-		if s.ok {
-			var err error
-			if data, err = base64.StdEncoding.AppendDecode(nil, []byte(enc)); err != nil {
-				s.ok = false
-			}
-		}
-	}
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	sg.ID, sg.Quality, sg.Data = int(id), int(quality), data
-	return true
-}
-
-func (a Ack) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendInt(dst, int64(a.Seq), 10)
-	dst = append(dst, `,"bytes":`...)
-	dst = strconv.AppendInt(dst, int64(a.Bytes), 10)
-	return append(dst, '}')
-}
-
-func (a *Ack) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"seq":`)
-	seq := s.num()
-	s.lit(`,"bytes":`)
-	n := s.num()
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	a.Seq, a.Bytes = int(seq), int(n)
-	return true
-}
-
-func (d SessionDone) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"sent":`...)
-	dst = strconv.AppendInt(dst, int64(d.Sent), 10)
-	return append(dst, '}')
-}
-
-func (d *SessionDone) decodeBody(b []byte) bool {
-	s := jscan{b: b, ok: true}
-	s.lit(`{"sent":`)
-	n := s.num()
-	s.lit(`}`)
-	if !s.done() {
-		return false
-	}
-	d.Sent = int(n)
-	return true
-}
-
-// --- Error ---
-
-func (e Error) appendBody(dst []byte) []byte {
-	dst = append(dst, `{"message":`...)
-	dst = appendJSONString(dst, e.Message)
-	return append(dst, '}')
 }

@@ -1,145 +1,206 @@
 package transport
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"p2pstream/internal/bandwidth"
 )
 
-// codecCases lists, per message type, values covering the canonical
-// encoder's branches: omitempty fields set and unset, nil vs empty vs
-// populated slices, both booleans.
-func codecCases() []any {
-	return []any{
-		Probe{RequesterID: "r42", Class: 3},
-		Probe{RequesterID: "", Class: 0},
-		Probe{RequesterID: "r42", Class: 3, Object: "clip-b"},
-		Reminder{RequesterID: "r1", Class: 1},
-		Reminder{RequesterID: "r1", Class: 1, Object: "clip-b"},
-		ProbeReply{Decision: 0, Favors: false},
-		ProbeReply{Decision: 2, Favors: true},
-		ReminderReply{Kept: true},
-		ReminderReply{Kept: false},
-		Lookup{M: 4},
-		Lookup{M: 4, Exclude: "me"},
-		Lookup{M: 4, Object: "clip-b"},
-		Lookup{M: 4, Exclude: "me", Object: "clip-b"},
-		Candidates{},
-		Candidates{Peers: []Candidate{}},
-		Candidates{Peers: []Candidate{{ID: "a", Addr: "a:1", Class: 1}}},
-		Candidates{Peers: []Candidate{{ID: "a", Addr: "a:1", Class: 1}, {ID: "b", Addr: "b:2", Class: 4}}, Len: 512},
-		Register{ID: "s1", Addr: "s1:9", Class: 2},
-		Register{ID: "s1", Addr: "s1:9", Class: 2, Refresh: true},
-		Register{ID: "s1", Addr: "s1:9", Class: 2, Object: "clip-b"},
-		Register{ID: "s1", Addr: "s1:9", Class: 2, Refresh: true, Object: "clip-b"},
-		Unregister{ID: "s1"},
-		Unregister{ID: "s1", Object: "clip-b"},
-		Start{RequesterID: "r", FileName: "clip"},
-		Start{RequesterID: "r", FileName: "clip", Segments: []int{}},
-		Start{RequesterID: "r", FileName: "clip", Segments: []int{0, 2, 4}},
-		Start{RequesterID: "r", FileName: "clip", Segments: []int{1, 3}, Priority: 2},
-		StartReply{OK: true},
-		StartReply{OK: false, Reason: "claimed"},
-		Segment{ID: 7},
-		Segment{ID: 7, Data: []byte{1, 2, 3, 0xff}},
-		Segment{ID: 7, Quality: 2, Data: []byte{9, 8}},
-		Ack{Seq: 3, Bytes: 128},
-		Ack{},
-		SessionDone{Sent: 4},
+// populate sets every field reachable from v to a distinct non-zero value:
+// two-element lists, present pointers, negative as well as positive
+// integers. A field the codec forgets therefore fails the round trip.
+func populate(v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d-é", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*n) * 1000003 * int64(1-2*(*n%2)))
+	case reflect.Uint64:
+		v.SetUint(^uint64(0) - uint64(*n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		populate(v.Elem(), n)
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			v.SetBytes([]byte{byte(*n), 0, 0xff})
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		populate(v.Index(0), n)
+		populate(v.Index(1), n)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			populate(v.Field(i), n)
+		}
+	default:
+		panic("populate: no rule for " + v.Type().String())
 	}
 }
 
-// TestCodecMatchesEncodingJSON pins the fast encoders to the exact bytes
-// encoding/json produces and proves both decode directions agree: the
-// canonical decoder accepts encoding/json's output, and encoding/json
-// accepts the canonical encoder's — the wire format is one format.
-func TestCodecMatchesEncodingJSON(t *testing.T) {
-	for _, v := range codecCases() {
-		want, err := json.Marshal(v)
+// TestEveryKindRoundTrips walks the kinds table — which must cover every
+// Kind constant — and sends each kind's zero and fully populated body
+// through both read paths, by value and by pointer.
+func TestEveryKindRoundTrips(t *testing.T) {
+	if len(kinds) != int(kindEnd) {
+		t.Fatalf("kinds has %d entries for %d kind values: a Kind constant is missing from the table", len(kinds), kindEnd)
+	}
+	if Kind(0).known() || kindEnd.known() || Kind(0).String() != "kind(0)" {
+		t.Errorf("kinds outside the table: %s known=%v, %s known=%v", Kind(0), Kind(0).known(), kindEnd, kindEnd.known())
+	}
+	names := map[string]Kind{}
+	for k := Kind(1); k < kindEnd; k++ {
+		name := k.String()
+		if !k.known() || kinds[k].body == nil {
+			t.Errorf("kind %d has no table entry", k)
+			continue
+		}
+		if prev, dup := names[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
+		}
+		names[name] = k
+		zero, full := kinds[k].body(), kinds[k].body()
+		n := 0
+		populate(reflect.ValueOf(full).Elem(), &n)
+		for _, want := range []any{zero, full} {
+			byValue := reflect.ValueOf(want).Elem().Interface()
+			for _, sent := range []any{want, byValue} {
+				var wire bytes.Buffer
+				if err := Write(&wire, k, sent); err != nil {
+					t.Fatalf("%s: Write(%T): %v", name, sent, err)
+				}
+				env, err := Read(bytes.NewReader(wire.Bytes()))
+				if err != nil || env.Kind != k {
+					t.Fatalf("%s: Read = %+v, %v", name, env, err)
+				}
+				got := kinds[k].body()
+				if err := env.Decode(got); err != nil {
+					t.Fatalf("%s: Decode: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s via Read+Decode:\n got %+v\nwant %+v", name, got, want)
+				}
+				got = kinds[k].body()
+				err = ReadExpect(&wire, k, got)
+				if re := new(RemoteError); k == KindError && errors.As(err, &re) {
+					// ReadExpect never hands an error frame out as a reply.
+					got, err = &Error{Message: re.Message}, nil
+				}
+				if err != nil {
+					t.Fatalf("%s: ReadExpect: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s via ReadExpect:\n got %+v\nwant %+v", name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// benchPeers is the 8-candidate lookup reply of the benchmark's small-frame
+// probe.
+func benchPeers() []Candidate {
+	peers := make([]Candidate, 8)
+	for i := range peers {
+		peers[i] = Candidate{ID: fmt.Sprintf("s%d", i), Addr: fmt.Sprintf("127.0.0.1:%d", 40000+i), Class: bandwidth.Class(1 + i%4)}
+	}
+	return peers
+}
+
+// TestGoldenFrames pins the wire layout byte for byte. Changing any of
+// these bytes is a wire-format change and needs a new wireVersion.
+func TestGoldenFrames(t *testing.T) {
+	payload := make([]byte, 16<<10)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	cases := []struct {
+		name string
+		kind Kind
+		body any
+		want string // hex of the frame, or of its head when tail is set
+		tail []byte
+	}{
+		{"probe", KindProbe, Probe{RequesterID: "r1", Class: 1, Object: "clip"},
+			"0000000b" + "01" + "05" + "02" + "7231" + "02" + "04" + "636c6970", nil},
+		{"candidates", KindCandidates, Candidates{Peers: benchPeers(), Len: 64},
+			"000000a5" + "01" + "04" + "08" +
+				"02" + "7330" + "0f" + "3132372e302e302e313a3430303030" + "02" +
+				"02" + "7331" + "0f" + "3132372e302e302e313a3430303031" + "04" +
+				"02" + "7332" + "0f" + "3132372e302e302e313a3430303032" + "06" +
+				"02" + "7333" + "0f" + "3132372e302e302e313a3430303033" + "08" +
+				"02" + "7334" + "0f" + "3132372e302e302e313a3430303034" + "02" +
+				"02" + "7335" + "0f" + "3132372e302e302e313a3430303035" + "04" +
+				"02" + "7336" + "0f" + "3132372e302e302e313a3430303036" + "06" +
+				"02" + "7337" + "0f" + "3132372e302e302e313a3430303037" + "08" +
+				"8001", nil},
+		{"segment", KindSegment, Segment{ID: 7, Quality: 1, Data: payload},
+			"00004007" + "01" + "0b" + "0e" + "02" + "808001", payload},
+	}
+	for _, tc := range cases {
+		var wire bytes.Buffer
+		if err := Write(&wire, tc.kind, tc.body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := hex.DecodeString(tc.want)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: bad golden: %v", tc.name, err)
 		}
-		got := v.(bodyAppender).appendBody(nil)
-		if string(got) != string(want) {
-			t.Errorf("%T: appendBody = %s, json.Marshal = %s", v, got, want)
+		want = append(want, tc.tail...)
+		if !bytes.Equal(wire.Bytes(), want) {
+			t.Errorf("%s frame:\n got %x\nwant %x", tc.name, wire.Bytes()[:min(wire.Len(), 200)], want[:min(len(want), 200)])
 		}
-
-		// Fast decoder over encoding/json output.
-		out := reflect.New(reflect.TypeOf(v))
-		dec, ok := out.Interface().(bodyDecoder)
-		if !ok {
-			t.Fatalf("%T: no decodeBody", v)
-		}
-		if !dec.decodeBody(want) {
-			t.Errorf("%T: decodeBody rejected canonical %s", v, want)
-		} else if g := out.Elem().Interface(); !equivalentBody(g, v) {
-			t.Errorf("%T: decodeBody(%s) = %+v, want %+v", v, want, g, v)
-		}
-
-		// encoding/json decoder over the fast encoder's output.
-		out2 := reflect.New(reflect.TypeOf(v))
-		if err := json.Unmarshal(got, out2.Interface()); err != nil {
-			t.Errorf("%T: json.Unmarshal(appendBody) failed: %v", v, err)
-		} else if g := out2.Elem().Interface(); !equivalentBody(g, v) {
-			t.Errorf("%T: json.Unmarshal(%s) = %+v, want %+v", v, got, g, v)
-		}
+	}
+	// The segment frame is the data plane's overhead: 11 bytes on 16 KiB.
+	if ratio := float64(4+0x4007) / float64(len(payload)); ratio > 1.001 {
+		t.Errorf("16 KiB segment wire ratio = %.4f, want about 1.00", ratio)
 	}
 }
 
-// equivalentBody compares decoded bodies, treating nil and empty byte/int
-// slices as equal: []byte{} and nil both encode meaningfully and no
-// consumer distinguishes them.
-func equivalentBody(a, b any) bool {
-	if reflect.DeepEqual(a, b) {
-		return true
+// TestDecodeIsStrict: every way a frame can fail to be the unique encoding
+// of a message is ErrMalformedFrame — none panics, and none allocates from
+// a count it has not checked against the bytes that remain.
+func TestDecodeIsStrict(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	cases := []struct {
+		name string
+		kind Kind
+		body []byte
+	}{
+		{"truncated before a field", KindProbe, []byte{0x02, 'r', '1'}},
+		{"truncated inside a string", KindProbe, []byte{0x05, 'r', '1'}},
+		{"bytes after the last field", KindAck, []byte{0x02, 0x04, 0x00}},
+		{"body on a kind without fields", KindRegisterOK, []byte{0x00}},
+		{"non-minimal varint", KindAck, []byte{0x82, 0x00, 0x04}},
+		{"varint beyond 64 bits", KindChordFingerQuery, bytes.Repeat([]byte{0xff}, 11)},
+		{"boolean 2", KindReminderOK, []byte{0x02}},
+		{"presence byte 2", KindChordJoinOK, []byte{0x02, 0x00}},
+		{"string length past the end", KindError, append(append([]byte(nil), huge...), 'x')},
+		{"payload length past the end", KindSegment, append([]byte{0x00, 0x00}, huge...)},
+		{"int list count past the end", KindStart, append([]byte{0x00, 0x00}, huge...)},
+		{"struct list count past the end", KindCandidates, append(append([]byte(nil), huge...), 0, 0, 0)},
+		{"struct list count past what its elements need", KindChordJoinOK, []byte{0x00, 0x02, 0, 0, 0, 0, 0, 0}},
 	}
-	if sa, ok := a.(Segment); ok {
-		sb := b.(Segment)
-		return sa.ID == sb.ID && sa.Quality == sb.Quality &&
-			len(sa.Data) == 0 && len(sb.Data) == 0
-	}
-	if sa, ok := a.(Start); ok {
-		sb := b.(Start)
-		return sa.RequesterID == sb.RequesterID && sa.FileName == sb.FileName &&
-			sa.Priority == sb.Priority &&
-			len(sa.Segments) == 0 && len(sb.Segments) == 0
-	}
-	return false
-}
-
-// TestCodecFallback: bodies the canonical scanner cannot handle — escaped
-// strings, non-ASCII, reordered keys, whitespace — are rejected by
-// decodeBody (leaving the receiver untouched) and still decode correctly
-// through the encoding/json path that Write/ReadExpect fall back to.
-func TestCodecFallback(t *testing.T) {
-	hard := []any{
-		Probe{RequesterID: "weird\"id", Class: 1},
-		Probe{RequesterID: "ünïcode", Class: 1},
-		Register{ID: "tab\there", Addr: "a:1", Class: 1},
-		StartReply{OK: false, Reason: "line\nbreak"},
-	}
-	for _, v := range hard {
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range cases {
+		env := Envelope{Kind: tc.kind, Body: tc.body}
+		decode := func() error { return env.Decode(kinds[tc.kind].body()) }
+		if err := decode(); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s: err = %v, want ErrMalformedFrame", tc.name, err)
 		}
-		out := reflect.New(reflect.TypeOf(v))
-		if out.Interface().(bodyDecoder).decodeBody(want) {
-			t.Errorf("%T: decodeBody accepted non-canonical %s", v, want)
+		if err := ReadExpect(bytes.NewReader(frameOf(tc.kind, tc.body)), tc.kind, kinds[tc.kind].body()); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s: ReadExpect = %v, want ErrMalformedFrame", tc.name, err)
 		}
-		if !reflect.DeepEqual(out.Elem().Interface(), reflect.Zero(reflect.TypeOf(v)).Interface()) {
-			t.Errorf("%T: failed decodeBody mutated receiver: %+v", v, out.Elem().Interface())
+		// The destination and the error are all a refusal may allocate.
+		if allocs := testing.AllocsPerRun(20, func() { decode() }); allocs > 8 {
+			t.Errorf("%s: %v allocations while refusing %d bytes", tc.name, allocs, len(tc.body))
 		}
-	}
-	// Reordered keys and whitespace: valid JSON, non-canonical layout.
-	var p Probe
-	if (&p).decodeBody([]byte(`{"class":1,"requester_id":"r"}`)) {
-		t.Error("decodeBody accepted reordered keys")
-	}
-	if (&p).decodeBody([]byte(`{ "requester_id": "r", "class": 1 }`)) {
-		t.Error("decodeBody accepted whitespace layout")
-	}
-	if (&p).decodeBody([]byte(`{"requester_id":"r","class":1}x`)) {
-		t.Error("decodeBody accepted trailing garbage")
 	}
 }

@@ -108,57 +108,73 @@ func (cc *ConnCache) dial(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // Call performs one request/response exchange with addr over a pooled
-// connection, dialing as needed. Semantics match transport.Call: ctx
-// governs the whole exchange and failures on a cancelled context surface
-// as ctx.Err().
+// connection, dialing as needed; ctx governs it as it does the package's
+// one-shot Call.
 func (cc *ConnCache) Call(ctx context.Context, addr string, kind Kind, req any, want Kind, out any) error {
 	conn, err := cc.checkout(addr)
 	if err != nil {
 		return err
 	}
-	reused := conn != nil
-	if conn == nil {
-		if conn, err = cc.dial(ctx, addr); err != nil {
+	// A reused connection may simply have been idled out by the server
+	// between exchanges: its failure earns one retry on a fresh dial.
+	for reused := conn != nil; ; reused, conn = false, nil {
+		if conn == nil {
+			if conn, err = cc.dial(ctx, addr); err != nil {
+				return err
+			}
+		}
+		err = exchange(ctx, conn, kind, req, want, out)
+		if err == nil || isRemote(err) {
+			cc.checkin(addr, conn)
 			return err
 		}
-	}
-	err = exchange(ctx, conn, kind, req, want, out)
-	if err == nil || isRemote(err) {
-		cc.checkin(addr, conn)
-		return err
-	}
-	cc.discard(conn)
-	if !reused || ctx.Err() != nil {
-		return CtxErr(ctx, err)
-	}
-	// The reused connection may simply have been idled out by the server
-	// between exchanges: one retry on a fresh dial.
-	if conn, err = cc.dial(ctx, addr); err != nil {
-		return err
-	}
-	err = exchange(ctx, conn, kind, req, want, out)
-	if err != nil && !isRemote(err) {
 		cc.discard(conn)
-		return CtxErr(ctx, err)
+		if !reused || ctx.Err() != nil {
+			return CtxErr(ctx, err)
+		}
 	}
-	cc.checkin(addr, conn)
+}
+
+// Call performs one request/response exchange against addr over nw: dial,
+// write the request frame, read (and decode into out, when non-nil) the
+// reply of the expected kind. The whole exchange honors ctx — the dial
+// aborts on cancellation, the connection's deadline derives from the
+// context's, and a cancellation mid-read closes the connection so blocked
+// reads return — and a failure on a cancelled context surfaces as
+// ctx.Err() (context.Canceled / DeadlineExceeded pass through), never as
+// the secondary connection error the teardown produced.
+//
+// Every connectionless RPC of the overlay (directory calls, chord ring
+// RPCs) goes through this helper; session streams, which outlive a single
+// exchange, guard their connections directly with netx.Guard.
+func Call(ctx context.Context, nw netx.Network, addr string, kind Kind, req any, want Kind, out any) error {
+	conn, err := netx.DialContext(ctx, nw, addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	return CtxErr(ctx, exchange(ctx, conn, kind, req, want, out))
+}
+
+// CtxErr maps a transport failure on a cancelled context to the context's
+// own error: cancellation tears the connection down, and the caller must
+// see context.Canceled / DeadlineExceeded, not the net.ErrClosed or io.EOF
+// the teardown produced.
+func CtxErr(ctx context.Context, err error) error {
+	if err != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
 	return err
 }
 
-// exchange runs one write/read pair over an open connection under ctx.
+// exchange runs one write/read pair over an open connection under ctx. Its
+// errors are the connection's own; callers map them with CtxErr.
 func exchange(ctx context.Context, conn net.Conn, kind Kind, req any, want Kind, out any) error {
-	release := netx.Guard(ctx, conn)
-	defer release()
+	defer netx.Guard(ctx, conn)()
 	if err := Write(conn, kind, req); err != nil {
-		return CtxErr(ctx, err)
+		return err
 	}
-	if err := ReadExpect(conn, want, out); err != nil {
-		if isRemote(err) {
-			return err
-		}
-		return CtxErr(ctx, err)
-	}
-	return nil
+	return ReadExpect(conn, want, out)
 }
 
 func isRemote(err error) bool {

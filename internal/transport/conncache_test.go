@@ -162,3 +162,53 @@ func TestConnCacheHonorsContext(t *testing.T) {
 		t.Fatal("slot wedged after cancellation")
 	}
 }
+
+// TestConnCacheDropsConnOnBadFrame: a reply that is not a frame of this
+// wire format — malformed, or of another version — costs the connection;
+// only a RemoteError leaves it pooled.
+func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
+	replies := []struct {
+		raw  []byte
+		want error
+	}{
+		{[]byte{0, 0, 0, 0}, ErrMalformedFrame},
+		{[]byte{0, 0, 0, 3, wireVersion, byte(KindCandidates), 0xff}, ErrMalformedFrame},
+		{append([]byte{0, 0, 0, 16}, `{"kind":"error"}`...), ErrWireVersion},
+	}
+	for _, reply := range replies {
+		v := cacheTestNet(t)
+		l, err := v.Host("srv").Listen(":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go func() {
+			for {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					for {
+						if _, err := Read(conn); err != nil {
+							return
+						}
+						conn.Write(reply.raw)
+					}
+				}()
+			}
+		}()
+		cc := NewConnCache(v.Host("cli"))
+		for i := 0; i < 3; i++ {
+			err := cc.Call(context.Background(), l.Addr().String(), KindLookup, Lookup{M: 1}, KindCandidates, &Candidates{})
+			if !errors.Is(err, reply.want) {
+				t.Errorf("reply %x: err = %v, want %v", reply.raw, err, reply.want)
+			}
+		}
+		cc.Close()
+		if d := v.Dials(); d != 3 {
+			t.Errorf("reply %x: 3 failed exchanges used %d dials, want 3 (the connection must not be reused)", reply.raw, d)
+		}
+	}
+}

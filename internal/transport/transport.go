@@ -1,5 +1,5 @@
 // Package transport defines the wire protocol of the live peer-to-peer
-// streaming overlay: length-prefixed JSON messages over any stream
+// streaming overlay: length-prefixed binary messages over any stream
 // connection (TCP between real peers, net.Pipe in tests).
 //
 // The message set mirrors the paper's protocol steps: peers register with
@@ -7,11 +7,39 @@
 // for admission, leave reminders on busy favoring candidates, trigger the
 // chosen suppliers with their OTS_p2p segment assignments, and receive the
 // media segments of the session.
+//
+// # Wire format
+//
+// A frame is a 4-byte big-endian length, a version byte (wireVersion), a
+// kind byte, and the message's fields in the order coder.fields lists
+// them — the one place the per-kind layout lives, for both directions.
+// Integers are varints (zig-zag when signed), booleans and the presence
+// marker of an optional *ChordContact one byte, strings, []byte and lists
+// a varint length or count and then the content. There is one format and
+// no negotiation: the version rides every frame, so any other peer is
+// refused on its first one (ErrWireVersion). Decoding is strict: a message
+// has one encoding, and anything else — truncated, over-counted,
+// non-minimal, bytes left over — is ErrMalformedFrame. A count is checked
+// against the bytes that remain, at its elements' least wire size, before
+// anything is sized by it, so a frame makes decoding allocate at most 16
+// times its length (a list of empty strings: a byte each on the wire, a
+// 16-byte header each in memory).
+//
+// # Ownership
+//
+// Read returns an Envelope whose Body is a buffer of exactly the frame's
+// size that the caller owns, and Envelope.Decode aliases it: Segment.Data
+// is a sub-slice of Body. ReadExpect decodes out of a pooled buffer and
+// copies []byte fields out of it. Nothing decoded refers to a pooled
+// buffer. Decoded strings are slices of one string copy of the body, so
+// keeping one keeps the frame's worth (at most MaxMessageSize): harmless
+// where a frame's strings are stored and dropped together — a registration,
+// a peer's batch of them, the contacts of one stabilization reply — and a
+// reason to clone a string that must far outlive the rest of its frame.
 package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,54 +54,60 @@ import (
 // so anything bigger indicates a corrupted or hostile stream.
 const MaxMessageSize = 1 << 20
 
-// Kind discriminates message payloads.
-type Kind string
+// wireVersion is the second field of every frame. A peer of the JSON era
+// has '{' in this position.
+const wireVersion = 1
 
-// The protocol message kinds.
+// Kind discriminates message payloads: the kind byte of a frame. The
+// kinds table in codec.go names each one.
+type Kind uint8
+
+// The protocol message kinds. The values are the wire encoding: append
+// new kinds, never renumber.
 const (
-	KindRegister     Kind = "register"      // supplier -> directory
-	KindRegisterOK   Kind = "register-ok"   // directory -> supplier
-	KindLookup       Kind = "lookup"        // requester -> directory
-	KindCandidates   Kind = "candidates"    // directory -> requester
-	KindProbe        Kind = "probe"         // requester -> supplier
-	KindProbeReply   Kind = "probe-reply"   // supplier -> requester
-	KindReminder     Kind = "reminder"      // requester -> busy supplier
-	KindReminderOK   Kind = "reminder-ok"   // supplier -> requester
-	KindStart        Kind = "start"         // requester -> chosen supplier
-	KindStartReply   Kind = "start-reply"   // supplier -> requester
-	KindSegment      Kind = "segment"       // supplier -> requester
-	KindAck          Kind = "ack"           // requester -> supplier (per segment)
-	KindSessionDone  Kind = "session-done"  // supplier -> requester
-	KindError        Kind = "error"         // any -> any
-	KindUnregister   Kind = "unregister"    // supplier -> directory
-	KindUnregisterOK Kind = "unregister-ok" // directory -> supplier
+	KindRegister     Kind = iota + 1 // supplier -> directory
+	KindRegisterOK                   // directory -> supplier
+	KindLookup                       // requester -> directory
+	KindCandidates                   // directory -> requester
+	KindProbe                        // requester -> supplier
+	KindProbeReply                   // supplier -> requester
+	KindReminder                     // requester -> busy supplier
+	KindReminderOK                   // supplier -> requester
+	KindStart                        // requester -> chosen supplier
+	KindStartReply                   // supplier -> requester
+	KindSegment                      // supplier -> requester
+	KindAck                          // requester -> supplier (per segment)
+	KindSessionDone                  // supplier -> requester
+	KindError                        // any -> any
+	KindUnregister                   // supplier -> directory
+	KindUnregisterOK                 // directory -> supplier
 
 	// Batch registration (multi-object seeds): one round announces a
 	// peer's whole supplied-object set instead of one dial per object.
-	KindRegisterBatch   Kind = "register-batch"    // supplier -> directory
-	KindRegisterBatchOK Kind = "register-batch-ok" // directory -> supplier
+	KindRegisterBatch   // supplier -> directory
+	KindRegisterBatchOK // directory -> supplier
 
 	// Chord discovery kinds (decentralized lookup, paper Section 4.2
 	// footnote 4): ring members maintain successors and fingers and route
 	// key lookups over the same wire substrate the sessions use.
-	KindChordJoin        Kind = "chord-join"         // joiner -> its successor
-	KindChordJoinOK      Kind = "chord-join-ok"      // successor -> joiner
-	KindChordNotify      Kind = "chord-notify"       // member -> its successor
-	KindChordNotifyOK    Kind = "chord-notify-ok"    // successor -> member
-	KindChordFingerQuery Kind = "chord-finger-query" // member -> member (one routing step)
-	KindChordFingerOK    Kind = "chord-finger-ok"    // member -> member
-	KindChordLookup      Kind = "chord-lookup"       // any peer -> member (full lookup)
-	KindChordLookupOK    Kind = "chord-lookup-ok"    // member -> any peer
-	KindChordLeave       Kind = "chord-leave"        // departing member -> its neighbors
-	KindChordLeaveOK     Kind = "chord-leave-ok"     // neighbor -> departing member
+	KindChordJoin        // joiner -> its successor
+	KindChordJoinOK      // successor -> joiner
+	KindChordNotify      // member -> its successor
+	KindChordNotifyOK    // successor -> member
+	KindChordFingerQuery // member -> member (one routing step)
+	KindChordFingerOK    // member -> member
+	KindChordLookup      // any peer -> member (full lookup)
+	KindChordLookupOK    // member -> any peer
+	KindChordLeave       // departing member -> its neighbors
+	KindChordLeaveOK     // neighbor -> departing member
 
 	// Chord replication kinds: registration records spread from each key
 	// range's owner to its successor list, so a crashed owner's records
 	// stay answerable from replicas (the churn window closes).
-	KindChordReplicate     Kind = "chord-replicate"       // owner -> successor (record push)
-	KindChordReplicateOK   Kind = "chord-replicate-ok"    // successor -> owner
-	KindChordReplicaPull   Kind = "chord-replica-pull"    // any peer -> member (record fetch)
-	KindChordReplicaPullOK Kind = "chord-replica-pull-ok" // member -> any peer
+	KindChordReplicate     // owner -> successor (record push)
+	KindChordReplicateOK   // successor -> owner
+	KindChordReplicaPull   // any peer -> member (record fetch)
+	KindChordReplicaPullOK // member -> any peer
 
 	// Resharding epoch kinds (elastic directory): a client subscribes a
 	// dedicated connection to epoch announcements, and any directory
@@ -81,38 +115,40 @@ const (
 	// shard set changes — the immediate reply to the subscription carries
 	// the current epoch, and later pushes arrive unsolicited on the same
 	// connection.
-	KindDirEpochWatch Kind = "dir-epoch-watch" // client -> directory (subscribe)
-	KindDirEpoch      Kind = "dir-epoch"       // directory -> client (reply + push)
+	KindDirEpochWatch // client -> directory (subscribe)
+	KindDirEpoch      // directory -> client (reply + push)
+
+	kindEnd // one past the last kind: the kinds table has an entry for every value below it
 )
 
 // Register announces a supplying peer to the directory.
 type Register struct {
-	ID    string          `json:"id"`
-	Addr  string          `json:"addr"`
-	Class bandwidth.Class `json:"class"`
+	ID    string
+	Addr  string
+	Class bandwidth.Class
 	// Refresh marks a lease-style re-registration: the directory upserts
 	// (address and class replace any existing entry) instead of rejecting
 	// the duplicate. Sharded clients re-send registrations periodically so
 	// a registry shard that crashed and returned empty is repopulated.
-	Refresh bool `json:"refresh,omitempty"`
+	Refresh bool
 	// Object names the media object this registration supplies. Empty
-	// selects the directory's default registry — the single-object wire
-	// format, byte-identical to what pre-multi-object peers send.
-	Object string `json:"object,omitempty"`
+	// selects the directory's default registry, as single-object overlays
+	// do.
+	Object string
 }
 
 // RegisterBatch announces a peer's whole supplied-object set in one
 // round: one entry per object, typically sharing ID, Addr and Class.
 type RegisterBatch struct {
-	Regs []Register `json:"regs"`
+	Regs []Register
 }
 
 // Unregister removes a supplying peer from the directory. A non-empty
 // Object withdraws only that object's registration (the cache-eviction
 // path); empty withdraws from the default registry.
 type Unregister struct {
-	ID     string `json:"id"`
-	Object string `json:"object,omitempty"`
+	ID     string
+	Object string
 }
 
 // DirEpochWatch subscribes a connection to resharding-epoch
@@ -127,113 +163,113 @@ type DirEpochWatch struct{}
 // addresses) keeps key placement identical when a shard moves hosts, and
 // keeps rings across epochs comparable point by point.
 type DirShard struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
+	Name string
+	Addr string
 }
 
 // DirEpoch announces one resharding epoch: a monotonically increasing
 // epoch number and the complete shard set it is valid for. Clients adopt
 // the highest epoch they have seen and ignore stale ones.
 type DirEpoch struct {
-	Epoch  int64      `json:"epoch"`
-	Shards []DirShard `json:"shards"`
+	Epoch  int64
+	Shards []DirShard
 }
 
 // Lookup asks the directory for M random candidate suppliers.
 type Lookup struct {
-	M int `json:"m"`
+	M int
 	// Exclude names a peer to omit (a requester never probes itself).
-	Exclude string `json:"exclude,omitempty"`
+	Exclude string
 	// Object restricts the sample to suppliers of that media object;
 	// empty samples the default registry.
-	Object string `json:"object,omitempty"`
+	Object string
 }
 
 // Candidate describes one supplier returned by a lookup.
 type Candidate struct {
-	ID    string          `json:"id"`
-	Addr  string          `json:"addr"`
-	Class bandwidth.Class `json:"class"`
+	ID    string
+	Addr  string
+	Class bandwidth.Class
 }
 
 // Candidates is the lookup response.
 type Candidates struct {
-	Peers []Candidate `json:"peers"`
+	Peers []Candidate
 	// Len is the answering registry's total supplier count — with a
 	// sharded directory, the weight a client's merge gives this shard's
 	// sample so the merged result stays exactly uniform over the union.
-	Len int `json:"len,omitempty"`
+	Len int
 }
 
 // Probe asks a supplier for streaming-service permission. Object routes
 // the probe to the supplier's per-object admission state; empty means
 // the supplier's default (single) object.
 type Probe struct {
-	RequesterID string          `json:"requester_id"`
-	Class       bandwidth.Class `json:"class"`
-	Object      string          `json:"object,omitempty"`
+	RequesterID string
+	Class       bandwidth.Class
+	Object      string
 }
 
 // ProbeReply is the supplier's admission decision.
 type ProbeReply struct {
-	Decision dac.Decision `json:"decision"`
+	Decision dac.Decision
 	// Favors reports whether the supplier currently favors the requester's
 	// class (used for reminder targeting when Decision is DeniedBusy).
-	Favors bool `json:"favors"`
+	Favors bool
 }
 
 // Reminder is left on a busy supplier by a rejected requester.
 type Reminder struct {
-	RequesterID string          `json:"requester_id"`
-	Class       bandwidth.Class `json:"class"`
-	Object      string          `json:"object,omitempty"`
+	RequesterID string
+	Class       bandwidth.Class
+	Object      string
 }
 
 // ReminderReply acknowledges a reminder.
 type ReminderReply struct {
-	Kept bool `json:"kept"`
+	Kept bool
 }
 
 // Start triggers a chosen supplier with its OTS_p2p assignment: the
 // absolute segment IDs it must transmit, in ascending order.
 type Start struct {
-	RequesterID string `json:"requester_id"`
-	FileName    string `json:"file_name"`
-	Segments    []int  `json:"segments"`
+	RequesterID string
+	FileName    string
+	Segments    []int
 	// Priority orders competing sessions at a shared bottleneck: higher
 	// values downgrade later (larger sustain window before the ABR ladder
 	// steps down), lower values yield earlier. Zero is the default
 	// priority.
-	Priority int `json:"priority,omitempty"`
+	Priority int
 }
 
 // StartReply confirms (or refuses) session participation.
 type StartReply struct {
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
 }
 
 // Segment carries one media segment.
 type Segment struct {
-	ID int `json:"id"`
+	ID int
 	// Quality is the bitrate-class the payload was encoded at: 0 is full
 	// quality, each step halves the encoded size (the paper's dyadic
 	// ladder applied to the media itself).
-	Quality int    `json:"quality,omitempty"`
-	Data    []byte `json:"data"`
+	Quality int
+	Data    []byte
 }
 
 // Ack confirms receipt of one media segment back to its supplier — the
 // feedback the send-side bandwidth estimator runs on. Seq echoes the
 // segment ID; Bytes is the payload size received.
 type Ack struct {
-	Seq   int `json:"seq"`
-	Bytes int `json:"bytes"`
+	Seq   int
+	Bytes int
 }
 
 // SessionDone marks the end of a supplier's transmissions.
 type SessionDone struct {
-	Sent int `json:"sent"`
+	Sent int
 }
 
 // ChordContact identifies one member of the wire-level Chord ring: its
@@ -241,43 +277,43 @@ type SessionDone struct {
 // ring RPCs, its overlay endpoint for probes and sessions, and its
 // bandwidth class (so key lookups double as candidate discovery).
 type ChordContact struct {
-	Name     string          `json:"name"`
-	Addr     string          `json:"addr"`
-	NodeAddr string          `json:"node_addr"`
-	Class    bandwidth.Class `json:"class"`
+	Name     string
+	Addr     string
+	NodeAddr string
+	Class    bandwidth.Class
 	// Objects lists the media objects the member supplies, sorted. Empty
 	// means the set is unknown (a pre-multi-object member, or one that
 	// registered without naming an object): candidate filters must keep
 	// such contacts and let the probe's own refusal sort them out.
 	// Propagated with the contact through join/notify/lookup replies, so
 	// cached copies can lag a peer's latest set by a stabilization round.
-	Objects []string `json:"objects,omitempty"`
+	Objects []string
 	// Epoch orders contacts for the same name across rejoins: a member
 	// that leaves and rejoins (possibly on a new address) stamps a higher
 	// epoch, so merges prefer the newest contact and probes never dial an
 	// address the member already abandoned. Zero on contacts from members
 	// predating epochs; any stamped contact beats an unstamped one.
-	Epoch int64 `json:"epoch,omitempty"`
+	Epoch int64
 }
 
 // ChordJoin is sent by a joining peer to the ring member it determined to
 // be its successor (via a key lookup of its own ring position).
 type ChordJoin struct {
-	Peer ChordContact `json:"peer"`
+	Peer ChordContact
 }
 
 // ChordJoinReply transfers the successor's state to the joiner: the
 // predecessor it knew before (possibly) adopting the joiner, and its
 // successor list (the joiner's fault-tolerance seed).
 type ChordJoinReply struct {
-	Predecessor *ChordContact  `json:"predecessor,omitempty"`
-	Successors  []ChordContact `json:"successors"`
+	Predecessor *ChordContact
+	Successors  []ChordContact
 }
 
 // ChordNotify is the stabilization heartbeat a member sends its successor:
 // "I believe I am your predecessor".
 type ChordNotify struct {
-	Peer ChordContact `json:"peer"`
+	Peer ChordContact
 }
 
 // ChordNotifyReply returns the receiver's predecessor as of before this
@@ -288,15 +324,15 @@ type ChordNotify struct {
 // spreads to the peers whose routing answers carry it within one
 // stabilization round instead of never.
 type ChordNotifyReply struct {
-	Predecessor *ChordContact  `json:"predecessor,omitempty"`
-	Successors  []ChordContact `json:"successors"`
-	Self        *ChordContact  `json:"self,omitempty"`
+	Predecessor *ChordContact
+	Successors  []ChordContact
+	Self        *ChordContact
 }
 
 // ChordFingerQuery asks a member for one iterative routing step toward a
 // key.
 type ChordFingerQuery struct {
-	Key uint64 `json:"key"`
+	Key uint64
 }
 
 // ChordFingerReply answers a routing step: when Done, Next is the key's
@@ -307,27 +343,27 @@ type ChordFingerQuery struct {
 // fail-over order, so a resolver whose pull finds the owner dead asks
 // them directly instead of re-walking into the same corpse.
 type ChordFingerReply struct {
-	Done    bool           `json:"done"`
-	Next    ChordContact   `json:"next"`
-	Backups []ChordContact `json:"backups,omitempty"`
+	Done    bool
+	Next    ChordContact
+	Backups []ChordContact
 }
 
 // ChordLookup asks a ring member to route a full key lookup on the
 // caller's behalf — the entry point for peers that are not (yet) members,
 // such as requesting peers sampling candidates before their first session.
 type ChordLookup struct {
-	Key uint64 `json:"key"`
+	Key uint64
 	// Topo asks for the key's topological owner (the ring member whose
 	// arc covers the key) rather than a registration-record answer; the
 	// join path uses it to find a successor, since a joiner needs the
 	// member at that position, not whoever registered a record near it.
-	Topo bool `json:"topo,omitempty"`
+	Topo bool
 }
 
 // ChordLookupReply returns the key's owner and the routing hops expended.
 type ChordLookupReply struct {
-	Owner ChordContact `json:"owner"`
-	Hops  int          `json:"hops"`
+	Owner ChordContact
+	Hops  int
 }
 
 // ChordLeave is the graceful-departure notice a leaving member sends both
@@ -336,16 +372,16 @@ type ChordLookupReply struct {
 // with no stabilization round in between), and the predecessor splices the
 // leaver's successor list in place of the leaver.
 type ChordLeave struct {
-	Peer ChordContact `json:"peer"`
+	Peer ChordContact
 	// Predecessor is the leaver's predecessor, for the successor to adopt.
-	Predecessor *ChordContact `json:"predecessor,omitempty"`
+	Predecessor *ChordContact
 	// Successors is the leaver's successor list, for the predecessor to
 	// splice in.
-	Successors []ChordContact `json:"successors,omitempty"`
+	Successors []ChordContact
 	// Records are the registration records the leaver stored as primary
 	// owner; the successor inherits the leaver's key range, so it adopts
 	// them (minus any naming the leaver itself).
-	Records []ChordRecord `json:"records,omitempty"`
+	Records []ChordRecord
 }
 
 // ChordLeaveReply acknowledges a leave notice.
@@ -356,8 +392,8 @@ type ChordLeaveReply struct{}
 // A member registering with V virtual nodes publishes V such records; the
 // record at the member's own ring position doubles as its liveness anchor.
 type ChordRecord struct {
-	Pos  uint64       `json:"pos"`
-	Peer ChordContact `json:"peer"`
+	Pos  uint64
+	Peer ChordContact
 }
 
 // ChordReplicate pushes registration records to a peer. With Replace set,
@@ -373,12 +409,12 @@ type ChordRecord struct {
 // so a rejoined member's fresher record survives a late withdrawal of
 // the old incarnation).
 type ChordReplicate struct {
-	Replace  bool          `json:"replace,omitempty"`
-	Withdraw bool          `json:"withdraw,omitempty"`
-	Lo       uint64        `json:"lo,omitempty"`
-	Hi       uint64        `json:"hi,omitempty"`
-	Records  []ChordRecord `json:"records"`
-	Hops     int           `json:"hops,omitempty"`
+	Replace  bool
+	Withdraw bool
+	Lo       uint64
+	Hi       uint64
+	Records  []ChordRecord
+	Hops     int
 }
 
 // ChordReplicateReply acknowledges a record push.
@@ -392,24 +428,24 @@ type ChordReplicateReply struct{}
 // the answerer's). With All set it asks for every record in the circular
 // range (Lo, Hi] — the join path, syncing a joiner's inherited range.
 type ChordReplicaPull struct {
-	Key  uint64   `json:"key,omitempty"`
-	Dead []string `json:"dead,omitempty"`
-	All  bool     `json:"all,omitempty"`
-	Lo   uint64   `json:"lo,omitempty"`
-	Hi   uint64   `json:"hi,omitempty"`
+	Key  uint64
+	Dead []string
+	All  bool
+	Lo   uint64
+	Hi   uint64
 }
 
 // ChordReplicaPullReply answers a record fetch: Found/Record for a keyed
 // pull, Records for a range pull.
 type ChordReplicaPullReply struct {
-	Found   bool          `json:"found,omitempty"`
-	Record  ChordRecord   `json:"record,omitempty"`
-	Records []ChordRecord `json:"records,omitempty"`
+	Found   bool
+	Record  ChordRecord
+	Records []ChordRecord
 }
 
 // Error reports a protocol failure.
 type Error struct {
-	Message string `json:"message"`
+	Message string
 }
 
 // RemoteError is what ReadExpect returns when the peer answered with a
@@ -422,79 +458,60 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return "transport: remote error: " + e.Message }
 
-// Envelope is the frame payload: a kind tag plus the JSON-encoded body.
+// Envelope is one received frame: its kind and its still-encoded fields.
 type Envelope struct {
-	Kind Kind            `json:"kind"`
-	Body json.RawMessage `json:"body"`
+	Kind Kind
+	Body []byte
 }
 
-// ErrMessageTooLarge is returned for frames beyond MaxMessageSize.
-var ErrMessageTooLarge = errors.New("transport: message exceeds size limit")
-
-// maxPooledFrame caps the capacity a frame or read buffer may carry back
-// into its pool, so one outsized message does not pin memory forever.
-const maxPooledFrame = 64 << 10
-
-// framePool recycles whole outgoing frames (length prefix + envelope);
-// readPool recycles incoming envelope buffers. Both are safe to reuse the
-// moment the call returns: io.Writer must not retain its argument, and
-// json.RawMessage copies the bytes it keeps.
+// The frame-level failures. ConnCache drops the connection on each of
+// them: the stream can no longer be trusted to be synchronized.
 var (
-	framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
-	readPool  = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+	// ErrMessageTooLarge is returned for frames beyond MaxMessageSize.
+	ErrMessageTooLarge = errors.New("transport: message exceeds size limit")
+	// ErrMalformedFrame is returned for a frame that is no message's
+	// encoding: too short, cut off, of unknown kind, refused by decoding.
+	ErrMalformedFrame = errors.New("transport: malformed frame")
+	// ErrWireVersion is returned for a frame of another wire version.
+	ErrWireVersion = errors.New("transport: unsupported wire version")
 )
 
-// appendJSONString appends s as a JSON string literal. Message kinds are
-// plain ASCII identifiers, so the fast path just quotes; anything unusual
-// falls back to the encoder.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			quoted, _ := json.Marshal(s)
-			return append(dst, quoted...)
-		}
+// maxPooledFrame caps the capacity a buffer may carry back into bufPool,
+// so one outsized message does not pin memory forever.
+const maxPooledFrame = 64 << 10
+
+// bufPool recycles outgoing frames and the buffers ReadExpect decodes out
+// of. A buffer is free the moment the call that took it returns: io.Writer
+// must not retain its argument, and decoding copies out of a pooled buffer.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrame {
+		bufPool.Put(bp)
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
-// Write frames and sends one message. The envelope is assembled directly
-// into a pooled frame buffer — one body marshal (or none, for bodies with
-// a canonical fast encoder), no second envelope marshal, no per-message
-// frame allocation.
+// Write frames and sends one message; body is the kind's message struct,
+// by value or by pointer (nil or struct{}{} for a kind without fields).
+// The frame goes out in one Write: one syscall, one virtual delivery.
 func Write(w io.Writer, kind Kind, body any) error {
-	bp := framePool.Get().(*[]byte)
-	// One buffer, one Write: a frame hits the wire in a single syscall (or
-	// a single virtual-network delivery) instead of two.
-	frame := append((*bp)[:0], 0, 0, 0, 0)
-	frame = append(frame, `{"kind":`...)
-	frame = appendJSONString(frame, string(kind))
-	frame = append(frame, `,"body":`...)
-	if a, ok := body.(bodyAppender); ok {
-		frame = a.appendBody(frame)
-	} else {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			*bp = frame[:0]
-			framePool.Put(bp)
-			return fmt.Errorf("transport: encoding %s body: %w", kind, err)
-		}
-		frame = append(frame, raw...)
+	bp := bufPool.Get().(*[]byte)
+	c := coder{b: append((*bp)[:0], 0, 0, 0, 0, wireVersion, byte(kind))}
+	ok := c.fields(body)
+	if !ok && kind.known() {
+		c.b, ok = kinds[kind].byValue(c.b, body)
 	}
-	frame = append(frame, '}')
-	n := len(frame) - 4
+	*bp = c.b
+	defer putBuf(bp)
+	n := len(c.b) - 4
+	if !ok {
+		return fmt.Errorf("transport: writing %s: body is not a wire message", kind)
+	}
 	if n > MaxMessageSize {
-		framePool.Put(bp)
 		return ErrMessageTooLarge
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	_, err := w.Write(frame)
-	if cap(frame) <= maxPooledFrame {
-		*bp = frame[:0]
-		framePool.Put(bp)
-	}
-	if err != nil {
+	binary.BigEndian.PutUint32(c.b, uint32(n))
+	if _, err := w.Write(c.b); err != nil {
 		return fmt.Errorf("transport: writing %s: %w", kind, err)
 	}
 	return nil
@@ -516,140 +533,110 @@ func WriteReply(w io.Writer, kind Kind, body any, fails *atomic.Int64, onErr fun
 	return err
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer and
-// returns it with its release function. The buffer is only valid until
-// release is called.
-func readFrame(r io.Reader) (buf []byte, release func(), err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame reads one frame in two reads — the length, then the rest —
+// and returns its kind and fields. With own set the fields are a buffer of
+// exactly the frame's size that belongs to the caller; otherwise they sit
+// in *bp, grown if need be, and are valid until *bp returns to bufPool.
+func readFrame(r io.Reader, bp *[]byte, own bool) (Kind, []byte, error) {
+	buf := (*bp)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, nil, io.EOF
+			return 0, nil, io.EOF
 		}
-		return nil, nil, fmt.Errorf("transport: reading length: %w", err)
+		return 0, nil, fmt.Errorf("transport: reading length: %w", err)
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > MaxMessageSize {
-		return nil, nil, ErrMessageTooLarge
-	}
-	bp := readPool.Get().(*[]byte)
-	if cap(*bp) >= int(n) {
-		buf = (*bp)[:n]
-	} else {
+	n := int(binary.BigEndian.Uint32(buf))
+	switch {
+	case n > MaxMessageSize:
+		return 0, nil, ErrMessageTooLarge
+	case n < 2:
+		return 0, nil, fmt.Errorf("%w: %d bytes cannot hold a version and a kind", ErrMalformedFrame, n)
+	case own:
 		buf = make([]byte, n)
-	}
-	release = func() {
-		if cap(buf) <= maxPooledFrame {
-			*bp = buf[:0]
-			readPool.Put(bp)
-		}
+	case n > cap(*bp):
+		*bp = make([]byte, n)
+		buf = *bp
+	default:
+		buf = (*bp)[:n]
 	}
 	if _, err := io.ReadFull(r, buf); err != nil {
-		release()
-		return nil, nil, fmt.Errorf("transport: reading body: %w", err)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return 0, nil, fmt.Errorf("%w: stream ended inside a %d-byte frame", ErrMalformedFrame, n)
+		}
+		return 0, nil, fmt.Errorf("transport: reading body: %w", err)
 	}
-	return buf, release, nil
+	if buf[0] != wireVersion {
+		return 0, nil, fmt.Errorf("%w: frame starts with 0x%02x, want %d", ErrWireVersion, buf[0], wireVersion)
+	}
+	kind := Kind(buf[1])
+	if !kind.known() {
+		return 0, nil, fmt.Errorf("%w: unknown kind %d", ErrMalformedFrame, buf[1])
+	}
+	return kind, buf[2:], nil
 }
 
-// parseEnvelope decodes the canonical envelope layout — {"kind":"...",
-// "body":<value>} with no whitespace, exactly what both Write and
-// json.Marshal(Envelope{...}) emit — without running a JSON decoder over
-// the whole frame. The envelope's Body (and nothing else) aliases buf, so
-// callers that keep it past buf's lifetime must copy. It reports false,
-// leaving env untouched, for any other layout (escaped kinds, reordered
-// keys); the caller then falls back to encoding/json. The body value is
-// not validated here — the typed body decode that every consumer performs
-// surfaces malformed payloads.
-func parseEnvelope(buf []byte, env *Envelope) bool {
-	const kindPrefix = `{"kind":"`
-	const bodySep = `","body":`
-	if len(buf) < len(kindPrefix)+len(bodySep)+2 || string(buf[:len(kindPrefix)]) != kindPrefix {
-		return false
-	}
-	i := len(kindPrefix)
-	for ; i < len(buf); i++ {
-		c := buf[i]
-		if c == '"' {
-			break
-		}
-		if c == '\\' || c < 0x20 || c >= 0x7f {
-			return false
-		}
-	}
-	if i+len(bodySep) >= len(buf) || string(buf[i:i+len(bodySep)]) != bodySep || buf[len(buf)-1] != '}' {
-		return false
-	}
-	env.Kind = Kind(buf[len(kindPrefix):i])
-	env.Body = json.RawMessage(buf[i+len(bodySep) : len(buf)-1])
-	return true
-}
-
-// Read receives one framed message envelope.
+// Read receives one framed message envelope. It is small enough to inline,
+// so an envelope that does not outlive its caller costs no allocation
+// beyond its body.
 func Read(r io.Reader) (*Envelope, error) {
-	buf, release, err := readFrame(r)
-	if err != nil {
+	var env Envelope
+	if err := env.read(r); err != nil {
 		return nil, err
 	}
-	env := new(Envelope)
-	if parseEnvelope(buf, env) {
-		// The envelope outlives the pooled buffer: copy the aliased body.
-		env.Body = append(json.RawMessage(nil), env.Body...)
-		release()
-		return env, nil
-	}
-	// Non-canonical layout: full decode (json.RawMessage copies its bytes).
-	uerr := json.Unmarshal(buf, env)
-	release()
-	if uerr != nil {
-		return nil, fmt.Errorf("transport: decoding envelope: %w", uerr)
-	}
-	return env, nil
+	return &env, nil
+}
+
+func (e *Envelope) read(r io.Reader) (err error) {
+	bp := bufPool.Get().(*[]byte)
+	e.Kind, e.Body, err = readFrame(r, bp, true)
+	bufPool.Put(bp)
+	return err
 }
 
 // ReadExpect receives one message and requires it to be of the given kind,
-// decoding its body into out. A received KindError is surfaced as an error.
-// The body is decoded straight out of the pooled frame buffer — no
-// intermediate envelope copy.
+// decoding its body (out of a pooled buffer) into out. A received
+// KindError is surfaced as a *RemoteError.
 func ReadExpect(r io.Reader, kind Kind, out any) error {
-	buf, release, err := readFrame(r)
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
+	got, body, err := readFrame(r, bp, false)
 	if err != nil {
 		return err
 	}
-	defer release()
-	var env Envelope
-	if !parseEnvelope(buf, &env) {
-		if err := json.Unmarshal(buf, &env); err != nil {
-			return fmt.Errorf("transport: decoding envelope: %w", err)
-		}
-	}
-	if env.Kind == KindError {
+	if got == KindError {
 		var e Error
-		if err := json.Unmarshal(env.Body, &e); err != nil {
-			return fmt.Errorf("transport: malformed error message: %w", err)
+		if err := decode(got, body, &e, false); err != nil {
+			return err
 		}
 		return &RemoteError{Message: e.Message}
 	}
-	if env.Kind != kind {
-		return fmt.Errorf("transport: got %s, want %s", env.Kind, kind)
+	if got != kind {
+		return fmt.Errorf("transport: got %s, want %s", got, kind)
 	}
 	if out == nil {
 		return nil
 	}
-	if d, ok := out.(bodyDecoder); ok && d.decodeBody(env.Body) {
-		return nil
-	}
-	if err := json.Unmarshal(env.Body, out); err != nil {
-		return fmt.Errorf("transport: decoding %s: %w", kind, err)
-	}
-	return nil
+	return decode(kind, body, out, false)
 }
 
-// Decode unmarshals an envelope body into out.
+// Decode decodes the envelope's fields into out, a pointer to the message
+// struct of its kind. []byte fields of out alias e.Body.
 func (e *Envelope) Decode(out any) error {
-	if d, ok := out.(bodyDecoder); ok && d.decodeBody(e.Body) {
-		return nil
-	}
-	if err := json.Unmarshal(e.Body, out); err != nil {
-		return fmt.Errorf("transport: decoding %s: %w", e.Kind, err)
+	return decode(e.Kind, e.Body, out, true)
+}
+
+// decode runs out's field list over body and requires it to consume body
+// exactly. alias says whether body belongs to out's owner, that is whether
+// []byte fields may point into it.
+func decode(kind Kind, body []byte, out any, alias bool) error {
+	c := coder{b: body, dec: true, alias: alias}
+	switch {
+	case !c.fields(out):
+		return fmt.Errorf("transport: decoding %s: destination is not a pointer to a wire message", kind)
+	case c.bad != "":
+		return fmt.Errorf("transport: decoding %s: %w: %s", kind, ErrMalformedFrame, c.bad)
+	case c.i != len(c.b):
+		return fmt.Errorf("transport: decoding %s: %w: %d bytes after the last field", kind, ErrMalformedFrame, len(c.b)-c.i)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -107,17 +106,16 @@ func TestReadRejectsOversizedFrame(t *testing.T) {
 func TestReadRejectsZeroFrame(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0})
-	if _, err := Read(&buf); !errors.Is(err, ErrMessageTooLarge) {
-		t.Errorf("err = %v", err)
+	if _, err := Read(&buf); !errors.Is(err, ErrMalformedFrame) || errors.Is(err, ErrMessageTooLarge) {
+		t.Errorf("err = %v, want ErrMalformedFrame", err)
 	}
 }
 
 func TestReadGarbage(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 4})
-	buf.WriteString("{{{{")
-	if _, err := Read(&buf); err == nil {
-		t.Error("garbage JSON should fail")
+	buf.Write([]byte{0, 0, 0, 4, wireVersion, 0xee, 0xff, 0xff})
+	if _, err := Read(&buf); !errors.Is(err, ErrMalformedFrame) {
+		t.Errorf("unknown kind: err = %v, want ErrMalformedFrame", err)
 	}
 }
 
@@ -125,8 +123,24 @@ func TestReadTruncatedBody(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 10})
 	buf.WriteString("abc")
-	if _, err := Read(&buf); err == nil {
-		t.Error("truncated body should fail")
+	if _, err := Read(&buf); !errors.Is(err, ErrMalformedFrame) || errors.Is(err, io.EOF) {
+		t.Errorf("truncated body: err = %v, want ErrMalformedFrame and not a clean EOF", err)
+	}
+}
+
+// TestReadRejectsJSONEraFrame: a peer of the JSON wire format is refused on
+// its first frame, by Read and ReadExpect alike, with an error that names
+// the byte found where the version belongs.
+func TestReadRejectsJSONEraFrame(t *testing.T) {
+	old := `{"kind":"probe","body":{"requester_id":"r","class":1}}`
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(old)))
+	frame = append(frame, old...)
+	_, err := Read(bytes.NewReader(frame))
+	if !errors.Is(err, ErrWireVersion) || !strings.Contains(err.Error(), "0x7b") {
+		t.Errorf("Read = %v, want ErrWireVersion naming 0x7b", err)
+	}
+	if err := ReadExpect(bytes.NewReader(frame), KindProbe, &Probe{}); !errors.Is(err, ErrWireVersion) {
+		t.Errorf("ReadExpect = %v, want ErrWireVersion", err)
 	}
 }
 
@@ -138,15 +152,14 @@ func TestWriteRejectsOversized(t *testing.T) {
 	}
 }
 
-func TestWriteUnencodableBody(t *testing.T) {
+// TestNotAMessage: only the message structs of this package cross the
+// wire — anything else is an error on either side, and decoding needs a
+// pointer.
+func TestNotAMessage(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, KindError, make(chan int)); err == nil {
-		t.Error("unencodable body should fail")
+	if err := Write(&buf, KindError, make(chan int)); err == nil || buf.Len() != 0 {
+		t.Errorf("Write of a channel: err = %v, %d bytes written", err, buf.Len())
 	}
-}
-
-func TestDecodeMismatch(t *testing.T) {
-	var buf bytes.Buffer
 	Write(&buf, KindSegment, Segment{ID: 1})
 	env, err := Read(&buf)
 	if err != nil {
@@ -154,75 +167,61 @@ func TestDecodeMismatch(t *testing.T) {
 	}
 	var wrong []int
 	if err := env.Decode(&wrong); err == nil {
-		t.Error("decoding object into slice should fail")
+		t.Error("decoding into a slice should fail")
+	}
+	if err := env.Decode(Segment{}); err == nil {
+		t.Error("decoding into a message passed by value should fail")
 	}
 }
 
-// TestWriteEnvelopeWireFormat: the pooled, hand-assembled envelope must be
-// byte-compatible with encoding/json's rendering of Envelope — including
-// kinds that need string escaping — so old and new peers interoperate.
-func TestWriteEnvelopeWireFormat(t *testing.T) {
-	cases := []struct {
-		kind Kind
-		body any
-	}{
-		{KindProbe, Probe{Class: 2}},
-		{KindError, Error{Message: "boom"}},
-		{KindSegment, nil},
-		{Kind(`we"ird\kind` + "\n"), Error{Message: "escape me"}},
-	}
-	for _, tc := range cases {
-		var got bytes.Buffer
-		if err := Write(&got, tc.kind, tc.body); err != nil {
-			t.Fatalf("Write(%q): %v", tc.kind, err)
-		}
-		raw, err := json.Marshal(tc.body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := json.Marshal(Envelope{Kind: tc.kind, Body: raw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, 4+len(env))
-		binary.BigEndian.PutUint32(want[:4], uint32(len(env)))
-		copy(want[4:], env)
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("kind %q: frame %q, want %q", tc.kind, got.Bytes(), want)
-		}
-		rd := bytes.NewReader(got.Bytes())
-		back, err := Read(rd)
-		if err != nil {
-			t.Fatalf("Read back %q: %v", tc.kind, err)
-		}
-		if back.Kind != tc.kind || !bytes.Equal(back.Body, raw) {
-			t.Errorf("kind %q: round-trip mismatch: %+v", tc.kind, back)
-		}
-	}
-}
-
-// TestReadBodyOutlivesPooledBuffer: the envelope body returned by Read must
-// stay intact after the pooled read buffer is reused by later reads.
+// TestReadBodyOutlivesPooledBuffer: what Read and ReadExpect hand out must
+// stay intact while later frames churn through the buffer pool — the
+// envelope body and the Segment.Data aliasing it, and the strings and
+// bytes ReadExpect decoded out of a pooled buffer.
 func TestReadBodyOutlivesPooledBuffer(t *testing.T) {
-	var wire bytes.Buffer
-	if err := Write(&wire, KindError, Error{Message: "first"}); err != nil {
-		t.Fatal(err)
+	payload := bytes.Repeat([]byte{0xa5, 0x5a}, 300)
+	frame := func(kind Kind, body any) *bytes.Reader {
+		var w bytes.Buffer
+		if err := Write(&w, kind, body); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(w.Bytes())
 	}
-	env, err := Read(bytes.NewReader(wire.Bytes()))
+	env, err := Read(frame(KindSegment, Segment{ID: 3, Data: payload}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := string(env.Body)
+	var viaRead, viaExpect Segment
+	if err := env.Decode(&viaRead); err != nil {
+		t.Fatal(err)
+	}
+	if len(viaRead.Data) == 0 || &viaRead.Data[0] != &env.Body[len(env.Body)-len(payload)] {
+		t.Error("Decode copied Segment.Data instead of aliasing the envelope body")
+	}
+	if err := ReadExpect(frame(KindSegment, Segment{ID: 3, Data: payload}), KindSegment, &viaExpect); err != nil {
+		t.Fatal(err)
+	}
+	var reg Register
+	if err := ReadExpect(frame(KindRegister, Register{ID: "supplier-1", Addr: "10.0.0.1:7000", Object: "clip"}), KindRegister, &reg); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
-		var w bytes.Buffer
-		if err := Write(&w, KindError, Error{Message: strings.Repeat("x", 100+i)}); err != nil {
+		if _, err := Read(frame(KindError, Error{Message: strings.Repeat("x", 100+i)})); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Read(bytes.NewReader(w.Bytes())); err != nil {
+		var churn Segment
+		if err := ReadExpect(frame(KindSegment, Segment{Data: bytes.Repeat([]byte{byte(i)}, 700)}), KindSegment, &churn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if string(env.Body) != snapshot {
-		t.Errorf("body mutated after buffer reuse: %q, want %q", env.Body, snapshot)
+		t.Error("envelope body mutated after buffer reuse")
+	}
+	if !bytes.Equal(viaRead.Data, payload) || !bytes.Equal(viaExpect.Data, payload) {
+		t.Error("Segment.Data mutated after buffer reuse")
+	}
+	if want := (Register{ID: "supplier-1", Addr: "10.0.0.1:7000", Object: "clip"}); reg != want {
+		t.Errorf("strings decoded by ReadExpect mutated after buffer reuse: %+v", reg)
 	}
 }

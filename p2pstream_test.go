@@ -649,10 +649,11 @@ func TestPublicOverlayCongestion(t *testing.T) {
 	vnet.SetDefaultLink(p2pstream.LinkConfig{Latency: 300 * time.Microsecond})
 	// The two supplier links share the requester's ingress bottleneck, so
 	// their caps act as one pipe: the combined full-quality wire rate
-	// (~184 KB/s) cannot fit through 140 KiB/s, the combined first-step
-	// rendition (~100 KB/s) can.
-	vnet.SetLink("s1", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 140 << 10})
-	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 140 << 10})
+	// (~130 KB/s: 1 KiB segments under 1% of framing, plus acks) cannot
+	// fit through 105 KiB/s, the combined first-step rendition (~67 KB/s)
+	// can.
+	vnet.SetLink("s1", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 105 << 10})
+	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 105 << 10})
 
 	dir := p2pstream.NewDirectoryServer(1)
 	l, err := vnet.Host("dir").Listen(":0")
@@ -722,8 +723,8 @@ func TestPublicOverlayNoAdaptation(t *testing.T) {
 	t.Cleanup(clk.AutoRun())
 	vnet := p2pstream.NewVirtualNetwork(clk, 1)
 	vnet.SetDefaultLink(p2pstream.LinkConfig{Latency: 300 * time.Microsecond})
-	vnet.SetLink("s1", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 140 << 10})
-	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 140 << 10})
+	vnet.SetLink("s1", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 105 << 10})
+	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 105 << 10})
 
 	dir := p2pstream.NewDirectoryServer(1)
 	l, err := vnet.Host("dir").Listen(":0")
