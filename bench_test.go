@@ -6,32 +6,20 @@
 package p2pstream_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"net"
-	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 
 	"p2pstream/internal/arrival"
 	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/chord"
-	"p2pstream/internal/chordnet"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/core"
 	"p2pstream/internal/dac"
-	"p2pstream/internal/directory"
 	"p2pstream/internal/experiments"
 	"p2pstream/internal/lookup"
-	"p2pstream/internal/media"
-	"p2pstream/internal/netx"
-	"p2pstream/internal/observe"
-	"p2pstream/internal/pacing"
 	"p2pstream/internal/scenario"
 	"p2pstream/internal/system"
-	"p2pstream/internal/transport"
 )
 
 // benchScale keeps one simulation around 50-100ms so every experiment
@@ -196,362 +184,6 @@ func BenchmarkChordLookup(b *testing.B) {
 	}
 }
 
-// --- virtual-substrate (vnet) benchmarks --------------------------------
-//
-// These are the benchmarks tools/benchrec records into BENCH_vnet.json and
-// the CI regression gate watches. They drive the virtual clock manually
-// from the benchmark goroutine (no auto-advance driver), so they measure
-// the pure CPU cost of the vnet hot path — scheduling, copying, delivery —
-// with no wall-clock quiescence waits.
-
-// vnetPair builds one connected host pair on a manually driven clock.
-func vnetPair(b *testing.B, clk *clock.Virtual, v *netx.Virtual, src, dst string) (w, r net.Conn) {
-	b.Helper()
-	l, err := v.Host(dst).Listen(":0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err = v.Host(src).Dial(l.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	clk.Advance(10 * time.Millisecond) // surface the acceptee
-	r, err = l.Accept()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w, r
-}
-
-// BenchmarkVnetChunkDelivery measures one chunk end to end through a
-// virtual link: write (copy + schedule), clock advance (delivery), read
-// (copy out). One op is one 256-byte chunk; chunks move in batches of 64
-// per advance, the shape a paced session produces under a coalescing
-// clock. The steady-state target is 0 allocs/op.
-func BenchmarkVnetChunkDelivery(b *testing.B) {
-	clk := clock.NewVirtual()
-	v := netx.NewVirtual(clk, 1)
-	v.SetDefaultLink(netx.LinkConfig{Latency: 300 * time.Microsecond})
-	w, r := vnetPair(b, clk, v, "req", "sup")
-	defer w.Close()
-	defer r.Close()
-
-	const chunk = 256
-	const batch = 64
-	payload := make([]byte, chunk)
-	buf := make([]byte, chunk*batch)
-	b.SetBytes(chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := batch
-		if rest := b.N - done; rest < n {
-			n = rest
-		}
-		for j := 0; j < n; j++ {
-			if _, err := w.Write(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		clk.Advance(time.Millisecond)
-		for rest := n * chunk; rest > 0; {
-			m, err := r.Read(buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rest -= m
-		}
-		done += n
-	}
-}
-
-// BenchmarkPacedChunkDelivery is BenchmarkVnetChunkDelivery with the
-// data-plane pacer in the write path, the shape every adaptive media
-// session now produces: each chunk spends pacer budget before it touches
-// the wire. Rate and burst are sized so one 1ms advance refills exactly
-// one batch of budget — the pacer never sleeps, so the benchmark stays a
-// pure CPU measurement of the paced hot path. Target: 0 allocs/op, with
-// the delta against BenchmarkVnetChunkDelivery being the pacer's cost.
-func BenchmarkPacedChunkDelivery(b *testing.B) {
-	clk := clock.NewVirtual()
-	v := netx.NewVirtual(clk, 1)
-	v.SetDefaultLink(netx.LinkConfig{Latency: 300 * time.Microsecond})
-	w, r := vnetPair(b, clk, v, "req", "sup")
-	defer w.Close()
-	defer r.Close()
-
-	const chunk = 256
-	const batch = 64
-	payload := make([]byte, chunk)
-	buf := make([]byte, chunk*batch)
-	pacer := pacing.New(clk, chunk*batch*1000, chunk*batch)
-	b.SetBytes(chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := batch
-		if rest := b.N - done; rest < n {
-			n = rest
-		}
-		for j := 0; j < n; j++ {
-			pacer.Pace(chunk)
-			if _, err := w.Write(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		clk.Advance(time.Millisecond)
-		for rest := n * chunk; rest > 0; {
-			m, err := r.Read(buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rest -= m
-		}
-		done += n
-	}
-}
-
-// BenchmarkVnetConcurrentHosts measures the substrate under many-host
-// contention: 32 connected pairs streaming concurrently, the pattern a
-// flash crowd produces. One op is one chunk through one pair; every
-// advance moves one 16-chunk batch per pair, written and drained by 32
-// goroutines racing for the link/conn tables and the clock.
-func BenchmarkVnetConcurrentHosts(b *testing.B) {
-	const pairs = 32
-	const chunk = 256
-	const perRound = 16
-
-	clk := clock.NewVirtual()
-	v := netx.NewVirtual(clk, 1)
-	v.SetDefaultLink(netx.LinkConfig{Latency: 300 * time.Microsecond})
-	ws := make([]net.Conn, pairs)
-	rs := make([]net.Conn, pairs)
-	for i := 0; i < pairs; i++ {
-		ws[i], rs[i] = vnetPair(b, clk, v, fmt.Sprintf("req%d", i), fmt.Sprintf("sup%d", i))
-		defer ws[i].Close()
-		defer rs[i].Close()
-	}
-
-	payload := make([]byte, chunk)
-	b.SetBytes(chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := perRound
-		if rest := (b.N - done) / pairs; rest < n {
-			n = rest
-			if n == 0 {
-				n = 1
-			}
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < pairs; i++ {
-			w := ws[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := 0; j < n; j++ {
-					w.Write(payload)
-				}
-			}()
-		}
-		wg.Wait()
-		clk.Advance(time.Millisecond)
-		for i := 0; i < pairs; i++ {
-			r := rs[i]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, chunk)
-				for rest := n * chunk; rest > 0; {
-					m, err := r.Read(buf)
-					if err != nil {
-						return
-					}
-					rest -= m
-				}
-			}()
-		}
-		wg.Wait()
-		done += n * pairs
-	}
-}
-
-// BenchmarkMegacrowd10k runs the full 10k-requester flash crowd — 10,512
-// live hosts on one virtual substrate — once per iteration, invariants
-// checked. This is the macro point of the BENCH_vnet.json trajectory: its
-// ns/op is wall-clock (quiescence waits included), so tools/benchrec
-// records it without gating it, unlike the two micro-benchmarks above.
-func BenchmarkMegacrowd10k(b *testing.B) {
-	spec, ok := scenario.ByName("megacrowd-10k")
-	if !ok {
-		b.Fatal("megacrowd-10k missing from ScaleCatalog")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := scenario.Run(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got, want := rep.Served(), len(spec.Requesters); got != want {
-			b.Fatalf("served %d of %d requesters", got, want)
-		}
-	}
-}
-
-// BenchmarkChordLookup1k measures one key lookup on a live 1,024-member
-// wire-level chord ring — replicated registrations (K=3), four virtual
-// positions per member — after the ring has stabilized. Setup boots the
-// ring once; each op is one LookupKey from a rotating member, so the
-// figure is the per-lookup routing cost (walk RPCs + record pull) the
-// chord-1k scenario pays per candidate draw. Like the megacrowd macro
-// point its ns/op is wall-clock bound (RPC round trips on the virtual
-// substrate), so tools/benchrec records it without gating it.
-func BenchmarkChordLookup1k(b *testing.B) {
-	const members = 1024
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
-	clk := clock.NewVirtual()
-	clk.SetCoalesce(time.Millisecond)
-	stop := clk.AutoRun()
-	defer stop()
-	vnet := netx.NewVirtual(clk, 1)
-	vnet.SetDefaultLink(netx.LinkConfig{Latency: 300 * time.Microsecond})
-
-	peers := make([]*chordnet.Peer, 0, members)
-	var boot []string
-	for i := 0; i < members; i++ {
-		name := fmt.Sprintf("b%d", i)
-		p, err := chordnet.New(chordnet.Config{
-			ID:        name,
-			Class:     bandwidth.Class(1 + i%4),
-			Bootstrap: boot,
-			Network:   vnet.Host(name),
-			Clock:     clk,
-			Seed:      int64(i + 1),
-			// A slow period keeps the four-digit ring's background repair
-			// traffic (members × rounds × notify/replica/finger RPCs) from
-			// dominating the boot and the measurement.
-			Stabilize:    100 * time.Millisecond,
-			Replication:  3,
-			VirtualNodes: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		if err := p.Start(); err != nil {
-			b.Fatal(err)
-		}
-		if err := p.Register(ctxb, transport.Register{ID: name, Addr: "overlay-" + name + ":9", Class: bandwidth.Class(1 + i%4)}); err != nil {
-			b.Fatalf("register %s: %v", name, err)
-		}
-		if len(boot) < 4 {
-			boot = append(boot, p.Addr())
-		}
-		peers = append(peers, p)
-		// A breather every few joins keeps splices landing on a ring that
-		// has absorbed the previous ones — boot stays a growth, not a pile.
-		if i%16 == 15 {
-			clk.Sleep(10 * time.Millisecond)
-		}
-	}
-	// Let stabilization finish the finger tables (full refresh is
-	// FingerBits/fingersPerRound = 16 rounds at the 100ms period).
-	clk.Sleep(2 * time.Second)
-
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := peers[i%members].LookupKey(ctxb, rng.Uint64()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEpochFlip measures one resharding epoch flip end to end for a
-// sharded client holding 1,000 registrations: the directory's dir-epoch
-// push, the client's migration plan over every held registration, and the
-// batched re-registration rounds to the new owners — the ~1/3 of keys
-// whose owner changes when the shard set grows 2→3, and their way back on
-// the shrink (iterations alternate grow and shrink so every flip moves
-// keys). Like the other vnet macros its ns/op is wall-clock bound (RPC
-// round trips on the virtual substrate), so tools/benchrec records it
-// without gating allocations.
-func BenchmarkEpochFlip(b *testing.B) {
-	const regs = 1000
-	clk := clock.NewVirtual()
-	clk.SetCoalesce(time.Millisecond)
-	stop := clk.AutoRun()
-	defer stop()
-	vnet := netx.NewVirtual(clk, 1)
-	vnet.SetDefaultLink(netx.LinkConfig{Latency: 300 * time.Microsecond})
-
-	shards := make([]transport.DirShard, 3)
-	servers := make([]*directory.Server, 3)
-	for i := range shards {
-		name := fmt.Sprintf("shard-%d", i)
-		srv := directory.NewServer(int64(i + 1))
-		l, err := vnet.Host(name).Listen(":0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(l)
-		defer srv.Close()
-		servers[i] = srv
-		shards[i] = transport.DirShard{Name: name, Addr: l.Addr().String()}
-	}
-
-	// One ReshardMove event fires per completed migration; the bench gates
-	// each iteration on it.
-	moved := make(chan struct{}, 1)
-	cl, err := directory.NewShardedClient(directory.ShardedConfig{
-		Addrs:       []string{shards[0].Addr, shards[1].Addr},
-		Names:       []string{shards[0].Name, shards[1].Name},
-		Epoch:       1,
-		WatchEpochs: true,
-		Network:     vnet.Host("client"),
-		Clock:       clk,
-		Refresh:     time.Hour, // leases out of the way: flips only
-		Seed:        1,
-		Observer: observe.Func(func(ev observe.Event) {
-			if ev.Type == observe.ReshardMove {
-				moved <- struct{}{}
-			}
-		}),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < regs; i++ {
-		id := fmt.Sprintf("p%04d", i)
-		if err := cl.Register(ctxb, transport.Register{ID: id, Addr: id + ":9", Class: 2}); err != nil {
-			b.Fatalf("register %s: %v", id, err)
-		}
-	}
-
-	epoch := int64(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		epoch++
-		set := shards
-		if i%2 == 1 {
-			set = shards[:2]
-		}
-		ep := transport.DirEpoch{Epoch: epoch, Shards: set}
-		for _, s := range servers {
-			s.SetEpoch(ep)
-		}
-		<-moved
-	}
-}
-
-// ctxb is the benchmarks' background context.
-var ctxb = context.Background()
-
 // --- whole-cluster scenario benchmarks ----------------------------------
 
 // benchScenario runs one cataloged live-cluster scenario per iteration on
@@ -600,39 +232,3 @@ func BenchmarkAblationLookup(b *testing.B) { benchExperiment(b, "ablation-lookup
 // BenchmarkReplication measures the 5-seed replication of the headline
 // DAC-vs-NDAC comparison (ten simulations).
 func BenchmarkReplication(b *testing.B) { benchExperiment(b, "replication") }
-
-// --- multi-object library benchmarks ------------------------------------
-
-// BenchmarkLibraryLookup measures the supplier hot path of the bounded
-// node cache: one Get per op against a 64-object library, rotating
-// through the whole catalog so every op moves an entry to the LRU front.
-// The intrusive list keeps the lookup allocation-free — the gated target
-// is 0 allocs/op, so a session start never feeds the collector.
-func BenchmarkLibraryLookup(b *testing.B) {
-	const objects = 64
-	lib := media.NewLibrary(0)
-	names := make([]string, objects)
-	for i := 0; i < objects; i++ {
-		f := &media.File{
-			Name:         fmt.Sprintf("obj-%02d", i),
-			Segments:     16,
-			SegmentBytes: 256,
-			SegmentTime:  40 * time.Millisecond,
-		}
-		store, err := media.NewStore(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := lib.Add(f, store); err != nil {
-			b.Fatal(err)
-		}
-		names[i] = f.Name
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := lib.Get(names[i%objects]); !ok {
-			b.Fatalf("object %s missing", names[i%objects])
-		}
-	}
-}

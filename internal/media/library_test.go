@@ -277,3 +277,44 @@ func BenchmarkLibraryLookup(b *testing.B) {
 		l.Release(name)
 	}
 }
+
+// rotatingGet fills an unbounded library with 64 objects and returns the
+// supplier hot path of the bounded node cache: one Get per call, rotating
+// through the whole catalog so every call moves an entry to the LRU front.
+func rotatingGet(tb testing.TB) (get func()) {
+	const objects = 64
+	l := NewLibrary(0)
+	names := make([]string, objects)
+	for i := range names {
+		f := libFile(fmt.Sprintf("obj-%02d", i), 4)
+		if err := l.Add(f, seededStore(tb, f)); err != nil {
+			tb.Fatal(err)
+		}
+		names[i] = f.Name
+	}
+	i := 0
+	return func() {
+		if _, _, ok := l.Get(names[i%objects]); !ok {
+			tb.Fatalf("object %s missing", names[i%objects])
+		}
+		i++
+	}
+}
+
+// TestLibraryGetAllocs: the intrusive LRU list keeps the lookup
+// allocation-free, so a session start never feeds the collector.
+func TestLibraryGetAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, rotatingGet(t)); got != 0 {
+		t.Errorf("Library.Get: %.0f allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkLibraryGet measures one rotating Get.
+func BenchmarkLibraryGet(b *testing.B) {
+	get := rotatingGet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+}

@@ -19,7 +19,10 @@ import (
 // whole operation (deterministically under a virtual clock via
 // clock.ContextWithTimeout).
 //
-// A node owns its Discovery: Close tears it down with the node.
+// A node owns its Discovery: Close tears it down with the node. A backend
+// reaches a node through internal/wiring, whose Builder picks it, starts its
+// endpoint and hands it over as Config.Discovery — the one wiring path under
+// both the public Overlay and the scenario harness.
 //
 // Registrations are per media object: reg.Object ("" is the single-object
 // default) selects the registry, and a peer supplying several objects

@@ -58,7 +58,8 @@ type Config struct {
 	// Policy selects DAC_p2p or NDAC_p2p admission behavior when supplying.
 	Policy dac.Policy
 	// Discovery is the peer-discovery backend (directory client, sharded
-	// client or chord ring peer). The node owns it and closes it on Close.
+	// client or chord ring peer), built, started and handed over by
+	// internal/wiring's Builder. The node owns it and closes it on Close.
 	// When nil, a directory client for DirectoryAddr is used.
 	Discovery Discovery
 	// DirectoryAddr is the address of the directory server; required only

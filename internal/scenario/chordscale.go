@@ -17,7 +17,7 @@ import (
 // replication keeps every run at zero lookup misses through the crash.
 // These specs live outside Catalog() — the conformance suite runs every
 // catalog entry under -race -count=2, while a four-digit ring belongs to
-// the scale suite (TestChordScaleHops, cmd/p2pscen, tools/benchrec).
+// the scale suite (TestChordScaleHops, cmd/p2pscen).
 
 // ChordScale returns an n-member decentralized overlay: n/4 seeds found
 // the ring, the remaining requesters arrive as a dispersed crowd, and one

@@ -20,6 +20,7 @@ import (
 	"p2pstream/internal/observe"
 	"p2pstream/internal/reshard"
 	"p2pstream/internal/transport"
+	"p2pstream/internal/wiring"
 )
 
 // RequestUntilHeld keeps attempting until the node holds the file,
@@ -109,7 +110,7 @@ type harness struct {
 	shardLatencyNs atomic.Int64
 
 	// Cache-churn aggregates, fed by the ObjectEvicted/SupplierWithdrawn
-	// events every node emits on the harness node observer.
+	// events every node emits on the harness observer.
 	evictions   atomic.Int64
 	withdrawals atomic.Int64
 	// Churn-window aggregates: lookupMisses counts candidate lookups that
@@ -118,7 +119,6 @@ type harness struct {
 	// ReplicaAnswered events).
 	lookupMisses    atomic.Int64
 	replicaAnswered atomic.Int64
-	nodeObs         observe.Observer
 
 	// Elastic-registry state (spec.Autoscale): the autoscaling controller
 	// plus the run's resharding aggregates, fed by the controller observer
@@ -136,9 +136,12 @@ type harness struct {
 	// centralized directory in one RegisterBatch round.
 	preregSeeds bool
 
+	// wire builds every peer: node template and discovery backend are
+	// filled once from the spec, after the registry has booted.
+	wire *wiring.Builder
+
 	mu    sync.Mutex
-	done  bool     // the run is over; late shard rebirths must not leak servers
-	boots []string // chord addresses of the seed ring members
+	done  bool // the run is over; late shard rebirths must not leak servers
 	nodes map[string]*node.Node
 	// shards holds the directory registry shard servers (len 1 unless
 	// DirectoryShards; nil under pure chord discovery). A crashed shard's
@@ -155,13 +158,13 @@ type harness struct {
 // elastic reports whether the registry autoscales (spec.Autoscale).
 func (h *harness) elastic() bool { return h.spec.Autoscale != nil }
 
-// observer returns the harness's aggregating observer for sharded
-// discovery clients (nil when the registry is neither sharded nor
-// elastic — an elastic registry may start from one shard and grow).
+// observer is installed, through the builder's node template, on every
+// node and discovery endpoint of the run. It aggregates the sharded
+// clients' fan-out legs and epoch migrations, the nodes' cache-churn events
+// (evictions and graceful supplier withdrawals) and the churn-window events
+// (empty node lookups, replica-answered chord lookups) into the run
+// counters.
 func (h *harness) observer() observe.Observer {
-	if len(h.shards) < 2 && !h.elastic() {
-		return nil
-	}
 	return observe.Func(func(ev observe.Event) {
 		switch ev.Type {
 		case observe.ShardLookup:
@@ -179,6 +182,14 @@ func (h *harness) observer() observe.Observer {
 					break
 				}
 			}
+		case observe.ObjectEvicted:
+			h.evictions.Add(1)
+		case observe.SupplierWithdrawn:
+			h.withdrawals.Add(1)
+		case observe.LookupMiss:
+			h.lookupMisses.Add(1)
+		case observe.ReplicaAnswered:
+			h.replicaAnswered.Add(1)
 		}
 	})
 }
@@ -193,25 +204,6 @@ func (h *harness) ctrlObserver() observe.Observer {
 			h.shardsAdded.Add(1)
 		case observe.ShardDrained:
 			h.shardsDrained.Add(1)
-		}
-	})
-}
-
-// initNodeObserver builds the observer installed on every node,
-// aggregating the cache-churn events (evictions and graceful supplier
-// withdrawals) into the run counters. Built once at harness construction —
-// config() runs concurrently from requester goroutines.
-func (h *harness) initNodeObserver() {
-	h.nodeObs = observe.Func(func(ev observe.Event) {
-		switch ev.Type {
-		case observe.ObjectEvicted:
-			h.evictions.Add(1)
-		case observe.SupplierWithdrawn:
-			h.withdrawals.Add(1)
-		case observe.LookupMiss:
-			h.lookupMisses.Add(1)
-		case observe.ReplicaAnswered:
-			h.replicaAnswered.Add(1)
 		}
 	})
 }
@@ -402,113 +394,63 @@ func (h *harness) retireShard(m reshard.Member) {
 	m.Server.Close()
 }
 
-// bootstraps snapshots the seed ring addresses.
-func (h *harness) bootstraps() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]string(nil), h.boots...)
-}
-
-// newNode builds one peer: under chord discovery it first starts the
-// peer's ring endpoint (seeds become the bootstrap members, in boot
-// order — the first seed founds the ring; the endpoint is also returned
-// so the caller can snapshot its discovery-cost counters), and under a
-// sharded directory it builds the peer's consistent-hash sharded client.
-func (h *harness) newNode(p Peer, seed int64, isSeed bool) (*node.Node, *chordnet.Peer, error) {
-	cfg := h.config(p, seed)
-	if isSeed && h.preregSeeds {
-		// The harness announces every seed in one directory RegisterBatch
-		// round after boot; the node only builds its supplier state.
-		cfg.Preregistered = true
-	}
-	var chordPeer *chordnet.Peer
+// newBuilder fills the run's peer builder once from the spec: the node
+// template every peer shares, and the discovery backend — the chord ring,
+// an elastic or static sharded registry, or the single centralized
+// directory. The registry shards (and the controller) must be up.
+func (h *harness) newBuilder() *wiring.Builder {
+	b := &wiring.Builder{Node: node.Config{
+		NumClasses:   h.spec.NumClasses,
+		Policy:       h.spec.Policy,
+		File:         h.spec.File,
+		Objects:      h.spec.Objects,
+		CacheBudget:  h.spec.CacheBudget,
+		SessionSlots: h.spec.SessionSlots,
+		M:            h.spec.M,
+		TOut:         h.spec.TOut,
+		Backoff:      h.spec.Backoff,
+		Clock:        h.clk,
+		NoAdapt:      h.spec.NoAdapt,
+		ExtraBuffer:  h.spec.Buffer,
+		Observer:     h.observer(),
+	}}
 	switch {
 	case h.chordBacked():
-		cp, err := chordnet.New(chordnet.Config{
-			ID:           p.ID,
-			Class:        p.Class,
-			Bootstrap:    h.bootstraps(),
-			Network:      h.net.Host(p.ID),
-			Clock:        h.clk,
-			Seed:         seed,
+		b.Chord = &chordnet.Config{
 			Stabilize:    h.spec.ChordStabilize,
 			Replication:  h.spec.ChordReplication,
 			VirtualNodes: h.spec.ChordVirtualNodes,
-			Observer:     h.nodeObs,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cp.Start(); err != nil {
-			return nil, nil, err
-		}
-		cfg.Discovery = cp
-		chordPeer = cp
-		if isSeed {
-			h.mu.Lock()
-			h.boots = append(h.boots, cp.Addr())
-			h.mu.Unlock()
 		}
 	case h.elastic():
-		// The client boots into the controller's current epoch and
-		// membership and subscribes to epoch pushes from every listed
-		// shard; a flip racing the snapshot is caught up on subscription
-		// (the server replies its epoch to every new watcher).
-		epoch, members := h.ctrl.Snapshot()
-		addrs := make([]string, len(members))
-		names := make([]string, len(members))
-		for i, m := range members {
-			addrs[i] = m.Addr
-			names[i] = m.Name
-		}
-		sc, err := directory.NewShardedClient(directory.ShardedConfig{
-			Addrs:       addrs,
-			Names:       names,
-			Epoch:       epoch,
-			WatchEpochs: true,
-			Network:     h.net.Host(p.ID),
-			Clock:       h.clk,
-			Refresh:     shardRefresh,
-			Seed:        seed,
-			Observer:    h.observer(),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Discovery = sc
+		b.Sharded = &directory.ShardedConfig{Refresh: shardRefresh}
+		b.Autoscale = h.ctrl
 	case len(h.shards) > 1:
-		// Snapshot the addresses under the lock: a shard rebirth rewrites
-		// its (value-identical) slot concurrently.
-		h.mu.Lock()
-		addrs := append([]string(nil), h.shardAddrs...)
-		h.mu.Unlock()
-		sc, err := directory.NewShardedClient(directory.ShardedConfig{
-			Addrs:    addrs,
-			Network:  h.net.Host(p.ID),
-			Clock:    h.clk,
-			Refresh:  shardRefresh,
-			Seed:     seed,
-			Observer: h.observer(),
-		})
-		if err != nil {
-			return nil, nil, err
+		b.Sharded = &directory.ShardedConfig{
+			Addrs:   append([]string(nil), h.shardAddrs...),
+			Refresh: shardRefresh,
 		}
-		cfg.Discovery = sc
+	default:
+		b.DirectoryAddr = h.dirAddr
 	}
-	var n *node.Node
-	var err error
-	if isSeed {
-		n, err = node.NewSeed(cfg)
-	} else {
-		n, err = node.NewRequester(cfg)
-	}
-	if err != nil && cfg.Discovery != nil {
-		// The node never took ownership of the started discovery backend
-		// (a chord peer has a listener and a stabilization loop, a sharded
-		// client a lease timer); stop it instead of leaking it.
-		cfg.Discovery.Close()
-		return nil, nil, err
-	}
+	return b
+}
+
+// startPeer wires and starts one peer on its own virtual host. Under chord
+// discovery the peer's ring endpoint is also returned, so the caller can
+// snapshot its discovery-cost counters.
+func (h *harness) startPeer(p Peer, seed int64, isSeed bool) (*node.Node, *chordnet.Peer, error) {
+	n, disc, err := h.wire.Start(context.Background(), wiring.Peer{
+		ID:       p.ID,
+		Class:    p.Class,
+		Seed:     seed,
+		Held:     p.Held,
+		Priority: p.Priority,
+		// The harness announces every seed in one directory RegisterBatch
+		// round after boot; the node only builds its supplier state.
+		Preregistered: isSeed && h.preregSeeds,
+		Network:       h.net.Host(p.ID),
+	}, isSeed)
+	chordPeer, _ := disc.(*chordnet.Peer)
 	return n, chordPeer, err
 }
 
@@ -544,7 +486,6 @@ func Run(spec Spec) (*Report, error) {
 		net:   vnet,
 		nodes: make(map[string]*node.Node),
 	}
-	h.initNodeObserver()
 	// Batched seed boot: against the single centralized directory, the
 	// whole seed population registers in one RegisterBatch round through
 	// one shared client instead of one dial per seed. Sharded registries
@@ -603,16 +544,13 @@ func Run(spec Spec) (*Report, error) {
 		ctrl.Start()
 		defer ctrl.Close()
 	}
+	h.wire = h.newBuilder()
 
 	ctx := context.Background()
 	var seedRegs []transport.Register
 	for i, p := range spec.Seeds {
-		n, _, err := h.newNode(p, int64(i+1), true)
+		n, _, err := h.startPeer(p, int64(i+1), true)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: seed %s: %w", spec.Name, p.ID, err)
-		}
-		if err := n.Start(ctx); err != nil {
-			n.Close() // not tracked yet; closeAll would miss it
 			return nil, fmt.Errorf("scenario %s: seed %s: %w", spec.Name, p.ID, err)
 		}
 		h.suppliers.Add(1)
@@ -825,12 +763,8 @@ func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
 		res.Err = err
 		return res
 	}
-	n, chordPeer, err := h.newNode(w.Peer, w.seed, false)
+	n, chordPeer, err := h.startPeer(w.Peer, w.seed, false)
 	if err != nil {
-		return fail(err)
-	}
-	if err := n.Start(context.Background()); err != nil {
-		n.Close() // not tracked yet; closeAll would miss it
 		return fail(err)
 	}
 	h.track(w.ID, n)
@@ -903,32 +837,6 @@ func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
 	res.StoreOK = storeExact(n.StoreOf(file.Name), file)
 	res.SupplierLevel = h.supplierLevel()
 	return res
-}
-
-// config builds the node configuration of one peer.
-func (h *harness) config(p Peer, seed int64) node.Config {
-	return node.Config{
-		ID:            p.ID,
-		Class:         p.Class,
-		NumClasses:    h.spec.NumClasses,
-		Policy:        h.spec.Policy,
-		DirectoryAddr: h.dirAddr,
-		File:          h.spec.File,
-		Objects:       h.spec.Objects,
-		Held:          p.Held,
-		CacheBudget:   h.spec.CacheBudget,
-		SessionSlots:  h.spec.SessionSlots,
-		M:             h.spec.M,
-		TOut:          h.spec.TOut,
-		Backoff:       h.spec.Backoff,
-		Seed:          seed,
-		Clock:         h.clk,
-		Network:       h.net.Host(p.ID),
-		NoAdapt:       h.spec.NoAdapt,
-		Priority:      p.Priority,
-		ExtraBuffer:   h.spec.Buffer,
-		Observer:      h.nodeObs,
-	}
 }
 
 func (h *harness) track(id string, n *node.Node) {

@@ -14,6 +14,7 @@ import (
 	"p2pstream/internal/directory"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/node"
+	"p2pstream/internal/wiring"
 )
 
 // TestRunDeterministic: two identically-seeded runs of a jitter-free spec
@@ -72,32 +73,25 @@ func TestRequestUntilHeldGivesUp(t *testing.T) {
 	go dirSrv.Serve(dl)
 	defer dirSrv.Close()
 
-	file := defaultFile()
-	cfg := func(id string, class bandwidth.Class) node.Config {
-		return node.Config{
-			ID: id, Class: class, NumClasses: 4, Policy: dac.DAC,
-			DirectoryAddr: dl.Addr().String(), File: file, M: 8,
+	wire := &wiring.Builder{
+		Node: node.Config{
+			NumClasses: 4, Policy: dac.DAC, File: defaultFile(), M: 8,
 			TOut:    40 * time.Millisecond,
 			Backoff: dac.BackoffConfig{Base: 20 * time.Millisecond, Factor: 2},
-			Seed:    1, Clock: clk, Network: vnet.Host(id),
+			Clock:   clk,
+		},
+		DirectoryAddr: dl.Addr().String(),
+	}
+	start := func(id string, class bandwidth.Class, isSeed bool) *node.Node {
+		n, _, err := wire.Start(context.Background(), wiring.Peer{ID: id, Class: class, Seed: 1, Network: vnet.Host(id)}, isSeed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { n.Close() })
+		return n
 	}
-	seed, err := node.NewSeed(cfg("onlyseed", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer seed.Close()
-	req, err := node.NewRequester(cfg("r", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := req.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer req.Close()
+	start("onlyseed", 2, true)
+	req := start("r", 1, false)
 
 	_, attempts, err := RequestUntilHeld(context.Background(), clk, req, "", 3, dac.BackoffConfig{Base: 5 * time.Millisecond, Factor: 1}, 0, nil, 5*time.Millisecond)
 	if !errors.Is(err, node.ErrRejected) {

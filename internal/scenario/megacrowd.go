@@ -15,7 +15,7 @@ import (
 // nothing but DAC capacity amplification. These specs live outside
 // Catalog() — the conformance suite runs every catalog entry under -race
 // -count=2, while a hundred-thousand-host run belongs to the scale suite
-// (TestMegacrowd*, cmd/p2pscen, tools/benchrec).
+// (TestMegacrowd*, cmd/p2pscen, bench/'s crowd-vnet).
 
 // megacrowdSeeds is the seeded overlay the crowd slams into: enough initial
 // capacity that the admission tail is shaped by amplification, not by a

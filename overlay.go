@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"p2pstream/internal/chordnet"
-	"p2pstream/internal/directory"
 	"p2pstream/internal/errs"
 	"p2pstream/internal/media"
 	"p2pstream/internal/node"
 	"p2pstream/internal/observe"
+	"p2pstream/internal/wiring"
 )
 
 // Overlay is the single entrypoint to the live streaming overlay: one
@@ -43,63 +43,39 @@ import (
 // the wall clock or inside a deterministic virtual cluster. WithObserver
 // installs one unified observer across every component the overlay wires.
 type Overlay struct {
-	cfg overlayConfig
-
-	// chordMu serializes chord-backend peer creation (see newPeer).
-	chordMu sync.Mutex
+	cfg *overlayConfig
 
 	mu         sync.Mutex
 	nodes      []*Node
-	boots      []string          // chord endpoints of overlay-created seed peers
 	chordAddrs map[string]string // chord endpoint per created peer ID
 	seq        int64
 	closed     bool
 }
 
-// overlayBackend discriminates the configured discovery substrate.
-type overlayBackend int
-
-const (
-	backendNone overlayBackend = iota
-	backendDirectory
-	backendSharded
-	backendChord
-)
-
+// overlayConfig is what the options write: the peer builder's node template
+// and discovery backend directly, plus the few settings that are resolved
+// per peer (network, seed) or once all options are known (the
+// order-independent overrides of the backend templates).
 type overlayConfig struct {
-	file         *media.File
-	objects      []*media.File
-	cacheBudget  int64
-	sessionSlots int
-	numClasses   Class
-	policy       Policy
-	m            int
-	tout         time.Duration
-	backoff      BackoffConfig
-	clk          Clock
-	network      Network
-	netFor       func(hostID string) Network
-	observer     Observer
-	seed         int64
-	noAdapt      bool
-	priority     int
-	codec        media.Codec
-	buffer       time.Duration
+	wire    wiring.Builder
+	network Network
+	netFor  func(hostID string) Network
+	seed    int64
 
-	backend overlayBackend
-	dirAddr string
-	sharded ShardedDirectoryConfig
-	// shardEpochs subscribes every sharded client to dir-epoch pushes
-	// (WithShardEpochs); autoscale additionally boots each client from the
-	// controller's live epoch and shard set (WithAutoscale).
+	// shardEpochs sets the sharded template's WatchEpochs (WithShardEpochs).
 	shardEpochs bool
-	autoscale   *ReshardController
-	chord       ChordDiscoveryConfig
 	// chordReplication and chordVirtualNodes override the WithChord
 	// template's Replication and VirtualNodes regardless of option order
 	// (zero = keep the template's value).
 	chordReplication  int
 	chordVirtualNodes int
+}
+
+var errBackendTwice = errors.New("p2pstream: overlay discovery backend configured twice")
+
+// hasBackend reports whether a discovery option already selected a backend.
+func (c *overlayConfig) hasBackend() bool {
+	return c.wire.DirectoryAddr != "" || c.wire.Sharded != nil || c.wire.Chord != nil
 }
 
 // OverlayOption configures an Overlay.
@@ -111,18 +87,16 @@ type OverlayOption func(*overlayConfig) error
 // addresses in the same order).
 func WithDirectory(addrs ...string) OverlayOption {
 	return func(c *overlayConfig) error {
-		if c.backend != backendNone {
-			return errors.New("p2pstream: overlay discovery backend configured twice")
+		if c.hasBackend() {
+			return errBackendTwice
 		}
 		switch len(addrs) {
 		case 0:
 			return errors.New("p2pstream: WithDirectory needs at least one address")
 		case 1:
-			c.backend = backendDirectory
-			c.dirAddr = addrs[0]
+			c.wire.DirectoryAddr = addrs[0]
 		default:
-			c.backend = backendSharded
-			c.sharded = ShardedDirectoryConfig{Addrs: append([]string(nil), addrs...)}
+			c.wire.Sharded = &ShardedDirectoryConfig{Addrs: append([]string(nil), addrs...)}
 		}
 		return nil
 	}
@@ -134,14 +108,14 @@ func WithDirectory(addrs ...string) OverlayOption {
 // default lease period does not suit the deployment).
 func WithShardedDirectory(cfg ShardedDirectoryConfig) OverlayOption {
 	return func(c *overlayConfig) error {
-		if c.backend != backendNone {
-			return errors.New("p2pstream: overlay discovery backend configured twice")
+		if c.hasBackend() {
+			return errBackendTwice
 		}
 		if len(cfg.Addrs) == 0 {
 			return errors.New("p2pstream: WithShardedDirectory needs shard addresses")
 		}
-		c.backend = backendSharded
-		c.sharded = cfg
+		tmpl := cfg // per overlay: NewOverlay writes WatchEpochs into it
+		c.wire.Sharded = &tmpl
 		return nil
 	}
 }
@@ -172,7 +146,7 @@ func WithAutoscale(ctrl *ReshardController) OverlayOption {
 		if ctrl == nil {
 			return errors.New("p2pstream: WithAutoscale needs a non-nil controller")
 		}
-		c.autoscale = ctrl
+		c.wire.Autoscale = ctrl
 		return nil
 	}
 }
@@ -186,11 +160,11 @@ func WithAutoscale(ctrl *ReshardController) OverlayOption {
 // no explicit bootstrap at all.
 func WithChord(cfg ChordDiscoveryConfig) OverlayOption {
 	return func(c *overlayConfig) error {
-		if c.backend != backendNone {
-			return errors.New("p2pstream: overlay discovery backend configured twice")
+		if c.hasBackend() {
+			return errBackendTwice
 		}
-		c.backend = backendChord
-		c.chord = cfg
+		tmpl := cfg // per overlay: NewOverlay writes the overrides into it
+		c.wire.Chord = &tmpl
 		return nil
 	}
 }
@@ -240,7 +214,7 @@ func WithLibrary(files ...*MediaFile) OverlayOption {
 		if len(files) == 0 {
 			return errors.New("p2pstream: WithLibrary needs at least one media object")
 		}
-		c.objects = append([]*media.File(nil), files...)
+		c.wire.Node.Objects = append([]*media.File(nil), files...)
 		return nil
 	}
 }
@@ -255,7 +229,7 @@ func WithCacheBudget(bytes int64) OverlayOption {
 		if bytes < 0 {
 			return fmt.Errorf("p2pstream: cache budget %d is negative", bytes)
 		}
-		c.cacheBudget = bytes
+		c.wire.Node.CacheBudget = bytes
 		return nil
 	}
 }
@@ -269,14 +243,14 @@ func WithSessionSlots(k int) OverlayOption {
 		if k < 0 {
 			return fmt.Errorf("p2pstream: session slots %d is negative", k)
 		}
-		c.sessionSlots = k
+		c.wire.Node.SessionSlots = k
 		return nil
 	}
 }
 
 // WithClock runs every overlay component on clk (default: the wall clock).
 func WithClock(clk Clock) OverlayOption {
-	return func(c *overlayConfig) error { c.clk = clk; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.Clock = clk; return nil }
 }
 
 // WithNetwork provides every overlay component's listeners and dials
@@ -297,34 +271,34 @@ func WithNetworkFor(f func(hostID string) Network) OverlayOption {
 // wires: nodes (write failures, probes, sessions), sharded directory
 // clients (per-shard fan-out legs) and chord peers (lookup cost).
 func WithObserver(o Observer) OverlayOption {
-	return func(c *overlayConfig) error { c.observer = o; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.Observer = o; return nil }
 }
 
 // WithClasses sets K, the number of bandwidth classes (default 4).
 func WithClasses(k Class) OverlayOption {
-	return func(c *overlayConfig) error { c.numClasses = k; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.NumClasses = k; return nil }
 }
 
 // WithPolicy selects the admission policy (default DAC).
 func WithPolicy(p Policy) OverlayOption {
-	return func(c *overlayConfig) error { c.policy = p; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.Policy = p; return nil }
 }
 
 // WithProbeFanout sets M, the candidates probed per admission attempt
 // (default 8).
 func WithProbeFanout(m int) OverlayOption {
-	return func(c *overlayConfig) error { c.m = m; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.M = m; return nil }
 }
 
 // WithIdleTimeout sets TOut, the supplier idle elevation timeout
 // (default 2s).
 func WithIdleTimeout(d time.Duration) OverlayOption {
-	return func(c *overlayConfig) error { c.tout = d; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.TOut = d; return nil }
 }
 
 // WithBackoff sets the requester retry parameters (default 500ms, ×2).
 func WithBackoff(b BackoffConfig) OverlayOption {
-	return func(c *overlayConfig) error { c.backoff = b; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.Backoff = b; return nil }
 }
 
 // WithSeed fixes the overlay's randomness root; per-peer seeds derive from
@@ -339,7 +313,7 @@ func WithSeed(seed int64) OverlayOption {
 // sustained congestion. Useful as an experiment control; on a shared
 // bottleneck the unadapted plane builds standing queues and stalls.
 func WithoutAdaptation() OverlayOption {
-	return func(c *overlayConfig) error { c.noAdapt = true; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.NoAdapt = true; return nil }
 }
 
 // WithPriority biases the ABR downgrade decision for sessions requested
@@ -352,7 +326,7 @@ func WithPriority(p int) OverlayOption {
 		if p < 0 {
 			return fmt.Errorf("p2pstream: priority %d is negative", p)
 		}
-		c.priority = p
+		c.wire.Node.Priority = p
 		return nil
 	}
 }
@@ -361,7 +335,7 @@ func WithPriority(p int) OverlayOption {
 // (default a perfect transcoder producing exact fractional-size
 // renditions).
 func WithCodec(codec Codec) OverlayOption {
-	return func(c *overlayConfig) error { c.codec = codec; return nil }
+	return func(c *overlayConfig) error { c.wire.Node.Codec = codec; return nil }
 }
 
 // WithStartupBuffer adds client-side startup buffering on top of the
@@ -374,7 +348,7 @@ func WithStartupBuffer(d time.Duration) OverlayOption {
 		if d < 0 {
 			return fmt.Errorf("p2pstream: startup buffer %v is negative", d)
 		}
-		c.buffer = d
+		c.wire.Node.ExtraBuffer = d
 		return nil
 	}
 }
@@ -383,40 +357,50 @@ func WithStartupBuffer(d time.Duration) OverlayOption {
 // discovery option (WithDirectory, WithShardedDirectory or WithChord) is
 // required. For a multi-object overlay, pass a nil file and WithLibrary.
 func NewOverlay(file *MediaFile, opts ...OverlayOption) (*Overlay, error) {
-	cfg := overlayConfig{
-		file:       file,
-		numClasses: 4,
-		policy:     DAC,
-		m:          8,
-		tout:       2 * time.Second,
-		backoff:    BackoffConfig{Base: 500 * time.Millisecond, Factor: 2},
-		seed:       1,
+	cfg := &overlayConfig{seed: 1}
+	cfg.wire.Node = node.Config{
+		File:       file,
+		NumClasses: 4,
+		Policy:     DAC,
+		M:          8,
+		TOut:       2 * time.Second,
+		Backoff:    BackoffConfig{Base: 500 * time.Millisecond, Factor: 2},
 	}
 	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
+		if err := opt(cfg); err != nil {
 			return nil, err
 		}
 	}
-	if file == nil && len(cfg.objects) == 0 {
+	b := &cfg.wire
+	if file == nil && len(b.Node.Objects) == 0 {
 		return nil, errors.New("p2pstream: overlay needs a media file (or WithLibrary)")
 	}
-	if file != nil && len(cfg.objects) > 0 {
+	if file != nil && len(b.Node.Objects) > 0 {
 		return nil, errors.New("p2pstream: pass WithLibrary with a nil file, not both")
 	}
-	if cfg.autoscale != nil && cfg.backend == backendNone {
-		cfg.backend = backendSharded
+	if b.Autoscale != nil && !cfg.hasBackend() {
+		b.Sharded = &ShardedDirectoryConfig{}
 	}
-	if cfg.backend == backendNone {
+	if !cfg.hasBackend() {
 		return nil, errors.New("p2pstream: overlay needs a discovery backend (WithDirectory, WithShardedDirectory, WithAutoscale or WithChord)")
 	}
-	if (cfg.chordReplication > 0 || cfg.chordVirtualNodes > 0) && cfg.backend != backendChord {
+	if (cfg.chordReplication > 0 || cfg.chordVirtualNodes > 0) && b.Chord == nil {
 		return nil, errors.New("p2pstream: WithChordReplication/WithChordVirtualNodes need WithChord")
 	}
-	if cfg.autoscale != nil && cfg.backend != backendSharded {
+	if b.Autoscale != nil && b.Sharded == nil {
 		return nil, errors.New("p2pstream: WithAutoscale needs the sharded directory backend (it selects one when no backend is configured)")
 	}
-	if cfg.shardEpochs && cfg.backend != backendSharded {
+	if cfg.shardEpochs && b.Sharded == nil {
 		return nil, errors.New("p2pstream: WithShardEpochs needs the sharded directory backend")
+	}
+	if cfg.shardEpochs {
+		b.Sharded.WatchEpochs = true
+	}
+	if cfg.chordReplication > 0 {
+		b.Chord.Replication = cfg.chordReplication
+	}
+	if cfg.chordVirtualNodes > 0 {
+		b.Chord.VirtualNodes = cfg.chordVirtualNodes
 	}
 	return &Overlay{cfg: cfg}, nil
 }
@@ -513,7 +497,8 @@ func (o *Overlay) nextSeed(p OverlayPeer) int64 {
 	return o.cfg.seed + o.seq*1009
 }
 
-// newPeer wires one peer: discovery backend, node, start, tracking.
+// newPeer creates one peer through the builder — discovery endpoint, node,
+// start — and tracks it.
 func (o *Overlay) newPeer(ctx context.Context, p OverlayPeer, isSeed bool) (*Node, error) {
 	o.mu.Lock()
 	closed := o.closed
@@ -524,117 +509,17 @@ func (o *Overlay) newPeer(ctx context.Context, p OverlayPeer, isSeed bool) (*Nod
 	if p.ID == "" {
 		return nil, errors.New("p2pstream: overlay peer needs an ID")
 	}
-	nw := o.networkFor(p.ID)
-	seed := o.nextSeed(p)
-
-	var disc Discovery
-	var chordPeer *ChordDiscovery
-	switch o.cfg.backend {
-	case backendDirectory:
-		disc = directory.NewClientOn(nw, o.cfg.dirAddr)
-	case backendSharded:
-		scfg := o.cfg.sharded
-		scfg.Network = nw
-		scfg.Clock = o.cfg.clk
-		scfg.Seed = seed
-		scfg.Observer = o.cfg.observer
-		if o.cfg.shardEpochs {
-			scfg.WatchEpochs = true
-		}
-		if ctrl := o.cfg.autoscale; ctrl != nil {
-			// Boot from the controller's live state: a peer created after
-			// a flip must route by the current shard set, not the one the
-			// overlay was configured with.
-			epoch, members := ctrl.Snapshot()
-			addrs := make([]string, len(members))
-			names := make([]string, len(members))
-			for i, m := range members {
-				addrs[i], names[i] = m.Addr, m.Name
-			}
-			scfg.Addrs, scfg.Names, scfg.Epoch = addrs, names, epoch
-			scfg.WatchEpochs = true
-		}
-		sc, err := directory.NewShardedClient(scfg)
-		if err != nil {
-			return nil, err
-		}
-		disc = sc
-	case backendChord:
-		// Serialized: two concurrent seeds that both snapshotted an empty
-		// bootstrap list would each found a separate singleton ring and
-		// partition the overlay. Creation is cold path; one at a time.
-		o.chordMu.Lock()
-		defer o.chordMu.Unlock()
-		ccfg := o.cfg.chord
-		ccfg.ID = p.ID
-		ccfg.Class = p.Class
-		ccfg.Network = nw
-		ccfg.Clock = o.cfg.clk
-		ccfg.Seed = seed
-		ccfg.Observer = o.cfg.observer
-		if o.cfg.chordReplication > 0 {
-			ccfg.Replication = o.cfg.chordReplication
-		}
-		if o.cfg.chordVirtualNodes > 0 {
-			ccfg.VirtualNodes = o.cfg.chordVirtualNodes
-		}
-		if p.DiscoveryListenAddr != "" {
-			ccfg.ListenAddr = p.DiscoveryListenAddr
-		}
-		o.mu.Lock()
-		ccfg.Bootstrap = append(append([]string(nil), o.cfg.chord.Bootstrap...), o.boots...)
-		o.mu.Unlock()
-		cp, err := chordnet.New(ccfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := cp.Start(); err != nil {
-			return nil, err
-		}
-		disc = cp
-		chordPeer = cp
-	}
-
-	ncfg := node.Config{
-		ID:           p.ID,
-		Class:        p.Class,
-		NumClasses:   o.cfg.numClasses,
-		Policy:       o.cfg.policy,
-		Discovery:    disc,
-		File:         o.cfg.file,
-		Objects:      o.cfg.objects,
-		Held:         p.Held,
-		CacheBudget:  o.cfg.cacheBudget,
-		SessionSlots: o.cfg.sessionSlots,
-		M:            o.cfg.m,
-		TOut:         o.cfg.tout,
-		Backoff:      o.cfg.backoff,
-		ListenAddr:   p.ListenAddr,
-		Seed:         seed,
-		Clock:        o.cfg.clk,
-		Network:      nw,
-		Observer:     o.cfg.observer,
-		NoAdapt:      o.cfg.noAdapt,
-		Priority:     o.cfg.priority,
-		Codec:        o.cfg.codec,
-		ExtraBuffer:  o.cfg.buffer,
-	}
-	var n *Node
-	var err error
-	if isSeed {
-		n, err = node.NewSeed(ncfg)
-	} else {
-		n, err = node.NewRequester(ncfg)
-	}
+	n, disc, err := o.cfg.wire.Start(ctx, wiring.Peer{
+		ID:                  p.ID,
+		Class:               p.Class,
+		ListenAddr:          p.ListenAddr,
+		DiscoveryListenAddr: p.DiscoveryListenAddr,
+		Seed:                o.nextSeed(p),
+		Held:                p.Held,
+		Priority:            o.cfg.wire.Node.Priority, // per overlay (WithPriority), not per peer
+		Network:             o.networkFor(p.ID),
+	}, isSeed)
 	if err != nil {
-		// The node never took ownership of the discovery backend.
-		if disc != nil {
-			disc.Close()
-		}
-		return nil, err
-	}
-	if err := n.Start(ctx); err != nil {
-		n.Close()
 		return nil, err
 	}
 
@@ -645,14 +530,11 @@ func (o *Overlay) newPeer(ctx context.Context, p OverlayPeer, isSeed bool) (*Nod
 		return nil, fmt.Errorf("p2pstream: overlay %w", errs.ErrClosed)
 	}
 	o.nodes = append(o.nodes, n)
-	if chordPeer != nil {
+	if cp, ok := disc.(*chordnet.Peer); ok {
 		if o.chordAddrs == nil {
 			o.chordAddrs = make(map[string]string)
 		}
-		o.chordAddrs[p.ID] = chordPeer.Addr()
-		if isSeed {
-			o.boots = append(o.boots, chordPeer.Addr())
-		}
+		o.chordAddrs[p.ID] = cp.Addr()
 	}
 	o.mu.Unlock()
 	return n, nil

@@ -192,39 +192,16 @@ func NewVirtualNetwork(clk Clock, seed int64) *VirtualNetwork { return netx.NewV
 // Node is a live peer of the streaming overlay.
 type Node = node.Node
 
-// NodeConfig parameterizes a live node; its Clock and Network fields
-// select the runtime substrate (nil means wall clock over real TCP).
-type NodeConfig = node.Config
-
 // SessionReport describes a completed streaming session from the
 // requester's perspective.
 type SessionReport = node.SessionReport
 
-// NewSeedNode creates a live peer that already holds the media file and
-// supplies immediately once started.
-//
-// Deprecated: create peers through an Overlay (NewOverlay + Overlay.Seed),
-// which wires discovery and lifecycle for all three backends behind one
-// type. NewSeedNode remains for callers assembling a NodeConfig by hand.
-func NewSeedNode(cfg NodeConfig) (*Node, error) { return node.NewSeed(cfg) }
-
-// NewRequesterNode creates a live peer that requests the stream and then
-// supplies.
-//
-// Deprecated: create peers through an Overlay (NewOverlay +
-// Overlay.Requester). NewRequesterNode remains for callers assembling a
-// NodeConfig by hand.
-func NewRequesterNode(cfg NodeConfig) (*Node, error) { return node.NewRequester(cfg) }
-
 // Discovery backends: how a live peer finds the overlay (paper Section
-// 4.2, footnote 4). Two implementations ship — the Napster-style
-// centralized directory and a fully decentralized wire-level Chord ring.
-
-// Discovery abstracts peer discovery for a live node:
-// register/unregister as a supplier and sample candidate suppliers. Set
-// NodeConfig.Discovery to choose a backend; nil selects a directory
-// client for NodeConfig.DirectoryAddr.
-type Discovery = node.Discovery
+// 4.2, footnote 4). An Overlay option selects one — the Napster-style
+// directory (WithDirectory), its sharded and elastic forms
+// (WithShardedDirectory, WithAutoscale) or the wire-level Chord ring
+// (WithChord); below are the servers a deployment runs and the templates
+// those options take.
 
 // DirectoryServer is the overlay's Napster-style lookup service; serve it
 // on any listener of the chosen Network.
@@ -234,19 +211,6 @@ type DirectoryServer = directory.Server
 // candidate sampling.
 func NewDirectoryServer(seed int64) *DirectoryServer { return directory.NewServer(seed) }
 
-// DirectoryClient is the centralized Discovery backend: one
-// request/response dial per call against a DirectoryServer.
-type DirectoryClient = directory.Client
-
-// NewDirectoryClient returns a directory-backed Discovery for the server
-// at addr over the given network (nil means real TCP).
-//
-// Deprecated: use NewOverlay with WithDirectory(addr), which wires the
-// client, the node and their lifecycle behind one type.
-func NewDirectoryClient(network Network, addr string) *DirectoryClient {
-	return directory.NewClientOn(network, addr)
-}
-
 // DirectoryShardRing deterministically maps supplier keys to registry
 // shards by consistent hashing on the chord identifier circle; every
 // client builds the same ring from the same shard count.
@@ -255,25 +219,12 @@ type DirectoryShardRing = directory.ShardRing
 // NewDirectoryShardRing returns the canonical ring over n shards.
 func NewDirectoryShardRing(n int) (*DirectoryShardRing, error) { return directory.NewShardRing(n) }
 
-// ShardedDirectoryClient is the sharded directory Discovery backend: the
-// registry split across several DirectoryServer instances, with
-// registrations routed to the owning shard by consistent hashing,
-// candidate lookups fanned out across all shards (a dead shard degrades
-// diversity, never the lookup), and lease-style re-registration that
-// repopulates a shard returning empty from a crash.
-type ShardedDirectoryClient = directory.ShardedClient
-
-// ShardedDirectoryConfig parameterizes a sharded directory client.
+// ShardedDirectoryConfig parameterizes a sharded directory client: the
+// registry split across several DirectoryServer instances, registrations
+// routed to the owning shard by consistent hashing, candidate lookups fanned
+// out across all shards, and lease-style re-registration that repopulates a
+// shard returning empty from a crash. See WithShardedDirectory.
 type ShardedDirectoryConfig = directory.ShardedConfig
-
-// NewShardedDirectoryClient returns a sharded-directory Discovery over
-// the given shard set; hand it to a node via NodeConfig.Discovery.
-//
-// Deprecated: use NewOverlay with WithDirectory(addrs...) or
-// WithShardedDirectory(cfg).
-func NewShardedDirectoryClient(cfg ShardedDirectoryConfig) (*ShardedDirectoryClient, error) {
-	return directory.NewShardedClient(cfg)
-}
 
 // ReshardController is the elastic-directory autoscaling loop: it samples
 // per-shard load (lookups per interval) on the shared clock, spawns a
@@ -299,21 +250,11 @@ type ReshardMember = reshard.Member
 // the sampling loop with Start and stop it with Close.
 func NewReshardController(cfg ReshardConfig) (*ReshardController, error) { return reshard.New(cfg) }
 
-// ChordDiscovery is the decentralized Discovery backend: a wire-level
-// Chord ring member (internal/chordnet) that joins on Register, maintains
-// successors and fingers via stabilization, and samples candidates by
-// routing random-key lookups — no directory server anywhere.
-type ChordDiscovery = chordnet.Peer
-
-// ChordDiscoveryConfig parameterizes a chord discovery peer.
+// ChordDiscoveryConfig parameterizes a chord discovery peer: a wire-level
+// Chord ring member that joins on registration, maintains successors and
+// fingers via stabilization, and samples candidates by routing random-key
+// lookups — no directory server anywhere. See WithChord.
 type ChordDiscoveryConfig = chordnet.Config
-
-// NewChordDiscovery returns an unstarted chord discovery peer; Start it,
-// then hand it to a node as its Discovery.
-//
-// Deprecated: use NewOverlay with WithChord(cfg), which starts each
-// peer's ring endpoint and chains bootstrap membership automatically.
-func NewChordDiscovery(cfg ChordDiscoveryConfig) (*ChordDiscovery, error) { return chordnet.New(cfg) }
 
 // MediaFile describes the streamed media item.
 type MediaFile = media.File

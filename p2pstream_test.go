@@ -552,61 +552,6 @@ func TestPublicOverlayElasticOptionErrors(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsStillWork drives the deprecated per-component
-// facade (NewSeedNode, NewRequesterNode, the NodeConfig plumbing) once:
-// the aliases must keep compiling and serving until removed.
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	ctx := context.Background()
-	clk := p2pstream.NewVirtualClock()
-	t.Cleanup(clk.AutoRun())
-	vnet := p2pstream.NewVirtualNetwork(clk, 1)
-	vnet.SetDefaultLink(p2pstream.LinkConfig{Latency: 300 * time.Microsecond})
-
-	dir := p2pstream.NewDirectoryServer(1)
-	l, err := vnet.Host("dir").Listen(":0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go dir.Serve(l)
-	t.Cleanup(func() { dir.Close() })
-
-	file := &p2pstream.MediaFile{Name: "v", Segments: 16, SegmentBytes: 64, SegmentTime: 4 * time.Millisecond}
-	cfg := func(id string, class p2pstream.Class) p2pstream.NodeConfig {
-		return p2pstream.NodeConfig{
-			ID: id, Class: class, NumClasses: 4, Policy: p2pstream.DAC,
-			Discovery: p2pstream.NewDirectoryClient(vnet.Host(id), l.Addr().String()),
-			File:      file, M: 8,
-			TOut:    50 * time.Millisecond,
-			Backoff: p2pstream.BackoffConfig{Base: 20 * time.Millisecond, Factor: 2},
-			Seed:    1, Clock: clk, Network: vnet.Host(id),
-		}
-	}
-	for _, id := range []string{"s1", "s2"} {
-		seed, err := p2pstream.NewSeedNode(cfg(id, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := seed.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { seed.Close() })
-	}
-	req, err := p2pstream.NewRequesterNode(cfg("r", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := req.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { req.Close() })
-	if _, err := req.RequestUntilAdmitted(ctx, "", 5); err != nil {
-		t.Fatal(err)
-	}
-	if !req.Supplying() {
-		t.Error("requester did not finish as a supplying peer")
-	}
-}
-
 // TestPublicDeclarativeScenario runs a declarative scenario through the
 // facade: a Spec assembled as data, executed by RunScenario, checked by
 // the report's invariants — plus catalog access by name.
