@@ -31,9 +31,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
+	"syscall"
 	"time"
 
 	"p2pstream/internal/directory"
@@ -76,26 +77,29 @@ func main() {
 		host, port = h, p
 	}
 
-	errc := make(chan error, *shards)
-	addrs := make([]string, *shards)
-	servers := make([]*directory.Server, *shards)
-	for i := 0; i < *shards; i++ {
+	// boot starts shard i of this process: an advertised one at start-up,
+	// a spawned one when the autoscaler grows the set.
+	boot := func(i int) (reshard.Member, error) {
 		srv := directory.NewServer(*seed + int64(i))
 		addr := *listen
 		if *shards > 1 || *autoscale {
 			addr = net.JoinHostPort(host, strconv.Itoa(port+i))
 		}
-		ready := make(chan string, 1)
-		go func() { errc <- srv.ListenAndServe(addr, ready) }()
-		select {
-		case a := <-ready:
-			addrs[i] = a
-		case err := <-errc:
+		bound, err := srv.Start(nil, addr)
+		return reshard.Member{Name: fmt.Sprintf("shard-%d", i), Addr: bound, Server: srv}, err
+	}
+	addrs := make([]string, *shards)
+	members := make([]reshard.Member, *shards)
+	for i := range members {
+		// The advertised shards are what booting peers dial: one that
+		// cannot listen is a process failure, not churn.
+		m, err := boot(i)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "p2pdir: shard %d: %v\n", i, err)
 			os.Exit(1)
 		}
-		servers[i] = srv
-		fmt.Printf("p2pdir: shard %d serving on %s\n", i, addrs[i])
+		addrs[i], members[i] = m.Addr, m
+		fmt.Printf("p2pdir: shard %d serving on %s\n", i, m.Addr)
 	}
 	if *shards > 1 {
 		fmt.Printf("p2pdir: peers route with -dir-addrs %s\n", strings.Join(addrs, ","))
@@ -106,14 +110,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "p2pdir: -autoscale-max %d below -shards %d\n", *asMax, *shards)
 			os.Exit(2)
 		}
-		// Spawned shards come and go; a retired one's Serve returns a
-		// closed-listener error that must not take the process down.
-		var retireMu sync.Mutex
-		retired := make(map[*directory.Server]bool)
-		members := make([]reshard.Member, *shards)
-		for i := range members {
-			members[i] = reshard.Member{Name: fmt.Sprintf("shard-%d", i), Addr: addrs[i], Server: servers[i]}
-		}
 		ctrl, err := reshard.New(reshard.Config{
 			Interval:  *asInterval,
 			HighWater: *asHigh,
@@ -121,38 +117,12 @@ func main() {
 			MinShards: *shards,
 			// The advertised -dir-addrs bootstrap set must stay live: a
 			// booting peer dials those addresses, so the initial servers
-			// are pinned and only spawned shards ever drain. (Their
-			// ListenAndServe errors stay fatal for the same reason — a
-			// dead bootstrap shard is a process failure, not churn.)
+			// are pinned and only spawned shards ever drain.
 			Pinned:    *shards,
 			MaxShards: *asMax,
 			Members:   members,
-			Spawn: func(seq int) (reshard.Member, error) {
-				srv := directory.NewServer(*seed + int64(seq))
-				addr := net.JoinHostPort(host, strconv.Itoa(port+seq))
-				ready := make(chan string, 1)
-				serr := make(chan error, 1)
-				go func() { serr <- srv.ListenAndServe(addr, ready) }()
-				select {
-				case a := <-ready:
-					go func() {
-						err := <-serr
-						retireMu.Lock()
-						gone := retired[srv]
-						retireMu.Unlock()
-						if err != nil && !gone {
-							fmt.Fprintf(os.Stderr, "p2pdir: spawned shard on %s: %v\n", a, err)
-						}
-					}()
-					return reshard.Member{Name: fmt.Sprintf("shard-%d", seq), Addr: a, Server: srv}, nil
-				case err := <-serr:
-					return reshard.Member{}, err
-				}
-			},
+			Spawn:     boot,
 			Retire: func(m reshard.Member) {
-				retireMu.Lock()
-				retired[m.Server] = true
-				retireMu.Unlock()
 				m.Server.Close()
 				fmt.Printf("p2pdir: retired %s (%s)\n", m.Name, m.Addr)
 			},
@@ -177,8 +147,8 @@ func main() {
 			*shards, *asMax, *asHigh, *asLow, *asInterval, strings.Join(addrs, ","))
 	}
 
-	if err := <-errc; err != nil {
-		fmt.Fprintf(os.Stderr, "p2pdir: %v\n", err)
-		os.Exit(1)
-	}
+	// The servers run in the background until the process is told to stop.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	<-stop
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"p2pstream"
@@ -28,13 +27,11 @@ func main() {
 	file := &p2pstream.MediaFile{Name: "popular-video", Segments: 80, SegmentBytes: 2048, SegmentTime: 10 * time.Millisecond}
 
 	dirSrv := p2pstream.NewDirectoryServer(1)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	dirAddr, err := dirSrv.Start(nil, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go dirSrv.Serve(l)
 	defer dirSrv.Close()
-	dirAddr := l.Addr().String()
 	fmt.Printf("directory on %s\n", dirAddr)
 
 	// One Overlay wires every peer: discovery backend, node lifecycle,

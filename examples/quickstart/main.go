@@ -84,11 +84,9 @@ func main() {
 	defer ov.Close()
 
 	dir := p2pstream.NewDirectoryServer(1)
-	l, err := vnet.Host("dir").Listen("dir:7000")
-	if err != nil {
+	if _, err := dir.Start(vnet.Host("dir"), "dir:7000"); err != nil {
 		log.Fatal(err)
 	}
-	go dir.Serve(l)
 	defer dir.Close()
 
 	ctx := context.Background()

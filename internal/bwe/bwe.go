@@ -54,19 +54,22 @@ type Config struct {
 	// Max caps the estimate; 0 means uncapped. Sessions set this to the
 	// committed class offer.
 	Max int64
-	// Beta is the multiplicative-decrease factor (default 0.85).
-	Beta float64
 	// Increase is the additive ramp in bytes/second per second of
 	// congestion-free feedback (default max(Initial/2, 4096)).
 	Increase int64
-	// DelayThreshold is the queuing delay — RTT excess over the observed
-	// minimum — that signals overuse (default 4ms).
-	DelayThreshold time.Duration
 	// HoldTime freezes the rate after a decrease so the queue can drain
-	// before the next verdict (default 4 x DelayThreshold, at least the
-	// 100ms a feedback round costs on a slow link).
+	// before the next verdict (default 100ms, what a feedback round costs
+	// on a slow link).
 	HoldTime time.Duration
 }
+
+const (
+	// beta is the multiplicative-decrease factor.
+	beta = 0.85
+	// delayThreshold is the queuing delay — RTT excess over the observed
+	// minimum — that signals overuse.
+	delayThreshold = 4 * time.Millisecond
+)
 
 // Estimator is the per-session send-side bandwidth estimator.
 type Estimator struct {
@@ -89,9 +92,6 @@ type Estimator struct {
 
 // New returns an estimator starting at cfg.Initial.
 func New(cfg Config) *Estimator {
-	if cfg.Beta <= 0 || cfg.Beta >= 1 {
-		cfg.Beta = 0.85
-	}
 	if cfg.Min <= 0 {
 		cfg.Min = cfg.Initial / 8
 		if cfg.Min < 512 {
@@ -104,14 +104,8 @@ func New(cfg Config) *Estimator {
 			cfg.Increase = 4096
 		}
 	}
-	if cfg.DelayThreshold <= 0 {
-		cfg.DelayThreshold = 4 * time.Millisecond
-	}
 	if cfg.HoldTime <= 0 {
-		cfg.HoldTime = 4 * cfg.DelayThreshold
-		if cfg.HoldTime < 100*time.Millisecond {
-			cfg.HoldTime = 100 * time.Millisecond
-		}
+		cfg.HoldTime = 100 * time.Millisecond
 	}
 	e := &Estimator{cfg: cfg, rate: cfg.Initial}
 	e.clamp()
@@ -157,7 +151,7 @@ func (e *Estimator) OnAck(now time.Time, n int, rtt time.Duration) {
 	}
 
 	queuing := rtt - e.minRTT
-	if queuing > e.cfg.DelayThreshold {
+	if queuing > delayThreshold {
 		e.overuse(now)
 	} else {
 		e.underuse(now)
@@ -175,11 +169,11 @@ func (e *Estimator) overuse(now time.Time) {
 		e.st = Hold // one cut per hold period: let the queue drain first
 		return
 	}
-	target := int64(e.cfg.Beta * float64(e.rate))
+	target := int64(beta * float64(e.rate))
 	if e.delivery > 0 {
 		// Cutting toward measured goodput converges in one step when the
 		// rate overshot badly, instead of bleeding down 15% at a time.
-		if t := int64(e.cfg.Beta * float64(e.delivery)); t < target {
+		if t := int64(beta * float64(e.delivery)); t < target {
 			target = t
 		}
 	}

@@ -48,9 +48,12 @@ import (
 )
 
 const (
-	defaultStabilize  = 25 * time.Millisecond
-	defaultSuccessors = 4
-	defaultMaxHops    = 2 * chord.FingerBits
+	defaultStabilize = 25 * time.Millisecond
+	// successors is the successor-list length: the ring survives that many
+	// consecutive simultaneous crashes.
+	successors = 4
+	// maxHops bounds one lookup walk.
+	maxHops = 2 * chord.FingerBits
 	// fingersPerRound bounds the finger-repair work of one stabilization
 	// round; the full table refreshes every FingerBits/fingersPerRound
 	// rounds.
@@ -106,11 +109,6 @@ type Config struct {
 	Seed int64
 	// Stabilize is the stabilization period (default 25ms).
 	Stabilize time.Duration
-	// Successors is the successor-list length (default 4): the ring
-	// survives that many consecutive simultaneous crashes.
-	Successors int
-	// MaxHops bounds one lookup walk (default 2·FingerBits).
-	MaxHops int
 	// Observer, when non-nil, receives the peer's events: reply-path write
 	// failures the request/response flow cannot surface (a peer hanging up
 	// mid-reply) and completed key lookups with their routing cost.
@@ -140,11 +138,10 @@ type Peer struct {
 	net  netx.Network
 	id   uint64
 	comp string // observer component name, precomputed off the hot paths
-	// onWriteErr forwards reply-write failures to the observer; built once
-	// at construction so the reply hot path allocates no closure.
-	onWriteErr func(transport.Kind, error)
+	// ep owns the chord listener, the ring RPC connections in flight and
+	// the reply path.
+	ep *transport.Endpoint
 
-	writeFails atomic.Int64
 	// Discovery-cost counters (see LookupStats): key lookups this peer
 	// initiated, the routing hops they cost, and Candidates sample rounds.
 	lookupCount atomic.Int64
@@ -192,10 +189,10 @@ type Peer struct {
 	// only when something changed (or a fresh successor appears).
 	replVer   int64
 	pushedVer map[string]int64
-	listener  net.Listener
-	conns     map[net.Conn]struct{}
 	stabTimer clock.Timer
-	wg        sync.WaitGroup
+	// wg counts the goroutines the handlers and the timer spawn:
+	// stabilization rounds and record forwarding.
+	wg sync.WaitGroup
 }
 
 // New returns an unstarted chord peer.
@@ -208,12 +205,6 @@ func New(cfg Config) (*Peer, error) {
 	}
 	if cfg.Stabilize <= 0 {
 		cfg.Stabilize = defaultStabilize
-	}
-	if cfg.Successors <= 0 {
-		cfg.Successors = defaultSuccessors
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = defaultMaxHops
 	}
 	if cfg.VirtualNodes <= 0 {
 		cfg.VirtualNodes = 1
@@ -231,42 +222,21 @@ func New(cfg Config) (*Peer, error) {
 		objects: make(map[string]bool),
 		self:    transport.ChordContact{Name: cfg.ID, Class: cfg.Class},
 		store:   make(map[uint64]transport.ChordRecord),
-		conns:   make(map[net.Conn]struct{}),
 	}
+	p.ep = transport.NewEndpoint(p.comp, cfg.Observer)
 	p.cache = transport.NewConnCache(p.net)
-	p.onWriteErr = func(kind transport.Kind, err error) {
-		observe.Emit(p.cfg.Observer, observe.Event{
-			Component: p.comp,
-			Type:      observe.WriteError,
-			Wire:      kind.String(),
-			Err:       err,
-		})
-	}
 	return p, nil
 }
 
 // Start opens the peer's chord listener and begins answering ring RPCs.
 // It does not join a ring; Register does.
 func (p *Peer) Start() error {
-	addr := p.cfg.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	l, err := p.net.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("chordnet %s: listen: %w", p.cfg.ID, err)
+	if err := p.ep.Start(p.net, p.cfg.ListenAddr, p.handleConn); err != nil {
+		return err
 	}
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		l.Close()
-		return fmt.Errorf("chordnet %s: %w", p.cfg.ID, errs.ErrClosed)
-	}
-	p.listener = l
-	p.self.Addr = l.Addr().String()
+	p.self.Addr = p.ep.Addr()
 	p.mu.Unlock()
-	p.wg.Add(1)
-	go p.acceptLoop(l)
 	return nil
 }
 
@@ -304,7 +274,7 @@ func (p *Peer) Predecessor() *transport.ChordContact {
 
 // WriteFailures counts reply writes that failed mid-exchange (the remote
 // hung up while a response was in flight).
-func (p *Peer) WriteFailures() int64 { return p.writeFails.Load() }
+func (p *Peer) WriteFailures() int64 { return p.ep.WriteFailures() }
 
 // LookupStats returns the peer's cumulative discovery-cost counters: key
 // lookups it initiated (Candidates draws and explicit LookupKey calls —
@@ -334,7 +304,7 @@ func (p *Peer) Register(ctx context.Context, reg transport.Register) error {
 	case p.closed:
 		p.mu.Unlock()
 		return fmt.Errorf("chordnet %s: %w", p.cfg.ID, errs.ErrClosed)
-	case p.listener == nil:
+	case p.self.Addr == "":
 		p.mu.Unlock()
 		return fmt.Errorf("chordnet %s: not started", p.cfg.ID)
 	case p.joined:
@@ -761,23 +731,12 @@ func (p *Peer) Close() error {
 	p.closed = true
 	p.joined = false
 	t := p.stabTimer
-	l := p.listener
-	conns := make([]net.Conn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
-	}
 	p.mu.Unlock()
 	if t != nil {
 		t.Stop()
 	}
 	p.cache.Close()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	err := p.ep.Close()
 	p.wg.Wait()
 	return err
 }
@@ -1027,7 +986,7 @@ func (p *Peer) walk(ctx context.Context, key uint64) (transport.ChordContact, []
 	hops := 0
 	for !done {
 		hops++
-		if hops > p.cfg.MaxHops {
+		if hops > maxHops {
 			return transport.ChordContact{}, nil, hops, fmt.Errorf("chordnet %s: routing did not converge", p.cfg.ID)
 		}
 		if next.Name == p.cfg.ID {
@@ -1344,8 +1303,8 @@ func (p *Peer) pushReplicas() {
 // truncated to the configured length.
 func (p *Peer) setSuccessorsLocked(list []transport.ChordContact) {
 	seen := make(map[string]bool, len(list))
-	out := make([]transport.ChordContact, 0, p.cfg.Successors)
-	ids := make([]uint64, 0, p.cfg.Successors)
+	out := make([]transport.ChordContact, 0, successors)
+	ids := make([]uint64, 0, successors)
 	for _, c := range list {
 		if c.Name == "" || c.Name == p.self.Name || seen[c.Name] {
 			continue
@@ -1353,7 +1312,7 @@ func (p *Peer) setSuccessorsLocked(list []transport.ChordContact) {
 		seen[c.Name] = true
 		out = append(out, c)
 		ids = append(ids, chord.HashKey(c.Name))
-		if len(out) == p.cfg.Successors {
+		if len(out) == successors {
 			break
 		}
 	}
@@ -1508,13 +1467,6 @@ func (p *Peer) stabilizeOnce() {
 	}
 }
 
-// acceptLoop serves incoming chord RPC connections, one request/response
-// exchange each, tracked so Close can abort them.
-func (p *Peer) acceptLoop(l net.Listener) {
-	defer p.wg.Done()
-	netx.ServeConns(l, &p.mu, &p.closed, p.conns, &p.wg, p.handleConn)
-}
-
 // handleConn answers ring RPC exchanges on one connection until the caller
 // hangs up or stalls past the per-exchange deadline. Non-members refuse —
 // with an error frame over the still-synchronized stream, so a neighbor's
@@ -1522,7 +1474,7 @@ func (p *Peer) acceptLoop(l net.Listener) {
 // as gone and heal around it. Malformed frames close the connection.
 func (p *Peer) handleConn(conn net.Conn) {
 	for {
-		conn.SetDeadline(time.Now().Add(rpcTimeout)) // no-op on virtual conns
+		p.ep.Arm(conn)
 		env, err := transport.Read(conn)
 		if err != nil {
 			return
@@ -1531,7 +1483,7 @@ func (p *Peer) handleConn(conn net.Conn) {
 		joined := p.joined
 		p.mu.Unlock()
 		if !joined {
-			p.reply(conn, transport.KindError,
+			p.ep.Reply(conn, transport.KindError,
 				transport.Error{Message: fmt.Sprintf("chordnet %s: not a ring member", p.cfg.ID)})
 			continue
 		}
@@ -1542,7 +1494,7 @@ func (p *Peer) handleConn(conn net.Conn) {
 				return
 			}
 			done, next, backups := p.step(req.Key)
-			p.reply(conn, transport.KindChordFingerOK, transport.ChordFingerReply{Done: done, Next: next, Backups: backups})
+			p.ep.Reply(conn, transport.KindChordFingerOK, transport.ChordFingerReply{Done: done, Next: next, Backups: backups})
 		case transport.KindChordLookup:
 			var req transport.ChordLookup
 			if err := env.Decode(&req); err != nil {
@@ -1567,17 +1519,17 @@ func (p *Peer) handleConn(conn net.Conn) {
 				}
 			}
 			if err != nil {
-				p.reply(conn, transport.KindError, transport.Error{Message: err.Error()})
+				p.ep.Reply(conn, transport.KindError, transport.Error{Message: err.Error()})
 				continue
 			}
-			p.reply(conn, transport.KindChordLookupOK, transport.ChordLookupReply{Owner: owner, Hops: hops})
+			p.ep.Reply(conn, transport.KindChordLookupOK, transport.ChordLookupReply{Owner: owner, Hops: hops})
 		case transport.KindChordReplicate:
 			var req transport.ChordReplicate
 			if err := env.Decode(&req); err != nil {
 				return
 			}
 			p.applyReplicate(req)
-			p.reply(conn, transport.KindChordReplicateOK, transport.ChordReplicateReply{})
+			p.ep.Reply(conn, transport.KindChordReplicateOK, transport.ChordReplicateReply{})
 		case transport.KindChordReplicaPull:
 			var req transport.ChordReplicaPull
 			if err := env.Decode(&req); err != nil {
@@ -1595,30 +1547,30 @@ func (p *Peer) handleConn(conn net.Conn) {
 				rep.Record, rep.Found = p.bestRecordLocked(req.Key, req.Dead)
 			}
 			p.mu.Unlock()
-			p.reply(conn, transport.KindChordReplicaPullOK, rep)
+			p.ep.Reply(conn, transport.KindChordReplicaPullOK, rep)
 		case transport.KindChordJoin:
 			var req transport.ChordJoin
 			if err := env.Decode(&req); err != nil {
 				return
 			}
 			rep := p.adopt(req.Peer)
-			p.reply(conn, transport.KindChordJoinOK,
+			p.ep.Reply(conn, transport.KindChordJoinOK,
 				transport.ChordJoinReply{Predecessor: rep.Predecessor, Successors: rep.Successors})
 		case transport.KindChordNotify:
 			var req transport.ChordNotify
 			if err := env.Decode(&req); err != nil {
 				return
 			}
-			p.reply(conn, transport.KindChordNotifyOK, p.adopt(req.Peer))
+			p.ep.Reply(conn, transport.KindChordNotifyOK, p.adopt(req.Peer))
 		case transport.KindChordLeave:
 			var req transport.ChordLeave
 			if err := env.Decode(&req); err != nil {
 				return
 			}
 			p.spliceLeave(req)
-			p.reply(conn, transport.KindChordLeaveOK, transport.ChordLeaveReply{})
+			p.ep.Reply(conn, transport.KindChordLeaveOK, transport.ChordLeaveReply{})
 		default:
-			p.reply(conn, transport.KindError,
+			p.ep.Reply(conn, transport.KindError,
 				transport.Error{Message: fmt.Sprintf("chordnet %s: unexpected %s", p.cfg.ID, env.Kind)})
 			return
 		}
@@ -1735,12 +1687,6 @@ func (p *Peer) spliceLeave(req transport.ChordLeave) {
 			p.setFingerLocked(j, inheritor) // the empty contact clears
 		}
 	}
-}
-
-// reply writes one response, feeding failures to the peer's observer via
-// the hook built once at construction (no per-reply closure).
-func (p *Peer) reply(conn net.Conn, kind transport.Kind, body any) {
-	transport.WriteReply(conn, kind, body, &p.writeFails, p.onWriteErr)
 }
 
 // call performs one outbound RPC exchange, bounded by ctx and — always,

@@ -17,36 +17,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2pstream/internal/errs"
 	"p2pstream/internal/lookup"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/transport"
 )
 
-// defaultTimeout bounds one request/response exchange: long enough for any
-// honest client on a congested WAN, short enough that a stalled one cannot
-// pin a handler goroutine for the server's lifetime.
-const defaultTimeout = 10 * time.Second
-
-// Server is a directory server. Create with NewServer, then Serve on a
-// listener; Close stops it.
+// Server is a directory server. Create with NewServer, then Start it on an
+// address (or Serve on a listener); Close stops it.
 type Server struct {
-	// Timeout bounds each connection's single request/response exchange
-	// (see defaultTimeout). Set before Serve; zero disables the deadline
-	// (virtual networks ignore deadlines anyway and rely on Close).
-	Timeout time.Duration
 	// Observer, when non-nil, receives the server's events — reply writes
 	// that failed mid-exchange (a client hangup the request/response flow
 	// would otherwise mistake for success), which are counted regardless
 	// in WriteFailures. Set before Serve.
 	Observer observe.Observer
 
-	writeFails atomic.Int64
-	// onWriteErr forwards reply-write failures to Observer; built once at
-	// construction so the reply hot path allocates no closure.
-	onWriteErr func(transport.Kind, error)
-	stats      struct{ registers, refreshes, unregisters, lookups atomic.Int64 }
+	// ep owns the listener, the in-flight connections and the reply path.
+	ep    *transport.Endpoint
+	stats struct{ registers, refreshes, unregisters, lookups atomic.Int64 }
 
 	mu sync.Mutex
 	// dirs holds one supplier registry per media object; the "" key is the
@@ -59,11 +47,6 @@ type Server struct {
 	addrs    map[string]string
 	addrRefs map[string]int
 	rng      *rand.Rand
-
-	listener net.Listener
-	conns    map[net.Conn]struct{} // in-flight exchanges (closed on Close)
-	wg       sync.WaitGroup
-	closed   bool
 
 	// epochMu guards the resharding epoch and its watcher set separately
 	// from mu: a SetEpoch push fans writes out to watcher connections and
@@ -85,21 +68,15 @@ type epochWatcher struct {
 // sampling for reproducible tests.
 func NewServer(seed int64) *Server {
 	s := &Server{
-		Timeout:  defaultTimeout,
 		dirs:     map[string]*lookup.Directory[string]{"": lookup.NewDirectory[string]()},
 		addrs:    make(map[string]string),
 		addrRefs: make(map[string]int),
 		rng:      rand.New(rand.NewSource(seed)),
-		conns:    make(map[net.Conn]struct{}),
 	}
-	s.onWriteErr = func(kind transport.Kind, err error) {
-		observe.Emit(s.Observer, observe.Event{
-			Component: "directory",
-			Type:      observe.WriteError,
-			Wire:      kind.String(),
-			Err:       err,
-		})
-	}
+	// Observer is a field set after construction: read it per event.
+	s.ep = transport.NewEndpoint("directory", observe.Func(func(ev observe.Event) {
+		observe.Emit(s.Observer, ev)
+	}))
 	return s
 }
 
@@ -168,7 +145,7 @@ func (s *Server) SetEpoch(ep transport.DirEpoch) {
 		// A failed push means the client hung up; its read loop notices
 		// and drops the watcher, so best effort is enough here.
 		w.mu.Lock()
-		s.reply(w.conn, transport.KindDirEpoch, ep)
+		s.ep.Reply(w.conn, transport.KindDirEpoch, ep)
 		w.mu.Unlock()
 	}
 }
@@ -195,68 +172,28 @@ func (s *Server) removeWatcher(w *epochWatcher) {
 	s.epochMu.Unlock()
 }
 
-// Serve accepts connections until the listener is closed. It always
-// returns a non-nil error (net.ErrClosed after Close).
-//
-// A Serve that loses the race against Close — Close ran between the
-// caller's net.Listen and this call, when the server had no listener to
-// close — closes the listener itself instead of leaking it open forever.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return fmt.Errorf("directory: server %w", errs.ErrClosed)
+// Start listens on addr over nw (nil means real TCP) and serves in the
+// background; it returns the bound address.
+func (s *Server) Start(nw netx.Network, addr string) (string, error) {
+	if err := s.ep.Start(nw, addr, s.handle); err != nil {
+		return "", err
 	}
-	s.listener = l
-	s.mu.Unlock()
-	err := netx.ServeConns(l, &s.mu, &s.closed, s.conns, &s.wg, s.handle)
-	s.wg.Wait()
-	return err
+	return s.ep.Addr(), nil
 }
 
-// ListenAndServe listens on addr and serves. It returns the bound address
-// via the ready channel before blocking in Accept.
-func (s *Server) ListenAndServe(addr string, ready chan<- string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready <- l.Addr().String()
-	}
-	return s.Serve(l)
-}
+// Serve accepts connections from l, which it owns from here on, until the
+// listener is closed. It always returns a non-nil error (net.ErrClosed
+// after Close); a closed or already serving server closes l and says so.
+func (s *Server) Serve(l net.Listener) error { return s.ep.Serve(l, s.handle) }
 
-// Close stops the server: the listener closes (so Serve returns), and
-// in-flight connections are torn down so a stalled client cannot wedge
-// Serve's handler drain.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	l := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		conns = append(conns, conn)
-	}
-	s.mu.Unlock()
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
-	for _, conn := range conns {
-		conn.Close()
-	}
-	return err
-}
+// Close stops the server: the listener closes (so Serve returns), in-flight
+// connections are torn down so a stalled client cannot wedge it, and every
+// handler has returned when it does.
+func (s *Server) Close() error { return s.ep.Close() }
 
 // WriteFailures counts reply writes that failed mid-exchange (the client
 // hung up while the response was in flight). See Observer.
-func (s *Server) WriteFailures() int64 { return s.writeFails.Load() }
+func (s *Server) WriteFailures() int64 { return s.ep.WriteFailures() }
 
 // Stats describes one directory server's request counters — with a sharded
 // registry, per-shard stats show how the consistent-hash ring spread keys
@@ -301,11 +238,11 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}()
 	for {
-		if s.Timeout > 0 && watch == nil {
+		if watch == nil {
 			// Watch connections idle arbitrarily long between pushes by
 			// design; every other connection runs request/response
 			// exchanges under the per-exchange deadline.
-			conn.SetDeadline(time.Now().Add(s.Timeout)) // no-op on virtual conns
+			s.ep.Arm(conn)
 		}
 		env, err := transport.Read(conn)
 		if err != nil {
@@ -322,7 +259,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.replyError(conn, err)
 				continue
 			}
-			s.reply(conn, transport.KindRegisterOK, struct{}{})
+			s.ep.Reply(conn, transport.KindRegisterOK, struct{}{})
 		case transport.KindRegisterBatch:
 			var req transport.RegisterBatch
 			if err := env.Decode(&req); err != nil {
@@ -333,7 +270,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.replyError(conn, err)
 				continue
 			}
-			s.reply(conn, transport.KindRegisterBatchOK, struct{}{})
+			s.ep.Reply(conn, transport.KindRegisterBatchOK, struct{}{})
 		case transport.KindUnregister:
 			var req transport.Unregister
 			if err := env.Decode(&req); err != nil {
@@ -341,14 +278,14 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			s.unregister(req.ID, req.Object)
-			s.reply(conn, transport.KindUnregisterOK, struct{}{})
+			s.ep.Reply(conn, transport.KindUnregisterOK, struct{}{})
 		case transport.KindLookup:
 			var req transport.Lookup
 			if err := env.Decode(&req); err != nil {
 				s.replyError(conn, err)
 				return
 			}
-			s.reply(conn, transport.KindCandidates, s.lookup(req))
+			s.ep.Reply(conn, transport.KindCandidates, s.lookup(req))
 		case transport.KindDirEpochWatch:
 			var req transport.DirEpochWatch
 			if err := env.Decode(&req); err != nil {
@@ -360,7 +297,7 @@ func (s *Server) handle(conn net.Conn) {
 				watch, ep = s.addWatcher(conn)
 				conn.SetDeadline(time.Time{}) // pushes idle past any exchange deadline
 				watch.mu.Lock()
-				s.reply(conn, transport.KindDirEpoch, ep)
+				s.ep.Reply(conn, transport.KindDirEpoch, ep)
 				watch.mu.Unlock()
 				continue
 			}
@@ -369,7 +306,7 @@ func (s *Server) handle(conn net.Conn) {
 			// watcher lock — SetEpoch holds them in the other order.
 			ep := s.Epoch()
 			watch.mu.Lock()
-			s.reply(conn, transport.KindDirEpoch, ep)
+			s.ep.Reply(conn, transport.KindDirEpoch, ep)
 			watch.mu.Unlock()
 		default:
 			s.replyError(conn, fmt.Errorf("directory: unexpected %s", env.Kind))
@@ -378,14 +315,8 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// reply writes one response, feeding failures into the server's observer
-// via the hook built once at construction (no per-reply closure).
-func (s *Server) reply(conn net.Conn, kind transport.Kind, body any) {
-	transport.WriteReply(conn, kind, body, &s.writeFails, s.onWriteErr)
-}
-
 func (s *Server) replyError(conn net.Conn, err error) {
-	s.reply(conn, transport.KindError, transport.Error{Message: err.Error()})
+	s.ep.Reply(conn, transport.KindError, transport.Error{Message: err.Error()})
 }
 
 func (s *Server) register(req transport.Register) error {

@@ -1,12 +1,14 @@
 package directory
 
 import (
-	"context"
+	"errors"
 	"net"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"p2pstream/internal/errs"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/transport"
 )
@@ -42,133 +44,71 @@ func TestReplyWriteErrorHook(t *testing.T) {
 	}
 }
 
-// TestShutdownServeAfterClose: a Serve that starts after Close must close
-// the listener it was handed instead of leaking it open forever (the
-// Close/ListenAndServe race, deterministically ordered).
+// The two tests below drive the server's lifecycle through its public
+// API; the accept/track/close mechanism itself is tested with
+// transport.Endpoint.
+
+// TestShutdownServeAfterClose: after Close, Start refuses and Serve closes
+// the listener it was handed instead of leaking it open forever.
 func TestShutdownServeAfterClose(t *testing.T) {
 	s := NewServer(1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Start(nil, "127.0.0.1:0"); !errors.Is(err, errs.ErrClosed) {
+		t.Errorf("Start on a closed server: %v, want ErrClosed", err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Serve(l); err == nil {
-		t.Fatal("Serve on a closed server returned nil")
+	if err := s.Serve(l); !errors.Is(err, errs.ErrClosed) {
+		t.Errorf("Serve on a closed server: %v, want ErrClosed", err)
 	}
 	if _, err := l.Accept(); err == nil {
 		t.Fatal("listener still accepting: Serve leaked it")
 	}
 }
 
-// TestShutdownCloseDuringListenAndServe races Close against
-// ListenAndServe: whichever interleaving occurs, ListenAndServe must
-// return and the listener must end up closed.
-func TestShutdownCloseDuringListenAndServe(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		s := NewServer(1)
-		ready := make(chan string, 1)
-		errc := make(chan error, 1)
-		go func() { errc <- s.ListenAndServe("127.0.0.1:0", ready) }()
-		if err := s.Close(); err != nil && err != net.ErrClosed {
-			// Close may observe the listener already closed; anything else
-			// (including closing a nil listener) must not error.
-			t.Fatalf("iteration %d: Close: %v", i, err)
-		}
-		select {
-		case err := <-errc:
-			if err == nil {
-				t.Fatalf("iteration %d: ListenAndServe returned nil", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("iteration %d: ListenAndServe wedged after Close", i)
-		}
-		addr := <-ready
-		if conn, err := net.Dial("tcp", addr); err == nil {
-			conn.Close()
-			t.Fatalf("iteration %d: listener at %s leaked past Close", i, addr)
-		}
-	}
-}
-
-// TestShutdownStalledClientClose: a client that connects and never writes
-// pins a handler goroutine; Close must tear the connection down and
-// return promptly instead of wedging on the handler drain.
+// TestShutdownStalledClientClose: a client that stops talking pins a
+// handler goroutine; Close must cut it off and return promptly, leaving
+// nothing listening.
 func TestShutdownStalledClientClose(t *testing.T) {
 	s := NewServer(1)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := s.Start(nil, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := make(chan error, 1)
-	go func() { served <- s.Serve(l) }()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
+	stalled, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	// Wait for the handler to be tracked, proving Close races a live
-	// in-flight connection and not an empty server.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("handler never picked up the stalled connection")
-		}
-		time.Sleep(time.Millisecond)
+	defer stalled.Close()
+	// One answered exchange proves a handler holds the connection, so
+	// Close races a live in-flight connection and not an idle server.
+	if err := transport.Write(stalled, transport.KindLookup, transport.Lookup{M: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := transport.ReadExpect(stalled, transport.KindCandidates, nil); err != nil {
+		t.Fatal(err)
 	}
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
 	select {
-	case <-closed:
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close wedged on the stalled client")
 	}
-	select {
-	case err := <-served:
-		if err == nil {
-			t.Fatal("Serve returned nil")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve wedged on the stalled client after Close")
+	stalled.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := stalled.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("stalled client survived Close: read returned %v", err)
 	}
-}
-
-// TestShutdownStalledClientDeadline: with no Close at all, the
-// per-connection deadline alone must cut off a silent client and keep the
-// server answering well-formed requests.
-func TestShutdownStalledClientDeadline(t *testing.T) {
-	ctx := context.Background()
-	s := NewServer(1)
-	s.Timeout = 100 * time.Millisecond
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.Serve(l)
-	t.Cleanup(func() { s.Close() })
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	// The server must hang up on its own; the read unblocking proves it.
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("server kept the stalled connection alive")
-	}
-
-	c := NewClient(l.Addr().String())
-	if err := c.Register(ctx, transport.Register{ID: "ok", Addr: "a:1", Class: 1}); err != nil {
-		t.Fatalf("server unresponsive after cutting a stalled client: %v", err)
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Errorf("listener at %s leaked past Close", addr)
 	}
 }

@@ -6,10 +6,7 @@
 // real node code into a deterministic, millisecond-fast cluster scenario.
 package netx
 
-import (
-	"net"
-	"sync"
-)
+import "net"
 
 // Network provides listeners and outbound connections. Implementations
 // return net.Listener / net.Conn so protocol code is written once against
@@ -48,40 +45,4 @@ func Or(n Network) Network {
 		return System
 	}
 	return n
-}
-
-// ServeConns runs the accept/track/drain loop shared by every listening
-// component (directory server, node, chord peer): each accepted
-// connection is handed to handle on its own goroutine, tracked in conns
-// under mu so the owner's Close can abort in-flight exchanges, and
-// counted on wg. A connection that loses the race against the owner's
-// Close — accepted after *closed is set, when Close has already
-// snapshotted conns — is refused, and the loop drains until the dying
-// listener surfaces the close as an Accept error, which is returned.
-func ServeConns(l net.Listener, mu *sync.Mutex, closed *bool, conns map[net.Conn]struct{}, wg *sync.WaitGroup, handle func(net.Conn)) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if *closed {
-			mu.Unlock()
-			conn.Close()
-			continue
-		}
-		conns[conn] = struct{}{}
-		wg.Add(1)
-		mu.Unlock()
-		go func() {
-			defer wg.Done()
-			defer func() {
-				conn.Close()
-				mu.Lock()
-				delete(conns, conn)
-				mu.Unlock()
-			}()
-			handle(conn)
-		}()
-	}
 }

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"p2pstream/internal/dac"
+	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
+	"p2pstream/internal/netx"
 	"p2pstream/internal/transport"
 )
 
@@ -224,3 +228,89 @@ func (s *abortableSession) readOne() error {
 }
 
 func (s *abortableSession) close() { s.conn.Close() }
+
+// impatientNet is real TCP on which an accepted connection's deadline,
+// whenever one is set, lies 150ms ahead: the endpoint's ten-second
+// per-exchange deadline at test speed, reached through the public API.
+type impatientNet struct{ netx.TCP }
+
+func (impatientNet) Listen(addr string) (net.Listener, error) {
+	l, err := netx.System.Listen(addr)
+	return impatientListener{l}, err
+}
+
+type impatientListener struct{ net.Listener }
+
+func (l impatientListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return impatientConn{conn}, nil
+}
+
+type impatientConn struct{ net.Conn }
+
+func (c impatientConn) SetDeadline(t time.Time) error {
+	if !t.IsZero() {
+		t = time.Now().Add(150 * time.Millisecond)
+	}
+	return c.Conn.SetDeadline(t)
+}
+
+// TestSilentClientCutOff: a client that connects to a node and never
+// writes is cut off by the per-exchange deadline alone — no Close — instead
+// of pinning a handler goroutine and a descriptor for the node's lifetime;
+// a start frame lifts the deadline, so a session twice as long as it still
+// streams to the end. Loopback TCP: virtual connections ignore deadlines.
+func TestSilentClientCutOff(t *testing.T) {
+	srv := directory.NewServer(1)
+	dirAddr, err := srv.Start(nil, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	// Each class-1 seed sends 8 segments, one every 40ms: a 320ms session.
+	file := &media.File{Name: "video", Segments: 16, SegmentBytes: 256, SegmentTime: 20 * time.Millisecond}
+	start := func(n *Node, err error) *Node {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	cfg := func(id string) Config {
+		return Config{
+			ID: id, Class: 1, NumClasses: 4, Policy: dac.DAC, DirectoryAddr: dirAddr,
+			File: file, M: 8, TOut: time.Second, Seed: 1, NoAdapt: true,
+			Backoff: dac.BackoffConfig{Base: 20 * time.Millisecond, Factor: 2},
+			Network: impatientNet{},
+		}
+	}
+	s1 := start(NewSeed(cfg("s1")))
+	start(NewSeed(cfg("s2")))
+
+	silent, err := net.Dial("tcp", s1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The node must hang up on its own; the read unblocking proves it.
+	silent.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("node kept the silent connection alive: read returned %v", err)
+	}
+
+	req := start(NewRequester(cfg("r")))
+	report, err := req.RequestUntilAdmitted(context.Background(), "", 5)
+	if err != nil {
+		t.Fatalf("session under the per-exchange deadline: %v", err)
+	}
+	if !req.Store().Complete() || len(report.Suppliers) != 2 {
+		t.Errorf("store complete = %v with %d suppliers, want a whole file from 2", req.Store().Complete(), len(report.Suppliers))
+	}
+}

@@ -32,14 +32,12 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
-	"p2pstream/internal/errs"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/observe"
@@ -234,11 +232,9 @@ type Node struct {
 	lib *media.Library
 	// slots is the shared outbound session budget across all objects.
 	slots *protocol.Slots
-	// onWriteErr forwards reply-write failures to the observer; built once
-	// at construction so the reply hot path allocates no closure.
-	onWriteErr func(transport.Kind, error)
-
-	writeFails atomic.Int64
+	// ep owns the listener, the peer connections in flight and the reply
+	// path.
+	ep *transport.Endpoint
 
 	mu sync.Mutex
 	// sups holds one admission state machine per supplied object (absent
@@ -251,10 +247,9 @@ type Node struct {
 	pending map[string]*media.Store
 	rng     *rand.Rand
 	closed  bool
-
-	listener net.Listener
-	conns    map[net.Conn]struct{} // active peer connections (closed on Close)
-	wg       sync.WaitGroup
+	// wg counts the feedback readers of adaptive sessions, which outlive
+	// their connection handler by the moment the connection takes to die.
+	wg sync.WaitGroup
 
 	// testHookAdmitted, when non-nil, runs after the admission sweep
 	// succeeds and before the session is triggered — the deterministic
@@ -321,8 +316,8 @@ func newNode(cfg Config) (*Node, error) {
 		sups:    make(map[string]*protocol.Supplier),
 		pending: make(map[string]*media.Store),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		conns:   make(map[net.Conn]struct{}),
 	}
+	n.ep = transport.NewEndpoint(n.comp, cfg.Observer)
 	for i, f := range cfg.catalog() {
 		if i == 0 {
 			n.primary = f.Name
@@ -330,14 +325,6 @@ func newNode(cfg Config) (*Node, error) {
 		n.files[f.Name] = f
 	}
 	n.lib.SetOnEvict(n.onEvict)
-	n.onWriteErr = func(kind transport.Kind, err error) {
-		observe.Emit(n.cfg.Observer, observe.Event{
-			Component: n.comp,
-			Type:      observe.WriteError,
-			Wire:      kind.String(),
-			Err:       err,
-		})
-	}
 	return n, nil
 }
 
@@ -363,24 +350,9 @@ func (n *Node) objectKey(wire string) string {
 // Start begins listening for peer connections. Seeds also register with
 // discovery as supplying peers; ctx bounds that registration.
 func (n *Node) Start(ctx context.Context) error {
-	addr := n.cfg.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
+	if err := n.ep.Start(n.net, n.cfg.ListenAddr, n.handleConn); err != nil {
+		return err
 	}
-	l, err := n.net.Listen(addr)
-	if err != nil {
-		return fmt.Errorf("node %s: listen: %w", n.cfg.ID, err)
-	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		l.Close()
-		return fmt.Errorf("node %s: %w", n.cfg.ID, errs.ErrClosed)
-	}
-	n.listener = l
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go n.acceptLoop(l)
 
 	held := n.lib.Names()
 	if len(held) == 0 {
@@ -417,14 +389,7 @@ func (n *Node) Start(ctx context.Context) error {
 }
 
 // Addr returns the node's listen address (valid after Start).
-func (n *Node) Addr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.listener == nil {
-		return ""
-	}
-	return n.listener.Addr().String()
-}
+func (n *Node) Addr() string { return n.ep.Addr() }
 
 // ID returns the node's name.
 func (n *Node) ID() string { return n.cfg.ID }
@@ -457,7 +422,7 @@ func (n *Node) Stats() Stats {
 		sups = append(sups, sup)
 	}
 	n.mu.Unlock()
-	st := Stats{WriteFailures: n.writeFails.Load()}
+	st := Stats{WriteFailures: n.ep.WriteFailures()}
 	for _, sup := range sups {
 		p, s, r := sup.Stats()
 		st.Probes += p
@@ -489,7 +454,7 @@ func (n *Node) Library() *media.Library { return n.lib }
 
 // WriteFailures counts reply writes that failed mid-exchange (the remote
 // hung up while a reply was in flight). See Config.Observer.
-func (n *Node) WriteFailures() int64 { return n.writeFails.Load() }
+func (n *Node) WriteFailures() int64 { return n.ep.WriteFailures() }
 
 // Close stops the node: it unregisters from discovery (if supplying),
 // stops timers, the listener and the discovery backend, and waits for
@@ -501,14 +466,9 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	l := n.listener
 	sups := make(map[string]*protocol.Supplier, len(n.sups))
 	for name, sup := range n.sups {
 		sups[name] = sup
-	}
-	conns := make([]net.Conn, 0, len(n.conns))
-	for conn := range n.conns {
-		conns = append(conns, conn)
 	}
 	n.mu.Unlock()
 
@@ -517,15 +477,9 @@ func (n *Node) Close() error {
 		// Best effort; the discovery backend may already be gone.
 		_ = n.disc.Unregister(context.Background(), n.cfg.ID, n.wireObject(name))
 	}
-	var err error
-	if l != nil {
-		err = l.Close()
-	}
 	// Abort in-flight sessions: a closed node behaves like a crashed peer,
 	// which is exactly what the failure tests simulate.
-	for _, conn := range conns {
-		conn.Close()
-	}
+	err := n.ep.Close()
 	n.wg.Wait()
 	// The node owns its discovery backend (a chord peer has a listener and
 	// a stabilization loop of its own); close it last so the unregister
@@ -605,19 +559,9 @@ func (n *Node) onEvict(f *media.File) {
 	})
 }
 
-// acceptLoop serves incoming peer connections.
-func (n *Node) acceptLoop(l net.Listener) {
-	defer n.wg.Done()
-	netx.ServeConns(l, &n.mu, &n.closed, n.conns, &n.wg, n.handleConn)
-}
-
-// reply writes one response frame, feeding failures into the node's
-// observer via the hook built once at construction.
-func (n *Node) reply(conn net.Conn, kind transport.Kind, body any) error {
-	return transport.WriteReply(conn, kind, body, &n.writeFails, n.onWriteErr)
-}
-
-// handleConn dispatches one peer connection by its first message.
+// handleConn dispatches one peer connection by its first message, which
+// the endpoint's per-exchange deadline bounds: a peer that connects and
+// never writes is cut off.
 func (n *Node) handleConn(conn net.Conn) {
 	env, err := transport.Read(conn)
 	if err != nil {
@@ -643,7 +587,7 @@ func (n *Node) handleConn(conn net.Conn) {
 		}
 		n.handleStart(conn, req)
 	default:
-		n.reply(conn, transport.KindError,
+		n.ep.Reply(conn, transport.KindError,
 			transport.Error{Message: fmt.Sprintf("node %s: unexpected %s", n.cfg.ID, env.Kind)})
 	}
 }
@@ -651,7 +595,7 @@ func (n *Node) handleConn(conn net.Conn) {
 func (n *Node) handleProbe(conn net.Conn, req transport.Probe) {
 	sup := n.supplier(n.objectKey(req.Object))
 	if sup == nil {
-		n.reply(conn, transport.KindError, transport.Error{Message: "not a supplying peer"})
+		n.ep.Reply(conn, transport.KindError, transport.Error{Message: "not a supplying peer"})
 		return
 	}
 	n.mu.Lock()
@@ -659,7 +603,7 @@ func (n *Node) handleProbe(conn net.Conn, req transport.Probe) {
 	n.mu.Unlock()
 	dec, favors := sup.HandleProbe(req.Class, u)
 	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.ProbeServed})
-	n.reply(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dec, Favors: favors})
+	n.ep.Reply(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dec, Favors: favors})
 }
 
 func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
@@ -667,7 +611,7 @@ func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
 	if sup := n.supplier(n.objectKey(req.Object)); sup != nil {
 		kept = sup.LeaveReminder(req.Class)
 	}
-	n.reply(conn, transport.KindReminderOK, transport.ReminderReply{Kept: kept})
+	n.ep.Reply(conn, transport.KindReminderOK, transport.ReminderReply{Kept: kept})
 }
 
 // handleStart runs the supplier side of a streaming session: it pins the
@@ -682,24 +626,27 @@ func (n *Node) handleStart(conn net.Conn, req transport.Start) {
 		// Not held (never was, or evicted since the requester's lookup):
 		// the refusal is retryable on the requester side, which sweeps
 		// again against fresh candidates.
-		n.reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "unknown file"})
+		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "unknown file"})
 		return
 	}
 	defer n.lib.Release(req.FileName)
 	sup := n.supplier(file.Name)
 	if sup == nil {
-		n.reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "not supplying"})
+		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "not supplying"})
 		return
 	}
 	if err := sup.StartSession(); err != nil {
-		n.reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "busy"})
+		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "busy"})
 		return
 	}
 	defer sup.EndSession()
 
-	if err := n.reply(conn, transport.KindStartReply, transport.StartReply{OK: true}); err != nil {
+	if err := n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: true}); err != nil {
 		return
 	}
+	// The connection is a session stream from here on: it lives as long as
+	// the schedule says, not one exchange.
+	conn.SetDeadline(time.Time{})
 	if n.cfg.NoAdapt {
 		n.streamFixed(conn, req, file, store)
 		return
@@ -728,16 +675,16 @@ func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File,
 		}
 		seg, ok := store.Get(media.SegmentID(segID))
 		if !ok {
-			n.reply(conn, transport.KindError,
+			n.ep.Reply(conn, transport.KindError,
 				transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
 			return
 		}
-		if err := n.reply(conn, transport.KindSegment,
+		if err := n.ep.Reply(conn, transport.KindSegment,
 			transport.Segment{ID: segID, Data: seg.Data}); err != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++
 	}
 	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.SessionServed})
-	n.reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
+	n.ep.Reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
 }

@@ -465,12 +465,10 @@ func TestSupplierDownTreatedAsDown(t *testing.T) {
 	c := newCluster(t)
 	c.seed("seed1", 1)
 	c.seed("seed2", 1)
-	dead := c.seed("seed3", 1)
-	// Stop the node but leave its directory registration behind.
-	dead.mu.Lock()
-	l := dead.listener
-	dead.mu.Unlock()
-	l.Close()
+	c.seed("seed3", 1)
+	// Crash the node's host: it stops answering, and its directory
+	// registration stays behind.
+	c.net.SetDown("seed3")
 
 	req := c.requester("r", 1)
 	report, err := req.RequestUntilAdmitted(context.Background(), "", 10)

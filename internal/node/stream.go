@@ -55,7 +55,7 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 
 	// Feedback reader: the requester acknowledges every stored segment;
 	// each ack closes one RTT sample into the estimator. The goroutine
-	// exits when the connection dies — at session end the accept loop
+	// exits when the connection dies — at session end the endpoint
 	// closes conn right after this handler returns.
 	n.wg.Add(1)
 	go func() {
@@ -120,7 +120,7 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 		if q == 0 {
 			seg, ok := store.Get(media.SegmentID(segID))
 			if !ok {
-				n.reply(conn, transport.KindError,
+				n.ep.Reply(conn, transport.KindError,
 					transport.Error{Message: "segment not held"})
 				return
 			}
@@ -141,12 +141,12 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 		mu.Lock()
 		sentAt[segID] = n.clk.Now()
 		mu.Unlock()
-		if err := n.reply(conn, transport.KindSegment,
+		if err := n.ep.Reply(conn, transport.KindSegment,
 			transport.Segment{ID: segID, Quality: int(q), Data: data}); err != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++
 	}
 	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.SessionServed})
-	n.reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
+	n.ep.Reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
 }

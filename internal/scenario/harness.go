@@ -23,6 +23,10 @@ import (
 	"p2pstream/internal/wiring"
 )
 
+// retryDelay is the flat wait of the run's requesters after a transport
+// failure.
+const retryDelay = 25 * time.Millisecond
+
 // RequestUntilHeld keeps attempting until the node holds the file,
 // tolerating both protocol rejections and transport failures such as a
 // supplier crashing mid-session — the client loop a churn-prone overlay
@@ -291,27 +295,23 @@ func (h *harness) shardSeed(i, generation int) int64 {
 // address, where every client's ring still routes.
 func (h *harness) bootShard(i, generation int) error {
 	srv := directory.NewServer(h.shardSeed(i, generation))
-	addr := ":0"
-	if generation > 0 {
-		h.mu.Lock()
-		addr = h.shardAddrs[i]
-		h.mu.Unlock()
-	}
-	l, err := h.net.Host(ShardHost(i)).Listen(addr)
+	h.mu.Lock()
+	addr := h.shardAddrs[i] // still empty on the first boot: any port
+	h.mu.Unlock()
+	bound, err := srv.Start(h.net.Host(ShardHost(i)), addr)
 	if err != nil {
-		return fmt.Errorf("shard %d listen: %w", i, err)
+		return fmt.Errorf("shard %d: %w", i, err)
 	}
-	go srv.Serve(l)
 	h.mu.Lock()
 	if h.done {
-		// A rebirth scheduled near the end of the run lost the race
-		// against teardown; Close is safe against a concurrent Serve.
+		// A rebirth or a scale-out flip near the end of the run lost the
+		// race against teardown and must not leak the server.
 		h.mu.Unlock()
 		srv.Close()
-		return nil
+		return errors.New("scenario: run is over")
 	}
 	h.shards[i] = srv
-	h.shardAddrs[i] = l.Addr().String()
+	h.shardAddrs[i] = bound
 	h.shardUp[i] = true
 	h.mu.Unlock()
 	return nil
@@ -338,12 +338,10 @@ func (h *harness) crashShard(i int) {
 // re-registrations repopulate it within one refresh interval.
 func (h *harness) reviveShard(i int) {
 	h.net.SetUp(ShardHost(i))
-	if err := h.bootShard(i, 1); err != nil {
-		// The address is fixed and the host just revived; failure here
-		// means the harness itself is broken, and the scenario's
-		// invariant checks will surface the dead shard.
-		return
-	}
+	// The address is fixed and the host just revived; failure here means
+	// the run is over or the harness itself is broken, and the scenario's
+	// invariant checks will surface the dead shard.
+	_ = h.bootShard(i, 1)
 }
 
 // spawnShard is the elastic registry's scale-out hook: it boots a fresh
@@ -352,31 +350,21 @@ func (h *harness) reviveShard(i int) {
 // mid-run; slot index equals seq because spawns only ever append.
 func (h *harness) spawnShard(seq int) (reshard.Member, error) {
 	name := fmt.Sprintf("shard-%d", seq)
-	srv := directory.NewServer(h.shardSeed(seq, 0))
-	l, err := h.net.Host(ShardHost(seq)).Listen(":0")
-	if err != nil {
-		return reshard.Member{}, fmt.Errorf("spawned shard %d listen: %w", seq, err)
-	}
-	go srv.Serve(l)
 	h.mu.Lock()
-	if h.done {
-		// A flip racing teardown must not leak the server.
-		h.mu.Unlock()
-		srv.Close()
-		return reshard.Member{}, errors.New("scenario: run is over")
-	}
 	for len(h.shards) <= seq {
 		h.shards = append(h.shards, nil)
 		h.shardAddrs = append(h.shardAddrs, "")
 		h.shardUp = append(h.shardUp, false)
 		h.shardNames = append(h.shardNames, "")
 	}
-	h.shards[seq] = srv
-	h.shardAddrs[seq] = l.Addr().String()
-	h.shardUp[seq] = true
 	h.shardNames[seq] = name
 	h.mu.Unlock()
-	return reshard.Member{Name: name, Addr: l.Addr().String(), Server: srv}, nil
+	if err := h.bootShard(seq, 0); err != nil {
+		return reshard.Member{}, err
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return reshard.Member{Name: name, Addr: h.shardAddrs[seq], Server: h.shards[seq]}, nil
 }
 
 // retireShard is the scale-in hook: the controller calls it DrainGrace
@@ -795,7 +783,7 @@ func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
 	var rerr error
 	for _, obj := range objects {
 		var a int
-		report, a, rerr = RequestUntilHeld(context.Background(), h.clk, n, obj, h.spec.MaxAttempts, h.spec.Backoff, h.spec.BackoffJitter, uniform, h.spec.Retry)
+		report, a, rerr = RequestUntilHeld(context.Background(), h.clk, n, obj, h.spec.MaxAttempts, h.spec.Backoff, h.spec.BackoffJitter, uniform, retryDelay)
 		attempts += a
 		if rerr != nil {
 			break

@@ -417,7 +417,6 @@ type Spec struct {
 	TOut        time.Duration     // idle elevation timeout (default 40ms)
 	Backoff     dac.BackoffConfig // rejection backoff (default 20ms, ×2)
 	MaxAttempts int               // resilient-request budget (default 60)
-	Retry       time.Duration     // delay after transport failures (default 25ms)
 	Seed        int64             // network/directory randomness (default 1)
 	// BackoffJitter scales each rejection wait by a uniform factor in
 	// [1-j, 1+j), seeded per requester. Zero keeps the paper's exact
@@ -462,9 +461,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.MaxAttempts == 0 {
 		s.MaxAttempts = 60
-	}
-	if s.Retry == 0 {
-		s.Retry = 25 * time.Millisecond
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

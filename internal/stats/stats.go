@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used by replicated
-// experiments: mean, standard deviation, normal-approximation confidence
-// intervals, and percentiles. The paper reports single simulation runs;
+// experiments: mean, standard deviation and normal-approximation confidence
+// intervals. The paper reports single simulation runs;
 // the replication harness built on this package reruns each experiment
 // under several seeds and reports mean ± 95% CI, which is how the repo
 // distinguishes real effects from seed noise.
@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds the summary statistics of one sample.
@@ -65,28 +64,4 @@ func (s Summary) CI95() float64 {
 // String renders "mean ± ci (n=N)".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f (n=%d)", s.Mean, s.CI95(), s.N)
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of the values
-// using linear interpolation between closest ranks.
-func Percentile(values []float64, p float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %g outside [0,100]", p)
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

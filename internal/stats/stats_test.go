@@ -47,47 +47,7 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	values := []float64{15, 20, 35, 40, 50}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-		{75, 40},
-		{90, 46}, // interpolated: rank 3.6 -> 40 + 0.6*10
-	}
-	for _, tt := range tests {
-		got, err := Percentile(values, tt.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Percentile(%g) = %g, want %g", tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestPercentileErrors(t *testing.T) {
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty should fail")
-	}
-	if _, err := Percentile([]float64{1}, -1); err == nil {
-		t.Error("p<0 should fail")
-	}
-	if _, err := Percentile([]float64{1}, 101); err == nil {
-		t.Error("p>100 should fail")
-	}
-	if got, err := Percentile([]float64{7}, 50); err != nil || got != 7 {
-		t.Errorf("single value percentile = %g, %v", got, err)
-	}
-}
-
-// Property: Min <= Mean <= Max, percentiles monotone, and Summarize does
-// not mutate the input.
+// Property: Min <= Mean <= Max, and Summarize does not mutate the input.
 func TestSummaryProperties(t *testing.T) {
 	f := func(raw []float64) bool {
 		values := make([]float64, 0, len(raw))
@@ -106,11 +66,6 @@ func TestSummaryProperties(t *testing.T) {
 			return false
 		}
 		if !(s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9) {
-			return false
-		}
-		p25, _ := Percentile(values, 25)
-		p75, _ := Percentile(values, 75)
-		if p25 > p75 {
 			return false
 		}
 		for i := range values {

@@ -81,12 +81,24 @@ func (cc *ConnCache) checkin(addr string, conn net.Conn) {
 	cc.mu.Unlock()
 }
 
-// discard removes a failed connection from the cache and closes it.
-func (cc *ConnCache) discard(conn net.Conn) {
+// discard removes a failed connection from the cache and closes it. With
+// stale set the failure was on a reused connection — the peer restarted or
+// idled the pool out — so the idle siblings pooled for addr, unused for
+// longer still, are dead too and go with it instead of sitting in the pool
+// until Close.
+func (cc *ConnCache) discard(addr string, conn net.Conn, stale bool) {
 	cc.mu.Lock()
 	delete(cc.busy, conn)
+	var siblings []net.Conn
+	if stale {
+		siblings = cc.idle[addr]
+		delete(cc.idle, addr)
+	}
 	cc.mu.Unlock()
 	conn.Close()
+	for _, sib := range siblings {
+		sib.Close()
+	}
 }
 
 // dial opens a fresh connection and registers it as checked out, so a
@@ -128,8 +140,9 @@ func (cc *ConnCache) Call(ctx context.Context, addr string, kind Kind, req any, 
 			cc.checkin(addr, conn)
 			return err
 		}
-		cc.discard(conn)
-		if !reused || ctx.Err() != nil {
+		retry := reused && ctx.Err() == nil
+		cc.discard(addr, conn, retry)
+		if !retry {
 			return CtxErr(ctx, err)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,5 +212,76 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 		if d := v.Dials(); d != 3 {
 			t.Errorf("reply %x: 3 failed exchanges used %d dials, want 3 (the connection must not be reused)", reply.raw, d)
 		}
+	}
+}
+
+// TestConnCacheDropsDeadSiblings: a burst of concurrent calls pools one
+// connection each; when the peer restarts, the first failed reuse must
+// close the idle siblings too — they died with it — instead of leaving
+// them pooled until Close (a long-lived chord member under churn kept a
+// handful per departed neighbour).
+func TestConnCacheDropsDeadSiblings(t *testing.T) {
+	v := cacheTestNet(t)
+	const addr, burst = "srv:9000", 3
+	var arrived sync.WaitGroup
+	arrived.Add(burst)
+	var next atomic.Int64
+	// The first three requests wait for each other, so the burst holds
+	// three connections at once.
+	srv := NewEndpoint("srv", nil)
+	handler := func(barrier bool) func(net.Conn) {
+		return func(conn net.Conn) {
+			for {
+				if _, err := Read(conn); err != nil {
+					return
+				}
+				if barrier && next.Add(1) <= burst {
+					arrived.Done()
+					arrived.Wait()
+				}
+				Write(conn, KindCandidates, Candidates{})
+			}
+		}
+	}
+	if err := srv.Start(v.Host("srv"), addr, handler(true)); err != nil {
+		t.Fatal(err)
+	}
+	cc := NewConnCache(v.Host("cli"))
+	defer cc.Close()
+	call := func() error {
+		return cc.Call(context.Background(), addr, KindLookup, Lookup{M: 1}, KindCandidates, nil)
+	}
+	var calls sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			if err := call(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	calls.Wait()
+	pooled := func() int {
+		cc.mu.Lock()
+		defer cc.mu.Unlock()
+		return len(cc.idle[addr])
+	}
+	if got := pooled(); got != burst {
+		t.Fatalf("burst pooled %d connections, want %d", got, burst)
+	}
+
+	// The peer restarts on the same address: every pooled connection dies.
+	srv.Close()
+	reborn := NewEndpoint("srv", nil)
+	if err := reborn.Start(v.Host("srv"), addr, handler(false)); err != nil {
+		t.Fatal(err)
+	}
+	defer reborn.Close()
+	if err := call(); err != nil {
+		t.Fatalf("call after the restart: %v", err)
+	}
+	if got := pooled(); got != 1 {
+		t.Errorf("%d connections pooled after the restart, want only the fresh one", got)
 	}
 }

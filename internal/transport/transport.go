@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/dac"
@@ -515,22 +514,6 @@ func Write(w io.Writer, kind Kind, body any) error {
 		return fmt.Errorf("transport: writing %s: %w", kind, err)
 	}
 	return nil
-}
-
-// WriteReply writes one response frame, counting a failure in fails and
-// feeding it to onErr when non-nil. A hangup mid-reply looks like
-// success to the request/response flow, so it must at least be
-// observable; the directory server, node and chord peer all reply
-// through this helper.
-func WriteReply(w io.Writer, kind Kind, body any, fails *atomic.Int64, onErr func(Kind, error)) error {
-	err := Write(w, kind, body)
-	if err != nil {
-		fails.Add(1)
-		if onErr != nil {
-			onErr(kind, err)
-		}
-	}
-	return err
 }
 
 // readFrame reads one frame in two reads — the length, then the rest —

@@ -42,10 +42,10 @@ type Builder struct {
 	// pushes. The controller's lifecycle stays with the caller.
 	Autoscale *reshard.Controller
 	// Chord selects the wire-level chord ring. It is a template: Bootstrap
-	// (external ring members), ListenAddr, Stabilize, Successors, MaxHops,
-	// Replication and VirtualNodes apply to every peer; ID, Class, Network,
-	// Clock, Seed and Observer are filled per peer, and the endpoints of
-	// started seeds are appended to Bootstrap for every later peer.
+	// (external ring members), ListenAddr, Stabilize, Replication and
+	// VirtualNodes apply to every peer; ID, Class, Network, Clock, Seed and
+	// Observer are filled per peer, and the endpoints of started seeds are
+	// appended to Bootstrap for every later peer.
 	Chord *chordnet.Config
 
 	mu    sync.Mutex

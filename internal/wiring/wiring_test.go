@@ -323,3 +323,64 @@ func TestJoinsOfFoundedRingRunConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestSecondStartRefused: each listening component binds once. A repeated
+// Start must fail before it opens anything — a second listener would
+// orphan the first one's accept loop, and Close would then never return
+// (node) or leave the first address open (directory) — and the one
+// listener there ever was closes with the component.
+func TestSecondStartRefused(t *testing.T) {
+	c := newCluster(t)
+	for _, comp := range []struct {
+		name  string
+		build func(nw netx.Network) (start func() error, stop func() error)
+	}{
+		{"directory", func(nw netx.Network) (func() error, func() error) {
+			srv := directory.NewServer(1)
+			return func() error { _, err := srv.Start(nw, ""); return err }, srv.Close
+		}},
+		{"node", func(nw netx.Network) (func() error, func() error) {
+			cfg := c.builder().Node
+			cfg.ID, cfg.Class, cfg.Network, cfg.DirectoryAddr = "node", 1, nw, "nowhere:1"
+			n, err := node.NewRequester(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { return n.Start(context.Background()) }, n.Close
+		}},
+		{"chord", func(nw netx.Network) (func() error, func() error) {
+			p, err := chordnet.New(chordnet.Config{ID: "chord", Class: 1, Network: nw, Clock: c.clk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Start, p.Close
+		}},
+	} {
+		t.Run(comp.name, func(t *testing.T) {
+			log := &listenLog{Network: c.net.Host(comp.name)}
+			start, stop := comp.build(log)
+			if err := start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := start(); err == nil {
+				t.Error("second Start succeeded")
+			}
+			if len(log.addrs) != 1 {
+				t.Errorf("listened on %v, want one address", log.addrs)
+			}
+			stopped := make(chan struct{})
+			go func() { defer close(stopped); stop() }()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close wedged on an orphaned accept loop")
+			}
+			for _, addr := range log.addrs {
+				if conn, err := c.net.Host("tester").Dial(addr); err == nil {
+					conn.Close()
+					t.Errorf("%s still accepts after Close", addr)
+				}
+			}
+		})
+	}
+}

@@ -152,12 +152,12 @@ func WithAutoscale(ctrl *ReshardController) OverlayOption {
 }
 
 // WithChord selects decentralized chord discovery. cfg is a template: its
-// Bootstrap, ListenAddr, Stabilize, Successors, MaxHops, Replication and
-// VirtualNodes apply to every peer, while ID, Class, Network, Clock, Seed
-// and Observer are filled per peer. Seeds created by this overlay
-// automatically become bootstrap members for later peers (the first seed
-// with no bootstrap founds the ring), so a single-process cluster needs
-// no explicit bootstrap at all.
+// Bootstrap, ListenAddr, Stabilize, Replication and VirtualNodes apply to
+// every peer, while ID, Class, Network, Clock, Seed and Observer are
+// filled per peer. Seeds created by this overlay automatically become
+// bootstrap members for later peers (the first seed with no bootstrap
+// founds the ring), so a single-process cluster needs no explicit
+// bootstrap at all.
 func WithChord(cfg ChordDiscoveryConfig) OverlayOption {
 	return func(c *overlayConfig) error {
 		if c.hasBackend() {

@@ -203,8 +203,8 @@ type SessionReport = node.SessionReport
 // (WithChord); below are the servers a deployment runs and the templates
 // those options take.
 
-// DirectoryServer is the overlay's Napster-style lookup service; serve it
-// on any listener of the chosen Network.
+// DirectoryServer is the overlay's Napster-style lookup service; Start it
+// on an address of the chosen Network.
 type DirectoryServer = directory.Server
 
 // NewDirectoryServer returns an empty directory server; the seed fixes
