@@ -5,6 +5,7 @@
 //
 //	p2pbench [-exp all|fig1|fig3|fig4|fig5|fig6|table1|fig7|fig8a|fig8b|fig9]
 //	         [-scale full|reduced] [-out results]
+//	         [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Reports are printed to stdout; raw series are written as CSV files under
 // the output directory (one subdirectory per experiment).
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"p2pstream/internal/experiments"
+	"p2pstream/internal/profiling"
 )
 
 func main() {
@@ -26,6 +28,7 @@ func main() {
 		strings.Join(append(experiments.IDs(), experiments.ExtensionIDs()...), ", "))
 	scaleName := flag.String("scale", "full", "workload scale: 'full' (paper: 50,100 peers, 144h) or 'reduced'")
 	out := flag.String("out", "results", "output directory for CSV series ('' to skip writing)")
+	profiles := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -39,6 +42,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
 	runner := experiments.NewRunner(scale)
 	var reports []*experiments.Report
 	start := time.Now()
@@ -61,6 +68,9 @@ func main() {
 			fatal(err)
 		}
 		reports = []*experiments.Report{rep}
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 
 	for _, rep := range reports {

@@ -11,6 +11,7 @@
 //	p2pscen -csv flash-crowd.csv -seed 7 flash-crowd
 //	p2pscen -backend chord flash-crowd      (re-run any scenario on chord discovery)
 //	p2pscen -shards 3 flash-crowd           (re-run any scenario on a 3-shard directory)
+//	p2pscen -cpuprofile cpu.prof -memprofile mem.prof flash-crowd
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"p2pstream/internal/profiling"
 	"p2pstream/internal/scenario"
 )
 
@@ -29,6 +31,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the scenario's random seed (0 keeps it)")
 	backend := flag.String("backend", "", "override the discovery backend for named runs: directory or chord (empty keeps each scenario's own)")
 	shards := flag.Int("shards", -1, "override DirectoryShards for named runs (-1 keeps each scenario's own; ignored under chord)")
+	profiles := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -59,6 +62,10 @@ func main() {
 		fatal(fmt.Errorf("no scenario named; try -list, -all, or: p2pscen <name>..."))
 	}
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
 	failed := 0
 	var last *scenario.Report
 	for _, name := range names {
@@ -135,6 +142,9 @@ func main() {
 		} else {
 			fmt.Println("  invariants ok")
 		}
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 	if *csvPath != "" && last != nil {
 		f, err := os.Create(*csvPath)

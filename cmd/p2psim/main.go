@@ -5,6 +5,9 @@
 // Example (the paper's Figure 4(a) DAC curve):
 //
 //	p2psim -policy dac -pattern 2 -requesters 50000 -seeds 100
+//
+// -cpuprofile and -memprofile write pprof profiles of the simulation itself
+// (not of flag parsing or report printing).
 package main
 
 import (
@@ -16,6 +19,7 @@ import (
 	"p2pstream/internal/arrival"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/metrics"
+	"p2pstream/internal/profiling"
 	"p2pstream/internal/system"
 )
 
@@ -35,6 +39,7 @@ func main() {
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	csvPath := flag.String("csv", "", "write capacity/admission/delay series to this CSV file")
 	chart := flag.Bool("chart", true, "print an ASCII capacity chart")
+	profiles := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	switch *policy {
@@ -47,12 +52,19 @@ func main() {
 	}
 	cfg.Pattern = arrival.Pattern(*pattern)
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
 	start := time.Now()
 	res, err := system.Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	wall := time.Since(start)
+	if err := stopProfiles(); err != nil {
+		fatal(err)
+	}
 
 	fmt.Printf("policy=%v pattern=%v peers=%d+%d horizon=%v (wall %v, %d events)\n",
 		cfg.Policy, cfg.Pattern, cfg.NumSeeds, cfg.NumRequesters, cfg.Horizon, wall.Round(time.Millisecond), res.Events)

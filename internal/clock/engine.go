@@ -30,23 +30,30 @@ func (c engineClock) AfterFunc(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	t := &engineTimer{}
-	if err := c.eng.After(d, func() {
-		if t.stopped {
-			return
-		}
-		t.fired = true
-		fn()
-	}); err != nil {
+	t := &engineTimer{fn: fn}
+	if err := c.eng.Schedule(c.eng.Now()+d, t); err != nil {
 		panic("clock: scheduling on engine: " + err.Error())
 	}
 	return t
 }
 
-// engineTimer cancels by flag: the engine has no event removal, so a
-// stopped timer simply fires into a no-op (the simulator's old idleEpoch
-// idiom, centralized).
-type engineTimer struct{ stopped, fired bool }
+// engineTimer is both the caller's handle and the scheduled event, so a
+// timer costs one allocation. It cancels by flag: the engine has no event
+// removal, so a stopped timer simply fires into a no-op (the simulator's old
+// idleEpoch idiom, centralized).
+type engineTimer struct {
+	fn             func()
+	stopped, fired bool
+}
+
+// Fire implements sim.Handler.
+func (t *engineTimer) Fire() {
+	if t.stopped {
+		return
+	}
+	t.fired = true
+	t.fn()
+}
 
 func (t *engineTimer) Stop() bool {
 	if t.stopped || t.fired {

@@ -133,24 +133,30 @@ func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.touchLocked()
-	t := &virtualTimer{v: v}
-	err := v.eng.After(d, func() {
-		if t.stopped {
-			return
-		}
-		t.fired = true
-		v.due = append(v.due, fn)
-	})
-	if err != nil {
+	t := &virtualTimer{v: v, fn: fn}
+	if err := v.eng.Schedule(v.eng.Now()+d, t); err != nil {
 		panic("clock: scheduling timer: " + err.Error())
 	}
 	return t
 }
 
+// virtualTimer is both the caller's handle and the scheduled event, so a
+// timer costs one allocation.
 type virtualTimer struct {
 	v       *Virtual
+	fn      func()
 	stopped bool
 	fired   bool
+}
+
+// Fire implements sim.Handler. An advance fires it under v.mu; the callback
+// itself is queued to run with the lock released.
+func (t *virtualTimer) Fire() {
+	if t.stopped {
+		return
+	}
+	t.fired = true
+	t.v.due = append(t.v.due, t.fn)
 }
 
 func (t *virtualTimer) Stop() bool {
@@ -211,16 +217,23 @@ func (v *Virtual) Advance(d time.Duration) {
 
 // runDueLocked runs collected callbacks with the lock released, repeating
 // until none remain (a callback may schedule and a concurrent step may
-// collect more). Callers must hold v.mu; it is held again on return.
+// collect more). Callers must hold v.mu; it is held again on return. The
+// batch's slice belongs to this call while the lock is released and goes
+// back, emptied, as the next batch's backing unless one was collected
+// meanwhile.
 func (v *Virtual) runDueLocked() {
 	for len(v.due) > 0 {
 		due := v.due
 		v.due = nil
 		v.mu.Unlock()
-		for _, fn := range due {
+		for i, fn := range due {
 			fn()
+			due[i] = nil
 		}
 		v.mu.Lock()
+		if v.due == nil {
+			v.due = due[:0]
+		}
 	}
 }
 

@@ -41,8 +41,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"p2pstream/internal/bandwidth"
@@ -97,9 +99,11 @@ func validateSuppliers(suppliers []Supplier) error {
 }
 
 // sortedByOffer returns the suppliers sorted by descending offer, stable.
+// slices.SortStableFunc, unlike package sort's slice sorts, allocates no
+// reflection swapper.
 func sortedByOffer(suppliers []Supplier) []Supplier {
 	out := append([]Supplier(nil), suppliers...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Class < out[j].Class })
+	slices.SortStableFunc(out, func(a, b Supplier) int { return cmp.Compare(a.Class, b.Class) })
 	return out
 }
 
@@ -132,15 +136,19 @@ func Assign(suppliers []Supplier) (*Assignment, error) {
 		Segments:  make([][]int, len(sorted)),
 	}
 	n := len(sorted)
-	quota := make([]int, n)
-	period := make([]int, n)
-	next := make([]int, n)     // completion slot of supplier's next reverse slot
-	lastPick := make([]int, n) // step at which supplier was last chosen
+	// One allocation backs the four per-supplier work arrays and every
+	// segment list: quotas sum to w, and each list is capped at its quota.
+	buf := make([]int, 4*n+w)
+	quota, period := buf[:n], buf[n:2*n]
+	next := buf[2*n : 3*n]     // completion slot of supplier's next reverse slot
+	lastPick := buf[3*n : 4*n] // step at which supplier was last chosen
+	lists := buf[4*n:]
 	for i, s := range sorted {
 		quota[i] = w >> uint(s.Class)
 		period[i] = 1 << uint(s.Class)
 		next[i] = w
 		lastPick[i] = i - n // fastest supplier looks least recently assigned
+		a.Segments[i], lists = lists[:0:quota[i]], lists[quota[i]:]
 	}
 	for step, seg := 0, w-1; seg >= 0; step, seg = step+1, seg-1 {
 		pick := -1
@@ -328,7 +336,18 @@ func (a *Assignment) SupplierOf(segment int) (int, error) {
 // applied). A partial final window transmits only the segments below
 // numSegments.
 func (a *Assignment) TransmissionList(i, numSegments int) []int {
-	var out []int
+	if numSegments <= 0 {
+		return nil
+	}
+	// Exactly sized: every full window contributes the whole list, the
+	// partial last window the segments below the remainder.
+	size := numSegments / a.Window * len(a.Segments[i])
+	for _, seg := range a.Segments[i] {
+		if seg < numSegments%a.Window {
+			size++
+		}
+	}
+	out := make([]int, 0, size)
 	for base := 0; base < numSegments; base += a.Window {
 		for _, seg := range a.Segments[i] {
 			abs := base + seg
@@ -363,9 +382,14 @@ func (a *Assignment) ArrivalSlots(numSegments int) []int64 {
 // computed over a single window.
 func (a *Assignment) DelaySlots() int64 {
 	var delay int64
-	for seg, arr := range a.ArrivalSlots(a.Window) {
-		if d := arr - int64(seg); d > delay {
-			delay = d
+	for i, s := range a.Suppliers {
+		// Within one window supplier i's transmission list is Segments[i]
+		// itself: its j-th segment arrives at (j+1)·2^c_i.
+		period := int64(1) << uint(s.Class)
+		for j, seg := range a.Segments[i] {
+			if d := int64(j+1)*period - int64(seg); d > delay {
+				delay = d
+			}
 		}
 	}
 	return delay

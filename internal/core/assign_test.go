@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -467,5 +469,81 @@ func TestSupplierOffer(t *testing.T) {
 	s := Supplier{ID: "x", Class: 3}
 	if got := s.Offer(); got != bandwidth.R0/8 {
 		t.Errorf("Offer = %v, want R0/8", got)
+	}
+}
+
+// TestDelaySlotsMatchesArrivalSlots: DelaySlots walks the segment lists of
+// one window directly; the definition it shortcuts is the worst lateness
+// over ArrivalSlots(Window). All four strategies, random supplier sets.
+func TestDelaySlotsMatchesArrivalSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(1802))
+	for trial := 0; trial < 300; trial++ {
+		suppliers := randomSupplierSet(rng, 6, 32)
+		for name, fn := range map[string]func([]Supplier) (*Assignment, error){
+			"Assign": Assign, "RoundRobinAssign": RoundRobinAssign,
+			"BlockAssign": BlockAssign, "AscendingAssign": AscendingAssign,
+		} {
+			a, err := fn(suppliers)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			var want int64
+			for seg, arr := range a.ArrivalSlots(a.Window) {
+				if d := arr - int64(seg); d > want {
+					want = d
+				}
+			}
+			if got := a.DelaySlots(); got != want {
+				t.Fatalf("trial %d (%v) %s: DelaySlots %d, worst lateness over one window %d", trial, suppliers, name, got, want)
+			}
+		}
+	}
+}
+
+// TestTransmissionListExactlySized: the list is allocated once at its final
+// length, for whole windows, partial windows and files shorter than one.
+func TestTransmissionListExactlySized(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 200; trial++ {
+		a, err := Assign(randomSupplierSet(rng, 5, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, numSegments := range []int{0, 1, a.Window - 1, a.Window, a.Window + 1, 3*a.Window + rng.Intn(a.Window), 1024} {
+			total := 0
+			for i := range a.Suppliers {
+				list := a.TransmissionList(i, numSegments)
+				if len(list) != cap(list) {
+					t.Fatalf("supplier %d of %v, %d segments: list of %d in a backing of %d", i, a.Suppliers, numSegments, len(list), cap(list))
+				}
+				if !sort.IntsAreSorted(list) {
+					t.Fatalf("supplier %d, %d segments: list not ascending: %v", i, numSegments, list)
+				}
+				total += len(list)
+			}
+			if total != numSegments {
+				t.Fatalf("%v, %d segments: lists cover %d", a.Suppliers, numSegments, total)
+			}
+		}
+	}
+}
+
+// TestAssignSegmentListsDoNotOverlap: the lists share one backing array, so
+// each must be capped at its quota — appending to one must not write into
+// its neighbour.
+func TestAssignSegmentListsDoNotOverlap(t *testing.T) {
+	a, err := Assign(figure1Suppliers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fmt.Sprint(a.Segments[1:])
+	_ = append(a.Segments[0], -1)
+	if after := fmt.Sprint(a.Segments[1:]); after != before {
+		t.Errorf("appending to supplier 0's list changed its neighbours: %s -> %s", before, after)
+	}
+	for i, list := range a.Segments {
+		if len(list) != cap(list) {
+			t.Errorf("supplier %d: %d segments in a list of capacity %d", i, len(list), cap(list))
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package dac
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"p2pstream/internal/bandwidth"
@@ -23,18 +24,26 @@ type ProbeOutcome struct {
 	FavorsUs bool
 }
 
-// ProbeOrder returns candidate indices sorted high class first (descending
-// offer), ties broken by position — the order in which a requesting peer
-// contacts its candidates (Section 4.2).
-func ProbeOrder(classes []bandwidth.Class) []int {
-	order := make([]int, len(classes))
-	for i := range order {
-		order[i] = i
+// ProbeOrder appends to dst the candidate indices sorted high class first
+// (descending offer), ties broken by position — the order in which a
+// requesting peer contacts its candidates (Section 4.2). A caller that keeps
+// dst across attempts allocates nothing.
+func ProbeOrder(dst []int, classes []bandwidth.Class) []int {
+	base := len(dst)
+	for i := range classes {
+		dst = append(dst, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return classes[order[a]] < classes[order[b]]
-	})
-	return order
+	sortHighClassFirst(dst[base:], func(i int) bandwidth.Class { return classes[i] })
+	return dst
+}
+
+// sortHighClassFirst orders idx by ascending class number, equal classes
+// keeping their positions. slices.SortStableFunc is an in-place insertion
+// sort at a sweep's size (at most M candidates) and, unlike package sort's
+// slice sorts, needs no reflection swapper and boxes no closure: it
+// allocates nothing.
+func sortHighClassFirst(idx []int, class func(i int) bandwidth.Class) {
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(class(a), class(b)) })
 }
 
 // SelectSuppliers chooses, from probe outcomes, the suppliers to trigger:
@@ -45,64 +54,55 @@ func ProbeOrder(classes []bandwidth.Class) []int {
 // one exists. It returns the chosen outcome indices (positions in the
 // outcomes slice) and whether the requester is admitted.
 func SelectSuppliers(outcomes []ProbeOutcome) (chosen []int, admitted bool) {
-	order := grantOrder(outcomes, Granted)
-	var sum bandwidth.Fraction
-	for _, i := range order {
-		offer := outcomes[i].Class.Offer()
-		if sum+offer > bandwidth.R0 {
-			continue
-		}
-		sum += offer
-		chosen = append(chosen, i)
-		if sum == bandwidth.R0 {
-			return chosen, true
-		}
+	chosen, sum := appendUpToR0(nil, outcomes, Granted, false)
+	if sum != bandwidth.R0 {
+		return nil, false
 	}
-	return nil, false
+	return chosen, true
 }
 
-// ReminderTargets chooses the busy candidates on which a rejected requester
-// leaves reminders (Section 4.2): scanning busy candidates that currently
-// favor the requester's class from high class to low class, accumulate
-// offers up to exactly R0 with the same overshoot-skipping rule. If R0 is
-// unreachable the accumulated prefix is still reminded (substitution noted
-// in DESIGN.md: the paper requires the subset's aggregate to equal R0 but
-// does not say what to do when the busy favoring candidates cannot reach
-// it).
-func ReminderTargets(outcomes []ProbeOutcome) []int {
-	order := grantOrder(outcomes, DeniedBusy)
-	var targets []int
-	var sum bandwidth.Fraction
-	for _, i := range order {
-		if !outcomes[i].FavorsUs {
-			continue
+// ReminderTargets appends to dst the busy candidates on which a rejected
+// requester leaves reminders (Section 4.2): scanning busy candidates that
+// currently favor the requester's class from high class to low class,
+// accumulate offers up to exactly R0 with the same overshoot-skipping rule.
+// If R0 is unreachable the accumulated prefix is still reminded
+// (substitution noted in DESIGN.md: the paper requires the subset's
+// aggregate to equal R0 but does not say what to do when the busy favoring
+// candidates cannot reach it).
+func ReminderTargets(dst []int, outcomes []ProbeOutcome) []int {
+	dst, _ = appendUpToR0(dst, outcomes, DeniedBusy, true)
+	return dst
+}
+
+// appendUpToR0 appends to dst the outcome positions with the given decision
+// (only those favoring the requester, if favoring is set) that a high-class-
+// first scan accumulates without overshooting R0, stopping at exactly R0,
+// and returns the aggregate reached. dst's tail doubles as the scan's
+// scratch, so nothing else is allocated.
+func appendUpToR0(dst []int, outcomes []ProbeOutcome, want Decision, favoring bool) ([]int, bandwidth.Fraction) {
+	base := len(dst)
+	for i, o := range outcomes {
+		if o.Decision == want && (o.FavorsUs || !favoring) {
+			dst = append(dst, i)
 		}
+	}
+	order := dst[base:]
+	sortHighClassFirst(order, func(i int) bandwidth.Class { return outcomes[i].Class })
+	var sum bandwidth.Fraction
+	kept := 0
+	for _, i := range order {
 		offer := outcomes[i].Class.Offer()
 		if sum+offer > bandwidth.R0 {
 			continue
 		}
 		sum += offer
-		targets = append(targets, i)
+		order[kept] = i
+		kept++
 		if sum == bandwidth.R0 {
 			break
 		}
 	}
-	return targets
-}
-
-// grantOrder returns the indices of outcomes with the given decision,
-// sorted high class first (stable).
-func grantOrder(outcomes []ProbeOutcome, want Decision) []int {
-	var idx []int
-	for i, o := range outcomes {
-		if o.Decision == want {
-			idx = append(idx, i)
-		}
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return outcomes[idx[a]].Class < outcomes[idx[b]].Class
-	})
-	return idx
+	return dst[:base+kept], sum
 }
 
 // BackoffConfig holds the retry parameters of Section 4.2: after its i-th

@@ -3,6 +3,7 @@ package dac
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,13 +12,13 @@ import (
 
 func TestProbeOrder(t *testing.T) {
 	classes := []bandwidth.Class{3, 1, 4, 1, 2}
-	got := ProbeOrder(classes)
+	got := ProbeOrder(nil, classes)
 	want := []int{1, 3, 4, 0, 2} // both class-1 peers first (stable), then 2, 3, 4
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ProbeOrder = %v, want %v", got, want)
 	}
-	if got := ProbeOrder(nil); len(got) != 0 {
-		t.Errorf("ProbeOrder(nil) = %v", got)
+	if got := ProbeOrder(nil, nil); len(got) != 0 {
+		t.Errorf("ProbeOrder(nil, nil) = %v", got)
 	}
 }
 
@@ -116,7 +117,7 @@ func TestReminderTargets(t *testing.T) {
 		outcome(3, 1, DeniedBusy, true), // would overshoot R0
 		outcome(4, 2, DeniedProbability, true),
 	}
-	got := ReminderTargets(outcomes)
+	got := ReminderTargets(nil, outcomes)
 	want := []int{0, 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ReminderTargets = %v, want %v", got, want)
@@ -130,13 +131,13 @@ func TestReminderTargetsPartialPrefix(t *testing.T) {
 		outcome(0, 3, DeniedBusy, true),
 		outcome(1, 4, DeniedBusy, true),
 	}
-	got := ReminderTargets(outcomes)
+	got := ReminderTargets(nil, outcomes)
 	want := []int{0, 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("ReminderTargets = %v, want %v", got, want)
 	}
-	if got := ReminderTargets(nil); got != nil {
-		t.Errorf("ReminderTargets(nil) = %v", got)
+	if got := ReminderTargets(nil, nil); got != nil {
+		t.Errorf("ReminderTargets(nil, nil) = %v", got)
 	}
 }
 
@@ -146,7 +147,7 @@ func TestReminderTargetsHighClassFirst(t *testing.T) {
 		outcome(1, 1, DeniedBusy, true),
 		outcome(2, 1, DeniedBusy, true),
 	}
-	got := ReminderTargets(outcomes)
+	got := ReminderTargets(nil, outcomes)
 	// 1/2 + 1/2 = R0: the two class-1 candidates, scanned first.
 	want := []int{1, 2}
 	if !reflect.DeepEqual(got, want) {
@@ -293,6 +294,75 @@ func TestChosenSuppliersSumExactly(t *testing.T) {
 		}
 		if sum != bandwidth.R0 {
 			t.Fatalf("trial %d: chosen sum %v != R0", trial, sum)
+		}
+	}
+}
+
+// byClassThenPosition is the reference order: a sort keyed on (class,
+// position) needs no stability to be stable.
+func byClassThenPosition(idx []int, class func(i int) bandwidth.Class) {
+	sort.Slice(idx, func(a, b int) bool {
+		if ca, cb := class(idx[a]), class(idx[b]); ca != cb {
+			return ca < cb
+		}
+		return idx[a] < idx[b]
+	})
+}
+
+// TestOrderingMatchesStableSort: the in-place sort behind ProbeOrder,
+// SelectSuppliers and ReminderTargets must order high class first with ties
+// in position order, and must leave a caller's prefix of dst alone.
+func TestOrderingMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 2000; round++ {
+		classes := make([]bandwidth.Class, rng.Intn(40))
+		outcomes := make([]ProbeOutcome, len(classes))
+		for i := range classes {
+			classes[i] = bandwidth.Class(1 + rng.Intn(5))
+			outcomes[i] = outcome(i, classes[i], Decision(rng.Intn(3)), rng.Intn(3) > 0)
+		}
+
+		want := make([]int, len(classes))
+		for i := range want {
+			want[i] = i
+		}
+		byClassThenPosition(want, func(i int) bandwidth.Class { return classes[i] })
+		got := ProbeOrder([]int{-7}, classes)
+		if got[0] != -7 || !reflect.DeepEqual(got[1:], want) {
+			t.Fatalf("classes %v: ProbeOrder = %v, stable sort gives %v", classes, got, want)
+		}
+
+		// The reference greedy scan over a filter in reference order.
+		scan := func(keep func(ProbeOutcome) bool) (picked []int, sum bandwidth.Fraction) {
+			var idx []int
+			for i, o := range outcomes {
+				if keep(o) {
+					idx = append(idx, i)
+				}
+			}
+			byClassThenPosition(idx, func(i int) bandwidth.Class { return outcomes[i].Class })
+			for _, i := range idx {
+				offer := outcomes[i].Class.Offer()
+				if sum+offer > bandwidth.R0 {
+					continue
+				}
+				sum += offer
+				picked = append(picked, i)
+				if sum == bandwidth.R0 {
+					break
+				}
+			}
+			return picked, sum
+		}
+		wantTargets, _ := scan(func(o ProbeOutcome) bool { return o.Decision == DeniedBusy && o.FavorsUs })
+		gotTargets := ReminderTargets([]int{-7}, outcomes)
+		if gotTargets[0] != -7 || !reflect.DeepEqual(append([]int(nil), gotTargets[1:]...), append([]int(nil), wantTargets...)) {
+			t.Fatalf("outcomes %v: ReminderTargets = %v, reference %v", outcomes, gotTargets, wantTargets)
+		}
+		wantChosen, sum := scan(func(o ProbeOutcome) bool { return o.Decision == Granted })
+		gotChosen, admitted := SelectSuppliers(outcomes)
+		if admitted != (sum == bandwidth.R0) || (admitted && !reflect.DeepEqual(gotChosen, wantChosen)) || (!admitted && gotChosen != nil) {
+			t.Fatalf("outcomes %v: SelectSuppliers = %v, %v; reference %v (sum %v)", outcomes, gotChosen, admitted, wantChosen, sum)
 		}
 	}
 }

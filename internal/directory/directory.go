@@ -47,6 +47,7 @@ type Server struct {
 	addrs    map[string]string
 	addrRefs map[string]int
 	rng      *rand.Rand
+	sampled  []lookup.Entry[string] // lookup's sample buffer, reused under mu
 
 	// epochMu guards the resharding epoch and its watcher set separately
 	// from mu: a SetEpoch push fans writes out to watcher connections and
@@ -388,6 +389,12 @@ func (s *Server) unregister(id, object string) {
 	s.stats.unregisters.Add(1)
 }
 
+// maxLookupM bounds the candidates one lookup returns, whatever M the frame
+// asks for: the sampler tells picked entries apart by scanning its picks,
+// which is quadratic in M, and M arrives from the network. The protocol's M
+// is a handful.
+const maxLookupM = 1024
+
 func (s *Server) lookup(req transport.Lookup) transport.Candidates {
 	s.stats.lookups.Add(1)
 	s.mu.Lock()
@@ -396,17 +403,21 @@ func (s *Server) lookup(req transport.Lookup) transport.Candidates {
 	if !ok {
 		return transport.Candidates{}
 	}
-	m := req.M
+	want := max(0, min(req.M, maxLookupM))
+	m := want
 	if req.Exclude != "" {
 		m++ // oversample so the exclusion still leaves M candidates
 	}
-	entries := dir.Sample(m, s.rng)
+	s.sampled = dir.SampleInto(s.sampled, m, s.rng)
 	out := transport.Candidates{Len: dir.Len()}
-	for _, e := range entries {
+	if n := min(want, len(s.sampled)); n > 0 {
+		out.Peers = make([]transport.Candidate, 0, n)
+	}
+	for _, e := range s.sampled {
 		if e.ID == req.Exclude {
 			continue
 		}
-		if len(out.Peers) == req.M {
+		if len(out.Peers) == want {
 			break
 		}
 		out.Peers = append(out.Peers, transport.Candidate{ID: e.ID, Addr: s.addrs[e.ID], Class: e.Class})

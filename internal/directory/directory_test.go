@@ -2,6 +2,7 @@ package directory
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -182,5 +183,34 @@ func TestClientDialFailure(t *testing.T) {
 	}
 	if _, err := c.Candidates(ctx, "", 1, ""); err == nil {
 		t.Error("dial failure should surface")
+	}
+}
+
+// TestLookupBoundsM: M arrives from the network. Whatever it says, a lookup
+// samples at most maxLookupM candidates (the sampler's cost is quadratic in
+// M), and a negative M yields none rather than a panic.
+func TestLookupBoundsM(t *testing.T) {
+	s := NewServer(1)
+	for i := 0; i < maxLookupM+100; i++ {
+		if err := s.register(transport.Register{ID: fmt.Sprintf("p%d", i), Addr: "127.0.0.1:1", Class: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ m, want int }{
+		{-1, 0}, {0, 0}, {8, 8}, {maxLookupM, maxLookupM}, {maxLookupM + 50, maxLookupM}, {1 << 40, maxLookupM},
+	} {
+		for _, exclude := range []string{"", "p7"} {
+			c := s.lookup(transport.Lookup{M: tc.m, Exclude: exclude})
+			if len(c.Peers) != tc.want || c.Len != maxLookupM+100 {
+				t.Errorf("M=%d exclude=%q: %d candidates of %d, want %d of %d", tc.m, exclude, len(c.Peers), c.Len, tc.want, maxLookupM+100)
+			}
+			seen := make(map[string]bool, len(c.Peers))
+			for _, p := range c.Peers {
+				if p.ID == exclude || seen[p.ID] {
+					t.Fatalf("M=%d exclude=%q: candidate %q excluded or repeated", tc.m, exclude, p.ID)
+				}
+				seen[p.ID] = true
+			}
+		}
 	}
 }

@@ -73,25 +73,39 @@ func (d *Directory[ID]) Contains(id ID) bool {
 }
 
 // Sample returns min(m, Len) distinct peers chosen uniformly at random
-// using Floyd's algorithm (O(m) regardless of directory size). The caller's
-// random source keeps runs deterministic.
+// using Floyd's algorithm (O(m) draws regardless of directory size). The
+// caller's random source keeps runs deterministic.
 func (d *Directory[ID]) Sample(m int, rng *rand.Rand) []Entry[ID] {
+	return d.SampleInto(nil, m, rng)
+}
+
+// SampleInto is Sample writing into dst's backing array (dst[:0] is
+// overwritten and grown only if too small): a caller that keeps the buffer
+// samples without allocating. An empty sample returns dst[:0].
+func (d *Directory[ID]) SampleInto(dst []Entry[ID], m int, rng *rand.Rand) []Entry[ID] {
+	dst = dst[:0]
 	n := len(d.entries)
 	if m <= 0 || n == 0 {
-		return nil
+		return dst
 	}
 	if m >= n {
-		return append([]Entry[ID](nil), d.entries...)
+		return append(dst, d.entries...)
 	}
-	chosen := make(map[int]struct{}, m)
-	out := make([]Entry[ID], 0, m)
+	if cap(dst) < m {
+		dst = make([]Entry[ID], 0, m)
+	}
 	for i := n - m; i < n; i++ {
 		j := rng.Intn(i + 1)
-		if _, taken := chosen[j]; taken {
-			j = i
+		// IDs are unique in the directory, so "slot j already picked" is
+		// "its entry is among the picks": a scan over at most m entries,
+		// where a set would be a map allocated per call.
+		for _, e := range dst {
+			if e.ID == d.entries[j].ID {
+				j = i
+				break
+			}
 		}
-		chosen[j] = struct{}{}
-		out = append(out, d.entries[j])
+		dst = append(dst, d.entries[j])
 	}
-	return out
+	return dst
 }

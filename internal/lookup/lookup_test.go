@@ -1,6 +1,7 @@
 package lookup
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -143,5 +144,73 @@ func TestSampleDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed gave different samples")
 		}
+	}
+}
+
+// floydWithSet is Floyd's algorithm as Sample was first written, with a set
+// of picked positions: the reference SampleInto's scan over its picks must
+// agree with, draw for draw.
+func floydWithSet(entries []Entry[string], m int, rng *rand.Rand) []Entry[string] {
+	n := len(entries)
+	chosen := make(map[int]struct{}, m)
+	var out []Entry[string]
+	for i := n - m; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if _, taken := chosen[j]; taken {
+			j = i
+		}
+		chosen[j] = struct{}{}
+		out = append(out, entries[j])
+	}
+	return out
+}
+
+func TestSampleIntoMatchesSetReference(t *testing.T) {
+	d := NewDirectory[string]()
+	var entries []Entry[string]
+	for i := 0; i < 40; i++ {
+		e := Entry[string]{ID: fmt.Sprintf("peer-%d", i), Class: bandwidth.Class(1 + i%4)}
+		entries = append(entries, e)
+		if err := d.Register(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	var buf []Entry[string]
+	for trial := 0; trial < 2000; trial++ {
+		m := 1 + trial%39 // small m rarely collides, m near n nearly always
+		buf = d.SampleInto(buf, m, a)
+		want := floydWithSet(entries, m, b)
+		if len(buf) != len(want) {
+			t.Fatalf("trial %d: %d entries, reference %d", trial, len(buf), len(want))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("trial %d, m=%d: pick %d is %v, reference %v", trial, m, i, buf[i], want[i])
+			}
+		}
+	}
+	// The generators must have been consumed identically too.
+	if a.Int63() != b.Int63() {
+		t.Error("SampleInto drew a different number of values than the reference")
+	}
+}
+
+func TestSampleIntoReusesBuffer(t *testing.T) {
+	d := NewDirectory[int]()
+	for i := 0; i < 3; i++ {
+		d.Register(Entry[int]{ID: i, Class: 1})
+	}
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]Entry[int], 0, 8)
+	got := d.SampleInto(buf, 2, rng)
+	if len(got) != 2 || &got[0] != &buf[:1][0] {
+		t.Errorf("sample of 2 into a buffer of 8 did not use it: %v", got)
+	}
+	if got = d.SampleInto(got, 5, rng); len(got) != 3 || &got[0] != &buf[:1][0] {
+		t.Errorf("whole-directory sample did not reuse the buffer: %v", got)
+	}
+	if got = d.SampleInto(got, 0, rng); len(got) != 0 {
+		t.Errorf("empty sample left %v in the buffer", got)
 	}
 }

@@ -272,6 +272,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	// Trigger phase: open a connection per supplier and send its segment
 	// list; all must accept before any data is consumed.
 	conns := make([]net.Conn, len(assignment.Suppliers))
+	expect := make([]int, len(conns)) // segments each supplier was told to send
 	defer func() {
 		for _, c := range conns {
 			if c != nil {
@@ -289,6 +290,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		release := netx.Guard(ctx, conn)
 		defer release()
 		segs := assignment.TransmissionList(i, file.Segments)
+		expect[i] = len(segs)
 		if err := transport.Write(conn, transport.KindStart, transport.Start{
 			RequesterID: n.cfg.ID,
 			FileName:    file.Name,
@@ -324,7 +326,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	var storeMu sync.Mutex
 	for i := range conns {
 		conn := conns[i]
-		want := len(assignment.TransmissionList(i, file.Segments))
+		want := expect[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -334,4 +336,84 @@ func TestSupplierSharedSlots(t *testing.T) {
 	}
 	supA.Close()
 	supB.Close()
+}
+
+// scriptedSweep drives att to the end of its sweep with answers drawn from
+// rng, and returns what the sweep concluded (copies: the Attempt owns its
+// result slices).
+func scriptedSweep(att *Attempt, rng *rand.Rand) (admitted bool, chosen, targets []int) {
+	for {
+		idx, ok := att.Next()
+		if !ok {
+			break
+		}
+		switch rng.Intn(4) {
+		case 0:
+			att.Down(idx)
+		case 1:
+			att.Record(idx, dac.DeniedBusy, rng.Intn(2) == 0)
+		case 2:
+			att.Record(idx, dac.DeniedProbability, false)
+		default:
+			att.Record(idx, dac.Granted, true)
+		}
+	}
+	return att.Admitted(), append([]int(nil), att.Chosen()...), append([]int(nil), att.ReminderTargets()...)
+}
+
+// TestAttemptResetMatchesFresh: one Attempt reused over many sweeps of
+// varying width — its buffers grow, shrink and carry stale entries — must
+// conclude exactly what a fresh Attempt concludes from the same answers.
+func TestAttemptResetMatchesFresh(t *testing.T) {
+	sizes := rand.New(rand.NewSource(7))
+	var reused Attempt
+	for round := 0; round < 2000; round++ {
+		classes := make([]bandwidth.Class, sizes.Intn(12))
+		for i := range classes {
+			classes[i] = bandwidth.Class(1 + sizes.Intn(4))
+		}
+		reused.Reset(classes)
+		gotAdm, gotChosen, gotTargets := scriptedSweep(&reused, rand.New(rand.NewSource(int64(round))))
+		wantAdm, wantChosen, wantTargets := scriptedSweep(NewAttempt(classes), rand.New(rand.NewSource(int64(round))))
+		if gotAdm != wantAdm || !slices.Equal(gotChosen, wantChosen) || !slices.Equal(gotTargets, wantTargets) {
+			t.Fatalf("round %d, classes %v: reused attempt concluded (%v, %v, %v), fresh one (%v, %v, %v)",
+				round, classes, gotAdm, gotChosen, gotTargets, wantAdm, wantChosen, wantTargets)
+		}
+	}
+}
+
+// sweepOp returns one reused-Attempt admission over M = 8 candidates: the
+// first sweep meets only busy suppliers and ends in reminder targeting, the
+// second is granted through to admission.
+func sweepOp(tb testing.TB) func() {
+	classes := []bandwidth.Class{3, 1, 2, 3, 1, 2, 3, 3}
+	var att Attempt
+	run := func(dec dac.Decision) {
+		att.Reset(classes)
+		for {
+			idx, ok := att.Next()
+			if !ok {
+				return
+			}
+			att.Record(idx, dec, true)
+		}
+	}
+	return func() {
+		run(dac.DeniedBusy)
+		if att.Admitted() || len(att.ReminderTargets()) != 2 {
+			tb.Fatalf("busy sweep: admitted %v, reminder targets %v", att.Admitted(), att.ReminderTargets())
+		}
+		run(dac.Granted)
+		if !att.Admitted() || len(att.Chosen()) != 2 {
+			tb.Fatalf("granted sweep: admitted %v, chosen %v", att.Admitted(), att.Chosen())
+		}
+	}
+}
+
+func BenchmarkAttemptSweep(b *testing.B) {
+	op := sweepOp(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
 }

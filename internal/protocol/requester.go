@@ -25,6 +25,10 @@ import (
 // Next which candidate to contact, performs the probe however it likes
 // (wire message, in-memory state machine call), and reports the result
 // with Record or Down.
+//
+// An Attempt is reusable: Reset starts the next sweep in the buffers of the
+// last one, so a driver that keeps one Attempt allocates nothing per
+// request.
 type Attempt struct {
 	classes []bandwidth.Class
 	order   []int // probe order: high class first, stable
@@ -34,6 +38,7 @@ type Attempt struct {
 	rest     bandwidth.Fraction // aggregate offer of the not-yet-probed tail
 	remSum   bandwidth.Fraction // reminder accumulation: busy favoring offers up to R0
 	chosen   []int
+	targets  []int              // ReminderTargets' result
 	outcomes []dac.ProbeOutcome // every answered probe, for reminder targeting
 	admitted bool
 }
@@ -42,14 +47,30 @@ type Attempt struct {
 // bandwidth classes (indices into this slice identify candidates in every
 // other method).
 func NewAttempt(classes []bandwidth.Class) *Attempt {
-	a := &Attempt{
-		classes: classes,
-		order:   dac.ProbeOrder(classes),
+	a := new(Attempt)
+	a.Reset(classes)
+	return a
+}
+
+// Reset starts a new admission attempt over the given candidate classes,
+// which the Attempt reads until the next Reset. Slices returned by Chosen
+// and ReminderTargets before the call are overwritten.
+func (a *Attempt) Reset(classes []bandwidth.Class) {
+	if n := len(classes); cap(a.order) < n {
+		// One backing array for the three index lists, each bounded by n.
+		idx := make([]int, 3*n)
+		a.order, a.chosen, a.targets = idx[:0:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
+		a.outcomes = make([]dac.ProbeOutcome, 0, n)
 	}
+	a.classes = classes
+	a.order = dac.ProbeOrder(a.order[:0], classes)
+	a.pos = 0
+	a.sum, a.rest, a.remSum = 0, 0, 0
 	for _, c := range classes {
 		a.rest += c.Offer()
 	}
-	return a
+	a.chosen, a.targets, a.outcomes = a.chosen[:0], a.targets[:0], a.outcomes[:0]
+	a.admitted = false
 }
 
 // Next returns the index of the next candidate to probe. ok is false when
@@ -124,12 +145,11 @@ func (a *Attempt) Chosen() []int { return a.chosen }
 // requester leaves reminders (Section 4.2): busy candidates that favor the
 // requester's class, high class first, accumulated up to R0.
 func (a *Attempt) ReminderTargets() []int {
-	targets := dac.ReminderTargets(a.outcomes)
-	idxs := make([]int, len(targets))
-	for i, t := range targets {
-		idxs[i] = a.outcomes[t].Index
+	a.targets = dac.ReminderTargets(a.targets[:0], a.outcomes)
+	for i, t := range a.targets {
+		a.targets[i] = a.outcomes[t].Index
 	}
-	return idxs
+	return a.targets
 }
 
 // AssignSession computes the OTS_p2p assignment for a session's chosen

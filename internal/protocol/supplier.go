@@ -32,6 +32,7 @@ type Supplier struct {
 	mu     sync.Mutex
 	adm    *dac.Supplier
 	timer  clock.Timer
+	onIdle func() // s.onIdleTimeout, bound once: every re-arm schedules this same value
 	closed bool
 
 	probes    int
@@ -47,6 +48,7 @@ func NewSupplier(class, numClasses bandwidth.Class, policy dac.Policy, clk clock
 		return nil, err
 	}
 	s := &Supplier{clk: clk, tout: tout, adm: adm}
+	s.onIdle = s.onIdleTimeout
 	s.mu.Lock()
 	s.armLocked()
 	s.mu.Unlock()
@@ -187,7 +189,7 @@ func (s *Supplier) armLocked() {
 	if !s.elevates() {
 		return
 	}
-	s.timer = s.clk.AfterFunc(s.tout, s.onIdleTimeout)
+	s.timer = s.clk.AfterFunc(s.tout, s.onIdle)
 }
 
 // elevates reports whether idle timeouts can still change the vector.

@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,10 +16,21 @@ import (
 // simulation runs on one goroutine, which is what makes it deterministic.
 type Engine struct {
 	now   time.Duration
-	queue eventQueue
+	queue []event // arity-ary min-heap on (at, seq)
 	seq   uint64
 	ran   uint64
 }
+
+// Handler is a scheduled event. A pointer type implementing it is stored in
+// the queue as is, so a caller that already owns per-event state (a timer
+// handle, say) schedules it without a closure on top.
+type Handler interface {
+	Fire()
+}
+
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // Now returns the current virtual time (elapsed since simulation start).
 func (e *Engine) Now() time.Duration { return e.now }
@@ -36,14 +46,21 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 
 // At schedules fn to run at absolute virtual time t.
 func (e *Engine) At(t time.Duration, fn func()) error {
-	if t < e.now {
-		return fmt.Errorf("%w: at %v, now %v", ErrPast, t, e.now)
-	}
 	if fn == nil {
 		return errors.New("sim: nil event callback")
 	}
-	e.seq++
-	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
+	return e.Schedule(t, funcHandler(fn))
+}
+
+// Schedule is At for a Handler.
+func (e *Engine) Schedule(t time.Duration, h Handler) error {
+	if t < e.now {
+		return fmt.Errorf("%w: at %v, now %v", ErrPast, t, e.now)
+	}
+	if h == nil {
+		return errors.New("sim: nil event handler")
+	}
+	e.push(t, h)
 	return nil
 }
 
@@ -71,10 +88,10 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.pop()
 	e.now = ev.at
 	e.ran++
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 
@@ -97,34 +114,80 @@ func (e *Engine) Run() {
 	}
 }
 
+// event is held by value in the heap: scheduling one allocates nothing, and
+// sifting moves 32-byte structs inside one slice instead of chasing
+// pointers.
 type event struct {
 	at  time.Duration
-	seq uint64
-	fn  func()
+	seq uint64 // scheduling order: FIFO among equal times
+	h   Handler
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+// arity is the heap's fan-out. Four children halve the depth of a binary
+// heap; a pop compares them within two cache lines.
+const arity = 4
 
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
+func (e *Engine) push(t time.Duration, h Handler) {
+	e.seq++
+	ev := event{at: t, seq: e.seq, h: h}
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / arity
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
+}
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// pop removes the earliest event. The vacated tail slot is zeroed so the
+// queue's backing array does not keep a fired handler reachable.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := i*arity + 1
+		if first >= n {
+			break
+		}
+		min := first
+		end := first + arity
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if q[c].before(&q[min]) {
+				min = c
+			}
+		}
+		if !q[min].before(&last) {
+			break
+		}
+		q[i] = q[min]
+		i = min
+	}
+	q[i] = last
+	return top
 }
 
 // NewRNG returns the deterministic random source used across the simulator.

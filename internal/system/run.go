@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"p2pstream/internal/bandwidth"
@@ -70,6 +71,7 @@ type Result struct {
 // idle elevation timer live in the shared protocol layer; the simulator
 // only keeps the bookkeeping behind the paper's metrics.
 type peer struct {
+	sim     *simulation
 	id      int
 	class   bandwidth.Class
 	arrival time.Duration
@@ -81,6 +83,10 @@ type peer struct {
 	waited time.Duration
 }
 
+// Fire implements sim.Handler: the peer is its own request event, first
+// arrival and every retry, so scheduling one allocates nothing.
+func (p *peer) Fire() { p.sim.handleRequest(p) }
+
 type simulation struct {
 	cfg Config
 	eng sim.Engine
@@ -89,7 +95,7 @@ type simulation struct {
 
 	peers    []*peer
 	src      candidateSource
-	byClass  [][]int // supplier peer ids per class (for Figure 7 snapshots)
+	byClass  [][]*protocol.Supplier // suppliers per class (for Figure 7 snapshots)
 	aggOffer bandwidth.Fraction
 
 	arrived       []int64
@@ -97,6 +103,12 @@ type simulation struct {
 	delaySum      []float64
 	rejectionsSum []int64
 	waitSum       []time.Duration
+
+	// Per-request scratch, reused across requests: the simulation is
+	// single-threaded and a request is handled within one event.
+	att       protocol.Attempt
+	classes   []bandwidth.Class
+	suppliers []core.Supplier
 
 	res *Result
 }
@@ -110,7 +122,7 @@ func Run(cfg Config) (*Result, error) {
 	s := &simulation{
 		cfg:           cfg,
 		rng:           sim.NewRNG(sim.ChildSeed(cfg.Seed, "protocol")),
-		byClass:       make([][]int, k+1),
+		byClass:       make([][]*protocol.Supplier, k+1),
 		arrived:       make([]int64, k+1),
 		admitted:      make([]int64, k+1),
 		delaySum:      make([]float64, k+1),
@@ -153,7 +165,7 @@ func (s *simulation) populate() error {
 	arrivalRng := sim.NewRNG(sim.ChildSeed(s.cfg.Seed, "arrivals"))
 
 	for i := 0; i < s.cfg.NumSeeds; i++ {
-		p := &peer{id: i, class: s.cfg.SeedClass}
+		p := &peer{sim: s, id: i, class: s.cfg.SeedClass}
 		s.peers = append(s.peers, p)
 		if err := s.becomeSupplier(p); err != nil {
 			return err
@@ -167,13 +179,14 @@ func (s *simulation) populate() error {
 	maxOffer = bandwidth.Fraction(s.cfg.NumSeeds) * s.cfg.SeedClass.Offer()
 	for i := 0; i < s.cfg.NumRequesters; i++ {
 		p := &peer{
+			sim:     s,
 			id:      s.cfg.NumSeeds + i,
 			class:   s.cfg.ClassDist.Pick(classRng.Float64()),
 			arrival: times[i],
 		}
 		s.peers = append(s.peers, p)
 		maxOffer += p.class.Offer()
-		if err := s.eng.At(p.arrival, func() { s.handleRequest(p, true) }); err != nil {
+		if err := s.eng.Schedule(p.arrival, p); err != nil {
 			return err
 		}
 	}
@@ -210,25 +223,26 @@ func (s *simulation) becomeSupplier(p *peer) error {
 	if err := s.src.register(p.id, p.class); err != nil {
 		return err
 	}
-	s.byClass[p.class] = append(s.byClass[p.class], p.id)
+	s.byClass[p.class] = append(s.byClass[p.class], sup)
 	s.aggOffer += p.class.Offer()
 	return nil
 }
 
 // handleRequest performs one admission attempt of peer p (Section 4.2),
 // driving the shared protocol.Attempt sweep with in-memory probes.
-func (s *simulation) handleRequest(p *peer, first bool) {
-	if first {
-		s.arrived[p.class]++
+func (s *simulation) handleRequest(p *peer) {
+	if p.rejections == 0 {
+		s.arrived[p.class]++ // the first request: every retry follows a rejection
 	}
 	s.res.TotalRequests++
 
 	candidates := s.src.sample(s.cfg.M, s.rng)
-	classes := make([]bandwidth.Class, len(candidates))
-	for i, c := range candidates {
-		classes[i] = c.Class
+	s.classes = s.classes[:0]
+	for _, c := range candidates {
+		s.classes = append(s.classes, c.Class)
 	}
-	att := protocol.NewAttempt(classes)
+	att := &s.att
+	att.Reset(s.classes)
 	for {
 		idx, ok := att.Next()
 		if !ok {
@@ -258,14 +272,15 @@ func (s *simulation) handleRequest(p *peer, first bool) {
 	s.admit(p, chosen)
 }
 
-// admit triggers the chosen suppliers and starts the streaming session.
+// admit triggers the chosen suppliers and starts the streaming session. It
+// keeps chosen until the session ends.
 func (s *simulation) admit(p *peer, chosen []*peer) {
 	if s.cfg.ValidateAssignments {
-		suppliers := make([]core.Supplier, len(chosen))
-		for i, c := range chosen {
-			suppliers[i] = core.Supplier{ID: fmt.Sprint(c.id), Class: c.class}
+		s.suppliers = s.suppliers[:0]
+		for _, c := range chosen {
+			s.suppliers = append(s.suppliers, core.Supplier{ID: strconv.Itoa(c.id), Class: c.class})
 		}
-		if _, err := protocol.AssignSession(suppliers); err != nil {
+		if _, err := protocol.AssignSession(s.suppliers); err != nil {
 			panic(fmt.Sprintf("system: OTS_p2p on admission: %v", err))
 		}
 	}
@@ -293,7 +308,6 @@ func (s *simulation) admit(p *peer, chosen []*peer) {
 	s.rejectionsSum[p.class] += int64(p.rejections)
 	s.waitSum[p.class] += p.waited
 
-	chosen = append([]*peer(nil), chosen...)
 	err := s.eng.After(s.cfg.SessionDuration, func() { s.endSession(p, chosen) })
 	if err != nil {
 		panic(fmt.Sprintf("system: scheduling session end: %v", err))
@@ -331,7 +345,7 @@ func (s *simulation) reject(p *peer, att *protocol.Attempt, candidates []lookup.
 	if s.eng.Now()+wait > s.cfg.Horizon {
 		return // retry would fall beyond the simulated period
 	}
-	if err := s.eng.After(wait, func() { s.handleRequest(p, false) }); err != nil {
+	if err := s.eng.Schedule(s.eng.Now()+wait, p); err != nil {
 		panic(fmt.Sprintf("system: scheduling retry: %v", err))
 	}
 }
@@ -368,16 +382,16 @@ func (s *simulation) sampleAccumulative(t time.Duration) {
 func (s *simulation) sampleFavored(t time.Duration) {
 	k := int(s.cfg.NumClasses())
 	for c := 1; c <= k; c++ {
-		ids := s.byClass[c]
-		if len(ids) == 0 {
+		sups := s.byClass[c]
+		if len(sups) == 0 {
 			s.res.LowestFavored[c-1].AddMissing(t)
 			continue
 		}
 		var sum int64
-		for _, id := range ids {
-			sum += int64(s.peers[id].sup.LowestFavored())
+		for _, sup := range sups {
+			sum += int64(sup.LowestFavored())
 		}
-		s.res.LowestFavored[c-1].Add(t, float64(sum)/float64(len(ids)))
+		s.res.LowestFavored[c-1].Add(t, float64(sum)/float64(len(sups)))
 	}
 }
 

@@ -16,13 +16,15 @@ import (
 type candidateSource interface {
 	// register adds a new supplying peer.
 	register(id int, class bandwidth.Class) error
-	// sample returns up to m distinct candidates.
+	// sample returns up to m distinct candidates, valid until the next
+	// call.
 	sample(m int, rng *rand.Rand) []lookup.Entry[int]
 }
 
 // directorySource is the default: uniform sampling from a registry.
 type directorySource struct {
-	dir *lookup.Directory[int]
+	dir     *lookup.Directory[int]
+	sampled []lookup.Entry[int] // sample's result buffer
 }
 
 func newDirectorySource() *directorySource {
@@ -34,7 +36,8 @@ func (d *directorySource) register(id int, class bandwidth.Class) error {
 }
 
 func (d *directorySource) sample(m int, rng *rand.Rand) []lookup.Entry[int] {
-	return d.dir.Sample(m, rng)
+	d.sampled = d.dir.SampleInto(d.sampled, m, rng)
+	return d.sampled
 }
 
 // chordSource discovers candidates by routing random-key lookups on a
