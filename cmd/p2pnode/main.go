@@ -103,9 +103,10 @@ func main() {
 			// buys the lease-style re-registration that repopulates a
 			// crashed-and-reborn server.
 			addrs := splitList(*dirAddrs)
-			opts = append(opts, p2pstream.WithShardedDirectory(p2pstream.ShardedDirectoryConfig{Addrs: addrs}))
+			opts = append(opts, p2pstream.WithShardedDirectory(p2pstream.ShardedDirectoryConfig{
+				Addrs: addrs, WatchEpochs: *dirEpochs,
+			}))
 			if *dirEpochs {
-				opts = append(opts, p2pstream.WithShardEpochs())
 				fmt.Printf("p2pnode %s: elastic sharded directory, %d initial shards\n", *id, len(addrs))
 			} else {
 				fmt.Printf("p2pnode %s: sharded directory, %d shards\n", *id, len(addrs))

@@ -115,6 +115,13 @@ func TestShardRingOfValidation(t *testing.T) {
 // in production; these tests pin the client/server protocol alone).
 func elasticClient(f *shardFixture, seed int64, obs observe.Observer) *ShardedClient {
 	f.t.Helper()
+	return elasticClientEvery(f, seed, obs, 10*time.Millisecond)
+}
+
+// elasticClientEvery is elasticClient with an explicit lease period, which
+// is also the length of the post-flip overlap window.
+func elasticClientEvery(f *shardFixture, seed int64, obs observe.Observer, refresh time.Duration) *ShardedClient {
+	f.t.Helper()
 	c, err := NewShardedClient(ShardedConfig{
 		Addrs:       f.addrs,
 		Names:       DefaultShardNames(len(f.addrs)),
@@ -122,7 +129,7 @@ func elasticClient(f *shardFixture, seed int64, obs observe.Observer) *ShardedCl
 		WatchEpochs: true,
 		Network:     f.vnet.Host("client"),
 		Clock:       f.clk,
-		Refresh:     10 * time.Millisecond,
+		Refresh:     refresh,
 		Seed:        seed,
 		Observer:    obs,
 	})
@@ -400,5 +407,94 @@ func TestEpochWatchSubscription(t *testing.T) {
 	}
 	if got := f.shards[0].Epoch().Epoch; got != 5 {
 		t.Errorf("stale epoch rolled the server back to %d", got)
+	}
+}
+
+// twoThenThree boots an elastic client with a one-second lease on the
+// fixture's first two shards, registers n leases through it and returns the
+// client with the IDs whose owner differs between the two-shard and the
+// three-shard ring, and both rings.
+func twoThenThree(t *testing.T, f *shardFixture, n int) (c *ShardedClient, moved []string, two, three *ShardRing) {
+	t.Helper()
+	addrs3 := f.addrs
+	f.addrs = f.addrs[:2]
+	c = elasticClientEvery(f, 1, nil, time.Second)
+	f.addrs = addrs3
+	two, _ = NewShardRingOf(1, DefaultShardNames(2), ShardPoints)
+	three, _ = NewShardRingOf(2, DefaultShardNames(3), ShardPoints)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("sup-%d", i)
+		if err := c.Register(context.Background(), reg(id)); err != nil {
+			t.Fatal(err)
+		}
+		if two.Owner(id) != three.Owner(id) {
+			moved = append(moved, id)
+		}
+	}
+	if len(moved) == 0 {
+		t.Fatal("no registration moves across the flip")
+	}
+	return c, moved, two, three
+}
+
+// TestBackToBackFlipKeepsRegistration: a registration whose owner moves
+// away and back inside one overlap window (2 -> 3 -> 2 shards) must still
+// be on its owner when the window closes. Closing the window withdraws the
+// copies the lease no longer needs, and after the bounce the pre-flip owner
+// is the current owner again: its copy is not one of them.
+func TestBackToBackFlipKeepsRegistration(t *testing.T) {
+	f := newShardFixture(t, 3)
+	c, bounced, two, _ := twoThenThree(t, f, 24)
+
+	f.shards[0].SetEpoch(epochOf(f, 2, 3))
+	f.clk.Sleep(20 * time.Millisecond)
+	f.shards[0].SetEpoch(epochOf(f, 3, 2))
+	f.clk.Sleep(1100 * time.Millisecond) // past the (re-armed) overlap window
+	if got := c.Epoch(); got != 3 {
+		t.Fatalf("client at epoch %d, want 3", got)
+	}
+	lost := 0
+	for _, id := range bounced {
+		if !f.shards[two.Owner(id)].Has(id, "") {
+			lost++
+			t.Errorf("%s missing from its owner shard %d after the bounce", id, two.Owner(id))
+		}
+		if f.shards[2].Has(id, "") {
+			t.Errorf("%s still on shard 2, which left the deployment", id)
+		}
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d bounced registrations lost", lost, len(bounced))
+	}
+}
+
+// TestEpochOverlapUnregisterLeavesNoCopy: an Unregister issued during an
+// overlap window withdraws every copy before it returns — the pre-flip
+// owner's too, which every double-reading client still queries.
+func TestEpochOverlapUnregisterLeavesNoCopy(t *testing.T) {
+	ctx := context.Background()
+	f := newShardFixture(t, 3)
+	c, moved, two, three := twoThenThree(t, f, 24)
+
+	f.shards[0].SetEpoch(epochOf(f, 2, 3))
+	id := moved[0]
+	waitFor(f, "migration", func() bool { return f.shards[three.Owner(id)].Has(id, "") })
+	if !f.shards[two.Owner(id)].Has(id, "") {
+		t.Fatal("pre-flip copy withdrawn before the overlap window closed")
+	}
+	if err := c.Unregister(ctx, id, ""); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range f.shards {
+		if s.Has(id, "") {
+			t.Errorf("unregistered %s still on shard %d", id, i)
+		}
+	}
+	// And it stays gone past the window's close and a lease refresh.
+	f.clk.Sleep(1100 * time.Millisecond)
+	for i, s := range f.shards {
+		if s.Has(id, "") {
+			t.Errorf("unregistered %s back on shard %d after the window closed", id, i)
+		}
 	}
 }

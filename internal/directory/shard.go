@@ -23,6 +23,10 @@
 // candidates from the old and new shard sets for one overlap window, so
 // no lookup misses mid-migration; the old copies are withdrawn when the
 // window closes.
+//
+// The ring is in ring.go; this file holds the client and its fan-out
+// merge; ledger.go holds the registration ledger, whose settle is the one
+// place a registration frame leaves from; epoch.go adopts pushed epochs.
 package directory
 
 import (
@@ -30,12 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"sort"
 	"sync"
 	"time"
 
-	"p2pstream/internal/chord"
 	"p2pstream/internal/clock"
 	"p2pstream/internal/errs"
 	"p2pstream/internal/netx"
@@ -43,138 +44,10 @@ import (
 	"p2pstream/internal/transport"
 )
 
-// ShardPoints is the canonical number of virtual points each shard owns
-// on the identifier circle. A single point per shard makes arc lengths —
-// and so key load — wildly uneven for small shard counts; spreading each
-// shard over many points flattens the spread (the classic
-// consistent-hashing virtual-node trick).
-const ShardPoints = 16
-
-// maxShardPoints bounds the per-shard point parameter: past a few hundred
-// points the balance gain is noise and the ring build cost dominates.
-const maxShardPoints = 1024
-
 // defaultRefresh is the lease re-registration period of a ShardedClient.
 // Live TCP deployments refresh every few seconds; scenario runs on the
 // virtual clock pass an explicit faster interval.
 const defaultRefresh = 2 * time.Second
-
-// ShardRing deterministically maps supplier keys to registry shards by
-// consistent hashing on the chord identifier circle. Every client builds
-// the same ring from the same shard names, so routing needs no
-// coordination service; the epoch number versions the shard set across
-// live resharding. The zero value is unusable; use NewShardRing or
-// NewShardRingOf.
-type ShardRing struct {
-	epoch      int64
-	names      []string
-	pointCount int
-	points     []shardPoint // sorted by ring position
-}
-
-type shardPoint struct {
-	pos   uint64
-	shard int
-}
-
-// DefaultShardNames returns the canonical shard names of a fixed n-shard
-// deployment: "shard-0" .. "shard-<n-1>".
-func DefaultShardNames(n int) []string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("shard-%d", i)
-	}
-	return names
-}
-
-// NewShardRing returns the canonical epoch-0 ring over n shards
-// (numbered 0..n-1) with the canonical ShardPoints virtual points each.
-func NewShardRing(n int) (*ShardRing, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("directory: shard ring needs >= 1 shard, got %d", n)
-	}
-	return NewShardRingOf(0, DefaultShardNames(n), ShardPoints)
-}
-
-// NewShardRingOf builds the ring of one resharding epoch over an explicit
-// named shard set. Arc placement hashes names (not addresses or indices),
-// so a shard keeps its arcs when its address changes and removing one
-// shard leaves every other shard's points exactly where they were. points
-// is the virtual-point count per shard: every ring of one deployment must
-// be built with the same count (ShardPoints canonically) or rings across
-// an epoch flip stop being comparable — it is validated, not defaulted,
-// to keep that contract explicit.
-func NewShardRingOf(epoch int64, names []string, points int) (*ShardRing, error) {
-	if epoch < 0 {
-		return nil, fmt.Errorf("directory: shard ring epoch must be >= 0, got %d", epoch)
-	}
-	if len(names) < 1 {
-		return nil, errors.New("directory: shard ring needs >= 1 shard name")
-	}
-	if points < 1 || points > maxShardPoints {
-		return nil, fmt.Errorf("directory: shard points must be in [1, %d], got %d", maxShardPoints, points)
-	}
-	r := &ShardRing{
-		epoch:      epoch,
-		names:      append([]string(nil), names...),
-		pointCount: points,
-		points:     make([]shardPoint, 0, len(names)*points),
-	}
-	seen := make(map[uint64]bool, len(names)*points)
-	byName := make(map[string]bool, len(names))
-	for shard, name := range names {
-		if name == "" {
-			return nil, fmt.Errorf("directory: shard %d has an empty name", shard)
-		}
-		if byName[name] {
-			return nil, fmt.Errorf("directory: duplicate shard name %q", name)
-		}
-		byName[name] = true
-		for rep := 0; rep < points; rep++ {
-			pos := chord.HashKey(fmt.Sprintf("%s/%d", name, rep))
-			if seen[pos] {
-				continue // astronomically unlikely; first point keeps the arc
-			}
-			seen[pos] = true
-			r.points = append(r.points, shardPoint{pos: pos, shard: shard})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].pos < r.points[j].pos })
-	return r, nil
-}
-
-// Epoch returns the resharding epoch this ring is valid for.
-func (r *ShardRing) Epoch() int64 { return r.epoch }
-
-// Shards returns the number of shards.
-func (r *ShardRing) Shards() int { return len(r.names) }
-
-// Names returns the shard names, in shard order.
-func (r *ShardRing) Names() []string { return append([]string(nil), r.names...) }
-
-// Points returns the virtual-point count per shard the ring was built
-// with.
-func (r *ShardRing) Points() int { return r.pointCount }
-
-// Owner returns the shard that owns key: the shard of the first ring point
-// at or clockwise past chord.HashKey(key), exactly the successor rule of
-// the chord substrate.
-func (r *ShardRing) Owner(key string) int {
-	h := chord.HashKey(key)
-	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
-	if idx == len(r.points) {
-		idx = 0 // wrapped: the smallest point owns the top arc
-	}
-	return r.points[idx].shard
-}
-
-// Owns reports whether the ring point at index i owns identifier h — the
-// chord.InHalfOpen(h, predecessor, point] ownership test. It exists for
-// tests and diagnostics; Owner is the routing entry point.
-func (r *ShardRing) Owns(i int, h uint64) bool {
-	prev := r.points[(i-1+len(r.points))%len(r.points)].pos
-	return chord.InHalfOpen(h, prev, r.points[i].pos)
-}
 
 // ShardedConfig parameterizes a sharded directory client.
 type ShardedConfig struct {
@@ -224,14 +97,6 @@ type shardSet struct {
 	clients []*Client
 }
 
-// withdrawal is one stale registration copy left on a pre-flip owner,
-// withdrawn when the overlap window closes.
-type withdrawal struct {
-	id, object string
-	addr       string
-	from       *Client
-}
-
 // ShardedClient is the sharded realization of node.Discovery: consistent-
 // hash routing for registrations, all-shard fan-out for candidates,
 // per-shard failure isolation, and (with WatchEpochs) live migration
@@ -246,31 +111,25 @@ type ShardedClient struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
-	// regs holds live registrations keyed by peer ID + object (regKey): a
-	// peer supplying several objects holds one lease per object, all
+	// leases is the registration ledger, keyed by peer ID + object (regKey):
+	// a peer supplying several objects holds one lease per object, all
 	// routed to the shard owning the peer ID so shard assignment stays a
-	// function of the peer alone.
-	regs map[string]transport.Register
+	// function of the peer alone. See settle.
+	leases map[string]*lease
 	// cur is the current epoch's shard set; prev is the pre-flip set,
 	// non-nil only during the overlap window (Candidates reads both).
 	cur     *shardSet
 	prev    *shardSet
 	overlap clock.Timer
-	// pending are stale registration copies awaiting withdrawal at the
-	// end of the overlap window; back-to-back flips carry them forward.
-	pending []withdrawal
 	// pool shares one Client per shard address across epochs, so a flip
 	// keeps every unchanged shard's persistent connection.
 	pool    map[string]*Client
-	watches map[string]*epochWatch
+	watches map[string]context.CancelFunc // halts one shard's epoch watch
 	timer   clock.Timer
 	closed  bool
 	wg      sync.WaitGroup
-	// sendMu serializes lease re-sends, epoch migrations and Unregister's
-	// withdrawal RPC: without it, a refresh or migration batch that
-	// snapshotted a registration could re-send it after the withdrawal
-	// landed, re-registering the departed peer on a server that only ever
-	// forgets entries via unregister.
+	// sendMu is held by settle across planning and sending, so every
+	// registration frame leaves in the order the ledger was read.
 	sendMu sync.Mutex
 }
 
@@ -305,9 +164,9 @@ func NewShardedClient(cfg ShardedConfig) (*ShardedClient, error) {
 		network:  netx.Or(cfg.Network),
 		watching: cfg.WatchEpochs,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		regs:     make(map[string]transport.Register),
+		leases:   make(map[string]*lease),
 		pool:     make(map[string]*Client),
-		watches:  make(map[string]*epochWatch),
+		watches:  make(map[string]context.CancelFunc),
 	}
 	c.mu.Lock()
 	c.cur = c.newSetLocked(ring, cfg.Addrs)
@@ -336,10 +195,6 @@ func (c *ShardedClient) newSetLocked(ring *ShardRing, addrs []string) *shardSet 
 	return set
 }
 
-// regKey is the lease map key for one (peer, object) registration. The
-// NUL separator cannot appear in either component, so keys never collide.
-func regKey(id, object string) string { return id + "\x00" + object }
-
 // Shards returns the current shard count.
 func (c *ShardedClient) Shards() int {
 	c.mu.Lock()
@@ -359,70 +214,6 @@ func (c *ShardedClient) OwnerOf(id string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cur.ring.Owner(id)
-}
-
-// ownerLocked returns the current owning client for a peer ID.
-func (c *ShardedClient) ownerLocked(id string) *Client {
-	return c.cur.clients[c.cur.ring.Owner(id)]
-}
-
-// Register announces a supplying peer to the shard owning its ID and
-// starts the lease: the registration is re-sent every refresh interval
-// until Unregister or Close, so a shard that crashes and returns empty
-// learns the peer again without any action from the node. The first send's
-// error is returned — but the lease is live regardless, and a registration
-// that failed against a momentarily dead shard lands at the next refresh.
-// ctx bounds the first send only; the lease refreshes run in the
-// background on the client's clock.
-func (c *ShardedClient) Register(ctx context.Context, reg transport.Register) error {
-	reg.Refresh = true // lease semantics: a re-send must upsert, not collide
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return fmt.Errorf("directory: sharded client %w", errs.ErrClosed)
-	}
-	c.regs[regKey(reg.ID, reg.Object)] = reg
-	c.armRefreshLocked()
-	c.mu.Unlock()
-	// The initial send needs the same sendMu + liveness re-check as a lease
-	// refresh: a per-object withdrawal (a cache eviction unregistering the
-	// object) may land between the lease going live above and this send.
-	// Sent anyway, the registration would outlive its withdrawal on a
-	// server that only forgets via unregister — permanently, because the
-	// lease is already gone and no refresh follows to be re-checked.
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.mu.Lock()
-	_, live := c.regs[regKey(reg.ID, reg.Object)]
-	cl := c.ownerLocked(reg.ID)
-	c.mu.Unlock()
-	if !live {
-		return nil
-	}
-	return cl.Register(ctx, reg)
-}
-
-// Unregister withdraws the peer from one object's registry: that lease
-// stops (leases for the peer's other objects keep refreshing) and the
-// current owning shard is told (a stale pre-flip copy is withdrawn when
-// its overlap window closes). An unreachable shard makes the withdrawal
-// behave like a crash — the stale entry lingers until the shard itself
-// goes.
-func (c *ShardedClient) Unregister(ctx context.Context, id, object string) error {
-	c.mu.Lock()
-	delete(c.regs, regKey(id, object))
-	if len(c.regs) == 0 && c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-	cl := c.ownerLocked(id)
-	c.mu.Unlock()
-	// Under sendMu: an in-flight lease refresh or migration batch either
-	// re-sent this registration already (the withdrawal below wins) or
-	// will re-check c.regs after we release (and skip it).
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	return cl.Unregister(ctx, id, object)
 }
 
 // shardReply is one fan-out leg's outcome.
@@ -448,20 +239,15 @@ type lookupLeg struct {
 func (c *ShardedClient) legsLocked() []lookupLeg {
 	legs := make([]lookupLeg, 0, len(c.cur.clients)+2)
 	seen := make(map[string]bool, len(c.cur.clients)+2)
-	for i, cl := range c.cur.clients {
-		if seen[c.cur.addrs[i]] {
+	for _, set := range []*shardSet{c.cur, c.prev} {
+		if set == nil {
 			continue
 		}
-		seen[c.cur.addrs[i]] = true
-		legs = append(legs, lookupLeg{shard: i, client: cl})
-	}
-	if c.prev != nil {
-		for i, cl := range c.prev.clients {
-			if seen[c.prev.addrs[i]] {
-				continue
+		for i, cl := range set.clients {
+			if !seen[set.addrs[i]] {
+				seen[set.addrs[i]] = true
+				legs = append(legs, lookupLeg{shard: i, client: cl})
 			}
-			seen[c.prev.addrs[i]] = true
-			legs = append(legs, lookupLeg{shard: i, client: cl})
 		}
 	}
 	return legs
@@ -493,7 +279,6 @@ func (c *ShardedClient) Candidates(ctx context.Context, object string, m int, ex
 	replies := make([]shardReply, len(legs))
 	var wg sync.WaitGroup
 	for i := range legs {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -609,303 +394,6 @@ func (c *ShardedClient) Candidates(ctx context.Context, object string, m int, ex
 	return out, nil
 }
 
-// applyEpoch adopts one pushed resharding epoch: build the new ring over
-// the pooled clients, swap it in, keep the old set readable for one
-// overlap window, and migrate every registration whose owner moved in
-// one batched round. Stale or malformed epochs are ignored — any shard
-// may push, and pushes may race.
-func (c *ShardedClient) applyEpoch(ep transport.DirEpoch) {
-	if len(ep.Shards) == 0 {
-		return
-	}
-	names := make([]string, len(ep.Shards))
-	addrs := make([]string, len(ep.Shards))
-	for i, sh := range ep.Shards {
-		if sh.Name == "" || sh.Addr == "" {
-			return
-		}
-		names[i], addrs[i] = sh.Name, sh.Addr
-	}
-	c.mu.Lock()
-	if c.closed || ep.Epoch <= c.cur.ring.Epoch() {
-		c.mu.Unlock()
-		return
-	}
-	ring, err := NewShardRingOf(ep.Epoch, names, c.cur.ring.Points())
-	if err != nil {
-		c.mu.Unlock()
-		return
-	}
-	set := c.newSetLocked(ring, addrs)
-	old := c.cur
-	// Plan the migration: every registration whose owning shard address
-	// changed re-registers at its new owner now; the stale copy on the
-	// old owner is withdrawn when the overlap window closes (not before —
-	// a slower client still fanning out over the old set must keep
-	// finding it there).
-	var moved []transport.Register
-	for _, r := range c.regs {
-		from := old.addrs[old.ring.Owner(r.ID)]
-		to := set.addrs[set.ring.Owner(r.ID)]
-		if from == to {
-			continue
-		}
-		moved = append(moved, r)
-		c.pending = append(c.pending, withdrawal{
-			id: r.ID, object: r.Object, addr: from, from: old.clients[old.ring.Owner(r.ID)],
-		})
-	}
-	sort.Slice(moved, func(i, j int) bool {
-		return regKey(moved[i].ID, moved[i].Object) < regKey(moved[j].ID, moved[j].Object)
-	})
-	c.prev = old
-	c.cur = set
-	start := c.clk.Now()
-	if c.overlap != nil {
-		c.overlap.Stop()
-	}
-	c.overlap = c.clk.AfterFunc(c.refresh, func() { c.endOverlap(set) })
-	if c.watching {
-		c.syncWatchesLocked(set)
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go c.migrate(set, moved, start)
-}
-
-// migrate re-registers the moved registrations at their new owners, one
-// RegisterBatch round per destination shard. Each batch re-checks
-// liveness under sendMu immediately before sending, so a concurrent
-// Unregister — or Close — cannot be outrun by a stale batch that would
-// resurrect a withdrawn registration on the new owner.
-func (c *ShardedClient) migrate(set *shardSet, moved []transport.Register, start time.Time) {
-	defer c.wg.Done()
-	count := 0
-	for shard := range set.clients {
-		var batch []transport.Register
-		for _, r := range moved {
-			if set.ring.Owner(r.ID) == shard {
-				batch = append(batch, r)
-			}
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		c.sendMu.Lock()
-		c.mu.Lock()
-		if c.closed || c.cur != set {
-			c.mu.Unlock()
-			c.sendMu.Unlock()
-			return // shutdown or a newer epoch superseded this migration
-		}
-		live := batch[:0]
-		for _, r := range batch {
-			if _, ok := c.regs[regKey(r.ID, r.Object)]; ok {
-				live = append(live, r)
-			}
-		}
-		c.mu.Unlock()
-		if len(live) > 0 {
-			_ = set.clients[shard].RegisterBatch(context.Background(), live)
-			count += len(live)
-		}
-		c.sendMu.Unlock()
-	}
-	observe.Emit(c.obs, observe.Event{
-		Component: "sharded-directory",
-		Type:      observe.ReshardMove,
-		Epoch:     set.ring.Epoch(),
-		Count:     count,
-		Latency:   c.clk.Since(start),
-	})
-}
-
-// endOverlap closes the post-flip overlap window: the pre-flip shard set
-// stops being read, pending stale copies are withdrawn from their old
-// owners, and clients of shards no longer referenced are released. A
-// newer flip re-arms the window instead (its own endOverlap drains the
-// carried-forward withdrawals).
-func (c *ShardedClient) endOverlap(set *shardSet) {
-	c.mu.Lock()
-	if c.closed || c.cur != set {
-		c.mu.Unlock()
-		return
-	}
-	c.prev = nil
-	pending := c.pending
-	c.pending = nil
-	if len(pending) == 0 {
-		c.gcPoolLocked()
-		c.mu.Unlock()
-		return
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go func() {
-		defer c.wg.Done()
-		for _, w := range pending {
-			// Withdraw unconditionally: whether the lease is still live
-			// (the copy moved) or gone (the peer left mid-overlap), the
-			// old owner's copy is stale either way. Best effort — a
-			// drained shard may already be retired.
-			c.sendMu.Lock()
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
-			if closed {
-				c.sendMu.Unlock()
-				return
-			}
-			_ = w.from.Unregister(context.Background(), w.id, w.object)
-			c.sendMu.Unlock()
-		}
-		c.mu.Lock()
-		if !c.closed {
-			c.gcPoolLocked()
-		}
-		c.mu.Unlock()
-	}()
-}
-
-// gcPoolLocked closes and forgets pooled clients for addresses no longer
-// referenced by the current set, the overlap set, or a pending
-// withdrawal — the cleanup tail of a drain flip.
-func (c *ShardedClient) gcPoolLocked() {
-	keep := make(map[string]bool, len(c.pool))
-	for _, a := range c.cur.addrs {
-		keep[a] = true
-	}
-	if c.prev != nil {
-		for _, a := range c.prev.addrs {
-			keep[a] = true
-		}
-	}
-	for _, w := range c.pending {
-		keep[w.addr] = true
-	}
-	for a, cl := range c.pool {
-		if !keep[a] {
-			cl.Close()
-			delete(c.pool, a)
-		}
-	}
-}
-
-// epochWatch is one shard's epoch-subscription loop: a dedicated
-// connection that reads dir-epoch pushes, redialing on failure until
-// halted.
-type epochWatch struct {
-	addr string
-	stop chan struct{}
-
-	mu      sync.Mutex
-	conn    net.Conn
-	stopped bool
-}
-
-// halt stops the watch: the loop exits at its next check, and closing the
-// in-flight connection unblocks a pending read immediately.
-func (w *epochWatch) halt() {
-	w.mu.Lock()
-	if !w.stopped {
-		w.stopped = true
-		close(w.stop)
-		if w.conn != nil {
-			w.conn.Close()
-		}
-	}
-	w.mu.Unlock()
-}
-
-// syncWatchesLocked reconciles the watch loops with one shard set: new
-// addresses gain a subscription, addresses that left the set (a drained
-// shard) lose theirs — so no connection outlives the shard's retirement.
-func (c *ShardedClient) syncWatchesLocked(set *shardSet) {
-	want := make(map[string]bool, len(set.addrs))
-	for _, a := range set.addrs {
-		want[a] = true
-	}
-	for a, w := range c.watches {
-		if !want[a] {
-			w.halt()
-			delete(c.watches, a)
-		}
-	}
-	for _, a := range set.addrs {
-		if _, ok := c.watches[a]; ok {
-			continue
-		}
-		w := &epochWatch{addr: a, stop: make(chan struct{})}
-		c.watches[a] = w
-		c.wg.Add(1)
-		go c.watchLoop(w)
-	}
-}
-
-// watchLoop subscribes one shard for epoch pushes and applies every push
-// it reads, redialing (with a half-refresh backoff on the client's clock)
-// until halted. The subscription reply itself carries the shard's current
-// epoch, so a client that boots mid-flip converges on its first read.
-func (c *ShardedClient) watchLoop(w *epochWatch) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
-		conn, err := c.network.Dial(w.addr)
-		if err != nil {
-			if !c.watchBackoff(w) {
-				return
-			}
-			continue
-		}
-		w.mu.Lock()
-		if w.stopped {
-			w.mu.Unlock()
-			conn.Close()
-			return
-		}
-		w.conn = conn
-		w.mu.Unlock()
-		if err := transport.Write(conn, transport.KindDirEpochWatch, transport.DirEpochWatch{}); err == nil {
-			for {
-				env, err := transport.Read(conn)
-				if err != nil || env.Kind != transport.KindDirEpoch {
-					break
-				}
-				var ep transport.DirEpoch
-				if err := env.Decode(&ep); err != nil {
-					break
-				}
-				c.applyEpoch(ep)
-			}
-		}
-		conn.Close()
-		w.mu.Lock()
-		w.conn = nil
-		w.mu.Unlock()
-		if !c.watchBackoff(w) {
-			return
-		}
-	}
-}
-
-// watchBackoff sleeps half a refresh interval on the client's clock
-// before a redial; false means the watch was halted meanwhile.
-func (c *ShardedClient) watchBackoff(w *epochWatch) bool {
-	fired := make(chan struct{})
-	t := c.clk.AfterFunc(c.refresh/2, func() { close(fired) })
-	select {
-	case <-w.stop:
-		t.Stop()
-		return false
-	case <-fired:
-		return true
-	}
-}
-
 // Close stops the lease timer, the epoch watches and the client. In-flight
 // refresh, migration and withdrawal sends are cancelled, not waited out:
 // every pooled connection is dropped first, so a send stalled against a
@@ -913,85 +401,22 @@ func (c *ShardedClient) watchBackoff(w *epochWatch) bool {
 // guarantees nothing re-sends after Close returns.
 func (c *ShardedClient) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	t := c.timer
-	c.timer = nil
-	ot := c.overlap
-	c.overlap = nil
-	watches := make([]*epochWatch, 0, len(c.watches))
-	for _, w := range c.watches {
-		watches = append(watches, w)
-	}
-	clients := make([]*Client, 0, len(c.pool))
-	for _, cl := range c.pool {
-		clients = append(clients, cl)
+	if !c.closed {
+		c.closed = true
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		if c.overlap != nil {
+			c.overlap.Stop()
+		}
+		for _, halt := range c.watches {
+			halt()
+		}
+		for _, cl := range c.pool {
+			cl.Close()
+		}
 	}
 	c.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-	if ot != nil {
-		ot.Stop()
-	}
-	for _, w := range watches {
-		w.halt()
-	}
-	for _, cl := range clients {
-		cl.Close()
-	}
 	c.wg.Wait()
 	return nil
-}
-
-// armRefreshLocked schedules the next lease refresh (idempotent while one
-// is pending). The refresh itself runs on a fresh goroutine: clock
-// callbacks must never block, and a refresh blocks on RPC round trips.
-func (c *ShardedClient) armRefreshLocked() {
-	if c.closed || c.timer != nil || len(c.regs) == 0 {
-		return
-	}
-	c.timer = c.clk.AfterFunc(c.refresh, func() {
-		c.mu.Lock()
-		c.timer = nil
-		if c.closed || len(c.regs) == 0 {
-			c.mu.Unlock()
-			return
-		}
-		regs := make([]transport.Register, 0, len(c.regs))
-		for _, r := range c.regs {
-			regs = append(regs, r)
-		}
-		sort.Slice(regs, func(i, j int) bool {
-			return regKey(regs[i].ID, regs[i].Object) < regKey(regs[j].ID, regs[j].Object)
-		})
-		c.wg.Add(1)
-		c.armRefreshLocked()
-		c.mu.Unlock()
-		go func() {
-			defer c.wg.Done()
-			for _, r := range regs {
-				// Re-check liveness and send under sendMu, so a concurrent
-				// Unregister cannot land between the check and the send and
-				// leave the peer permanently re-registered. The owner is
-				// re-resolved per send against the current ring, so leases
-				// migrate with epoch flips. Best effort beyond that: a dead
-				// shard's refresh fails silently and lands when the shard
-				// returns.
-				c.sendMu.Lock()
-				c.mu.Lock()
-				_, live := c.regs[regKey(r.ID, r.Object)]
-				closed := c.closed
-				cl := c.ownerLocked(r.ID)
-				c.mu.Unlock()
-				if live && !closed {
-					_ = cl.Register(context.Background(), r)
-				}
-				c.sendMu.Unlock()
-			}
-		}()
-	})
 }

@@ -347,7 +347,8 @@ func TestShardedEvictionMidInitialRegister(t *testing.T) {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			c.mu.Lock()
-			_, ok := c.regs[regKey(r.ID, r.Object)]
+			l := c.leases[regKey(r.ID, r.Object)]
+			ok := l != nil && !l.gone
 			c.mu.Unlock()
 			if ok == want {
 				return

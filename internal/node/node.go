@@ -662,7 +662,8 @@ func (n *Node) handleStart(conn net.Conn, req transport.Start) {
 const minPace = 100 * time.Microsecond
 
 // streamFixed is the legacy data plane: each assigned segment goes out as
-// one full-quality burst at its protocol deadline, with no feedback.
+// one burst at its protocol deadline, with no feedback, at the quality this
+// node holds it at (full, unless it once took a downgraded rendition).
 func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File, store *media.Store) {
 	start := n.clk.Now()
 	sent := 0
@@ -680,7 +681,7 @@ func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File,
 			return
 		}
 		if err := n.ep.Reply(conn, transport.KindSegment,
-			transport.Segment{ID: segID, Data: seg.Data}); err != nil {
+			transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}); err != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++

@@ -151,6 +151,76 @@ func TestEndToEndSession(t *testing.T) {
 	}
 }
 
+// TestRelayedDowngradeKeepsItsQuality: a peer that once took a downgraded
+// rendition of a segment re-supplies it labelled with that quality, on
+// both data planes. Labelled full quality, the short segment is refused by
+// the next requester's store on every retry. relay resumes a partial store
+// holding segments 4 and 5 at quality 1; with one seed left it serves the
+// third peer every other segment, so exactly one of the two is relayed.
+func TestRelayedDowngradeKeepsItsQuality(t *testing.T) {
+	for _, noAdapt := range []bool{false, true} {
+		name := map[bool]string{false: "adaptive", true: "fixed"}[noAdapt]
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			c := newCluster(t)
+			start := func(mk func(Config) (*Node, error), id string) *Node {
+				cfg := c.config(id, 1)
+				cfg.NoAdapt = noAdapt
+				return c.start(mk(cfg))
+			}
+			start(NewSeed, "seed1")
+			seed2 := start(NewSeed, "seed2")
+			relay := start(NewRequester, "relay")
+
+			f := testFile()
+			partial, err := media.NewStore(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []media.SegmentID{4, 5} {
+				if err := partial.Put(media.PerfectCodec{}.EncodeAt(f, id, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			relay.mu.Lock()
+			relay.pending[f.Name] = partial
+			relay.mu.Unlock()
+			if _, err := relay.Request(ctx, ""); err != nil {
+				t.Fatal(err)
+			}
+			if got := relay.Store().Downgraded(); got != 2 {
+				t.Fatalf("relay holds %d downgraded segments, want 2", got)
+			}
+
+			seed2.Close() // leaves seed1 and relay: the third peer needs both
+			third := start(NewRequester, "third")
+			report, err := third.Request(ctx, "")
+			if err != nil {
+				t.Fatalf("served by a relay of a downgraded segment: %v", err)
+			}
+			if report.Downgraded != 1 || report.MaxQuality != 1 {
+				t.Errorf("report counts %d downgraded segments (max quality %d), want 1 (1)",
+					report.Downgraded, report.MaxQuality)
+			}
+			relayed := 0
+			for _, id := range []media.SegmentID{4, 5} {
+				if third.Store().QualityOf(id) != 1 {
+					continue
+				}
+				relayed++
+				got, _ := third.Store().Get(id)
+				if want := (media.PerfectCodec{}).EncodeAt(f, id, 1); !bytes.Equal(got.Data, want.Data) {
+					t.Errorf("relayed segment %d is not the quality-1 rendition", id)
+				}
+			}
+			if relayed != 1 || third.Store().Downgraded() != 1 || !third.Store().Complete() {
+				t.Errorf("third peer holds %d relayed and %d downgraded segments, complete=%v; want 1, 1, true",
+					relayed, third.Store().Downgraded(), third.Store().Complete())
+			}
+		})
+	}
+}
+
 // TestEndToEndSessionRealTCP smoke-tests the same stack over real TCP on
 // the wall clock. Timing assertions stay lenient: wall-clock scheduling
 // jitter is exactly what the virtual variant above exists to avoid.

@@ -315,15 +315,18 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	start := n.clk.Now()
 	arrivals := make([]time.Duration, file.Segments)
 	var (
-		arrivalsMu sync.Mutex
+		mu         sync.Mutex // guards store, arrivals and the four below
 		bytes      int64
 		downgraded int
 		maxQuality media.Quality
-		wg         sync.WaitGroup
-		errsMu     sync.Mutex
 		rcvErrs    []error
+		wg         sync.WaitGroup
 	)
-	var storeMu sync.Mutex
+	fail := func(err error) {
+		mu.Lock()
+		rcvErrs = append(rcvErrs, err)
+		mu.Unlock()
+	}
 	for i := range conns {
 		conn := conns[i]
 		want := expect[i]
@@ -334,50 +337,39 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 			for {
 				env, err := transport.Read(conn)
 				if err != nil {
-					errsMu.Lock()
-					rcvErrs = append(rcvErrs, fmt.Errorf("node %s: receiving: %w", n.cfg.ID, err))
-					errsMu.Unlock()
+					fail(fmt.Errorf("node %s: receiving: %w", n.cfg.ID, err))
 					return
 				}
 				switch env.Kind {
 				case transport.KindSegment:
 					var seg transport.Segment
 					if err := env.Decode(&seg); err != nil {
-						errsMu.Lock()
-						rcvErrs = append(rcvErrs, err)
-						errsMu.Unlock()
+						fail(err)
 						return
 					}
 					at := n.clk.Since(start)
-					storeMu.Lock()
+					q := media.Quality(seg.Quality)
+					mu.Lock()
 					var err error
 					if !store.Has(media.SegmentID(seg.ID)) {
 						// Idempotent under retries: a session after a failed
 						// one re-receives segments the partial store already
 						// holds (content is deterministic per segment ID).
-						err = store.Put(media.Segment{
-							ID:      media.SegmentID(seg.ID),
-							Quality: media.Quality(seg.Quality),
-							Data:    seg.Data,
-						})
+						err = store.Put(media.Segment{ID: media.SegmentID(seg.ID), Quality: q, Data: seg.Data})
 					}
-					storeMu.Unlock()
-					if err != nil {
-						errsMu.Lock()
-						rcvErrs = append(rcvErrs, err)
-						errsMu.Unlock()
-						return
-					}
-					arrivalsMu.Lock()
-					arrivals[seg.ID] = at
-					bytes += int64(len(seg.Data))
-					if q := media.Quality(seg.Quality); q > 0 {
-						downgraded++
-						if q > maxQuality {
-							maxQuality = q
+					if err == nil {
+						arrivals[seg.ID] = at
+						bytes += int64(len(seg.Data))
+						if q > 0 {
+							downgraded++
+							maxQuality = max(maxQuality, q)
 						}
 					}
-					arrivalsMu.Unlock()
+					mu.Unlock()
+					if err != nil {
+						fail(err)
+						return
+					}
 					received++
 					if !n.cfg.NoAdapt {
 						// Feedback for the supplier's bandwidth estimator;
@@ -387,15 +379,11 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 					}
 				case transport.KindSessionDone:
 					if received != want {
-						errsMu.Lock()
-						rcvErrs = append(rcvErrs, fmt.Errorf("node %s: supplier sent %d segments, want %d", n.cfg.ID, received, want))
-						errsMu.Unlock()
+						fail(fmt.Errorf("node %s: supplier sent %d segments, want %d", n.cfg.ID, received, want))
 					}
 					return
 				default:
-					errsMu.Lock()
-					rcvErrs = append(rcvErrs, fmt.Errorf("node %s: unexpected %s mid-session", n.cfg.ID, env.Kind))
-					errsMu.Unlock()
+					fail(fmt.Errorf("node %s: unexpected %s mid-session", n.cfg.ID, env.Kind))
 					return
 				}
 			}

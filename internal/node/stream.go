@@ -116,17 +116,19 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 			belowSince = time.Time{}
 		}
 
-		var data []byte
+		var seg media.Segment
 		if q == 0 {
-			seg, ok := store.Get(media.SegmentID(segID))
-			if !ok {
+			// The stored rendition, labelled with the quality it arrived at:
+			// a relayed downgrade sent as full quality is refused by the
+			// requester's store on every retry.
+			var ok bool
+			if seg, ok = store.Get(media.SegmentID(segID)); !ok {
 				n.ep.Reply(conn, transport.KindError,
 					transport.Error{Message: "segment not held"})
 				return
 			}
-			data = seg.Data
 		} else {
-			data = codec.EncodeAt(f, media.SegmentID(segID), q).Data
+			seg = codec.EncodeAt(f, media.SegmentID(segID), q)
 		}
 		// Pace with 25% headroom over the estimate. At exactly the estimate
 		// the sender has zero slack: one noise-induced decrease (wall-clock
@@ -137,12 +139,12 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 		// congestion cuts the estimate toward the delivered rate, far more
 		// than 25%, so the throttle still binds.
 		pacer.SetRate(rate + rate/4)
-		pacer.Pace(len(data))
+		pacer.Pace(len(seg.Data))
 		mu.Lock()
 		sentAt[segID] = n.clk.Now()
 		mu.Unlock()
 		if err := n.ep.Reply(conn, transport.KindSegment,
-			transport.Segment{ID: segID, Quality: int(q), Data: data}); err != nil {
+			transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}); err != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++

@@ -20,7 +20,8 @@ import (
 // discovery backends — the centralized directory (WithDirectory, one
 // address), the consistent-hash sharded directory (WithDirectory with
 // several addresses, or WithShardedDirectory for full control; elastic
-// under a resharding controller via WithAutoscale or WithShardEpochs) and
+// under a resharding controller via WithAutoscale or the config's
+// WatchEpochs) and
 // the decentralized wire-level Chord ring (WithChord) — behind one type.
 //
 //	ov, err := p2pstream.NewOverlay(file,
@@ -54,21 +55,12 @@ type Overlay struct {
 
 // overlayConfig is what the options write: the peer builder's node template
 // and discovery backend directly, plus the few settings that are resolved
-// per peer (network, seed) or once all options are known (the
-// order-independent overrides of the backend templates).
+// per peer (network, seed).
 type overlayConfig struct {
 	wire    wiring.Builder
 	network Network
 	netFor  func(hostID string) Network
 	seed    int64
-
-	// shardEpochs sets the sharded template's WatchEpochs (WithShardEpochs).
-	shardEpochs bool
-	// chordReplication and chordVirtualNodes override the WithChord
-	// template's Replication and VirtualNodes regardless of option order
-	// (zero = keep the template's value).
-	chordReplication  int
-	chordVirtualNodes int
 }
 
 var errBackendTwice = errors.New("p2pstream: overlay discovery backend configured twice")
@@ -105,7 +97,9 @@ func WithDirectory(addrs ...string) OverlayOption {
 // WithShardedDirectory selects sharded directory discovery with explicit
 // lease tuning. The config's Network, Clock, Seed and Observer fields are
 // filled per peer from the overlay's; set Addrs (and Refresh, if the
-// default lease period does not suit the deployment).
+// default lease period does not suit the deployment). Set WatchEpochs to
+// follow an elastic deployment managed elsewhere (p2pdir -autoscale, or a
+// ReshardController in another process); WithAutoscale implies it.
 func WithShardedDirectory(cfg ShardedDirectoryConfig) OverlayOption {
 	return func(c *overlayConfig) error {
 		if c.hasBackend() {
@@ -114,22 +108,9 @@ func WithShardedDirectory(cfg ShardedDirectoryConfig) OverlayOption {
 		if len(cfg.Addrs) == 0 {
 			return errors.New("p2pstream: WithShardedDirectory needs shard addresses")
 		}
-		tmpl := cfg // per overlay: NewOverlay writes WatchEpochs into it
-		c.wire.Sharded = &tmpl
+		c.wire.Sharded = &cfg
 		return nil
 	}
-}
-
-// WithShardEpochs subscribes every sharded directory client this overlay
-// creates to dir-epoch pushes from its shards: when an externally managed
-// elastic deployment (p2pdir -autoscale, or any ReshardController in
-// another process) flips the shard set, each client re-registers its moved
-// registrations in one batched round and double-reads candidates from the
-// old and new shard sets for one lease interval, so no lookup misses
-// mid-migration. Requires the sharded backend (WithDirectory with several
-// addresses, or WithShardedDirectory). Implied by WithAutoscale.
-func WithShardEpochs() OverlayOption {
-	return func(c *overlayConfig) error { c.shardEpochs = true; return nil }
 }
 
 // WithAutoscale attaches a resharding controller (NewReshardController) to
@@ -163,41 +144,7 @@ func WithChord(cfg ChordDiscoveryConfig) OverlayOption {
 		if c.hasBackend() {
 			return errBackendTwice
 		}
-		tmpl := cfg // per overlay: NewOverlay writes the overrides into it
-		c.wire.Chord = &tmpl
-		return nil
-	}
-}
-
-// WithChordReplication sets the chord ring's successor replication degree:
-// every peer's registration records are pushed to the k members after
-// their owner, and lookups fail over to those replicas when the owner is
-// unreachable — closing the churn window a crash otherwise opens until
-// stabilization splices the corpse out. Overrides the WithChord template's
-// Replication field regardless of option order; k = 0 keeps the template's
-// value (the chordnet default).
-func WithChordReplication(k int) OverlayOption {
-	return func(c *overlayConfig) error {
-		if k < 0 {
-			return fmt.Errorf("p2pstream: WithChordReplication(%d): want >= 0", k)
-		}
-		c.chordReplication = k
-		return nil
-	}
-}
-
-// WithChordVirtualNodes sets how many deterministic ring positions each
-// chord member claims (hash(name, i) for i < v): arcs — and with them the
-// random-key sampling probability — equalize as v grows, flattening the
-// supplier-selection skew a single-position ring exhibits. Overrides the
-// WithChord template's VirtualNodes field regardless of option order;
-// v = 0 keeps the template's value (the chordnet default).
-func WithChordVirtualNodes(v int) OverlayOption {
-	return func(c *overlayConfig) error {
-		if v < 0 {
-			return fmt.Errorf("p2pstream: WithChordVirtualNodes(%d): want >= 0", v)
-		}
-		c.chordVirtualNodes = v
+		c.wire.Chord = &cfg
 		return nil
 	}
 }
@@ -384,23 +331,8 @@ func NewOverlay(file *MediaFile, opts ...OverlayOption) (*Overlay, error) {
 	if !cfg.hasBackend() {
 		return nil, errors.New("p2pstream: overlay needs a discovery backend (WithDirectory, WithShardedDirectory, WithAutoscale or WithChord)")
 	}
-	if (cfg.chordReplication > 0 || cfg.chordVirtualNodes > 0) && b.Chord == nil {
-		return nil, errors.New("p2pstream: WithChordReplication/WithChordVirtualNodes need WithChord")
-	}
 	if b.Autoscale != nil && b.Sharded == nil {
 		return nil, errors.New("p2pstream: WithAutoscale needs the sharded directory backend (it selects one when no backend is configured)")
-	}
-	if cfg.shardEpochs && b.Sharded == nil {
-		return nil, errors.New("p2pstream: WithShardEpochs needs the sharded directory backend")
-	}
-	if cfg.shardEpochs {
-		b.Sharded.WatchEpochs = true
-	}
-	if cfg.chordReplication > 0 {
-		b.Chord.Replication = cfg.chordReplication
-	}
-	if cfg.chordVirtualNodes > 0 {
-		b.Chord.VirtualNodes = cfg.chordVirtualNodes
 	}
 	return &Overlay{cfg: cfg}, nil
 }
@@ -581,7 +513,7 @@ const (
 	EventSupplierWithdrawn = observe.SupplierWithdrawn
 	// EventReplicaAnswered: a chord lookup was answered by a replica after
 	// the key's owner proved unreachable — the fail-over path that closes
-	// the churn window (Hops). See WithChordReplication.
+	// the churn window (Hops). See ChordDiscoveryConfig.Replication.
 	EventReplicaAnswered = observe.ReplicaAnswered
 	// EventLookupMiss: a node's candidate lookup came back empty — under
 	// replication this means the churn window opened.

@@ -203,27 +203,14 @@ func TestPublicOverlayChord(t *testing.T) {
 }
 
 // TestPublicOverlayChordReplicated drives the replicated chord ring
-// through the facade: WithChordReplication and WithChordVirtualNodes reach
-// every peer's chordnet config, and when a seed crashes on a
+// through the facade: the WithChord template's Replication and VirtualNodes
+// reach every peer's chordnet config, and when a seed crashes on a
 // slow-stabilizing ring (so no repair round can heal it mid-test), later
 // requesters are still served through the replica fail-over path — the
 // observer sees EventReplicaAnswered and never EventLookupMiss.
 func TestPublicOverlayChordReplicated(t *testing.T) {
 	ctx := context.Background()
 	file := &p2pstream.MediaFile{Name: "v", Segments: 8, SegmentBytes: 64, SegmentTime: 4 * time.Millisecond}
-
-	// The replication options require the chord backend and reject
-	// negative degrees.
-	if _, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory("dir:1"), p2pstream.WithChordReplication(2),
-	); err == nil {
-		t.Error("WithChordReplication on a directory overlay should fail")
-	}
-	if _, err := p2pstream.NewOverlay(file,
-		p2pstream.WithChord(p2pstream.ChordDiscoveryConfig{}), p2pstream.WithChordVirtualNodes(-1),
-	); err == nil {
-		t.Error("WithChordVirtualNodes(-1) should fail")
-	}
 
 	clk := p2pstream.NewVirtualClock()
 	t.Cleanup(clk.AutoRun())
@@ -242,9 +229,9 @@ func TestPublicOverlayChordReplicated(t *testing.T) {
 	ov, err := p2pstream.NewOverlay(file,
 		// Stabilization far slower than the test: the crashed seed stays
 		// spliced into the ring throughout, so only replicas can cover it.
-		p2pstream.WithChord(p2pstream.ChordDiscoveryConfig{Stabilize: 2 * time.Second}),
-		p2pstream.WithChordReplication(2),
-		p2pstream.WithChordVirtualNodes(4),
+		p2pstream.WithChord(p2pstream.ChordDiscoveryConfig{
+			Stabilize: 2 * time.Second, Replication: 2, VirtualNodes: 4,
+		}),
 		p2pstream.WithObserver(obs),
 		p2pstream.WithClock(clk),
 		p2pstream.WithNetworkFor(func(id string) p2pstream.Network { return vnet.Host(id) }),
@@ -519,19 +506,12 @@ func TestPublicOverlayElastic(t *testing.T) {
 	}
 }
 
-// TestPublicOverlayElasticOptionErrors pins the elastic options' misuse
-// errors: WithAutoscale rejects a nil controller, and both elastic options
-// require the sharded directory backend.
+// TestPublicOverlayElasticOptionErrors pins WithAutoscale's misuse errors:
+// it rejects a nil controller and requires the sharded directory backend.
 func TestPublicOverlayElasticOptionErrors(t *testing.T) {
 	file := &p2pstream.MediaFile{Name: "v", Segments: 4, SegmentBytes: 16, SegmentTime: time.Millisecond}
 	if _, err := p2pstream.NewOverlay(file, p2pstream.WithAutoscale(nil)); err == nil {
 		t.Error("WithAutoscale(nil) built an overlay, want error")
-	}
-	if _, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory("127.0.0.1:7000"),
-		p2pstream.WithShardEpochs(),
-	); err == nil {
-		t.Error("WithShardEpochs over the centralized directory built an overlay, want error")
 	}
 	srv := p2pstream.NewDirectoryServer(1)
 	defer srv.Close()
