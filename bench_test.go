@@ -1,5 +1,5 @@
-// Benchmarks regenerating every table and figure of the paper (E1-E10 in
-// DESIGN.md), plus micro-benchmarks of the underlying mechanisms. The
+// Benchmarks regenerating every table and figure of the paper (the ten
+// experiments of internal/experiments.IDs), plus micro-benchmarks of the underlying mechanisms. The
 // simulation-backed benchmarks run a reduced workload per iteration so
 // `go test -bench=.` completes in minutes; cmd/p2pbench runs the same
 // experiments at the paper's full 50,100-peer scale.

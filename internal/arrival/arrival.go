@@ -10,8 +10,8 @@
 //	           between bursts.
 //
 // The ICDCS paper defers exact specifications to its technical report; the
-// parameterizations here are synthesized from the prose and recorded in
-// DESIGN.md. All generators draw from a caller-provided random source and
+// parameterizations here are synthesized from the prose and recorded on
+// the burst constants below. All generators draw from a caller-provided random source and
 // return sorted times, so runs are reproducible.
 package arrival
 

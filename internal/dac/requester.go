@@ -65,10 +65,10 @@ func SelectSuppliers(outcomes []ProbeOutcome) (chosen []int, admitted bool) {
 // requester leaves reminders (Section 4.2): scanning busy candidates that
 // currently favor the requester's class from high class to low class,
 // accumulate offers up to exactly R0 with the same overshoot-skipping rule.
-// If R0 is unreachable the accumulated prefix is still reminded
-// (substitution noted in DESIGN.md: the paper requires the subset's
-// aggregate to equal R0 but does not say what to do when the busy favoring
-// candidates cannot reach it).
+// If R0 is unreachable the accumulated prefix is still reminded (a
+// substitution: the paper requires the subset's aggregate to equal R0 but
+// does not say what to do when the busy favoring candidates cannot reach
+// it).
 func ReminderTargets(dst []int, outcomes []ProbeOutcome) []int {
 	dst, _ = appendUpToR0(dst, outcomes, DeniedBusy, true)
 	return dst

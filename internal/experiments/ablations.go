@@ -15,7 +15,9 @@ import (
 )
 
 // The extension experiments go beyond the paper's artifacts: ablations of
-// the design choices DESIGN.md calls out, plus a replication harness that
+// the design choices each Ablation* doc below names (the optimal segment
+// assignment, candidates that are down, the lookup substrate), plus a
+// replication harness that
 // reruns the headline results under several seeds and reports confidence
 // intervals.
 

@@ -242,6 +242,9 @@ type Node struct {
 	// post-session updates are per stream, while the session budget above
 	// is per node.
 	sups map[string]*protocol.Supplier
+	// retired accumulates the protocol counters of suppliers torn down by
+	// eviction, so Stats stays monotonic over the node's lifetime.
+	retired Stats
 	// pending holds partially received stores of in-flight requests, by
 	// object name; a completed store moves into lib.
 	pending map[string]*media.Store
@@ -414,22 +417,28 @@ func (n *Node) SupplyingObject(name string) bool {
 }
 
 // Stats returns one consistent snapshot of the node's protocol counters,
-// summed across its per-object suppliers.
+// summed across its per-object suppliers — those since evicted included.
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
+	st := n.retired
 	sups := make([]*protocol.Supplier, 0, len(n.sups))
 	for _, sup := range n.sups {
 		sups = append(sups, sup)
 	}
 	n.mu.Unlock()
-	st := Stats{WriteFailures: n.ep.WriteFailures()}
+	st.WriteFailures = n.ep.WriteFailures()
 	for _, sup := range sups {
-		p, s, r := sup.Stats()
-		st.Probes += p
-		st.Sessions += s
-		st.Reminders += r
+		st.add(sup)
 	}
 	return st
+}
+
+// add folds one supplier's protocol counters into st.
+func (st *Stats) add(sup *protocol.Supplier) {
+	p, s, r := sup.Stats()
+	st.Probes += p
+	st.Sessions += s
+	st.Reminders += r
 }
 
 // Store exposes the primary object's segment store (read-only use), or
@@ -545,6 +554,9 @@ func (n *Node) onEvict(f *media.File) {
 	n.mu.Lock()
 	sup := n.sups[f.Name]
 	delete(n.sups, f.Name)
+	if sup != nil {
+		n.retired.add(sup)
+	}
 	closed := n.closed
 	n.mu.Unlock()
 	if sup == nil {

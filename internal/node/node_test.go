@@ -366,6 +366,17 @@ func TestRequestUntilAdmittedGivesUp(t *testing.T) {
 	}
 }
 
+// TestRequestUntilAdmittedEmptyRegistry: exhaustion reports what the last
+// attempt hit. Nobody rejected this requester — there was nobody to ask.
+func TestRequestUntilAdmittedEmptyRegistry(t *testing.T) {
+	c := newCluster(t)
+	req := c.requester("r", 1)
+	_, err := req.RequestUntilAdmitted(context.Background(), "", 3)
+	if !errors.Is(err, ErrNoSuppliers) || errors.Is(err, ErrRejected) {
+		t.Fatalf("err = %v, want ErrNoSuppliers and not ErrRejected", err)
+	}
+}
+
 // TestBusySupplierRefusesSecondSession: while seed1+seed2 stream to p1, a
 // concurrent probe to them is denied-busy and a direct Start is refused.
 func TestBusySupplierRefusesSecondSession(t *testing.T) {
@@ -515,6 +526,51 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.Sessions != 1 {
 		t.Errorf("seed1 sessions = %d, want 1", st.Sessions)
+	}
+}
+
+// TestStatsSurviveEviction: the node's protocol counters are for its
+// lifetime. x caches object a, supplies one session of it, then caches b —
+// which evicts a and tears its supplier down; the probes and the session x
+// served for a must still be in Stats.
+func TestStatsSurviveEviction(t *testing.T) {
+	c := newCluster(t)
+	ctx := context.Background()
+	a, b := testFile(), testFile()
+	a.Name, b.Name = "a", "b"
+	config := func(id string, held ...string) Config {
+		cfg := c.config(id, 1)
+		cfg.File, cfg.Objects, cfg.Held = nil, []*media.File{a, b}, held
+		cfg.CacheBudget = a.TotalBytes() + b.TotalBytes()/2 // one object at a time
+		return cfg
+	}
+	c.start(NewSeed(config("sa1", "a")))
+	sa2 := c.start(NewSeed(config("sa2", "a")))
+	c.start(NewSeed(config("sb1", "b")))
+	c.start(NewSeed(config("sb2", "b")))
+	x := c.start(NewRequester(config("x")))
+	y := c.start(NewRequester(config("y")))
+
+	if _, err := x.Request(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	// With sa2 gone, y's session for a needs x's half of the rate.
+	sa2.Close()
+	if _, err := y.RequestUntilAdmitted(ctx, "a", 8); err != nil {
+		t.Fatal(err)
+	}
+	before := x.Stats()
+	if before.Sessions != 1 || before.Probes == 0 {
+		t.Fatalf("x before eviction: %+v, want 1 session and some probes", before)
+	}
+	if _, err := x.Request(ctx, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if x.SupplyingObject("a") || !x.SupplyingObject("b") {
+		t.Fatal("caching b should have evicted a")
+	}
+	if after := x.Stats(); after.Sessions < before.Sessions || after.Probes < before.Probes || after.Reminders < before.Reminders {
+		t.Errorf("Stats ran backwards across the eviction: %+v -> %+v", before, after)
 	}
 }
 

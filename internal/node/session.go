@@ -183,9 +183,9 @@ func pick(cands []transport.Candidate, idxs []int) []transport.Candidate {
 
 // RequestUntilAdmitted retries Request for one object with the configured
 // backoff until admitted, the context is cancelled, or maxAttempts
-// attempts have failed. Only protocol rejections (ErrRejected,
-// ErrNoSuppliers) are retried; cancellation and hard transport failures
-// surface immediately.
+// attempts have failed (the error then wraps the last attempt's). Only
+// protocol rejections (ErrRejected, ErrNoSuppliers) are retried;
+// cancellation and hard transport failures surface immediately.
 func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttempts int) (*SessionReport, error) {
 	if maxAttempts < 1 {
 		return nil, fmt.Errorf("node %s: maxAttempts %d, want >= 1", n.cfg.ID, maxAttempts)
@@ -211,7 +211,9 @@ func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttem
 		}
 		rejections++
 		if attempt == maxAttempts {
-			return nil, fmt.Errorf("node %s: %w after %d attempts", n.cfg.ID, ErrRejected, rejections)
+			// err already names the node and wraps the last attempt's own
+			// sentinel: an empty registry exhausts as ErrNoSuppliers.
+			return nil, fmt.Errorf("%w after %d attempts", err, rejections)
 		}
 		wait, err := n.cfg.Backoff.After(rejections)
 		if err != nil {

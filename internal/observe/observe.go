@@ -7,10 +7,16 @@
 // Observers are optional everywhere: a nil Observer costs one branch.
 // Events fire on hot paths (reply writes, lookups), so implementations
 // must be fast and must not block; anything slow belongs behind a channel
-// the observer owns.
+// the observer owns. Tally is the observer that counts: whoever wants run
+// totals (the scenario harness does) installs one and reads its Snapshot.
 package observe
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+	"time"
+)
 
 // Type discriminates events.
 type Type int
@@ -72,38 +78,33 @@ const (
 	// registrations that changed owner, Latency the time from receiving
 	// the epoch push to the last batch landing (the flip convergence).
 	ReshardMove
+	// numTypes bounds the declared types; it sizes the name table and the
+	// Tally. New types go above it, with a name below.
+	numTypes
 )
 
+// typeNames is the one name table: String reads it, and a declared Type
+// without an entry fails TestTypeStrings.
+var typeNames = [numTypes]string{
+	WriteError:        "write-error",
+	LookupDone:        "lookup-done",
+	ShardLookup:       "shard-lookup",
+	SessionServed:     "session-served",
+	ProbeServed:       "probe-served",
+	BitrateDowngrade:  "bitrate-downgrade",
+	ObjectEvicted:     "object-evicted",
+	SupplierWithdrawn: "supplier-withdrawn",
+	ReplicaAnswered:   "replica-answered",
+	LookupMiss:        "lookup-miss",
+	EpochFlip:         "epoch-flip",
+	ShardAdded:        "shard-added",
+	ShardDrained:      "shard-drained",
+	ReshardMove:       "reshard-move",
+}
+
 func (t Type) String() string {
-	switch t {
-	case WriteError:
-		return "write-error"
-	case LookupDone:
-		return "lookup-done"
-	case ShardLookup:
-		return "shard-lookup"
-	case SessionServed:
-		return "session-served"
-	case ProbeServed:
-		return "probe-served"
-	case BitrateDowngrade:
-		return "bitrate-downgrade"
-	case ObjectEvicted:
-		return "object-evicted"
-	case SupplierWithdrawn:
-		return "supplier-withdrawn"
-	case ReplicaAnswered:
-		return "replica-answered"
-	case LookupMiss:
-		return "lookup-miss"
-	case EpochFlip:
-		return "epoch-flip"
-	case ShardAdded:
-		return "shard-added"
-	case ShardDrained:
-		return "shard-drained"
-	case ReshardMove:
-		return "reshard-move"
+	if t > 0 && t < numTypes {
+		return typeNames[t]
 	}
 	return "unknown"
 }
@@ -180,4 +181,91 @@ func (m multi) Observe(ev Event) {
 	for _, o := range m {
 		o.Observe(ev)
 	}
+}
+
+// Tally is the counting Observer: per event Type it keeps how many events
+// arrived, how many carried an Err, the sum of their Count, and the sum and
+// maximum of their Latency — every quantity a run-level counter has ever
+// been derived from, declared once. The zero value is ready; Observe takes
+// no lock and allocates nothing.
+type Tally struct {
+	cells [numTypes]struct{ n, errs, sum, latency, maxLatency atomic.Int64 }
+}
+
+// Observe folds ev into its type's cell; an undeclared Type is dropped.
+func (t *Tally) Observe(ev Event) {
+	if ev.Type <= 0 || ev.Type >= numTypes {
+		return
+	}
+	c := &t.cells[ev.Type]
+	c.n.Add(1)
+	if ev.Err != nil {
+		c.errs.Add(1)
+	}
+	if ev.Count != 0 {
+		c.sum.Add(int64(ev.Count))
+	}
+	if ns := int64(ev.Latency); ns != 0 {
+		c.latency.Add(ns)
+		for {
+			old := c.maxLatency.Load()
+			if ns <= old || c.maxLatency.CompareAndSwap(old, ns) {
+				break
+			}
+		}
+	}
+}
+
+// Snapshot copies the cells out. Each cell is read atomically; the snapshot
+// as a whole is not one instant when events are still arriving.
+func (t *Tally) Snapshot() Snapshot {
+	var s Snapshot
+	for i := range t.cells {
+		c := &t.cells[i]
+		s[i] = Counts{
+			N: c.n.Load(), Errs: c.errs.Load(), Sum: c.sum.Load(),
+			Latency: time.Duration(c.latency.Load()), MaxLatency: time.Duration(c.maxLatency.Load()),
+		}
+	}
+	return s
+}
+
+// Counts is one event type's totals: N events, Errs of them failed, Sum of
+// their Count fields (moved registrations for ReshardMove; a shard count,
+// not a quantity, for EpochFlip), Latency summed and at its maximum.
+type Counts struct {
+	N, Errs, Sum        int64
+	Latency, MaxLatency time.Duration
+}
+
+// Snapshot is a Tally's cells at one reading, a plain comparable value.
+type Snapshot [numTypes]Counts
+
+// Of returns the totals of one event type (zero for an undeclared one).
+func (s Snapshot) Of(t Type) Counts {
+	if t <= 0 || t >= numTypes {
+		return Counts{}
+	}
+	return s[t]
+}
+
+// String lists every type that fired as name=N, in declaration order,
+// with the failed share where there is one: "probe-served=12
+// shard-lookup=9(2 failed)". Empty when nothing fired.
+func (s Snapshot) String() string {
+	var b strings.Builder
+	for t := Type(1); t < numTypes; t++ {
+		c := s[t]
+		if c.N == 0 {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%d", t, c.N)
+		if c.Errs > 0 {
+			fmt.Fprintf(&b, "(%d failed)", c.Errs)
+		}
+	}
+	return b.String()
 }

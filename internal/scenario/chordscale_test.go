@@ -5,6 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"p2pstream/internal/observe"
 )
 
 // meanHopsPerLookup computes the run's routing cost: total chord hops over
@@ -66,7 +68,7 @@ func TestChordScaleHops(t *testing.T) {
 		}
 		means = append(means, mean)
 		t.Logf("%s: wall %v, mean %.2f hops/lookup, %d replica-answered, %d misses",
-			spec.Name, wall.Round(time.Millisecond), mean, rep.ReplicaAnswered, rep.LookupMisses)
+			spec.Name, wall.Round(time.Millisecond), mean, rep.Events.Of(observe.ReplicaAnswered).N, rep.Events.Of(observe.LookupMiss).N)
 	}
 
 	// Growth: each quadrupling of the ring must cost more hops per lookup,

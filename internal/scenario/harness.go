@@ -105,35 +105,13 @@ type harness struct {
 	// counted, the same staleness the directory exhibits.
 	suppliers atomic.Int64
 
-	// Sharded-directory fan-out aggregates, fed by the ShardLookup events
-	// every sharded client emits on the harness observer: legs executed,
-	// legs failed, and the cumulative leg latency in virtual nanoseconds.
-	// Sampled per requester completion onto the admission axis.
-	shardLegs      atomic.Int64
-	shardLegFails  atomic.Int64
-	shardLatencyNs atomic.Int64
+	// tally is the run's only observer: every node, discovery endpoint and
+	// the reshard controller emit on it, and every event count the report
+	// carries is read back from its snapshots.
+	tally observe.Tally
 
-	// Cache-churn aggregates, fed by the ObjectEvicted/SupplierWithdrawn
-	// events every node emits on the harness observer.
-	evictions   atomic.Int64
-	withdrawals atomic.Int64
-	// Churn-window aggregates: lookupMisses counts candidate lookups that
-	// came up empty (node LookupMiss events), replicaAnswered counts chord
-	// lookups a replica served after the range's owner failed (chordnet
-	// ReplicaAnswered events).
-	lookupMisses    atomic.Int64
-	replicaAnswered atomic.Int64
-
-	// Elastic-registry state (spec.Autoscale): the autoscaling controller
-	// plus the run's resharding aggregates, fed by the controller observer
-	// (flips, adds, drains) and the clients' ReshardMove events (migrated
-	// registrations, slowest flip convergence in virtual nanoseconds).
-	ctrl          *reshard.Controller
-	epochFlips    atomic.Int64
-	shardsAdded   atomic.Int64
-	shardsDrained atomic.Int64
-	reshardMoves  atomic.Int64
-	flipConvNs    atomic.Int64
+	// ctrl is the elastic registry's autoscaling controller (spec.Autoscale).
+	ctrl *reshard.Controller
 
 	// preregSeeds marks the batched seed-boot path: seeds start with
 	// Preregistered set and the harness announces them all to the
@@ -161,56 +139,6 @@ type harness struct {
 
 // elastic reports whether the registry autoscales (spec.Autoscale).
 func (h *harness) elastic() bool { return h.spec.Autoscale != nil }
-
-// observer is installed, through the builder's node template, on every
-// node and discovery endpoint of the run. It aggregates the sharded
-// clients' fan-out legs and epoch migrations, the nodes' cache-churn events
-// (evictions and graceful supplier withdrawals) and the churn-window events
-// (empty node lookups, replica-answered chord lookups) into the run
-// counters.
-func (h *harness) observer() observe.Observer {
-	return observe.Func(func(ev observe.Event) {
-		switch ev.Type {
-		case observe.ShardLookup:
-			h.shardLegs.Add(1)
-			h.shardLatencyNs.Add(int64(ev.Latency))
-			if ev.Err != nil {
-				h.shardLegFails.Add(1)
-			}
-		case observe.ReshardMove:
-			h.reshardMoves.Add(int64(ev.Count))
-			for {
-				old := h.flipConvNs.Load()
-				ns := int64(ev.Latency)
-				if ns <= old || h.flipConvNs.CompareAndSwap(old, ns) {
-					break
-				}
-			}
-		case observe.ObjectEvicted:
-			h.evictions.Add(1)
-		case observe.SupplierWithdrawn:
-			h.withdrawals.Add(1)
-		case observe.LookupMiss:
-			h.lookupMisses.Add(1)
-		case observe.ReplicaAnswered:
-			h.replicaAnswered.Add(1)
-		}
-	})
-}
-
-// ctrlObserver aggregates the autoscaling controller's events.
-func (h *harness) ctrlObserver() observe.Observer {
-	return observe.Func(func(ev observe.Event) {
-		switch ev.Type {
-		case observe.EpochFlip:
-			h.epochFlips.Add(1)
-		case observe.ShardAdded:
-			h.shardsAdded.Add(1)
-		case observe.ShardDrained:
-			h.shardsDrained.Add(1)
-		}
-	})
-}
 
 // objectSuppliers snapshots the final per-object supplier registration
 // counts from the live directory registries; nil in single-object mode and
@@ -400,7 +328,7 @@ func (h *harness) newBuilder() *wiring.Builder {
 		Clock:        h.clk,
 		NoAdapt:      h.spec.NoAdapt,
 		ExtraBuffer:  h.spec.Buffer,
-		Observer:     h.observer(),
+		Observer:     &h.tally,
 	}}
 	switch {
 	case h.chordBacked():
@@ -523,7 +451,7 @@ func Run(spec Spec) (*Report, error) {
 			Members:    members,
 			Spawn:      h.spawnShard,
 			Retire:     h.retireShard,
-			Observer:   h.ctrlObserver(),
+			Observer:   &h.tally,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
@@ -632,7 +560,7 @@ func Run(spec Spec) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i] = h.runRequester(base, w)
+			h.runRequester(base, w, &results[i])
 		}()
 	}
 	wg.Wait()
@@ -651,27 +579,25 @@ func Run(spec Spec) (*Report, error) {
 			}
 		}
 	}
-	stats := runStats{
-		dials:           vnet.Dials(),
-		queueDrops:      vnet.QueueDrops(),
-		seedBootDials:   seedBootDials,
-		evictions:       h.evictions.Load(),
-		withdrawals:     h.withdrawals.Load(),
-		lookupMisses:    h.lookupMisses.Load(),
-		replicaAnswered: h.replicaAnswered.Load(),
-		objSuppliers:    h.objectSuppliers(),
-		epochFlips:      h.epochFlips.Load(),
-		shardsAdded:     h.shardsAdded.Load(),
-		shardsDrained:   h.shardsDrained.Load(),
-		reshardMoves:    h.reshardMoves.Load(),
-		flipConv:        time.Duration(h.flipConvNs.Load()),
-		shardLegFails:   h.shardLegFails.Load(),
-		lostRegs:        h.lostRegistrations(),
+	r := &Report{
+		Spec:              spec,
+		Nodes:             results,
+		Elapsed:           elapsed,
+		FinalSuppliers:    h.supplierLevel(),
+		ShardSuppliers:    h.shardSuppliers(),
+		ShardStats:        h.shardStats(),
+		Dials:             vnet.Dials(),
+		SeedBootDials:     seedBootDials,
+		QueueDrops:        vnet.QueueDrops(),
+		ObjectSuppliers:   h.objectSuppliers(),
+		LostRegistrations: h.lostRegistrations(),
+		Events:            h.tally.Snapshot(),
 	}
 	for _, st := range traffic {
-		stats.traffic = append(stats.traffic, st.result(elapsed))
+		r.Traffic = append(r.Traffic, st.result(elapsed))
 	}
-	return buildReport(spec, results, elapsed, h.supplierLevel(), h.shardSuppliers(), h.shardStats(), stats), nil
+	r.buildSeries()
+	return r, nil
 }
 
 // lostRegistrations audits the elastic registry's zero-loss contract at
@@ -736,9 +662,12 @@ func (h *harness) closeShards() {
 }
 
 // runRequester drives one requesting peer from its arrival to completion
-// (or exhaustion of its attempt budget) and records its result.
-func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
-	res := NodeResult{ID: w.ID, Class: w.Class}
+// (or exhaustion of its attempt budget) and records its result in res. It
+// fills res in place: every requester's goroutine sits in this frame for
+// the whole run, and a NodeResult on it (the event snapshot makes it 0.8 KB)
+// is paid once per stack.
+func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
+	res.ID, res.Class = w.ID, w.Class
 	if w.Start > 0 {
 		h.clk.Sleep(w.Start)
 	}
@@ -746,28 +675,19 @@ func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
 		h.net.SetUp(w.ID)
 	}
 	res.Start = h.clk.Since(base)
-	fail := func(err error) NodeResult {
-		res.Done = h.clk.Since(base)
-		res.Err = err
-		return res
-	}
 	n, chordPeer, err := h.startPeer(w.Peer, w.seed, false)
 	if err != nil {
-		return fail(err)
+		res.Done = h.clk.Since(base)
+		res.Err = err
+		return
 	}
 	h.track(w.ID, n)
 	var uniform func() float64
 	if h.spec.BackoffJitter > 0 {
 		// One splitmix64 word per requester, not a math/rand table: seeding
 		// ten thousand 5KB generators showed up in the crowd profile.
-		state := uint64(w.seed)
-		uniform = func() float64 {
-			state += 0x9e3779b97f4a7c15
-			z := state
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			return float64((z^(z>>31))>>11) / (1 << 53)
-		}
+		rng := splitmix64(w.seed)
+		uniform = rng.uniform
 	}
 	// The request sequence: one object in single-object mode (the empty
 	// name routes to the node's primary), or the peer's declared Objects
@@ -794,15 +714,10 @@ func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
 	if chordPeer != nil {
 		res.Lookups, res.LookupHops, res.SampleRounds = chordPeer.LookupStats()
 	}
-	res.ShardLegs = h.shardLegs.Load()
-	res.ShardLegFails = h.shardLegFails.Load()
-	res.ShardLatency = time.Duration(h.shardLatencyNs.Load())
-	res.Evictions = h.evictions.Load()
-	res.EpochFlips = h.epochFlips.Load()
-	res.ReshardMoves = h.reshardMoves.Load()
+	res.Events = h.tally.Snapshot()
 	if rerr != nil {
 		res.Err = rerr
-		return res
+		return
 	}
 	file := h.spec.objectFile(objects[len(objects)-1])
 	if len(h.spec.Objects) > 0 {
@@ -824,7 +739,6 @@ func (h *harness) runRequester(base time.Time, w workItem) NodeResult {
 	res.TheoremOK = report.TheoreticalDelay == time.Duration(len(report.Suppliers))*file.SegmentTime
 	res.StoreOK = storeExact(n.StoreOf(file.Name), file)
 	res.SupplierLevel = h.supplierLevel()
-	return res
 }
 
 func (h *harness) track(id string, n *node.Node) {

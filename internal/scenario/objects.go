@@ -8,6 +8,19 @@ import (
 	"p2pstream/internal/media"
 )
 
+// splitmix64 is the harness's one-word seeded generator (Zipf cohorts,
+// per-requester backoff jitter); the value is the stream's state.
+type splitmix64 uint64
+
+// uniform returns the stream's next draw in [0, 1).
+func (s *splitmix64) uniform() float64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return float64((z^(z>>31))>>11) / (1 << 53)
+}
+
 // ZipfObjects deterministically draws n object names from a Zipf(skew)
 // popularity law over names — rank 1 (names[0]) is the hottest — using a
 // splitmix64 stream seeded by seed. The multi-object workload generator:
@@ -26,17 +39,10 @@ func ZipfObjects(seed int64, names []string, n int, skew float64) []string {
 		total += 1 / math.Pow(float64(i+1), skew)
 		cum[i] = total
 	}
-	state := uint64(seed)
-	next := func() float64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return float64((z^(z>>31))>>11) / (1 << 53)
-	}
+	rng := splitmix64(seed)
 	out := make([]string, n)
 	for i := range out {
-		u := next() * total
+		u := rng.uniform() * total
 		out[i] = names[len(names)-1]
 		for j, c := range cum {
 			if u < c {

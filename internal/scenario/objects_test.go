@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"p2pstream/internal/media"
+	"p2pstream/internal/observe"
 )
 
 // TestZipfObjects: the workload generator is a pure function (same
@@ -248,15 +249,16 @@ func TestCacheChurnDetails(t *testing.T) {
 		}
 	}
 	// The three two-object requesters each overflow their budget once.
-	if report.EvictionTotal < 3 {
-		t.Errorf("EvictionTotal = %d, want >= 3 (r1, r2 and r4 each cache past their budget)", report.EvictionTotal)
+	evictions := report.Events.Of(observe.ObjectEvicted).N
+	withdrawals := report.Events.Of(observe.SupplierWithdrawn).N
+	if evictions < 3 {
+		t.Errorf("%d evictions, want >= 3 (r1, r2 and r4 each cache past their budget)", evictions)
 	}
-	if report.WithdrawalTotal < 3 {
-		t.Errorf("WithdrawalTotal = %d, want >= 3 (each eviction withdraws a live supplier registration)", report.WithdrawalTotal)
+	if withdrawals < 3 {
+		t.Errorf("%d withdrawals, want >= 3 (each eviction withdraws a live supplier registration)", withdrawals)
 	}
-	if report.WithdrawalTotal > report.EvictionTotal {
-		t.Errorf("WithdrawalTotal %d > EvictionTotal %d: withdrew more than was evicted",
-			report.WithdrawalTotal, report.EvictionTotal)
+	if withdrawals > evictions {
+		t.Errorf("%d withdrawals > %d evictions: withdrew more than was evicted", withdrawals, evictions)
 	}
 	// The eviction series rides the shared axis: the last completion's
 	// snapshot carries the run's churn.

@@ -11,6 +11,7 @@ import (
 	"p2pstream/internal/directory"
 	"p2pstream/internal/metrics"
 	"p2pstream/internal/node"
+	"p2pstream/internal/observe"
 )
 
 // NodeResult is one requester's outcome.
@@ -51,21 +52,11 @@ type NodeResult struct {
 	// routing hops they cost, and candidate sample rounds executed. Zero
 	// under the directory backends (one round trip per lookup, no hops).
 	Lookups, LookupHops, SampleRounds int64
-	// ShardLegs, ShardLegFails and ShardLatency snapshot the sharded
-	// directory's cumulative fan-out aggregates (across all clients, fed
-	// by the ShardLookup observer events) at this peer's completion: legs
-	// executed, legs that failed, and total leg latency. Zero when the
-	// registry is not sharded.
-	ShardLegs, ShardLegFails int64
-	ShardLatency             time.Duration
-	// Evictions snapshots the run's cumulative cache-eviction count at
-	// this peer's completion (across all nodes; zero when no library is
-	// bounded).
-	Evictions int64
-	// EpochFlips and ReshardMoves snapshot the elastic registry's
-	// cumulative resharding-epoch flips and migrated registrations at this
-	// peer's completion (zero when the registry is not elastic).
-	EpochFlips, ReshardMoves int64
+	// Events snapshots the run's event tally (across all components, not
+	// this peer's alone) at this peer's completion; the cumulative series
+	// — shard fan-out, evictions, epoch flips, migrated registrations —
+	// are sampled from it.
+	Events observe.Snapshot
 	// Downgraded counts segments that arrived below full quality, and
 	// MaxQuality is the deepest bitrate class any of them reached — the
 	// suppliers' ABR ladder as this requester experienced it.
@@ -84,26 +75,6 @@ type TrafficResult struct {
 	// Rate is the flow's achieved delivery rate in bytes/second over its
 	// active window (zero if the flow never got going).
 	Rate float64
-}
-
-// runStats carries the run-wide substrate counters into the report.
-type runStats struct {
-	dials           int64
-	queueDrops      int64
-	seedBootDials   int64
-	evictions       int64
-	withdrawals     int64
-	lookupMisses    int64
-	replicaAnswered int64
-	objSuppliers    map[string]int
-	traffic         []TrafficResult
-	epochFlips      int64
-	shardsAdded     int64
-	shardsDrained   int64
-	reshardMoves    int64
-	flipConv        time.Duration
-	shardLegFails   int64
-	lostRegs        []string
 }
 
 // Report is the outcome of one scenario run.
@@ -133,33 +104,18 @@ type Report struct {
 	// seed in one batched round, so this stays O(1) instead of one dial
 	// per seed.
 	SeedBootDials int64
-	// EvictionTotal and WithdrawalTotal count the run's ObjectEvicted and
-	// SupplierWithdrawn events across all nodes — zero unless a bounded
-	// library actually churned.
-	EvictionTotal, WithdrawalTotal int64
-	// LookupMisses counts candidate lookups that came up empty across all
-	// requesters; ReplicaAnswered counts chord lookups a replica served
-	// after the range's owner failed. Together they are the churn-window
-	// gauge: a replicated ring under owner churn keeps the first at zero by
-	// pushing fail-overs into the second.
-	LookupMisses, ReplicaAnswered int64
+	// Events is the run's final event tally: every observe.Event any
+	// component emitted — nodes, discovery clients, chord peers, the reshard
+	// controller — counted per type (events, failed events, summed Count,
+	// summed and slowest Latency). Every event-count expectation reads it:
+	// Events.Of(observe.ObjectEvicted).N evictions, Of(LookupMiss).N empty
+	// lookups, Of(ShardLookup).Errs failed fan-out legs, Of(ReshardMove).Sum
+	// migrated registrations and .MaxLatency the slowest flip convergence.
+	Events observe.Snapshot
 	// ObjectSuppliers is the final per-object supplier registration count
 	// from the directory registries in multi-object mode; nil otherwise
 	// (the chord census does not split by object).
 	ObjectSuppliers map[string]int
-	// EpochFlips, ShardsAdded and ShardsDrained count the elastic
-	// registry's resharding-epoch flips and membership changes;
-	// ReshardMoves counts the registrations the clients migrated across
-	// those flips. All zero when the registry is not elastic.
-	EpochFlips, ShardsAdded, ShardsDrained, ReshardMoves int64
-	// FlipConvergence is the slowest epoch migration of the run: the
-	// latency from an epoch push reaching a client to its batched
-	// re-registration completing. Zero when no migration ran.
-	FlipConvergence time.Duration
-	// FailedShardLegs is the run's total failed candidate fan-out legs —
-	// the final value of the ShardFailures series plus any legs that
-	// failed after the last completion.
-	FailedShardLegs int64
 	// LostRegistrations lists the live suppliers whose registration the
 	// end-of-run zero-loss audit could not find on the owning shard of the
 	// final epoch's ring (id, or id/object in multi-object mode); nil when
@@ -225,54 +181,32 @@ type Report struct {
 // run charts its tail trajectory without a per-sample sort.
 const quantileCheckpoints = 128
 
-// buildReport assembles the report from the per-requester results.
-func buildReport(spec Spec, results []NodeResult, elapsed time.Duration, finalSuppliers int, shardSuppliers []int, shardStats []directory.Stats, stats runStats) *Report {
-	sortResults(results)
-	r := &Report{
-		Spec:              spec,
-		Nodes:             results,
-		Elapsed:           elapsed,
-		FinalSuppliers:    finalSuppliers,
-		ShardSuppliers:    shardSuppliers,
-		ShardStats:        shardStats,
-		Dials:             stats.dials,
-		QueueDrops:        stats.queueDrops,
-		SeedBootDials:     stats.seedBootDials,
-		EvictionTotal:     stats.evictions,
-		WithdrawalTotal:   stats.withdrawals,
-		LookupMisses:      stats.lookupMisses,
-		ReplicaAnswered:   stats.replicaAnswered,
-		ObjectSuppliers:   stats.objSuppliers,
-		Traffic:           stats.traffic,
-		EpochFlips:        stats.epochFlips,
-		ShardsAdded:       stats.shardsAdded,
-		ShardsDrained:     stats.shardsDrained,
-		ReshardMoves:      stats.reshardMoves,
-		FlipConvergence:   stats.flipConv,
-		FailedShardLegs:   stats.shardLegFails,
-		LostRegistrations: stats.lostRegs,
-		Admission:         &metrics.Series{Name: "admission_ms"},
-		Tries:             &metrics.Series{Name: "attempts"},
-		Buffering:         &metrics.Series{Name: "buffering_ms"},
-		Suppliers:         &metrics.Series{Name: "suppliers"},
-		LookupHops:        &metrics.Series{Name: "lookup_hops"},
-		SampleRounds:      &metrics.Series{Name: "sample_rounds"},
-		ShardLookupMs:     &metrics.Series{Name: "shard_lookup_ms"},
-		ShardFailures:     &metrics.Series{Name: "shard_failures"},
-		Downgrades:        &metrics.Series{Name: "downgraded"},
-		Throughput:        &metrics.Series{Name: "throughput_bps"},
-		Evictions:         &metrics.Series{Name: "evictions"},
-		Epochs:            &metrics.Series{Name: "epoch_flips"},
-		Moves:             &metrics.Series{Name: "reshard_moves"},
-		AdmissionDist:     metrics.NewDistribution("admission_ms"),
-		RejectionDist:     metrics.NewDistribution("rejection_rate"),
-	}
-	chord := spec.Discovery == BackendChord
-	sharded := len(shardStats) > 1
-	elastic := spec.Autoscale != nil
+// buildSeries sorts the per-requester results into completion order and
+// derives the report's series and distributions from them.
+func (r *Report) buildSeries() {
+	sortResults(r.Nodes)
+	r.Admission = &metrics.Series{Name: "admission_ms"}
+	r.Tries = &metrics.Series{Name: "attempts"}
+	r.Buffering = &metrics.Series{Name: "buffering_ms"}
+	r.Suppliers = &metrics.Series{Name: "suppliers"}
+	r.LookupHops = &metrics.Series{Name: "lookup_hops"}
+	r.SampleRounds = &metrics.Series{Name: "sample_rounds"}
+	r.ShardLookupMs = &metrics.Series{Name: "shard_lookup_ms"}
+	r.ShardFailures = &metrics.Series{Name: "shard_failures"}
+	r.Downgrades = &metrics.Series{Name: "downgraded"}
+	r.Throughput = &metrics.Series{Name: "throughput_bps"}
+	r.Evictions = &metrics.Series{Name: "evictions"}
+	r.Epochs = &metrics.Series{Name: "epoch_flips"}
+	r.Moves = &metrics.Series{Name: "reshard_moves"}
+	r.AdmissionDist = metrics.NewDistribution("admission_ms")
+	r.RejectionDist = metrics.NewDistribution("rejection_rate")
+	chord := r.Spec.Discovery == BackendChord
+	sharded := len(r.ShardStats) > 1
+	elastic := r.Spec.Autoscale != nil
 	var doneTimes []time.Duration
 	var admissionMs, rejectionRates []float64
-	for _, n := range results {
+	for i := range r.Nodes {
+		n := &r.Nodes[i]
 		if n.Err != nil {
 			continue
 		}
@@ -299,20 +233,19 @@ func buildReport(spec Spec, results []NodeResult, elapsed time.Duration, finalSu
 			r.LookupHops.AddMissing(n.Done)
 			r.SampleRounds.AddMissing(n.Done)
 		}
-		if sharded && n.ShardLegs > 0 {
-			mean := float64(n.ShardLatency) / float64(n.ShardLegs) / float64(time.Millisecond)
-			r.ShardLookupMs.Add(n.Done, mean)
-			r.ShardFailures.Add(n.Done, float64(n.ShardLegFails))
+		if legs := n.Events.Of(observe.ShardLookup); sharded && legs.N > 0 {
+			r.ShardLookupMs.Add(n.Done, float64(legs.Latency)/float64(legs.N)/float64(time.Millisecond))
+			r.ShardFailures.Add(n.Done, float64(legs.Errs))
 		} else {
 			r.ShardLookupMs.AddMissing(n.Done)
 			r.ShardFailures.AddMissing(n.Done)
 		}
 		r.Downgrades.Add(n.Done, float64(n.Downgraded))
 		r.Throughput.Add(n.Done, n.ThroughputBps)
-		r.Evictions.Add(n.Done, float64(n.Evictions))
+		r.Evictions.Add(n.Done, float64(n.Events.Of(observe.ObjectEvicted).N))
 		if elastic {
-			r.Epochs.Add(n.Done, float64(n.EpochFlips))
-			r.Moves.Add(n.Done, float64(n.ReshardMoves))
+			r.Epochs.Add(n.Done, float64(n.Events.Of(observe.EpochFlip).N))
+			r.Moves.Add(n.Done, float64(n.Events.Of(observe.ReshardMove).Sum))
 		} else {
 			// Same one-table CSV treatment as the shard columns: a static
 			// registry has no epochs, so the columns stay blank.
@@ -323,7 +256,6 @@ func buildReport(spec Spec, results []NodeResult, elapsed time.Duration, finalSu
 	qs := []float64{0.5, 0.9, 0.99}
 	r.AdmissionQuantiles = metrics.QuantileSeries("admission_ms", doneTimes, admissionMs, quantileCheckpoints, qs...)
 	r.RejectionQuantiles = metrics.QuantileSeries("rejection_rate", doneTimes, rejectionRates, quantileCheckpoints, qs...)
-	return r
 }
 
 // Served returns how many requesters completed their session.
@@ -396,42 +328,50 @@ func (r *Report) Check() error {
 		return fmt.Errorf("scenario %s: max admission attempts %d, expected contention >= %d",
 			r.Spec.Name, maxAttempts, min)
 	}
-	if min := r.Spec.Expect.MinEvictions; min > 0 && r.EvictionTotal < int64(min) {
-		return fmt.Errorf("scenario %s: %d cache evictions, expected >= %d (the bounded libraries never churned)",
-			r.Spec.Name, r.EvictionTotal, min)
+	return r.checkEvents()
+}
+
+// checkEvents verifies the expectations stated over the run's event tally:
+// floors on how often a mechanism must have engaged, and the zero-tolerance
+// clauses of the discovery plane.
+func (r *Report) checkEvents() error {
+	exp, ev := r.Spec.Expect, r.Events
+	for _, floor := range []struct {
+		min    int
+		typ    observe.Type
+		unless string
+	}{
+		{exp.MinEvictions, observe.ObjectEvicted, "the bounded libraries never churned"},
+		{exp.MinWithdrawals, observe.SupplierWithdrawn, "no eviction withdrew a supplier registration"},
+		{exp.MinReplicaAnswered, observe.ReplicaAnswered, "the fail-over path never ran"},
+		{exp.MinEpochFlips, observe.EpochFlip, "the elastic registry never scaled"},
+	} {
+		if got := ev.Of(floor.typ).N; got < int64(floor.min) {
+			return fmt.Errorf("scenario %s: %d %s events, expected >= %d (%s)",
+				r.Spec.Name, got, floor.typ, floor.min, floor.unless)
+		}
 	}
-	if min := r.Spec.Expect.MinWithdrawals; min > 0 && r.WithdrawalTotal < int64(min) {
-		return fmt.Errorf("scenario %s: %d supplier withdrawals, expected >= %d",
-			r.Spec.Name, r.WithdrawalTotal, min)
-	}
-	if r.Spec.Expect.NoLookupMisses && r.LookupMisses > 0 {
+	if misses := ev.Of(observe.LookupMiss).N; exp.NoLookupMisses && misses > 0 {
 		return fmt.Errorf("scenario %s: %d candidate lookups came up empty — the churn window opened",
-			r.Spec.Name, r.LookupMisses)
+			r.Spec.Name, misses)
 	}
-	if min := r.Spec.Expect.MinReplicaAnswered; min > 0 && r.ReplicaAnswered < int64(min) {
-		return fmt.Errorf("scenario %s: %d replica-answered lookups, expected >= %d (the fail-over path never ran)",
-			r.Spec.Name, r.ReplicaAnswered, min)
-	}
-	if min := r.Spec.Expect.MinEpochFlips; min > 0 && r.EpochFlips < int64(min) {
-		return fmt.Errorf("scenario %s: %d epoch flips, expected >= %d (the elastic registry never scaled)",
-			r.Spec.Name, r.EpochFlips, min)
-	}
-	if r.Spec.Expect.NoLostRegistrations && len(r.LostRegistrations) > 0 {
+	if exp.NoLostRegistrations && len(r.LostRegistrations) > 0 {
 		return fmt.Errorf("scenario %s: %d registrations lost across resharding epochs: %v",
 			r.Spec.Name, len(r.LostRegistrations), r.LostRegistrations)
 	}
-	if max := r.Spec.Expect.MaxFlipConvergence; max > 0 {
-		if r.ReshardMoves == 0 {
+	if max := exp.MaxFlipConvergence; max > 0 {
+		moves := ev.Of(observe.ReshardMove)
+		if moves.Sum == 0 {
 			return fmt.Errorf("scenario %s: MaxFlipConvergence set but no epoch migration ran", r.Spec.Name)
 		}
-		if r.FlipConvergence > max {
+		if moves.MaxLatency > max {
 			return fmt.Errorf("scenario %s: slowest flip convergence %v exceeds %v",
-				r.Spec.Name, r.FlipConvergence, max)
+				r.Spec.Name, moves.MaxLatency, max)
 		}
 	}
-	if r.Spec.Expect.NoFailedShardLegs && r.FailedShardLegs > 0 {
+	if failed := ev.Of(observe.ShardLookup).Errs; exp.NoFailedShardLegs && failed > 0 {
 		return fmt.Errorf("scenario %s: %d candidate fan-out legs failed — a requester reached a drained shard",
-			r.Spec.Name, r.FailedShardLegs)
+			r.Spec.Name, failed)
 	}
 	return r.checkDataPlane()
 }
@@ -524,9 +464,6 @@ func (r *Report) Summary() string {
 		rounds, _ := meanOf(r.SampleRounds)
 		fmt.Fprintf(&b, "\n  chord discovery cost: mean %.1f hops, %.1f sample rounds per peer", mean, rounds)
 	}
-	if r.ReplicaAnswered > 0 || r.LookupMisses > 0 {
-		fmt.Fprintf(&b, "\n  churn window: %d replica-answered lookups, %d lookup misses", r.ReplicaAnswered, r.LookupMisses)
-	}
 	if len(r.ShardSuppliers) > 1 {
 		fmt.Fprintf(&b, "\n  suppliers by shard: %v", r.ShardSuppliers)
 	}
@@ -534,10 +471,9 @@ func (r *Report) Summary() string {
 		fails, _ := r.ShardFailures.Last()
 		fmt.Fprintf(&b, "\n  shard fan-out: mean %.2fms per leg, %.0f failed legs", mean, fails)
 	}
-	if r.EpochFlips > 0 || r.ReshardMoves > 0 {
-		fmt.Fprintf(&b, "\n  elastic registry: %d epoch flips (%d shards added, %d drained), %d migrated registrations, slowest convergence %v, %d lost",
-			r.EpochFlips, r.ShardsAdded, r.ShardsDrained, r.ReshardMoves,
-			r.FlipConvergence.Round(time.Microsecond), len(r.LostRegistrations))
+	if moves := r.Events.Of(observe.ReshardMove); r.Events.Of(observe.EpochFlip).N > 0 {
+		fmt.Fprintf(&b, "\n  elastic registry: %d migrated registrations, slowest convergence %v, %d lost",
+			moves.Sum, moves.MaxLatency.Round(time.Microsecond), len(r.LostRegistrations))
 	}
 	if len(r.ShardStats) > 1 {
 		for i, st := range r.ShardStats {
@@ -556,8 +492,8 @@ func (r *Report) Summary() string {
 			fmt.Fprintf(&b, " %s=%d", name, r.ObjectSuppliers[name])
 		}
 	}
-	if r.EvictionTotal > 0 || r.WithdrawalTotal > 0 {
-		fmt.Fprintf(&b, "\n  cache churn: %d evictions, %d supplier withdrawals", r.EvictionTotal, r.WithdrawalTotal)
+	if events := r.Events.String(); events != "" {
+		fmt.Fprintf(&b, "\n  events: %s", events)
 	}
 	if mean, ok := meanOf(r.Throughput); ok {
 		downgrades, _ := meanOf(r.Downgrades)

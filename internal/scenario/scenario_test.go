@@ -7,6 +7,7 @@ import (
 
 	"p2pstream/internal/directory"
 	"p2pstream/internal/metrics"
+	"p2pstream/internal/observe"
 )
 
 // TestCatalogConformance runs every cataloged scenario end to end on the
@@ -538,18 +539,20 @@ func TestReshardFlashDetails(t *testing.T) {
 	}
 	// The ring must actually have reached four shards: three growth flips
 	// from one shard, each a distinct spawned slot.
-	if report.ShardsAdded < 3 {
-		t.Errorf("controller added %d shards, want >= 3 (the crowd must force the ring to four)", report.ShardsAdded)
+	ev := report.Events
+	flips, added, drained := ev.Of(observe.EpochFlip).N, ev.Of(observe.ShardAdded).N, ev.Of(observe.ShardDrained).N
+	if added < 3 {
+		t.Errorf("controller added %d shards, want >= 3 (the crowd must force the ring to four)", added)
 	}
-	if report.EpochFlips != report.ShardsAdded+report.ShardsDrained {
-		t.Errorf("flips = %d, want adds+drains = %d", report.EpochFlips, report.ShardsAdded+report.ShardsDrained)
+	if flips != added+drained {
+		t.Errorf("flips = %d, want adds+drains = %d", flips, added+drained)
 	}
 	// Slots are append-only (drained identities are never reused): one
 	// initial shard plus one per add, and the live suppliers all sit on
 	// shards still in the final ring.
-	if got, want := len(report.ShardSuppliers), 1+int(report.ShardsAdded); got != want {
+	if got, want := len(report.ShardSuppliers), 1+int(added); got != want {
 		t.Fatalf("ShardSuppliers = %v (%d slots), want %d (1 initial + %d added)",
-			report.ShardSuppliers, got, want, report.ShardsAdded)
+			report.ShardSuppliers, got, want, added)
 	}
 	sum := 0
 	for _, n := range report.ShardSuppliers {
@@ -558,18 +561,19 @@ func TestReshardFlashDetails(t *testing.T) {
 	if sum != report.FinalSuppliers {
 		t.Errorf("shard counts %v sum to %d, FinalSuppliers = %d", report.ShardSuppliers, sum, report.FinalSuppliers)
 	}
-	if report.ReshardMoves == 0 {
+	moves := ev.Of(observe.ReshardMove)
+	if moves.Sum == 0 {
 		t.Error("no registrations migrated; every flip should move the held leases")
 	}
-	if report.FlipConvergence <= 0 || report.FlipConvergence >= shardRefresh {
+	if moves.MaxLatency <= 0 || moves.MaxLatency >= shardRefresh {
 		t.Errorf("slowest flip convergence = %v, want within (0, %v): elasticity must beat the lease period",
-			report.FlipConvergence, shardRefresh)
+			moves.MaxLatency, shardRefresh)
 	}
 	if len(report.LostRegistrations) != 0 {
 		t.Errorf("lost registrations: %v", report.LostRegistrations)
 	}
-	if report.FailedShardLegs != 0 {
-		t.Errorf("%d failed fan-out legs, want 0 (clients must never dial a retired shard)", report.FailedShardLegs)
+	if failed := ev.Of(observe.ShardLookup).Errs; failed != 0 {
+		t.Errorf("%d failed fan-out legs, want 0 (clients must never dial a retired shard)", failed)
 	}
 	// The elastic counters ride the admission axis: one epoch-flip and one
 	// migration sample per served requester, and the last finisher has
@@ -605,9 +609,10 @@ func TestReshardDrainDetails(t *testing.T) {
 	}
 	// With HighWater unreachably high the controller can only drain: two
 	// flips exactly, from three shards down to the one-shard floor.
-	if report.EpochFlips != 2 || report.ShardsAdded != 0 || report.ShardsDrained != 2 {
-		t.Errorf("flips=%d added=%d drained=%d, want exactly 2 drains and nothing else",
-			report.EpochFlips, report.ShardsAdded, report.ShardsDrained)
+	ev := report.Events
+	flips, added, drained := ev.Of(observe.EpochFlip).N, ev.Of(observe.ShardAdded).N, ev.Of(observe.ShardDrained).N
+	if flips != 2 || added != 0 || drained != 2 {
+		t.Errorf("flips=%d added=%d drained=%d, want exactly 2 drains and nothing else", flips, added, drained)
 	}
 	if len(report.ShardSuppliers) != 3 {
 		t.Fatalf("ShardSuppliers = %v, want the 3 declared slots", report.ShardSuppliers)
@@ -625,17 +630,18 @@ func TestReshardDrainDetails(t *testing.T) {
 	if all := len(spec.Seeds) + len(spec.Requesters); sum != all || report.FinalSuppliers != all {
 		t.Errorf("suppliers %v sum to %d, FinalSuppliers = %d, want %d", report.ShardSuppliers, sum, report.FinalSuppliers, all)
 	}
-	if report.ReshardMoves == 0 {
+	moves := ev.Of(observe.ReshardMove)
+	if moves.Sum == 0 {
 		t.Error("no registrations migrated; the drained shards held live leases")
 	}
-	if report.FlipConvergence <= 0 || report.FlipConvergence >= shardRefresh {
-		t.Errorf("slowest flip convergence = %v, want within (0, %v)", report.FlipConvergence, shardRefresh)
+	if moves.MaxLatency <= 0 || moves.MaxLatency >= shardRefresh {
+		t.Errorf("slowest flip convergence = %v, want within (0, %v)", moves.MaxLatency, shardRefresh)
 	}
 	if len(report.LostRegistrations) != 0 {
 		t.Errorf("lost registrations: %v", report.LostRegistrations)
 	}
-	if report.FailedShardLegs != 0 {
-		t.Errorf("%d failed fan-out legs, want 0: late arrivals must never be routed to a drained shard", report.FailedShardLegs)
+	if failed := ev.Of(observe.ShardLookup).Errs; failed != 0 {
+		t.Errorf("%d failed fan-out legs, want 0: late arrivals must never be routed to a drained shard", failed)
 	}
 	// The late arrivals (n2 at 400ms, n3 at 480ms) booted after both
 	// drains and finished with the full flip count on their axis sample.
@@ -644,8 +650,8 @@ func TestReshardDrainDetails(t *testing.T) {
 		if n == nil {
 			t.Fatalf("no result for %s", id)
 		}
-		if n.EpochFlips != 2 {
-			t.Errorf("%s finished having seen %d flips, want 2 (it arrived after both drains)", id, n.EpochFlips)
+		if seen := n.Events.Of(observe.EpochFlip).N; seen != 2 {
+			t.Errorf("%s finished having seen %d flips, want 2 (it arrived after both drains)", id, seen)
 		}
 	}
 }
