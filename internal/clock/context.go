@@ -99,13 +99,56 @@ func SleepCtx(ctx context.Context, clk Clock, d time.Duration) error {
 		clk.Sleep(d)
 		return nil
 	}
-	ch := make(chan struct{})
-	t := clk.AfterFunc(d, func() { close(ch) })
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		t.Stop()
-		return ctx.Err()
+	var pool *sync.Pool
+	switch c := clk.(type) {
+	case *Virtual:
+		pool = &c.sleepers
+	case systemClock:
+		pool = &wallSleepers
+	default:
+		panic("clock: SleepCtx on a clock that cannot block a goroutine")
 	}
+	s := getSleeper(clk, pool)
+	s.alarm.Reset(d)
+	var err error
+	select {
+	case <-s.ch:
+	case <-ctx.Done():
+		err = ctx.Err()
+		if !s.alarm.Stop() {
+			<-s.ch // the firing is already under way: take its token, so the sleeper goes back clean
+		}
+	}
+	pool.Put(s)
+	return err
+}
+
+// sleeper parks one goroutine on a clock: an Alarm whose firing hands over
+// a token. Sleepers are pooled, so a steady-state sleep allocates nothing. A
+// Virtual clock keeps a pool of its own — a stopped arm leaves a no-op entry
+// in that clock's heap, which must never meet a sleeper re-bound to another
+// clock; the wall clock's sleepers share wallSleepers.
+type sleeper struct {
+	alarm Alarm
+	ch    chan struct{} // capacity 1: Fire never blocks the goroutine it runs on
+	gate  *Virtual      // set while parked in Virtual.Sleep: the wake-up gates advances
+}
+
+var wallSleepers sync.Pool
+
+func getSleeper(clk Clock, pool *sync.Pool) *sleeper {
+	if s, ok := pool.Get().(*sleeper); ok {
+		return s
+	}
+	s := &sleeper{ch: make(chan struct{}, 1)}
+	s.alarm.Init(clk, s)
+	return s
+}
+
+// Fire implements Handler.
+func (s *sleeper) Fire() {
+	if s.gate != nil {
+		s.gate.wakes.Add(1)
+	}
+	s.ch <- struct{}{}
 }

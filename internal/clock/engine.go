@@ -26,39 +26,8 @@ func (c engineClock) Sleep(d time.Duration) {
 	panic("clock: Sleep on a single-threaded engine clock")
 }
 
-func (c engineClock) AfterFunc(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	t := &engineTimer{fn: fn}
-	if err := c.eng.Schedule(c.eng.Now()+d, t); err != nil {
-		panic("clock: scheduling on engine: " + err.Error())
-	}
-	return t
-}
-
-// engineTimer is both the caller's handle and the scheduled event, so a
-// timer costs one allocation. It cancels by flag: the engine has no event
-// removal, so a stopped timer simply fires into a no-op (the simulator's old
-// idleEpoch idiom, centralized).
-type engineTimer struct {
-	fn             func()
-	stopped, fired bool
-}
-
-// Fire implements sim.Handler.
-func (t *engineTimer) Fire() {
-	if t.stopped {
-		return
-	}
-	t.fired = true
-	t.fn()
-}
-
-func (t *engineTimer) Stop() bool {
-	if t.stopped || t.fired {
-		return false
-	}
-	t.stopped = true
-	return true
-}
+// AfterFunc allocates an Alarm around fn: the handle is itself the event
+// the engine queues. It cancels by sequence number — the engine has no
+// event removal, so a stopped timer simply pops into a no-op (the
+// simulator's old idleEpoch idiom, centralized).
+func (c engineClock) AfterFunc(d time.Duration, fn func()) Timer { return newTimer(c, d, fn) }

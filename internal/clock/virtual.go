@@ -3,6 +3,7 @@ package clock
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2pstream/internal/sim"
@@ -32,15 +33,18 @@ import (
 // scheduling hiccups; the defaults keep whole-cluster tests deterministic
 // under -race while finishing in well under a second.
 type Virtual struct {
+	// mu guards the heap, the batch under collection and the coalescing
+	// window. Reading the time and signalling activity take no lock: now
+	// mirrors the engine's clock, gen and wakes are atomics.
 	mu  sync.Mutex
 	eng sim.Engine
+	now atomic.Int64 // eng.Now(), stored before an instant's batch is released
 
-	gen        uint64    // bumped on every external call (activity signal)
-	wakes      int       // woken goroutines that have not yet acted
-	lastChange time.Time // wall time of the last gen change (driver state)
-	lastGen    uint64
+	gen   atomic.Uint64 // bumped on every external call (activity signal)
+	wakes atomic.Int64  // woken goroutines that have not yet acted
 
-	due []func() // callbacks collected during a step, run outside mu
+	due      []*Alarm  // the instant's batch: alarms popped under mu, run outside it
+	sleepers sync.Pool // parked-goroutine alarms (*sleeper), bound to this clock
 
 	grace    time.Duration // wall-time quiet window required before advancing
 	poll     time.Duration // wall-time driver poll interval
@@ -85,115 +89,59 @@ func (v *Virtual) SetCoalesce(d time.Duration) {
 
 // Now returns Epoch plus the elapsed virtual time.
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.touchLocked()
-	return Epoch.Add(v.eng.Now())
+	v.touch()
+	return Epoch.Add(v.Elapsed())
 }
 
 // Since returns the virtual time elapsed since t.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
 // Elapsed returns the virtual time elapsed since Epoch.
-func (v *Virtual) Elapsed() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.eng.Now()
-}
+func (v *Virtual) Elapsed() time.Duration { return time.Duration(v.now.Load()) }
 
 // Sleep blocks the calling goroutine for d of virtual time.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := make(chan struct{})
-	v.mu.Lock()
-	v.touchLocked()
-	err := v.eng.After(d, func() {
-		// Fired under v.mu by an advance: gate further advances until the
-		// sleeper has acted on its wake-up.
-		v.wakes++
-		close(ch)
-	})
-	v.mu.Unlock()
-	if err != nil {
-		panic("clock: scheduling sleep: " + err.Error())
-	}
-	<-ch
+	s := getSleeper(v, &v.sleepers)
+	// Gate further advances, once woken, until the sleeper has acted on
+	// its wake-up.
+	s.gate = v
+	s.alarm.Reset(d)
+	<-s.ch
+	s.gate = nil
+	v.sleepers.Put(s)
 }
 
 // AfterFunc schedules fn to run once, d of virtual time from now. fn runs
 // on the advancing goroutine with no clock lock held, so it may freely call
 // back into the clock; it must not block indefinitely, or it stalls every
-// other timer.
-func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.touchLocked()
-	t := &virtualTimer{v: v, fn: fn}
-	if err := v.eng.Schedule(v.eng.Now()+d, t); err != nil {
-		panic("clock: scheduling timer: " + err.Error())
-	}
-	return t
-}
-
-// virtualTimer is both the caller's handle and the scheduled event, so a
-// timer costs one allocation.
-type virtualTimer struct {
-	v       *Virtual
-	fn      func()
-	stopped bool
-	fired   bool
-}
-
-// Fire implements sim.Handler. An advance fires it under v.mu; the callback
-// itself is queued to run with the lock released.
-func (t *virtualTimer) Fire() {
-	if t.stopped {
-		return
-	}
-	t.fired = true
-	t.v.due = append(t.v.due, t.fn)
-}
-
-func (t *virtualTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	if t.stopped || t.fired {
-		return false
-	}
-	t.stopped = true
-	return true
-}
+// other timer. The handle is an Alarm allocated around fn.
+func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer { return newTimer(v, d, fn) }
 
 // NoteWake registers an out-of-band wake-up: the virtual network calls it
 // when a scheduled delivery unblocks a waiting reader, so the driver holds
 // further advances until that reader consumed the data (WakeDone) or acted
 // on the clock.
 func (v *Virtual) NoteWake() {
-	v.mu.Lock()
-	v.wakes++
-	v.gen++ // restart the grace window too
-	v.mu.Unlock()
+	v.wakes.Add(1)
+	v.gen.Add(1) // restart the grace window too
 }
 
 // WakeDone retires one NoteWake gate.
-func (v *Virtual) WakeDone() {
-	v.mu.Lock()
-	v.touchLocked()
-	v.mu.Unlock()
-}
+func (v *Virtual) WakeDone() { v.touch() }
 
-// touchLocked records external activity: it restarts the driver's grace
-// window and retires one pending wake gate (the woken goroutine's first
-// action proves it has resumed).
-func (v *Virtual) touchLocked() {
-	v.gen++
-	if v.wakes > 0 {
-		v.wakes--
+// touch records external activity: it restarts the driver's grace window
+// and retires one pending wake gate (the woken goroutine's first action
+// proves it has resumed).
+func (v *Virtual) touch() {
+	v.gen.Add(1)
+	for {
+		w := v.wakes.Load()
+		if w <= 0 || v.wakes.CompareAndSwap(w, w-1) {
+			return
+		}
 	}
 }
 
@@ -203,31 +151,39 @@ func (v *Virtual) touchLocked() {
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.eng.Now() + d
-	for {
-		at, ok := v.eng.NextAt()
-		if !ok || at > target {
-			break
-		}
-		v.eng.Step()
-		v.runDueLocked()
-	}
+	v.fireThroughLocked(target)
 	v.eng.RunUntil(target)
+	v.now.Store(int64(target))
 	v.mu.Unlock()
 }
 
-// runDueLocked runs collected callbacks with the lock released, repeating
-// until none remain (a callback may schedule and a concurrent step may
-// collect more). Callers must hold v.mu; it is held again on return. The
-// batch's slice belongs to this call while the lock is released and goes
-// back, emptied, as the next batch's backing unless one was collected
-// meanwhile.
-func (v *Virtual) runDueLocked() {
-	for len(v.due) > 0 {
+// fireThroughLocked fires every pending instant up to and including end,
+// one instant at a time: all of the earliest instant's events are popped
+// under this one hold of v.mu — FIFO in scheduling order, each live alarm
+// queued into v.due — and the batch's handlers then run with the lock
+// released. An event a handler schedules for the same instant fires in the
+// next batch, after those already queued; an alarm stopped or re-armed
+// while its batch runs is skipped (it loses the CAS on queued). Callers
+// hold v.mu; it is held again on return.
+func (v *Virtual) fireThroughLocked(end time.Duration) {
+	for {
+		at, ok := v.eng.NextAt()
+		if !ok || at > end {
+			return
+		}
+		v.now.Store(int64(at))
+		for next := at; ok && next == at; next, ok = v.eng.NextAt() {
+			v.eng.Step()
+		}
+		// The batch's slice belongs to this call while the lock is
+		// released and goes back, emptied, as the next batch's backing.
 		due := v.due
 		v.due = nil
 		v.mu.Unlock()
-		for i, fn := range due {
-			fn()
+		for i, a := range due {
+			if a.queued.CompareAndSwap(true, false) {
+				a.h.Fire()
+			}
 			due[i] = nil
 		}
 		v.mu.Lock()
@@ -246,14 +202,7 @@ func (v *Virtual) advanceBatchLocked(next time.Duration) {
 	if !v.scale || next >= v.batchEnd {
 		v.batchEnd = next + v.coalesce
 	}
-	for {
-		at, ok := v.eng.NextAt()
-		if !ok || at > v.batchEnd {
-			break
-		}
-		v.eng.Step()
-		v.runDueLocked()
-	}
+	v.fireThroughLocked(v.batchEnd)
 }
 
 // AutoRun starts the background driver and returns its stop function. The
@@ -271,10 +220,11 @@ func (v *Virtual) AutoRun() (stop func()) {
 
 func (v *Virtual) drive(done chan struct{}) {
 	v.mu.Lock()
-	v.lastGen = v.gen
-	v.lastChange = time.Now()
 	scale := v.scale
 	v.mu.Unlock()
+	// The quiet watch reads only atomics; v.mu is taken to look at the
+	// heap once the clock has been still long enough to advance.
+	lastGen, lastChange := v.gen.Load(), time.Now()
 	for {
 		select {
 		case <-done:
@@ -289,31 +239,27 @@ func (v *Virtual) drive(done chan struct{}) {
 		} else {
 			time.Sleep(v.poll)
 		}
-		v.mu.Lock()
-		if v.gen != v.lastGen {
-			v.lastGen = v.gen
-			v.lastChange = time.Now()
-			v.mu.Unlock()
+		if gen := v.gen.Load(); gen != lastGen {
+			lastGen, lastChange = gen, time.Now()
 			continue
 		}
-		quiet := time.Since(v.lastChange)
-		if v.wakes > 0 {
-			if quiet > v.stall {
-				// A woken goroutine never acted (it exited, or blocked on
-				// something outside the clock's view). Do not hang forever.
-				v.wakes = 0
-			} else {
-				v.mu.Unlock()
+		quiet := time.Since(lastChange)
+		if v.wakes.Load() > 0 {
+			if quiet <= v.stall {
 				continue
 			}
+			// A woken goroutine never acted (it exited, or blocked on
+			// something outside the clock's view). Do not hang forever.
+			v.wakes.Store(0)
 		}
+		v.mu.Lock()
 		next, ok := v.eng.NextAt()
 		if !ok {
 			v.mu.Unlock()
 			continue
 		}
 		need := v.grace
-		if v.scale {
+		if scale {
 			// The spinning driver observes activity at sub-microsecond
 			// granularity, so a long wall grace buys no extra certainty:
 			// a window boundary needs a short quiet, an intra-window hop
@@ -324,13 +270,12 @@ func (v *Virtual) drive(done chan struct{}) {
 				need = 5 * time.Microsecond
 			}
 		}
-		if quiet < need {
+		if quiet < need || v.gen.Load() != lastGen {
 			v.mu.Unlock()
 			continue
 		}
 		v.advanceBatchLocked(next)
-		v.lastGen = v.gen
-		v.lastChange = time.Now()
+		lastGen, lastChange = v.gen.Load(), time.Now()
 		v.mu.Unlock()
 	}
 }

@@ -354,9 +354,10 @@ func (s *Server) registerLocked(req transport.Register) error {
 	if req.Refresh && dir.Contains(req.ID) {
 		// Lease refresh of a known peer: re-registering is how a supplier
 		// survives a registry shard that crashed and came back empty, so
-		// the newest address and class simply replace the entry.
-		dir.Unregister(req.ID)
-		if err := dir.Register(lookup.Entry[string]{ID: req.ID, Class: req.Class}); err != nil {
+		// the newest address and class simply replace the entry — in
+		// place: moving it would make every later sample depend on when,
+		// and in which order, the refreshes happened to arrive.
+		if err := dir.Refresh(lookup.Entry[string]{ID: req.ID, Class: req.Class}); err != nil {
 			return err
 		}
 		s.addrs[req.ID] = req.Addr

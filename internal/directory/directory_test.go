@@ -214,3 +214,43 @@ func TestLookupBoundsM(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshDoesNotMoveTheSample: a lease refresh replaces a peer's entry
+// where it stands, so two registries with one seed answer every lookup
+// alike however many refreshes, in whatever order, reached one of them in
+// between — a sharded lookup is then a function of the seeds, not of when
+// the lease timer happened to fire. (Refreshing by unregister + register
+// moved the entry to the end and another into its slot.)
+func TestRefreshDoesNotMoveTheSample(t *testing.T) {
+	quiet, refreshed := NewServer(7), NewServer(7)
+	for i := 0; i < 40; i++ {
+		r := transport.Register{ID: fmt.Sprintf("p%d", i), Addr: "127.0.0.1:1", Class: 2}
+		if err := quiet.register(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := refreshed.register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 50; round++ {
+		id := fmt.Sprintf("p%d", (round*7)%40)
+		if err := refreshed.register(transport.Register{ID: id, Addr: "127.0.0.1:2", Class: 3, Refresh: true}); err != nil {
+			t.Fatal(err)
+		}
+		a, b := quiet.lookup(transport.Lookup{M: 8}), refreshed.lookup(transport.Lookup{M: 8})
+		for i := range a.Peers {
+			if a.Peers[i].ID != b.Peers[i].ID {
+				t.Fatalf("round %d: pick %d is %s without refreshes, %s with", round, i, a.Peers[i].ID, b.Peers[i].ID)
+			}
+		}
+	}
+	if c := refreshed.lookup(transport.Lookup{M: 1 << 10}); len(c.Peers) != 40 {
+		t.Fatalf("%d peers after refreshes, want 40", len(c.Peers))
+	} else {
+		for _, p := range c.Peers {
+			if p.ID == "p7" && (p.Addr != "127.0.0.1:2" || p.Class != 3) {
+				t.Errorf("refreshed p7 reads %s class %d, want the refreshed address and class", p.Addr, p.Class)
+			}
+		}
+	}
+}

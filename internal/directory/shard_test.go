@@ -518,8 +518,11 @@ func TestShardedSamplingUniformAcrossShardSizes(t *testing.T) {
 	t.Logf("per-supplier hit rates: min %.4f, max %.4f (%.2fx spread, uniform = %.4f)",
 		minRate, maxRate, maxRate/minRate, p)
 	// The unweighted merge put small-shard suppliers at ~7x the big
-	// shard's rate; the weighted merge must stay well under 2x.
-	if maxRate/minRate > 1.6 {
+	// shard's rate; the weighted merge must stay well under 2x. The
+	// reading is a function of the seeds — a lease refresh no longer moves
+	// registry entries, so when the 10ms lease fires between draws does
+	// not matter — and is 1.44x, the extremes of 64 binomial counts.
+	if maxRate/minRate > 1.5 {
 		t.Errorf("hit-rate spread %.2fx; weighted merge should sample (near) uniformly\n%s",
 			maxRate/minRate, b.String())
 	}

@@ -46,6 +46,22 @@ func (d *Directory[ID]) Register(e Entry[ID]) error {
 	return nil
 }
 
+// Refresh replaces a registered peer's entry in place — a lease renewal.
+// The entry keeps its position, so what a later Sample draws from a given
+// random source does not depend on when, or in which order, refreshes
+// arrived.
+func (d *Directory[ID]) Refresh(e Entry[ID]) error {
+	i, ok := d.index[e.ID]
+	if !ok {
+		return fmt.Errorf("lookup: %v is not registered", e.ID)
+	}
+	if !e.Class.Valid(bandwidth.MaxClass) {
+		return fmt.Errorf("lookup: %v has invalid %v", e.ID, e.Class)
+	}
+	d.entries[i] = e
+	return nil
+}
+
 // Unregister removes a peer (e.g. a live node that departed). It reports
 // whether the peer was present.
 func (d *Directory[ID]) Unregister(id ID) bool {

@@ -63,6 +63,31 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
+func TestRefreshReplacesInPlace(t *testing.T) {
+	d := NewDirectory[string]()
+	for _, id := range []string{"a", "b", "c"} {
+		if err := d.Register(Entry[string]{ID: id, Class: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Refresh(Entry[string]{ID: "a", Class: 3}); err != nil {
+		t.Fatal(err)
+	}
+	got := d.Sample(3, rand.New(rand.NewSource(1))) // m >= Len: the entries in order
+	want := []Entry[string]{{ID: "a", Class: 3}, {ID: "b", Class: 1}, {ID: "c", Class: 1}}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entries after refresh: %v, want %v", got, want)
+		}
+	}
+	if err := d.Refresh(Entry[string]{ID: "z", Class: 1}); err == nil {
+		t.Error("refreshing an unknown peer should fail")
+	}
+	if err := d.Refresh(Entry[string]{ID: "b", Class: 0}); err == nil {
+		t.Error("refreshing to an invalid class should fail")
+	}
+}
+
 func TestSampleDistinctAndComplete(t *testing.T) {
 	d := NewDirectory[int]()
 	const n = 100

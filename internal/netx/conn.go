@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pstream/internal/clock"
+	"p2pstream/internal/splitmix"
 )
 
 // vConn is one end of a virtual stream connection. Writes copy the chunk
@@ -25,7 +26,7 @@ type vConn struct {
 	// it): the jitter/loss stream and the resolved link config, cached
 	// behind the network's link epoch so the steady-state send path never
 	// touches a shared table.
-	rng       linkRNG
+	rng       splitmix.Rand
 	linkEpoch uint64
 	link      LinkConfig
 	btl       *bottleneck // resolved with link; non-nil iff Bandwidth > 0
@@ -34,23 +35,33 @@ type vConn struct {
 	peerClosed atomic.Bool // peer ended the connection: writes fail like EPIPE
 }
 
-// connPair is both ends of one virtual connection plus their inboxes, laid
-// out as a single allocation: the dial path runs a quarter-million times in
-// a population-scale crowd, and four heap objects per dial (two conns, two
-// inboxes, plus their conds) were a double-digit share of its CPU.
+// connPair is both ends of one virtual connection plus their inboxes and
+// the dial's SYN, laid out as a single allocation: the dial path runs a
+// quarter-million times in a population-scale crowd, and four heap objects
+// per dial (two conns, two inboxes, plus their conds) were a double-digit
+// share of its CPU.
 type connPair struct {
 	a, b   vConn
 	ai, bi inbox
+	// syn surfaces b on l one link latency after the dial.
+	syn clock.Alarm
+	l   *vListener
 }
 
-func newConnPair(v *Virtual, local, remote vAddr) (*vConn, *vConn) {
-	p := new(connPair)
-	p.a = vConn{v: v, local: local, remote: remote, inbox: &p.ai, peer: &p.b}
-	p.b = vConn{v: v, local: remote, remote: local, inbox: &p.bi, peer: &p.a}
+// newConnPair builds the dialer's end a and the acceptee's end b of one
+// connection to l.
+func newConnPair(v *Virtual, local vAddr, l *vListener) *connPair {
+	p := &connPair{l: l}
+	p.a = vConn{v: v, local: local, remote: l.addr, inbox: &p.ai, peer: &p.b}
+	p.b = vConn{v: v, local: l.addr, remote: local, inbox: &p.bi, peer: &p.a}
 	initInbox(&p.ai, v.clk, v.waker)
 	initInbox(&p.bi, v.clk, v.waker)
-	return &p.a, &p.b
+	p.syn.Init(v.clk, p)
+	return p
 }
+
+// Fire implements clock.Handler: the SYN arrived.
+func (p *connPair) Fire() { p.l.enqueue(&p.b) }
 
 func (c *vConn) Read(p []byte) (int, error) { return c.inbox.read(p) }
 
@@ -81,7 +92,7 @@ func (c *vConn) Write(p []byte) (int, error) {
 // single pooled copy of data up front — the caller keeps ownership of data
 // and may reuse it as soon as schedule returns. Chunks whose delay has
 // already elapsed are deposited inline; later ones join the inbox's pending
-// list, covered by at most one flush timer per inbox regardless of depth.
+// list, covered by at most one flush arm per inbox regardless of depth.
 func (c *vConn) schedule(data []byte, eof bool) {
 	now := c.v.clk.Now()
 	ch := newChunk(data, eof)
@@ -135,7 +146,7 @@ func (c *vConn) schedule(data []byte, eof bool) {
 	if !in.armed {
 		in.armed = true
 		in.armedAt = at
-		in.clk.AfterFunc(at.Sub(now), in.flushFn)
+		in.alarm.Reset(at.Sub(now))
 	}
 	in.mu.Unlock()
 }
@@ -164,12 +175,12 @@ func (c *vConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *vConn) SetWriteDeadline(time.Time) error { return nil }
 
 // inbox is the receive side of one connection end: a pending list of
-// in-flight chunks covered by a single flush timer, and a ready list of
+// in-flight chunks covered by a single flush alarm — the inbox itself is
+// the alarm's handler, so re-arming allocates nothing — and a ready list of
 // delivered chunks consumed (and recycled) by read.
 type inbox struct {
-	waker   waker
-	clk     clock.Clock
-	flushFn func() // bound once so re-arming allocates nothing per batch
+	waker waker
+	alarm clock.Alarm // the flush: fires Fire at armedAt while armed
 
 	// hardFail mirrors "dead with a non-Close error" so the peer's write
 	// path can check it without taking any lock.
@@ -184,7 +195,7 @@ type inbox struct {
 	// pending list: scheduled chunks still in flight; at is non-decreasing
 	// along the list (FIFO), so the head is always the earliest.
 	phead, ptail *chunk
-	// armed marks the one outstanding flush timer, due at armedAt.
+	// armed marks the one outstanding arm of alarm, due at armedAt.
 	armed   bool
 	armedAt time.Time
 	// lastAt orders scheduled deliveries (virtual instants).
@@ -198,10 +209,9 @@ type inbox struct {
 }
 
 func initInbox(in *inbox, clk clock.Clock, w waker) {
-	in.clk = clk
 	in.waker = w
 	in.cond.L = &in.mu
-	in.flushFn = in.flush
+	in.alarm.Init(clk, in)
 }
 
 // depositLocked moves one chunk from in flight to readable (or records the
@@ -227,12 +237,13 @@ func (in *inbox) depositLocked(ch *chunk) {
 	}
 }
 
-// flush delivers every pending chunk due at the instant the flush timer
-// fired, then re-arms for the earliest remaining one. It runs on the
-// clock's advancing goroutine with no clock lock held. The fire instant is
-// carried in armedAt rather than read from the clock: Now() would count as
-// reader activity and retire a wake gate that is not ours.
-func (in *inbox) flush() {
+// Fire implements clock.Handler, the flush: it delivers every pending chunk
+// due at the instant the alarm fired, then re-arms for the earliest
+// remaining one. It runs on the clock's advancing goroutine with no clock
+// lock held. The fire instant is carried in armedAt rather than read from
+// the clock: Now() would count as reader activity and retire a wake gate
+// that is not ours.
+func (in *inbox) Fire() {
 	in.mu.Lock()
 	now := in.armedAt
 	in.armed = false
@@ -253,7 +264,7 @@ func (in *inbox) flush() {
 	if in.phead != nil {
 		in.armed = true
 		in.armedAt = in.phead.at
-		in.clk.AfterFunc(in.phead.at.Sub(now), in.flushFn)
+		in.alarm.Reset(in.phead.at.Sub(now))
 	}
 	if delivered {
 		in.cond.Broadcast()

@@ -16,7 +16,8 @@ type vListener struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*vConn
+	queue   []*vConn // connections awaiting Accept are queue[head:]
+	head    int
 	closed  bool
 	waiting int
 	wakes   int
@@ -34,6 +35,14 @@ func (l *vListener) enqueue(c *vConn) {
 		c.peer.inbox.fail(errConnReset)
 		return
 	}
+	if l.head > 0 && l.head >= len(l.queue)/2 && len(l.queue) == cap(l.queue) {
+		// Full, and at least half of it already accepted: slide the
+		// backlog down instead of growing, so a listener that is never
+		// quite drained stays as large as its backlog, not its history.
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
 	l.queue = append(l.queue, c)
 	if l.waiting > 0 && l.v.waker != nil {
 		l.wakes++
@@ -45,7 +54,7 @@ func (l *vListener) enqueue(c *vConn) {
 
 func (l *vListener) Accept() (net.Conn, error) {
 	l.mu.Lock()
-	for len(l.queue) == 0 && !l.closed {
+	for l.head == len(l.queue) && !l.closed {
 		l.waiting++
 		l.cond.Wait()
 		l.waiting--
@@ -57,9 +66,15 @@ func (l *vListener) Accept() (net.Conn, error) {
 	}
 	var c *vConn
 	var err error
-	if len(l.queue) > 0 {
-		c = l.queue[0]
-		l.queue = l.queue[1:]
+	if l.head < len(l.queue) {
+		// Clear the popped slot and rewind once drained: the backing array
+		// must not keep an accepted connection reachable, and re-slicing
+		// from the front would shed capacity until append reallocates.
+		c = l.queue[l.head]
+		l.queue[l.head] = nil
+		if l.head++; l.head == len(l.queue) {
+			l.queue, l.head = l.queue[:0], 0
+		}
 	} else {
 		err = net.ErrClosed
 	}
@@ -80,8 +95,8 @@ func (l *vListener) Close() error {
 		return nil
 	}
 	l.closed = true
-	pending := l.queue
-	l.queue = nil
+	pending := l.queue[l.head:]
+	l.queue, l.head = nil, 0
 	l.cond.Broadcast()
 	l.mu.Unlock()
 

@@ -3,6 +3,8 @@ package netx
 import (
 	"sync"
 	"time"
+
+	"p2pstream/internal/splitmix"
 )
 
 // maxPooledChunk caps the payload capacity a chunk may carry back into the
@@ -56,45 +58,18 @@ func recycleChain(ch *chunk) {
 	}
 }
 
-// linkRNG is a tiny splitmix64 generator driving one connection end's
-// jitter/loss stream (and, per shard, dial randomness). rand.Rand carries a
-// ~5KB state table per instance — far too heavy to embed in every one of a
-// hundred thousand connections — while splitmix64 is one word with solid
-// statistical quality.
-type linkRNG struct{ state uint64 }
-
-func (r *linkRNG) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform float in [0, 1).
-func (r *linkRNG) Float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// Int63n returns a uniform int in [0, n). The modulo bias is ~n/2^64 —
-// irrelevant for delay sampling.
-func (r *linkRNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(r.next() % uint64(n))
-}
-
 // seedRNG derives an independent stream from the network seed and a salt
 // (shard index, connection port) by running one splitmix64 scramble.
-func seedRNG(seed int64, salt uint64) linkRNG {
-	r := linkRNG{state: uint64(seed) ^ (salt * 0x9e3779b97f4a7c15)}
-	r.next()
+func seedRNG(seed int64, salt uint64) splitmix.Rand {
+	r := splitmix.Rand(uint64(seed) ^ (salt * 0x9e3779b97f4a7c15))
+	r.Uint64()
 	return r
 }
 
 // sampleDelay draws one delivery delay from the link: latency, jitter, and —
 // per lost transmission — one retransmission round. Jitter- and loss-free
 // links (the common case at scale) draw no randomness at all.
-func sampleDelay(link LinkConfig, r *linkRNG) time.Duration {
+func sampleDelay(link LinkConfig, r *splitmix.Rand) time.Duration {
 	d := link.Latency
 	if link.Jitter > 0 {
 		d += time.Duration(r.Int63n(int64(link.Jitter)))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"p2pstream/internal/clock"
+	"p2pstream/internal/splitmix"
 )
 
 // LinkConfig describes one directed link of the virtual network.
@@ -77,7 +78,7 @@ const shardCount = 64
 // config behind the network's epoch counter.
 type shard struct {
 	mu        sync.Mutex
-	rng       linkRNG // dial randomness (drop, dial-delay sampling)
+	rng       splitmix.Rand // dial randomness (drop, dial-delay sampling)
 	listeners map[string]*vListener
 	conns     map[*vConn]struct{}
 	down      map[string]bool
@@ -383,7 +384,8 @@ func (h *host) Dial(addr string) (net.Conn, error) {
 
 	localPort := int(v.nextPort.Add(1))
 	local := vAddr{host: src, port: localPort}
-	a, b := newConnPair(v, local, l.addr) // dialer's / acceptee's ends
+	p := newConnPair(v, local, l)
+	a, b := &p.a, &p.b // dialer's / acceptee's ends
 	a.rng = seedRNG(v.seed, uint64(localPort)<<1)
 	b.rng = seedRNG(v.seed, uint64(localPort)<<1|1)
 	// Register each end in its local host's shard, re-checking the down
@@ -408,7 +410,7 @@ func (h *host) Dial(addr string) (net.Conn, error) {
 	acceptAt := now.Add(delay)
 	a.inbox.lastAt = acceptAt
 	b.inbox.lastAt = acceptAt
-	v.clk.AfterFunc(delay, func() { l.enqueue(b) })
+	p.syn.Reset(delay)
 	return a, nil
 }
 

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -42,6 +41,7 @@ import (
 	"p2pstream/internal/netx"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/protocol"
+	"p2pstream/internal/splitmix"
 	"p2pstream/internal/transport"
 )
 
@@ -248,7 +248,7 @@ type Node struct {
 	// pending holds partially received stores of in-flight requests, by
 	// object name; a completed store moves into lib.
 	pending map[string]*media.Store
-	rng     *rand.Rand
+	rng     splitmix.Rand // one word: a crowd seeds ten thousand of these
 	closed  bool
 	// wg counts the feedback readers of adaptive sessions, which outlive
 	// their connection handler by the moment the connection takes to die.
@@ -318,7 +318,7 @@ func newNode(cfg Config) (*Node, error) {
 		slots:   protocol.NewSlots(cfg.SessionSlots),
 		sups:    make(map[string]*protocol.Supplier),
 		pending: make(map[string]*media.Store),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     splitmix.Rand(cfg.Seed),
 	}
 	n.ep = transport.NewEndpoint(n.comp, cfg.Observer)
 	for i, f := range cfg.catalog() {

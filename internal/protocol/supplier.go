@@ -21,7 +21,6 @@ import (
 // reminders and sessions from independent connection goroutines; the
 // single-threaded simulator pays one uncontended lock).
 type Supplier struct {
-	clk  clock.Clock
 	tout time.Duration
 	// slots, when non-nil, is the node's shared outbound session budget:
 	// every per-object Supplier of one node consults the same pool, so
@@ -31,8 +30,7 @@ type Supplier struct {
 
 	mu     sync.Mutex
 	adm    *dac.Supplier
-	timer  clock.Timer
-	onIdle func() // s.onIdleTimeout, bound once: every re-arm schedules this same value
+	idle   clock.Alarm // the elevation timeout, re-armed in place: no allocation per arm
 	closed bool
 
 	probes    int
@@ -47,8 +45,8 @@ func NewSupplier(class, numClasses bandwidth.Class, policy dac.Policy, clk clock
 	if err != nil {
 		return nil, err
 	}
-	s := &Supplier{clk: clk, tout: tout, adm: adm}
-	s.onIdle = s.onIdleTimeout
+	s := &Supplier{tout: tout, adm: adm}
+	s.idle.Init(clk, (*idleTimeout)(s))
 	s.mu.Lock()
 	s.armLocked()
 	s.mu.Unlock()
@@ -141,10 +139,7 @@ func (s *Supplier) StartSession() error {
 		}
 		return err
 	}
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
+	s.idle.Stop()
 	return nil
 }
 
@@ -169,10 +164,7 @@ func (s *Supplier) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
+	s.idle.Stop()
 }
 
 // armLocked schedules the next elevate-after-timeout step (Section 4.1(b)).
@@ -182,14 +174,10 @@ func (s *Supplier) armLocked() {
 	if s.closed || s.adm.Busy() || s.adm.AllOpen() {
 		return
 	}
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-	s.timer = nil
 	if !s.elevates() {
 		return
 	}
-	s.timer = s.clk.AfterFunc(s.tout, s.onIdle)
+	s.idle.Reset(s.tout)
 }
 
 // elevates reports whether idle timeouts can still change the vector.
@@ -198,6 +186,13 @@ func (s *Supplier) elevates() bool {
 	// dry-run would mutate DAC state, so consult the policy directly.
 	return s.adm.Policy() == dac.DAC
 }
+
+// idleTimeout is the Supplier as its idle alarm's handler, kept off the
+// exported method set.
+type idleTimeout Supplier
+
+// Fire implements clock.Handler.
+func (t *idleTimeout) Fire() { (*Supplier)(t).onIdleTimeout() }
 
 func (s *Supplier) onIdleTimeout() {
 	s.mu.Lock()

@@ -19,6 +19,7 @@ import (
 	"p2pstream/internal/node"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/reshard"
+	"p2pstream/internal/splitmix"
 	"p2pstream/internal/transport"
 	"p2pstream/internal/wiring"
 )
@@ -686,8 +687,8 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 	if h.spec.BackoffJitter > 0 {
 		// One splitmix64 word per requester, not a math/rand table: seeding
 		// ten thousand 5KB generators showed up in the crowd profile.
-		rng := splitmix64(w.seed)
-		uniform = rng.uniform
+		rng := splitmix.Rand(w.seed)
+		uniform = rng.Float64
 	}
 	// The request sequence: one object in single-object mode (the empty
 	// name routes to the node's primary), or the peer's declared Objects

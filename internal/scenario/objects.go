@@ -6,20 +6,8 @@ import (
 	"time"
 
 	"p2pstream/internal/media"
+	"p2pstream/internal/splitmix"
 )
-
-// splitmix64 is the harness's one-word seeded generator (Zipf cohorts,
-// per-requester backoff jitter); the value is the stream's state.
-type splitmix64 uint64
-
-// uniform returns the stream's next draw in [0, 1).
-func (s *splitmix64) uniform() float64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return float64((z^(z>>31))>>11) / (1 << 53)
-}
 
 // ZipfObjects deterministically draws n object names from a Zipf(skew)
 // popularity law over names — rank 1 (names[0]) is the hottest — using a
@@ -39,10 +27,10 @@ func ZipfObjects(seed int64, names []string, n int, skew float64) []string {
 		total += 1 / math.Pow(float64(i+1), skew)
 		cum[i] = total
 	}
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	out := make([]string, n)
 	for i := range out {
-		u := rng.uniform() * total
+		u := rng.Float64() * total
 		out[i] = names[len(names)-1]
 		for j, c := range cum {
 			if u < c {

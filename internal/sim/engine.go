@@ -15,10 +15,11 @@ import (
 // starting at time 0. Engine is not safe for concurrent use: the whole
 // simulation runs on one goroutine, which is what makes it deterministic.
 type Engine struct {
-	now   time.Duration
-	queue []event // arity-ary min-heap on (at, seq)
-	seq   uint64
-	ran   uint64
+	now    time.Duration
+	queue  []event // arity-ary min-heap on (at, seq)
+	seq    uint64
+	firing uint64 // seq of the event being (or last) fired
+	ran    uint64
 }
 
 // Handler is a scheduled event. A pointer type implementing it is stored in
@@ -40,6 +41,16 @@ func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending returns how many events are scheduled and not yet fired.
 func (e *Engine) Pending() int { return len(e.queue) }
+
+// LastSeq returns the scheduling sequence number of the most recently
+// scheduled event. Sequence numbers start at 1 and are never reused.
+func (e *Engine) LastSeq() uint64 { return e.seq }
+
+// FiringSeq returns the sequence number of the event being fired: read
+// inside Handler.Fire it is that firing's own, which lets a handler that is
+// scheduled again before its earlier entry pops (the engine has no removal)
+// tell its live entry from a superseded one.
+func (e *Engine) FiringSeq() uint64 { return e.firing }
 
 // ErrPast is returned when scheduling an event before the current time.
 var ErrPast = errors.New("sim: event scheduled in the past")
@@ -90,6 +101,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pop()
 	e.now = ev.at
+	e.firing = ev.seq
 	e.ran++
 	ev.h.Fire()
 	return true
