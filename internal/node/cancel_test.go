@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/clock"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/transport"
@@ -15,9 +16,8 @@ import (
 
 // blackholeSupplier registers a fake supplying peer in the directory whose
 // listener accepts connections and reads requests but never replies — the
-// deterministic way to park a requester mid-probe forever. Returns the
-// fake's directory ID.
-func (c *cluster) blackholeSupplier(id string) {
+// deterministic way to park a requester mid-probe forever.
+func (c *cluster) blackholeSupplier(id string, class bandwidth.Class) {
 	c.t.Helper()
 	l, err := c.net.Host(id).Listen(":0")
 	if err != nil {
@@ -37,7 +37,7 @@ func (c *cluster) blackholeSupplier(id string) {
 		}
 	}()
 	cl := directory.NewClientOn(c.net.Host("registrar-"+id), c.dirAddr)
-	if err := cl.Register(context.Background(), transport.Register{ID: id, Addr: l.Addr().String(), Class: 1}); err != nil {
+	if err := cl.Register(context.Background(), transport.Register{ID: id, Addr: l.Addr().String(), Class: class}); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -48,8 +48,8 @@ func (c *cluster) blackholeSupplier(id string) {
 // supplier slot is held anywhere.
 func TestCancelMidProbe(t *testing.T) {
 	c := newCluster(t)
-	c.blackholeSupplier("hole1")
-	c.blackholeSupplier("hole2")
+	c.blackholeSupplier("hole1", 1)
+	c.blackholeSupplier("hole2", 1)
 	req := c.requester("r", 1)
 
 	const cancelAt = 30 * time.Millisecond
@@ -82,8 +82,8 @@ func TestDeadlineMidProbe(t *testing.T) {
 	// Two class-1 holes: a lone class-1 candidate cannot reach R0, and the
 	// sweep rejects without probing at all — the deadline needs an attempt
 	// that actually parks inside a probe.
-	c.blackholeSupplier("hole1")
-	c.blackholeSupplier("hole2")
+	c.blackholeSupplier("hole1", 1)
+	c.blackholeSupplier("hole2", 1)
 	req := c.requester("r", 1)
 
 	const budget = 25 * time.Millisecond
@@ -177,6 +177,8 @@ func TestCancelBetweenAdmissionAndSessionStart(t *testing.T) {
 			t.Errorf("%s left busy: supplier slot leaked", s.ID())
 		}
 	}
+	// Both grants had kept their lines; the cancel hung them up.
+	c.waitIdle(s1, s2)
 	// The slots are free this very instant: a fresh requester with a live
 	// context is admitted by the same suppliers within one clock step.
 	r2 := c.requester("r2", 1)

@@ -573,7 +573,14 @@ func (n *Node) onEvict(f *media.File) {
 
 // handleConn dispatches one peer connection by its first message, which
 // the endpoint's per-exchange deadline bounds: a peer that connects and
-// never writes is cut off.
+// never writes is cut off. A connection is one exchange, except that a grant
+// keeps the line: after a Granted probe reply the deadline is re-armed and
+// exactly one more frame is read — the requester's Start, which makes this
+// connection the session stream with no second dial. EOF (the requester
+// chose otherwise, was rejected or gave up) or the deadline (it went silent)
+// ends the handler, and any other frame is an error and a close. Holding a
+// line claims nothing: the Start takes the slot, whichever connection it
+// arrives on.
 func (n *Node) handleConn(conn net.Conn) {
 	env, err := transport.Read(conn)
 	if err != nil {
@@ -585,37 +592,55 @@ func (n *Node) handleConn(conn net.Conn) {
 		if err := env.Decode(&req); err != nil {
 			return
 		}
-		n.handleProbe(conn, req)
-	case transport.KindReminder:
-		var req transport.Reminder
-		if err := env.Decode(&req); err != nil {
+		if !n.handleProbe(conn, req) {
 			return
 		}
-		n.handleReminder(conn, req)
+		n.ep.Arm(conn)
+		if env, err = transport.Read(conn); err != nil {
+			return
+		}
+		if env.Kind != transport.KindStart {
+			n.replyUnexpected(conn, env.Kind)
+			return
+		}
+		fallthrough
 	case transport.KindStart:
 		var req transport.Start
 		if err := env.Decode(&req); err != nil {
 			return
 		}
 		n.handleStart(conn, req)
+	case transport.KindReminder:
+		var req transport.Reminder
+		if err := env.Decode(&req); err != nil {
+			return
+		}
+		n.handleReminder(conn, req)
 	default:
-		n.ep.Reply(conn, transport.KindError,
-			transport.Error{Message: fmt.Sprintf("node %s: unexpected %s", n.cfg.ID, env.Kind)})
+		n.replyUnexpected(conn, env.Kind)
 	}
 }
 
-func (n *Node) handleProbe(conn net.Conn, req transport.Probe) {
+func (n *Node) replyUnexpected(conn net.Conn, kind transport.Kind) {
+	n.ep.Reply(conn, transport.KindError,
+		transport.Error{Message: fmt.Sprintf("node %s: unexpected %s", n.cfg.ID, kind)})
+}
+
+// handleProbe answers one admission probe and reports whether the answer
+// was a grant that reached the wire — the one answer that keeps the line.
+func (n *Node) handleProbe(conn net.Conn, req transport.Probe) (granted bool) {
 	sup := n.supplier(n.objectKey(req.Object))
 	if sup == nil {
 		n.ep.Reply(conn, transport.KindError, transport.Error{Message: "not a supplying peer"})
-		return
+		return false
 	}
 	n.mu.Lock()
 	u := n.rng.Float64()
 	n.mu.Unlock()
 	dec, favors := sup.HandleProbe(req.Class, u)
 	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.ProbeServed})
-	n.ep.Reply(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dec, Favors: favors})
+	err := n.ep.Reply(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dec, Favors: favors})
+	return err == nil && dec == dac.Granted
 }
 
 func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {

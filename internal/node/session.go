@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,6 +73,31 @@ type SessionReport struct {
 // closes the streams, which the suppliers observe as a requester hangup
 // and release their slots. The attempt then returns ctx.Err().
 func (n *Node) Request(ctx context.Context, object string) (*SessionReport, error) {
+	return n.request(ctx, object, new(sweep))
+}
+
+// sweep is the scratch of one admission attempt; RequestUntilAdmitted keeps
+// one across its retries, so a retry sweeps in the buffers of the last.
+type sweep struct {
+	att     protocol.Attempt
+	classes []bandwidth.Class
+	// lines holds, by candidate index, the probe connection of every grant
+	// in att.Chosen() — the supplier's Start goes out on it — and nothing
+	// else: no denial's line, none at all once admission is out of reach.
+	lines []net.Conn
+}
+
+// release hangs up every held line; the suppliers parked on them see EOF.
+func (sw *sweep) release() {
+	for i, line := range sw.lines {
+		if line != nil {
+			line.Close()
+			sw.lines[i] = nil
+		}
+	}
+}
+
+func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -116,26 +142,42 @@ func (n *Node) Request(ctx context.Context, object string) (*SessionReport, erro
 		})
 		return nil, fmt.Errorf("node %s: %w", n.cfg.ID, ErrNoSuppliers)
 	}
-	classes := make([]bandwidth.Class, len(cands))
-	for i, c := range cands {
-		classes[i] = c.Class
+	sw.classes = sw.classes[:0]
+	for _, c := range cands {
+		sw.classes = append(sw.classes, c.Class)
 	}
-	att := protocol.NewAttempt(classes)
+	sw.lines = slices.Grow(sw.lines[:0], len(cands))[:len(cands)]
+	att := &sw.att
+	att.Reset(sw.classes)
+	// The one place held lines are let go on the way out: rejection, an
+	// error, a cancellation.
+	defer sw.release()
 	for {
 		idx, ok := att.Next()
 		if !ok {
 			break
 		}
-		reply, err := n.probe(ctx, cands[idx], n.wireObject(name))
+		reply, line, err := n.probe(ctx, cands[idx], n.wireObject(name))
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr // cancelled mid-probe
 			}
 			// Unreachable candidate: treat as down (paper: "down or busy").
 			att.Down(idx)
-			continue
+		} else {
+			held := len(att.Chosen())
+			att.Record(idx, reply.Decision, reply.Favors)
+			if len(att.Chosen()) > held {
+				sw.lines[idx] = line
+			} else {
+				line.Close()
+			}
 		}
-		att.Record(idx, reply.Decision, reply.Favors)
+		if att.Doomed() {
+			// The rest of the sweep only places reminders: no supplier
+			// waits on a line for a Start that cannot come.
+			sw.release()
+		}
 	}
 	if !att.Admitted() {
 		n.leaveReminders(ctx, pick(cands, att.ReminderTargets()), n.wireObject(name))
@@ -153,7 +195,8 @@ func (n *Node) Request(ctx context.Context, object string) (*SessionReport, erro
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	report, err := n.runSession(ctx, file, store, pick(cands, att.Chosen()))
+	report, err := n.runSession(ctx, file, store, pick(cands, att.Chosen()), sw.lines, att.Chosen())
+	sw.release() // the session is over: hang up its streams
 	if err != nil {
 		return nil, err
 	}
@@ -191,8 +234,9 @@ func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttem
 		return nil, fmt.Errorf("node %s: maxAttempts %d, want >= 1", n.cfg.ID, maxAttempts)
 	}
 	rejections := 0
+	sw := new(sweep)
 	for attempt := 1; ; attempt++ {
-		report, err := n.Request(ctx, object)
+		report, err := n.request(ctx, object, sw)
 		if err == nil {
 			report.Rejections = rejections
 			return report, nil
@@ -225,17 +269,24 @@ func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttem
 	}
 }
 
-// probe asks one candidate for permission to stream the given wire
-// object. Cancellation aborts the dial and the exchange.
-func (n *Node) probe(ctx context.Context, cand transport.Candidate, object string) (*transport.ProbeReply, error) {
+// probe asks one candidate for permission to stream the given wire object
+// and returns the answer with the connection it came on, still open: the
+// caller keeps the line of a grant it chose and closes every other.
+// Cancellation aborts the dial and the exchange.
+func (n *Node) probe(ctx context.Context, cand transport.Candidate, object string) (transport.ProbeReply, net.Conn, error) {
 	var reply transport.ProbeReply
-	err := transport.Call(ctx, n.net, cand.Addr, transport.KindProbe,
-		transport.Probe{RequesterID: n.cfg.ID, Class: n.cfg.Class, Object: object},
+	conn, err := netx.DialContext(ctx, n.net, cand.Addr)
+	if err != nil {
+		return reply, nil, err
+	}
+	err = transport.Exchange(ctx, conn, transport.KindProbe,
+		&transport.Probe{RequesterID: n.cfg.ID, Class: n.cfg.Class, Object: object},
 		transport.KindProbeReply, &reply)
 	if err != nil {
-		return nil, err
+		conn.Close()
+		return reply, nil, transport.CtxErr(ctx, err)
 	}
-	return &reply, nil
+	return reply, conn, nil
 }
 
 // leaveReminders deposits reminders on the candidates the shared sweep
@@ -253,64 +304,83 @@ func (n *Node) leaveReminders(ctx context.Context, targets []transport.Candidate
 	}
 }
 
+// trigger sends one chosen supplier its Start and takes the answer — on
+// *line, the connection its grant was given on, when that is held: the
+// supplier is parked on it waiting for exactly this frame. With no held
+// line, or one that fails before the supplier answered (it restarted, its
+// exchange deadline passed, it is a peer that hangs up after every reply),
+// the same exchange runs once on a fresh dial, left in *line. On success the
+// connection is the session stream, guarded by ctx until release is called.
+func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.Conn, start *transport.Start) (release func(), err error) {
+	held := *line != nil
+	for {
+		if *line == nil {
+			observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.TriggerDial})
+			if *line, err = netx.DialContext(ctx, n.net, cand.Addr); err != nil {
+				return nil, fmt.Errorf("node %s: dialing supplier %s: %w", n.cfg.ID, cand.ID, err)
+			}
+		}
+		release = netx.Guard(ctx, *line)
+		var reply transport.StartReply
+		if err = transport.Write(*line, transport.KindStart, start); err == nil {
+			err = transport.ReadExpect(*line, transport.KindStartReply, &reply)
+		}
+		if err == nil && reply.OK {
+			return release, nil
+		}
+		release()
+		switch {
+		case err == nil:
+			// A race took this supplier (granted, then claimed by another
+			// requester before our trigger). Abort: closing the other
+			// connections cancels their sessions.
+			return nil, fmt.Errorf("node %s: supplier %s refused: %s: %w", n.cfg.ID, cand.ID, reply.Reason, ErrRejected)
+		case !held || ctx.Err() != nil:
+			return nil, err
+		}
+		(*line).Close()
+		*line, held = nil, false
+	}
+}
+
 // runSession computes the OTS_p2p assignment (checking the Theorem 1
-// bound), triggers every chosen supplier, and receives the whole file
-// into the given store concurrently, recording arrival times for playback
-// verification. Every session connection is guarded by ctx: cancellation
-// closes the streams, aborting the receive goroutines and releasing the
-// suppliers.
-func (n *Node) runSession(ctx context.Context, file *media.File, store *media.Store, chosen []transport.Candidate) (*SessionReport, error) {
+// bound), triggers every chosen supplier and receives the whole file into
+// the given store concurrently, recording arrival times for playback
+// verification. chosen[i]'s connection is lines[at[i]]: the held line of its
+// grant, or nil, which the trigger fills with a dialed one; the caller
+// closes them all. Every session connection is guarded by ctx: cancellation
+// closes the streams, aborting the receivers and releasing the suppliers.
+func (n *Node) runSession(ctx context.Context, file *media.File, store *media.Store, chosen []transport.Candidate, lines []net.Conn, at []int) (*SessionReport, error) {
 	suppliers := make([]core.Supplier, len(chosen))
-	byID := make(map[string]transport.Candidate, len(chosen))
 	for i, c := range chosen {
 		suppliers[i] = core.Supplier{ID: c.ID, Class: c.Class}
-		byID[c.ID] = c
 	}
 	assignment, err := protocol.AssignSession(suppliers)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", n.cfg.ID, err)
 	}
 
-	// Trigger phase: open a connection per supplier and send its segment
-	// list; all must accept before any data is consumed.
-	conns := make([]net.Conn, len(assignment.Suppliers))
-	expect := make([]int, len(conns)) // segments each supplier was told to send
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
+	// Trigger phase, one supplier at a time in assignment order — which is
+	// the sweep's: both sort high class first, stably, so supplier i is
+	// chosen[i]. Write, then read: a refusal spares every later supplier
+	// its claim. All must accept before any data is consumed.
+	expect := make([]int, len(chosen)) // segments each supplier was told to send
 	for i, s := range assignment.Suppliers {
-		cand := byID[s.ID]
-		conn, err := netx.DialContext(ctx, n.net, cand.Addr)
-		if err != nil {
-			return nil, transport.CtxErr(ctx, fmt.Errorf("node %s: dialing supplier %s: %w", n.cfg.ID, s.ID, err))
+		if s.ID != chosen[i].ID {
+			return nil, fmt.Errorf("node %s: assignment reordered the sweep: supplier %d is %s, chosen %s", n.cfg.ID, i, s.ID, chosen[i].ID)
 		}
-		conns[i] = conn
-		release := netx.Guard(ctx, conn)
-		defer release()
 		segs := assignment.TransmissionList(i, file.Segments)
 		expect[i] = len(segs)
-		if err := transport.Write(conn, transport.KindStart, transport.Start{
+		release, err := n.trigger(ctx, chosen[i], &lines[at[i]], &transport.Start{
 			RequesterID: n.cfg.ID,
 			FileName:    file.Name,
 			Segments:    segs,
 			Priority:    n.cfg.Priority,
-		}); err != nil {
+		})
+		if err != nil {
 			return nil, transport.CtxErr(ctx, err)
 		}
-		var reply transport.StartReply
-		if err := transport.ReadExpect(conn, transport.KindStartReply, &reply); err != nil {
-			return nil, transport.CtxErr(ctx, err)
-		}
-		if !reply.OK {
-			// A race took this supplier (granted, then claimed by another
-			// requester before our trigger). Abort: closing the other
-			// connections cancels their sessions.
-			return nil, fmt.Errorf("node %s: supplier %s refused: %s: %w", n.cfg.ID, s.ID, reply.Reason, ErrRejected)
-		}
+		defer release()
 	}
 
 	// Receive phase.
@@ -329,68 +399,70 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		rcvErrs = append(rcvErrs, err)
 		mu.Unlock()
 	}
-	for i := range conns {
-		conn := conns[i]
-		want := expect[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			received := 0
-			for {
-				env, err := transport.Read(conn)
-				if err != nil {
-					fail(fmt.Errorf("node %s: receiving: %w", n.cfg.ID, err))
-					return
-				}
-				switch env.Kind {
-				case transport.KindSegment:
-					var seg transport.Segment
-					if err := env.Decode(&seg); err != nil {
-						fail(err)
-						return
-					}
-					at := n.clk.Since(start)
-					q := media.Quality(seg.Quality)
-					mu.Lock()
-					var err error
-					if !store.Has(media.SegmentID(seg.ID)) {
-						// Idempotent under retries: a session after a failed
-						// one re-receives segments the partial store already
-						// holds (content is deterministic per segment ID).
-						err = store.Put(media.Segment{ID: media.SegmentID(seg.ID), Quality: q, Data: seg.Data})
-					}
-					if err == nil {
-						arrivals[seg.ID] = at
-						bytes += int64(len(seg.Data))
-						if q > 0 {
-							downgraded++
-							maxQuality = max(maxQuality, q)
-						}
-					}
-					mu.Unlock()
-					if err != nil {
-						fail(err)
-						return
-					}
-					received++
-					if !n.cfg.NoAdapt {
-						// Feedback for the supplier's bandwidth estimator;
-						// best effort — a lost ack only slows adaptation.
-						_ = transport.Write(conn, transport.KindAck,
-							transport.Ack{Seq: seg.ID, Bytes: len(seg.Data)})
-					}
-				case transport.KindSessionDone:
-					if received != want {
-						fail(fmt.Errorf("node %s: supplier sent %d segments, want %d", n.cfg.ID, received, want))
-					}
-					return
-				default:
-					fail(fmt.Errorf("node %s: unexpected %s mid-session", n.cfg.ID, env.Kind))
-					return
-				}
+	receive := func(conn net.Conn, want int) {
+		defer wg.Done()
+		received := 0
+		for {
+			env, err := transport.Read(conn)
+			if err != nil {
+				fail(fmt.Errorf("node %s: receiving: %w", n.cfg.ID, err))
+				return
 			}
-		}()
+			switch env.Kind {
+			case transport.KindSegment:
+				var seg transport.Segment
+				if err := env.Decode(&seg); err != nil {
+					fail(err)
+					return
+				}
+				at := n.clk.Since(start)
+				q := media.Quality(seg.Quality)
+				mu.Lock()
+				var err error
+				if !store.Has(media.SegmentID(seg.ID)) {
+					// Idempotent under retries: a session after a failed
+					// one re-receives segments the partial store already
+					// holds (content is deterministic per segment ID).
+					err = store.Put(media.Segment{ID: media.SegmentID(seg.ID), Quality: q, Data: seg.Data})
+				}
+				if err == nil {
+					arrivals[seg.ID] = at
+					bytes += int64(len(seg.Data))
+					if q > 0 {
+						downgraded++
+						maxQuality = max(maxQuality, q)
+					}
+				}
+				mu.Unlock()
+				if err != nil {
+					fail(err)
+					return
+				}
+				received++
+				if !n.cfg.NoAdapt {
+					// Feedback for the supplier's bandwidth estimator;
+					// best effort — a lost ack only slows adaptation.
+					_ = transport.Write(conn, transport.KindAck,
+						transport.Ack{Seq: seg.ID, Bytes: len(seg.Data)})
+				}
+			case transport.KindSessionDone:
+				if received != want {
+					fail(fmt.Errorf("node %s: supplier sent %d segments, want %d", n.cfg.ID, received, want))
+				}
+				return
+			default:
+				fail(fmt.Errorf("node %s: unexpected %s mid-session", n.cfg.ID, env.Kind))
+				return
+			}
+		}
 	}
+	// One goroutine per stream but the last, which this one receives.
+	wg.Add(len(chosen))
+	last := len(chosen) - 1
+	for i := 0; i < last; i++ {
+		go receive(lines[at[i]], expect[i])
+	}
+	receive(lines[at[last]], expect[last])
 	wg.Wait()
 	if len(rcvErrs) > 0 {
 		return nil, transport.CtxErr(ctx, rcvErrs[0])

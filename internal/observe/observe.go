@@ -78,6 +78,12 @@ const (
 	// registrations that changed owner, Latency the time from receiving
 	// the epoch push to the last batch landing (the flip convergence).
 	ReshardMove
+	// TriggerDial: a requester had to dial a chosen supplier to trigger
+	// it, because it held no probe connection to it or the held one was
+	// dead. A grant keeps the line, so on a fault-free overlay this never
+	// fires; a regression to one connection per trigger fires it once per
+	// supplier of every session.
+	TriggerDial
 	// numTypes bounds the declared types; it sizes the name table and the
 	// Tally. New types go above it, with a name below.
 	numTypes
@@ -100,6 +106,7 @@ var typeNames = [numTypes]string{
 	ShardAdded:        "shard-added",
 	ShardDrained:      "shard-drained",
 	ReshardMove:       "reshard-move",
+	TriggerDial:       "trigger-dial",
 }
 
 func (t Type) String() string {

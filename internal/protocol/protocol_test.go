@@ -118,6 +118,53 @@ func TestAttemptDownYieldsNothing(t *testing.T) {
 	}
 }
 
+// TestAttemptDoomed: Doomed turns true at the probe after which the grants
+// gathered and every offer not yet probed cannot reach R0, stays true for
+// the rest of the sweep (which goes on for the reminder set), and is never
+// true of an attempt that can still be — or was — admitted.
+func TestAttemptDoomed(t *testing.T) {
+	// 1/2 + 1/4 + 1/8 + 1/8 = R0: reachable until one offer is lost.
+	att := NewAttempt([]bandwidth.Class{1, 2, 3, 3})
+	step := func(dec dac.Decision) {
+		t.Helper()
+		idx, ok := att.Next()
+		if !ok {
+			t.Fatal("sweep ended early")
+		}
+		att.Record(idx, dec, true)
+	}
+	step(dac.Granted)
+	step(dac.Granted)
+	if att.Doomed() {
+		t.Fatal("doomed with 3/4 granted and 1/4 still to probe")
+	}
+	step(dac.DeniedBusy)
+	if !att.Doomed() {
+		t.Fatal("not doomed with 3/4 granted and 1/8 left")
+	}
+	if len(att.Chosen()) != 2 {
+		t.Fatalf("chosen %v, want the two grants", att.Chosen())
+	}
+	step(dac.Granted) // the sweep goes on; a late grant changes nothing
+	if !att.Doomed() || att.Admitted() {
+		t.Errorf("doomed = %v, admitted = %v after the last probe", att.Doomed(), att.Admitted())
+	}
+
+	att.Reset([]bandwidth.Class{1, 1})
+	if att.Doomed() {
+		t.Error("a fresh attempt over offers summing to R0 is doomed")
+	}
+	step(dac.Granted)
+	step(dac.Granted)
+	if att.Doomed() || !att.Admitted() {
+		t.Errorf("doomed = %v, admitted = %v at exactly R0", att.Doomed(), att.Admitted())
+	}
+	att.Reset([]bandwidth.Class{1, 2})
+	if !att.Doomed() {
+		t.Error("offers summing to 3/4 are not doomed from the start")
+	}
+}
+
 func TestAssignSessionChecksTheorem1(t *testing.T) {
 	a, err := AssignSession([]core.Supplier{{ID: "a", Class: 1}, {ID: "b", Class: 2}, {ID: "c", Class: 3}, {ID: "d", Class: 3}})
 	if err != nil {

@@ -85,10 +85,18 @@ func (a *Attempt) Next() (idx int, ok bool) {
 	if a.admitted || a.pos >= len(a.order) {
 		return 0, false
 	}
-	if a.sum+a.rest < bandwidth.R0 && a.remSum == bandwidth.R0 {
+	if a.Doomed() && a.remSum == bandwidth.R0 {
 		return 0, false
 	}
 	return a.order[a.pos], true
+}
+
+// Doomed reports whether admission has become unreachable: the permissions
+// gathered plus every offer not yet probed fall short of R0. A doomed sweep
+// goes on only to place reminders, so a driver that holds anything for the
+// chosen suppliers (the node holds their connections) lets go of it here.
+func (a *Attempt) Doomed() bool {
+	return !a.admitted && a.sum+a.rest < bandwidth.R0
 }
 
 // consume retires the candidate at the sweep position from the un-probed

@@ -152,7 +152,7 @@ func flashCrowd() Spec {
 			{ID: "n6", Class: 1}, {ID: "n7", Class: 2},
 		},
 		MaxAttempts: 80,
-		Expect:      Expect{MinAttempts: 2},
+		Expect:      Expect{MinAttempts: 2, NoTriggerDials: true},
 	}
 }
 

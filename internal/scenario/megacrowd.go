@@ -76,8 +76,9 @@ func Megacrowd(n int) Spec {
 		NoAdapt: true,
 		// Population-scale wall-clock scheduling skew exceeds the
 		// one-segment playback allowance; byte-exact stores and the
-		// Theorem 1 delay bound remain asserted.
-		Expect: Expect{AllowStalls: true, MinAttempts: 2},
+		// Theorem 1 delay bound remain asserted. Nothing fails in a crowd, so
+		// every trigger must ride the line its grant was given on.
+		Expect: Expect{AllowStalls: true, MinAttempts: 2, NoTriggerDials: true},
 	}
 }
 

@@ -139,13 +139,15 @@ func TestMegacrowd10k(t *testing.T) {
 	// packages compile and test in parallel with this run and steal cores:
 	// the crowd measures ~9s in isolation and up to ~11s under that load.
 	rep := runMegacrowd(t, spec, 13*time.Second)
-	// The directory client pools persistent connections per destination:
-	// one requester's registration, refreshes and candidate samples ride
-	// one connection instead of dialing fresh per exchange. With the pool
-	// the crowd measures ~300k dials; the dial-per-exchange client it
-	// replaced measured ~364k on the same spec.
-	if rep.Dials == 0 || rep.Dials > 330_000 {
-		t.Errorf("megacrowd-10k: %d dials, want (0, 330000] — connection pooling regressed", rep.Dials)
+	// Two mechanisms keep the crowd's connections down. The directory client
+	// pools persistent connections per destination: one requester's
+	// registration, refreshes and candidate samples ride one connection
+	// (~364k dials before it, ~300k after). And a grant keeps the line: the
+	// probe connection of a chosen supplier carries its Start and the
+	// session, so a trigger dials nothing (~305-311k before it, 246-264k
+	// after). The ceiling is the readings' median, 256k, plus 10%.
+	if rep.Dials == 0 || rep.Dials > 282_000 {
+		t.Errorf("megacrowd-10k: %d dials, want (0, 282000] — connection pooling or the held probe line regressed", rep.Dials)
 	}
 	// The 512-seed boot registers through one batched directory round on a
 	// single shared client: one dial, where per-seed registration spent one

@@ -355,6 +355,10 @@ func (r *Report) checkEvents() error {
 		return fmt.Errorf("scenario %s: %d candidate lookups came up empty — the churn window opened",
 			r.Spec.Name, misses)
 	}
+	if dialed := ev.Of(observe.TriggerDial).N; exp.NoTriggerDials && dialed > 0 {
+		return fmt.Errorf("scenario %s: %d triggers dialed their supplier — a granted probe's line was not kept, or died",
+			r.Spec.Name, dialed)
+	}
 	if exp.NoLostRegistrations && len(r.LostRegistrations) > 0 {
 		return fmt.Errorf("scenario %s: %d registrations lost across resharding epochs: %v",
 			r.Spec.Name, len(r.LostRegistrations), r.LostRegistrations)

@@ -284,6 +284,12 @@ type Expect struct {
 	// owner's range stayed resolvable through its replicas for the whole
 	// run, with no churn window.
 	NoLookupMisses bool
+	// NoTriggerDials requires that no requester had to dial a chosen
+	// supplier to trigger it: a grant keeps the probe's line and the Start
+	// rides it, so on a fault-free overlay a trigger that dials is the
+	// regression to one connection per trigger — twice the connections per
+	// granted supplier — failing here, not only in a benchmark.
+	NoTriggerDials bool
 	// MinReplicaAnswered, when > 0, requires at least that many lookups to
 	// have been answered by a replica rather than the range's owner — the
 	// assertion that a replication scenario actually exercised the

@@ -135,7 +135,7 @@ func (cc *ConnCache) Call(ctx context.Context, addr string, kind Kind, req any, 
 				return err
 			}
 		}
-		err = exchange(ctx, conn, kind, req, want, out)
+		err = Exchange(ctx, conn, kind, req, want, out)
 		if err == nil || isRemote(err) {
 			cc.checkin(addr, conn)
 			return err
@@ -166,7 +166,7 @@ func Call(ctx context.Context, nw netx.Network, addr string, kind Kind, req any,
 		return err
 	}
 	defer conn.Close()
-	return CtxErr(ctx, exchange(ctx, conn, kind, req, want, out))
+	return CtxErr(ctx, Exchange(ctx, conn, kind, req, want, out))
 }
 
 // CtxErr maps a transport failure on a cancelled context to the context's
@@ -180,9 +180,10 @@ func CtxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// exchange runs one write/read pair over an open connection under ctx. Its
-// errors are the connection's own; callers map them with CtxErr.
-func exchange(ctx context.Context, conn net.Conn, kind Kind, req any, want Kind, out any) error {
+// Exchange runs one write/read pair over an open connection under ctx and
+// leaves it open. Its errors are the connection's own; callers map them
+// with CtxErr.
+func Exchange(ctx context.Context, conn net.Conn, kind Kind, req any, want Kind, out any) error {
 	defer netx.Guard(ctx, conn)()
 	if err := Write(conn, kind, req); err != nil {
 		return err

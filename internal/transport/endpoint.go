@@ -182,6 +182,15 @@ func (e *Endpoint) Reply(conn net.Conn, kind Kind, body any) error {
 // WriteFailures counts the replies that failed mid-exchange.
 func (e *Endpoint) WriteFailures() int64 { return e.writeFails.Load() }
 
+// Tracked returns the number of accepted connections whose handler has not
+// finished — a parked one included. It is the bound on the descriptors and
+// goroutines the component's peers hold on it right now.
+func (e *Endpoint) Tracked() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.conns)
+}
+
 // Addr returns the address the endpoint listens on, "" before its bind.
 func (e *Endpoint) Addr() string {
 	e.mu.Lock()

@@ -232,7 +232,7 @@ func TestShutdownStalledClientDeadline(t *testing.T) {
 	}
 	defer idle.Close()
 	var got Candidates
-	if err := exchange(context.Background(), idle, KindLookup, Lookup{M: 3}, KindCandidates, &got); err != nil || got.Len != 3 {
+	if err := Exchange(context.Background(), idle, KindLookup, Lookup{M: 3}, KindCandidates, &got); err != nil || got.Len != 3 {
 		t.Fatalf("exchange: %v (%+v)", err, got)
 	}
 	// The endpoint must hang up on its own; the reads unblocking prove it.
