@@ -73,6 +73,10 @@ type Assignment struct {
 	// Segments[i] lists the within-window segments transmitted by
 	// Suppliers[i], in ascending order (which is also transmission order).
 	Segments [][]int
+
+	// work backs Assign's per-supplier arrays and every list of Segments;
+	// the next Assign on this assignment reuses it.
+	work []int
 }
 
 // Common assignment errors.
@@ -103,8 +107,12 @@ func validateSuppliers(suppliers []Supplier) error {
 // reflection swapper.
 func sortedByOffer(suppliers []Supplier) []Supplier {
 	out := append([]Supplier(nil), suppliers...)
-	slices.SortStableFunc(out, func(a, b Supplier) int { return cmp.Compare(a.Class, b.Class) })
+	sortByOffer(out)
 	return out
+}
+
+func sortByOffer(suppliers []Supplier) {
+	slices.SortStableFunc(suppliers, func(a, b Supplier) int { return cmp.Compare(a.Class, b.Class) })
 }
 
 // windowOf returns W = 2^k for the lowest class (largest class number).
@@ -125,20 +133,36 @@ func windowOf(sorted []Supplier) int {
 // W - (r-1)·2^c_i slots), breaking ties by least-recently-assigned starting
 // from the fastest supplier.
 func Assign(suppliers []Supplier) (*Assignment, error) {
-	if err := validateSuppliers(suppliers); err != nil {
+	a := new(Assignment)
+	if err := a.Assign(suppliers); err != nil {
 		return nil, err
 	}
-	sorted := sortedByOffer(suppliers)
-	w := windowOf(sorted)
-	a := &Assignment{
-		Suppliers: sorted,
-		Window:    w,
-		Segments:  make([][]int, len(sorted)),
+	return a, nil
+}
+
+// Assign is the package-level Assign computed into a, overwriting what a
+// held: Suppliers, Segments and the array behind them are reused where they
+// are large enough, so a caller that keeps one Assignment for session after
+// session (the simulator checks Theorem 1 on every admission) allocates
+// nothing once it has seen its largest session. Everything read from a
+// before the call is invalid after it. On error a is unchanged.
+func (a *Assignment) Assign(suppliers []Supplier) error {
+	if err := validateSuppliers(suppliers); err != nil {
+		return err
 	}
-	n := len(sorted)
-	// One allocation backs the four per-supplier work arrays and every
-	// segment list: quotas sum to w, and each list is capped at its quota.
-	buf := make([]int, 4*n+w)
+	a.Suppliers = append(a.Suppliers[:0], suppliers...)
+	sorted := a.Suppliers
+	sortByOffer(sorted)
+	n, w := len(sorted), windowOf(sorted)
+	a.Window = w
+	a.Segments = slices.Grow(a.Segments[:0], n)[:n]
+	// One array backs the four per-supplier work arrays and every segment
+	// list: quotas sum to w, and each list is capped at its quota.
+	need := 4*n + w
+	if cap(a.work) < need {
+		a.work = make([]int, need)
+	}
+	buf := a.work[:need]
 	quota, period := buf[:n], buf[n:2*n]
 	next := buf[2*n : 3*n]     // completion slot of supplier's next reverse slot
 	lastPick := buf[3*n : 4*n] // step at which supplier was last chosen
@@ -170,7 +194,7 @@ func Assign(suppliers []Supplier) (*Assignment, error) {
 	for i := range a.Segments {
 		reverse(a.Segments[i])
 	}
-	return a, nil
+	return nil
 }
 
 // RoundRobinAssign is the literal transcription of the paper's Figure 2

@@ -547,3 +547,39 @@ func TestAssignSegmentListsDoNotOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignInPlaceLeavesNothingStale: an assignment recomputed in place for
+// a smaller session, then a larger one again, is exactly what a fresh Assign
+// returns — no list of the earlier session survives past len(Suppliers).
+func TestAssignInPlaceLeavesNothingStale(t *testing.T) {
+	four := figure1Suppliers()
+	two := []Supplier{{ID: "a", Class: 1}, {ID: "b", Class: 1}}
+	var a Assignment
+	for _, suppliers := range [][]Supplier{four, two, four} {
+		if err := a.Assign(suppliers); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%d suppliers: %v", len(suppliers), err)
+		}
+		fresh, err := Assign(suppliers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Suppliers, fresh.Suppliers) || a.Window != fresh.Window ||
+			!reflect.DeepEqual(a.Segments, fresh.Segments) {
+			t.Errorf("%d suppliers in place: %v window %d %v, fresh: %v window %d %v", len(suppliers),
+				a.Suppliers, a.Window, a.Segments, fresh.Suppliers, fresh.Window, fresh.Segments)
+		}
+		if got, want := a.DelaySlots(), OptimalDelaySlots(len(suppliers)); got != want {
+			t.Errorf("%d suppliers: delay %d slots, Theorem 1 wants %d", len(suppliers), got, want)
+		}
+	}
+	// A failed Assign leaves the assignment as it was.
+	if err := a.Assign(two[:1]); err == nil {
+		t.Fatal("offers summing to R0/2 accepted")
+	}
+	if err := a.Validate(); err != nil || len(a.Suppliers) != 4 {
+		t.Errorf("after a failed Assign: %d suppliers, Validate: %v", len(a.Suppliers), err)
+	}
+}

@@ -64,82 +64,106 @@ func (d Decision) String() string {
 // or live node) supplies randomness and invokes the timeout hook, which
 // keeps the logic deterministic and testable.
 //
+// The vector is held as one integer. A vector that starts as "1 up to the
+// own class, then halving" (or all ones) and changes only by elevate
+// (double, cap at 1) and tighten (re-anchor) is always 1 up to some class
+// anchor and 1/2^(j-anchor) below it: doubling that shape moves the anchor
+// one class down, re-anchoring sets it. Every probability is a power of
+// two, so the vector rendered from the anchor is exact.
+//
 // Supplier is not safe for concurrent use; callers serialize access (the
 // simulator is single-threaded, the live node guards it with its own mutex).
+// The zero value is not usable: build one with NewSupplier, or Init storage
+// the caller already owns.
 type Supplier struct {
-	class  bandwidth.Class
-	policy Policy
-	vec    Vector
-
-	busy bool
+	// Classes are at most bandwidth.MaxClass = 20: a byte each keeps the
+	// whole machine inside one word of its owner's record.
+	class  int8
+	k      int8 // number of classes
+	anchor int8 // lowest favored class: Pb[j] = 1 for j <= anchor, 1/2^(j-anchor) below
+	// bestReminder is the highest (numerically smallest) class that left a
+	// reminder during the current busy session; 0 means none.
+	bestReminder int8
+	// pinned marks the NDAC baseline: anchor stays at k whatever happens.
+	pinned bool
+	busy   bool
 	// sawFavoredRequest records whether any favored-class request arrived
 	// while busy in the current session (Section 4.1(c), first bullet).
 	sawFavoredRequest bool
-	// bestReminder is the highest (numerically smallest) class that left a
-	// reminder during the current busy session; 0 means none.
-	bestReminder bandwidth.Class
 }
 
 // NewSupplier returns the admission state of a class-own supplying peer in a
 // system with numClasses classes under the given policy.
 func NewSupplier(own bandwidth.Class, numClasses bandwidth.Class, policy Policy) (*Supplier, error) {
-	var vec Vector
-	var err error
-	switch policy {
-	case DAC:
-		vec, err = NewVector(own, numClasses)
-	case NDAC:
-		vec, err = NewOpenVector(numClasses)
-	default:
-		return nil, fmt.Errorf("dac: unknown policy %d", int(policy))
-	}
-	if err != nil {
+	s := new(Supplier)
+	if err := s.Init(own, numClasses, policy); err != nil {
 		return nil, err
 	}
-	return &Supplier{class: own, policy: policy, vec: vec}, nil
+	return s, nil
+}
+
+// Init is NewSupplier into storage the caller owns (a field of its own
+// record, say). On error *s is unchanged.
+func (s *Supplier) Init(own bandwidth.Class, numClasses bandwidth.Class, policy Policy) error {
+	if policy != DAC && policy != NDAC {
+		return fmt.Errorf("dac: unknown policy %d", int(policy))
+	}
+	if err := checkClasses(own, numClasses); err != nil {
+		return err
+	}
+	*s = Supplier{class: int8(own), k: int8(numClasses), anchor: int8(own)}
+	if policy == NDAC {
+		s.anchor, s.pinned = s.k, true
+	}
+	return nil
 }
 
 // Class returns the supplier's bandwidth class.
-func (s *Supplier) Class() bandwidth.Class { return s.class }
+func (s *Supplier) Class() bandwidth.Class { return bandwidth.Class(s.class) }
 
 // Policy returns the admission policy the supplier runs.
-func (s *Supplier) Policy() Policy { return s.policy }
+func (s *Supplier) Policy() Policy {
+	if s.pinned {
+		return NDAC
+	}
+	return DAC
+}
 
 // Offer returns the supplier's out-bound bandwidth offer.
-func (s *Supplier) Offer() bandwidth.Fraction { return s.class.Offer() }
+func (s *Supplier) Offer() bandwidth.Fraction { return s.Class().Offer() }
 
 // Busy reports whether the supplier is currently serving a session.
 func (s *Supplier) Busy() bool { return s.busy }
 
-// Vector returns a copy of the current probability vector (for metrics).
-func (s *Supplier) Vector() Vector { return s.vec.Clone() }
+// Vector renders the current probability vector (for metrics and tests).
+func (s *Supplier) Vector() Vector { return render(s.LowestFavored(), bandwidth.Class(s.k)) }
 
 // LowestFavored returns the lowest class the supplier currently favors
 // (the paper's Figure 7 metric).
-func (s *Supplier) LowestFavored() bandwidth.Class { return s.vec.LowestFavored() }
+func (s *Supplier) LowestFavored() bandwidth.Class { return bandwidth.Class(s.anchor) }
 
 // Favors reports whether the supplier currently favors class j.
-func (s *Supplier) Favors(j bandwidth.Class) bool { return s.vec.Favors(j) }
+func (s *Supplier) Favors(j bandwidth.Class) bool { return j >= 1 && j <= s.LowestFavored() }
 
 // AllOpen reports whether every class is currently favored (no further
 // elevation can change the vector, so idle timers may stop).
-func (s *Supplier) AllOpen() bool { return s.vec.AllOpen() }
+func (s *Supplier) AllOpen() bool { return s.anchor == s.k }
 
 // HandleProbe processes a streaming-service probe from a class-reqClass
 // requesting peer. u must be a uniform random value in [0, 1) drawn by the
 // caller. A grant is a permission, not a commitment: the requester triggers
 // the suppliers it selects via StartSession.
 func (s *Supplier) HandleProbe(reqClass bandwidth.Class, u float64) Decision {
-	if reqClass < 1 || int(reqClass) > len(s.vec) {
+	if reqClass < 1 || reqClass > bandwidth.Class(s.k) {
 		return DeniedProbability
 	}
 	if s.busy {
-		if s.vec.Favors(reqClass) {
+		if s.Favors(reqClass) {
 			s.sawFavoredRequest = true
 		}
 		return DeniedBusy
 	}
-	if u < s.vec.Prob(reqClass) {
+	if u < prob(reqClass, s.LowestFavored()) {
 		return Granted
 	}
 	return DeniedProbability
@@ -151,15 +175,15 @@ func (s *Supplier) HandleProbe(reqClass bandwidth.Class, u float64) Decision {
 // condition, but the supplier enforces it too. It reports whether the
 // reminder was kept.
 func (s *Supplier) LeaveReminder(reqClass bandwidth.Class) bool {
-	if !s.busy || !s.vec.Favors(reqClass) {
+	if !s.busy || !s.Favors(reqClass) {
 		return false
 	}
-	if s.policy == NDAC {
+	if s.pinned {
 		// The baseline keeps its vector pinned; reminders are ignored.
 		return false
 	}
-	if s.bestReminder == 0 || reqClass < s.bestReminder {
-		s.bestReminder = reqClass
+	if s.bestReminder == 0 || int8(reqClass) < s.bestReminder {
+		s.bestReminder = int8(reqClass)
 	}
 	return true
 }
@@ -168,7 +192,7 @@ func (s *Supplier) LeaveReminder(reqClass bandwidth.Class) bool {
 // serving (the paper's model: at most one session per supplying peer).
 func (s *Supplier) StartSession() error {
 	if s.busy {
-		return fmt.Errorf("dac: %v supplier already busy", s.class)
+		return fmt.Errorf("dac: %v supplier already busy", s.Class())
 	}
 	s.busy = true
 	s.sawFavoredRequest = false
@@ -183,19 +207,18 @@ func (s *Supplier) StartSession() error {
 //   - favored requests arrived but none left a reminder → unchanged.
 func (s *Supplier) EndSession() error {
 	if !s.busy {
-		return fmt.Errorf("dac: %v supplier not busy", s.class)
+		return fmt.Errorf("dac: %v supplier not busy", s.Class())
 	}
 	s.busy = false
-	if s.policy == NDAC {
+	if s.pinned {
 		return nil
 	}
 	switch {
 	case s.bestReminder != 0:
-		if err := s.vec.Tighten(s.bestReminder); err != nil {
-			return err
-		}
+		// Only favored classes leave reminders, so this never loosens.
+		s.anchor = s.bestReminder
 	case !s.sawFavoredRequest:
-		s.vec.Elevate()
+		s.elevate()
 	}
 	s.sawFavoredRequest = false
 	s.bestReminder = 0
@@ -208,8 +231,18 @@ func (s *Supplier) EndSession() error {
 // session ends. Timeouts while busy are ignored (the timer is defined over
 // idle periods only).
 func (s *Supplier) OnIdleTimeout() bool {
-	if s.busy || s.policy == NDAC {
+	if s.busy || s.pinned {
 		return false
 	}
-	return s.vec.Elevate()
+	return s.elevate()
+}
+
+// elevate doubles every probability below 1, capping at 1: the favored
+// prefix grows by one class. It reports whether anything changed.
+func (s *Supplier) elevate() bool {
+	if s.anchor == s.k {
+		return false
+	}
+	s.anchor++
+	return true
 }

@@ -36,34 +36,46 @@ type Vector []float64
 // (paper Section 4.1(a): a class-2 supplier with K = 4 starts with
 // [1.0, 1.0, 0.5, 0.25]).
 func NewVector(own bandwidth.Class, numClasses bandwidth.Class) (Vector, error) {
-	if numClasses < 1 || numClasses > bandwidth.MaxClass {
-		return nil, fmt.Errorf("dac: numClasses %d outside [1, %d]", numClasses, bandwidth.MaxClass)
+	if err := checkClasses(own, numClasses); err != nil {
+		return nil, err
 	}
-	if !own.Valid(numClasses) {
-		return nil, fmt.Errorf("dac: own class %d invalid for K=%d", own, numClasses)
-	}
-	v := make(Vector, numClasses)
-	for j := bandwidth.Class(1); j <= numClasses; j++ {
-		if j <= own {
-			v[j-1] = 1.0
-		} else {
-			v[j-1] = 1.0 / float64(int64(1)<<uint(j-own))
-		}
-	}
-	return v, nil
+	return render(own, numClasses), nil
 }
 
 // NewOpenVector returns the all-ones vector used by every supplier under
 // NDAC_p2p (and reached by DAC_p2p suppliers after enough relaxation).
 func NewOpenVector(numClasses bandwidth.Class) (Vector, error) {
+	return NewVector(numClasses, numClasses)
+}
+
+func checkClasses(own, numClasses bandwidth.Class) error {
 	if numClasses < 1 || numClasses > bandwidth.MaxClass {
-		return nil, fmt.Errorf("dac: numClasses %d outside [1, %d]", numClasses, bandwidth.MaxClass)
+		return fmt.Errorf("dac: numClasses %d outside [1, %d]", numClasses, bandwidth.MaxClass)
 	}
-	v := make(Vector, numClasses)
-	for i := range v {
-		v[i] = 1.0
+	if !own.Valid(numClasses) {
+		return fmt.Errorf("dac: own class %d invalid for K=%d", own, numClasses)
 	}
-	return v, nil
+	return nil
+}
+
+// prob is the probability a vector anchored at class anchor gives class j:
+// 1 down to the anchor, halving with every class beneath it. Powers of two,
+// so exact.
+func prob(j, anchor bandwidth.Class) float64 {
+	if j <= anchor {
+		return 1
+	}
+	return 1 / float64(uint64(1)<<uint(j-anchor))
+}
+
+// render writes out the k-class vector anchored at class anchor. A Supplier
+// keeps only the anchor; this is the vector it stands for.
+func render(anchor, k bandwidth.Class) Vector {
+	v := make(Vector, k)
+	for j := range v {
+		v[j] = prob(bandwidth.Class(j+1), anchor)
+	}
+	return v
 }
 
 // Prob returns the admission probability applied to class-j requests.
@@ -102,44 +114,6 @@ func (v Vector) AllOpen() bool {
 	return len(v) > 0
 }
 
-// Elevate relaxes the admission preference by doubling every probability,
-// capped at 1.0 (paper Section 4.1(b): applied after an idle timeout, and
-// after a session that saw no favored-class request). It reports whether
-// anything changed (false once the vector is all-open, letting callers stop
-// scheduling further timeouts).
-func (v Vector) Elevate() bool {
-	changed := false
-	for i, p := range v {
-		if p < 1.0 {
-			p *= 2
-			if p > 1.0 {
-				p = 1.0
-			}
-			v[i] = p
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Tighten re-anchors the vector at the given class (paper Section 4.1(c):
-// anchor is the highest class among reminders left during the last busy
-// session): Pb[j] = 1 for j <= anchor, Pb[j] = 1/2^(j-anchor) for
-// j > anchor.
-func (v Vector) Tighten(anchor bandwidth.Class) error {
-	if anchor < 1 || int(anchor) > len(v) {
-		return fmt.Errorf("dac: tighten anchor %d outside [1, %d]", anchor, len(v))
-	}
-	for j := bandwidth.Class(1); int(j) <= len(v); j++ {
-		if j <= anchor {
-			v[j-1] = 1.0
-		} else {
-			v[j-1] = 1.0 / float64(int64(1)<<uint(j-anchor))
-		}
-	}
-	return nil
-}
-
 // Validate checks the vector invariants.
 func (v Vector) Validate() error {
 	if len(v) == 0 {
@@ -157,9 +131,4 @@ func (v Vector) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns an independent copy of the vector.
-func (v Vector) Clone() Vector {
-	return append(Vector(nil), v...)
 }

@@ -28,8 +28,12 @@ type Directory[ID comparable] struct {
 }
 
 // NewDirectory returns an empty directory.
-func NewDirectory[ID comparable]() *Directory[ID] {
-	return &Directory[ID]{index: make(map[ID]int)}
+func NewDirectory[ID comparable]() *Directory[ID] { return NewDirectorySized[ID](0) }
+
+// NewDirectorySized returns an empty directory with room for n peers: a
+// caller that knows its population registers it without the tables growing.
+func NewDirectorySized[ID comparable](n int) *Directory[ID] {
+	return &Directory[ID]{entries: make([]Entry[ID], 0, n), index: make(map[ID]int, n)}
 }
 
 // Register adds a supplying peer. Registering the same ID twice is an error

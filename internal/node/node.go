@@ -704,6 +704,9 @@ const minPace = 100 * time.Microsecond
 func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File, store *media.Store) {
 	start := n.clk.Now()
 	sent := 0
+	// One frame for the session, passed by address: a Segment by value
+	// would be boxed into Reply's any once per segment.
+	var frame transport.Segment
 	for i, segID := range req.Segments {
 		// Pace against the absolute schedule to avoid drift: transmission
 		// of the i-th assigned segment completes at its protocol deadline.
@@ -717,8 +720,8 @@ func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File,
 				transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
 			return
 		}
-		if err := n.ep.Reply(conn, transport.KindSegment,
-			transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}); err != nil {
+		frame = transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}
+		if err := n.ep.Reply(conn, transport.KindSegment, &frame); err != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++

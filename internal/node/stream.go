@@ -91,6 +91,7 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 	target := committed
 	var belowSince time.Time
 	sent := 0
+	var frame transport.Segment // one per session, passed by address: see streamFixed
 	for i, segID := range req.Segments {
 		deadline := start.Add(protocol.TransmissionDeadline(i, n.cfg.Class, dt))
 		if d := deadline.Sub(n.clk.Now()); d > 0 {
@@ -143,8 +144,8 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 		mu.Lock()
 		sentAt[segID] = n.clk.Now()
 		mu.Unlock()
-		if err := n.ep.Reply(conn, transport.KindSegment,
-			transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}); err != nil {
+		frame = transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}
+		if err := n.ep.Reply(conn, transport.KindSegment, &frame); err != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++

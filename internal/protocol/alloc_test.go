@@ -2,7 +2,14 @@
 
 package protocol
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"p2pstream/internal/clock"
+	"p2pstream/internal/dac"
+	"p2pstream/internal/sim"
+)
 
 // TestAttemptSweepAllocs pins a reused Attempt at zero allocations per
 // admission attempt: Reset, a full M = 8 sweep, and reminder targeting all
@@ -13,5 +20,29 @@ func TestAttemptSweepAllocs(t *testing.T) {
 	op() // size the buffers
 	if got := testing.AllocsPerRun(1000, op); got != 0 {
 		t.Errorf("%.0f allocs per Reset + sweep + ReminderTargets, want 0", got)
+	}
+}
+
+// TestSupplierInitAllocs pins Init on caller-owned storage at zero
+// allocations — admission machine by value, idle alarm armed in place —
+// which is what lets a simulator promote a peer inside its own record.
+func TestSupplierInitAllocs(t *testing.T) {
+	var eng sim.Engine
+	clk := clock.ForEngine(&eng)
+	const runs = 1000
+	eng.Grow(runs + 1)
+	sups := make([]Supplier, runs+1) // AllocsPerRun adds a warm-up call
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if err := sups[i].Init(2, 4, dac.DAC, clk, 20*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got != 0 {
+		t.Errorf("%.0f allocs per Supplier.Init, want 0", got)
+	}
+	if eng.Pending() != runs+1 {
+		t.Errorf("%d idle alarms armed, want %d", eng.Pending(), runs+1)
 	}
 }

@@ -165,12 +165,23 @@ func (a *Attempt) ReminderTargets() []int {
 // is triggered — the shared admission-to-streaming handoff of both
 // runtimes.
 func AssignSession(suppliers []core.Supplier) (*core.Assignment, error) {
-	a, err := core.Assign(suppliers)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: OTS_p2p: %w", err)
-	}
-	if got, want := a.DelaySlots(), core.OptimalDelaySlots(len(suppliers)); got != want {
-		return nil, fmt.Errorf("protocol: Theorem 1 violated: delay %d slots, want %d", got, want)
+	a := new(core.Assignment)
+	if err := AssignSessionInto(a, suppliers); err != nil {
+		return nil, err
 	}
 	return a, nil
+}
+
+// AssignSessionInto is AssignSession recomputing a in place (see
+// core.Assignment.Assign): a driver that only needs the check keeps one
+// assignment for every admission. After a Theorem 1 violation a holds the
+// offending assignment.
+func AssignSessionInto(a *core.Assignment, suppliers []core.Supplier) error {
+	if err := a.Assign(suppliers); err != nil {
+		return fmt.Errorf("protocol: OTS_p2p: %w", err)
+	}
+	if got, want := a.DelaySlots(), core.OptimalDelaySlots(len(suppliers)); got != want {
+		return fmt.Errorf("protocol: Theorem 1 violated: delay %d slots, want %d", got, want)
+	}
+	return nil
 }

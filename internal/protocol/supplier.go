@@ -21,36 +21,49 @@ import (
 // reminders and sessions from independent connection goroutines; the
 // single-threaded simulator pays one uncontended lock).
 type Supplier struct {
-	tout time.Duration
+	// What a probe reads and writes comes first and fits one cache line:
+	// the simulator keeps tens of thousands of these and touches them in
+	// random order.
+	mu     sync.Mutex
+	adm    dac.Supplier
+	closed bool
+	probes int
 	// slots, when non-nil, is the node's shared outbound session budget:
 	// every per-object Supplier of one node consults the same pool, so
 	// slot accounting is per node while the admission vector, idle
-	// elevation and post-session rules above stay per stream.
+	// elevation and post-session rules stay per stream.
 	slots *Slots
 
-	mu     sync.Mutex
-	adm    *dac.Supplier
-	idle   clock.Alarm // the elevation timeout, re-armed in place: no allocation per arm
-	closed bool
-
-	probes    int
 	sessions  int
 	reminders int
+	tout      time.Duration
+	idle      clock.Alarm // the elevation timeout, re-armed in place: no allocation per arm
 }
 
 // NewSupplier returns a supplying peer of the given class in a system with
 // numClasses classes, with its idle elevation timer armed on clk.
 func NewSupplier(class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) (*Supplier, error) {
-	adm, err := dac.NewSupplier(class, numClasses, policy)
-	if err != nil {
+	s := new(Supplier)
+	if err := s.Init(class, numClasses, policy, clk, tout); err != nil {
 		return nil, err
 	}
-	s := &Supplier{tout: tout, adm: adm}
+	return s, nil
+}
+
+// Init is NewSupplier into zeroed storage the caller owns: a simulator with
+// one record per peer embeds the Supplier in it and promotes the peer
+// without allocating. A Supplier holds a mutex and is its own alarm's
+// handler, so it must not be copied or moved afterwards.
+func (s *Supplier) Init(class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) error {
+	if err := s.adm.Init(class, numClasses, policy); err != nil {
+		return err
+	}
+	s.tout = tout
 	s.idle.Init(clk, (*idleTimeout)(s))
 	s.mu.Lock()
 	s.armLocked()
 	s.mu.Unlock()
-	return s, nil
+	return nil
 }
 
 // SetSlots attaches the node's shared session budget. Call before the

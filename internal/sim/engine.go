@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -41,6 +42,10 @@ func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending returns how many events are scheduled and not yet fired.
 func (e *Engine) Pending() int { return len(e.queue) }
+
+// Grow reserves room for n more pending events, so a simulation that knows
+// how many it keeps in flight sizes the queue once and never copies it.
+func (e *Engine) Grow(n int) { e.queue = slices.Grow(e.queue, n) }
 
 // LastSeq returns the scheduling sequence number of the most recently
 // scheduled event. Sequence numbers start at 1 and are never reused.

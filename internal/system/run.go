@@ -3,7 +3,6 @@ package system
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"time"
 
 	"p2pstream/internal/bandwidth"
@@ -67,25 +66,38 @@ type Result struct {
 	Events uint64
 }
 
-// peer is the simulator's per-peer state. The admission state machine and
-// idle elevation timer live in the shared protocol layer; the simulator
-// only keeps the bookkeeping behind the paper's metrics.
+// peer is the simulator's one record per peer, seed or requester: the
+// shared protocol layer's supplier state (admission machine, idle elevation
+// timer, counters) embedded by value beside the bookkeeping behind the
+// paper's metrics. The records are laid out once, in simulation.peers, and
+// referred to by address from then on — a Supplier holds a mutex and is its
+// own alarm's handler, so a peer is never copied.
 type peer struct {
+	// sup is zero until the peer becomes a supplier; only suppliers are
+	// registered with the candidate source, so only theirs is ever probed.
+	sup protocol.Supplier
+
 	sim     *simulation
 	id      int
 	class   bandwidth.Class
 	arrival time.Duration
-	sup     *protocol.Supplier // nil until the peer becomes a supplier
 
 	rejections int
-	admitted   bool
-	// waited is the time between first request and admission.
-	waited time.Duration
+	// chosen are the suppliers of the peer's own session, from its admission
+	// to the session's end.
+	chosen []*peer
 }
 
 // Fire implements sim.Handler: the peer is its own request event, first
 // arrival and every retry, so scheduling one allocates nothing.
 func (p *peer) Fire() { p.sim.handleRequest(p) }
+
+// sessionEnd is the peer as the event that ends its session, kept off
+// peer's method set: a peer is two events and Fire is taken.
+type sessionEnd peer
+
+// Fire implements sim.Handler.
+func (e *sessionEnd) Fire() { p := (*peer)(e); p.sim.endSession(p) }
 
 type simulation struct {
 	cfg Config
@@ -93,7 +105,7 @@ type simulation struct {
 	clk clock.Clock // engine-backed; drives the shared protocol timers
 	rng *rand.Rand  // protocol randomness (probes, sampling)
 
-	peers    []*peer
+	peers    []peer // seeds, then requesters, indexed by id; sized once, never moved
 	src      candidateSource
 	byClass  [][]*protocol.Supplier // suppliers per class (for Figure 7 snapshots)
 	aggOffer bandwidth.Fraction
@@ -106,9 +118,10 @@ type simulation struct {
 
 	// Per-request scratch, reused across requests: the simulation is
 	// single-threaded and a request is handled within one event.
-	att       protocol.Attempt
-	classes   []bandwidth.Class
-	suppliers []core.Supplier
+	att        protocol.Attempt
+	classes    []bandwidth.Class
+	suppliers  []core.Supplier
+	assignment core.Assignment
 
 	res *Result
 }
@@ -135,11 +148,19 @@ func Run(cfg Config) (*Result, error) {
 		},
 	}
 	s.clk = clock.ForEngine(&s.eng)
+	// The tables whose size follows from the configuration are laid out
+	// once. The queue starts at its largest — one event per peer (a seed's
+	// idle alarm, a requester's arrival) beside the sampling events — and
+	// each peer keeps about one in flight from then on: a retry, a session
+	// end, an idle alarm.
+	numPeers := cfg.NumSeeds + cfg.NumRequesters
+	s.peers = make([]peer, numPeers)
+	s.eng.Grow(numPeers + int(cfg.Horizon/cfg.SampleEvery) + int(cfg.Horizon/cfg.FavoredSampleEvery) + 2)
 	switch cfg.Lookup {
 	case LookupChord:
 		s.src = newChordSource(s.eng.Now, cfg.ChordStabilizeEvery)
 	default:
-		s.src = newDirectorySource()
+		s.src = newDirectorySource(numPeers)
 	}
 	for c := 1; c <= k; c++ {
 		s.res.AdmissionRate = append(s.res.AdmissionRate, &metrics.Series{Name: fmt.Sprintf("class%d-admission-%%", c)})
@@ -165,8 +186,8 @@ func (s *simulation) populate() error {
 	arrivalRng := sim.NewRNG(sim.ChildSeed(s.cfg.Seed, "arrivals"))
 
 	for i := 0; i < s.cfg.NumSeeds; i++ {
-		p := &peer{sim: s, id: i, class: s.cfg.SeedClass}
-		s.peers = append(s.peers, p)
+		p := &s.peers[i]
+		p.sim, p.id, p.class = s, i, s.cfg.SeedClass
 		if err := s.becomeSupplier(p); err != nil {
 			return err
 		}
@@ -175,16 +196,11 @@ func (s *simulation) populate() error {
 	if err != nil {
 		return err
 	}
-	var maxOffer bandwidth.Fraction
-	maxOffer = bandwidth.Fraction(s.cfg.NumSeeds) * s.cfg.SeedClass.Offer()
+	maxOffer := bandwidth.Fraction(s.cfg.NumSeeds) * s.cfg.SeedClass.Offer()
 	for i := 0; i < s.cfg.NumRequesters; i++ {
-		p := &peer{
-			sim:     s,
-			id:      s.cfg.NumSeeds + i,
-			class:   s.cfg.ClassDist.Pick(classRng.Float64()),
-			arrival: times[i],
-		}
-		s.peers = append(s.peers, p)
+		p := &s.peers[s.cfg.NumSeeds+i]
+		p.sim, p.id, p.class = s, s.cfg.NumSeeds+i, s.cfg.ClassDist.Pick(classRng.Float64())
+		p.arrival = times[i]
 		maxOffer += p.class.Offer()
 		if err := s.eng.Schedule(p.arrival, p); err != nil {
 			return err
@@ -215,15 +231,13 @@ func (s *simulation) scheduleProbes() error {
 // with the directory. The shared protocol layer arms the idle elevation
 // timer on the engine-backed clock.
 func (s *simulation) becomeSupplier(p *peer) error {
-	sup, err := protocol.NewSupplier(p.class, s.cfg.NumClasses(), s.cfg.Policy, s.clk, s.cfg.TOut)
-	if err != nil {
+	if err := p.sup.Init(p.class, s.cfg.NumClasses(), s.cfg.Policy, s.clk, s.cfg.TOut); err != nil {
 		return err
 	}
-	p.sup = sup
 	if err := s.src.register(p.id, p.class); err != nil {
 		return err
 	}
-	s.byClass[p.class] = append(s.byClass[p.class], sup)
+	s.byClass[p.class] = append(s.byClass[p.class], &p.sup)
 	s.aggOffer += p.class.Offer()
 	return nil
 }
@@ -248,7 +262,7 @@ func (s *simulation) handleRequest(p *peer) {
 		if !ok {
 			break
 		}
-		cand := s.peers[candidates[idx].ID]
+		cand := &s.peers[candidates[idx].ID]
 		if s.cfg.DownProb > 0 && s.rng.Float64() < s.cfg.DownProb {
 			// Transiently unreachable: neither a grant nor a reminder
 			// target (the paper's "down" case).
@@ -265,32 +279,34 @@ func (s *simulation) handleRequest(p *peer) {
 		s.reject(p, att, candidates)
 		return
 	}
-	chosen := make([]*peer, len(att.Chosen()))
+	p.chosen = make([]*peer, len(att.Chosen()))
 	for i, idx := range att.Chosen() {
-		chosen[i] = s.peers[candidates[idx].ID]
+		p.chosen[i] = &s.peers[candidates[idx].ID]
 	}
-	s.admit(p, chosen)
+	s.admit(p)
 }
 
-// admit triggers the chosen suppliers and starts the streaming session. It
-// keeps chosen until the session ends.
-func (s *simulation) admit(p *peer, chosen []*peer) {
+// admit triggers the suppliers p chose and starts the streaming session.
+func (s *simulation) admit(p *peer) {
 	if s.cfg.ValidateAssignments {
 		s.suppliers = s.suppliers[:0]
-		for _, c := range chosen {
-			s.suppliers = append(s.suppliers, core.Supplier{ID: strconv.Itoa(c.id), Class: c.class})
+		for _, c := range p.chosen {
+			s.suppliers = append(s.suppliers, core.Supplier{Class: c.class})
 		}
-		if _, err := protocol.AssignSession(s.suppliers); err != nil {
-			panic(fmt.Sprintf("system: OTS_p2p on admission: %v", err))
+		if err := protocol.AssignSessionInto(&s.assignment, s.suppliers); err != nil {
+			ids := make([]int, len(p.chosen))
+			for i, c := range p.chosen {
+				ids[i] = c.id
+			}
+			panic(fmt.Sprintf("system: OTS_p2p on admission, suppliers %v: %v", ids, err))
 		}
 	}
-	for _, c := range chosen {
+	for _, c := range p.chosen {
 		if err := c.sup.StartSession(); err != nil {
 			panic(fmt.Sprintf("system: triggering supplier %d: %v", c.id, err))
 		}
 	}
-	p.admitted = true
-	p.waited = s.eng.Now() - p.arrival
+	waited := s.eng.Now() - p.arrival
 	if s.cfg.ValidateAssignments {
 		// The waiting time must equal the exact sum of the backoffs served
 		// (retries fire exactly when their backoff expires).
@@ -298,31 +314,31 @@ func (s *simulation) admit(p *peer, chosen []*peer) {
 		if err != nil {
 			panic(fmt.Sprintf("system: backoff total: %v", err))
 		}
-		if p.waited != want {
+		if waited != want {
 			panic(fmt.Sprintf("system: peer %d waited %v, backoff schedule implies %v (%d rejections)",
-				p.id, p.waited, want, p.rejections))
+				p.id, waited, want, p.rejections))
 		}
 	}
 	s.admitted[p.class]++
-	s.delaySum[p.class] += float64(len(chosen))
+	s.delaySum[p.class] += float64(len(p.chosen))
 	s.rejectionsSum[p.class] += int64(p.rejections)
-	s.waitSum[p.class] += p.waited
+	s.waitSum[p.class] += waited
 
-	err := s.eng.After(s.cfg.SessionDuration, func() { s.endSession(p, chosen) })
-	if err != nil {
+	if err := s.eng.Schedule(s.eng.Now()+s.cfg.SessionDuration, (*sessionEnd)(p)); err != nil {
 		panic(fmt.Sprintf("system: scheduling session end: %v", err))
 	}
 }
 
-// endSession releases the suppliers (the shared protocol layer applies
+// endSession releases p's suppliers (the shared protocol layer applies
 // their post-session vector updates and re-arms their idle timers) and
 // turns the requester into a supplying peer.
-func (s *simulation) endSession(p *peer, chosen []*peer) {
-	for _, c := range chosen {
+func (s *simulation) endSession(p *peer) {
+	for _, c := range p.chosen {
 		if err := c.sup.EndSession(); err != nil {
 			panic(fmt.Sprintf("system: releasing supplier %d: %v", c.id, err))
 		}
 	}
+	p.chosen = nil
 	if err := s.becomeSupplier(p); err != nil {
 		panic(fmt.Sprintf("system: promoting peer %d: %v", p.id, err))
 	}
@@ -333,7 +349,7 @@ func (s *simulation) endSession(p *peer, chosen []*peer) {
 func (s *simulation) reject(p *peer, att *protocol.Attempt, candidates []lookup.Entry[int]) {
 	p.rejections++
 	for _, idx := range att.ReminderTargets() {
-		target := s.peers[candidates[idx].ID]
+		target := &s.peers[candidates[idx].ID]
 		if target.sup.LeaveReminder(p.class) {
 			s.res.TotalReminders++
 		}

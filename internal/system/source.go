@@ -3,6 +3,8 @@ package system
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"p2pstream/internal/bandwidth"
@@ -27,8 +29,8 @@ type directorySource struct {
 	sampled []lookup.Entry[int] // sample's result buffer
 }
 
-func newDirectorySource() *directorySource {
-	return &directorySource{dir: lookup.NewDirectory[int]()}
+func newDirectorySource(numPeers int) *directorySource {
+	return &directorySource{dir: lookup.NewDirectorySized[int](numPeers)}
 }
 
 func (d *directorySource) register(id int, class bandwidth.Class) error {
@@ -52,6 +54,7 @@ type chordSource struct {
 	stabilizeEvery time.Duration
 	lastStabilize  time.Duration
 	bootstrap      string
+	sampled        []lookup.Entry[int] // sample's result buffer
 }
 
 func newChordSource(now func() time.Duration, stabilizeEvery time.Duration) *chordSource {
@@ -67,7 +70,7 @@ func newChordSource(now func() time.Duration, stabilizeEvery time.Duration) *cho
 	}
 }
 
-func chordName(id int) string { return fmt.Sprintf("p%d", id) }
+func chordName(id int) string { return "p" + strconv.Itoa(id) }
 
 func (c *chordSource) register(id int, class bandwidth.Class) error {
 	c.pending = append(c.pending, chord.Member{Name: chordName(id), Class: class})
@@ -111,13 +114,13 @@ func (c *chordSource) sample(m int, rng *rand.Rand) []lookup.Entry[int] {
 	if err != nil {
 		panic(fmt.Sprintf("system: chord sampling: %v", err))
 	}
-	out := make([]lookup.Entry[int], 0, len(peers))
+	c.sampled = c.sampled[:0]
 	for _, p := range peers {
-		var id int
-		if _, err := fmt.Sscanf(p.Name, "p%d", &id); err != nil {
+		id, err := strconv.Atoi(strings.TrimPrefix(p.Name, "p"))
+		if err != nil {
 			panic(fmt.Sprintf("system: bad chord peer name %q", p.Name))
 		}
-		out = append(out, lookup.Entry[int]{ID: id, Class: p.Class})
+		c.sampled = append(c.sampled, lookup.Entry[int]{ID: id, Class: p.Class})
 	}
-	return out
+	return c.sampled
 }
