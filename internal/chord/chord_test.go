@@ -321,3 +321,24 @@ func TestVirtualPositionSpread(t *testing.T) {
 			maxGap, float64(maxGap)/float64(1<<63)/2)
 	}
 }
+
+// BenchmarkChordLookup measures decentralized candidate discovery on a
+// 4,096-peer Chord ring.
+func BenchmarkChordLookup(b *testing.B) {
+	members := make([]Member, 4096)
+	for i := range members {
+		members[i] = Member{Name: fmt.Sprintf("peer-%d", i), Class: bandwidth.Class(1 + i%4)}
+	}
+	ring, err := New(members)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ring.SampleCandidates("peer-0", 8, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 // moment its context is cancelled — within one step of the virtual clock —
 // returning context.Canceled instead of blocking for the link delay.
 func TestCancelMidLookup(t *testing.T) {
-	f := newFixture(t)
+	f := newTimedFixture(t)
 	f.addMember("s0", 1)
 	f.addMember("s1", 1)
 	f.waitFor(func() bool { return ringHealthy(f.peers, []string{"s0", "s1"}) }, "2-member ring")
@@ -44,7 +44,7 @@ func TestCancelMidLookup(t *testing.T) {
 // TestDeadlineMidLookup: the same park, bounded by a virtual-clock
 // deadline; expiry surfaces as context.DeadlineExceeded.
 func TestDeadlineMidLookup(t *testing.T) {
-	f := newFixture(t)
+	f := newTimedFixture(t)
 	f.addMember("s0", 1)
 	f.waitFor(func() bool { return f.peers["s0"].Joined() }, "singleton ring")
 

@@ -35,9 +35,27 @@ type fixture struct {
 	observer observe.Observer
 }
 
+// newFixture builds the fixture most tests use: they wait for a ring
+// property and assert no virtual instant, so the clock runs in scale mode
+// (the chord-scale scenarios' setting) — a whole 1ms window of causally
+// chained deliveries drains per quiescent advance instead of paying the
+// wall-clock grace once per hop.
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	return newFixtureOn(t, time.Millisecond)
+}
+
+// newTimedFixture is for the tests that assert how much virtual time an
+// exchange took: every event instant is its own advance.
+func newTimedFixture(t *testing.T) *fixture {
+	t.Helper()
+	return newFixtureOn(t, 0)
+}
+
+func newFixtureOn(t *testing.T, coalesce time.Duration) *fixture {
+	t.Helper()
 	clk := clock.NewVirtual()
+	clk.SetCoalesce(coalesce) // 0 keeps the default
 	stop := clk.AutoRun()
 	t.Cleanup(stop)
 	vnet := netx.NewVirtual(clk, 1)
@@ -83,6 +101,14 @@ func (f *fixture) newPeer(name string, class bandwidth.Class) *Peer {
 	f.t.Cleanup(func() { p.Close() })
 	f.peers[name] = p
 	return p
+}
+
+// stored reads one registration record out of the peer's registry.
+func (p *Peer) stored(pos uint64) (transport.ChordRecord, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r, ok := p.reg.store[pos]
+	return r, ok
 }
 
 // waitFor polls a condition under virtual time, scaling the budget to the
@@ -338,7 +364,7 @@ func TestUnregisterLeavesRing(t *testing.T) {
 // successor head advances, and every member resolves every key against
 // the shrunken membership immediately, not one stabilization round later.
 func TestGracefulLeaveClosesStalenessWindow(t *testing.T) {
-	f2 := newFixture(t)
+	f2 := newTimedFixture(t)
 	f2.stabilize = 500 * time.Millisecond
 	members := []string{"a", "b", "c", "d", "e"}
 	for _, m := range members {

@@ -106,3 +106,34 @@ func TestCandidatesFilterByObject(t *testing.T) {
 		return f.sampleIDs(r, "v3", len(all))["blank"]
 	}, "empty-set member passing the v3 filter")
 }
+
+// TestUnregisterUnknownObjectKeepsMembership: withdrawing an object the
+// member does not supply — one it never registered, or one it already
+// withdrew — is nothing to do. It used to fall through the
+// partial-withdrawal test into the full-leave path: records withdrawn,
+// leave notices sent, Joined() false, with the object set still naming what
+// the member supplies.
+func TestUnregisterUnknownObjectKeepsMembership(t *testing.T) {
+	f := newFixture(t)
+	members := []string{"s0", "s1", "s2"}
+	for _, m := range members {
+		f.addMember(m, 1)
+	}
+	f.waitFor(func() bool { return ringHealthy(f.peers, members) }, "stabilization")
+	f.registerObject("s1", "v1")
+	f.registerObject("s1", "v2")
+
+	s1 := f.peers["s1"]
+	for _, object := range []string{"never", "v2", "v2"} {
+		if err := s1.Unregister(ctx, "s1", object); err != nil {
+			t.Fatalf("unregister %q: %v", object, err)
+		}
+		if !s1.Joined() {
+			t.Fatalf("unregistering %q: s1 left the ring while still supplying v1", object)
+		}
+	}
+	f.waitFor(func() bool { return ringHealthy(f.peers, members) }, "ring still whole")
+	r := f.newPeer("req", 1)
+	f.waitFor(func() bool { return f.sampleIDs(r, "v1", len(members))["s1"] }, "s1 still sampled for v1")
+	f.waitFor(func() bool { return !f.sampleIDs(r, "v2", len(members))["s1"] }, "s1 no longer sampled for v2")
+}

@@ -34,9 +34,7 @@ func replicasSettled(f *fixture, names []string, k int) bool {
 			if holder == nil {
 				return false
 			}
-			holder.mu.Lock()
-			r, ok := holder.store[chord.HashKey(n)]
-			holder.mu.Unlock()
+			r, ok := holder.stored(chord.HashKey(n))
 			if !ok || r.Peer.Name != n {
 				return false
 			}
@@ -53,7 +51,7 @@ func replicasSettled(f *fixture, names []string, k int) bool {
 // stabilization healed the ring: that window must be zero.
 func TestReplicationClosesChurnWindow(t *testing.T) {
 	var replicaAnswered atomic.Int64
-	f := newFixture(t)
+	f := newTimedFixture(t)
 	f.replication = 3
 	// Stabilization far too slow to help mid-assertion (the
 	// TestGracefulLeaveClosesStalenessWindow trick): the replica fail-over
@@ -154,9 +152,7 @@ func TestGracefulLeaveWithdrawsRecords(t *testing.T) {
 			}
 			for _, h := range holders {
 				p := f.peers[h]
-				p.mu.Lock()
-				r, ok := p.store[pos]
-				p.mu.Unlock()
+				r, ok := p.stored(pos)
 				if ok && r.Peer.Name == leaver {
 					return false
 				}
@@ -219,8 +215,8 @@ func TestCandidatesPreferNewestContact(t *testing.T) {
 		},
 	}
 	p.mu.Lock()
-	p.store[old.Pos] = old
-	p.store[fresh.Pos] = fresh
+	p.reg.upsert(old)
+	p.reg.upsert(fresh)
 	p.mu.Unlock()
 
 	sawBoth := false
@@ -247,4 +243,47 @@ func TestCandidatesPreferNewestContact(t *testing.T) {
 	if !sawBoth {
 		t.Fatal("sampling never surfaced the ghost member")
 	}
+}
+
+// TestWithdrawAtStaleOwnerReachesOwner: a withdrawal takes the path a
+// publish takes. The leaver's walk can answer the member that owned the
+// position before a join split its arc; that stale owner used to delete its
+// own copy and stop, so the copy the joiner had pulled at join time
+// outlived the leaver for good. Now the stale owner routes the withdrawal
+// on, as it always did a publish.
+func TestWithdrawAtStaleOwnerReachesOwner(t *testing.T) {
+	f := newFixture(t)
+	members := []string{"a", "b", "c", "d"}
+	for _, m := range members {
+		f.addMember(m, 1)
+	}
+	f.waitFor(func() bool { return ringHealthy(f.peers, members) }, "stabilization")
+
+	// owner holds the record of a departed member at its own position - 1;
+	// stale, its successor, still holds the copy it owned that arc with.
+	owner := f.peers["b"]
+	stale := f.peers[ownerOf(members, chord.HashKey("b")+1)]
+	f.waitFor(func() bool { pred := stale.Predecessor(); return pred != nil && pred.Name == "b" },
+		"the stale owner to know its arc ends at b")
+	rec := transport.ChordRecord{
+		Pos:  chord.HashKey("b") - 1,
+		Peer: transport.ChordContact{Name: "gone", Addr: "gone:1", NodeAddr: "overlay-gone:9", Class: 1, Epoch: 1},
+	}
+	for _, p := range []*Peer{owner, stale} {
+		p.mu.Lock()
+		p.reg.upsert(rec)
+		p.mu.Unlock()
+	}
+	var reply transport.ChordReplicateReply
+	err := owner.call(ctx, stale.Addr(), transport.KindChordReplicate,
+		transport.ChordReplicate{Withdraw: true, Records: []transport.ChordRecord{rec}},
+		transport.KindChordReplicateOK, &reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stale.stored(rec.Pos); ok {
+		t.Error("stale owner kept the withdrawn record")
+	}
+	f.waitFor(func() bool { _, ok := owner.stored(rec.Pos); return !ok },
+		"withdrawal to be routed on to the position's owner")
 }

@@ -71,11 +71,7 @@ func TestSamplingSkewArcProportional(t *testing.T) {
 	// pulls).
 	f.waitFor(func() bool {
 		for _, p := range ps {
-			owner := f.peers[ownerOf(names, p.id)]
-			owner.mu.Lock()
-			_, ok := owner.store[p.id]
-			owner.mu.Unlock()
-			if !ok {
+			if _, ok := f.peers[ownerOf(names, p.id)].stored(p.id); !ok {
 				return false
 			}
 		}

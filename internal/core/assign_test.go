@@ -583,3 +583,26 @@ func TestAssignInPlaceLeavesNothingStale(t *testing.T) {
 		t.Errorf("after a failed Assign: %d suppliers, Validate: %v", len(a.Suppliers), err)
 	}
 }
+
+// BenchmarkOTSAssign measures OTS_p2p itself across session sizes: 2^k
+// homogeneous class-k suppliers, the smallest exact-R0 mix of each size.
+func BenchmarkOTSAssign(b *testing.B) {
+	for k := 2; k <= 5; k++ {
+		suppliers := make([]Supplier, 1<<uint(k))
+		for i := range suppliers {
+			suppliers[i] = Supplier{ID: fmt.Sprint(i), Class: bandwidth.Class(k)}
+		}
+		b.Run(fmt.Sprintf("suppliers=%d", len(suppliers)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a, err := Assign(suppliers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if a.DelaySlots() != int64(len(suppliers)) {
+					b.Fatal("Theorem 1 violated")
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package dac
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -312,5 +313,18 @@ func TestPolicyString(t *testing.T) {
 		if d.String() == "" {
 			t.Errorf("Decision(%d).String empty", int(d))
 		}
+	}
+}
+
+// BenchmarkAdmissionProbe measures the supplier-side probe path.
+func BenchmarkAdmissionProbe(b *testing.B) {
+	sup, err := NewSupplier(2, 4, DAC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sup.HandleProbe(bandwidth.Class(1+i%4), rng.Float64())
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"p2pstream/internal/core"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/metrics"
-	"p2pstream/internal/stats"
 	"p2pstream/internal/system"
 )
 
@@ -226,8 +225,8 @@ func (r *Runner) AblationLookup() (*Report, error) {
 func (r *Runner) Replication() (*Report, error) {
 	const replicas = 5
 	type sample struct {
-		capacity   []float64
-		rejections [4][]float64
+		capacity   metrics.Distribution
+		rejections [4]metrics.Distribution
 	}
 	collect := func(policy dac.Policy) (*sample, error) {
 		var out sample
@@ -239,9 +238,9 @@ func (r *Runner) Replication() (*Report, error) {
 				return nil, err
 			}
 			last, _ := res.Capacity.Last()
-			out.capacity = append(out.capacity, last)
+			out.capacity.Observe(last)
 			for c := 0; c < 4; c++ {
-				out.rejections[c] = append(out.rejections[c], res.AvgRejections[c])
+				out.rejections[c].Observe(res.AvgRejections[c])
 			}
 		}
 		return &out, nil
@@ -257,32 +256,17 @@ func (r *Runner) Replication() (*Report, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d replicas per policy, Pattern 2, seeds %d..%d\n\n",
 		replicas, r.Scale.Seed, r.Scale.Seed+int64(100*(replicas-1)))
-	dCap, err := stats.Summarize(dacS.capacity)
-	if err != nil {
-		return nil, err
-	}
-	nCap, err := stats.Summarize(ndacS.capacity)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&b, "final capacity: DAC %s vs NDAC %s\n\n", dCap, nCap)
+	fmt.Fprintf(&b, "final capacity: DAC %s vs NDAC %s\n\n", dacS.capacity.MeanCI(), ndacS.capacity.MeanCI())
 	fmt.Fprintf(&b, "%-8s %-24s %-24s\n", "class", "DAC avg rejections", "NDAC avg rejections")
 	ordered := true
 	var prevMean float64
 	for c := 0; c < 4; c++ {
-		d, err := stats.Summarize(dacS.rejections[c])
-		if err != nil {
-			return nil, err
-		}
-		n, err := stats.Summarize(ndacS.rejections[c])
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(&b, "%-8d %-24s %-24s\n", c+1, d, n)
-		if c > 0 && d.Mean < prevMean {
+		fmt.Fprintf(&b, "%-8d %-24s %-24s\n", c+1, dacS.rejections[c].MeanCI(), ndacS.rejections[c].MeanCI())
+		mean, _ := dacS.rejections[c].Mean()
+		if c > 0 && mean < prevMean {
 			ordered = false
 		}
-		prevMean = d.Mean
+		prevMean = mean
 	}
 	fmt.Fprintf(&b, "\nDAC class ordering (1 <= 2 <= 3 <= 4) across replicas: %v\n", ordered)
 	return &Report{

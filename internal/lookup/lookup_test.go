@@ -239,3 +239,22 @@ func TestSampleIntoReusesBuffer(t *testing.T) {
 		t.Errorf("empty sample left %v in the buffer", got)
 	}
 }
+
+// BenchmarkDirectorySample measures candidate sampling from a 50,000-peer
+// directory (the lookup on every admission attempt).
+func BenchmarkDirectorySample(b *testing.B) {
+	dir := NewDirectory[int]()
+	for i := 0; i < 50000; i++ {
+		if err := dir.Register(Entry[int]{ID: i, Class: bandwidth.Class(1 + i%4)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := dir.Sample(8, rng); len(got) != 8 {
+			b.Fatal("bad sample")
+		}
+	}
+}

@@ -75,6 +75,37 @@ func (d *Distribution) Mean() (float64, bool) {
 	return sum / float64(len(d.vals)), true
 }
 
+// StdDev returns the sample standard deviation (n-1 in the denominator);
+// zero for fewer than two observations.
+func (d *Distribution) StdDev() float64 {
+	if len(d.vals) < 2 {
+		return 0
+	}
+	mean, _ := d.Mean()
+	var ss float64
+	for _, v := range d.vals {
+		ss += (v - mean) * (v - mean)
+	}
+	return math.Sqrt(ss / float64(len(d.vals)-1))
+}
+
+// CI95 returns the half-width of the 95% confidence interval of the mean
+// under the normal approximation: 1.96·s/√n. It is zero for n < 2.
+func (d *Distribution) CI95() float64 {
+	if len(d.vals) < 2 {
+		return 0
+	}
+	return 1.96 * d.StdDev() / math.Sqrt(float64(len(d.vals)))
+}
+
+// MeanCI renders "mean ± ci (n=N)". The paper reports single simulation
+// runs; the replicated experiments rerun each under several seeds and
+// report this, which is how the repo tells real effects from seed noise.
+func (d *Distribution) MeanCI() string {
+	mean, _ := d.Mean()
+	return fmt.Sprintf("%.2f ± %.2f (n=%d)", mean, d.CI95(), len(d.vals))
+}
+
 // Summary renders "name: n=…, p50=…, p90=…, p99=…, max=…" for digests.
 func (d *Distribution) Summary() string {
 	if len(d.vals) == 0 {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -90,5 +91,84 @@ func TestQuantileSeries(t *testing.T) {
 	empty := QuantileSeries("e", nil, nil, 10, 0.5)
 	if len(empty) != 1 || empty[0].Len() != 0 {
 		t.Errorf("empty input gave %+v", empty)
+	}
+}
+
+func observed(values ...float64) *Distribution {
+	d := NewDistribution("sample")
+	for _, v := range values {
+		d.Observe(v)
+	}
+	return d
+}
+
+func TestDistributionMoments(t *testing.T) {
+	d := observed(2, 4, 4, 4, 5, 5, 7, 9)
+	if mean, ok := d.Mean(); !ok || d.Count() != 8 || mean != 5 {
+		t.Errorf("N=%d Mean=%g", d.Count(), mean)
+	}
+	// Sample stddev of this classic set is sqrt(32/7).
+	if want := math.Sqrt(32.0 / 7.0); math.Abs(d.StdDev()-want) > 1e-12 {
+		t.Errorf("StdDev = %g, want %g", d.StdDev(), want)
+	}
+	lo, _ := d.Min()
+	hi, _ := d.Max()
+	if lo != 2 || hi != 9 {
+		t.Errorf("Min=%g Max=%g", lo, hi)
+	}
+}
+
+func TestDistributionMomentsSingleAndEmpty(t *testing.T) {
+	d := observed(3)
+	if mean, _ := d.Mean(); mean != 3 || d.StdDev() != 0 || d.CI95() != 0 {
+		t.Errorf("single-value moments wrong: mean %g, stddev %g, ci %g", mean, d.StdDev(), d.CI95())
+	}
+	empty := observed()
+	if _, ok := empty.Mean(); ok || empty.StdDev() != 0 || empty.CI95() != 0 {
+		t.Error("empty sample should have no mean and zero spread")
+	}
+}
+
+func TestDistributionCI95(t *testing.T) {
+	d := observed(1, 2, 3, 4, 5, 6, 7, 8, 9)
+	want := 1.96 * d.StdDev() / 3 // sqrt(9) = 3
+	if math.Abs(d.CI95()-want) > 1e-12 {
+		t.Errorf("CI95 = %g, want %g", d.CI95(), want)
+	}
+	if got := d.MeanCI(); got != "5.00 ± 1.79 (n=9)" {
+		t.Errorf("MeanCI = %q", got)
+	}
+}
+
+// Property: Min <= Mean <= Max, the spread is never negative, and the
+// moments do not reorder the observations.
+func TestDistributionMomentProperties(t *testing.T) {
+	f := func(raw []float64) bool {
+		values := make([]float64, 0, len(raw))
+		for _, v := range raw {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				// Bound magnitude to avoid float overflow in sums.
+				values = append(values, math.Mod(v, 1e6))
+			}
+		}
+		if len(values) == 0 {
+			return true
+		}
+		d := observed(values...)
+		mean, _ := d.Mean()
+		if d.StdDev() < 0 || d.CI95() < 0 || d.MeanCI() == "" {
+			return false
+		}
+		for i := range values {
+			if d.vals[i] != values[i] {
+				return false
+			}
+		}
+		lo, _ := d.Min()
+		hi, _ := d.Max()
+		return lo <= mean+1e-9 && mean <= hi+1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
