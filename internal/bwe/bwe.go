@@ -5,45 +5,19 @@
 // bottleneck) and delivered-byte counts (the achieved goodput).
 //
 // The estimator is a small AIMD state machine. While queuing delay stays
-// under the threshold it additively increases its rate; when delay (or
-// loss) signals overuse it multiplicatively decreases toward the measured
-// delivery rate and holds briefly so one decrease can drain the queue
-// before the next verdict. The estimate is clamped to [Min, Max]; Max is
+// under the threshold it additively increases its rate; when delay signals
+// overuse it multiplicatively decreases toward the measured delivery rate
+// and holds briefly so one decrease can drain the queue before the next
+// verdict. The estimate is clamped to [Min, Max]; Max is
 // the paper's committed R0/2^c offer — a supplier never estimates itself
 // above what admission granted.
 //
 // The estimator is passive about time: callers pass the current instant,
 // so it runs identically under the virtual clock and the wall clock. Not
-// safe for concurrent use; each session's sender loop owns one.
+// safe for concurrent use; a pacing.Flow owns one behind its mutex.
 package bwe
 
 import "time"
-
-// State is the AIMD phase the estimator is in.
-type State int
-
-const (
-	// Increase: no congestion signal; the rate grows additively.
-	Increase State = iota
-	// Hold: a decrease just happened; the rate is frozen while the queue
-	// it targeted drains.
-	Hold
-	// Decrease: the last signal was overuse and the rate was cut.
-	Decrease
-)
-
-func (s State) String() string {
-	switch s {
-	case Increase:
-		return "increase"
-	case Hold:
-		return "hold"
-	case Decrease:
-		return "decrease"
-	default:
-		return "unknown"
-	}
-}
 
 // Config tunes an Estimator. Zero values take the documented defaults.
 type Config struct {
@@ -75,14 +49,12 @@ const (
 type Estimator struct {
 	cfg  Config
 	rate int64
-	st   State
 
-	minRTT    time.Duration
-	lastFeed  time.Time // last feedback instant (additive-increase base)
-	lastCut   time.Time // last multiplicative decrease
-	everFed   bool
-	everCut   bool
-	decreases int
+	minRTT   time.Duration
+	lastFeed time.Time // last feedback instant (additive-increase base)
+	lastCut  time.Time // last multiplicative decrease
+	everFed  bool
+	everCut  bool
 
 	// delivery-rate measurement: bytes acked over a short window.
 	winStart time.Time
@@ -115,21 +87,6 @@ func New(cfg Config) *Estimator {
 // Rate returns the current estimate in bytes/second.
 func (e *Estimator) Rate() int64 { return e.rate }
 
-// State returns the current AIMD phase.
-func (e *Estimator) State() State { return e.st }
-
-// MinRTT returns the minimum RTT observed so far (the propagation
-// baseline), or 0 before any feedback.
-func (e *Estimator) MinRTT() time.Duration { return e.minRTT }
-
-// DeliveryRate returns the latest measured goodput sample in
-// bytes/second, or 0 before a full measurement window.
-func (e *Estimator) DeliveryRate() int64 { return e.delivery }
-
-// Decreases returns how many multiplicative decreases have happened — the
-// congestion-pressure odometer the ABR ladder consults.
-func (e *Estimator) Decreases() int { return e.decreases }
-
 // deliveryWindow is the goodput measurement window.
 const deliveryWindow = 200 * time.Millisecond
 
@@ -160,14 +117,9 @@ func (e *Estimator) OnAck(now time.Time, n int, rtt time.Duration) {
 	e.everFed = true
 }
 
-// OnLoss feeds a loss signal (a chunk that needed retransmission or a
-// feedback gap): treated as overuse.
-func (e *Estimator) OnLoss(now time.Time) { e.overuse(now) }
-
 func (e *Estimator) overuse(now time.Time) {
 	if e.everCut && now.Sub(e.lastCut) < e.cfg.HoldTime {
-		e.st = Hold // one cut per hold period: let the queue drain first
-		return
+		return // one cut per hold period: let the queue drain first
 	}
 	target := int64(beta * float64(e.rate))
 	if e.delivery > 0 {
@@ -179,15 +131,12 @@ func (e *Estimator) overuse(now time.Time) {
 	}
 	e.rate = target
 	e.clamp()
-	e.st = Decrease
 	e.lastCut = now
 	e.everCut = true
-	e.decreases++
 }
 
 func (e *Estimator) underuse(now time.Time) {
 	if e.everCut && now.Sub(e.lastCut) < e.cfg.HoldTime {
-		e.st = Hold
 		return
 	}
 	if e.everFed {
@@ -196,7 +145,6 @@ func (e *Estimator) underuse(now time.Time) {
 			e.clamp()
 		}
 	}
-	e.st = Increase
 }
 
 func (e *Estimator) clamp() {

@@ -1,5 +1,5 @@
 // Package metrics provides the measurement plumbing for the evaluation:
-// time series sampled on the simulator clock, per-class accumulators, CSV
+// time series sampled on the simulator clock, summary distributions, CSV
 // emission, and a small ASCII chart renderer so experiment binaries can show
 // every figure's shape directly in a terminal.
 package metrics
@@ -143,64 +143,4 @@ func WriteCSVIn(w io.Writer, col string, unit time.Duration, series ...*Series) 
 		}
 	}
 	return nil
-}
-
-// PerClass accumulates per-class counters and sums indexed by class number
-// (1-based). It backs the paper's per-class metrics: admissions, rejections,
-// buffering delay.
-type PerClass struct {
-	k      int
-	counts []int64
-	sums   []float64
-}
-
-// NewPerClass returns accumulators for classes 1..k.
-func NewPerClass(k int) *PerClass {
-	return &PerClass{k: k, counts: make([]int64, k+1), sums: make([]float64, k+1)}
-}
-
-// Observe adds a value for the given class. Out-of-range classes panic (a
-// simulator bug, not an input condition).
-func (p *PerClass) Observe(class int, v float64) {
-	if class < 1 || class > p.k {
-		panic(fmt.Sprintf("metrics: class %d outside [1,%d]", class, p.k))
-	}
-	p.counts[class]++
-	p.sums[class] += v
-}
-
-// Count returns how many observations class has.
-func (p *PerClass) Count(class int) int64 { return p.counts[class] }
-
-// Sum returns the observation total for class.
-func (p *PerClass) Sum(class int) float64 { return p.sums[class] }
-
-// Mean returns the class average and false if the class has no samples.
-func (p *PerClass) Mean(class int) (float64, bool) {
-	if p.counts[class] == 0 {
-		return 0, false
-	}
-	return p.sums[class] / float64(p.counts[class]), true
-}
-
-// TotalCount returns observations across every class.
-func (p *PerClass) TotalCount() int64 {
-	var t int64
-	for c := 1; c <= p.k; c++ {
-		t += p.counts[c]
-	}
-	return t
-}
-
-// TotalMean returns the mean across every class (false if empty).
-func (p *PerClass) TotalMean() (float64, bool) {
-	n := p.TotalCount()
-	if n == 0 {
-		return 0, false
-	}
-	var s float64
-	for c := 1; c <= p.k; c++ {
-		s += p.sums[c]
-	}
-	return s / float64(n), true
 }

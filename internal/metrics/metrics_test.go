@@ -151,49 +151,6 @@ func TestWriteCSVErrors(t *testing.T) {
 	}
 }
 
-func TestPerClass(t *testing.T) {
-	p := NewPerClass(4)
-	p.Observe(1, 2)
-	p.Observe(1, 4)
-	p.Observe(3, 9)
-	if p.Count(1) != 2 || p.Count(2) != 0 || p.Count(3) != 1 {
-		t.Error("counts wrong")
-	}
-	if p.Sum(1) != 6 {
-		t.Errorf("Sum(1) = %g", p.Sum(1))
-	}
-	if m, ok := p.Mean(1); !ok || m != 3 {
-		t.Errorf("Mean(1) = %g,%v", m, ok)
-	}
-	if _, ok := p.Mean(2); ok {
-		t.Error("Mean of empty class should be not-ok")
-	}
-	if p.TotalCount() != 3 {
-		t.Errorf("TotalCount = %d", p.TotalCount())
-	}
-	if m, ok := p.TotalMean(); !ok || m != 5 {
-		t.Errorf("TotalMean = %g,%v", m, ok)
-	}
-	empty := NewPerClass(2)
-	if _, ok := empty.TotalMean(); ok {
-		t.Error("TotalMean of empty should be not-ok")
-	}
-}
-
-func TestPerClassPanicsOutOfRange(t *testing.T) {
-	p := NewPerClass(2)
-	for _, c := range []int{0, 3, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Observe(%d) should panic", c)
-				}
-			}()
-			p.Observe(c, 1)
-		}()
-	}
-}
-
 func TestChartRendersAllSeries(t *testing.T) {
 	a := &Series{Name: "dac"}
 	b := &Series{Name: "ndac"}

@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -52,7 +53,7 @@ func chunkOp(tb testing.TB, paced bool) (op func()) {
 	written := 0
 	return func() {
 		if paced {
-			pacer.Pace(chunk)
+			pacer.Pace(context.Background(), chunk)
 		}
 		if _, err := w.Write(payload); err != nil {
 			tb.Fatal(err)

@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -102,13 +101,13 @@ type Config struct {
 	ListenAddr string
 	// Seed drives the node's admission randomness.
 	Seed int64
-	// NoAdapt disables the congestion-aware data plane. By default a
-	// supplying session paces its segment bytes to a send-side bandwidth
-	// estimate fed by the requester's acknowledgments, and steps down the
+	// NoAdapt makes the sessions this node supplies run the fixed schedule
+	// with no feedback: each segment goes out whole at its deadline. By
+	// default a supplied session paces its bytes to a send-side bandwidth
+	// estimate fed by the requester's acknowledgments and steps down the
 	// bitrate-class ladder when the estimate sustains below the committed
-	// R0/2^c offer; with NoAdapt it blasts each segment as a single burst
-	// on the fixed protocol schedule and the requesting side sends no
-	// acknowledgments (the legacy data plane, kept for control runs).
+	// R0/2^c offer. The supplier's StartReply tells the requester which, so
+	// it acks exactly when the supplier reads acks, whatever its own NoAdapt.
 	NoAdapt bool
 	// Priority biases the ABR downgrade decision for sessions this node
 	// requests: each step doubles how long the supplier lets the estimate
@@ -250,9 +249,6 @@ type Node struct {
 	pending map[string]*media.Store
 	rng     splitmix.Rand // one word: a crowd seeds ten thousand of these
 	closed  bool
-	// wg counts the feedback readers of adaptive sessions, which outlive
-	// their connection handler by the moment the connection takes to die.
-	wg sync.WaitGroup
 
 	// testHookAdmitted, when non-nil, runs after the admission sweep
 	// succeeds and before the session is triggered — the deterministic
@@ -489,7 +485,6 @@ func (n *Node) Close() error {
 	// Abort in-flight sessions: a closed node behaves like a crashed peer,
 	// which is exactly what the failure tests simulate.
 	err := n.ep.Close()
-	n.wg.Wait()
 	// The node owns its discovery backend (a chord peer has a listener and
 	// a stabilization loop of its own); close it last so the unregister
 	// above could still use it.
@@ -569,163 +564,4 @@ func (n *Node) onEvict(f *media.File) {
 	observe.Emit(n.cfg.Observer, observe.Event{
 		Component: n.comp, Type: observe.SupplierWithdrawn, Object: f.Name,
 	})
-}
-
-// handleConn dispatches one peer connection by its first message, which
-// the endpoint's per-exchange deadline bounds: a peer that connects and
-// never writes is cut off. A connection is one exchange, except that a grant
-// keeps the line: after a Granted probe reply the deadline is re-armed and
-// exactly one more frame is read — the requester's Start, which makes this
-// connection the session stream with no second dial. EOF (the requester
-// chose otherwise, was rejected or gave up) or the deadline (it went silent)
-// ends the handler, and any other frame is an error and a close. Holding a
-// line claims nothing: the Start takes the slot, whichever connection it
-// arrives on.
-func (n *Node) handleConn(conn net.Conn) {
-	env, err := transport.Read(conn)
-	if err != nil {
-		return
-	}
-	switch env.Kind {
-	case transport.KindProbe:
-		var req transport.Probe
-		if err := env.Decode(&req); err != nil {
-			return
-		}
-		if !n.handleProbe(conn, req) {
-			return
-		}
-		n.ep.Arm(conn)
-		if env, err = transport.Read(conn); err != nil {
-			return
-		}
-		if env.Kind != transport.KindStart {
-			n.replyUnexpected(conn, env.Kind)
-			return
-		}
-		fallthrough
-	case transport.KindStart:
-		var req transport.Start
-		if err := env.Decode(&req); err != nil {
-			return
-		}
-		n.handleStart(conn, req)
-	case transport.KindReminder:
-		var req transport.Reminder
-		if err := env.Decode(&req); err != nil {
-			return
-		}
-		n.handleReminder(conn, req)
-	default:
-		n.replyUnexpected(conn, env.Kind)
-	}
-}
-
-func (n *Node) replyUnexpected(conn net.Conn, kind transport.Kind) {
-	n.ep.Reply(conn, transport.KindError,
-		transport.Error{Message: fmt.Sprintf("node %s: unexpected %s", n.cfg.ID, kind)})
-}
-
-// handleProbe answers one admission probe and reports whether the answer
-// was a grant that reached the wire — the one answer that keeps the line.
-func (n *Node) handleProbe(conn net.Conn, req transport.Probe) (granted bool) {
-	sup := n.supplier(n.objectKey(req.Object))
-	if sup == nil {
-		n.ep.Reply(conn, transport.KindError, transport.Error{Message: "not a supplying peer"})
-		return false
-	}
-	n.mu.Lock()
-	u := n.rng.Float64()
-	n.mu.Unlock()
-	dec, favors := sup.HandleProbe(req.Class, u)
-	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.ProbeServed})
-	err := n.ep.Reply(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dec, Favors: favors})
-	return err == nil && dec == dac.Granted
-}
-
-func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
-	kept := false
-	if sup := n.supplier(n.objectKey(req.Object)); sup != nil {
-		kept = sup.LeaveReminder(req.Class)
-	}
-	n.ep.Reply(conn, transport.KindReminderOK, transport.ReminderReply{Kept: kept})
-}
-
-// handleStart runs the supplier side of a streaming session: it pins the
-// requested object in the library (so eviction cannot strand this
-// session), claims the busy state, then transmits its assigned segments
-// on the class schedule — paced and bitrate-adapted by default, as
-// fixed-rate bursts under NoAdapt — and finally applies the post-session
-// vector update.
-func (n *Node) handleStart(conn net.Conn, req transport.Start) {
-	file, store, ok := n.lib.Acquire(req.FileName)
-	if !ok {
-		// Not held (never was, or evicted since the requester's lookup):
-		// the refusal is retryable on the requester side, which sweeps
-		// again against fresh candidates.
-		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "unknown file"})
-		return
-	}
-	defer n.lib.Release(req.FileName)
-	sup := n.supplier(file.Name)
-	if sup == nil {
-		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "not supplying"})
-		return
-	}
-	if err := sup.StartSession(); err != nil {
-		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "busy"})
-		return
-	}
-	defer sup.EndSession()
-
-	if err := n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: true}); err != nil {
-		return
-	}
-	// The connection is a session stream from here on: it lives as long as
-	// the schedule says, not one exchange.
-	conn.SetDeadline(time.Time{})
-	if n.cfg.NoAdapt {
-		n.streamFixed(conn, req, file, store)
-		return
-	}
-	n.streamAdaptive(conn, req, file, store)
-}
-
-// minPace is the shortest wait streamFixed sleeps for. A shorter one is
-// beneath what a timer resolves: the sleep returns a timer slack and a
-// thread wake-up later — 50 µs at best, a few hundred on an idle virtual
-// machine — and puts the segment further behind its deadline than sending
-// it now puts it ahead, which a receiver only buffers.
-const minPace = 100 * time.Microsecond
-
-// streamFixed is the legacy data plane: each assigned segment goes out as
-// one burst at its protocol deadline, with no feedback, at the quality this
-// node holds it at (full, unless it once took a downgraded rendition).
-func (n *Node) streamFixed(conn net.Conn, req transport.Start, file *media.File, store *media.Store) {
-	start := n.clk.Now()
-	sent := 0
-	// One frame for the session, passed by address: a Segment by value
-	// would be boxed into Reply's any once per segment.
-	var frame transport.Segment
-	for i, segID := range req.Segments {
-		// Pace against the absolute schedule to avoid drift: transmission
-		// of the i-th assigned segment completes at its protocol deadline.
-		deadline := start.Add(protocol.TransmissionDeadline(i, n.cfg.Class, file.SegmentTime))
-		if d := deadline.Sub(n.clk.Now()); d >= minPace {
-			n.clk.Sleep(d)
-		}
-		seg, ok := store.Get(media.SegmentID(segID))
-		if !ok {
-			n.ep.Reply(conn, transport.KindError,
-				transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
-			return
-		}
-		frame = transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}
-		if err := n.ep.Reply(conn, transport.KindSegment, &frame); err != nil {
-			return // requester hung up (session aborted)
-		}
-		sent++
-	}
-	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.SessionServed})
-	n.ep.Reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
 }

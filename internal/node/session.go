@@ -310,14 +310,15 @@ func (n *Node) leaveReminders(ctx context.Context, targets []transport.Candidate
 // line, or one that fails before the supplier answered (it restarted, its
 // exchange deadline passed, it is a peer that hangs up after every reply),
 // the same exchange runs once on a fresh dial, left in *line. On success the
-// connection is the session stream, guarded by ctx until release is called.
-func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.Conn, start *transport.Start) (release func(), err error) {
+// connection is the session stream, guarded by ctx until release is called,
+// and feedback is the plane the supplier chose for it: whether it reads acks.
+func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.Conn, start *transport.Start) (release func(), feedback bool, err error) {
 	held := *line != nil
 	for {
 		if *line == nil {
 			observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.TriggerDial})
 			if *line, err = netx.DialContext(ctx, n.net, cand.Addr); err != nil {
-				return nil, fmt.Errorf("node %s: dialing supplier %s: %w", n.cfg.ID, cand.ID, err)
+				return nil, false, fmt.Errorf("node %s: dialing supplier %s: %w", n.cfg.ID, cand.ID, err)
 			}
 		}
 		release = netx.Guard(ctx, *line)
@@ -326,7 +327,7 @@ func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.
 			err = transport.ReadExpect(*line, transport.KindStartReply, &reply)
 		}
 		if err == nil && reply.OK {
-			return release, nil
+			return release, reply.Feedback, nil
 		}
 		release()
 		switch {
@@ -334,9 +335,9 @@ func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.
 			// A race took this supplier (granted, then claimed by another
 			// requester before our trigger). Abort: closing the other
 			// connections cancels their sessions.
-			return nil, fmt.Errorf("node %s: supplier %s refused: %s: %w", n.cfg.ID, cand.ID, reply.Reason, ErrRejected)
+			return nil, false, fmt.Errorf("node %s: supplier %s refused: %s: %w", n.cfg.ID, cand.ID, reply.Reason, ErrRejected)
 		case !held || ctx.Err() != nil:
-			return nil, err
+			return nil, false, err
 		}
 		(*line).Close()
 		*line, held = nil, false
@@ -364,14 +365,17 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	// the sweep's: both sort high class first, stably, so supplier i is
 	// chosen[i]. Write, then read: a refusal spares every later supplier
 	// its claim. All must accept before any data is consumed.
-	expect := make([]int, len(chosen)) // segments each supplier was told to send
+	type stream struct {
+		want     int  // segments the supplier was told to send
+		feedback bool // whether it reads acks: the plane it chose
+	}
+	streams := make([]stream, len(chosen))
 	for i, s := range assignment.Suppliers {
 		if s.ID != chosen[i].ID {
 			return nil, fmt.Errorf("node %s: assignment reordered the sweep: supplier %d is %s, chosen %s", n.cfg.ID, i, s.ID, chosen[i].ID)
 		}
 		segs := assignment.TransmissionList(i, file.Segments)
-		expect[i] = len(segs)
-		release, err := n.trigger(ctx, chosen[i], &lines[at[i]], &transport.Start{
+		release, feedback, err := n.trigger(ctx, chosen[i], &lines[at[i]], &transport.Start{
 			RequesterID: n.cfg.ID,
 			FileName:    file.Name,
 			Segments:    segs,
@@ -381,6 +385,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 			return nil, transport.CtxErr(ctx, err)
 		}
 		defer release()
+		streams[i] = stream{len(segs), feedback}
 	}
 
 	// Receive phase.
@@ -399,9 +404,9 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		rcvErrs = append(rcvErrs, err)
 		mu.Unlock()
 	}
-	receive := func(conn net.Conn, want int) {
+	receive := func(conn net.Conn, st stream) {
 		defer wg.Done()
-		received := 0
+		received, acked := 0, 0
 		for {
 			env, err := transport.Read(conn)
 			if err != nil {
@@ -439,15 +444,17 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 					return
 				}
 				received++
-				if !n.cfg.NoAdapt {
-					// Feedback for the supplier's bandwidth estimator;
-					// best effort — a lost ack only slows adaptation.
+				if st.feedback {
+					// Feedback for the supplier's bandwidth estimator: the
+					// bytes stored from this stream so far. Best effort — a
+					// lost ack only slows adaptation.
+					acked += len(seg.Data)
 					_ = transport.Write(conn, transport.KindAck,
-						transport.Ack{Seq: seg.ID, Bytes: len(seg.Data)})
+						transport.Ack{Seq: seg.ID, Bytes: acked})
 				}
 			case transport.KindSessionDone:
-				if received != want {
-					fail(fmt.Errorf("node %s: supplier sent %d segments, want %d", n.cfg.ID, received, want))
+				if received != st.want {
+					fail(fmt.Errorf("node %s: supplier sent %d segments, want %d", n.cfg.ID, received, st.want))
 				}
 				return
 			default:
@@ -460,9 +467,9 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	wg.Add(len(chosen))
 	last := len(chosen) - 1
 	for i := 0; i < last; i++ {
-		go receive(lines[at[i]], expect[i])
+		go receive(lines[at[i]], streams[i])
 	}
-	receive(lines[at[last]], expect[last])
+	receive(lines[at[last]], streams[last])
 	wg.Wait()
 	if len(rcvErrs) > 0 {
 		return nil, transport.CtxErr(ctx, rcvErrs[0])

@@ -1,0 +1,318 @@
+package node
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"time"
+
+	"p2pstream/internal/bwe"
+	"p2pstream/internal/dac"
+	"p2pstream/internal/media"
+	"p2pstream/internal/observe"
+	"p2pstream/internal/pacing"
+	"p2pstream/internal/protocol"
+	"p2pstream/internal/transport"
+)
+
+// handleConn dispatches one peer connection by its first message, which
+// the endpoint's per-exchange deadline bounds: a peer that connects and
+// never writes is cut off. A connection is one exchange, except that a grant
+// keeps the line: after a Granted probe reply the deadline is re-armed and
+// exactly one more frame is read — the requester's Start, which makes this
+// connection the session stream with no second dial. EOF (the requester
+// chose otherwise, was rejected or gave up) or the deadline (it went silent)
+// ends the handler, and any other frame is an error and a close. Holding a
+// line claims nothing: the Start takes the slot, whichever connection it
+// arrives on.
+func (n *Node) handleConn(conn net.Conn) {
+	env, err := transport.Read(conn)
+	if err != nil {
+		return
+	}
+	switch env.Kind {
+	case transport.KindProbe:
+		var req transport.Probe
+		if err := env.Decode(&req); err != nil {
+			return
+		}
+		if !n.handleProbe(conn, req) {
+			return
+		}
+		n.ep.Arm(conn)
+		if env, err = transport.Read(conn); err != nil {
+			return
+		}
+		if env.Kind != transport.KindStart {
+			n.replyUnexpected(conn, env.Kind)
+			return
+		}
+		fallthrough
+	case transport.KindStart:
+		var req transport.Start
+		if err := env.Decode(&req); err != nil {
+			return
+		}
+		n.handleStart(conn, req)
+	case transport.KindReminder:
+		var req transport.Reminder
+		if err := env.Decode(&req); err != nil {
+			return
+		}
+		n.handleReminder(conn, req)
+	default:
+		n.replyUnexpected(conn, env.Kind)
+	}
+}
+
+func (n *Node) replyUnexpected(conn net.Conn, kind transport.Kind) {
+	n.ep.Reply(conn, transport.KindError,
+		transport.Error{Message: fmt.Sprintf("node %s: unexpected %s", n.cfg.ID, kind)})
+}
+
+// handleProbe answers one admission probe and reports whether the answer
+// was a grant that reached the wire — the one answer that keeps the line.
+func (n *Node) handleProbe(conn net.Conn, req transport.Probe) (granted bool) {
+	sup := n.supplier(n.objectKey(req.Object))
+	if sup == nil {
+		n.ep.Reply(conn, transport.KindError, transport.Error{Message: "not a supplying peer"})
+		return false
+	}
+	n.mu.Lock()
+	u := n.rng.Float64()
+	n.mu.Unlock()
+	dec, favors := sup.HandleProbe(req.Class, u)
+	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.ProbeServed})
+	err := n.ep.Reply(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dec, Favors: favors})
+	return err == nil && dec == dac.Granted
+}
+
+func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
+	kept := false
+	if sup := n.supplier(n.objectKey(req.Object)); sup != nil {
+		kept = sup.LeaveReminder(req.Class)
+	}
+	n.ep.Reply(conn, transport.KindReminderOK, transport.ReminderReply{Kept: kept})
+}
+
+// handleStart runs the supplier side of a streaming session and, when the
+// session had feedback, keeps the connection until the requester hangs up.
+// Closing it with acks still unread in the socket makes the kernel answer
+// with a reset instead of a FIN, and a reset destroys whatever the requester
+// has not read yet: the session's last segments and its SessionDone. The
+// slot and the pin are already released during that wait; the re-armed
+// exchange deadline and Node.Close bound it.
+func (n *Node) handleStart(conn net.Conn, req transport.Start) {
+	if acks := n.supply(conn, req); acks != nil {
+		n.ep.Arm(conn)
+		<-acks
+	}
+}
+
+// supply pins the requested object in the library (so eviction cannot
+// strand the session), claims the busy state, tells the requester which
+// plane the session runs on and streams the assignment; the deferred
+// EndSession applies the post-session vector update. For a session with
+// feedback it returns the channel its ack reader closes once the requester
+// hangs up, and nil otherwise.
+func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
+	file, store, ok := n.lib.Acquire(req.FileName)
+	if !ok {
+		// Not held (never was, or evicted since the requester's lookup):
+		// the refusal is retryable on the requester side, which sweeps
+		// again against fresh candidates.
+		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "unknown file"})
+		return nil
+	}
+	defer n.lib.Release(req.FileName)
+	sup := n.supplier(file.Name)
+	if sup == nil {
+		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "not supplying"})
+		return nil
+	}
+	if err := sup.StartSession(); err != nil {
+		n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: false, Reason: "busy"})
+		return nil
+	}
+	defer sup.EndSession()
+
+	// The plane is the supplier's choice, made here and nowhere else; the
+	// requester acks exactly when this reply says so.
+	feedback := !n.cfg.NoAdapt
+	if err := n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: true, Feedback: feedback}); err != nil {
+		return nil
+	}
+	// The connection is a session stream from here on: it lives as long as
+	// the schedule says, not one exchange.
+	conn.SetDeadline(time.Time{})
+	var flow *pacing.Flow
+	var acks chan struct{}
+	if feedback {
+		committed := n.committed(file)
+		flow = pacing.NewFlow(n.clk, bwe.Config{
+			Initial: committed,
+			Max:     committed, // never estimate above what admission granted
+			// One decrease per couple of segment-times: long enough for the
+			// queue a cut targets to drain on scenario timescales.
+			HoldTime: 2 * file.SegmentTime,
+		}, file.SegmentBytes)
+		acks = make(chan struct{})
+		go n.readAcks(conn, flow, acks)
+	}
+	n.stream(conn, req, file, store, flow)
+	return acks
+}
+
+// readAcks feeds the requester's acknowledgments — each the bytes it has
+// stored from this stream so far — to the session's flow, and closes done
+// when the requester hangs up or the connection dies.
+func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow, done chan<- struct{}) {
+	defer close(done)
+	for {
+		env, err := transport.Read(conn)
+		if err != nil || env.Kind != transport.KindAck {
+			return
+		}
+		var ack transport.Ack
+		if err := env.Decode(&ack); err != nil {
+			return
+		}
+		flow.Acked(int64(ack.Bytes))
+	}
+}
+
+// minPace is the shortest wait the schedule is kept with. A shorter one is
+// beneath what a timer resolves: the sleep returns a timer slack and a
+// thread wake-up later — 50 µs at best, a few hundred on an idle virtual
+// machine — and puts the segment further behind its deadline than sending
+// it now puts it ahead, which a receiver only buffers.
+const minPace = 100 * time.Microsecond
+
+// stream sends a session's assigned segments, the i-th released no earlier
+// than its transmission deadline on the class schedule. Without feedback
+// (flow nil) each goes out whole at the quality this node holds it at. With
+// feedback its bytes are paced to the send-side bandwidth estimate the
+// requester's acks feed, so a session sharing a bottleneck converges to its
+// fair share instead of standing on the queue, and the ABR ladder steps the
+// quality down rather than stalling when the estimate sustains below the
+// committed offer.
+func (n *Node) stream(conn net.Conn, req transport.Start, f *media.File, store *media.Store, flow *pacing.Flow) {
+	var abr ladder
+	if flow != nil {
+		abr = newLadder(n.committed(f), f.SegmentTime, req.Priority)
+	}
+	start := n.clk.Now()
+	sent := 0
+	// One frame for the session, passed by address: a Segment by value
+	// would be boxed into Reply's any once per segment.
+	var frame transport.Segment
+	for i, segID := range req.Segments {
+		// Pace against the absolute schedule to avoid drift: transmission
+		// of the i-th assigned segment completes at its protocol deadline.
+		deadline := start.Add(protocol.TransmissionDeadline(i, n.cfg.Class, f.SegmentTime))
+		if d := deadline.Sub(n.clk.Now()); d >= minPace {
+			n.clk.Sleep(d)
+		}
+		var rate int64
+		if flow != nil {
+			rate = flow.Rate()
+			if abr.step(n.clk.Now(), rate) {
+				observe.Emit(n.cfg.Observer, observe.Event{
+					Component: n.comp, Type: observe.BitrateDowngrade, Quality: int(abr.q),
+				})
+			}
+		}
+		var seg media.Segment
+		if abr.q == 0 {
+			// The stored rendition, labelled with the quality it arrived at:
+			// a relayed downgrade sent as full quality is refused by the
+			// requester's store on every retry.
+			var ok bool
+			if seg, ok = store.Get(media.SegmentID(segID)); !ok {
+				n.ep.Reply(conn, transport.KindError,
+					transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
+				return
+			}
+		} else {
+			seg = n.codec().EncodeAt(f, media.SegmentID(segID), abr.q)
+		}
+		if flow != nil {
+			// Pace with 25% headroom over the estimate. At exactly the
+			// estimate the sender has zero slack: one noise-induced decrease
+			// (wall-clock scheduling jitter reads as queuing delay) puts it
+			// behind a schedule it can never catch up to, since budget
+			// accrues no faster than the rate. The gain absorbs those dips —
+			// the schedule gate above still stops the sender from running
+			// ahead — while genuine congestion cuts the estimate toward the
+			// delivered rate, far more than 25%, so the throttle still binds.
+			// The background context is never done: the wait cannot fail.
+			flow.Pace(context.Background(), rate+rate/4, len(seg.Data))
+		}
+		frame = transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}
+		if err := n.ep.Reply(conn, transport.KindSegment, &frame); err != nil {
+			return // requester hung up (session aborted)
+		}
+		sent++
+	}
+	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.SessionServed})
+	n.ep.Reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
+}
+
+// committed is the out-bound rate admission granted a session of f: this
+// node's R0/2^c offer, in bytes per second.
+func (n *Node) committed(f *media.File) int64 {
+	return max(1, int64(f.PlaybackRateBps()/float64(int64(1)<<n.cfg.Class)))
+}
+
+// codec returns the configured rendition codec (PerfectCodec by default).
+func (n *Node) codec() media.Codec {
+	if n.cfg.Codec != nil {
+		return n.cfg.Codec
+	}
+	return media.PerfectCodec{}
+}
+
+// downgradeMargin is the fraction of the current quality target the
+// bandwidth estimate must stay under before the sustain clock starts: a
+// few percent of estimator noise below target never triggers a downgrade.
+const downgradeMargin = 0.9
+
+// ladder is a feedback session's ABR state: the quality it sends at, each
+// step down the bitrate-class ladder halving segment bytes, and since when
+// the estimate has been below that quality's target.
+type ladder struct {
+	committed int64         // the R0/2^c offer, bytes per second: quality 0's target
+	sustain   time.Duration // how long the estimate may stay below target before a step
+	q         media.Quality
+	below     time.Time // when the estimate went below target; zero while it is not
+}
+
+// newLadder starts a session's ladder at full quality. The requester's
+// Start.Priority doubles the sustain window per step, so best-effort flows
+// yield first.
+func newLadder(committed int64, dt time.Duration, priority int) ladder {
+	l := ladder{committed: committed, sustain: 2 * dt}
+	for s := 0; s < priority && s < 4; s++ {
+		l.sustain *= 2
+	}
+	return l
+}
+
+// step weighs the estimate at now and reports whether the session stepped
+// one class down: it does once the estimate has sustained below the margin
+// of the current quality's target.
+func (l *ladder) step(now time.Time, rate int64) bool {
+	if l.q >= media.MaxQuality || rate >= int64(downgradeMargin*float64(l.committed>>uint(l.q))) {
+		l.below = time.Time{}
+		return false
+	}
+	if l.below.IsZero() {
+		l.below = now
+	}
+	if now.Sub(l.below) < l.sustain {
+		return false
+	}
+	l.q++
+	l.below = time.Time{}
+	return true
+}

@@ -1,0 +1,126 @@
+package node
+
+import (
+	"bytes"
+	"context"
+	"testing"
+	"time"
+
+	"p2pstream/internal/media"
+)
+
+// TestRelayedDowngradeKeepsItsQuality: a peer that once took a downgraded
+// rendition of a segment re-supplies it labelled with that quality, on
+// both data planes. Labelled full quality, the short segment is refused by
+// the next requester's store on every retry. relay resumes a partial store
+// holding segments 4 and 5 at quality 1; with one seed left it serves the
+// third peer every other segment, so exactly one of the two is relayed.
+func TestRelayedDowngradeKeepsItsQuality(t *testing.T) {
+	for _, noAdapt := range []bool{false, true} {
+		name := map[bool]string{false: "adaptive", true: "fixed"}[noAdapt]
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			c := newCluster(t)
+			start := func(mk func(Config) (*Node, error), id string) *Node {
+				cfg := c.config(id, 1)
+				cfg.NoAdapt = noAdapt
+				return c.start(mk(cfg))
+			}
+			start(NewSeed, "seed1")
+			seed2 := start(NewSeed, "seed2")
+			relay := start(NewRequester, "relay")
+
+			f := testFile()
+			partial, err := media.NewStore(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []media.SegmentID{4, 5} {
+				if err := partial.Put(media.PerfectCodec{}.EncodeAt(f, id, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			relay.mu.Lock()
+			relay.pending[f.Name] = partial
+			relay.mu.Unlock()
+			if _, err := relay.Request(ctx, ""); err != nil {
+				t.Fatal(err)
+			}
+			if got := relay.Store().Downgraded(); got != 2 {
+				t.Fatalf("relay holds %d downgraded segments, want 2", got)
+			}
+
+			seed2.Close() // leaves seed1 and relay: the third peer needs both
+			third := start(NewRequester, "third")
+			report, err := third.Request(ctx, "")
+			if err != nil {
+				t.Fatalf("served by a relay of a downgraded segment: %v", err)
+			}
+			if report.Downgraded != 1 || report.MaxQuality != 1 {
+				t.Errorf("report counts %d downgraded segments (max quality %d), want 1 (1)",
+					report.Downgraded, report.MaxQuality)
+			}
+			relayed := 0
+			for _, id := range []media.SegmentID{4, 5} {
+				if third.Store().QualityOf(id) != 1 {
+					continue
+				}
+				relayed++
+				got, _ := third.Store().Get(id)
+				if want := (media.PerfectCodec{}).EncodeAt(f, id, 1); !bytes.Equal(got.Data, want.Data) {
+					t.Errorf("relayed segment %d is not the quality-1 rendition", id)
+				}
+			}
+			if relayed != 1 || third.Store().Downgraded() != 1 || !third.Store().Complete() {
+				t.Errorf("third peer holds %d relayed and %d downgraded segments, complete=%v; want 1, 1, true",
+					relayed, third.Store().Downgraded(), third.Store().Complete())
+			}
+		})
+	}
+}
+
+// TestFixedScheduleWaits pins the one deadline rule of the send loop on
+// both sides of minPace: without feedback, a schedule whose every wait is
+// shorter is sent without sleeping (the session lasts what the link takes,
+// not the schedule's length), and one of longer waits is kept to (the
+// session lasts the schedule) — on either plane. The adaptive plane has no
+// case beneath minPace: its pacer releases a segment per 0.8 of the
+// schedule's interval (25% headroom over the committed rate) and sleeps for
+// it whatever the gate does, so the session's length says nothing about the
+// gate — and each of those short sleeps overshoots on the virtual clock,
+// stretching a 640 µs schedule to 2.6 ms with or without the rule.
+func TestFixedScheduleWaits(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dt       time.Duration
+		paced    bool
+		feedback bool
+	}{
+		{"waits beneath minPace", minPace / 10, false, false},
+		{"waits above minPace", minPace, true, false},
+		{"adaptive waits above minPace", minPace, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t)
+			file := &media.File{Name: "video", Segments: 64, SegmentBytes: 256, SegmentTime: tc.dt}
+			config := func(id string) Config {
+				cfg := c.config(id, 1)
+				cfg.File, cfg.NoAdapt = file, !tc.feedback
+				return cfg
+			}
+			c.start(NewSeed(config("seed1")))
+			c.start(NewSeed(config("seed2")))
+			report, err := c.start(NewRequester(config("peer1"))).Request(context.Background(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each class-1 seed sends 32 segments, one every 2·δt.
+			schedule := 32 * 2 * tc.dt
+			if link := time.Millisecond; tc.paced && report.Duration < schedule-link {
+				t.Errorf("session took %v of a %v schedule: the supplier ran ahead of it", report.Duration, schedule)
+			} else if !tc.paced && report.Duration >= schedule {
+				t.Errorf("session took %v, the whole %v schedule: the supplier slept for waits of %v", report.Duration, schedule, 2*tc.dt)
+			}
+		})
+	}
+}

@@ -5,14 +5,21 @@
 // the rate the bandwidth estimator granted, with a small burst window so
 // one segment-sized write never waits on a byte-by-byte drip.
 //
-// The pacer runs on a clock.Clock, so paced senders are exactly as
+// A Flow is the whole send side of one ack-clocked flow: its pacer, its
+// bandwidth estimator and the marks that turn cumulative acknowledgments
+// into round-trip samples. The supplier's feedback sessions and the
+// scenario harness's cross-traffic both send through one.
+//
+// Everything runs on a clock.Clock, so paced senders are exactly as
 // schedulable under virtual time as unpaced ones.
 package pacing
 
 import (
 	"context"
+	"sync"
 	"time"
 
+	"p2pstream/internal/bwe"
 	"p2pstream/internal/clock"
 )
 
@@ -56,9 +63,6 @@ func (p *Pacer) SetRate(rate int64) {
 	p.rate = rate
 }
 
-// Rate returns the current target rate in bytes per second.
-func (p *Pacer) Rate() int64 { return p.rate }
-
 // accrue folds elapsed time into the byte budget.
 func (p *Pacer) accrue() {
 	now := p.clk.Now()
@@ -75,41 +79,21 @@ func (p *Pacer) accrue() {
 // Pace blocks until the budget covers n bytes, then spends them. Sends
 // larger than the burst window are allowed — the budget simply goes
 // negative, pushing the debt onto subsequent sends — so a single oversized
-// segment cannot deadlock the pacer.
-func (p *Pacer) Pace(n int) {
-	if p.rate <= 0 {
-		return
-	}
-	p.accrue()
-	need := int64(n)
-	if p.budget < min64(need, p.burst) {
-		short := min64(need, p.burst) - p.budget
-		wait := time.Duration(float64(short) / float64(p.rate) * float64(time.Second))
-		if wait > 0 {
-			p.clk.Sleep(wait)
-		}
-		p.accrue()
-	}
-	p.budget -= need
-}
-
-// PaceCtx is Pace with cancellation: the budget wait aborts when ctx is
-// done, returning its error without spending the budget — the form
-// long-lived background senders (traffic generators) need so they never
-// outlive their run.
-func (p *Pacer) PaceCtx(ctx context.Context, n int) error {
+// segment cannot deadlock the pacer. The wait aborts when ctx is done,
+// returning its error without spending the budget, so a long-lived
+// background sender never outlives its run; a context that is never done
+// costs nothing over a plain sleep.
+func (p *Pacer) Pace(ctx context.Context, n int) error {
 	if p.rate <= 0 {
 		return ctx.Err()
 	}
 	p.accrue()
 	need := int64(n)
-	if p.budget < min64(need, p.burst) {
-		short := min64(need, p.burst) - p.budget
+	if p.budget < min(need, p.burst) {
+		short := min(need, p.burst) - p.budget
 		wait := time.Duration(float64(short) / float64(p.rate) * float64(time.Second))
-		if wait > 0 {
-			if err := clock.SleepCtx(ctx, p.clk, wait); err != nil {
-				return err
-			}
+		if err := clock.SleepCtx(ctx, p.clk, wait); err != nil {
+			return err
 		}
 		p.accrue()
 	}
@@ -117,9 +101,65 @@ func (p *Pacer) PaceCtx(ctx context.Context, n int) error {
 	return nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// Flow is the send side of one ack-clocked flow. The sending goroutine
+// calls Rate and Pace; one feedback reader calls Acked with the receiver's
+// cumulative byte count. Each paced send is marked with its cumulative end
+// and its instant, and an ack closes the marks it covers in order — one
+// estimator sample per mark, its bytes and its round trip.
+type Flow struct {
+	clk   clock.Clock
+	pacer *Pacer // the sending goroutine's alone
+
+	mu    sync.Mutex // guards what the feedback reader shares with the sender
+	est   *bwe.Estimator
+	marks []mark // sends not yet acknowledged, oldest first
+	sent  int64  // bytes marked so far
+	acked int64  // the end of the last closed mark
+}
+
+type mark struct {
+	upTo int64
+	at   time.Time
+}
+
+// NewFlow returns a flow whose estimator starts from est and whose pacer
+// starts at est.Initial with the given burst budget.
+func NewFlow(clk clock.Clock, est bwe.Config, burst int) *Flow {
+	clk = clock.Or(clk)
+	return &Flow{clk: clk, pacer: New(clk, est.Initial, burst), est: bwe.New(est)}
+}
+
+// Rate returns the flow's current bandwidth estimate in bytes/second.
+func (f *Flow) Rate() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.est.Rate()
+}
+
+// Pace waits until the pacer, retargeted to rate, releases n bytes, then
+// marks them as leaving now. A cancelled wait marks nothing.
+func (f *Flow) Pace(ctx context.Context, rate int64, n int) error {
+	f.pacer.SetRate(rate)
+	if err := f.pacer.Pace(ctx, n); err != nil {
+		return err
 	}
-	return b
+	f.mu.Lock()
+	f.sent += int64(n)
+	f.marks = append(f.marks, mark{upTo: f.sent, at: f.clk.Now()})
+	f.mu.Unlock()
+	return nil
+}
+
+// Acked takes the receiver's cumulative count of bytes delivered and feeds
+// the estimator one sample for every mark it closes.
+func (f *Flow) Acked(total int64) {
+	now := f.clk.Now()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.marks) > 0 && f.marks[0].upTo <= total {
+		m := f.marks[0]
+		f.marks = f.marks[1:]
+		f.est.OnAck(now, int(m.upTo-f.acked), now.Sub(m.at))
+		f.acked = m.upTo
+	}
 }

@@ -366,8 +366,8 @@ type Spec struct {
 
 	// NoAdapt disables the congestion-aware data plane for the whole run:
 	// suppliers blast segments on the bare class schedule with no pacing,
-	// no bandwidth estimation and no bitrate ladder, and requesters send
-	// no acknowledgments. The control knob congestion scenarios use to
+	// no bandwidth estimation and no bitrate ladder, and tell requesters to
+	// send no acknowledgments. The control knob congestion scenarios use to
 	// demonstrate what adaptation buys; population-scale specs set it too,
 	// keeping their per-segment message count at the admission-study
 	// minimum.

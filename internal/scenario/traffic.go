@@ -137,14 +137,7 @@ func (h *harness) runFlow(ctx context.Context, st *trafficState, addr string) {
 	}
 	defer conn.Close()
 
-	var mu sync.Mutex                                 // sender loop vs ack reader
-	est := bwe.New(bwe.Config{Initial: st.flow.Rate}) // Max 0: greedy, no committed ceiling
-	type mark struct {
-		upTo int64
-		at   time.Time
-	}
-	var sentQ []mark
-	var sent int64
+	flow := pacing.NewFlow(h.clk, bwe.Config{Initial: st.flow.Rate}, st.flow.Chunk) // Max 0: greedy, no committed ceiling
 
 	// Ack reader: each cumulative count from the sink closes RTT samples
 	// for every chunk it covers and credits the delivered bytes.
@@ -152,27 +145,17 @@ func (h *harness) runFlow(ctx context.Context, st *trafficState, addr string) {
 	go func() {
 		defer close(readerDone)
 		var ack [8]byte
-		var prev int64
 		for {
 			if _, err := io.ReadFull(conn, ack[:]); err != nil {
 				return
 			}
 			total := int64(binary.BigEndian.Uint64(ack[:]))
-			now := h.clk.Now()
-			mu.Lock()
-			for len(sentQ) > 0 && sentQ[0].upTo <= total {
-				m := sentQ[0]
-				sentQ = sentQ[1:]
-				est.OnAck(now, int(m.upTo-prev), now.Sub(m.at))
-				prev = m.upTo
-			}
-			mu.Unlock()
+			flow.Acked(total)
 			st.acked.Store(total)
 		}
 	}()
 
 	buf := make([]byte, st.flow.Chunk)
-	pacer := pacing.New(h.clk, st.flow.Rate, st.flow.Chunk)
 	var end time.Time
 	if st.flow.Duration > 0 {
 		end = h.clk.Now().Add(st.flow.Duration)
@@ -181,17 +164,9 @@ func (h *harness) runFlow(ctx context.Context, st *trafficState, addr string) {
 		if !end.IsZero() && !h.clk.Now().Before(end) {
 			break
 		}
-		mu.Lock()
-		rate := est.Rate()
-		mu.Unlock()
-		pacer.SetRate(rate)
-		if err := pacer.PaceCtx(ctx, len(buf)); err != nil {
+		if err := flow.Pace(ctx, flow.Rate(), len(buf)); err != nil {
 			break
 		}
-		mu.Lock()
-		sent += int64(len(buf))
-		sentQ = append(sentQ, mark{upTo: sent, at: h.clk.Now()})
-		mu.Unlock()
 		if _, err := conn.Write(buf); err != nil {
 			break
 		}

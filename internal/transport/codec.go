@@ -277,6 +277,7 @@ func (c *coder) fields(body any) bool {
 	case *StartReply:
 		c.bool(&m.OK)
 		c.str(&m.Reason)
+		c.bool(&m.Feedback)
 	case *Segment:
 		vint(c, &m.ID)
 		vint(c, &m.Quality)

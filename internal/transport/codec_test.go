@@ -130,9 +130,9 @@ func TestGoldenFrames(t *testing.T) {
 		tail []byte
 	}{
 		{"probe", KindProbe, Probe{RequesterID: "r1", Class: 1, Object: "clip"},
-			"0000000b" + "01" + "05" + "02" + "7231" + "02" + "04" + "636c6970", nil},
+			"0000000b" + "02" + "05" + "02" + "7231" + "02" + "04" + "636c6970", nil},
 		{"candidates", KindCandidates, Candidates{Peers: benchPeers(), Len: 64},
-			"000000a5" + "01" + "04" + "08" +
+			"000000a5" + "02" + "04" + "08" +
 				"02" + "7330" + "0f" + "3132372e302e302e313a3430303030" + "02" +
 				"02" + "7331" + "0f" + "3132372e302e302e313a3430303031" + "04" +
 				"02" + "7332" + "0f" + "3132372e302e302e313a3430303032" + "06" +
@@ -143,7 +143,9 @@ func TestGoldenFrames(t *testing.T) {
 				"02" + "7337" + "0f" + "3132372e302e302e313a3430303037" + "08" +
 				"8001", nil},
 		{"segment", KindSegment, Segment{ID: 7, Quality: 1, Data: payload},
-			"00004007" + "01" + "0b" + "0e" + "02" + "808001", payload},
+			"00004007" + "02" + "0b" + "0e" + "02" + "808001", payload},
+		{"start-reply", KindStartReply, StartReply{OK: true, Feedback: true},
+			"00000005" + "02" + "0a" + "01" + "00" + "01", nil},
 	}
 	for _, tc := range cases {
 		var wire bytes.Buffer

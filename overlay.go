@@ -254,10 +254,11 @@ func WithSeed(seed int64) OverlayOption {
 	return func(c *overlayConfig) error { c.seed = seed; return nil }
 }
 
-// WithoutAdaptation disables the congestion-aware data plane: suppliers
-// blast each segment as a single burst on its schedule instead of pacing
-// at the bandwidth estimate and stepping down the bitrate ladder under
-// sustained congestion. Useful as an experiment control; on a shared
+// WithoutAdaptation disables the congestion-aware data plane: the overlay's
+// peers supply each segment as a single burst on its schedule instead of
+// pacing at the bandwidth estimate and stepping down the bitrate ladder
+// under sustained congestion, and announce so to their requesters, which
+// then send no acks. Useful as an experiment control; on a shared
 // bottleneck the unadapted plane builds standing queues and stalls.
 func WithoutAdaptation() OverlayOption {
 	return func(c *overlayConfig) error { c.wire.Node.NoAdapt = true; return nil }
