@@ -35,17 +35,13 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, spec := range scenario.Catalog() {
-			fmt.Printf("%-22s [%s] %s\n", spec.Name, spec.Discovery, spec.Stresses)
-		}
-		// The population-scale families: runnable by name, excluded from
-		// -all (the 100k crowd and the 1k chord ring take minutes, not
-		// seconds).
-		for _, spec := range scenario.ScaleCatalog() {
-			fmt.Printf("%-22s [%s] %s\n", spec.Name, spec.Discovery, spec.Stresses)
-		}
-		for _, spec := range scenario.ChordScaleCatalog() {
-			fmt.Printf("%-22s [%s] %s\n", spec.Name, spec.Discovery, spec.Stresses)
+		// The catalog, then the population-scale families: runnable by name,
+		// excluded from -all (the 100k crowd and the 1k chord ring take
+		// minutes, not seconds).
+		for _, family := range []func() []scenario.Spec{scenario.Catalog, scenario.ScaleCatalog, scenario.ChordScaleCatalog} {
+			for _, spec := range family() {
+				fmt.Printf("%-22s [%s] %s\n", spec.Name, spec.Discovery, spec.Stresses)
+			}
 		}
 		return
 	}
@@ -76,58 +72,9 @@ func main() {
 		if *seed != 0 {
 			spec.Seed = *seed
 		}
-		if *backend != "" {
-			b, err := scenario.ParseBackend(*backend)
-			if err != nil {
-				fatal(err)
-			}
-			spec.Discovery = b
-			if b != scenario.BackendChord {
-				// A directory-backed run cannot also crash the directory;
-				// scrub decoy-kill events a chord spec may carry. (Shard
-				// churn of a natively sharded spec stays — the shards run.)
-				spec.KeepDirectory = false
-				kept := spec.Churn[:0]
-				for _, ev := range spec.Churn {
-					if ev.Node != scenario.DirectoryHost ||
-						scenario.ShardHostIndex(ev.Node, spec.DirectoryShards) >= 0 {
-						kept = append(kept, ev)
-					}
-				}
-				spec.Churn = kept
-			} else {
-				// A chord run has no registry shards to crash or rebirth;
-				// scrub the shard-targeted churn a sharded spec carries.
-				kept := spec.Churn[:0]
-				for _, ev := range spec.Churn {
-					if scenario.ShardHostIndex(ev.Node, spec.DirectoryShards) < 0 {
-						kept = append(kept, ev)
-					}
-				}
-				spec.Churn = kept
-				spec.DirectoryShards = 0
-				// No registry means no resharding controller either: drop an
-				// elastic spec's autoscaler and the expectations that only
-				// its epoch flips can satisfy.
-				spec.Autoscale = nil
-				spec.Expect.MinEpochFlips = 0
-				spec.Expect.MaxFlipConvergence = 0
-				spec.Expect.NoLostRegistrations = false
-				spec.Expect.NoFailedShardLegs = false
-			}
-		}
-		if *shards >= 0 {
-			// Shrinking the shard set may strand shard-targeted churn;
-			// scrub events naming shard hosts the new count no longer runs.
-			kept := spec.Churn[:0]
-			for _, ev := range spec.Churn {
-				if idx := scenario.ShardHostIndex(ev.Node, spec.DirectoryShards); idx >= 0 && (*shards < 2 || idx >= *shards) {
-					continue
-				}
-				kept = append(kept, ev)
-			}
-			spec.Churn = kept
-			spec.DirectoryShards = *shards
+		spec, err := scenario.Retarget(spec, *backend, *shards)
+		if err != nil {
+			fatal(err)
 		}
 		start := time.Now()
 		report, err := scenario.Run(spec)

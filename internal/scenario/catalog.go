@@ -16,6 +16,17 @@ var lan = netx.LinkConfig{Latency: 300 * time.Microsecond, Jitter: 200 * time.Mi
 // allowance, but an order of magnitude slower than the LAN default.
 var far = netx.LinkConfig{Latency: 2 * time.Millisecond, Jitter: 500 * time.Microsecond}
 
+// classOneSeeds returns n class-1 seeds named prefix0, prefix1, ...: the
+// seed population of the replicated and population-scale entries.
+func classOneSeeds(prefix string, n int) []Peer {
+	seeds := make([]Peer, n)
+	for i := range seeds {
+		// Not "%s%d": a boxed prefix would allocate once more per seed.
+		seeds[i] = Peer{ID: fmt.Sprintf(prefix+"%d", i), Class: 1}
+	}
+	return seeds
+}
+
 // Catalog returns the named scenarios of the conformance suite, each an
 // RFC 8867-style stress expressed as data. Every entry is asserted by the
 // tests in this package and runnable standalone via cmd/p2pscen.
@@ -48,21 +59,14 @@ func Catalog() []Spec {
 }
 
 // ByName returns the catalog scenario with the given name, searching the
-// conformance catalog first and the population-scale family second.
+// conformance catalog first, then the population-scale families (built
+// only when the search reaches them).
 func ByName(name string) (Spec, bool) {
-	for _, s := range Catalog() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range ScaleCatalog() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range ChordScaleCatalog() {
-		if s.Name == name {
-			return s, true
+	for _, family := range []func() []Spec{Catalog, ScaleCatalog, ChordScaleCatalog} {
+		for _, s := range family() {
+			if s.Name == name {
+				return s, true
+			}
 		}
 	}
 	return Spec{}, false
@@ -342,10 +346,6 @@ func chordChurn() Spec {
 // served by a replica (the fail-over path ran; it was not just never
 // needed).
 func replicatedChurn() Spec {
-	seeds := make([]Peer, 16)
-	for i := range seeds {
-		seeds[i] = Peer{ID: fmt.Sprintf("rs%d", i), Class: 1}
-	}
 	reqs := make([]Peer, 48)
 	for i := range reqs {
 		reqs[i] = Peer{
@@ -364,7 +364,7 @@ func replicatedChurn() Spec {
 		// several lookup generations: the zero-miss run is the replicas'
 		// doing, not a fast repair round's.
 		ChordStabilize: 150 * time.Millisecond,
-		Seeds:          seeds,
+		Seeds:          classOneSeeds("rs", 16),
 		Requesters:     reqs,
 		Churn: []ChurnEvent{
 			// A non-founder seed: the ring survives, its arc's records must
@@ -533,133 +533,6 @@ func reshardDrain() Spec {
 			NoLookupMisses:      true,
 			NoFailedShardLegs:   true,
 		},
-	}
-}
-
-// The congestion-control flow family. All three scenarios route the
-// seeds' access links into one shared bandwidth-limited "core" resource
-// (netx.LinkConfig.Bottleneck), so every concurrent session serializes
-// into the same pipe. They stream congestionFile — 1 KiB segments, which
-// the wire's framing inflates by 1%, so a flow's wire rate is its payload
-// rate. One full-quality flow is flowWire on the wire; one downgrade
-// roughly halves that, the next again. A sender paces at 1.25x its
-// estimate, so while it transmits a full-quality flow takes 1.25 flowWire.
-// A supplying peer serves one session at a time, so each class-1 requester
-// binds two exclusive class-1 suppliers — concurrent flows need four
-// seeds. The second requester starts 3 ms after the first so their
-// admission sweeps don't race for the same two grants (and their
-// transmission schedules de-phase at the bottleneck).
-
-// congestionFile returns the flow family's media item: 1 KiB segments,
-// 8 ms each → R0 = 128 KB/s payload. The longer δt both doubles the
-// playback allowance (Theorem 1 buffering scales with δt) and halves the
-// wire rate, which is what lets a transient bottleneck queue drain before
-// it eats the whole allowance.
-func congestionFile() *media.File {
-	return &media.File{Name: "stream", Segments: 16, SegmentBytes: 1024, SegmentTime: 8 * time.Millisecond}
-}
-
-// flowWire is the wire rate of one full-quality congestionFile flow, in
-// bytes per second: every δt one segment frame (the 1 KiB payload under 10
-// bytes of length, version, kind and fields) and the 9-byte ack that
-// answers it — 130,375 B/s. The family's bottlenecks are multiples of it.
-const flowWire = (1024 + 10 + 9) * int64(time.Second/(8*time.Millisecond))
-
-// coreBottleneck is a bandwidth-limited access link serializing into the
-// shared "core" resource. No jitter: the ABR assertions want the RTT
-// signal to carry queueing, not noise.
-func coreBottleneck(bps int64) netx.LinkConfig {
-	return netx.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: bps, Bottleneck: "core"}
-}
-
-// competingMediaFlows starts two near-simultaneous media flows behind one
-// bottleneck of 1.6 flowWire, which fits ~1.3 full-quality flows at their
-// paced rate: together they oversubscribe the pipe, both must step down
-// the bitrate ladder (two half-rate flows need 1.0 flowWire), and
-// they converge to comparable shares — with playback continuous
-// throughout. The detail test re-runs the spec with NoAdapt as the
-// unpaced control and asserts the congestion the adaptation avoided.
-func competingMediaFlows() Spec {
-	return Spec{
-		Name:     "competing-media-flows",
-		Stresses: "two paced media flows sharing one bottleneck: both downgrade to a fair share and play continuously",
-		File:     congestionFile(),
-		Buffer:   24 * time.Millisecond, // 3·δt startup buffer absorbs the pre-downgrade queue transient
-		Seeds: []Peer{
-			{ID: "s1", Class: 1}, {ID: "s2", Class: 1},
-			{ID: "s3", Class: 1}, {ID: "s4", Class: 1},
-		},
-		Requesters: []Peer{
-			{ID: "r1", Class: 1, Start: 0},
-			{ID: "r2", Class: 1, Start: 3 * time.Millisecond},
-		},
-		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
-			{A: "s3", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
-			{A: "s4", B: Wildcard, Config: coreBottleneck(flowWire * 16 / 10)},
-		},
-		Expect: Expect{FairShare: 1.5, MinDowngraded: 1},
-	}
-}
-
-// mediaVsTCPFlows runs one media flow against a greedy elastic cross-flow
-// (the TCP stand-in: delay-based AIMD with no committed ceiling) through
-// a bottleneck of 1.65 flowWire that cannot carry the full-quality flow
-// alongside it (the cross-flow alone offers 1.0 flowWire). The media
-// session must finish with continuous playback — downgrading is how
-// it holds its share — and the cross-flow must still move bytes: neither
-// starves the other.
-func mediaVsTCPFlows() Spec {
-	return Spec{
-		Name:     "media-vs-tcp-flows",
-		Stresses: "a media flow sharing a bottleneck with a greedy long flow: ABR defends continuity without starving the elastic traffic",
-		File:     congestionFile(),
-		Buffer:   24 * time.Millisecond,
-		Seeds:    []Peer{{ID: "s1", Class: 1}, {ID: "s2", Class: 1}},
-		Requesters: []Peer{
-			{ID: "r1", Class: 1, Start: 0},
-		},
-		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(flowWire * 165 / 100)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(flowWire * 165 / 100)},
-			{A: "tcp-src", B: "tcp-sink", Config: coreBottleneck(flowWire * 165 / 100)},
-		},
-		Traffic: []TrafficFlow{
-			{From: "tcp-src", To: "tcp-sink", Start: 0, Chunk: 1024, Rate: 128 << 10},
-		},
-		Expect: Expect{MinDowngraded: 1},
-	}
-}
-
-// priorityFlows shares the bottleneck between a priority-3 flow and a
-// best-effort one. The priority steps multiply the supplier-side sustain
-// window before a downgrade (2·δt base, doubled per step → 64ms for hi,
-// the whole session), so the best-effort flow steps down first and frees
-// the capacity that keeps the priority flow at full quality: the
-// bottleneck of 1.7 flowWire holds one full-quality and one half-rate flow
-// (1.5 flowWire) but not two full-quality ones.
-func priorityFlows() Spec {
-	return Spec{
-		Name:     "priority-flows",
-		Stresses: "a priority flow and a best-effort flow on one bottleneck: the best-effort flow yields (downgrades) and the priority flow keeps full quality",
-		File:     congestionFile(),
-		Buffer:   40 * time.Millisecond, // 5·δt: the priority flow never yields, so it rides the deepest queue on buffer alone
-		Seeds: []Peer{
-			{ID: "s1", Class: 1}, {ID: "s2", Class: 1},
-			{ID: "s3", Class: 1}, {ID: "s4", Class: 1},
-		},
-		Requesters: []Peer{
-			{ID: "hi", Class: 1, Start: 0, Priority: 3},
-			{ID: "lo", Class: 1, Start: 3 * time.Millisecond},
-		},
-		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
-			{A: "s3", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
-			{A: "s4", B: Wildcard, Config: coreBottleneck(flowWire * 17 / 10)},
-		},
-		Expect: Expect{MinDowngraded: 1, FullQuality: []string{"hi"}},
 	}
 }
 

@@ -28,10 +28,6 @@ import (
 // discovery cost.
 func ChordScale(n int) Spec {
 	nSeeds := n / 4
-	seeds := make([]Peer, nSeeds)
-	for i := range seeds {
-		seeds[i] = Peer{ID: fmt.Sprintf("cs%d", i), Class: 1}
-	}
 	// The crowd arrives after a one-second warmup: the seeds' finger
 	// tables refresh fully in FingerBits/fingersPerRound = 16 stabilization
 	// rounds, and hops are only worth measuring once walks route through
@@ -66,7 +62,7 @@ func ChordScale(n int) Spec {
 		// the post-crash splice-out still takes long enough that lookups
 		// in flight must be answered by replicas, not by a repair round.
 		ChordStabilize: 50 * time.Millisecond,
-		Seeds:          seeds,
+		Seeds:          classOneSeeds("cs", nSeeds),
 		Requesters:     reqs,
 		Churn: []ChurnEvent{
 			// A non-founder seed, crashed while the crowd's lookups are in

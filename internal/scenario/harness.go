@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,13 +14,11 @@ import (
 
 	"p2pstream/internal/chordnet"
 	"p2pstream/internal/clock"
-	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/node"
 	"p2pstream/internal/observe"
-	"p2pstream/internal/reshard"
 	"p2pstream/internal/splitmix"
 	"p2pstream/internal/transport"
 	"p2pstream/internal/wiring"
@@ -28,21 +28,22 @@ import (
 // failure.
 const retryDelay = 25 * time.Millisecond
 
-// RequestUntilHeld keeps attempting until the node holds the file,
+// requestUntilHeld keeps attempting until the node holds the object,
 // tolerating both protocol rejections and transport failures such as a
 // supplier crashing mid-session — the client loop a churn-prone overlay
 // needs. Rejections back off on the paper's T_bkf · E_bkf^(i-1) schedule
-// (Section 4.2); transport failures wait the flat retry delay instead,
-// since they say nothing about admission contention. When jitter > 0 and
-// uniform is non-nil, each rejection wait is scaled by a uniform factor in
-// [1-jitter, 1+jitter): the paper's deterministic schedule keeps a
+// (Section 4.2); transport failures wait retryDelay instead, since they say
+// nothing about admission contention. Given the requester's own stream,
+// each rejection wait is scaled by a uniform factor in [1-j, 1+j), j the
+// spec's BackoffJitter: the paper's deterministic schedule keeps a
 // same-instant flash crowd in lockstep forever (every cohort re-collides
-// at every wake), and jitter is what desynchronizes it. It returns the
-// successful session report and the number of Request calls made. A
-// session whose only failure was the post-session directory registration
-// (possible behind a lossy link) counts as served: the node holds the
-// file and supplies locally.
-func RequestUntilHeld(ctx context.Context, clk clock.Clock, n *node.Node, object string, maxAttempts int, bkf dac.BackoffConfig, jitter float64, uniform func() float64, retry time.Duration) (*node.SessionReport, int, error) {
+// at every wake), and jitter is what desynchronizes it. The budget is the
+// spec's MaxAttempts. It returns the successful session report and the
+// number of Request calls made. A session whose only failure was the
+// post-session directory registration (possible behind a lossy link)
+// counts as served: the node holds the file and supplies locally.
+func (h *harness) requestUntilHeld(ctx context.Context, n *node.Node, object string, rng *splitmix.Rand) (*node.SessionReport, int, error) {
+	maxAttempts := h.spec.MaxAttempts
 	if maxAttempts < 1 {
 		return nil, 0, fmt.Errorf("scenario: maxAttempts %d, want >= 1", maxAttempts)
 	}
@@ -58,21 +59,18 @@ func RequestUntilHeld(ctx context.Context, clk clock.Clock, n *node.Node, object
 		}
 		lastErr = err
 		if attempt < maxAttempts {
-			wait := retry
+			wait := retryDelay
 			if errors.Is(err, node.ErrRejected) || errors.Is(err, node.ErrNoSuppliers) {
 				rejections++
-				if w, berr := bkf.After(rejections); berr == nil {
+				if w, berr := h.spec.Backoff.After(rejections); berr == nil {
 					wait = w
-					if jitter > 0 && uniform != nil {
-						scale := 1 + jitter*(2*uniform()-1)
-						wait = time.Duration(float64(wait) * scale)
-						if wait < time.Microsecond {
-							wait = time.Microsecond
-						}
+					if rng != nil {
+						scale := 1 + h.spec.BackoffJitter*(2*rng.Float64()-1)
+						wait = max(time.Duration(float64(wait)*scale), time.Microsecond)
 					}
 				}
 			}
-			if err := clock.SleepCtx(ctx, clk, wait); err != nil {
+			if err := clock.SleepCtx(ctx, h.clk, wait); err != nil {
 				return nil, attempt, err
 			}
 		}
@@ -95,10 +93,10 @@ const shardRefresh = 40 * time.Millisecond
 
 // harness is the running state of one scenario execution.
 type harness struct {
-	spec    *Spec
-	clk     *clock.Virtual
-	net     *netx.Virtual
-	dirAddr string // shard 0's address (the single server's, unsharded)
+	spec  *Spec
+	clk   *clock.Virtual
+	net   *netx.Virtual
+	hosts []string // every virtual host of the spec, for wildcard link rules
 
 	// suppliers is the chord backend's supplier census (the directory
 	// backend reads the shard registries instead): seeds at boot plus
@@ -111,204 +109,77 @@ type harness struct {
 	// carries is read back from its snapshots.
 	tally observe.Tally
 
-	// ctrl is the elastic registry's autoscaling controller (spec.Autoscale).
-	ctrl *reshard.Controller
-
-	// preregSeeds marks the batched seed-boot path: seeds start with
-	// Preregistered set and the harness announces them all to the
-	// centralized directory in one RegisterBatch round.
-	preregSeeds bool
+	// reg is the directory registry: its shard slots and autoscaler.
+	reg registry
 
 	// wire builds every peer: node template and discovery backend are
 	// filled once from the spec, after the registry has booted.
 	wire *wiring.Builder
 
+	// closers is the run's teardown: every step pushes the closer of what
+	// it acquired, and Run's one defer runs them last-in first-out — the
+	// traffic before the nodes, the nodes before the registry, the clock
+	// last.
+	closers []func()
+
 	mu    sync.Mutex
-	done  bool // the run is over; late shard rebirths must not leak servers
 	nodes map[string]*node.Node
-	// shards holds the directory registry shard servers (len 1 unless
-	// DirectoryShards; nil under pure chord discovery). A crashed shard's
-	// slot keeps its fixed address and goes !shardUp until a churn Join
-	// boots a fresh, empty server on the same address.
-	shards     []*directory.Server
-	shardAddrs []string
-	shardUp    []bool
-	// shardNames holds each slot's stable ring name under an elastic
-	// registry (spawned slots never reuse a drained shard's identity).
-	shardNames []string
+}
+
+// newHarness is the substrate step: the virtual clock (driven until the
+// run's teardown), the virtual network and the spec's static links.
+func newHarness(spec *Spec) *harness {
+	clk := clock.NewVirtual()
+	if spec.ClockCoalesce > 0 {
+		clk.SetCoalesce(spec.ClockCoalesce)
+	}
+	h := &harness{spec: spec, clk: clk, hosts: spec.hosts(), nodes: make(map[string]*node.Node)}
+	h.onClose(clk.AutoRun())
+	h.net = netx.NewVirtual(clk, spec.Seed)
+	h.net.SetDefaultLink(spec.DefaultLink)
+	for _, l := range spec.Links {
+		for _, pair := range expandLink(l, h.hosts) {
+			h.net.SetLink(pair[0], pair[1], l.Config)
+		}
+	}
+	return h
+}
+
+func (h *harness) onClose(f func()) { h.closers = append(h.closers, f) }
+
+func (h *harness) close() {
+	for i := len(h.closers) - 1; i >= 0; i-- {
+		h.closers[i]()
+	}
 }
 
 // elastic reports whether the registry autoscales (spec.Autoscale).
 func (h *harness) elastic() bool { return h.spec.Autoscale != nil }
 
-// objectSuppliers snapshots the final per-object supplier registration
-// counts from the live directory registries; nil in single-object mode and
-// under chord discovery (whose census does not split by object).
-func (h *harness) objectSuppliers() map[string]int {
-	if len(h.spec.Objects) == 0 || h.chordBacked() {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]int, len(h.spec.Objects))
-	for _, f := range h.spec.Objects {
-		for i, s := range h.shards {
-			if h.shardUp[i] && s != nil {
-				out[f.Name] += s.ObjectLen(f.Name)
-			}
-		}
-	}
-	return out
-}
-
-// shardStats snapshots each live registry shard's server counters (zero
-// for a crashed shard); nil when the registry is not sharded.
-func (h *harness) shardStats() []directory.Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.shards) < 2 {
-		return nil
-	}
-	out := make([]directory.Stats, len(h.shards))
-	for i, s := range h.shards {
-		if h.shardUp[i] && s != nil {
-			out[i] = s.Stats()
-		}
-	}
-	return out
-}
-
 // chordBacked reports whether the scenario runs chord discovery.
 func (h *harness) chordBacked() bool { return h.spec.Discovery == BackendChord }
 
 // supplierLevel is the current supplier count of the discovery substrate:
-// the chord census, or the live shard registries summed (a dead shard's
-// suppliers are invisible — exactly what its clients experience).
+// the chord census, or the registry's live size.
 func (h *harness) supplierLevel() int {
 	if h.chordBacked() {
 		return int(h.suppliers.Load())
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := 0
-	for i, s := range h.shards {
-		if h.shardUp[i] {
-			total += s.Len()
-		}
-	}
-	return total
+	return h.reg.census(nil)
 }
 
-// shardSuppliers snapshots each shard's registry size (0 when down).
-func (h *harness) shardSuppliers() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int, len(h.shards))
-	for i, s := range h.shards {
-		if h.shardUp[i] {
-			out[i] = s.Len()
-		}
-	}
-	return out
-}
-
-// shardSeed derives shard i's candidate-sampling seed; generation bumps it
-// when a crashed shard is reborn (a fresh server must not replay the dead
-// one's sampling stream).
-func (h *harness) shardSeed(i, generation int) int64 {
-	return h.spec.Seed + int64(i)*1009 + int64(generation)*500009
-}
-
-// bootShard starts registry shard i. The first boot listens on a fresh
-// port; a rebirth (generation > 0) re-listens on the shard's fixed
-// address, where every client's ring still routes.
-func (h *harness) bootShard(i, generation int) error {
-	srv := directory.NewServer(h.shardSeed(i, generation))
-	h.mu.Lock()
-	addr := h.shardAddrs[i] // still empty on the first boot: any port
-	h.mu.Unlock()
-	bound, err := srv.Start(h.net.Host(ShardHost(i)), addr)
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", i, err)
-	}
-	h.mu.Lock()
-	if h.done {
-		// A rebirth or a scale-out flip near the end of the run lost the
-		// race against teardown and must not leak the server.
-		h.mu.Unlock()
-		srv.Close()
-		return errors.New("scenario: run is over")
-	}
-	h.shards[i] = srv
-	h.shardAddrs[i] = bound
-	h.shardUp[i] = true
-	h.mu.Unlock()
-	return nil
-}
-
-// crashShard hard-kills registry shard i: the host drops off the network
-// (listeners close, connections reset) and the registry state dies with
-// the server. Runs from a clock callback; the blocking close is deferred
-// to a fresh goroutine.
-func (h *harness) crashShard(i int) {
-	h.mu.Lock()
-	srv := h.shards[i]
-	h.shardUp[i] = false
-	h.mu.Unlock()
-	h.net.SetDown(ShardHost(i))
-	if srv != nil {
-		go srv.Close()
-	}
-}
-
-// reviveShard brings a crashed shard back: the host revives and a fresh
-// server — empty, like any process restarted after losing its in-memory
-// state — listens on the shard's fixed address. The clients' lease
-// re-registrations repopulate it within one refresh interval.
-func (h *harness) reviveShard(i int) {
-	h.net.SetUp(ShardHost(i))
-	// The address is fixed and the host just revived; failure here means
-	// the run is over or the harness itself is broken, and the scenario's
-	// invariant checks will surface the dead shard.
-	_ = h.bootShard(i, 1)
-}
-
-// spawnShard is the elastic registry's scale-out hook: it boots a fresh
-// shard server on ShardHost(seq) under a ring name that never reuses a
-// drained shard's identity. Runs on the controller's flip goroutine
-// mid-run; slot index equals seq because spawns only ever append.
-func (h *harness) spawnShard(seq int) (reshard.Member, error) {
-	name := fmt.Sprintf("shard-%d", seq)
-	h.mu.Lock()
-	for len(h.shards) <= seq {
-		h.shards = append(h.shards, nil)
-		h.shardAddrs = append(h.shardAddrs, "")
-		h.shardUp = append(h.shardUp, false)
-		h.shardNames = append(h.shardNames, "")
-	}
-	h.shardNames[seq] = name
-	h.mu.Unlock()
-	if err := h.bootShard(seq, 0); err != nil {
-		return reshard.Member{}, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return reshard.Member{Name: name, Addr: h.shardAddrs[seq], Server: h.shards[seq]}, nil
-}
-
-// retireShard is the scale-in hook: the controller calls it DrainGrace
-// after the victim's flip (by then every client's overlap window has
-// closed), and the harness marks the slot down and closes the server.
-func (h *harness) retireShard(m reshard.Member) {
-	h.mu.Lock()
-	for i := range h.shards {
-		if h.shards[i] == m.Server {
-			h.shardUp[i] = false
-			h.shards[i] = nil
-		}
-	}
-	h.mu.Unlock()
-	m.Server.Close()
+// batchedSeeds marks the batched seed-boot path: against the single
+// centralized directory, the whole seed population registers in one
+// RegisterBatch round through one shared client instead of one dial per
+// seed, and the seeds start with Preregistered set. Sharded registries
+// keep per-seed registration — lease re-registration must live in each
+// seed's own client so a reborn shard is repopulated — and chord has no
+// directory to batch against. An elastic registry keeps per-seed
+// registration even from one shard: the seeds' leases must live in their
+// own epoch-watching clients, or the first flip would strand the
+// batch-announced registrations.
+func (h *harness) batchedSeeds() bool {
+	return !h.chordBacked() && h.spec.shardCount() == 1 && len(h.spec.Seeds) > 1 && !h.elastic()
 }
 
 // newBuilder fills the run's peer builder once from the spec: the node
@@ -340,14 +211,11 @@ func (h *harness) newBuilder() *wiring.Builder {
 		}
 	case h.elastic():
 		b.Sharded = &directory.ShardedConfig{Refresh: shardRefresh}
-		b.Autoscale = h.ctrl
-	case len(h.shards) > 1:
-		b.Sharded = &directory.ShardedConfig{
-			Addrs:   append([]string(nil), h.shardAddrs...),
-			Refresh: shardRefresh,
-		}
+		b.Autoscale = h.reg.ctrl
+	case h.spec.shardCount() > 1:
+		b.Sharded = &directory.ShardedConfig{Addrs: h.reg.addrs(), Refresh: shardRefresh}
 	default:
-		b.DirectoryAddr = h.dirAddr
+		b.DirectoryAddr = h.reg.addrs()[0]
 	}
 	return b
 }
@@ -364,7 +232,7 @@ func (h *harness) startPeer(p Peer, seed int64, isSeed bool) (*node.Node, *chord
 		Priority: p.Priority,
 		// The harness announces every seed in one directory RegisterBatch
 		// round after boot; the node only builds its supplier state.
-		Preregistered: isSeed && h.preregSeeds,
+		Preregistered: isSeed && h.batchedSeeds(),
 		Network:       h.net.Host(p.ID),
 	}, isSeed)
 	chordPeer, _ := disc.(*chordnet.Peer)
@@ -374,172 +242,111 @@ func (h *harness) startPeer(p Peer, seed int64, isSeed bool) (*node.Node, *chord
 // Run executes the scenario on a fresh virtual substrate and returns its
 // Report. The run is wall-clock fast (seconds of virtual protocol time
 // execute in milliseconds) and — for jitter-free specs with a sequential
-// workload — deterministic.
+// workload — deterministic. It is a fixed sequence of steps: substrate,
+// registry, seeds, schedule, traffic, workload, elastic settle, report.
 func Run(spec Spec) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-
-	clk := clock.NewVirtual()
-	if spec.ClockCoalesce > 0 {
-		clk.SetCoalesce(spec.ClockCoalesce)
+	h := newHarness(&spec)
+	defer h.close()
+	if err := h.bootRegistry(); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	stopClock := clk.AutoRun()
-	defer stopClock()
-
-	vnet := netx.NewVirtual(clk, spec.Seed)
-	vnet.SetDefaultLink(spec.DefaultLink)
-	hosts := spec.hosts()
-	for _, l := range spec.Links {
-		for _, pair := range expandLink(l, hosts) {
-			vnet.SetLink(pair[0], pair[1], l.Config)
-		}
-	}
-
-	h := &harness{
-		spec:  &spec,
-		clk:   clk,
-		net:   vnet,
-		nodes: make(map[string]*node.Node),
-	}
-	// Batched seed boot: against the single centralized directory, the
-	// whole seed population registers in one RegisterBatch round through
-	// one shared client instead of one dial per seed. Sharded registries
-	// keep per-seed registration — lease re-registration must live in each
-	// seed's own client so a reborn shard is repopulated — and chord has
-	// no directory to batch against.
-	// An elastic registry keeps per-seed registration even from one shard:
-	// the seeds' leases must live in their own epoch-watching clients, or
-	// the first flip would strand the batch-announced registrations.
-	h.preregSeeds = spec.Discovery != BackendChord && spec.shardCount() == 1 &&
-		len(spec.Seeds) > 1 && spec.Autoscale == nil
-	// Chord discovery needs no directory at all; a scenario may still ask
-	// for one (KeepDirectory) purely to crash it and prove the point. The
-	// directory backend boots shardCount registry shards (1 = the plain
-	// centralized server).
-	if spec.Discovery != BackendChord || spec.KeepDirectory {
-		n := spec.shardCount()
-		h.shards = make([]*directory.Server, n)
-		h.shardAddrs = make([]string, n)
-		h.shardUp = make([]bool, n)
-		h.shardNames = append([]string(nil), directory.DefaultShardNames(n)...)
-		for i := 0; i < n; i++ {
-			if err := h.bootShard(i, 0); err != nil {
-				h.closeShards()
-				return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-			}
-		}
-		defer h.closeShards()
-		h.dirAddr = h.shardAddrs[0]
-	}
-	defer h.closeAll()
-	if spec.Autoscale != nil {
-		a := spec.Autoscale
-		members := make([]reshard.Member, spec.shardCount())
-		for i := range members {
-			members[i] = reshard.Member{Name: h.shardNames[i], Addr: h.shardAddrs[i], Server: h.shards[i]}
-		}
-		ctrl, err := reshard.New(reshard.Config{
-			Clock:      clk,
-			Interval:   a.Interval,
-			HighWater:  a.HighWater,
-			LowWater:   a.LowWater,
-			Sustain:    a.Sustain,
-			MinShards:  a.MinShards,
-			MaxShards:  a.MaxShards,
-			DrainGrace: a.DrainGrace,
-			Members:    members,
-			Spawn:      h.spawnShard,
-			Retire:     h.retireShard,
-			Observer:   &h.tally,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-		}
-		h.ctrl = ctrl
-		ctrl.Start()
-		defer ctrl.Close()
-	}
-	h.wire = h.newBuilder()
-
-	ctx := context.Background()
-	var seedRegs []transport.Register
-	for i, p := range spec.Seeds {
-		n, _, err := h.startPeer(p, int64(i+1), true)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: seed %s: %w", spec.Name, p.ID, err)
-		}
-		h.suppliers.Add(1)
-		h.track(p.ID, n)
-		if h.preregSeeds {
-			for _, name := range n.Library().Names() {
-				obj := ""
-				if len(spec.Objects) > 0 {
-					obj = name
-				}
-				seedRegs = append(seedRegs, transport.Register{
-					ID: p.ID, Addr: n.Addr(), Class: p.Class, Object: obj,
-				})
-			}
-		}
-	}
-	if h.preregSeeds {
-		cl := directory.NewClientOn(vnet.Host(DirectoryHost), h.dirAddr)
-		err := cl.RegisterBatch(ctx, seedRegs)
-		cl.Close()
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: batch seed registration: %w", spec.Name, err)
-		}
+	if err := h.bootSeeds(); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 	// The dials expended booting the seed population: one batched directory
-	// round instead of one dial per seed when preregSeeds is on.
-	seedBootDials := vnet.Dials()
+	// round instead of one dial per seed when the seeds boot batched.
+	seedBootDials := h.net.Dials()
 
 	// Everything below shares one time zero: the run start, taken after
 	// the seeds have booted. Link events, churn events and workload Start
 	// offsets are all anchored here, back to back, so an event and an
 	// arrival declared at the same instant fire together.
-	base := clk.Now()
-	for _, ev := range spec.Events {
+	base := h.clk.Now()
+	work := h.schedule()
+	traffic, stopTraffic := h.startTraffic()
+	results := h.runWorkload(base, work)
+	elapsed := h.clk.Since(base)
+	stopTraffic()
+	h.settle()
+	return h.report(results, elapsed, seedBootDials, traffic), nil
+}
+
+// bootSeeds is the seeds step: it fills the run's peer builder on the
+// booted registry and starts every seed, announcing them all in one
+// RegisterBatch round when the seeds boot batched. Every node the run
+// tracks, seed or requester, closes at teardown.
+func (h *harness) bootSeeds() error {
+	h.onClose(h.closeAll)
+	h.wire = h.newBuilder()
+	var regs []transport.Register
+	for i, p := range h.spec.Seeds {
+		n, _, err := h.startPeer(p, int64(i+1), true)
+		if err != nil {
+			return fmt.Errorf("seed %s: %w", p.ID, err)
+		}
+		h.suppliers.Add(1)
+		h.track(p.ID, n)
+		for _, name := range n.Library().Names() {
+			obj := ""
+			if len(h.spec.Objects) > 0 {
+				obj = name
+			}
+			regs = append(regs, transport.Register{ID: p.ID, Addr: n.Addr(), Class: p.Class, Object: obj})
+		}
+	}
+	if !h.batchedSeeds() {
+		return nil
+	}
+	cl := directory.NewClientOn(h.net.Host(DirectoryHost), h.wire.DirectoryAddr)
+	err := cl.RegisterBatch(context.Background(), regs)
+	cl.Close()
+	if err != nil {
+		return fmt.Errorf("batch seed registration: %w", err)
+	}
+	return nil
+}
+
+// schedule is the schedule step, taken at the run's time zero: link and
+// churn events become clock callbacks, and the workload — declared
+// requesters plus churn joiners — becomes work items. Node seeds are fixed
+// by workload position, not goroutine scheduling, so identically-seeded
+// runs draw identical admission randomness.
+func (h *harness) schedule() []workItem {
+	for _, ev := range h.spec.Events {
 		if ev.Link.A == "" {
-			vnet.ScheduleDefaultLink(ev.At, ev.Link.Config)
+			h.net.ScheduleDefaultLink(ev.At, ev.Link.Config)
 			continue
 		}
-		for _, pair := range expandLink(ev.Link, hosts) {
-			vnet.ScheduleLink(ev.At, pair[0], pair[1], ev.Link.Config)
+		for _, pair := range expandLink(ev.Link, h.hosts) {
+			h.net.ScheduleLink(ev.At, pair[0], pair[1], ev.Link.Config)
 		}
 	}
-
-	// The workload: declared requesters plus churn joiners. Node seeds
-	// are fixed by workload position, not goroutine scheduling, so
-	// identically-seeded runs draw identical admission randomness.
-	work := make([]workItem, 0, len(spec.Requesters)+len(spec.Churn))
-	for i, p := range spec.Requesters {
+	work := make([]workItem, 0, len(h.spec.Requesters)+len(h.spec.Churn))
+	for i, p := range h.spec.Requesters {
 		work = append(work, workItem{Peer: p, seed: int64(1000 + i)})
 	}
-	for _, ev := range spec.Churn {
-		ev := ev
-		shard := -1
-		if spec.shardCount() > 1 {
-			shard = spec.shardIndex(ev.Node)
-		}
+	for _, ev := range h.spec.Churn {
+		shard := h.spec.shardIndex(ev.Node)
 		switch ev.Action {
 		case Crash:
 			if shard >= 0 {
-				clk.AfterFunc(ev.At, func() { h.crashShard(shard) })
+				h.clk.AfterFunc(ev.At, func() { h.reg.crash(shard) })
 				continue
 			}
-			clk.AfterFunc(ev.At, func() { vnet.SetDown(ev.Node) })
+			h.clk.AfterFunc(ev.At, func() { h.net.SetDown(ev.Node) })
 		case Leave:
 			// Close blocks on connection handlers; never block the
 			// clock's advancing goroutine.
-			clk.AfterFunc(ev.At, func() { go h.closeNode(ev.Node) })
+			h.clk.AfterFunc(ev.At, func() { go h.closeNode(ev.Node) })
 		case Join:
 			if shard >= 0 {
 				// Rebirth of a crashed registry shard, not a peer: a fresh
 				// empty server re-listens on the shard's fixed address.
-				clk.AfterFunc(ev.At, func() { go h.reviveShard(shard) })
+				h.clk.AfterFunc(ev.At, func() { go h.reg.revive(shard) })
 				continue
 			}
 			work = append(work, workItem{
@@ -549,15 +356,15 @@ func Run(spec Spec) (*Report, error) {
 			})
 		}
 	}
-	// Cross traffic: sinks boot now, flows start at their instants and die
-	// with the run (stopTraffic cancels them while the clock still runs).
-	traffic, stopTraffic := h.startTraffic()
-	defer stopTraffic()
+	return work
+}
 
+// runWorkload is the workload step: one goroutine per work item drives
+// its requester to completion, and the step returns once all have.
+func (h *harness) runWorkload(base time.Time, work []workItem) []NodeResult {
 	results := make([]NodeResult, len(work))
 	var wg sync.WaitGroup
 	for i, w := range work {
-		i, w := i, w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -565,101 +372,29 @@ func Run(spec Spec) (*Report, error) {
 		}()
 	}
 	wg.Wait()
-	elapsed := clk.Since(base)
+	return results
+}
 
-	stopTraffic()
-	if h.elastic() {
-		// Let trailing flips, migrations and overlap windows settle before
-		// the zero-loss audit reads the final registries: wait until the
-		// epoch holds still across two refresh periods.
-		for i := 0; i < 8; i++ {
-			e := h.ctrl.Epoch()
-			clk.Sleep(2 * shardRefresh)
-			if h.ctrl.Epoch() == e {
-				break
-			}
-		}
-	}
+// report is the report step: the final readings of the substrate, the
+// registry and the tally around the requesters' results.
+func (h *harness) report(results []NodeResult, elapsed time.Duration, seedBootDials int64, traffic []*trafficState) *Report {
 	r := &Report{
-		Spec:              spec,
-		Nodes:             results,
-		Elapsed:           elapsed,
-		FinalSuppliers:    h.supplierLevel(),
-		ShardSuppliers:    h.shardSuppliers(),
-		ShardStats:        h.shardStats(),
-		Dials:             vnet.Dials(),
-		SeedBootDials:     seedBootDials,
-		QueueDrops:        vnet.QueueDrops(),
-		ObjectSuppliers:   h.objectSuppliers(),
-		LostRegistrations: h.lostRegistrations(),
-		Events:            h.tally.Snapshot(),
+		Spec:           *h.spec,
+		Nodes:          results,
+		Elapsed:        elapsed,
+		FinalSuppliers: h.supplierLevel(),
+		Dials:          h.net.Dials(),
+		SeedBootDials:  seedBootDials,
+		QueueDrops:     h.net.QueueDrops(),
 	}
+	h.reg.census(r)
+	r.LostRegistrations = h.lostRegistrations()
+	r.Events = h.tally.Snapshot()
 	for _, st := range traffic {
 		r.Traffic = append(r.Traffic, st.result(elapsed))
 	}
 	r.buildSeries()
-	return r, nil
-}
-
-// lostRegistrations audits the elastic registry's zero-loss contract at
-// the end of the run: every live supplier's registration must be present
-// on the shard owning its peer ID under the final epoch's ring. It
-// returns the missing id (or id/object) keys, sorted; nil when the
-// registry is not elastic.
-func (h *harness) lostRegistrations() []string {
-	if !h.elastic() {
-		return nil
-	}
-	epoch, members := h.ctrl.Snapshot()
-	names := make([]string, len(members))
-	for i, m := range members {
-		names[i] = m.Name
-	}
-	ring, err := directory.NewShardRingOf(epoch, names, directory.ShardPoints)
-	if err != nil {
-		return []string{fmt.Sprintf("audit ring: %v", err)}
-	}
-	h.mu.Lock()
-	nodes := make(map[string]*node.Node, len(h.nodes))
-	for id, n := range h.nodes {
-		nodes[id] = n
-	}
-	h.mu.Unlock()
-	ids := make([]string, 0, len(nodes))
-	for id := range nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var lost []string
-	for _, id := range ids {
-		n := nodes[id]
-		owner := members[ring.Owner(id)].Server
-		if len(h.spec.Objects) == 0 {
-			if n.Supplying() && !owner.Has(id, "") {
-				lost = append(lost, id)
-			}
-			continue
-		}
-		for _, f := range h.spec.Objects {
-			if n.SupplyingObject(f.Name) && !owner.Has(id, f.Name) {
-				lost = append(lost, id+"/"+f.Name)
-			}
-		}
-	}
-	return lost
-}
-
-// closeShards shuts every live registry shard down.
-func (h *harness) closeShards() {
-	h.mu.Lock()
-	h.done = true
-	shards := append([]*directory.Server(nil), h.shards...)
-	h.mu.Unlock()
-	for _, s := range shards {
-		if s != nil {
-			s.Close()
-		}
-	}
+	return r
 }
 
 // runRequester drives one requesting peer from its arrival to completion
@@ -683,12 +418,12 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 		return
 	}
 	h.track(w.ID, n)
-	var uniform func() float64
+	var rng *splitmix.Rand
 	if h.spec.BackoffJitter > 0 {
 		// One splitmix64 word per requester, not a math/rand table: seeding
 		// ten thousand 5KB generators showed up in the crowd profile.
-		rng := splitmix.Rand(w.seed)
-		uniform = rng.Float64
+		r := splitmix.Rand(w.seed)
+		rng = &r
 	}
 	// The request sequence: one object in single-object mode (the empty
 	// name routes to the node's primary), or the peer's declared Objects
@@ -700,18 +435,16 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 		objects = []string{""}
 	}
 	var report *node.SessionReport
-	attempts := 0
 	var rerr error
 	for _, obj := range objects {
 		var a int
-		report, a, rerr = RequestUntilHeld(context.Background(), h.clk, n, obj, h.spec.MaxAttempts, h.spec.Backoff, h.spec.BackoffJitter, uniform, retryDelay)
-		attempts += a
+		report, a, rerr = h.requestUntilHeld(context.Background(), n, obj, rng)
+		res.Attempts += a
 		if rerr != nil {
 			break
 		}
 	}
 	res.Done = h.clk.Since(base)
-	res.Attempts = attempts
 	if chordPeer != nil {
 		res.Lookups, res.LookupHops, res.SampleRounds = chordPeer.LookupStats()
 	}
@@ -780,10 +513,7 @@ func (h *harness) closeNode(id string) {
 // mid-run are fine.
 func (h *harness) closeAll() {
 	h.mu.Lock()
-	nodes := make([]*node.Node, 0, len(h.nodes))
-	for _, n := range h.nodes {
-		nodes = append(nodes, n)
-	}
+	nodes := slices.Collect(maps.Values(h.nodes))
 	h.mu.Unlock()
 	for _, n := range nodes {
 		n.Close()

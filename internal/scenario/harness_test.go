@@ -93,14 +93,16 @@ func TestRequestUntilHeldGivesUp(t *testing.T) {
 	start("onlyseed", 2, true)
 	req := start("r", 1, false)
 
-	_, attempts, err := RequestUntilHeld(context.Background(), clk, req, "", 3, dac.BackoffConfig{Base: 5 * time.Millisecond, Factor: 1}, 0, nil, 5*time.Millisecond)
+	h := &harness{spec: &Spec{MaxAttempts: 3, Backoff: dac.BackoffConfig{Base: 5 * time.Millisecond, Factor: 1}}, clk: clk}
+	_, attempts, err := h.requestUntilHeld(context.Background(), req, "", nil)
 	if !errors.Is(err, node.ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
 	if attempts != 3 {
 		t.Errorf("attempts = %d, want the whole budget of 3", attempts)
 	}
-	if _, _, err := RequestUntilHeld(context.Background(), clk, req, "", 0, dac.BackoffConfig{Base: time.Millisecond, Factor: 1}, 0, nil, time.Millisecond); err == nil {
+	h.spec.MaxAttempts = 0
+	if _, _, err := h.requestUntilHeld(context.Background(), req, "", nil); err == nil {
 		t.Error("maxAttempts 0 accepted")
 	}
 }

@@ -29,10 +29,6 @@ const megacrowdSeeds = 512
 // report's admission-latency and rejection-rate quantiles trace the
 // absorption generation by generation.
 func Megacrowd(n int) Spec {
-	seeds := make([]Peer, megacrowdSeeds)
-	for i := range seeds {
-		seeds[i] = Peer{ID: fmt.Sprintf("ms%d", i), Class: 1}
-	}
 	reqs := make([]Peer, n)
 	for i := range reqs {
 		// The crowd arrives within one session length (~10ms), not on one
@@ -51,7 +47,7 @@ func Megacrowd(n int) Spec {
 		Stresses: fmt.Sprintf(
 			"a %d-requester flash crowd against %d seeds: population-scale admission, quantile tails, zero allocation steady state",
 			n, megacrowdSeeds),
-		Seeds:      seeds,
+		Seeds:      classOneSeeds("ms", megacrowdSeeds),
 		Requesters: reqs,
 		// A short clip keeps one session ~4·δt so capacity amplification —
 		// not stream length — dominates the admission tail.

@@ -42,14 +42,12 @@ func ZipfObjects(seed int64, names []string, n int, skew float64) []string {
 	return out
 }
 
-// popularityCatalog is the zipf-popularity media catalog: four equally
-// sized objects (the conformance default's shape), popularity-ranked v1
-// (hot) to v4 (cold) by the workload, not by the objects themselves.
-func popularityCatalog() []*media.File {
-	names := []string{"v1", "v2", "v3", "v4"}
+// mediaCatalog returns one object per name, each of the given number of
+// 128-byte, 4 ms segments (the conformance default's segment shape).
+func mediaCatalog(segments int, names ...string) []*media.File {
 	out := make([]*media.File, len(names))
 	for i, name := range names {
-		out[i] = &media.File{Name: name, Segments: 16, SegmentBytes: 128, SegmentTime: 4 * time.Millisecond}
+		out[i] = &media.File{Name: name, Segments: segments, SegmentBytes: 128, SegmentTime: 4 * time.Millisecond}
 	}
 	return out
 }
@@ -63,11 +61,10 @@ func popularityCatalog() []*media.File {
 // blocks a cold-object grant, and the served hot cohort amplifies the hot
 // object's supplier pool flash-crowd style.
 func zipfPopularity() Spec {
-	cat := popularityCatalog()
-	names := make([]string, len(cat))
-	for i, f := range cat {
-		names[i] = f.Name
-	}
+	// Four equally sized objects (the conformance default's shape),
+	// popularity-ranked v1 (hot) to v4 (cold) by the workload, not by the
+	// objects themselves.
+	names := []string{"v1", "v2", "v3", "v4"}
 	// Seed 14 draws v1×7, v2×3, v3×1, v4×1: a dominant hot cohort with
 	// every catalog object still requested at least once.
 	assigned := ZipfObjects(14, names, 12, 1.5)
@@ -83,24 +80,13 @@ func zipfPopularity() Spec {
 	return Spec{
 		Name:         "zipf-popularity",
 		Stresses:     "a Zipf-skewed multi-object crowd: the hot object's cohort contends while cold objects stay cheap, per-object admission fully independent",
-		Objects:      cat,
+		Objects:      mediaCatalog(16, names...),
 		SessionSlots: 4,
 		Seeds:        []Peer{{ID: "s1", Class: 1}, {ID: "s2", Class: 1}},
 		Requesters:   reqs,
 		MaxAttempts:  80,
 		Expect:       Expect{MinAttempts: 2},
 	}
-}
-
-// churnCatalog is the cache-churn media catalog: three 1 KiB objects, each
-// alone within the 1200-byte node budget but any two together over it.
-func churnCatalog() []*media.File {
-	names := []string{"a", "b", "c"}
-	out := make([]*media.File, len(names))
-	for i, name := range names {
-		out[i] = &media.File{Name: name, Segments: 8, SegmentBytes: 128, SegmentTime: 4 * time.Millisecond}
-	}
-	return out
 }
 
 // cacheChurn forces mid-run evictions: every node's library holds exactly
@@ -113,9 +99,11 @@ func churnCatalog() []*media.File {
 // registration, leaving the seed pair to serve r3 — no stranded client.
 func cacheChurn() Spec {
 	return Spec{
-		Name:         "cache-churn",
-		Stresses:     "bounded node caches churning mid-run: LRU eviction on the second object's completion, graceful supplier withdrawal, late arrivals served past stale registrations",
-		Objects:      churnCatalog(),
+		Name:     "cache-churn",
+		Stresses: "bounded node caches churning mid-run: LRU eviction on the second object's completion, graceful supplier withdrawal, late arrivals served past stale registrations",
+		// Three 1 KiB objects, each alone within the 1200-byte node budget
+		// but any two together over it.
+		Objects:      mediaCatalog(8, "a", "b", "c"),
 		CacheBudget:  1200,
 		SessionSlots: 2,
 		Seeds: []Peer{

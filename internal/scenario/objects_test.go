@@ -135,24 +135,13 @@ func (c cohortStats) rejectionRate() float64 {
 	return float64(c.attempts-c.n) / float64(c.attempts)
 }
 
-// TestZipfPopularityDetails: the zipf-popularity run must actually split
+// zipfPopularityDetails: the zipf-popularity run must actually split
 // by popularity — the hot object's cohort pays admission latency and
 // rejections that the cold cohort does not, while per-object registries
 // end the run with the hot object's supplier pool grown past the cold
 // ones' (every served requester re-supplies its object).
-func TestZipfPopularityDetails(t *testing.T) {
-	spec, ok := ByName("zipf-popularity")
-	if !ok {
-		t.Fatal("zipf-popularity not in catalog")
-	}
+func zipfPopularityDetails(t *testing.T, spec Spec, report *Report) {
 	hot := spec.Objects[0].Name
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
 	// Cohorts come from the spec's own Zipf draw (recorded in each
 	// requester's object sequence), so the test and the spec cannot drift.
 	var hotC, coldC cohortStats
@@ -217,23 +206,12 @@ func TestZipfPopularityDetails(t *testing.T) {
 		coldC.n, coldC.meanAttempts(), 100*coldC.rejectionRate(), coldC.meanLatency().Round(time.Millisecond))
 }
 
-// TestCacheChurnDetails: the cache-churn run must evict mid-run (each
+// cacheChurnDetails: the cache-churn run must evict mid-run (each
 // two-object requester's second completion pushes its library over
 // budget), withdraw every evicted object's supplier registration
 // gracefully, and still serve every client — including r3, which requests
 // "a" after r1 evicted it, proving the stale registration was scrubbed.
-func TestCacheChurnDetails(t *testing.T) {
-	spec, ok := ByName("cache-churn")
-	if !ok {
-		t.Fatal("cache-churn not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func cacheChurnDetails(t *testing.T, spec Spec, report *Report) {
 	// Zero stranded clients: every requester of the workload completed,
 	// evictions notwithstanding.
 	for _, p := range spec.Requesters {

@@ -3,7 +3,8 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -203,8 +204,7 @@ func (r *Report) buildSeries() {
 	chord := r.Spec.Discovery == BackendChord
 	sharded := len(r.ShardStats) > 1
 	elastic := r.Spec.Autoscale != nil
-	var doneTimes []time.Duration
-	var admissionMs, rejectionRates []float64
+	var rejectionRates []float64
 	for i := range r.Nodes {
 		n := &r.Nodes[i]
 		if n.Err != nil {
@@ -219,8 +219,6 @@ func (r *Report) buildSeries() {
 			rate = float64(n.Attempts-1) / float64(n.Attempts)
 		}
 		r.RejectionDist.Observe(rate)
-		doneTimes = append(doneTimes, n.Done)
-		admissionMs = append(admissionMs, ms(n.Done-n.Start))
 		rejectionRates = append(rejectionRates, rate)
 		r.Buffering.Add(n.Done, ms(n.Session.MeasuredDelay))
 		r.Suppliers.Add(n.Done, float64(n.SupplierLevel))
@@ -254,8 +252,8 @@ func (r *Report) buildSeries() {
 		}
 	}
 	qs := []float64{0.5, 0.9, 0.99}
-	r.AdmissionQuantiles = metrics.QuantileSeries("admission_ms", doneTimes, admissionMs, quantileCheckpoints, qs...)
-	r.RejectionQuantiles = metrics.QuantileSeries("rejection_rate", doneTimes, rejectionRates, quantileCheckpoints, qs...)
+	r.AdmissionQuantiles = metrics.QuantileSeries("admission_ms", r.Admission.Times, r.Admission.Values, quantileCheckpoints, qs...)
+	r.RejectionQuantiles = metrics.QuantileSeries("rejection_rate", r.Admission.Times, rejectionRates, quantileCheckpoints, qs...)
 }
 
 // Served returns how many requesters completed their session.
@@ -284,15 +282,11 @@ func (r *Report) Node(id string) *NodeResult {
 // byte-exact store, continuous playback, the Theorem 1 buffering delay,
 // and a seat as a supplying peer. It returns the first violation.
 func (r *Report) Check() error {
-	mayFail := make(map[string]bool, len(r.Spec.Expect.MayFail))
-	for _, id := range r.Spec.Expect.MayFail {
-		mayFail[id] = true
-	}
 	served, maxAttempts := 0, 0
 	for i := range r.Nodes {
 		n := &r.Nodes[i]
 		if n.Err != nil {
-			if !mayFail[n.ID] {
+			if !slices.Contains(r.Spec.Expect.MayFail, n.ID) {
 				return fmt.Errorf("scenario %s: requester %s unserved after %d attempts: %w",
 					r.Spec.Name, n.ID, n.Attempts, n.Err)
 			}
@@ -382,43 +376,42 @@ func (r *Report) checkEvents() error {
 
 // checkDataPlane verifies the congestion-control half of the acceptance
 // envelope: throughput fairness, bitrate-ladder engagement, priority
-// protection and — for control runs — that congestion actually showed.
+// protection and — for control runs — that congestion actually showed. One
+// walk over the served requesters gathers what the clauses read.
 func (r *Report) checkDataPlane() error {
 	exp := r.Spec.Expect
-	if exp.FairShare > 0 {
-		var minBps, maxBps float64
-		var minID, maxID string
-		for i := range r.Nodes {
-			n := &r.Nodes[i]
-			if n.Err != nil || n.ThroughputBps <= 0 {
-				continue
-			}
-			if minID == "" || n.ThroughputBps < minBps {
-				minBps, minID = n.ThroughputBps, n.ID
-			}
-			if maxID == "" || n.ThroughputBps > maxBps {
-				maxBps, maxID = n.ThroughputBps, n.ID
-			}
+	var minBps, maxBps float64
+	var minID, maxID string
+	downgraded, stalled := 0, false
+	for i := range r.Nodes {
+		n := &r.Nodes[i]
+		if n.Err != nil {
+			continue
 		}
-		if minID == "" {
-			return fmt.Errorf("scenario %s: FairShare set but no session recorded throughput", r.Spec.Name)
+		if n.Downgraded > 0 {
+			downgraded++
 		}
-		if maxBps > exp.FairShare*minBps {
-			return fmt.Errorf("scenario %s: unfair shares: %s at %.0f B/s vs %s at %.0f B/s (ratio %.2f > %.2f)",
-				r.Spec.Name, maxID, maxBps, minID, minBps, maxBps/minBps, exp.FairShare)
+		stalled = stalled || !n.Continuous
+		if n.ThroughputBps <= 0 {
+			continue
+		}
+		if minID == "" || n.ThroughputBps < minBps {
+			minBps, minID = n.ThroughputBps, n.ID
+		}
+		if maxID == "" || n.ThroughputBps > maxBps {
+			maxBps, maxID = n.ThroughputBps, n.ID
 		}
 	}
-	if exp.MinDowngraded > 0 {
-		downgraded := 0
-		for i := range r.Nodes {
-			if n := &r.Nodes[i]; n.Err == nil && n.Downgraded > 0 {
-				downgraded++
-			}
-		}
-		if downgraded < exp.MinDowngraded {
-			return fmt.Errorf("scenario %s: %d requesters saw downgraded segments, expected >= %d (the bitrate ladder never engaged)",
-				r.Spec.Name, downgraded, exp.MinDowngraded)
-		}
+	if exp.FairShare > 0 && minID == "" {
+		return fmt.Errorf("scenario %s: FairShare set but no session recorded throughput", r.Spec.Name)
+	}
+	if exp.FairShare > 0 && maxBps > exp.FairShare*minBps {
+		return fmt.Errorf("scenario %s: unfair shares: %s at %.0f B/s vs %s at %.0f B/s (ratio %.2f > %.2f)",
+			r.Spec.Name, maxID, maxBps, minID, minBps, maxBps/minBps, exp.FairShare)
+	}
+	if downgraded < exp.MinDowngraded {
+		return fmt.Errorf("scenario %s: %d requesters saw downgraded segments, expected >= %d (the bitrate ladder never engaged)",
+			r.Spec.Name, downgraded, exp.MinDowngraded)
 	}
 	for _, id := range exp.FullQuality {
 		n := r.Node(id)
@@ -430,17 +423,8 @@ func (r *Report) checkDataPlane() error {
 				r.Spec.Name, id, n.Downgraded, n.MaxQuality)
 		}
 	}
-	if exp.WantCongestion {
-		stalled := false
-		for i := range r.Nodes {
-			if n := &r.Nodes[i]; n.Err == nil && !n.Continuous {
-				stalled = true
-				break
-			}
-		}
-		if !stalled && r.QueueDrops == 0 {
-			return fmt.Errorf("scenario %s: expected visible congestion, but no playback stalled and no queue dropped", r.Spec.Name)
-		}
+	if exp.WantCongestion && !stalled && r.QueueDrops == 0 {
+		return fmt.Errorf("scenario %s: expected visible congestion, but no playback stalled and no queue dropped", r.Spec.Name)
 	}
 	return nil
 }
@@ -479,20 +463,13 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "\n  elastic registry: %d migrated registrations, slowest convergence %v, %d lost",
 			moves.Sum, moves.MaxLatency.Round(time.Microsecond), len(r.LostRegistrations))
 	}
-	if len(r.ShardStats) > 1 {
-		for i, st := range r.ShardStats {
-			fmt.Fprintf(&b, "\n  shard %d stats: %d registers, %d refreshes, %d unregisters, %d lookups",
-				i, st.Registers, st.Refreshes, st.Unregisters, st.Lookups)
-		}
+	for i, st := range r.ShardStats { // nil unless the registry is sharded
+		fmt.Fprintf(&b, "\n  shard %d stats: %d registers, %d refreshes, %d unregisters, %d lookups",
+			i, st.Registers, st.Refreshes, st.Unregisters, st.Lookups)
 	}
 	if len(r.ObjectSuppliers) > 0 {
-		names := make([]string, 0, len(r.ObjectSuppliers))
-		for name := range r.ObjectSuppliers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		fmt.Fprintf(&b, "\n  suppliers by object:")
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(r.ObjectSuppliers)) {
 			fmt.Fprintf(&b, " %s=%d", name, r.ObjectSuppliers[name])
 		}
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,12 @@ import (
 // virtual substrate and enforces its invariants: requesters outside the
 // scenario's MayFail set are served with byte-exact stores, continuous
 // playback (unless the scenario injects loss), the Theorem 1 delay bound,
-// and a seat as a supplying peer. This is the protocol's conformance
-// suite; it must stay deterministic (-race -count=2 -shuffle=on).
+// and a seat as a supplying peer. Then the entry's own assertions in
+// entryChecks run on the same report, one subtest each, so every entry
+// runs once per test pass. This is the protocol's conformance suite; it
+// must stay deterministic (-race -count=2 -shuffle=on).
 func TestCatalogConformance(t *testing.T) {
 	for _, spec := range Catalog() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			report, err := Run(spec)
 			if err != nil {
@@ -36,12 +38,46 @@ func TestCatalogConformance(t *testing.T) {
 			if report.FinalSuppliers == 0 {
 				t.Error("no suppliers registered at the end")
 			}
+			for _, c := range entryChecks[spec.Name] {
+				t.Run(c.name, func(t *testing.T) { c.check(t, spec, report) })
+			}
 		})
 	}
 }
 
+// entryCheck is one block of a catalog entry's own assertions, run on the
+// report of the entry's conformance run.
+type entryCheck struct {
+	name  string
+	check func(t *testing.T, spec Spec, report *Report)
+}
+
+// entryChecks holds each catalog entry's own assertions, keyed by entry
+// name: what the universal invariants cannot say about that scenario.
+// TestCatalogWellFormed requires every key to name a Catalog() entry.
+var entryChecks = map[string][]entryCheck{
+	"flash-crowd":           {{"summary-lists-every-fired-event-type", summaryListsEveryFiredEventType}},
+	"churn-storm":           {{"details", churnStormDetails}},
+	"pause-resume":          {{"details", pauseResumeDetails}},
+	"partition-heal":        {{"details", partitionHealDetails}},
+	"decentralized-lookup":  {{"details", decentralizedLookupDetails}, {"discovery-metrics", chordDiscoveryMetrics}},
+	"directory-crash":       {{"details", directoryCrashDetails}},
+	"chord-churn":           {{"details", chordChurnDetails}, {"leave-staleness", chordChurnLeaveStaleness}},
+	"sharded-lookup":        {{"details", shardedLookupDetails}},
+	"shard-crash":           {{"details", shardCrashDetails}},
+	"shard-rejoin":          {{"details", shardRejoinDetails}},
+	"reshard-flash":         {{"details", reshardFlashDetails}},
+	"reshard-drain":         {{"details", reshardDrainDetails}},
+	"competing-media-flows": {{"adaptive", competingMediaFlowsAdaptive}},
+	"media-vs-tcp-flows":    {{"details", mediaVsTCPFlowsDetails}},
+	"priority-flows":        {{"details", priorityFlowsDetails}},
+	"zipf-popularity":       {{"details", zipfPopularityDetails}},
+	"cache-churn":           {{"details", cacheChurnDetails}},
+}
+
 // TestCatalogWellFormed: every catalog entry validates, has a unique name,
-// documents what it stresses, and is reachable via ByName.
+// documents what it stresses, and is reachable via ByName; every entry
+// with assertions of its own is one of them.
 func TestCatalogWellFormed(t *testing.T) {
 	cat := Catalog()
 	if len(cat) < 8 {
@@ -68,23 +104,18 @@ func TestCatalogWellFormed(t *testing.T) {
 	if _, ok := ByName("no-such-scenario"); ok {
 		t.Error("ByName accepted an unknown name")
 	}
+	// A renamed entry must take its own assertions along, not orphan them.
+	for name := range entryChecks {
+		if !seen[name] {
+			t.Errorf("entryChecks holds assertions for %q, which is no Catalog() entry", name)
+		}
+	}
 }
 
-// TestChurnStormDetails pins the scenario-specific outcomes of the richest
+// churnStormDetails pins the scenario-specific outcomes of the richest
 // catalog entry: the crashed seed serves nobody after the crash instant,
 // the leaver was served before leaving, and the late joiner catches up.
-func TestChurnStormDetails(t *testing.T) {
-	spec, ok := ByName("churn-storm")
-	if !ok {
-		t.Fatal("churn-storm not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func churnStormDetails(t *testing.T, spec Spec, report *Report) {
 	joiner := report.Node("n10")
 	if joiner == nil || joiner.Err != nil {
 		t.Fatalf("late joiner n10 not served: %+v", joiner)
@@ -131,20 +162,9 @@ func TestChurnStormDetails(t *testing.T) {
 	}
 }
 
-// TestPartitionHealDetails: the partitioned requesters complete only after
+// partitionHealDetails: the partitioned requesters complete only after
 // the heal instant; the unpartitioned ones long before it.
-func TestPartitionHealDetails(t *testing.T) {
-	spec, ok := ByName("partition-heal")
-	if !ok {
-		t.Fatal("partition-heal not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func partitionHealDetails(t *testing.T, spec Spec, report *Report) {
 	for _, id := range []string{"p1", "p2"} {
 		n := report.Node(id)
 		if n.Done < 300*time.Millisecond {
@@ -159,20 +179,9 @@ func TestPartitionHealDetails(t *testing.T) {
 	}
 }
 
-// TestPauseResumeDetails: the post-pause class-4 requesters are served by
+// pauseResumeDetails: the post-pause class-4 requesters are served by
 // relaxed class-1 suppliers — the idle-elevation mechanism end to end.
-func TestPauseResumeDetails(t *testing.T) {
-	spec, ok := ByName("pause-resume")
-	if !ok {
-		t.Fatal("pause-resume not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func pauseResumeDetails(t *testing.T, spec Spec, report *Report) {
 	for _, id := range []string{"p1", "p2"} {
 		n := report.Node(id)
 		if len(n.Suppliers) != 2 {
@@ -181,27 +190,16 @@ func TestPauseResumeDetails(t *testing.T) {
 	}
 }
 
-// TestDecentralizedLookupDetails pins the headline property of the chord
+// decentralizedLookupDetails pins the headline property of the chord
 // backend: with zero directory servers running, every session completes
 // byte-exact within the Theorem 1 bound (Check enforces StoreOK and
 // TheoremOK for every served peer, and the spec exempts nobody).
-func TestDecentralizedLookupDetails(t *testing.T) {
-	spec, ok := ByName("decentralized-lookup")
-	if !ok {
-		t.Fatal("decentralized-lookup not in catalog")
-	}
+func decentralizedLookupDetails(t *testing.T, spec Spec, report *Report) {
 	if spec.Discovery != BackendChord || spec.KeepDirectory {
 		t.Fatalf("spec must run pure chord discovery: %+v", spec.Discovery)
 	}
 	if len(spec.Expect.MayFail) != 0 {
 		t.Fatal("no requester may be exempt: every session must complete")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
 	}
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Errorf("served %d of %d requesters", got, want)
@@ -212,21 +210,10 @@ func TestDecentralizedLookupDetails(t *testing.T) {
 	}
 }
 
-// TestDirectoryCrashDetails: the decoy directory dies at 60ms with n0 and
+// directoryCrashDetails: the decoy directory dies at 60ms with n0 and
 // n1 mid-session; both finish, and the post-crash arrivals are served in
 // a directoryless overlay.
-func TestDirectoryCrashDetails(t *testing.T) {
-	spec, ok := ByName("directory-crash")
-	if !ok {
-		t.Fatal("directory-crash not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func directoryCrashDetails(t *testing.T, spec Spec, report *Report) {
 	crash := 60 * time.Millisecond
 	for _, id := range []string{"n0", "n1"} {
 		n := report.Node(id)
@@ -249,21 +236,10 @@ func TestDirectoryCrashDetails(t *testing.T) {
 	}
 }
 
-// TestChordChurnDetails: the wire-level ring heals through the harness's
+// chordChurnDetails: the wire-level ring heals through the harness's
 // crash/rejoin plumbing — nobody is served by the crashed seed while it is
 // down, and both the late joiner and the revived host complete.
-func TestChordChurnDetails(t *testing.T) {
-	spec, ok := ByName("chord-churn")
-	if !ok {
-		t.Fatal("chord-churn not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func chordChurnDetails(t *testing.T, spec Spec, report *Report) {
 	for _, n := range report.Nodes {
 		if n.Err != nil || n.Done <= 250*time.Millisecond || n.Done >= 700*time.Millisecond {
 			continue
@@ -338,24 +314,13 @@ func shardOwners(t *testing.T) *directory.ShardRing {
 	return ring
 }
 
-// TestShardedLookupDetails pins the steady-state tentpole property: with
+// shardedLookupDetails pins the steady-state tentpole property: with
 // the registry split over three shards, every session completes and every
 // shard ends holding exactly the suppliers whose IDs it owns.
-func TestShardedLookupDetails(t *testing.T) {
+func shardedLookupDetails(t *testing.T, spec Spec, report *Report) {
 	ring := shardOwners(t)
-	spec, ok := ByName("sharded-lookup")
-	if !ok {
-		t.Fatal("sharded-lookup not in catalog")
-	}
 	if spec.DirectoryShards != 3 {
 		t.Fatalf("DirectoryShards = %d, want 3", spec.DirectoryShards)
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
 	}
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Errorf("served %d of %d requesters", got, want)
@@ -402,23 +367,12 @@ func TestShardedLookupDetails(t *testing.T) {
 	}
 }
 
-// TestShardCrashDetails: the mid-run shard kill costs visibility of the
+// shardCrashDetails: the mid-run shard kill costs visibility of the
 // suppliers it owned — and nothing else. Every session completes,
 // including n2's (mid-session at the kill, its own registration owned by
 // the dead shard), and the dead shard counts zero at the end.
-func TestShardCrashDetails(t *testing.T) {
+func shardCrashDetails(t *testing.T, spec Spec, report *Report) {
 	ring := shardOwners(t)
-	spec, ok := ByName("shard-crash")
-	if !ok {
-		t.Fatal("shard-crash not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Fatalf("served %d of %d requesters despite one dead shard", got, want)
 	}
@@ -459,24 +413,13 @@ func TestShardCrashDetails(t *testing.T) {
 	}
 }
 
-// TestShardRejoinDetails: the reborn shard starts empty and is
+// shardRejoinDetails: the reborn shard starts empty and is
 // repopulated by lease re-registration — the crashed shard's seed (r3)
 // and the requester served during the outage (n1, owned by the dead
 // shard) are discoverable again, and the registry converges to exactly
 // the steady-state placement.
-func TestShardRejoinDetails(t *testing.T) {
+func shardRejoinDetails(t *testing.T, spec Spec, report *Report) {
 	ring := shardOwners(t)
-	spec, ok := ByName("shard-rejoin")
-	if !ok {
-		t.Fatal("shard-rejoin not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Fatalf("served %d of %d requesters", got, want)
 	}
@@ -506,7 +449,7 @@ func TestShardRejoinDetails(t *testing.T) {
 	}
 }
 
-// TestReshardFlashDetails: the elastic registry's scale-out story. One
+// reshardFlashDetails: the elastic registry's scale-out story. One
 // centralized shard meets a 16-peer flash crowd; the controller grows the
 // ring to four shards within the first sampling ticks, every watching
 // client migrates its registrations across each epoch in a batched round,
@@ -514,21 +457,10 @@ func TestShardRejoinDetails(t *testing.T) {
 // with zero lost registrations and zero empty lookups across the whole
 // lifecycle, and every migration converging inside one lease-refresh
 // period.
-func TestReshardFlashDetails(t *testing.T) {
-	spec, ok := ByName("reshard-flash")
-	if !ok {
-		t.Fatal("reshard-flash not in catalog")
-	}
+func reshardFlashDetails(t *testing.T, spec Spec, report *Report) {
 	if spec.Autoscale == nil || spec.shardCount() != 1 {
 		t.Fatalf("reshard-flash must autoscale from a single shard (Autoscale=%v, shards=%d)",
 			spec.Autoscale, spec.shardCount())
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
 	}
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Fatalf("served %d of %d requesters", got, want)
@@ -587,23 +519,12 @@ func TestReshardFlashDetails(t *testing.T) {
 	}
 }
 
-// TestReshardDrainDetails: the scale-in story. Three shards under load too
+// reshardDrainDetails: the scale-in story. Three shards under load too
 // light to justify them drain to the floor while sessions are in flight;
 // the two flips happen early enough that the late arrivals boot straight
 // into the shrunken ring, and no client ever fans out to a drained shard
 // (zero failed legs).
-func TestReshardDrainDetails(t *testing.T) {
-	spec, ok := ByName("reshard-drain")
-	if !ok {
-		t.Fatal("reshard-drain not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func reshardDrainDetails(t *testing.T, spec Spec, report *Report) {
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Fatalf("served %d of %d requesters", got, want)
 	}
@@ -657,12 +578,12 @@ func TestReshardDrainDetails(t *testing.T) {
 }
 
 // TestCatalogRunsSharded is the tentpole's interface guarantee: any
-// catalog entry runs with DirectoryShards set and no other change —
-// node.Discovery hides the sharding entirely — with every invariant
-// intact. Chord-backed entries ignore the knob (they run no directory).
+// catalog entry re-targeted at three shards (Retarget, p2pscen -shards 3)
+// runs with no other change — node.Discovery hides the sharding entirely —
+// with every invariant intact. Chord-backed entries ignore the knob (they
+// run no directory).
 func TestCatalogRunsSharded(t *testing.T) {
 	for _, spec := range Catalog() {
-		spec := spec
 		if spec.Discovery == BackendChord || spec.DirectoryShards >= 2 || spec.Autoscale != nil {
 			// Chord entries run no directory (the knob is inert — proven
 			// once by a conformance run with the knob set below); natively
@@ -671,7 +592,7 @@ func TestCatalogRunsSharded(t *testing.T) {
 			// and drains it live, so a fixed three-shard assertion is moot).
 			continue
 		}
-		spec.DirectoryShards = 3
+		spec := retarget(t, spec, "", 3)
 		t.Run(spec.Name, func(t *testing.T) {
 			report, err := Run(spec)
 			if err != nil {
@@ -701,7 +622,7 @@ func TestCatalogRunsSharded(t *testing.T) {
 	if !ok {
 		t.Fatal("decentralized-lookup not in catalog")
 	}
-	spec.DirectoryShards = 3
+	spec = retarget(t, spec, "", 3)
 	report, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -714,21 +635,43 @@ func TestCatalogRunsSharded(t *testing.T) {
 	}
 }
 
-// TestChordDiscoveryMetrics: chord-backed reports carry the discovery-cost
-// series (lookup hops, sample rounds) on the same time axis as the
-// admission series, with real samples for every served requester.
-func TestChordDiscoveryMetrics(t *testing.T) {
-	spec, ok := ByName("decentralized-lookup")
-	if !ok {
-		t.Fatal("decentralized-lookup not in catalog")
-	}
-	report, err := Run(spec)
+func retarget(t *testing.T, spec Spec, backend string, shards int) Spec {
+	t.Helper()
+	out, err := Retarget(spec, backend, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
+	return out
+}
+
+// TestRetargetKeepsCatalogValid: every catalog entry re-targeted at either
+// backend and at 0, 1 or 3 registry shards — any p2pscen -backend/-shards
+// pair — is still a spec Validate accepts, and the caller's own spec is
+// left as it was.
+func TestRetargetKeepsCatalogValid(t *testing.T) {
+	for _, spec := range Catalog() {
+		churn := slices.Clone(spec.Churn)
+		for _, backend := range []string{"directory", "chord"} {
+			for _, shards := range []int{0, 1, 3} {
+				got := retarget(t, spec, backend, shards).withDefaults()
+				if err := got.Validate(); err != nil {
+					t.Errorf("%s with -backend %s -shards %d: %v", spec.Name, backend, shards, err)
+				}
+			}
+		}
+		if !slices.Equal(spec.Churn, churn) {
+			t.Errorf("%s: Retarget edited the caller's churn schedule", spec.Name)
+		}
 	}
+	if _, err := Retarget(Catalog()[0], "gossip", -1); err == nil {
+		t.Error("Retarget accepted an unknown backend")
+	}
+}
+
+// chordDiscoveryMetrics: chord-backed reports carry the discovery-cost
+// series (lookup hops, sample rounds) on the same time axis as the
+// admission series, with real samples for every served requester.
+func chordDiscoveryMetrics(t *testing.T, spec Spec, report *Report) {
 	served := report.Served()
 	for _, s := range []*metrics.Series{report.LookupHops, report.SampleRounds} {
 		if s.Len() != served {
@@ -777,23 +720,12 @@ func TestChordDiscoveryMetrics(t *testing.T) {
 	}
 }
 
-// TestChordChurnLeaveStaleness: with the graceful chord-leave handover,
+// chordChurnLeaveStaleness: with the graceful chord-leave handover,
 // the leaver (n0, gone at 480ms) vanishes from discovery the instant it
 // leaves — no session completing after the leave (plus one sample round's
 // slack) is served by it, where a crash would leave stale ring entries
 // feeding the down path for a stabilization window.
-func TestChordChurnLeaveStaleness(t *testing.T) {
-	spec, ok := ByName("chord-churn")
-	if !ok {
-		t.Fatal("chord-churn not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func chordChurnLeaveStaleness(t *testing.T, spec Spec, report *Report) {
 	leave := 480 * time.Millisecond
 	for _, n := range report.Nodes {
 		if n.Err != nil || n.Done <= leave {
@@ -856,7 +788,9 @@ func TestReportCSV(t *testing.T) {
 	}
 }
 
-// TestSpecValidation rejects malformed specs.
+// TestSpecValidation rejects malformed specs, each for its own reason: a
+// case names the error text it expects, so a spec rejected by the wrong
+// rule fails the case.
 func TestSpecValidation(t *testing.T) {
 	valid := func() Spec {
 		return Spec{
@@ -868,60 +802,68 @@ func TestSpecValidation(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Spec)
+		want   string
 	}{
-		{"no name", func(s *Spec) { s.Name = "" }},
-		{"no seeds", func(s *Spec) { s.Seeds = nil }},
-		{"no requesters", func(s *Spec) { s.Requesters = nil }},
-		{"duplicate id", func(s *Spec) { s.Requesters = append(s.Requesters, Peer{ID: "s1", Class: 1}) }},
-		{"dir id", func(s *Spec) { s.Seeds[0].ID = DirectoryHost }},
-		{"wildcard id", func(s *Spec) { s.Seeds[0].ID = Wildcard }},
-		{"bad class", func(s *Spec) { s.Requesters[0].Class = 9 }},
-		{"crash unknown", func(s *Spec) { s.Churn = []ChurnEvent{{Action: Crash, Node: "ghost"}} }},
-		{"leave directory", func(s *Spec) { s.Churn = []ChurnEvent{{Action: Leave, Node: DirectoryHost}} }},
-		{"join taken id", func(s *Spec) { s.Churn = []ChurnEvent{{Action: Join, Node: "r1", Class: 1}} }},
+		{"no name", func(s *Spec) { s.Name = "" }, "spec needs a name"},
+		{"no seeds", func(s *Spec) { s.Seeds = nil }, "needs at least one seed"},
+		{"no requesters", func(s *Spec) { s.Requesters = nil }, "needs at least one requester"},
+		{"duplicate id", func(s *Spec) { s.Requesters = append(s.Requesters, Peer{ID: "s1", Class: 1}) }, `duplicate host "s1"`},
+		{"dir id", func(s *Spec) { s.Seeds[0].ID = DirectoryHost }, `duplicate host "dir"`},
+		{"wildcard id", func(s *Spec) { s.Seeds[0].ID = Wildcard }, `seed has unusable ID "*"`},
+		{"bad class", func(s *Spec) { s.Requesters[0].Class = 9 }, "requester r1 has invalid"},
+		{"crash unknown", func(s *Spec) { s.Churn = []ChurnEvent{{Action: Crash, Node: "ghost"}} }, `crash of unknown peer "ghost"`},
+		{"leave directory", func(s *Spec) { s.Churn = []ChurnEvent{{Action: Leave, Node: DirectoryHost}} }, "only Crash of the directory is supported"},
+		{"join taken id", func(s *Spec) { s.Churn = []ChurnEvent{{Action: Join, Node: "r1", Class: 1}} }, `join of peer "r1" that never crashed`},
 		{"rejoin before crash", func(s *Spec) {
 			s.Churn = []ChurnEvent{
 				{At: 200 * time.Millisecond, Action: Crash, Node: "r1"},
 				{At: 100 * time.Millisecond, Action: Join, Node: "r1", Class: 1},
 			}
-		}},
+		}, `peer "r1" rejoins at 100ms, not after its crash at 200ms`},
 		{"rejoin twice", func(s *Spec) {
 			s.Churn = []ChurnEvent{
 				{At: 100 * time.Millisecond, Action: Crash, Node: "r1"},
 				{At: 200 * time.Millisecond, Action: Join, Node: "r1", Class: 1},
 				{At: 300 * time.Millisecond, Action: Join, Node: "r1", Class: 1},
 			}
-		}},
+		}, `peer "r1" rejoins twice`},
 		{"rejoin bad class", func(s *Spec) {
 			s.Churn = []ChurnEvent{
 				{At: 100 * time.Millisecond, Action: Crash, Node: "r1"},
 				{At: 200 * time.Millisecond, Action: Join, Node: "r1", Class: 9},
 			}
-		}},
-		{"bad action", func(s *Spec) { s.Churn = []ChurnEvent{{Action: ChurnAction(99), Node: "r1"}} }},
-		{"negative shards", func(s *Spec) { s.DirectoryShards = -1 }},
+		}, "joiner r1 has invalid"},
+		{"directory rejoin", func(s *Spec) {
+			s.Discovery, s.KeepDirectory = BackendChord, true
+			s.Churn = []ChurnEvent{
+				{At: 100 * time.Millisecond, Action: Crash, Node: DirectoryHost},
+				{At: 200 * time.Millisecond, Action: Join, Node: DirectoryHost, Class: 1},
+			}
+		}, "join of the directory is not supported"},
+		{"bad action", func(s *Spec) { s.Churn = []ChurnEvent{{Action: ChurnAction(99), Node: "r1"}} }, "churn event with unknown action ChurnAction(99)"},
+		{"negative shards", func(s *Spec) { s.DirectoryShards = -1 }, "DirectoryShards -1, want >= 0"},
 		{"peer claims shard host", func(s *Spec) {
 			s.DirectoryShards = 3
 			s.Requesters[0].ID = ShardHost(2)
-		}},
+		}, `duplicate host "dir2"`},
 		{"shard crash without shards", func(s *Spec) {
 			s.Churn = []ChurnEvent{{At: time.Millisecond, Action: Crash, Node: ShardHost(1)}}
-		}},
+		}, `crash of unknown peer "dir1"`},
 		{"shard leave", func(s *Spec) {
 			s.DirectoryShards = 3
 			s.Churn = []ChurnEvent{{At: time.Millisecond, Action: Leave, Node: ShardHost(1)}}
-		}},
+		}, `only Crash of shard "dir1" is supported`},
 		{"shard rejoin without crash", func(s *Spec) {
 			s.DirectoryShards = 3
 			s.Churn = []ChurnEvent{{At: time.Millisecond, Action: Join, Node: ShardHost(1)}}
-		}},
+		}, `join of shard "dir1" that never crashed`},
 		{"shard rejoin before crash", func(s *Spec) {
 			s.DirectoryShards = 3
 			s.Churn = []ChurnEvent{
 				{At: 200 * time.Millisecond, Action: Crash, Node: ShardHost(1)},
 				{At: 100 * time.Millisecond, Action: Join, Node: ShardHost(1)},
 			}
-		}},
+		}, `shard "dir1" rejoins at 100ms, not after its crash at 200ms`},
 		{"shard rejoin twice", func(s *Spec) {
 			s.DirectoryShards = 3
 			s.Churn = []ChurnEvent{
@@ -929,31 +871,35 @@ func TestSpecValidation(t *testing.T) {
 				{At: 200 * time.Millisecond, Action: Join, Node: ShardHost(1)},
 				{At: 300 * time.Millisecond, Action: Join, Node: ShardHost(1)},
 			}
-		}},
-		{"link unknown host", func(s *Spec) { s.Links = []Link{{A: "ghost", B: Wildcard}} }},
-		{"event unknown host", func(s *Spec) { s.Events = []LinkEvent{{Link: Link{A: "r1", B: "ghost"}}} }},
-		{"mayfail unknown", func(s *Spec) { s.Expect.MayFail = []string{"ghost"} }},
-		{"negative priority", func(s *Spec) { s.Requesters[0].Priority = -1 }},
-		{"traffic no endpoint", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "", To: "sink"}} }},
-		{"traffic wildcard", func(s *Spec) { s.Traffic = []TrafficFlow{{From: Wildcard, To: "sink"}} }},
-		{"traffic self flow", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "x", To: "x"}} }},
-		{"traffic peer collision", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "r1", To: "sink"}} }},
-		{"traffic negative rate", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "a", To: "b", Rate: -1}} }},
-		{"traffic negative chunk", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "a", To: "b", Chunk: -1}} }},
-		{"fair share below one", func(s *Spec) { s.Expect.FairShare = 0.5 }},
-		{"full quality unknown", func(s *Spec) { s.Expect.FullQuality = []string{"ghost"} }},
+		}, `shard "dir1" rejoins twice`},
+		{"link unknown host", func(s *Spec) { s.Links = []Link{{A: "ghost", B: Wildcard}} }, `link rule references unknown host "ghost"`},
+		{"event unknown host", func(s *Spec) { s.Events = []LinkEvent{{Link: Link{A: "r1", B: "ghost"}}} }, `link event references unknown host "ghost"`},
+		{"mayfail unknown", func(s *Spec) { s.Expect.MayFail = []string{"ghost"} }, `Expect.MayFail references unknown peer "ghost"`},
+		{"negative priority", func(s *Spec) { s.Requesters[0].Priority = -1 }, "requester r1 has negative priority -1"},
+		{"traffic no endpoint", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "", To: "sink"}} }, `traffic flow has unusable endpoint ""`},
+		{"traffic wildcard", func(s *Spec) { s.Traffic = []TrafficFlow{{From: Wildcard, To: "sink"}} }, `traffic flow has unusable endpoint "*"`},
+		{"traffic self flow", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "x", To: "x"}} }, `traffic flow from "x" to itself`},
+		{"traffic peer collision", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "r1", To: "sink"}} }, `traffic endpoint "r1" collides with a peer or registry host`},
+		{"traffic negative rate", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "a", To: "b", Rate: -1}} }, "traffic flow a->b has a negative tuning field"},
+		{"traffic negative chunk", func(s *Spec) { s.Traffic = []TrafficFlow{{From: "a", To: "b", Chunk: -1}} }, "traffic flow a->b has a negative tuning field"},
+		{"fair share below one", func(s *Spec) { s.Expect.FairShare = 0.5 }, "Expect.FairShare 0.5, want >= 1"},
+		{"full quality unknown", func(s *Spec) { s.Expect.FullQuality = []string{"ghost"} }, `Expect.FullQuality references unknown peer "ghost"`},
 		{"full quality traffic host", func(s *Spec) {
 			s.Traffic = []TrafficFlow{{From: "a", To: "b"}}
 			s.Expect.FullQuality = []string{"a"}
-		}},
+		}, `Expect.FullQuality references unknown peer "a"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			spec := valid()
 			tt.mutate(&spec)
 			spec = spec.withDefaults()
-			if err := spec.Validate(); err == nil {
-				t.Error("Validate accepted a malformed spec")
+			err := spec.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted a malformed spec")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("err = %q, want it to contain %q", err, tt.want)
 			}
 		})
 	}
@@ -996,24 +942,12 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestCompetingMediaFlows: the congestion tentpole's headline assertion.
-// Two paced media flows share one bottleneck: both downgrade at least one
-// bitrate class, both play continuously, and their goodputs land within
-// the 1.5x fairness envelope. The same spec re-run with NoAdapt — the
-// legacy burst-on-schedule data plane — demonstrably stalls, which is the
-// problem the adaptive plane exists to solve.
-func TestCompetingMediaFlows(t *testing.T) {
-	spec, ok := ByName("competing-media-flows")
-	if !ok {
-		t.Fatal("competing-media-flows not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+// competingMediaFlowsAdaptive: the congestion tentpole's headline
+// assertion. Two paced media flows share one bottleneck: both downgrade at
+// least one bitrate class, both play continuously, and their goodputs land
+// within the 1.5x fairness envelope. TestCompetingMediaFlows runs the
+// NoAdapt control.
+func competingMediaFlowsAdaptive(t *testing.T, spec Spec, report *Report) {
 	var lo, hi float64
 	for _, n := range report.Nodes {
 		if n.Err != nil {
@@ -1035,7 +969,17 @@ func TestCompetingMediaFlows(t *testing.T) {
 	if lo <= 0 || hi > 1.5*lo {
 		t.Errorf("fairness envelope violated: goodput spread %.0f..%.0f B/s exceeds 1.5x", lo, hi)
 	}
+}
 
+// TestCompetingMediaFlows: the competing-media-flows spec re-run with
+// NoAdapt — the legacy burst-on-schedule data plane — demonstrably stalls,
+// which is the problem the adaptive plane exists to solve (the conformance
+// run asserts the adaptive half).
+func TestCompetingMediaFlows(t *testing.T) {
+	spec, ok := ByName("competing-media-flows")
+	if !ok {
+		t.Fatal("competing-media-flows not in catalog")
+	}
 	// Control run: same flows, adaptation off. The fixed-rate bursts stand
 	// on the bottleneck queue until playback misses deadlines.
 	control := spec
@@ -1062,22 +1006,11 @@ func TestCompetingMediaFlows(t *testing.T) {
 	}
 }
 
-// TestMediaVsTCPFlows: the media flow shares the bottleneck with a greedy
-// elastic cross-flow. The media session keeps continuous playback by
-// downgrading, and the cross-flow still gets bytes through — neither
+// mediaVsTCPFlowsDetails: the media flow shares the bottleneck with a
+// greedy elastic cross-flow. The media session keeps continuous playback
+// by downgrading, and the cross-flow still gets bytes through — neither
 // starves the other.
-func TestMediaVsTCPFlows(t *testing.T) {
-	spec, ok := ByName("media-vs-tcp-flows")
-	if !ok {
-		t.Fatal("media-vs-tcp-flows not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func mediaVsTCPFlowsDetails(t *testing.T, spec Spec, report *Report) {
 	for _, n := range report.Nodes {
 		if n.Err != nil {
 			t.Fatalf("%s failed: %v", n.ID, n.Err)
@@ -1096,22 +1029,11 @@ func TestMediaVsTCPFlows(t *testing.T) {
 	}
 }
 
-// TestPriorityFlows: under shared congestion the best-effort flow steps
-// down the bitrate ladder while the priority flow — whose Priority
+// priorityFlowsDetails: under shared congestion the best-effort flow
+// steps down the bitrate ladder while the priority flow — whose Priority
 // multiplies the downgrade sustain window past the session length —
 // finishes at full quality.
-func TestPriorityFlows(t *testing.T) {
-	spec, ok := ByName("priority-flows")
-	if !ok {
-		t.Fatal("priority-flows not in catalog")
-	}
-	report, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.Check(); err != nil {
-		t.Fatalf("invariants: %v\n%s", err, report.Summary())
-	}
+func priorityFlowsDetails(t *testing.T, spec Spec, report *Report) {
 	for _, n := range report.Nodes {
 		if n.Err != nil {
 			t.Fatalf("%s failed: %v", n.ID, n.Err)

@@ -18,9 +18,8 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"p2pstream/internal/bandwidth"
@@ -28,39 +27,6 @@ import (
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 )
-
-// DirectoryHost is the virtual host name the directory server listens on.
-// Link rules may reference it; peer IDs must not claim it.
-const DirectoryHost = "dir"
-
-// ShardHost returns the virtual host name of directory registry shard i:
-// shard 0 is DirectoryHost itself (a single-shard run is byte-for-byte the
-// unsharded run), further shards are "dir1", "dir2", ... Link rules and —
-// with DirectoryShards >= 2 — churn events may reference shard hosts;
-// peer IDs must not claim them.
-func ShardHost(i int) string {
-	if i == 0 {
-		return DirectoryHost
-	}
-	return fmt.Sprintf("dir%d", i)
-}
-
-// ShardHostIndex returns which of a count-shard registry's hosts the name
-// denotes, or -1 — including for count < 2, where no sharded registry
-// runs (ShardHost(0) is then just the directory host, whose churn rules
-// differ). The CLI uses it to scrub shard-targeted churn when overriding
-// a spec's shard count or backend.
-func ShardHostIndex(node string, count int) int {
-	if count < 2 {
-		return -1
-	}
-	for i := 0; i < count; i++ {
-		if ShardHost(i) == node {
-			return i
-		}
-	}
-	return -1
-}
 
 // Backend selects a scenario's peer-discovery substrate.
 type Backend int
@@ -86,11 +52,10 @@ func (b Backend) String() string {
 
 // ParseBackend maps a CLI spelling to a Backend.
 func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "directory":
-		return BackendDirectory, nil
-	case "chord":
-		return BackendChord, nil
+	for _, b := range []Backend{BackendDirectory, BackendChord} {
+		if b.String() == s {
+			return b, nil
+		}
 	}
 	return 0, fmt.Errorf("scenario: unknown discovery backend %q (want directory or chord)", s)
 }
@@ -473,7 +438,8 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Autoscale != nil {
 		// Copy before defaulting: the caller's Autoscale must not be
-		// mutated through the shared pointer.
+		// mutated through the shared pointer. Sustain and MinShards keep
+		// their zero values, which reshard.New defaults the same way.
 		a := *s.Autoscale
 		if a.Interval == 0 {
 			a.Interval = shardRefresh
@@ -483,12 +449,6 @@ func (s Spec) withDefaults() Spec {
 		}
 		if a.LowWater == 0 {
 			a.LowWater = 2
-		}
-		if a.Sustain == 0 {
-			a.Sustain = 2
-		}
-		if a.MinShards == 0 {
-			a.MinShards = 1
 		}
 		if a.MaxShards == 0 {
 			a.MaxShards = s.shardCount() + 2
@@ -501,8 +461,7 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Traffic) > 0 {
 		// Copy before defaulting: withDefaults returns a value, and the
 		// caller's slice must not be mutated through the shared backing.
-		tf := make([]TrafficFlow, len(s.Traffic))
-		copy(tf, s.Traffic)
+		tf := slices.Clone(s.Traffic)
 		for i := range tf {
 			if tf[i].Chunk == 0 {
 				tf[i].Chunk = 512
@@ -516,20 +475,15 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// catalog returns the spec's media catalog: Objects in multi-object mode,
-// the single File otherwise.
-func (s *Spec) catalog() []*media.File {
-	if len(s.Objects) > 0 {
-		return s.Objects
-	}
-	return []*media.File{s.File}
-}
-
-// objectFile resolves a workload object name to its catalog entry; the
-// empty name selects the first catalog object. Nil for undeclared names
-// (Validate rejects those up front).
+// objectFile resolves a workload object name to its entry in the spec's
+// media catalog (Objects in multi-object mode, the single File otherwise);
+// the empty name selects the first catalog object. Nil for undeclared
+// names (Validate rejects those up front).
 func (s *Spec) objectFile(name string) *media.File {
-	cat := s.catalog()
+	cat := s.Objects
+	if len(cat) == 0 {
+		cat = []*media.File{s.File}
+	}
 	if name == "" {
 		return cat[0]
 	}
@@ -554,7 +508,7 @@ func (s *Spec) shardCount() int {
 // shardIndex returns the active registry shard the host name denotes, or
 // -1 when it is not a shard host of this spec.
 func (s *Spec) shardIndex(id string) int {
-	return ShardHostIndex(id, s.shardCount())
+	return shardHostIndex(id, s.shardCount())
 }
 
 // maxShards is the registry's maximum live shard count: the autoscale
@@ -574,15 +528,14 @@ func (s *Spec) maxShards() int {
 func (s *Spec) hosts() []string {
 	seen := map[string]bool{}
 	var out []string
-	for i := 0; i < s.maxShards(); i++ {
-		seen[ShardHost(i)] = true
-		out = append(out, ShardHost(i))
-	}
 	add := func(id string) {
 		if !seen[id] {
 			seen[id] = true
 			out = append(out, id)
 		}
+	}
+	for i := 0; i < s.maxShards(); i++ {
+		add(ShardHost(i))
 	}
 	for _, p := range s.Seeds {
 		add(p.ID)
@@ -600,291 +553,4 @@ func (s *Spec) hosts() []string {
 		add(tf.To)
 	}
 	return out
-}
-
-// Validate reports the first structural problem of the spec. Run validates
-// automatically; the CLI validates catalog entries up front.
-func (s *Spec) Validate() error {
-	if s.Name == "" {
-		return errors.New("scenario: spec needs a name")
-	}
-	if len(s.Seeds) == 0 {
-		return fmt.Errorf("scenario %s: needs at least one seed", s.Name)
-	}
-	if len(s.Requesters) == 0 {
-		return fmt.Errorf("scenario %s: needs at least one requester", s.Name)
-	}
-	if s.DirectoryShards < 0 {
-		return fmt.Errorf("scenario %s: DirectoryShards %d, want >= 0", s.Name, s.DirectoryShards)
-	}
-	if s.ChordReplication < 0 || s.ChordVirtualNodes < 0 {
-		return fmt.Errorf("scenario %s: ChordReplication %d / ChordVirtualNodes %d, want >= 0",
-			s.Name, s.ChordReplication, s.ChordVirtualNodes)
-	}
-	if err := s.validateObjects(); err != nil {
-		return err
-	}
-	if err := s.validateAutoscale(); err != nil {
-		return err
-	}
-	ids := map[string]bool{DirectoryHost: true}
-	for i := 1; i < s.maxShards(); i++ {
-		ids[ShardHost(i)] = true
-	}
-	addPeer := func(p Peer, role string) error {
-		switch {
-		case p.ID == "" || p.ID == Wildcard:
-			return fmt.Errorf("scenario %s: %s has unusable ID %q", s.Name, role, p.ID)
-		case ids[p.ID]:
-			return fmt.Errorf("scenario %s: duplicate host %q", s.Name, p.ID)
-		case !p.Class.Valid(s.NumClasses):
-			return fmt.Errorf("scenario %s: %s %s has invalid %v for K=%d", s.Name, role, p.ID, p.Class, s.NumClasses)
-		case p.Priority < 0:
-			return fmt.Errorf("scenario %s: %s %s has negative priority %d", s.Name, role, p.ID, p.Priority)
-		}
-		ids[p.ID] = true
-		return nil
-	}
-	for _, p := range s.Seeds {
-		if err := addPeer(p, "seed"); err != nil {
-			return err
-		}
-	}
-	for _, p := range s.Requesters {
-		if err := addPeer(p, "requester"); err != nil {
-			return err
-		}
-	}
-	// Traffic endpoints are dedicated hosts: flows may share them with each
-	// other, but not with peers or registry servers (a sink co-located with
-	// a node would blur whose bytes crossed the bottleneck).
-	tids := map[string]bool{}
-	for _, tf := range s.Traffic {
-		for _, id := range []string{tf.From, tf.To} {
-			if id == "" || id == Wildcard {
-				return fmt.Errorf("scenario %s: traffic flow has unusable endpoint %q", s.Name, id)
-			}
-			if ids[id] {
-				return fmt.Errorf("scenario %s: traffic endpoint %q collides with a peer or registry host", s.Name, id)
-			}
-			tids[id] = true
-		}
-		if tf.From == tf.To {
-			return fmt.Errorf("scenario %s: traffic flow from %q to itself", s.Name, tf.From)
-		}
-		if tf.Chunk < 0 || tf.Rate < 0 || tf.Start < 0 || tf.Duration < 0 {
-			return fmt.Errorf("scenario %s: traffic flow %s->%s has a negative tuning field", s.Name, tf.From, tf.To)
-		}
-	}
-	for id := range tids {
-		ids[id] = true
-	}
-	// Churn is validated in two passes so slice order never matters: the
-	// schedule's semantics come from the At instants alone.
-	crashed := make(map[string]time.Duration)
-	for _, ev := range s.Churn {
-		if ev.Action == Crash {
-			crashed[ev.Node] = ev.At
-		}
-	}
-	var joins []ChurnEvent
-	for _, ev := range s.Churn {
-		if ev.Action == Join {
-			joins = append(joins, ev)
-		}
-	}
-	sort.SliceStable(joins, func(i, j int) bool { return joins[i].At < joins[j].At })
-	rejoined := make(map[string]bool)
-	for _, ev := range joins {
-		if idx := s.shardIndex(ev.Node); idx >= 0 && s.shardCount() > 1 {
-			// A registry shard "joins" only by coming back from a crash:
-			// the host revives and a fresh, empty server re-listens on the
-			// shard's address; the clients' lease re-registrations
-			// repopulate it. Class does not apply to servers.
-			crashAt, wasCrashed := crashed[ev.Node]
-			switch {
-			case !wasCrashed:
-				return fmt.Errorf("scenario %s: join of shard %q that never crashed", s.Name, ev.Node)
-			case crashAt >= ev.At:
-				return fmt.Errorf("scenario %s: shard %q rejoins at %v, not after its crash at %v", s.Name, ev.Node, ev.At, crashAt)
-			case rejoined[ev.Node]:
-				return fmt.Errorf("scenario %s: shard %q rejoins twice", s.Name, ev.Node)
-			}
-			rejoined[ev.Node] = true
-			continue
-		}
-		if ids[ev.Node] {
-			// Reusing an ID is the crash-then-rejoin flow: legal only
-			// for a peer that crashed strictly earlier, once.
-			crashAt, wasCrashed := crashed[ev.Node]
-			switch {
-			case !wasCrashed || ev.Node == DirectoryHost:
-				return fmt.Errorf("scenario %s: join reuses ID %q of a peer that never crashed", s.Name, ev.Node)
-			case crashAt >= ev.At:
-				return fmt.Errorf("scenario %s: %q rejoins at %v, not after its crash at %v", s.Name, ev.Node, ev.At, crashAt)
-			case rejoined[ev.Node]:
-				return fmt.Errorf("scenario %s: %q rejoins twice", s.Name, ev.Node)
-			case !ev.Class.Valid(s.NumClasses):
-				return fmt.Errorf("scenario %s: joiner %s has invalid %v for K=%d", s.Name, ev.Node, ev.Class, s.NumClasses)
-			}
-			rejoined[ev.Node] = true
-			continue
-		}
-		if err := addPeer(Peer{ID: ev.Node, Class: ev.Class}, "joiner"); err != nil {
-			return err
-		}
-	}
-	for _, ev := range s.Churn {
-		switch ev.Action {
-		case Crash, Leave:
-			if idx := s.shardIndex(ev.Node); idx >= 0 && s.shardCount() > 1 {
-				// Any shard of a sharded registry may crash mid-run — the
-				// point of per-shard failure isolation. Like the single
-				// directory, a shard dies hard; it does not leave.
-				if ev.Action == Leave {
-					return fmt.Errorf("scenario %s: only Crash of shard %q is supported (registry shards die hard, they do not leave)", s.Name, ev.Node)
-				}
-				continue
-			}
-			if ev.Node == DirectoryHost {
-				// Killing the directory is legal exactly when it is a decoy:
-				// chord discovery with a directory running for show.
-				if ev.Action == Crash && s.Discovery == BackendChord && s.KeepDirectory {
-					continue
-				}
-				if ev.Action == Leave {
-					return fmt.Errorf("scenario %s: only Crash of the directory is supported (the decoy dies hard, it does not leave)", s.Name)
-				}
-				return fmt.Errorf("scenario %s: Crash of the directory requires chord discovery with KeepDirectory", s.Name)
-			}
-			if !ids[ev.Node] {
-				return fmt.Errorf("scenario %s: %v of unknown peer %q", s.Name, ev.Action, ev.Node)
-			}
-		case Join: // validated above
-		default:
-			return fmt.Errorf("scenario %s: churn event with unknown action %v", s.Name, ev.Action)
-		}
-	}
-	checkLink := func(l Link, where string) error {
-		if l.A == "" || l.A == Wildcard || !ids[l.A] {
-			return fmt.Errorf("scenario %s: %s references unknown host %q", s.Name, where, l.A)
-		}
-		if l.B != Wildcard && !ids[l.B] {
-			return fmt.Errorf("scenario %s: %s references unknown host %q", s.Name, where, l.B)
-		}
-		return nil
-	}
-	for _, l := range s.Links {
-		if err := checkLink(l, "link rule"); err != nil {
-			return err
-		}
-	}
-	for _, ev := range s.Events {
-		if ev.Link.A == "" && ev.Link.B == "" {
-			continue // default-link event
-		}
-		if err := checkLink(ev.Link, "link event"); err != nil {
-			return err
-		}
-	}
-	for _, id := range s.Expect.MayFail {
-		if !ids[id] {
-			return fmt.Errorf("scenario %s: Expect.MayFail references unknown peer %q", s.Name, id)
-		}
-	}
-	for _, id := range s.Expect.FullQuality {
-		if !ids[id] || tids[id] {
-			return fmt.Errorf("scenario %s: Expect.FullQuality references unknown peer %q", s.Name, id)
-		}
-	}
-	if fs := s.Expect.FairShare; fs != 0 && fs < 1 {
-		return fmt.Errorf("scenario %s: Expect.FairShare %v, want >= 1 (a max/min throughput ratio)", s.Name, fs)
-	}
-	return nil
-}
-
-// validateObjects checks the multi-object half of the spec: a well-formed
-// catalog (unique names, each object within the cache budget) and a
-// workload that only references declared objects.
-func (s *Spec) validateObjects() error {
-	if s.CacheBudget < 0 {
-		return fmt.Errorf("scenario %s: CacheBudget %d, want >= 0", s.Name, s.CacheBudget)
-	}
-	if s.SessionSlots < 0 {
-		return fmt.Errorf("scenario %s: SessionSlots %d, want >= 0", s.Name, s.SessionSlots)
-	}
-	declared := map[string]bool{}
-	if len(s.Objects) > 0 {
-		if s.File != nil {
-			return fmt.Errorf("scenario %s: set File or Objects, not both", s.Name)
-		}
-		for _, f := range s.Objects {
-			if f == nil {
-				return fmt.Errorf("scenario %s: nil object in catalog", s.Name)
-			}
-			if err := f.Validate(); err != nil {
-				return fmt.Errorf("scenario %s: object %q: %w", s.Name, f.Name, err)
-			}
-			if declared[f.Name] {
-				return fmt.Errorf("scenario %s: duplicate object %q", s.Name, f.Name)
-			}
-			declared[f.Name] = true
-			if s.CacheBudget > 0 && f.TotalBytes() > s.CacheBudget {
-				return fmt.Errorf("scenario %s: object %q (%d bytes) exceeds cache budget %d",
-					s.Name, f.Name, f.TotalBytes(), s.CacheBudget)
-			}
-		}
-	}
-	for _, p := range s.Seeds {
-		for _, name := range p.Held {
-			if !declared[name] {
-				return fmt.Errorf("scenario %s: seed %s holds undeclared object %q", s.Name, p.ID, name)
-			}
-		}
-	}
-	for _, p := range s.Requesters {
-		for _, name := range p.Objects {
-			if name == "" || !declared[name] {
-				return fmt.Errorf("scenario %s: requester %s requests undeclared object %q", s.Name, p.ID, name)
-			}
-		}
-	}
-	return nil
-}
-
-// validateAutoscale checks the elastic-registry half of the spec: a
-// directory-backed run with sane watermarks and bounds, and no churn
-// aimed at shard hosts (the controller owns shard lifecycles).
-func (s *Spec) validateAutoscale() error {
-	a := s.Autoscale
-	if a == nil {
-		return nil
-	}
-	if s.Discovery == BackendChord {
-		return fmt.Errorf("scenario %s: Autoscale requires the directory backend", s.Name)
-	}
-	if a.Interval < 0 || a.Sustain < 0 || a.DrainGrace < 0 {
-		return fmt.Errorf("scenario %s: Autoscale has a negative tuning field", s.Name)
-	}
-	if a.HighWater < 0 || a.LowWater < 0 {
-		return fmt.Errorf("scenario %s: Autoscale watermarks %g/%g, want >= 0", s.Name, a.HighWater, a.LowWater)
-	}
-	if a.HighWater != 0 && a.HighWater <= a.LowWater {
-		return fmt.Errorf("scenario %s: Autoscale HighWater %g must exceed LowWater %g", s.Name, a.HighWater, a.LowWater)
-	}
-	if a.MinShards < 0 || a.MaxShards < 0 {
-		return fmt.Errorf("scenario %s: Autoscale shard bounds %d/%d, want >= 0", s.Name, a.MinShards, a.MaxShards)
-	}
-	if a.MaxShards != 0 && a.MaxShards < s.shardCount() {
-		return fmt.Errorf("scenario %s: Autoscale MaxShards %d below the initial %d shards", s.Name, a.MaxShards, s.shardCount())
-	}
-	if a.MinShards > s.shardCount() {
-		return fmt.Errorf("scenario %s: Autoscale MinShards %d above the initial %d shards", s.Name, a.MinShards, s.shardCount())
-	}
-	for _, ev := range s.Churn {
-		if ShardHostIndex(ev.Node, s.maxShards()) >= 0 {
-			return fmt.Errorf("scenario %s: churn of registry shard %q is not supported under Autoscale (the controller owns shard lifecycles)", s.Name, ev.Node)
-		}
-	}
-	return nil
 }

@@ -41,7 +41,6 @@ var packages = []string{
 var verbs = map[string]bool{
 	"Request":              true,
 	"RequestUntilAdmitted": true,
-	"RequestUntilHeld":     true,
 	"Register":             true,
 	"Unregister":           true,
 	"Candidates":           true,
