@@ -1,9 +1,7 @@
 package dac
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"p2pstream/internal/bandwidth"
@@ -26,24 +24,23 @@ type ProbeOutcome struct {
 
 // ProbeOrder appends to dst the candidate indices sorted high class first
 // (descending offer), ties broken by position — the order in which a
-// requesting peer contacts its candidates (Section 4.2). A caller that keeps
-// dst across attempts allocates nothing.
+// requesting peer contacts its candidates (Section 4.2). Any class value is
+// ordered, valid or not. A caller that keeps dst across attempts allocates
+// nothing.
 func ProbeOrder(dst []int, classes []bandwidth.Class) []int {
 	base := len(dst)
-	for i := range classes {
+	for i, c := range classes {
+		// Insertion sort on the class, at most M candidates: an index moves
+		// only past strictly lower classes, so equal classes keep their
+		// positions.
+		j := len(dst)
 		dst = append(dst, i)
+		for ; j > base && classes[dst[j-1]] > c; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = i
 	}
-	sortHighClassFirst(dst[base:], func(i int) bandwidth.Class { return classes[i] })
 	return dst
-}
-
-// sortHighClassFirst orders idx by ascending class number, equal classes
-// keeping their positions. slices.SortStableFunc is an in-place insertion
-// sort at a sweep's size (at most M candidates) and, unlike package sort's
-// slice sorts, needs no reflection swapper and boxes no closure: it
-// allocates nothing.
-func sortHighClassFirst(idx []int, class func(i int) bandwidth.Class) {
-	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(class(a), class(b)) })
 }
 
 // SelectSuppliers chooses, from probe outcomes, the suppliers to trigger:
@@ -82,12 +79,18 @@ func ReminderTargets(dst []int, outcomes []ProbeOutcome) []int {
 func appendUpToR0(dst []int, outcomes []ProbeOutcome, want Decision, favoring bool) ([]int, bandwidth.Fraction) {
 	base := len(dst)
 	for i, o := range outcomes {
-		if o.Decision == want && (o.FavorsUs || !favoring) {
-			dst = append(dst, i)
+		if o.Decision != want || (favoring && !o.FavorsUs) {
+			continue
 		}
+		// ProbeOrder's insertion sort, keyed on the outcome's class.
+		j := len(dst)
+		dst = append(dst, i)
+		for ; j > base && outcomes[dst[j-1]].Class > o.Class; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = i
 	}
 	order := dst[base:]
-	sortHighClassFirst(order, func(i int) bandwidth.Class { return outcomes[i].Class })
 	var sum bandwidth.Fraction
 	kept := 0
 	for _, i := range order {

@@ -312,14 +312,21 @@ func byClassThenPosition(idx []int, class func(i int) bandwidth.Class) {
 // TestOrderingMatchesStableSort: the in-place sort behind ProbeOrder,
 // SelectSuppliers and ReminderTargets must order high class first with ties
 // in position order, and must leave a caller's prefix of dst alone.
+// ProbeOrder's classes come from the whole int range around the legal one,
+// so the sort may not assume a class is valid; the outcomes' stay in
+// [1, MaxClass], where the greedy scans can take their offers.
 func TestOrderingMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 2000; round++ {
 		classes := make([]bandwidth.Class, rng.Intn(40))
 		outcomes := make([]ProbeOutcome, len(classes))
 		for i := range classes {
-			classes[i] = bandwidth.Class(1 + rng.Intn(5))
-			outcomes[i] = outcome(i, classes[i], Decision(rng.Intn(3)), rng.Intn(3) > 0)
+			classes[i] = bandwidth.Class(-2 + rng.Intn(bandwidth.MaxClass+6))
+			valid := bandwidth.Class(1 + rng.Intn(bandwidth.MaxClass))
+			if rng.Intn(2) == 0 {
+				valid = 1 + bandwidth.Class(rng.Intn(5)) // plenty of ties
+			}
+			outcomes[i] = outcome(i, valid, Decision(rng.Intn(3)), rng.Intn(3) > 0)
 		}
 
 		want := make([]int, len(classes))

@@ -34,9 +34,10 @@ type Discovery interface {
 	// Unregister withdraws the peer from one object's registry.
 	Unregister(ctx context.Context, id, object string) error
 	// Candidates returns up to m distinct candidate suppliers of the given
-	// object, excluding the named peer. A short (even empty) sample is not
-	// an error: the admission sweep simply fails and the requester
-	// retries.
+	// object, excluding the named peer, in a slice the caller may modify. A
+	// short (even empty) sample is not an error: the admission sweep simply
+	// fails and the requester retries. Classes are not trusted: the node
+	// drops a candidate whose class is outside [1, K].
 	Candidates(ctx context.Context, object string, m int, exclude string) ([]transport.Candidate, error)
 	// Close releases backend resources (listener, timers); idempotent.
 	Close() error

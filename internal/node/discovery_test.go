@@ -3,11 +3,13 @@ package node
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
@@ -144,5 +146,59 @@ func TestReplyWriteErrorHook(t *testing.T) {
 	if n.WriteFailures() != 1 || hooked.Load() != 1 {
 		t.Errorf("WriteFailures = %d, hook fired %d times; want 1 and 1",
 			n.WriteFailures(), hooked.Load())
+	}
+}
+
+// bogusClassDiscovery answers every lookup with the real registry's
+// candidates, each preceded by copies of it that carry classes no system
+// allows: 0, -1, MaxClass+1 and K+1.
+type bogusClassDiscovery struct {
+	Discovery
+	k bandwidth.Class
+}
+
+func (d *bogusClassDiscovery) Candidates(ctx context.Context, object string, m int, exclude string) ([]transport.Candidate, error) {
+	cands, err := d.Discovery.Candidates(ctx, object, m, exclude)
+	if err != nil {
+		return nil, err
+	}
+	var out []transport.Candidate
+	for _, c := range cands {
+		for _, bad := range []bandwidth.Class{0, -1, bandwidth.MaxClass + 1, d.k + 1} {
+			b := c
+			b.ID, b.Class = fmt.Sprintf("%s-class%d", c.ID, bad), bad
+			out = append(out, b)
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+// TestInvalidCandidateClassesDropped: a lookup answer whose classes are
+// outside [1, K] must not crash the requester (a class with no offer used
+// to panic the sweep), and the sweep must still probe, and be served by,
+// the valid candidates beside them.
+func TestInvalidCandidateClassesDropped(t *testing.T) {
+	c := newCluster(t)
+	c.seed("seed1", 1)
+	c.seed("seed2", 1)
+	cfg := c.config("peer1", 1)
+	cfg.Discovery = &bogusClassDiscovery{
+		Discovery: directory.NewClientOn(c.net.Host("peer1"), c.dirAddr),
+		k:         cfg.NumClasses,
+	}
+	req := c.start(NewRequester(cfg))
+
+	report, err := req.RequestUntilAdmitted(context.Background(), "", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Suppliers) != 2 {
+		t.Errorf("served by %d suppliers, want the two seeds", len(report.Suppliers))
+	}
+	for _, s := range report.Suppliers {
+		if !s.Class.Valid(cfg.NumClasses) {
+			t.Errorf("served by %s with class %d", s.ID, s.Class)
+		}
 	}
 }

@@ -136,6 +136,10 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 	if err != nil {
 		return nil, fmt.Errorf("node %s: lookup: %w", n.cfg.ID, err)
 	}
+	// A candidate's class is whatever the answering registry or chord peer
+	// put on the wire. One outside [1, K] offers no bandwidth the sweep can
+	// weigh, so it is dropped here, before anything reads its offer.
+	cands = slices.DeleteFunc(cands, func(c transport.Candidate) bool { return !c.Class.Valid(n.cfg.NumClasses) })
 	if len(cands) == 0 {
 		observe.Emit(n.cfg.Observer, observe.Event{
 			Component: n.comp, Type: observe.LookupMiss, Object: name,

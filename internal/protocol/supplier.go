@@ -38,6 +38,9 @@ type Supplier struct {
 	reminders int
 	tout      time.Duration
 	idle      clock.Alarm // the elevation timeout, re-armed in place: no allocation per arm
+	// census, when non-nil, tallies this supplier's class and anchor. It is
+	// touched only where the anchor moves, so it sits off the probe's line.
+	census *Census
 }
 
 // NewSupplier returns a supplying peer of the given class in a system with
@@ -73,6 +76,36 @@ func (s *Supplier) SetSlots(slots *Slots) {
 	s.mu.Lock()
 	s.slots = slots
 	s.mu.Unlock()
+}
+
+// SetCensus counts the supplier in census (nil detaches it), which from
+// then on follows every move of its lowest favored class. The simulator
+// attaches one census to all its suppliers for Figure 7; the live node
+// attaches none.
+func (s *Supplier) SetCensus(census *Census) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.censusLocked(-1)
+	s.census = census
+	s.censusLocked(1)
+}
+
+// censusLocked adds the supplier to its census (sign 1) or takes it out
+// (sign -1).
+func (s *Supplier) censusLocked(sign int64) {
+	if s.census != nil {
+		s.census.add(s.adm.Class(), sign, sign*int64(s.adm.LowestFavored()))
+	}
+}
+
+// recountLocked tells the census the anchor moved from before.
+func (s *Supplier) recountLocked(before bandwidth.Class) {
+	if s.census == nil {
+		return
+	}
+	if d := s.adm.LowestFavored() - before; d != 0 {
+		s.census.add(s.adm.Class(), 0, int64(d))
+	}
 }
 
 // Class returns the supplier's bandwidth class.
@@ -161,9 +194,11 @@ func (s *Supplier) StartSession() error {
 func (s *Supplier) EndSession() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	before := s.adm.LowestFavored()
 	if err := s.adm.EndSession(); err != nil {
 		return err
 	}
+	s.recountLocked(before)
 	if s.slots != nil {
 		s.slots.Release()
 	}
@@ -213,7 +248,9 @@ func (s *Supplier) onIdleTimeout() {
 	if s.closed || s.adm.Busy() {
 		return
 	}
+	before := s.adm.LowestFavored()
 	if s.adm.OnIdleTimeout() {
+		s.recountLocked(before)
 		s.armLocked()
 	}
 }

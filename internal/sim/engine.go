@@ -7,6 +7,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -15,12 +16,55 @@ import (
 // Engine is a discrete-event scheduler. The zero value is ready to use,
 // starting at time 0. Engine is not safe for concurrent use: the whole
 // simulation runs on one goroutine, which is what makes it deterministic.
+//
+// The queue is a radix heap keyed on the event time (Ahuja, Mehlhorn, Orlin
+// and Tarjan, "Faster algorithms for the shortest path problem", JACM 1990).
+// It applies because pops never go back in time: Schedule rejects the past,
+// so every pending time is at or after the base, the time of the last refill,
+// and only Step refills, right before it fires at the new base. An event at
+// time t sits in bucket bits.Len64(t XOR base); bucket 0 holds the events at
+// the base itself. When bucket 0 runs dry, the lowest non-empty bucket is
+// moved down with its earliest time as the new base: that time's events land
+// in bucket 0, every other event in a lower bucket than the one it left.
+// Equal times always share a bucket, a push appends to a bucket's tail and a
+// refill walks a bucket head to tail, so events at equal times fire in
+// scheduling order with no sequence number in the key.
+//
+// The buckets are FIFO lists threaded through one slab of events, and a
+// fired event's slot is reused before the slab grows: the queue holds at
+// most its peak pending count plus one slots, however its events spread
+// across the buckets.
 type Engine struct {
-	now    time.Duration
-	queue  []event // arity-ary min-heap on (at, seq)
+	now  time.Duration
+	base time.Duration // radix base: never past now
+
+	slab    []event // slot 0 is the nil link
+	free    int32   // head of the vacated slots' list
+	buckets [numBuckets]bucket
+	full    uint64 // bit b-1 set while bucket b > 0 is non-empty
+	pending int
+
 	seq    uint64
 	firing uint64 // seq of the event being (or last) fired
 	ran    uint64
+}
+
+// numBuckets covers every bit length of a time XOR the base, 0 to 64.
+const numBuckets = 65
+
+// bucket is one FIFO list of slab slots.
+type bucket struct {
+	head, tail int32         // 0 when empty; tail is stale then
+	least      time.Duration // earliest time queued, while non-empty
+}
+
+// event is held by value in the slab: scheduling one allocates nothing once
+// the slab has reached the queue's peak.
+type event struct {
+	at   time.Duration
+	next int32  // the next slot of the same bucket, or of the free list
+	seq  uint64 // scheduling order, reported by FiringSeq
+	h    Handler
 }
 
 // Handler is a scheduled event. A pointer type implementing it is stored in
@@ -41,11 +85,16 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending returns how many events are scheduled and not yet fired.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Grow reserves room for n more pending events, so a simulation that knows
 // how many it keeps in flight sizes the queue once and never copies it.
-func (e *Engine) Grow(n int) { e.queue = slices.Grow(e.queue, n) }
+func (e *Engine) Grow(n int) {
+	if len(e.slab) == 0 {
+		n++ // the nil slot
+	}
+	e.slab = slices.Grow(e.slab, n)
+}
 
 // LastSeq returns the scheduling sequence number of the most recently
 // scheduled event. Sequence numbers start at 1 and are never reused.
@@ -90,25 +139,40 @@ func (e *Engine) After(delay time.Duration, fn func()) error {
 }
 
 // NextAt returns the time of the earliest scheduled event, or false when
-// the queue is empty.
+// the queue is empty. It reads the earliest bucket's least time and moves
+// nothing, so the base stays where it is: a caller that finds the next event
+// beyond its horizon may still schedule before it.
 func (e *Engine) NextAt() (time.Duration, bool) {
-	if len(e.queue) == 0 {
+	switch {
+	case e.pending == 0:
 		return 0, false
+	case e.buckets[0].head != 0:
+		return e.base, true
+	default:
+		return e.buckets[bits.TrailingZeros64(e.full)+1].least, true
 	}
-	return e.queue[0].at, true
 }
 
 // Step fires the next event, advancing the clock to its time. It returns
-// false when no events remain.
+// false when no events remain. The fired slot is cleared, so the slab does
+// not keep the handler reachable.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if e.pending == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	e.firing = ev.seq
+	if e.buckets[0].head == 0 {
+		e.refill()
+	}
+	i := e.buckets[0].head
+	ev := &e.slab[i]
+	e.buckets[0].head = ev.next
+	h := ev.h
+	e.now, e.firing = ev.at, ev.seq
+	ev.h, ev.next = nil, e.free
+	e.free = i
+	e.pending--
 	e.ran++
-	ev.h.Fire()
+	h.Fire()
 	return true
 }
 
@@ -117,7 +181,10 @@ func (e *Engine) Step() bool {
 // last fired event (or at horizon if nothing remained to fire at it); events
 // beyond the horizon stay queued.
 func (e *Engine) RunUntil(horizon time.Duration) {
-	for len(e.queue) > 0 && e.queue[0].at <= horizon {
+	for {
+		if at, ok := e.NextAt(); !ok || at > horizon {
+			break
+		}
 		e.Step()
 	}
 	if e.now < horizon {
@@ -131,80 +198,62 @@ func (e *Engine) Run() {
 	}
 }
 
-// event is held by value in the heap: scheduling one allocates nothing, and
-// sifting moves 32-byte structs inside one slice instead of chasing
-// pointers.
-type event struct {
-	at  time.Duration
-	seq uint64 // scheduling order: FIFO among equal times
-	h   Handler
-}
-
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// arity is the heap's fan-out. Four children halve the depth of a binary
-// heap; a pop compares them within two cache lines.
-const arity = 4
-
 func (e *Engine) push(t time.Duration, h Handler) {
 	e.seq++
-	ev := event{at: t, seq: e.seq, h: h}
-	q := append(e.queue, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / arity
-		if !ev.before(&q[parent]) {
-			break
+	i := e.free
+	if i != 0 {
+		e.free = e.slab[i].next
+	} else {
+		if len(e.slab) == 0 {
+			e.slab = append(e.slab, event{})
 		}
-		q[i] = q[parent]
-		i = parent
+		i = int32(len(e.slab))
+		e.slab = append(e.slab, event{})
 	}
-	q[i] = ev
-	e.queue = q
+	e.slab[i] = event{at: t, seq: e.seq, h: h}
+	e.link(i)
+	e.pending++
 }
 
-// pop removes the earliest event. The vacated tail slot is zeroed so the
-// queue's backing array does not keep a fired handler reachable.
-func (e *Engine) pop() event {
-	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{}
-	q = q[:n]
-	e.queue = q
-	if n == 0 {
-		return top
+// link appends slot i, whose next is 0, to the tail of its time's bucket.
+func (e *Engine) link(i int32) {
+	t := e.slab[i].at
+	b := bits.Len64(uint64(t) ^ uint64(e.base))
+	bk := &e.buckets[b]
+	if bk.head == 0 {
+		bk.head, bk.least = i, t
+		if b > 0 {
+			e.full |= 1 << (b - 1)
+		}
+	} else {
+		e.slab[bk.tail].next = i
+		bk.least = min(bk.least, t)
 	}
-	i := 0
-	for {
-		first := i*arity + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + arity
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if q[c].before(&q[min]) {
-				min = c
-			}
-		}
-		if !q[min].before(&last) {
-			break
-		}
-		q[i] = q[min]
-		i = min
+	bk.tail = i
+}
+
+// refill empties the lowest non-empty bucket into the ones below it,
+// rebasing on its least time: one walk, head to tail, so each bucket keeps
+// its scheduling order. Called only by Step with bucket 0 empty, and only
+// to fire at the new base at once.
+func (e *Engine) refill() {
+	b := bits.TrailingZeros64(e.full) + 1
+	e.full &^= 1 << (b - 1)
+	bk := &e.buckets[b]
+	i := bk.head
+	bk.head = 0
+	e.base = bk.least
+	if i == bk.tail {
+		// A lone event is the new base's: no walk, no bucket arithmetic.
+		e.buckets[0] = bucket{head: i, tail: i, least: e.base}
+		return
 	}
-	q[i] = last
-	return top
+	for i != 0 {
+		next := e.slab[i].next
+		e.slab[i].next = 0
+		e.link(i)
+		i = next
+	}
 }
 
 // NewRNG returns the deterministic random source used across the simulator.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+	"slices"
 	"testing"
 	"time"
 )
@@ -144,5 +146,98 @@ func TestEngineManyEvents(t *testing.T) {
 	}
 	if e.Now() != n*time.Millisecond {
 		t.Errorf("Now = %v", e.Now())
+	}
+}
+
+// TestEngineScheduleBeforeUnfiredNext: the radix base never passes now.
+// RunUntil(h) that stops short of an event at t > h, and a NextAt that finds
+// t, must both leave room to schedule anything at or after now: s with
+// h < s < t fires before t, and so does an event at now itself.
+func TestEngineScheduleBeforeUnfiredNext(t *testing.T) {
+	var e Engine
+	var fired []string
+	note := func(name string) func() { return func() { fired = append(fired, name) } }
+	if err := e.At(1000, note("t")); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntil(100)
+	if len(fired) != 0 || e.Now() != 100 {
+		t.Fatalf("RunUntil(100) fired %v, now %v", fired, e.Now())
+	}
+	if at, ok := e.NextAt(); !ok || at != 1000 {
+		t.Fatalf("NextAt = %v, %v; want 1000", at, ok)
+	}
+	for _, ev := range []struct {
+		at   time.Duration
+		name string
+	}{{999, "s"}, {101, "s0"}, {100, "now"}} {
+		if err := e.At(ev.at, note(ev.name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if want := []string{"now", "s0", "s", "t"}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+}
+
+// TestEngineFIFOAcrossRefill: events at one time keep their scheduling
+// order while the queue moves them down — some scheduled while the time sits
+// in a high bucket, some after a refill made it the base, where pushes land
+// in bucket 0 behind those the refill brought down.
+func TestEngineFIFOAcrossRefill(t *testing.T) {
+	const at = 1 << 20
+	var e Engine
+	var fired []int
+	var seqs []uint64
+	n := 0
+	var schedule func()
+	fire := func(i int) func() {
+		return func() {
+			fired = append(fired, i)
+			seqs = append(seqs, e.FiringSeq())
+			if i == 0 {
+				// Fired at the base: bucket 0 holds the rest of the time's
+				// events, and a push at it must go behind them.
+				schedule()
+				schedule()
+				if tail := e.buckets[0].tail; e.buckets[0].head == 0 || e.slab[tail].seq != e.LastSeq() {
+					t.Error("a push at the base did not land at bucket 0's tail")
+				}
+			}
+		}
+	}
+	schedule = func() {
+		if err := e.At(at, fire(n)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	schedule()
+	schedule()
+	// An earlier event forces a refill with the time still in a high bucket;
+	// its handler schedules more of the time's events there.
+	if err := e.At(3, func() {
+		schedule()
+		schedule()
+		b := bits.Len64(uint64(at) ^ uint64(e.base))
+		if tail := e.buckets[b].tail; b == 0 || e.buckets[b].head == 0 || e.slab[tail].seq != e.LastSeq() {
+			t.Errorf("a push at %d after a refill did not land at a high bucket's tail (bucket %d)", at, b)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	schedule()
+	e.Run()
+	if len(fired) != n || n != 7 {
+		t.Fatalf("fired %d of %d events", len(fired), n)
+	}
+	for i, v := range fired {
+		if v != i {
+			t.Fatalf("equal-time events fired in order %v", fired)
+		}
+	}
+	if !slices.IsSorted(seqs) {
+		t.Errorf("FiringSeq out of order: %v", seqs)
 	}
 }

@@ -118,8 +118,9 @@ func FuzzEngineOrder(f *testing.F) {
 	})
 }
 
-// TestEnginePopReleasesHandler: the slot a pop vacates must not keep the
-// fired handler reachable through the queue's backing array.
+// TestEnginePopReleasesHandler: a fired event's slot must not keep its
+// handler reachable through the slab, whether the slot went back to the free
+// list or was never reused.
 func TestEnginePopReleasesHandler(t *testing.T) {
 	var e Engine
 	for i := 0; i < 8; i++ {
@@ -127,17 +128,21 @@ func TestEnginePopReleasesHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	e.RunUntil(3)
+	if err := e.At(100, func() {}); err != nil { // reuses a vacated slot
+		t.Fatal(err)
+	}
 	e.Run()
-	for i, ev := range e.queue[:cap(e.queue)] {
+	for i, ev := range e.slab[:cap(e.slab)] {
 		if ev.h != nil {
 			t.Errorf("slot %d still holds a handler after the queue drained", i)
 		}
 	}
 }
 
-// holdModel returns the classic hold operation on an engine with pending
-// events queued: schedule one event at a random future time, fire one.
-func holdModel(tb testing.TB, pending int) func() {
+// holdModel returns an engine with pending events queued and the classic
+// hold operation on it: schedule one event at a random future time, fire one.
+func holdModel(tb testing.TB, pending int) (*Engine, func()) {
 	tb.Helper()
 	eng := new(Engine)
 	rng := rand.New(rand.NewSource(1))
@@ -150,7 +155,7 @@ func holdModel(tb testing.TB, pending int) func() {
 	for i := 0; i < pending; i++ {
 		hold()
 	}
-	return func() {
+	return eng, func() {
 		hold()
 		eng.Step()
 	}
@@ -159,7 +164,7 @@ func holdModel(tb testing.TB, pending int) func() {
 // BenchmarkEngineStep is the hold model with 10,000 events pending, so every
 // push and pop walks a full-depth heap.
 func BenchmarkEngineStep(b *testing.B) {
-	op := holdModel(b, 10_000)
+	_, op := holdModel(b, 10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

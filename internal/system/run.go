@@ -107,7 +107,7 @@ type simulation struct {
 
 	peers    []peer // seeds, then requesters, indexed by id; sized once, never moved
 	src      candidateSource
-	byClass  [][]*protocol.Supplier // suppliers per class (for Figure 7 snapshots)
+	census   protocol.Census // suppliers and their anchors per class (Figure 7)
 	aggOffer bandwidth.Fraction
 
 	arrived       []int64
@@ -135,7 +135,6 @@ func Run(cfg Config) (*Result, error) {
 	s := &simulation{
 		cfg:           cfg,
 		rng:           sim.NewRNG(sim.ChildSeed(cfg.Seed, "protocol")),
-		byClass:       make([][]*protocol.Supplier, k+1),
 		arrived:       make([]int64, k+1),
 		admitted:      make([]int64, k+1),
 		delaySum:      make([]float64, k+1),
@@ -237,7 +236,7 @@ func (s *simulation) becomeSupplier(p *peer) error {
 	if err := s.src.register(p.id, p.class); err != nil {
 		return err
 	}
-	s.byClass[p.class] = append(s.byClass[p.class], &p.sup)
+	p.sup.SetCensus(&s.census)
 	s.aggOffer += p.class.Offer()
 	return nil
 }
@@ -394,20 +393,17 @@ func (s *simulation) sampleAccumulative(t time.Duration) {
 }
 
 // sampleFavored records, per supplier class, the mean lowest favored class
-// across that class's current suppliers (Figure 7).
+// across that class's current suppliers (Figure 7), read off the running
+// census.
 func (s *simulation) sampleFavored(t time.Duration) {
-	k := int(s.cfg.NumClasses())
-	for c := 1; c <= k; c++ {
-		sups := s.byClass[c]
-		if len(sups) == 0 {
+	k := s.cfg.NumClasses()
+	for c := bandwidth.Class(1); c <= k; c++ {
+		n, sum := s.census.Class(c)
+		if n == 0 {
 			s.res.LowestFavored[c-1].AddMissing(t)
 			continue
 		}
-		var sum int64
-		for _, sup := range sups {
-			sum += int64(sup.LowestFavored())
-		}
-		s.res.LowestFavored[c-1].Add(t, float64(sum)/float64(len(sups)))
+		s.res.LowestFavored[c-1].Add(t, float64(sum)/float64(n))
 	}
 }
 
