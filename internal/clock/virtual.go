@@ -151,7 +151,7 @@ func (v *Virtual) touch() {
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
 	target := v.eng.Now() + d
-	v.fireThroughLocked(target)
+	v.fireThroughLocked(target, false)
 	v.eng.RunUntil(target)
 	v.now.Store(int64(target))
 	v.mu.Unlock()
@@ -165,7 +165,14 @@ func (v *Virtual) Advance(d time.Duration) {
 // next batch, after those already queued; an alarm stopped or re-armed
 // while its batch runs is skipped (it loses the CAS on queued). Callers
 // hold v.mu; it is held again on return.
-func (v *Virtual) fireThroughLocked(end time.Duration) {
+//
+// With yield set it returns after the first instant whose handlers woke a
+// goroutine — a sleeper, or a reader a delivery unblocked — and leaves the
+// rest of the window to an advance the driver holds until that goroutine
+// has acted. Without it the woken goroutine races the window's later
+// instants: it reads a later time than it was woken at, and what it
+// schedules from there lands late by the difference.
+func (v *Virtual) fireThroughLocked(end time.Duration, yield bool) {
 	for {
 		at, ok := v.eng.NextAt()
 		if !ok || at > end {
@@ -190,26 +197,31 @@ func (v *Virtual) fireThroughLocked(end time.Duration) {
 		if v.due == nil {
 			v.due = due[:0]
 		}
+		if yield && v.wakes.Load() > 0 {
+			return
+		}
 	}
 }
 
 // advanceBatchLocked jumps to the event at next and fires everything in its
-// coalescing window. Events scheduled by those callbacks for later instants
-// wait for the next quiescent advance. In scale mode the window is pinned:
-// an advance landing inside the previous window keeps its end, so the
-// window cannot slide forever on a dense chain. Callers hold v.mu.
+// coalescing window, up to the first instant that wakes a goroutine. In
+// scale mode the window is pinned — an advance landing inside the previous
+// window keeps its end, so the window cannot slide forever on a dense chain
+// — and drained whole: a population-scale run trades the woken goroutines'
+// exact instants for one advance per window. Callers hold v.mu.
 func (v *Virtual) advanceBatchLocked(next time.Duration) {
 	if !v.scale || next >= v.batchEnd {
 		v.batchEnd = next + v.coalesce
 	}
-	v.fireThroughLocked(v.batchEnd)
+	v.fireThroughLocked(v.batchEnd, !v.scale)
 }
 
 // AutoRun starts the background driver and returns its stop function. The
 // driver advances to the next scheduled event whenever the clock has seen
 // no activity for the grace window and no freshly-woken goroutine is still
-// pending; each advance fires every event within the coalescing window of
-// the earliest one. Stop the driver only after the goroutines using the
+// pending; each advance fires the events within the coalescing window of
+// the earliest one, stopping early (outside scale mode) at an instant that
+// wakes a goroutine. Stop the driver only after the goroutines using the
 // clock have finished (stopping it strands any goroutine still sleeping).
 func (v *Virtual) AutoRun() (stop func()) {
 	done := make(chan struct{})
