@@ -149,6 +149,7 @@ func getSleeper(clk Clock, pool *sync.Pool) *sleeper {
 func (s *sleeper) Fire() {
 	if s.gate != nil {
 		s.gate.wakes.Add(1)
+		s.gate.slept.Store(true)
 	}
 	s.ch <- struct{}{}
 }

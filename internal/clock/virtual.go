@@ -59,6 +59,9 @@ type Virtual struct {
 	// per hop.
 	scale    bool
 	batchEnd time.Duration // exclusive end of the pinned window
+	// slept is set when an instant woke a goroutine parked in Sleep: a
+	// scale-mode window gives it a few scheduler turns before going on.
+	slept atomic.Bool
 }
 
 // NewVirtual returns a virtual clock positioned at Epoch.
@@ -166,12 +169,16 @@ func (v *Virtual) Advance(d time.Duration) {
 // while its batch runs is skipped (it loses the CAS on queued). Callers
 // hold v.mu; it is held again on return.
 //
-// With yield set it returns after the first instant whose handlers woke a
-// goroutine — a sleeper, or a reader a delivery unblocked — and leaves the
-// rest of the window to an advance the driver holds until that goroutine
-// has acted. Without it the woken goroutine races the window's later
-// instants: it reads a later time than it was woken at, and what it
-// schedules from there lands late by the difference.
+// With yield set a woken goroutine gets to act at the instant it was woken
+// at. Without it the goroutine races the window's later instants: it reads
+// a later time than its wake-up, and what it schedules from there lands
+// late by the difference. Outside scale mode the call returns after the
+// first instant whose handlers woke a goroutine — a sleeper, or a reader a
+// delivery unblocked — and leaves the rest of the window to an advance the
+// driver holds until that goroutine has acted. Scale mode drains its window
+// in one call and only pauses after an instant that woke a sleeper, for at
+// most sleeperTurns scheduler turns: handing every delivery back to the
+// driver costs a population-scale run more than twice its wall time.
 func (v *Virtual) fireThroughLocked(end time.Duration, yield bool) {
 	for {
 		at, ok := v.eng.NextAt()
@@ -197,23 +204,37 @@ func (v *Virtual) fireThroughLocked(end time.Duration, yield bool) {
 		if v.due == nil {
 			v.due = due[:0]
 		}
-		if yield && v.wakes.Load() > 0 {
-			return
+		switch {
+		case !yield:
+		case !v.scale:
+			if v.wakes.Load() > 0 {
+				return
+			}
+		case v.slept.Swap(false):
+			v.mu.Unlock()
+			for i := 0; i < sleeperTurns && v.wakes.Load() > 0; i++ {
+				runtime.Gosched()
+			}
+			v.mu.Lock()
 		}
 	}
 }
 
+// sleeperTurns bounds a scale-mode window's wait for a sleeper it woke: the
+// sleeper's first clock operation usually retires its wake within a turn or
+// two, and one that does something else first must not stall the window.
+const sleeperTurns = 64
+
 // advanceBatchLocked jumps to the event at next and fires everything in its
-// coalescing window, up to the first instant that wakes a goroutine. In
-// scale mode the window is pinned — an advance landing inside the previous
-// window keeps its end, so the window cannot slide forever on a dense chain
-// — and drained whole: a population-scale run trades the woken goroutines'
-// exact instants for one advance per window. Callers hold v.mu.
+// coalescing window, up to the first instant that wakes a goroutine (in
+// scale mode, the whole window). In scale mode the window is pinned: an
+// advance landing inside the previous window keeps its end, so the window
+// cannot slide forever on a dense chain. Callers hold v.mu.
 func (v *Virtual) advanceBatchLocked(next time.Duration) {
 	if !v.scale || next >= v.batchEnd {
 		v.batchEnd = next + v.coalesce
 	}
-	v.fireThroughLocked(v.batchEnd, !v.scale)
+	v.fireThroughLocked(v.batchEnd, true)
 }
 
 // AutoRun starts the background driver and returns its stop function. The
