@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
+	"p2pstream/internal/clock"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/transport"
 )
@@ -53,17 +53,15 @@ func (p *Peer) Candidates(ctx context.Context, object string, m int, exclude str
 		}
 		p.mu.Unlock()
 		owners := make([]*transport.ChordContact, need)
-		var wg sync.WaitGroup
+		var grp clock.Group
 		for i, key := range keys {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
+			grp.Go(p.clk, func() {
 				if owner, err := p.LookupKey(ctx, key); err == nil {
 					owners[i] = &owner
 				}
-			}()
+			})
 		}
-		wg.Wait()
+		grp.Wait()
 		for _, c := range owners {
 			if c == nil || c.Name == "" || c.Name == exclude || c.Name == p.cfg.ID {
 				continue

@@ -2,9 +2,9 @@ package chordnet
 
 import (
 	"context"
-	"sync"
 
 	"p2pstream/internal/chord"
+	"p2pstream/internal/clock"
 	"p2pstream/internal/transport"
 )
 
@@ -45,17 +45,15 @@ func (p *Peer) publishRecords(ctx context.Context) {
 // routeAll routes records concurrently and returns when every one is
 // delivered or given up on.
 func (p *Peer) routeAll(ctx context.Context, recs []transport.ChordRecord, withdraw bool, hops int) {
-	var wg sync.WaitGroup
+	var grp clock.Group
 	for w := 0; w < routers && w < len(recs); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		grp.Go(p.clk, func() {
 			for i := w; i < len(recs); i += routers {
 				p.route(ctx, recs[i], withdraw, hops)
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	grp.Wait()
 }
 
 // route delivers one record to the member that owns its position: a

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"p2pstream/internal/chord"
+	"p2pstream/internal/clock"
 )
 
 // skewVirtualNodes is the V the skew measurement runs with; 128 positions
@@ -86,14 +87,12 @@ func TestSamplingSkewArcProportional(t *testing.T) {
 	}
 	hits := make(map[string]int, members)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var wg clock.Group
 	from := f.peers[names[0]]
 	const parallel = 32
 	for w := 0; w < parallel; w++ {
 		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(f.clk, func() {
 			for i := w; i < draws; i += parallel {
 				owner, err := from.LookupKey(ctx, keys[i])
 				if err != nil {
@@ -104,7 +103,7 @@ func TestSamplingSkewArcProportional(t *testing.T) {
 				hits[owner.Name]++
 				mu.Unlock()
 			}
-		}()
+		})
 	}
 	wg.Wait()
 

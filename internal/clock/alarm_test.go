@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -256,11 +255,9 @@ func TestVirtualNowConcurrent(t *testing.T) {
 	defer clk.AutoRun()()
 	const workers, rounds = 8, 50
 	var fired atomic.Int64
-	var wg sync.WaitGroup
+	var g Group
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+		g.Go(clk, func() {
 			last := clk.Now()
 			for i := 0; i < rounds; i++ {
 				d := time.Duration(1+(w+i)%5) * time.Millisecond
@@ -274,15 +271,9 @@ func TestVirtualNowConcurrent(t *testing.T) {
 				last = now
 			}
 			clk.Sleep(10 * time.Millisecond) // past every timer armed above
-		}(w)
+		})
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("a sleeper was never woken")
-	}
+	g.Wait()
 	if got := fired.Load(); got != workers*rounds {
 		t.Errorf("%d timers fired, want %d", got, workers*rounds)
 	}

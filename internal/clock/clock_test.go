@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,13 +97,10 @@ func TestVirtualAutoRunSleep(t *testing.T) {
 	defer stop()
 
 	const sleepers = 4
-	var wg sync.WaitGroup
+	var g Group
 	var total atomic.Int64
 	for i := 1; i <= sleepers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		g.Go(v, func() {
 			d := time.Duration(i) * 10 * time.Millisecond
 			t0 := v.Now()
 			v.Sleep(d)
@@ -113,9 +109,9 @@ func TestVirtualAutoRunSleep(t *testing.T) {
 				t.Errorf("sleeper %d woke after %v, want >= %v", i, got, d)
 			}
 			total.Add(int64(got))
-		}()
+		})
 	}
-	wg.Wait()
+	g.Wait()
 	if v.Elapsed() < 40*time.Millisecond {
 		t.Errorf("Elapsed = %v, want >= 40ms", v.Elapsed())
 	}
@@ -128,69 +124,24 @@ func TestVirtualAutoRunChain(t *testing.T) {
 	stop := v.AutoRun()
 	defer stop()
 
-	done := make(chan time.Duration, 1)
+	var at atomic.Int64
 	var step func(n int)
 	step = func(n int) {
 		if n == 0 {
-			done <- v.Since(Epoch)
+			at.Store(int64(v.Since(Epoch)))
 			return
 		}
 		v.AfterFunc(50*time.Millisecond, func() { step(n - 1) })
 	}
 	step(5)
-	select {
-	case at := <-done:
-		if at != 250*time.Millisecond {
-			t.Errorf("chain finished at %v, want 250ms", at)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timer chain never completed")
+	v.Sleep(time.Second)
+	if got := time.Duration(at.Load()); got != 250*time.Millisecond {
+		t.Errorf("chain finished at %v, want 250ms", got)
 	}
 }
 
-// TestVirtualWakeGating: NoteWake holds advances until WakeDone (or an
-// external clock operation) retires the gate.
-func TestVirtualWakeGating(t *testing.T) {
-	v := NewVirtual()
-	fired := make(chan struct{})
-	v.AfterFunc(time.Millisecond, func() { close(fired) })
-	v.NoteWake()
-
-	stop := v.AutoRun()
-	defer stop()
-	select {
-	case <-fired:
-		t.Fatal("advance happened while a wake was pending")
-	case <-time.After(3 * time.Millisecond):
-	}
-	v.WakeDone()
-	select {
-	case <-fired:
-	case <-time.After(10 * time.Second):
-		t.Fatal("advance never resumed after WakeDone")
-	}
-}
-
-// TestVirtualWakeStallFallback: a wake gate that is never retired cannot
-// hang the driver forever.
-func TestVirtualWakeStallFallback(t *testing.T) {
-	v := NewVirtual()
-	fired := make(chan struct{})
-	v.AfterFunc(time.Millisecond, func() { close(fired) })
-	v.NoteWake() // never retired
-	stop := v.AutoRun()
-	defer stop()
-	select {
-	case <-fired:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stall fallback never released the driver")
-	}
-}
-
-// TestVirtualSetCoalesce: the coalescing window decides how much of the
-// timeline one quiescent advance drains. With the default (narrow) window a
-// single batch starting at the earliest event fires only that instant's
-// neighborhood; a widened window drains the whole spread in one batch.
+// TestVirtualSetCoalesce: a widened window fires every instant within it
+// in one advance; the default fires one instant per advance.
 func TestVirtualSetCoalesce(t *testing.T) {
 	run := func(coalesce time.Duration) int {
 		v := NewVirtual()
@@ -200,16 +151,14 @@ func TestVirtualSetCoalesce(t *testing.T) {
 			v.AfterFunc(d, func() { fired.Add(1) })
 		}
 		v.mu.Lock()
-		next, ok := v.eng.NextAt()
-		if !ok {
+		if !v.fireWindowLocked() {
 			v.mu.Unlock()
 			t.Fatal("no scheduled events")
 		}
-		v.advanceBatchLocked(next)
 		v.mu.Unlock()
 		return int(fired.Load())
 	}
-	if got := run(0); got != 1 { // 0 ignored: default 100µs window
+	if got := run(0); got != 1 { // 0 ignored: one instant per advance
 		t.Errorf("default window fired %d events in one batch, want 1", got)
 	}
 	if got := run(10 * time.Millisecond); got != 3 {
@@ -222,24 +171,21 @@ func TestVirtualSetCoalesce(t *testing.T) {
 func TestVirtualSetCoalesceAutoRun(t *testing.T) {
 	v := NewVirtual()
 	v.SetCoalesce(20 * time.Millisecond)
-	const n = 8
-	fired := make(chan time.Duration, n)
-	for i := 1; i <= n; i++ {
-		d := time.Duration(i) * time.Millisecond
-		v.AfterFunc(d, func() { fired <- d })
-	}
 	stop := v.AutoRun()
 	defer stop()
-	var prev time.Duration
-	for i := 0; i < n; i++ {
-		select {
-		case d := <-fired:
-			if d < prev {
-				t.Fatalf("event at %v fired after %v", d, prev)
-			}
-			prev = d
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d/%d events fired", i, n)
+	const n = 8
+	var fired []time.Duration // appended by the handlers, one at a time
+	for i := 1; i <= n; i++ {
+		d := time.Duration(i) * time.Millisecond
+		v.AfterFunc(d, func() { fired = append(fired, d) })
+	}
+	v.Sleep(n * time.Millisecond)
+	if len(fired) != n {
+		t.Fatalf("only %d/%d events fired", len(fired), n)
+	}
+	for i := 1; i < n; i++ {
+		if fired[i] < fired[i-1] {
+			t.Fatalf("event at %v fired after %v", fired[i], fired[i-1])
 		}
 	}
 	if e := v.Elapsed(); e < n*time.Millisecond {

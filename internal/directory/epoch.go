@@ -120,10 +120,9 @@ func (c *ShardedClient) syncWatchesLocked(set *shardSet) {
 		if _, ok := c.watches[a]; ok {
 			continue
 		}
-		ctx, halt := context.WithCancel(context.Background())
+		ctx, halt := clock.ContextWithCancel(context.Background())
 		c.watches[a] = halt
-		c.wg.Add(1)
-		go c.watchLoop(ctx, a)
+		c.spawned.Go(c.clk, func() { c.watchLoop(ctx, a) })
 	}
 }
 
@@ -133,7 +132,6 @@ func (c *ShardedClient) syncWatchesLocked(set *shardSet) {
 // read. The subscription reply itself carries the shard's current epoch,
 // so a client that boots mid-flip converges on its first read.
 func (c *ShardedClient) watchLoop(ctx context.Context, addr string) {
-	defer c.wg.Done()
 	for ctx.Err() == nil {
 		if conn, err := c.network.Dial(addr); err == nil {
 			release := netx.Guard(ctx, conn)

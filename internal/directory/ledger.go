@@ -160,14 +160,12 @@ func (c *ShardedClient) settle(ctx context.Context, keys []string, refresh bool)
 // and hands then, if non-nil, the number of leases the pass newly placed —
 // unless the client closed first.
 func (c *ShardedClient) settleAllLocked(refresh bool, then func(placed int)) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
+	c.spawned.Go(c.clk, func() {
 		placed, err := c.settle(context.Background(), nil, refresh)
 		if then != nil && !errors.Is(err, errs.ErrClosed) {
 			then(placed)
 		}
-	}()
+	})
 }
 
 // armRefreshLocked schedules the next lease refresh (idempotent while one

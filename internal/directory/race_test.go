@@ -3,7 +3,6 @@ package directory
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,18 +30,16 @@ func TestServerConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	clock.Go(clk, func() { srv.Serve(l) })
 	defer srv.Close()
 
 	const workers = 8
 	const ops = 24
 	errs := make(chan error, workers*ops*3)
-	var wg sync.WaitGroup
+	var wg clock.Group
 	for w := 0; w < workers; w++ {
 		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(clk, func() {
 			cl := NewClientOn(vnet.Host(fmt.Sprintf("h%d", w)), l.Addr().String())
 			for i := 0; i < ops; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
@@ -74,7 +71,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					}
 				}
 			}
-		}()
+		})
 	}
 	wg.Wait()
 	close(errs)
@@ -103,15 +100,13 @@ func TestServerConcurrentSameID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	clock.Go(clk, func() { srv.Serve(l) })
 	defer srv.Close()
 
-	var wg sync.WaitGroup
+	var wg clock.Group
 	for w := 0; w < 6; w++ {
 		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(clk, func() {
 			cl := NewClientOn(vnet.Host(fmt.Sprintf("h%d", w)), l.Addr().String())
 			for i := 0; i < 10; i++ {
 				// Duplicate registrations are errors by contract; the
@@ -119,7 +114,7 @@ func TestServerConcurrentSameID(t *testing.T) {
 				cl.Register(ctx, transport.Register{ID: "contested", Addr: "contested:1", Class: 1})
 				cl.Unregister(ctx, "contested", "")
 			}
-		}()
+		})
 	}
 	wg.Wait()
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"p2pstream/internal/clock"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/transport"
 )
@@ -202,12 +204,8 @@ func TestEpochFlipMigratesRegistrations(t *testing.T) {
 	f.shards[0].SetEpoch(epochOf(f, 2, 3))
 	waitFor(f, "epoch adoption", func() bool { return c.Epoch() == 2 })
 
-	var move observe.Event
-	select {
-	case move = <-moveEvents:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no ReshardMove event after the flip")
-	}
+	waitFor(f, "a ReshardMove event after the flip", func() bool { return len(moveEvents) > 0 })
+	move := <-moveEvents
 	if move.Epoch != 2 || move.Count != len(movedIDs) {
 		t.Errorf("ReshardMove epoch=%d count=%d, want epoch=2 count=%d", move.Epoch, move.Count, len(movedIDs))
 	}
@@ -342,8 +340,9 @@ func TestShardedCloseMidFlip(t *testing.T) {
 	f.shards[0].SetEpoch(epochOf(f, 2, 3))
 	waitFor(f, "epoch adoption", func() bool { return c.Epoch() == 2 })
 
-	done := make(chan error, 1)
-	go func() { done <- c.Close() }()
+	var closing clock.Group
+	var closeErr error
+	closing.Go(f.clk, func() { closeErr = c.Close() })
 	// Close marks the client closed synchronously; wait for that, then
 	// release the parked migration into the closed check.
 	waitFor(f, "close flag", func() bool {
@@ -352,13 +351,9 @@ func TestShardedCloseMidFlip(t *testing.T) {
 		return c.closed
 	})
 	c.sendMu.Unlock()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close wedged behind the in-flight migration")
+	closing.Wait()
+	if closeErr != nil {
+		t.Fatal(closeErr)
 	}
 
 	// The abandoned batch must not have resurrected anything on the new
@@ -496,5 +491,49 @@ func TestEpochOverlapUnregisterLeavesNoCopy(t *testing.T) {
 		if s.Has(id, "") {
 			t.Errorf("unregistered %s back on shard %d after the window closed", id, i)
 		}
+	}
+}
+
+// TestEpochLegOfReleasedShardIsNotAFailure: a fan-out that snapshotted the
+// overlap set can reach a drained shard's pooled client after the end of
+// the window released it (both at one instant). That leg contributes
+// nothing and is not reported as a failed shard: the shard was never
+// dialed, it had left the set.
+func TestEpochLegOfReleasedShardIsNotAFailure(t *testing.T) {
+	ctx := context.Background()
+	f := newShardFixture(t, 2)
+	var failedLegs atomic.Int64
+	c := elasticClient(f, 1, observe.Func(func(ev observe.Event) {
+		if ev.Type == observe.ShardLookup && ev.Err != nil {
+			failedLegs.Add(1)
+		}
+	}))
+	for i := 0; i < 4; i++ {
+		if err := c.Register(ctx, reg(fmt.Sprintf("sup-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drain shard-1: the flip opens the overlap window, in which a fan-out
+	// still reads both shards.
+	f.shards[0].SetEpoch(epochOf(f, 2, 1))
+	waitFor(f, "epoch adoption", func() bool { return c.Epoch() == 2 })
+	c.mu.Lock()
+	if c.prev == nil {
+		c.mu.Unlock()
+		t.Fatal("overlap window already closed")
+	}
+	// What gcPoolLocked does when the window closes, with this fan-out's
+	// legs already taken.
+	c.pool[f.addrs[1]].Close()
+	c.mu.Unlock()
+	cands, err := c.Candidates(ctx, "", 4, "")
+	if err != nil {
+		t.Fatalf("Candidates: %v", err)
+	}
+	if len(cands) == 0 {
+		t.Error("the surviving shard's candidates were lost")
+	}
+	if n := failedLegs.Load(); n != 0 {
+		t.Errorf("%d failed fan-out legs, want 0: the released shard had left the set", n)
 	}
 }

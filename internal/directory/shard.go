@@ -127,10 +127,10 @@ type ShardedClient struct {
 	watches map[string]context.CancelFunc // halts one shard's epoch watch
 	timer   clock.Timer
 	closed  bool
-	wg      sync.WaitGroup
+	spawned clock.Group // settle passes and epoch watch loops
 	// sendMu is held by settle across planning and sending, so every
 	// registration frame leaves in the order the ledger was read.
-	sendMu sync.Mutex
+	sendMu clock.Mutex
 }
 
 // NewShardedClient returns a discovery client over the given shard set.
@@ -168,6 +168,7 @@ func NewShardedClient(cfg ShardedConfig) (*ShardedClient, error) {
 		pool:     make(map[string]*Client),
 		watches:  make(map[string]context.CancelFunc),
 	}
+	c.sendMu.Init(c.clk)
 	c.mu.Lock()
 	c.cur = c.newSetLocked(ring, cfg.Addrs)
 	if c.watching {
@@ -277,13 +278,19 @@ func (c *ShardedClient) Candidates(ctx context.Context, object string, m int, ex
 	legs := c.legsLocked()
 	c.mu.Unlock()
 	replies := make([]shardReply, len(legs))
-	var wg sync.WaitGroup
+	var grp clock.Group
 	for i := range legs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		grp.Go(c.clk, func() {
 			start := c.clk.Now()
 			reply, err := legs[i].client.Lookup(ctx, object, m, exclude)
+			if errors.Is(err, transport.ErrCacheClosed) {
+				// The client released this shard's pooled client while
+				// the fan-out ran: the shard left the set when the
+				// overlap window ended (or the client closed). It
+				// contributes nothing, and no shard failed.
+				replies[i].err = err
+				return
+			}
 			replies[i] = shardReply{
 				peers:   reply.Peers,
 				size:    reply.Len,
@@ -297,9 +304,9 @@ func (c *ShardedClient) Candidates(ctx context.Context, object string, m int, ex
 				Latency:   replies[i].latency,
 				Err:       err,
 			})
-		}()
+		})
 	}
-	wg.Wait()
+	grp.Wait()
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
@@ -417,6 +424,6 @@ func (c *ShardedClient) Close() error {
 		}
 	}
 	c.mu.Unlock()
-	c.wg.Wait()
+	c.spawned.Wait()
 	return nil
 }

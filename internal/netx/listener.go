@@ -4,23 +4,24 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"p2pstream/internal/clock"
 )
 
 var errEOF = io.EOF
 
 // vListener is a virtual listener: dials enqueue the acceptee end of the
-// connection after one link latency.
+// connection after one link latency. A blocked Accept parks on cond, so an
+// enqueue or Close counts it running as it wakes it.
 type vListener struct {
 	v    *Virtual
 	addr vAddr
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*vConn // connections awaiting Accept are queue[head:]
-	head    int
-	closed  bool
-	waiting int
-	wakes   int
+	mu     sync.Mutex
+	cond   clock.Cond
+	queue  []*vConn // connections awaiting Accept are queue[head:]
+	head   int
+	closed bool
 }
 
 // enqueue surfaces one accepted connection. It runs on the clock's
@@ -44,10 +45,6 @@ func (l *vListener) enqueue(c *vConn) {
 		l.queue, l.head = l.queue[:n], 0
 	}
 	l.queue = append(l.queue, c)
-	if l.waiting > 0 && l.v.waker != nil {
-		l.wakes++
-		l.v.waker.NoteWake()
-	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
@@ -55,14 +52,7 @@ func (l *vListener) enqueue(c *vConn) {
 func (l *vListener) Accept() (net.Conn, error) {
 	l.mu.Lock()
 	for l.head == len(l.queue) && !l.closed {
-		l.waiting++
 		l.cond.Wait()
-		l.waiting--
-	}
-	retire := false
-	if l.wakes > 0 {
-		l.wakes--
-		retire = true
 	}
 	var c *vConn
 	var err error
@@ -79,9 +69,6 @@ func (l *vListener) Accept() (net.Conn, error) {
 		err = net.ErrClosed
 	}
 	l.mu.Unlock()
-	if retire && l.v.waker != nil {
-		l.v.waker.WakeDone()
-	}
 	if err != nil {
 		return nil, err
 	}

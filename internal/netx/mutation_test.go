@@ -3,7 +3,6 @@ package netx
 import (
 	"fmt"
 	"io"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,12 +18,12 @@ func TestVirtualLossDelaysDelivery(t *testing.T) {
 		defer a.Close()
 		defer b.Close()
 		t0 := clk.Now()
-		go func() {
+		clock.Go(clk, func() {
 			for i := 0; i < 32; i++ {
 				a.Write([]byte{byte(i)})
 			}
 			a.Close()
-		}()
+		})
 		got, err := io.ReadAll(b)
 		if err != nil {
 			t.Fatal(err)
@@ -58,18 +57,18 @@ func TestVirtualBlockedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	go func() {
+	clock.Go(clk, func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
-			go func() {
+			clock.Go(clk, func() {
 				io.Copy(c, c)
 				c.Close()
-			}()
+			})
 		}
-	}()
+	})
 	a, err := v.Host("a").Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func TestVirtualScheduledLinkMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	go func() {
+	clock.Go(clk, func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
@@ -119,7 +118,7 @@ func TestVirtualScheduledLinkMutation(t *testing.T) {
 			}
 			c.Close()
 		}
-	}()
+	})
 
 	v.ScheduleLink(50*time.Millisecond, "a", "b", LinkConfig{Blocked: true})
 	v.ScheduleDefaultLink(100*time.Millisecond, LinkConfig{Latency: 9 * time.Millisecond})
@@ -163,7 +162,7 @@ func TestVirtualSetUpRevivesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
+	clock.Go(clk, func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
@@ -171,7 +170,7 @@ func TestVirtualSetUpRevivesHost(t *testing.T) {
 			}
 			c.Close()
 		}
-	}()
+	})
 	v.SetDown("b")
 	if _, err := v.Host("b").Listen(":0"); err == nil {
 		t.Fatal("listen on crashed host succeeded")
@@ -181,21 +180,14 @@ func TestVirtualSetUpRevivesHost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen after SetUp: %v", err)
 	}
-	accepted := make(chan struct{})
-	go func() {
-		if c, err := l2.Accept(); err == nil {
-			c.Close()
-			close(accepted)
-		}
-	}()
 	if _, err := v.Host("a").Dial(l2.Addr().String()); err != nil {
 		t.Fatalf("dial after SetUp: %v", err)
 	}
-	select {
-	case <-accepted:
-	case <-time.After(10 * time.Second):
-		t.Fatal("revived host never accepted")
+	c, err := l2.Accept()
+	if err != nil {
+		t.Fatalf("revived host never accepted: %v", err)
 	}
+	c.Close()
 }
 
 // TestVirtualLinkMutationWhileActive is the race-focused stress for the
@@ -215,30 +207,28 @@ func TestVirtualLinkMutationWhileActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
+	clock.Go(clk, func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
-			go func() {
+			clock.Go(clk, func() {
 				io.Copy(c, c)
 				c.Close()
-			}()
+			})
 		}
-	}()
+	})
 	addr := l.Addr().String()
 
 	const clients = 4
 	const rounds = 12
 	done := make([]int, clients)
-	var wg sync.WaitGroup
+	var wg clock.Group
 	for i := 0; i < clients; i++ {
 		i := i
 		host := fmt.Sprintf("h%d", i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(clk, func() {
 			for r := 0; r < rounds; r++ {
 				for attempt := 0; attempt < 200; attempt++ {
 					conn, err := v.Host(host).Dial(addr)
@@ -267,11 +257,9 @@ func TestVirtualLinkMutationWhileActive(t *testing.T) {
 					break
 				}
 			}
-		}()
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	wg.Go(clk, func() {
 		configs := []LinkConfig{
 			{Latency: time.Millisecond, Jitter: 500 * time.Microsecond},
 			{Latency: 100 * time.Microsecond, Loss: 0.3},
@@ -293,7 +281,7 @@ func TestVirtualLinkMutationWhileActive(t *testing.T) {
 			v.SetLink(fmt.Sprintf("h%d", i), "srv", LinkConfig{Latency: 200 * time.Microsecond})
 		}
 		v.SetDefaultLink(LinkConfig{Latency: 200 * time.Microsecond})
-	}()
+	})
 	wg.Wait()
 	for i, n := range done {
 		if n == 0 {

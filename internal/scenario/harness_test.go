@@ -70,7 +70,7 @@ func TestRequestUntilHeldGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go dirSrv.Serve(dl)
+	clock.Go(clk, func() { dirSrv.Serve(dl) })
 	defer dirSrv.Close()
 
 	wire := &wiring.Builder{

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"p2pstream/internal/clock"
 	"p2pstream/internal/netx"
@@ -24,13 +23,13 @@ func echoServer(t *testing.T, v *netx.Virtual, maxPerConn int, failWith string) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
+	clock.Go(netx.ClockOf(l), func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			go func(conn net.Conn) {
+			clock.Go(netx.ClockOf(l), func() {
 				defer conn.Close()
 				for n := 0; maxPerConn == 0 || n < maxPerConn; n++ {
 					env, err := Read(conn)
@@ -47,9 +46,9 @@ func echoServer(t *testing.T, v *netx.Virtual, maxPerConn int, failWith string) 
 					}
 					Write(conn, KindCandidates, Candidates{Len: q.M})
 				}
-			}(conn)
+			})
 		}
-	}()
+	})
 	return l.Addr().String()
 }
 
@@ -151,17 +150,8 @@ func TestConnCacheHonorsContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Call = %v, want context.Canceled", err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		done <- cc.Call(context.Background(), addr, KindLookup, Lookup{M: 2}, KindCandidates, nil)
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Call after cancelled Call: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("slot wedged after cancellation")
+	if err := cc.Call(context.Background(), addr, KindLookup, Lookup{M: 2}, KindCandidates, nil); err != nil {
+		t.Fatalf("Call after cancelled Call: %v", err)
 	}
 }
 
@@ -184,13 +174,13 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go func() {
+		clock.Go(netx.ClockOf(l), func() {
 			for {
 				conn, err := l.Accept()
 				if err != nil {
 					return
 				}
-				go func() {
+				clock.Go(netx.ClockOf(l), func() {
 					defer conn.Close()
 					for {
 						if _, err := Read(conn); err != nil {
@@ -198,9 +188,9 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 						}
 						conn.Write(reply.raw)
 					}
-				}()
+				})
 			}
-		}()
+		})
 		cc := NewConnCache(v.Host("cli"))
 		for i := 0; i < 3; i++ {
 			err := cc.Call(context.Background(), l.Addr().String(), KindLookup, Lookup{M: 1}, KindCandidates, &Candidates{})
@@ -223,12 +213,17 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 func TestConnCacheDropsDeadSiblings(t *testing.T) {
 	v := cacheTestNet(t)
 	const addr, burst = "srv:9000", 3
-	var arrived sync.WaitGroup
-	arrived.Add(burst)
+	clk := netx.ClockOf(v.Host("srv"))
+	// arrived is a barrier the clock can see: a handler parked on it does
+	// not hold virtual time still.
+	var mu sync.Mutex
+	var arrived clock.Cond
+	arrived.Init(clk, &mu)
+	waiting := 0
 	var next atomic.Int64
 	// The first three requests wait for each other, so the burst holds
 	// three connections at once.
-	srv := NewEndpoint("srv", nil)
+	srv := NewEndpoint("srv", nil, nil)
 	handler := func(barrier bool) func(net.Conn) {
 		return func(conn net.Conn) {
 			for {
@@ -236,8 +231,13 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 					return
 				}
 				if barrier && next.Add(1) <= burst {
-					arrived.Done()
-					arrived.Wait()
+					mu.Lock()
+					waiting++
+					arrived.Broadcast()
+					for waiting < burst {
+						arrived.Wait()
+					}
+					mu.Unlock()
 				}
 				Write(conn, KindCandidates, Candidates{})
 			}
@@ -251,15 +251,13 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 	call := func() error {
 		return cc.Call(context.Background(), addr, KindLookup, Lookup{M: 1}, KindCandidates, nil)
 	}
-	var calls sync.WaitGroup
+	var calls clock.Group
 	for i := 0; i < burst; i++ {
-		calls.Add(1)
-		go func() {
-			defer calls.Done()
+		calls.Go(clk, func() {
 			if err := call(); err != nil {
 				t.Error(err)
 			}
-		}()
+		})
 	}
 	calls.Wait()
 	pooled := func() int {
@@ -273,7 +271,7 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 
 	// The peer restarts on the same address: every pooled connection dies.
 	srv.Close()
-	reborn := NewEndpoint("srv", nil)
+	reborn := NewEndpoint("srv", nil, nil)
 	if err := reborn.Start(v.Host("srv"), addr, handler(false)); err != nil {
 		t.Fatal(err)
 	}
