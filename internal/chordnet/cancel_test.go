@@ -12,12 +12,9 @@ import (
 
 // TestCancelMidLookup: a key lookup parked on a slow link unwinds the
 // moment its context is cancelled — within one step of the virtual clock —
-// returning context.Canceled instead of blocking for the link delay. The
-// cancel fires from virtual time, so it is a clock context's: its cancel
-// runs the lookup's hooks at that instant, where a context.WithCancel hands
-// them to a goroutine of its own that the clock does not wait for.
+// returning context.Canceled instead of blocking for the link delay.
 func TestCancelMidLookup(t *testing.T) {
-	f := newFixture(t)
+	f := newTimedFixture(t)
 	f.addMember("s0", 1)
 	f.addMember("s1", 1)
 	f.waitFor(func() bool { return ringHealthy(f.peers, []string{"s0", "s1"}) }, "2-member ring")
@@ -29,7 +26,7 @@ func TestCancelMidLookup(t *testing.T) {
 	f.vnet.SetLink("r", "s1", netx.LinkConfig{Latency: 100 * time.Millisecond})
 
 	const cancelAt = 10 * time.Millisecond
-	cctx, cancel := clock.ContextWithCancel(ctx)
+	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	f.clk.AfterFunc(cancelAt, cancel)
 
@@ -47,7 +44,7 @@ func TestCancelMidLookup(t *testing.T) {
 // TestDeadlineMidLookup: the same park, bounded by a virtual-clock
 // deadline; expiry surfaces as context.DeadlineExceeded.
 func TestDeadlineMidLookup(t *testing.T) {
-	f := newFixture(t)
+	f := newTimedFixture(t)
 	f.addMember("s0", 1)
 	f.waitFor(func() bool { return f.peers["s0"].Joined() }, "singleton ring")
 

@@ -173,9 +173,9 @@ type Peer struct {
 	ring      ring
 	reg       registry
 	stabTimer clock.Timer
-	// spawned holds the goroutines the handlers and the timer spawn:
+	// wg counts the goroutines the handlers and the timer spawn:
 	// stabilization rounds and record forwarding.
-	spawned clock.Group
+	wg sync.WaitGroup
 }
 
 // New returns an unstarted chord peer.
@@ -202,7 +202,7 @@ func New(cfg Config) (*Peer, error) {
 		ring:    ring{self: memberOf(transport.ChordContact{Name: cfg.ID, Class: cfg.Class})},
 		reg:     newRegistry(cfg.ID),
 	}
-	p.ep = transport.NewEndpoint(p.comp, p.clk, cfg.Observer)
+	p.ep = transport.NewEndpoint(p.comp, cfg.Observer)
 	p.cache = transport.NewConnCache(p.net)
 	return p, nil
 }
@@ -477,7 +477,7 @@ func (p *Peer) Close() error {
 	}
 	p.cache.Close()
 	err := p.ep.Close()
-	p.spawned.Wait()
+	p.wg.Wait()
 	return err
 }
 
@@ -496,8 +496,12 @@ func (p *Peer) spawn(fn func()) {
 		p.mu.Unlock()
 		return
 	}
-	p.spawned.Go(p.clk, fn)
+	p.wg.Add(1)
 	p.mu.Unlock()
+	go func() {
+		defer p.wg.Done()
+		fn()
+	}()
 }
 
 // call performs one outbound RPC exchange, bounded by ctx and — always,

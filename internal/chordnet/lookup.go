@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
-	"p2pstream/internal/clock"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/transport"
 )
@@ -53,15 +53,17 @@ func (p *Peer) Candidates(ctx context.Context, object string, m int, exclude str
 		}
 		p.mu.Unlock()
 		owners := make([]*transport.ChordContact, need)
-		var grp clock.Group
+		var wg sync.WaitGroup
 		for i, key := range keys {
-			grp.Go(p.clk, func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				if owner, err := p.LookupKey(ctx, key); err == nil {
 					owners[i] = &owner
 				}
-			})
+			}()
 		}
-		grp.Wait()
+		wg.Wait()
 		for _, c := range owners {
 			if c == nil || c.Name == "" || c.Name == exclude || c.Name == p.cfg.ID {
 				continue

@@ -2,9 +2,9 @@ package chordnet
 
 import (
 	"context"
+	"sync"
 
 	"p2pstream/internal/chord"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/transport"
 )
 
@@ -45,15 +45,17 @@ func (p *Peer) publishRecords(ctx context.Context) {
 // routeAll routes records concurrently and returns when every one is
 // delivered or given up on.
 func (p *Peer) routeAll(ctx context.Context, recs []transport.ChordRecord, withdraw bool, hops int) {
-	var grp clock.Group
+	var wg sync.WaitGroup
 	for w := 0; w < routers && w < len(recs); w++ {
-		grp.Go(p.clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for i := w; i < len(recs); i += routers {
 				p.route(ctx, recs[i], withdraw, hops)
 			}
-		})
+		}()
 	}
-	grp.Wait()
+	wg.Wait()
 }
 
 // route delivers one record to the member that owns its position: a

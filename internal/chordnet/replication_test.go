@@ -51,7 +51,7 @@ func replicasSettled(f *fixture, names []string, k int) bool {
 // stabilization healed the ring: that window must be zero.
 func TestReplicationClosesChurnWindow(t *testing.T) {
 	var replicaAnswered atomic.Int64
-	f := newFixture(t)
+	f := newTimedFixture(t)
 	f.replication = 3
 	// Stabilization far too slow to help mid-assertion (the
 	// TestGracefulLeaveClosesStalenessWindow trick): the replica fail-over

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"p2pstream/internal/chord"
-	"p2pstream/internal/clock"
 )
 
 // skewVirtualNodes is the V the skew measurement runs with; 128 positions
@@ -87,12 +86,14 @@ func TestSamplingSkewArcProportional(t *testing.T) {
 	}
 	hits := make(map[string]int, members)
 	var mu sync.Mutex
-	var wg clock.Group
+	var wg sync.WaitGroup
 	from := f.peers[names[0]]
 	const parallel = 32
 	for w := 0; w < parallel; w++ {
 		w := w
-		wg.Go(f.clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for i := w; i < draws; i += parallel {
 				owner, err := from.LookupKey(ctx, keys[i])
 				if err != nil {
@@ -103,7 +104,7 @@ func TestSamplingSkewArcProportional(t *testing.T) {
 				hits[owner.Name]++
 				mu.Unlock()
 			}
-		})
+		}()
 	}
 	wg.Wait()
 

@@ -81,6 +81,7 @@ func (a *Alarm) Reset(d time.Duration) {
 	switch {
 	case a.v != nil:
 		a.v.mu.Lock()
+		a.v.touch()
 		if a.queued.Load() {
 			a.queued.Store(false) // supersedes a firing still waiting in the running batch
 		}

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -255,9 +256,11 @@ func TestVirtualNowConcurrent(t *testing.T) {
 	defer clk.AutoRun()()
 	const workers, rounds = 8, 50
 	var fired atomic.Int64
-	var g Group
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		g.Go(clk, func() {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
 			last := clk.Now()
 			for i := 0; i < rounds; i++ {
 				d := time.Duration(1+(w+i)%5) * time.Millisecond
@@ -271,9 +274,15 @@ func TestVirtualNowConcurrent(t *testing.T) {
 				last = now
 			}
 			clk.Sleep(10 * time.Millisecond) // past every timer armed above
-		})
+		}(w)
 	}
-	g.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("a sleeper was never woken")
+	}
 	if got := fired.Load(); got != workers*rounds {
 		t.Errorf("%d timers fired, want %d", got, workers*rounds)
 	}

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,10 +98,13 @@ func TestVirtualAutoRunSleep(t *testing.T) {
 	defer stop()
 
 	const sleepers = 4
-	var g Group
+	var wg sync.WaitGroup
 	var total atomic.Int64
 	for i := 1; i <= sleepers; i++ {
-		g.Go(v, func() {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			d := time.Duration(i) * 10 * time.Millisecond
 			t0 := v.Now()
 			v.Sleep(d)
@@ -109,9 +113,9 @@ func TestVirtualAutoRunSleep(t *testing.T) {
 				t.Errorf("sleeper %d woke after %v, want >= %v", i, got, d)
 			}
 			total.Add(int64(got))
-		})
+		}()
 	}
-	g.Wait()
+	wg.Wait()
 	if v.Elapsed() < 40*time.Millisecond {
 		t.Errorf("Elapsed = %v, want >= 40ms", v.Elapsed())
 	}
@@ -124,24 +128,69 @@ func TestVirtualAutoRunChain(t *testing.T) {
 	stop := v.AutoRun()
 	defer stop()
 
-	var at atomic.Int64
+	done := make(chan time.Duration, 1)
 	var step func(n int)
 	step = func(n int) {
 		if n == 0 {
-			at.Store(int64(v.Since(Epoch)))
+			done <- v.Since(Epoch)
 			return
 		}
 		v.AfterFunc(50*time.Millisecond, func() { step(n - 1) })
 	}
 	step(5)
-	v.Sleep(time.Second)
-	if got := time.Duration(at.Load()); got != 250*time.Millisecond {
-		t.Errorf("chain finished at %v, want 250ms", got)
+	select {
+	case at := <-done:
+		if at != 250*time.Millisecond {
+			t.Errorf("chain finished at %v, want 250ms", at)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timer chain never completed")
 	}
 }
 
-// TestVirtualSetCoalesce: a widened window fires every instant within it
-// in one advance; the default fires one instant per advance.
+// TestVirtualWakeGating: NoteWake holds advances until WakeDone (or an
+// external clock operation) retires the gate.
+func TestVirtualWakeGating(t *testing.T) {
+	v := NewVirtual()
+	fired := make(chan struct{})
+	v.AfterFunc(time.Millisecond, func() { close(fired) })
+	v.NoteWake()
+
+	stop := v.AutoRun()
+	defer stop()
+	select {
+	case <-fired:
+		t.Fatal("advance happened while a wake was pending")
+	case <-time.After(3 * time.Millisecond):
+	}
+	v.WakeDone()
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("advance never resumed after WakeDone")
+	}
+}
+
+// TestVirtualWakeStallFallback: a wake gate that is never retired cannot
+// hang the driver forever.
+func TestVirtualWakeStallFallback(t *testing.T) {
+	v := NewVirtual()
+	fired := make(chan struct{})
+	v.AfterFunc(time.Millisecond, func() { close(fired) })
+	v.NoteWake() // never retired
+	stop := v.AutoRun()
+	defer stop()
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stall fallback never released the driver")
+	}
+}
+
+// TestVirtualSetCoalesce: the coalescing window decides how much of the
+// timeline one quiescent advance drains. With the default (narrow) window a
+// single batch starting at the earliest event fires only that instant's
+// neighborhood; a widened window drains the whole spread in one batch.
 func TestVirtualSetCoalesce(t *testing.T) {
 	run := func(coalesce time.Duration) int {
 		v := NewVirtual()
@@ -151,14 +200,16 @@ func TestVirtualSetCoalesce(t *testing.T) {
 			v.AfterFunc(d, func() { fired.Add(1) })
 		}
 		v.mu.Lock()
-		if !v.fireWindowLocked() {
+		next, ok := v.eng.NextAt()
+		if !ok {
 			v.mu.Unlock()
 			t.Fatal("no scheduled events")
 		}
+		v.advanceBatchLocked(next)
 		v.mu.Unlock()
 		return int(fired.Load())
 	}
-	if got := run(0); got != 1 { // 0 ignored: one instant per advance
+	if got := run(0); got != 1 { // 0 ignored: default 100µs window
 		t.Errorf("default window fired %d events in one batch, want 1", got)
 	}
 	if got := run(10 * time.Millisecond); got != 3 {
@@ -171,21 +222,24 @@ func TestVirtualSetCoalesce(t *testing.T) {
 func TestVirtualSetCoalesceAutoRun(t *testing.T) {
 	v := NewVirtual()
 	v.SetCoalesce(20 * time.Millisecond)
-	stop := v.AutoRun()
-	defer stop()
 	const n = 8
-	var fired []time.Duration // appended by the handlers, one at a time
+	fired := make(chan time.Duration, n)
 	for i := 1; i <= n; i++ {
 		d := time.Duration(i) * time.Millisecond
-		v.AfterFunc(d, func() { fired = append(fired, d) })
+		v.AfterFunc(d, func() { fired <- d })
 	}
-	v.Sleep(n * time.Millisecond)
-	if len(fired) != n {
-		t.Fatalf("only %d/%d events fired", len(fired), n)
-	}
-	for i := 1; i < n; i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("event at %v fired after %v", fired[i], fired[i-1])
+	stop := v.AutoRun()
+	defer stop()
+	var prev time.Duration
+	for i := 0; i < n; i++ {
+		select {
+		case d := <-fired:
+			if d < prev {
+				t.Fatalf("event at %v fired after %v", d, prev)
+			}
+			prev = d
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d/%d events fired", i, n)
 		}
 	}
 	if e := v.Elapsed(); e < n*time.Millisecond {

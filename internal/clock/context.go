@@ -2,9 +2,7 @@ package clock
 
 import (
 	"context"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,7 +14,7 @@ import (
 // behavior within one clock step instead of sleeping wall time.
 //
 // The returned CancelFunc must be called (typically deferred) to release
-// the timer and the hook on the parent.
+// the timer and the parent watcher.
 func ContextWithTimeout(parent context.Context, clk Clock, d time.Duration) (context.Context, context.CancelFunc) {
 	return ContextWithDeadline(parent, clk, clk.Now().Add(d))
 }
@@ -25,150 +23,67 @@ func ContextWithTimeout(parent context.Context, clk Clock, d time.Duration) (con
 // context.DeadlineExceeded at instant deadline on clk. See
 // ContextWithTimeout.
 func ContextWithDeadline(parent context.Context, clk Clock, deadline time.Time) (context.Context, context.CancelFunc) {
-	c := &clockCtx{parent: parent, deadline: deadline, hasDeadline: true, done: make(chan struct{})}
+	c := &deadlineCtx{parent: parent, deadline: deadline, done: make(chan struct{})}
 	d := deadline.Sub(clk.Now())
 	if d <= 0 {
 		c.cancel(context.DeadlineExceeded)
 		return c, func() { c.cancel(context.Canceled) }
 	}
-	t := clk.AfterFunc(d, func() { c.cancel(context.DeadlineExceeded) })
-	c.mu.Lock()
-	c.timer = t
-	c.mu.Unlock()
-	c.watch()
+	c.timer = clk.AfterFunc(d, func() { c.cancel(context.DeadlineExceeded) })
+	if pd := parent.Done(); pd != nil {
+		go func() {
+			select {
+			case <-pd:
+				c.cancel(parent.Err())
+			case <-c.done:
+			}
+		}()
+	}
 	return c, func() { c.cancel(context.Canceled) }
 }
 
-// ContextWithCancel is context.WithCancel whose cancellation takes effect
-// at the virtual instant it happens: the cancel runs every AfterCancel
-// hook registered on the context — a sleeper's wake-up, a guarded
-// connection's close, a child clock context's cancel — before it returns.
-// A context.WithCancel cancelled from virtual time hands those hooks to a
-// goroutine of their own, which the clock may outrun.
-func ContextWithCancel(parent context.Context) (context.Context, context.CancelFunc) {
-	c := &clockCtx{parent: parent, done: make(chan struct{})}
-	c.watch()
-	return c, func() { c.cancel(context.Canceled) }
+// deadlineCtx is a context whose deadline runs on a Clock.
+type deadlineCtx struct {
+	parent   context.Context
+	deadline time.Time
+	timer    Timer
+
+	mu   sync.Mutex
+	err  error
+	done chan struct{}
 }
 
-// clockCtx is a context cancelled by a Clock, by its parent or by its
-// CancelFunc, whose cancel runs its hooks synchronously.
-type clockCtx struct {
-	parent      context.Context
-	deadline    time.Time
-	hasDeadline bool
-
-	mu      sync.Mutex
-	err     error
-	done    chan struct{}
-	timer   Timer       // the deadline, until it fires or the context is cancelled
-	unwatch func() bool // detaches the hook on the parent
-	hooks   []*func()   // AfterFunc hooks, run in order by cancel
-}
-
-// watch cancels c with its parent.
-func (c *clockCtx) watch() {
-	if c.parent.Done() == nil {
-		return
-	}
-	if err := c.parent.Err(); err != nil {
-		c.cancel(err)
-		return
-	}
-	stop := AfterCancel(c.parent, func() { c.cancel(c.parent.Err()) })
-	c.mu.Lock()
-	if c.err == nil {
-		c.unwatch = stop
-		stop = nil
-	}
-	c.mu.Unlock()
-	if stop != nil {
-		stop() // cancelled while registering: nothing left to watch
-	}
-}
-
-func (c *clockCtx) cancel(err error) {
+func (c *deadlineCtx) cancel(err error) {
 	c.mu.Lock()
 	if c.err != nil {
 		c.mu.Unlock()
 		return
 	}
 	c.err = err
+	t := c.timer
+	c.timer = nil
 	close(c.done)
-	t, unwatch, hooks := c.timer, c.unwatch, c.hooks
-	c.timer, c.unwatch, c.hooks = nil, nil, nil
 	c.mu.Unlock()
 	if t != nil {
 		t.Stop()
 	}
-	if unwatch != nil {
-		unwatch()
-	}
-	for _, f := range hooks {
-		(*f)()
-	}
 }
 
-// AfterFunc arranges for f to run once c is done, inside the cancel that
-// ends it, and returns a stop that detaches f and reports whether it did
-// so before f started. It is the method the context package looks for on
-// a parent, so a context.WithCancel child of c is cancelled synchronously
-// too. On an already cancelled context f runs on its own goroutine, as
-// context.AfterFunc runs it: the caller may hold a lock f takes.
-func (c *clockCtx) AfterFunc(f func()) (stop func() bool) {
-	c.mu.Lock()
-	if c.err != nil {
-		c.mu.Unlock()
-		go f()
-		return func() bool { return false }
-	}
-	h := &f
-	c.hooks = append(c.hooks, h)
-	c.mu.Unlock()
-	return func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		i := slices.Index(c.hooks, h)
-		if i < 0 {
-			return false
-		}
-		c.hooks = slices.Delete(c.hooks, i, i+1)
-		return true
-	}
-}
+// Deadline returns the clock instant of the deadline. Note that under a
+// virtual clock this is a virtual instant; net.Conn deadlines derived from
+// it are meaningful only on the system clock (virtual connections ignore
+// deadlines anyway).
+func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
-// Deadline returns the clock instant of the deadline (the parent's for a
-// ContextWithCancel). Note that under a virtual clock this is a virtual
-// instant; net.Conn deadlines derived from it are meaningful only on the
-// system clock (virtual connections ignore deadlines anyway).
-func (c *clockCtx) Deadline() (time.Time, bool) {
-	if c.hasDeadline {
-		return c.deadline, true
-	}
-	return c.parent.Deadline()
-}
+func (c *deadlineCtx) Done() <-chan struct{} { return c.done }
 
-func (c *clockCtx) Done() <-chan struct{} { return c.done }
-
-func (c *clockCtx) Err() error {
+func (c *deadlineCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
-func (c *clockCtx) Value(key any) any { return c.parent.Value(key) }
-
-// AfterCancel arranges for f to run once ctx is done and returns a stop
-// that detaches f, reporting whether it did so before f started — the
-// contract of context.AfterFunc. On a context of this package f runs
-// inside the cancel, at the instant it happens; on any other context it
-// runs on a goroutine of its own.
-func AfterCancel(ctx context.Context, f func()) (stop func() bool) {
-	if c, ok := ctx.(*clockCtx); ok {
-		return c.AfterFunc(f)
-	}
-	return context.AfterFunc(ctx, f)
-}
+func (c *deadlineCtx) Value(key any) any { return c.parent.Value(key) }
 
 // SleepCtx blocks for d of clock time or until ctx is cancelled, whichever
 // comes first, returning ctx.Err() in the latter case — the cancellable
@@ -195,22 +110,16 @@ func SleepCtx(ctx context.Context, clk Clock, d time.Duration) error {
 	}
 	s := getSleeper(clk, pool)
 	s.alarm.Reset(d)
-	unhook := AfterCancel(ctx, s.wake)
-	if s.v != nil {
-		s.v.park()
-	}
-	<-s.ch
-	// Whichever of the alarm and the cancel came second lost the claim on
-	// s; a loser that cannot be stopped any more may still be running, and
-	// a sleeper it runs in must not go back to the pool.
-	alarmStopped, hookStopped := s.alarm.Stop(), unhook()
 	var err error
-	if !hookStopped {
+	select {
+	case <-s.ch:
+	case <-ctx.Done():
 		err = ctx.Err()
+		if !s.alarm.Stop() {
+			<-s.ch // the firing is already under way: take its token, so the sleeper goes back clean
+		}
 	}
-	if alarmStopped || hookStopped {
-		pool.Put(s)
-	}
+	pool.Put(s)
 	return err
 }
 
@@ -221,35 +130,26 @@ func SleepCtx(ctx context.Context, clk Clock, d time.Duration) error {
 // clock; the wall clock's sleepers share wallSleepers.
 type sleeper struct {
 	alarm Alarm
-	v     *Virtual      // the accounting clock, nil on the wall clock
-	ch    chan struct{} // capacity 1: a wake never blocks the goroutine it runs on
-	woken atomic.Bool   // claimed by the alarm or the context's cancel, whichever is first
-	wake  func()        // s.Fire as a func value, made once per sleeper
+	ch    chan struct{} // capacity 1: Fire never blocks the goroutine it runs on
+	gate  *Virtual      // set while parked in Virtual.Sleep: the wake-up gates advances
 }
 
 var wallSleepers sync.Pool
 
 func getSleeper(clk Clock, pool *sync.Pool) *sleeper {
-	s, ok := pool.Get().(*sleeper)
-	if !ok {
-		s = &sleeper{ch: make(chan struct{}, 1)}
-		s.v, _ = clk.(*Virtual)
-		s.alarm.Init(clk, s)
-		s.wake = s.Fire
+	if s, ok := pool.Get().(*sleeper); ok {
+		return s
 	}
-	s.woken.Store(false)
+	s := &sleeper{ch: make(chan struct{}, 1)}
+	s.alarm.Init(clk, s)
 	return s
 }
 
-// Fire implements Handler: the alarm went off, or the context was
-// cancelled. The first of the two wakes the sleeper and counts it running.
+// Fire implements Handler.
 func (s *sleeper) Fire() {
-	if !s.woken.CompareAndSwap(false, true) {
-		return
-	}
-	if s.v != nil {
-		s.v.wake(1)
-		s.v.slept.Store(true)
+	if s.gate != nil {
+		s.gate.wakes.Add(1)
+		s.gate.slept.Store(true)
 	}
 	s.ch <- struct{}{}
 }

@@ -75,7 +75,7 @@ func NewServer(seed int64) *Server {
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	// Observer is a field set after construction: read it per event.
-	s.ep = transport.NewEndpoint("directory", nil, observe.Func(func(ev observe.Event) {
+	s.ep = transport.NewEndpoint("directory", observe.Func(func(ev observe.Event) {
 		observe.Emit(s.Observer, ev)
 	}))
 	return s

@@ -120,9 +120,10 @@ func (c *ShardedClient) syncWatchesLocked(set *shardSet) {
 		if _, ok := c.watches[a]; ok {
 			continue
 		}
-		ctx, halt := clock.ContextWithCancel(context.Background())
+		ctx, halt := context.WithCancel(context.Background())
 		c.watches[a] = halt
-		c.spawned.Go(c.clk, func() { c.watchLoop(ctx, a) })
+		c.wg.Add(1)
+		go c.watchLoop(ctx, a)
 	}
 }
 
@@ -132,6 +133,7 @@ func (c *ShardedClient) syncWatchesLocked(set *shardSet) {
 // read. The subscription reply itself carries the shard's current epoch,
 // so a client that boots mid-flip converges on its first read.
 func (c *ShardedClient) watchLoop(ctx context.Context, addr string) {
+	defer c.wg.Done()
 	for ctx.Err() == nil {
 		if conn, err := c.network.Dial(addr); err == nil {
 			release := netx.Guard(ctx, conn)

@@ -160,12 +160,14 @@ func (c *ShardedClient) settle(ctx context.Context, keys []string, refresh bool)
 // and hands then, if non-nil, the number of leases the pass newly placed —
 // unless the client closed first.
 func (c *ShardedClient) settleAllLocked(refresh bool, then func(placed int)) {
-	c.spawned.Go(c.clk, func() {
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
 		placed, err := c.settle(context.Background(), nil, refresh)
 		if then != nil && !errors.Is(err, errs.ErrClosed) {
 			then(placed)
 		}
-	})
+	}()
 }
 
 // armRefreshLocked schedules the next lease refresh (idempotent while one

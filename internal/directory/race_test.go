@@ -3,6 +3,7 @@ package directory
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,16 +31,18 @@ func TestServerConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() { srv.Serve(l) })
+	go srv.Serve(l)
 	defer srv.Close()
 
 	const workers = 8
 	const ops = 24
 	errs := make(chan error, workers*ops*3)
-	var wg clock.Group
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
-		wg.Go(clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			cl := NewClientOn(vnet.Host(fmt.Sprintf("h%d", w)), l.Addr().String())
 			for i := 0; i < ops; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
@@ -71,7 +74,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					}
 				}
 			}
-		})
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -100,13 +103,15 @@ func TestServerConcurrentSameID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() { srv.Serve(l) })
+	go srv.Serve(l)
 	defer srv.Close()
 
-	var wg clock.Group
+	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		w := w
-		wg.Go(clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			cl := NewClientOn(vnet.Host(fmt.Sprintf("h%d", w)), l.Addr().String())
 			for i := 0; i < 10; i++ {
 				// Duplicate registrations are errors by contract; the
@@ -114,7 +119,7 @@ func TestServerConcurrentSameID(t *testing.T) {
 				cl.Register(ctx, transport.Register{ID: "contested", Addr: "contested:1", Class: 1})
 				cl.Unregister(ctx, "contested", "")
 			}
-		})
+		}()
 	}
 	wg.Wait()
 

@@ -127,10 +127,10 @@ type ShardedClient struct {
 	watches map[string]context.CancelFunc // halts one shard's epoch watch
 	timer   clock.Timer
 	closed  bool
-	spawned clock.Group // settle passes and epoch watch loops
+	wg      sync.WaitGroup
 	// sendMu is held by settle across planning and sending, so every
 	// registration frame leaves in the order the ledger was read.
-	sendMu clock.Mutex
+	sendMu sync.Mutex
 }
 
 // NewShardedClient returns a discovery client over the given shard set.
@@ -168,7 +168,6 @@ func NewShardedClient(cfg ShardedConfig) (*ShardedClient, error) {
 		pool:     make(map[string]*Client),
 		watches:  make(map[string]context.CancelFunc),
 	}
-	c.sendMu.Init(c.clk)
 	c.mu.Lock()
 	c.cur = c.newSetLocked(ring, cfg.Addrs)
 	if c.watching {
@@ -278,9 +277,11 @@ func (c *ShardedClient) Candidates(ctx context.Context, object string, m int, ex
 	legs := c.legsLocked()
 	c.mu.Unlock()
 	replies := make([]shardReply, len(legs))
-	var grp clock.Group
+	var wg sync.WaitGroup
 	for i := range legs {
-		grp.Go(c.clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			start := c.clk.Now()
 			reply, err := legs[i].client.Lookup(ctx, object, m, exclude)
 			if errors.Is(err, transport.ErrCacheClosed) {
@@ -304,9 +305,9 @@ func (c *ShardedClient) Candidates(ctx context.Context, object string, m int, ex
 				Latency:   replies[i].latency,
 				Err:       err,
 			})
-		})
+		}()
 	}
-	grp.Wait()
+	wg.Wait()
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
@@ -424,6 +425,6 @@ func (c *ShardedClient) Close() error {
 		}
 	}
 	c.mu.Unlock()
-	c.spawned.Wait()
+	c.wg.Wait()
 	return nil
 }

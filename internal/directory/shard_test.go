@@ -47,7 +47,7 @@ func (f *shardFixture) bootShard(i int, addr string) {
 	if err != nil {
 		f.t.Fatalf("shard %d listen: %v", i, err)
 	}
-	clock.Go(f.clk, func() { srv.Serve(l) })
+	go srv.Serve(l)
 	f.t.Cleanup(func() { srv.Close() })
 	if i == len(f.shards) {
 		f.shards = append(f.shards, srv)
@@ -340,9 +340,8 @@ func TestShardedEvictionMidInitialRegister(t *testing.T) {
 	// Hold the send lock: Register stores its lease, then parks right
 	// before the initial send — the window the eviction lands in.
 	c.sendMu.Lock()
-	var regDone, unregDone clock.Group
-	var regErr, unregErr error
-	regDone.Go(f.clk, func() { regErr = c.Register(ctx, r) })
+	regDone := make(chan error, 1)
+	go func() { regDone <- c.Register(ctx, r) }()
 	waitLease := func(want bool) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -364,16 +363,15 @@ func TestShardedEvictionMidInitialRegister(t *testing.T) {
 
 	// The eviction: drops the lease immediately, then queues behind the
 	// same send lock for its withdrawal RPC.
-	unregDone.Go(f.clk, func() { unregErr = c.Unregister(ctx, r.ID, r.Object) })
+	unregDone := make(chan error, 1)
+	go func() { unregDone <- c.Unregister(ctx, r.ID, r.Object) }()
 	waitLease(false)
 
 	c.sendMu.Unlock()
-	regDone.Wait()
-	if err := regErr; err != nil {
+	if err := <-regDone; err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	unregDone.Wait()
-	if err := unregErr; err != nil {
+	if err := <-unregDone; err != nil {
 		t.Fatalf("unregister: %v", err)
 	}
 

@@ -2,6 +2,7 @@ package netx
 
 import (
 	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -49,38 +50,50 @@ func TestBandwidthSharedBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flows clock.Group
-	var drained [2]int
-	var errs [2]error
-	flows.Go(clk, func() {
+	type res struct {
+		n   int
+		err error
+	}
+	done := make(chan res, 2)
+	go func() {
 		for i := 0; i < 2; i++ {
 			c, err := l.Accept()
 			if err != nil {
-				errs[i] = err
+				done <- res{0, err}
 				return
 			}
-			flows.Go(clk, func() {
+			go func(c net.Conn) {
 				n, err := io.Copy(io.Discard, c)
-				drained[i], errs[i] = int(n), err
-			})
+				if err == nil || err == io.EOF {
+					done <- res{int(n), nil}
+				} else {
+					done <- res{int(n), err}
+				}
+			}(c)
 		}
-	})
+	}()
 	t0 := clk.Now()
 	for _, src := range []string{"a", "b"} {
 		c, err := v.Host(src).Dial(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Write(make([]byte, 1000)) // 100ms of serialization each
-		c.Close()
+		go func(c net.Conn) {
+			c.Write(make([]byte, 1000)) // 100ms of serialization each
+			c.Close()
+		}(c)
 	}
-	flows.Wait()
-	for i := range drained {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if drained[i] != 1000 {
-			t.Errorf("flow drained %d bytes, want 1000", drained[i])
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.n != 1000 {
+				t.Errorf("flow drained %d bytes, want 1000", r.n)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("flows never drained")
 		}
 	}
 	if d := clk.Since(t0); d < 200*time.Millisecond {
@@ -98,22 +111,20 @@ func TestBandwidthNamedBottleneckGroup(t *testing.T) {
 	core := LinkConfig{Latency: time.Millisecond, Bandwidth: 10_000, Bottleneck: "core"}
 	v.SetLink("a", "x", core)
 	v.SetLink("b", "y", core)
-	var flows clock.Group
-	var drained [2]time.Time
-	t0 := clk.Now()
-	for i, dst := range []string{"x", "y"} {
+	drained := make(chan time.Time, 2)
+	for _, dst := range []string{"x", "y"} {
 		l, err := v.Host(dst).Listen(":0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		flows.Go(clk, func() {
+		go func(l net.Listener) {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
 			io.Copy(io.Discard, c)
-			drained[i] = clk.Now()
-		})
+			drained <- clk.Now()
+		}(l)
 		src := "a"
 		if dst == "y" {
 			src = "b"
@@ -122,13 +133,22 @@ func TestBandwidthNamedBottleneckGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Write(make([]byte, 1000))
-		c.Close()
+		go func(c net.Conn) {
+			c.Write(make([]byte, 1000))
+			c.Close()
+		}(c)
 	}
-	flows.Wait()
-	last := drained[0]
-	if drained[1].After(last) {
-		last = drained[1]
+	t0 := clk.Now()
+	var last time.Time
+	for i := 0; i < 2; i++ {
+		select {
+		case at := <-drained:
+			if at.After(last) {
+				last = at
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("flows never drained")
+		}
 	}
 	if d := last.Sub(t0); d < 200*time.Millisecond {
 		t.Errorf("grouped flows drained in %v, want >= 200ms (one shared queue)", d)
@@ -149,16 +169,15 @@ func TestBandwidthQueueTailDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink clock.Group
-	total := -1
-	sink.Go(clk, func() {
+	total := make(chan int, 1)
+	go func() {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		n, _ := io.Copy(io.Discard, c)
-		total = int(n)
-	})
+		total <- int(n)
+	}()
 	c, err := v.Host("a").Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +190,13 @@ func TestBandwidthQueueTailDrop(t *testing.T) {
 		}
 	}
 	c.Close()
-	sink.Wait()
-	if total != 4000 {
-		t.Errorf("drained %d bytes, want 4000 (reliable stream)", total)
+	select {
+	case n := <-total:
+		if n != 4000 {
+			t.Errorf("drained %d bytes, want 4000 (reliable stream)", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("burst never drained")
 	}
 	if d := v.QueueDrops(); d == 0 {
 		t.Error("flooding a bounded queue recorded no drops")
@@ -213,7 +236,7 @@ func TestDialCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() {
+	go func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
@@ -221,7 +244,7 @@ func TestDialCounter(t *testing.T) {
 			}
 			c.Close()
 		}
-	})
+	}()
 	for i := 0; i < 3; i++ {
 		c, err := v.Host("a").Dial(l.Addr().String())
 		if err != nil {

@@ -54,8 +54,8 @@ func newConnPair(v *Virtual, local vAddr, l *vListener) *connPair {
 	p := &connPair{l: l}
 	p.a = vConn{v: v, local: local, remote: l.addr, inbox: &p.ai, peer: &p.b}
 	p.b = vConn{v: v, local: l.addr, remote: local, inbox: &p.bi, peer: &p.a}
-	initInbox(&p.ai, v.clk)
-	initInbox(&p.bi, v.clk)
+	initInbox(&p.ai, v.clk, v.waker)
+	initInbox(&p.bi, v.clk, v.waker)
 	p.syn.Init(v.clk, p)
 	return p
 }
@@ -177,9 +177,9 @@ func (c *vConn) SetWriteDeadline(time.Time) error { return nil }
 // inbox is the receive side of one connection end: a pending list of
 // in-flight chunks covered by a single flush alarm — the inbox itself is
 // the alarm's handler, so re-arming allocates nothing — and a ready list of
-// delivered chunks consumed (and recycled) by read. A blocked reader parks
-// on cond, so a deposit or a failure counts it running as it wakes it.
+// delivered chunks consumed (and recycled) by read.
 type inbox struct {
+	waker waker
 	alarm clock.Alarm // the flush: fires Fire at armedAt while armed
 
 	// hardFail mirrors "dead with a non-Close error" so the peer's write
@@ -187,7 +187,7 @@ type inbox struct {
 	hardFail atomic.Bool
 
 	mu   sync.Mutex
-	cond clock.Cond
+	cond sync.Cond
 	// ready list: delivered chunks, readable now (roff = read offset into
 	// rhead's data).
 	rhead, rtail *chunk
@@ -202,16 +202,21 @@ type inbox struct {
 	lastAt time.Time
 	eof    bool  // graceful peer close, surfaced after buffered data
 	dead   error // hard failure (local close, peer crash): immediate
+	// waiting counts blocked readers; wakes counts deliveries that
+	// unblocked one and have not yet been consumed (advance gating).
+	waiting int
+	wakes   int
 }
 
-func initInbox(in *inbox, clk clock.Clock) {
-	in.cond.Init(clk, &in.mu)
+func initInbox(in *inbox, clk clock.Clock, w waker) {
+	in.waker = w
+	in.cond.L = &in.mu
 	in.alarm.Init(clk, in)
 }
 
 // depositLocked moves one chunk from in flight to readable (or records the
-// end-of-stream mark). Callers hold in.mu and broadcast once after their
-// last deposit.
+// end-of-stream mark) and accounts the advance-gating wake. Callers hold
+// in.mu and broadcast once after their last deposit.
 func (in *inbox) depositLocked(ch *chunk) {
 	if ch.eof {
 		in.eof = true
@@ -225,12 +230,19 @@ func (in *inbox) depositLocked(ch *chunk) {
 		}
 		in.rtail = ch
 	}
+	if in.waiting > 0 && in.waker != nil {
+		// Hold further advances until the reader consumed this.
+		in.wakes++
+		in.waker.NoteWake()
+	}
 }
 
 // Fire implements clock.Handler, the flush: it delivers every pending chunk
 // due at the instant the alarm fired, then re-arms for the earliest
 // remaining one. It runs on the clock's advancing goroutine with no clock
-// lock held; the fire instant is the one it was armed for.
+// lock held. The fire instant is carried in armedAt rather than read from
+// the clock: Now() would count as reader activity and retire a wake gate
+// that is not ours.
 func (in *inbox) Fire() {
 	in.mu.Lock()
 	now := in.armedAt
@@ -281,7 +293,14 @@ func (in *inbox) fail(err error) {
 func (in *inbox) read(p []byte) (int, error) {
 	in.mu.Lock()
 	for in.rhead == nil && !in.eof && in.dead == nil {
+		in.waiting++
 		in.cond.Wait()
+		in.waiting--
+	}
+	retire := false
+	if in.wakes > 0 {
+		in.wakes--
+		retire = true
 	}
 	var n int
 	var err error
@@ -307,5 +326,8 @@ func (in *inbox) read(p []byte) (int, error) {
 		err = errEOF
 	}
 	in.mu.Unlock()
+	if retire && in.waker != nil {
+		in.waker.WakeDone()
+	}
 	return n, err
 }

@@ -3,23 +3,21 @@ package netx
 import (
 	"context"
 	"net"
+	"sync"
 	"time"
-
-	"p2pstream/internal/clock"
 )
 
 // DialContext dials addr on nw, honoring ctx: a cancelled or expired
 // context aborts the dial and returns ctx.Err(). Network implementations
-// take no context themselves. A virtual dial never blocks — the acceptee
-// surfaces one link latency later, on the network's clock — so it runs
-// inline; any other dial (real TCP, resolved in the kernel) runs on its
-// own goroutine, and a late success against a cancelled context is closed
+// take no context themselves (the virtual network resolves dials in
+// virtual time, real TCP in the kernel), so the dial runs on its own
+// goroutine and a late success against a cancelled context is closed
 // instead of leaked.
 func DialContext(ctx context.Context, nw Network, addr string) (net.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, virtual := nw.(*host); virtual || ctx.Done() == nil {
+	if ctx.Done() == nil {
 		return nw.Dial(addr)
 	}
 	type result struct {
@@ -27,33 +25,29 @@ func DialContext(ctx context.Context, nw Network, addr string) (net.Conn, error)
 		err  error
 	}
 	ch := make(chan result, 1)
-	clock.Go(clock.System(), func() {
+	go func() {
 		conn, err := nw.Dial(addr)
 		ch <- result{conn, err}
-	})
+	}()
 	select {
 	case r := <-ch:
 		return r.conn, r.err
 	case <-ctx.Done():
-		clock.Go(clock.System(), func() {
+		go func() {
 			if r := <-ch; r.conn != nil {
 				r.conn.Close()
 			}
-		})
+		}()
 		return nil, ctx.Err()
 	}
 }
 
 // Guard ties an open connection to a context: the connection's deadline is
 // derived from the context's (a no-op on virtual connections, which ignore
-// deadlines), and the connection is closed the moment ctx is cancelled —
-// unblocking any read or write in flight, on both the real and the virtual
-// substrate. On a clock context (clock.ContextWithTimeout and friends) the
-// close runs inside the cancel, at its virtual instant. The returned
-// release detaches the guard and must be called when the exchange is over
-// (defer it right after Guard): a release that happens before the
-// cancellation wins, so the connection is never torn down under its next
-// owner.
+// deadlines), and a watcher closes the connection the moment ctx is
+// cancelled — unblocking any read or write in flight, on both the real and
+// the virtual substrate. The returned release stops the watcher and must
+// be called when the exchange is over (defer it right after Guard).
 func Guard(ctx context.Context, conn net.Conn) (release func()) {
 	if d, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(d)
@@ -65,21 +59,22 @@ func Guard(ctx context.Context, conn net.Conn) (release func()) {
 	if ctx.Done() == nil {
 		return func() {}
 	}
-	stop := clock.AfterCancel(ctx, func() { conn.Close() })
-	return func() { stop() }
-}
-
-// ClockOf returns the clock a virtual network's host, listener or
-// connection runs on, and the system clock for anything else: the clock
-// that goroutines serving them must be started on (clock.Go).
-func ClockOf(x any) clock.Clock {
-	switch x := x.(type) {
-	case *host:
-		return x.v.clk
-	case *vListener:
-		return x.v.clk
-	case *vConn:
-		return x.v.clk
-	}
-	return clock.System()
+	released := make(chan struct{})
+	go func() {
+		select {
+		case <-ctx.Done():
+			// A release that happened before the cancellation wins even
+			// when the select saw both channels ready: the exchange is
+			// over and the connection must not be torn down under its
+			// next owner.
+			select {
+			case <-released:
+			default:
+				conn.Close()
+			}
+		case <-released:
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(released) }) }
 }

@@ -85,14 +85,14 @@ func TestGuardClosesOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	clock.Go(clk, func() {
+	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
 		// Never write: the client read blocks until the guard fires.
 		_ = conn
-	})
+	}()
 
 	conn, err := v.Host("a").Dial(l.Addr().String())
 	if err != nil {
@@ -125,21 +125,24 @@ func TestGuardReleaseDetaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	clock.Go(clk, func() {
+	accepted := make(chan struct{})
+	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
+		close(accepted)
 		buf := make([]byte, 1)
 		conn.Read(buf)
 		conn.Write([]byte{'y'})
-	})
+	}()
 
 	conn, err := v.Host("a").Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	<-accepted
 	ctx, cancel := context.WithCancel(context.Background())
 	release := Guard(ctx, conn)
 	release()

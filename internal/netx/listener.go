@@ -4,24 +4,23 @@ import (
 	"io"
 	"net"
 	"sync"
-
-	"p2pstream/internal/clock"
 )
 
 var errEOF = io.EOF
 
 // vListener is a virtual listener: dials enqueue the acceptee end of the
-// connection after one link latency. A blocked Accept parks on cond, so an
-// enqueue or Close counts it running as it wakes it.
+// connection after one link latency.
 type vListener struct {
 	v    *Virtual
 	addr vAddr
 
-	mu     sync.Mutex
-	cond   clock.Cond
-	queue  []*vConn // connections awaiting Accept are queue[head:]
-	head   int
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*vConn // connections awaiting Accept are queue[head:]
+	head    int
+	closed  bool
+	waiting int
+	wakes   int
 }
 
 // enqueue surfaces one accepted connection. It runs on the clock's
@@ -45,6 +44,10 @@ func (l *vListener) enqueue(c *vConn) {
 		l.queue, l.head = l.queue[:n], 0
 	}
 	l.queue = append(l.queue, c)
+	if l.waiting > 0 && l.v.waker != nil {
+		l.wakes++
+		l.v.waker.NoteWake()
+	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
@@ -52,7 +55,14 @@ func (l *vListener) enqueue(c *vConn) {
 func (l *vListener) Accept() (net.Conn, error) {
 	l.mu.Lock()
 	for l.head == len(l.queue) && !l.closed {
+		l.waiting++
 		l.cond.Wait()
+		l.waiting--
+	}
+	retire := false
+	if l.wakes > 0 {
+		l.wakes--
+		retire = true
 	}
 	var c *vConn
 	var err error
@@ -69,6 +79,9 @@ func (l *vListener) Accept() (net.Conn, error) {
 		err = net.ErrClosed
 	}
 	l.mu.Unlock()
+	if retire && l.v.waker != nil {
+		l.v.waker.WakeDone()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package netx
 import (
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,12 +19,12 @@ func TestVirtualLossDelaysDelivery(t *testing.T) {
 		defer a.Close()
 		defer b.Close()
 		t0 := clk.Now()
-		clock.Go(clk, func() {
+		go func() {
 			for i := 0; i < 32; i++ {
 				a.Write([]byte{byte(i)})
 			}
 			a.Close()
-		})
+		}()
 		got, err := io.ReadAll(b)
 		if err != nil {
 			t.Fatal(err)
@@ -57,18 +58,18 @@ func TestVirtualBlockedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	clock.Go(clk, func() {
+	go func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
-			clock.Go(clk, func() {
+			go func() {
 				io.Copy(c, c)
 				c.Close()
-			})
+			}()
 		}
-	})
+	}()
 	a, err := v.Host("a").Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestVirtualScheduledLinkMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	clock.Go(clk, func() {
+	go func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
@@ -118,7 +119,7 @@ func TestVirtualScheduledLinkMutation(t *testing.T) {
 			}
 			c.Close()
 		}
-	})
+	}()
 
 	v.ScheduleLink(50*time.Millisecond, "a", "b", LinkConfig{Blocked: true})
 	v.ScheduleDefaultLink(100*time.Millisecond, LinkConfig{Latency: 9 * time.Millisecond})
@@ -162,7 +163,7 @@ func TestVirtualSetUpRevivesHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() {
+	go func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
@@ -170,7 +171,7 @@ func TestVirtualSetUpRevivesHost(t *testing.T) {
 			}
 			c.Close()
 		}
-	})
+	}()
 	v.SetDown("b")
 	if _, err := v.Host("b").Listen(":0"); err == nil {
 		t.Fatal("listen on crashed host succeeded")
@@ -180,14 +181,21 @@ func TestVirtualSetUpRevivesHost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen after SetUp: %v", err)
 	}
+	accepted := make(chan struct{})
+	go func() {
+		if c, err := l2.Accept(); err == nil {
+			c.Close()
+			close(accepted)
+		}
+	}()
 	if _, err := v.Host("a").Dial(l2.Addr().String()); err != nil {
 		t.Fatalf("dial after SetUp: %v", err)
 	}
-	c, err := l2.Accept()
-	if err != nil {
-		t.Fatalf("revived host never accepted: %v", err)
+	select {
+	case <-accepted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("revived host never accepted")
 	}
-	c.Close()
 }
 
 // TestVirtualLinkMutationWhileActive is the race-focused stress for the
@@ -207,28 +215,30 @@ func TestVirtualLinkMutationWhileActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() {
+	go func() {
 		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
 			}
-			clock.Go(clk, func() {
+			go func() {
 				io.Copy(c, c)
 				c.Close()
-			})
+			}()
 		}
-	})
+	}()
 	addr := l.Addr().String()
 
 	const clients = 4
 	const rounds = 12
 	done := make([]int, clients)
-	var wg clock.Group
+	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		i := i
 		host := fmt.Sprintf("h%d", i)
-		wg.Go(clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for attempt := 0; attempt < 200; attempt++ {
 					conn, err := v.Host(host).Dial(addr)
@@ -257,9 +267,11 @@ func TestVirtualLinkMutationWhileActive(t *testing.T) {
 					break
 				}
 			}
-		})
+		}()
 	}
-	wg.Go(clk, func() {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
 		configs := []LinkConfig{
 			{Latency: time.Millisecond, Jitter: 500 * time.Microsecond},
 			{Latency: 100 * time.Microsecond, Loss: 0.3},
@@ -281,7 +293,7 @@ func TestVirtualLinkMutationWhileActive(t *testing.T) {
 			v.SetLink(fmt.Sprintf("h%d", i), "srv", LinkConfig{Latency: 200 * time.Microsecond})
 		}
 		v.SetDefaultLink(LinkConfig{Latency: 200 * time.Microsecond})
-	})
+	}()
 	wg.Wait()
 	for i, n := range done {
 		if n == 0 {

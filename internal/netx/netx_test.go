@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,15 +67,25 @@ func virtualPair(t *testing.T, cfg LinkConfig) (dialer, acceptee net.Conn, clk *
 	if err != nil {
 		t.Fatal(err)
 	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		accepted <- c
+	}()
 	a, err := v.Host("a").Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case b := <-accepted:
+		return a, b, clk
+	case <-time.After(10 * time.Second):
+		t.Fatal("accept never surfaced")
+		return nil, nil, nil
 	}
-	return a, b, clk
 }
 
 func TestVirtualRoundTripWithLatency(t *testing.T) {
@@ -106,10 +117,12 @@ func TestVirtualFIFOUnderJitter(t *testing.T) {
 	defer b.Close()
 
 	var wrote strings.Builder
-	for i := 0; i < 20; i++ {
-		a.Write([]byte{byte('a' + i)})
-	}
-	a.Close()
+	go func() {
+		for i := 0; i < 20; i++ {
+			a.Write([]byte{byte('a' + i)})
+		}
+		a.Close()
+	}()
 	got, err := io.ReadAll(b)
 	if err != nil {
 		t.Fatal(err)
@@ -197,25 +210,36 @@ func TestVirtualHostCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			accepted <- c
+		}
+	}()
 	a, err := v.Host("a").Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
+	var b net.Conn
+	select {
+	case b = <-accepted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("accept never surfaced")
 	}
 
-	var reader clock.Group
-	var readErr error
-	reader.Go(clk, func() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	readErr := make(chan error, 1)
+	go func() {
+		defer wg.Done()
 		buf := make([]byte, 1)
-		_, readErr = a.Read(buf)
-	})
-	clk.Sleep(time.Millisecond) // the reader parks first
+		_, err := a.Read(buf)
+		readErr <- err
+	}()
 	v.SetDown("b")
-	reader.Wait()
-	if err := readErr; err == nil || errors.Is(err, io.EOF) {
+	wg.Wait()
+	if err := <-readErr; err == nil || errors.Is(err, io.EOF) {
 		t.Errorf("read on crashed peer returned %v, want a hard error", err)
 	}
 	if _, err := b.Write([]byte("x")); err == nil {

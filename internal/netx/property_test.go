@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -37,14 +38,24 @@ func streamProperty(seed int64, link LinkConfig, nChunks, maxChunk int) error {
 	if err != nil {
 		return err
 	}
+	type accepted struct {
+		c   net.Conn
+		err error
+	}
+	acceptCh := make(chan accepted, 1)
+	go func() {
+		c, err := l.Accept()
+		acceptCh <- accepted{c, err}
+	}()
 	w, err := v.Host("req").Dial(l.Addr().String())
 	if err != nil {
 		return err
 	}
-	r, err := l.Accept()
-	if err != nil {
-		return err
+	acc := <-acceptCh
+	if acc.err != nil {
+		return acc.err
 	}
+	r := acc.c
 
 	rng := rand.New(rand.NewSource(seed))
 	var want []byte
@@ -57,10 +68,11 @@ func streamProperty(seed int64, link LinkConfig, nChunks, maxChunk int) error {
 		n  int
 		at time.Time
 	}
-	var reader clock.Group
-	var got []byte
-	var obs []readObs
-	reader.Go(clk, func() {
+	readsCh := make(chan []readObs, 1)
+	gotCh := make(chan []byte, 1)
+	go func() {
+		var got []byte
+		var obs []readObs
 		buf := make([]byte, 2048)
 		for {
 			n, err := r.Read(buf)
@@ -72,7 +84,9 @@ func streamProperty(seed int64, link LinkConfig, nChunks, maxChunk int) error {
 				break
 			}
 		}
-	})
+		readsCh <- obs
+		gotCh <- got
+	}()
 
 	for i := 0; i < nChunks; i++ {
 		size := 1 + rng.Intn(maxChunk)
@@ -92,7 +106,8 @@ func streamProperty(seed int64, link LinkConfig, nChunks, maxChunk int) error {
 		return err
 	}
 
-	reader.Wait()
+	obs := <-readsCh
+	got := <-gotCh
 	if !bytes.Equal(got, want) {
 		return &streamErr{fmt.Sprintf("stream mismatch: got %d bytes, want %d (first divergence %d)",
 			len(got), len(want), firstDiff(got, want))}

@@ -60,6 +60,13 @@ type LinkConfig struct {
 // the link bandwidth (a "250ms buffer", the classic access-link default).
 const defaultQueueDelay = 250 * time.Millisecond
 
+// waker is the optional clock interface the virtual network uses to gate
+// auto-advancing while a delivery it just made is still being consumed.
+type waker interface {
+	NoteWake()
+	WakeDone()
+}
+
 // shardCount is a power of two comfortably above the core counts the
 // harness runs on, so host-keyed state rarely contends.
 const shardCount = 64
@@ -86,8 +93,9 @@ type shard struct {
 // path is lock-free outside its own connection, so six-digit host counts
 // do not serialize on the network object.
 type Virtual struct {
-	clk  clock.Clock
-	seed int64
+	clk   clock.Clock
+	waker waker // non-nil when clk supports advance gating
+	seed  int64
 
 	// epoch versions the link tables: SetLink/SetDefaultLink bump it after
 	// writing, and every conn re-resolves its cached LinkConfig when the
@@ -179,6 +187,9 @@ func (v *Virtual) QueueDrops() int64 { return v.queueDrops.Load() }
 // seed fixes jitter and drop randomness.
 func NewVirtual(clk clock.Clock, seed int64) *Virtual {
 	v := &Virtual{clk: clk, seed: seed}
+	if w, ok := clk.(waker); ok {
+		v.waker = w
+	}
 	v.epoch.Store(1)
 	v.def.Store(new(LinkConfig))
 	v.btls = make(map[string]*bottleneck)
@@ -327,7 +338,7 @@ func (h *host) Listen(addr string) (net.Listener, error) {
 		return nil, fmt.Errorf("netx: host %s is down", h.name)
 	}
 	l := &vListener{v: v, addr: vAddr{host: h.name, port: port}}
-	l.cond.Init(v.clk, &l.mu)
+	l.cond = sync.NewCond(&l.mu)
 	key := l.addr.String()
 	if _, taken := sh.listeners[key]; taken {
 		return nil, fmt.Errorf("netx: address %s already in use", key)

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -23,18 +24,18 @@ func (c *cluster) blackholeSupplier(id string, class bandwidth.Class) {
 		c.t.Fatal(err)
 	}
 	c.t.Cleanup(func() { l.Close() })
-	clock.Go(c.clk, func() {
+	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			clock.Go(c.clk, func() {
+			go func(conn net.Conn) {
 				// Read the probe and then sit on the connection silently.
 				transport.Read(conn)
-			})
+			}(conn)
 		}
-	})
+	}()
 	cl := directory.NewClientOn(c.net.Host("registrar-"+id), c.dirAddr)
 	if err := cl.Register(context.Background(), transport.Register{ID: id, Addr: l.Addr().String(), Class: class}); err != nil {
 		c.t.Fatal(err)
@@ -52,7 +53,7 @@ func TestCancelMidProbe(t *testing.T) {
 	req := c.requester("r", 1)
 
 	const cancelAt = 30 * time.Millisecond
-	ctx, cancel := clock.ContextWithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c.clk.AfterFunc(cancelAt, cancel)
 
@@ -112,7 +113,7 @@ func TestCancelMidSession(t *testing.T) {
 
 	// The 2-supplier session runs ~128ms of virtual time; 40ms is
 	// deterministically mid-stream.
-	ctx, cancel := clock.ContextWithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c.clk.AfterFunc(40*time.Millisecond, cancel)
 
@@ -150,7 +151,7 @@ func TestCancelBetweenAdmissionAndSessionStart(t *testing.T) {
 	s2 := c.seed("seed2", 1)
 	req := c.requester("r", 1)
 
-	ctx, cancel := clock.ContextWithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req.testHookAdmitted = cancel // lands exactly in the admission-to-start gap
 
@@ -194,7 +195,7 @@ func TestCancelMidBackoff(t *testing.T) {
 	c.seed("onlyseed", 2) // offers R0/4: can never admit alone
 	req := c.requester("r", 4)
 
-	ctx, cancel := clock.ContextWithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// First attempt rejects quickly; backoff is 20ms. Cancel at 5ms lands
 	// either in the first attempt or the first backoff; both must abort.
@@ -214,14 +215,13 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 	req := c.requester("r", 1)
 
 	baseline := runtime.NumGoroutine()
-	ctx, cancel := clock.ContextWithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	c.clk.AfterFunc(40*time.Millisecond, cancel)
 	if _, err := req.Request(ctx, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	cancel()
-	// The transient goroutines unwind asynchronously, some of them in
-	// virtual time; poll briefly, parked on the clock between looks.
+	// The transient goroutines unwind asynchronously; poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= baseline+3 {
@@ -231,6 +231,6 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 			t.Errorf("goroutines: %d, baseline %d — cancelled requests leaked", runtime.NumGoroutine(), baseline)
 			return
 		}
-		c.clk.Sleep(time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
@@ -29,10 +29,10 @@ func TestSupplierCrashMidSession(t *testing.T) {
 	// Crash seed1 25ms (virtual) into the session — the 2-supplier session
 	// runs ~128ms of virtual time, so the crash deterministically lands
 	// mid-stream.
-	clock.Go(c.clk, func() {
+	go func() {
 		c.clk.Sleep(25 * time.Millisecond)
 		s1.Close()
-	})
+	}()
 	_, err := req.Request(context.Background(), "")
 	if err == nil {
 		// Timing race: the session may have finished before the crash on a
@@ -113,13 +113,15 @@ func TestConcurrentRequesters(t *testing.T) {
 	for i := 0; i < n; i++ {
 		reqs[i] = c.requester("r"+string(rune('0'+i)), 1)
 	}
-	var wg clock.Group
+	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		i := i
-		wg.Go(c.clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			_, errs[i] = reqs[i].RequestUntilAdmitted(context.Background(), "", 30)
-		})
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"p2pstream/internal/bandwidth"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
@@ -105,15 +104,14 @@ func TestHeldLineDialBudget(t *testing.T) {
 			rejected := c.warmRequester(config("r2", 1))
 
 			dials := c.net.Dials()
-			var session clock.Group
-			var sessionErr error
-			session.Go(c.clk, func() {
+			done := make(chan error, 1)
+			go func() {
 				report, err := admitted.Request(context.Background(), object)
 				if err == nil && len(report.Suppliers) != 3 {
 					err = errors.New("session did not use all three seeds")
 				}
-				sessionErr = err
-			})
+				done <- err
+			}()
 			// The three-supplier session runs for ~128ms of virtual time: at
 			// 20ms the sweep is long over and every seed is busy streaming.
 			c.clk.Sleep(20 * time.Millisecond)
@@ -136,8 +134,7 @@ func TestHeldLineDialBudget(t *testing.T) {
 				t.Errorf("rejected request: %d peer connections, want 3 probes + 3 reminders", got)
 			}
 
-			session.Wait()
-			if err := sessionErr; err != nil {
+			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 			if n := tally.Snapshot().Of(observe.TriggerDial).N; n != 0 {
@@ -377,7 +374,7 @@ func TestHeldLineCancelMidSweep(t *testing.T) {
 			}
 			req := c.requester("r", 1)
 
-			ctx, cancel := clock.ContextWithCancel(context.Background())
+			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			held := make(chan int, 1)
 			c.clk.AfterFunc(30*time.Millisecond, func() {
@@ -429,8 +426,15 @@ func TestHeldLineCloseReturns(t *testing.T) {
 	c := newCluster(t)
 	s := c.seed("seed1", 1)
 	a, b := c.grantedLine(s), c.grantedLine(s)
-	if err := s.Close(); err != nil { // hangs if Close waits for the held lines
-		t.Fatal(err)
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close is waiting for the held lines")
 	}
 	for _, conn := range []net.Conn{a, b} {
 		if _, err := transport.Read(conn); err == nil {

@@ -316,7 +316,7 @@ func newNode(cfg Config) (*Node, error) {
 		pending: make(map[string]*media.Store),
 		rng:     splitmix.Rand(cfg.Seed),
 	}
-	n.ep = transport.NewEndpoint(n.comp, n.clk, cfg.Observer)
+	n.ep = transport.NewEndpoint(n.comp, cfg.Observer)
 	for i, f := range cfg.catalog() {
 		if i == 0 {
 			n.primary = f.Name

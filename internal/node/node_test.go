@@ -50,7 +50,7 @@ func newCluster(t *testing.T) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() { srv.Serve(l) })
+	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return &cluster{t: t, clk: clk, net: vnet, dirAddr: l.Addr().String()}
 }
@@ -261,9 +261,11 @@ func TestBusySupplierRefusesSecondSession(t *testing.T) {
 	c.seed("seed2", 1)
 	p1 := c.requester("p1", 1)
 
-	var session clock.Group
-	var sessionErr error
-	session.Go(c.clk, func() { _, sessionErr = p1.Request(context.Background(), "") })
+	done := make(chan error, 1)
+	go func() {
+		_, err := p1.Request(context.Background(), "")
+		done <- err
+	}()
 	// Give the session a moment of virtual time to start, then hit seed1
 	// with a Start. The session runs ~128ms of virtual time, so at 20ms it
 	// is deterministically still busy.
@@ -285,8 +287,7 @@ func TestBusySupplierRefusesSecondSession(t *testing.T) {
 	if reply.OK {
 		t.Error("busy supplier accepted a second session")
 	}
-	session.Wait()
-	if err := sessionErr; err != nil {
+	if err := <-done; err != nil {
 		t.Fatalf("original session failed: %v", err)
 	}
 }

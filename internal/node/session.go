@@ -401,7 +401,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		downgraded int
 		maxQuality media.Quality
 		rcvErrs    []error
-		receivers  clock.Group
+		wg         sync.WaitGroup
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -409,6 +409,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		mu.Unlock()
 	}
 	receive := func(conn net.Conn, st stream) {
+		defer wg.Done()
 		received, acked := 0, 0
 		for {
 			env, err := transport.Read(conn)
@@ -467,12 +468,13 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		}
 	}
 	// One goroutine per stream but the last, which this one receives.
+	wg.Add(len(chosen))
 	last := len(chosen) - 1
 	for i := 0; i < last; i++ {
-		receivers.Go(n.clk, func() { receive(lines[at[i]], streams[i]) })
+		go receive(lines[at[i]], streams[i])
 	}
 	receive(lines[at[last]], streams[last])
-	receivers.Wait()
+	wg.Wait()
 	if len(rcvErrs) > 0 {
 		return nil, transport.CtxErr(ctx, rcvErrs[0])
 	}

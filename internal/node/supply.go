@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"p2pstream/internal/bwe"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/media"
 	"p2pstream/internal/observe"
@@ -106,7 +105,7 @@ func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
 func (n *Node) handleStart(conn net.Conn, req transport.Start) {
 	if acks := n.supply(conn, req); acks != nil {
 		n.ep.Arm(conn)
-		acks.Wait()
+		<-acks
 	}
 }
 
@@ -114,9 +113,9 @@ func (n *Node) handleStart(conn net.Conn, req transport.Start) {
 // strand the session), claims the busy state, tells the requester which
 // plane the session runs on and streams the assignment; the deferred
 // EndSession applies the post-session vector update. For a session with
-// feedback it returns the group of its ack reader, which returns once the
-// requester hangs up, and nil otherwise.
-func (n *Node) supply(conn net.Conn, req transport.Start) *clock.Group {
+// feedback it returns the channel its ack reader closes once the requester
+// hangs up, and nil otherwise.
+func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
 	file, store, ok := n.lib.Acquire(req.FileName)
 	if !ok {
 		// Not held (never was, or evicted since the requester's lookup):
@@ -147,7 +146,7 @@ func (n *Node) supply(conn net.Conn, req transport.Start) *clock.Group {
 	// the schedule says, not one exchange.
 	conn.SetDeadline(time.Time{})
 	var flow *pacing.Flow
-	var acks *clock.Group
+	var acks chan struct{}
 	if feedback {
 		committed := n.committed(file)
 		flow = pacing.NewFlow(n.clk, bwe.Config{
@@ -157,17 +156,18 @@ func (n *Node) supply(conn net.Conn, req transport.Start) *clock.Group {
 			// queue a cut targets to drain on scenario timescales.
 			HoldTime: 2 * file.SegmentTime,
 		}, file.SegmentBytes)
-		acks = new(clock.Group)
-		acks.Go(n.clk, func() { n.readAcks(conn, flow) })
+		acks = make(chan struct{})
+		go n.readAcks(conn, flow, acks)
 	}
 	n.stream(conn, req, file, store, flow)
 	return acks
 }
 
 // readAcks feeds the requester's acknowledgments — each the bytes it has
-// stored from this stream so far — to the session's flow, until the
-// requester hangs up or the connection dies.
-func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow) {
+// stored from this stream so far — to the session's flow, and closes done
+// when the requester hangs up or the connection dies.
+func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow, done chan<- struct{}) {
+	defer close(done)
 	for {
 		env, err := transport.Read(conn)
 		if err != nil || env.Kind != transport.KindAck {

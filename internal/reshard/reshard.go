@@ -127,7 +127,7 @@ type Controller struct {
 	timer    clock.Timer
 	started  bool
 	closed   bool
-	spawned  clock.Group // flips and retires, which must not block the goroutine firing an instant
+	wg       sync.WaitGroup
 }
 
 // New validates cfg and returns an idle controller; Start arms it.
@@ -265,7 +265,7 @@ func (c *Controller) Close() {
 			c.cfg.Retire(m)
 		}
 	}
-	c.spawned.Wait()
+	c.wg.Wait()
 }
 
 // load is one member's cumulative demand, measured as lookups alone.
@@ -341,16 +341,19 @@ func (c *Controller) tick() {
 	case c.hot >= c.cfg.Sustain && len(c.members) < c.cfg.MaxShards && c.cfg.Spawn != nil:
 		c.hot, c.cold = 0, 0
 		c.flipping = true
-		c.spawned.Go(c.clk, c.grow)
+		c.wg.Add(1)
+		go c.grow()
 	case c.cold >= c.cfg.Sustain && len(c.members) > c.cfg.MinShards && coldest >= 0:
 		c.hot, c.cold = 0, 0
 		c.flipping = true
-		c.spawned.Go(c.clk, func() { c.drain(coldest) })
+		c.wg.Add(1)
+		go c.drain(coldest)
 	}
 }
 
 // grow spawns one shard and flips the epoch to include it.
 func (c *Controller) grow() {
+	defer c.wg.Done()
 	c.mu.Lock()
 	seq := c.seq
 	c.seq++
@@ -402,6 +405,7 @@ func (c *Controller) grow() {
 // drained server keeps running — and keeps receiving the flip, so its
 // watchers learn to leave — until DrainGrace expires and Retire runs.
 func (c *Controller) drain(idx int) {
+	defer c.wg.Done()
 	c.mu.Lock()
 	if c.closed || idx >= len(c.members) {
 		c.flipping = false
@@ -458,8 +462,12 @@ func (c *Controller) retire(p *pendingRetire) {
 			break
 		}
 	}
-	if c.cfg.Retire != nil {
-		c.spawned.Go(c.clk, func() { c.cfg.Retire(p.m) })
-	}
+	c.wg.Add(1)
 	c.mu.Unlock()
+	go func() {
+		defer c.wg.Done()
+		if c.cfg.Retire != nil {
+			c.cfg.Retire(p.m)
+		}
+	}()
 }

@@ -43,7 +43,7 @@ func (f *fixture) spawn(seq int) (Member, error) {
 	if err != nil {
 		return Member{}, err
 	}
-	clock.Go(f.clk, func() { srv.Serve(l) })
+	go srv.Serve(l)
 	f.t.Cleanup(func() { srv.Close() })
 	f.mu.Lock()
 	f.servers[name] = srv
@@ -129,8 +129,10 @@ func TestControllerGrowsAndDrains(t *testing.T) {
 	cl := directory.NewClientOn(f.vnet.Host("load"), first.Addr)
 	defer cl.Close()
 	stop := make(chan struct{})
-	var loadWG clock.Group
-	loadWG.Go(f.clk, func() {
+	var loadWG sync.WaitGroup
+	loadWG.Add(1)
+	go func() {
+		defer loadWG.Done()
 		for {
 			select {
 			case <-stop:
@@ -142,7 +144,7 @@ func TestControllerGrowsAndDrains(t *testing.T) {
 			}
 			f.clk.Sleep(500 * time.Microsecond)
 		}
-	})
+	}()
 	f.waitFor("scale-out to 3 shards", func() bool { return len(ctrl.Members()) == 3 })
 	close(stop)
 	loadWG.Wait()

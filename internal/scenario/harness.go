@@ -130,7 +130,9 @@ type harness struct {
 // run's teardown), the virtual network and the spec's static links.
 func newHarness(spec *Spec) *harness {
 	clk := clock.NewVirtual()
-	clk.SetCoalesce(spec.ClockCoalesce)
+	if spec.ClockCoalesce > 0 {
+		clk.SetCoalesce(spec.ClockCoalesce)
+	}
 	h := &harness{spec: spec, clk: clk, hosts: spec.hosts(), nodes: make(map[string]*node.Node)}
 	h.onClose(clk.AutoRun())
 	h.net = netx.NewVirtual(clk, spec.Seed)
@@ -339,12 +341,12 @@ func (h *harness) schedule() []workItem {
 		case Leave:
 			// Close blocks on connection handlers; never block the
 			// clock's advancing goroutine.
-			h.clk.AfterFunc(ev.At, func() { clock.Go(h.clk, func() { h.closeNode(ev.Node) }) })
+			h.clk.AfterFunc(ev.At, func() { go h.closeNode(ev.Node) })
 		case Join:
 			if shard >= 0 {
 				// Rebirth of a crashed registry shard, not a peer: a fresh
 				// empty server re-listens on the shard's fixed address.
-				h.clk.AfterFunc(ev.At, func() { clock.Go(h.clk, func() { h.reg.revive(shard) }) })
+				h.clk.AfterFunc(ev.At, func() { go h.reg.revive(shard) })
 				continue
 			}
 			work = append(work, workItem{
@@ -361,11 +363,15 @@ func (h *harness) schedule() []workItem {
 // its requester to completion, and the step returns once all have.
 func (h *harness) runWorkload(base time.Time, work []workItem) []NodeResult {
 	results := make([]NodeResult, len(work))
-	var requesters clock.Group
+	var wg sync.WaitGroup
 	for i, w := range work {
-		requesters.Go(h.clk, func() { h.runRequester(base, w, &results[i]) })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.runRequester(base, w, &results[i])
+		}()
 	}
-	requesters.Wait()
+	wg.Wait()
 	return results
 }
 

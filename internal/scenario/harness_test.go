@@ -70,7 +70,7 @@ func TestRequestUntilHeldGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(clk, func() { dirSrv.Serve(dl) })
+	go dirSrv.Serve(dl)
 	defer dirSrv.Close()
 
 	wire := &wiring.Builder{

@@ -138,9 +138,6 @@ func TestMegacrowd10k(t *testing.T) {
 	// The budget is sized for a whole-repo `go test ./...`, where sibling
 	// packages compile and test in parallel with this run and steal cores:
 	// the crowd measures ~9s in isolation and up to ~11s under that load.
-	// Load stretches only the wall time: the clock advances on its running
-	// count, not on a quiet spell, so no advance passes a goroutine that
-	// still has work beyond the crowd's 1ms coalescing window.
 	rep := runMegacrowd(t, spec, 13*time.Second)
 	// Two mechanisms keep the crowd's connections down. The directory client
 	// pools persistent connections per destination: one requester's

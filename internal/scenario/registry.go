@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"p2pstream/internal/clock"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
@@ -101,7 +100,6 @@ type shardSlot struct {
 // for the centralized directory, none under pure chord discovery) and,
 // when the registry is elastic, the controller that grows and drains it.
 type registry struct {
-	clk  *clock.Virtual
 	net  *netx.Virtual
 	seed int64
 	// objects are the catalog objects counted per object at the end: set
@@ -126,7 +124,7 @@ func (h *harness) bootRegistry() error {
 		return nil
 	}
 	r := &h.reg
-	r.clk, r.net, r.seed = h.clk, h.net, h.spec.Seed
+	r.net, r.seed = h.net, h.spec.Seed
 	if !h.chordBacked() && len(h.spec.Objects) > 0 {
 		r.objects = h.spec.Objects
 	}
@@ -206,7 +204,7 @@ func (r *registry) crash(i int) {
 	r.mu.Unlock()
 	r.net.SetDown(ShardHost(i))
 	if srv != nil {
-		clock.Go(r.clk, func() { srv.Close() })
+		go srv.Close()
 	}
 }
 

@@ -395,10 +395,10 @@ type Spec struct {
 	// deterministic schedule keeps rejection cohorts in lockstep, so the
 	// same peers re-collide on the trigger race at every wake.
 	BackoffJitter float64
-	// ClockCoalesce sets the virtual clock's coalescing window
-	// (clock.Virtual.SetCoalesce): each advance fires every instant within
-	// the window, so a population-scale run overlaps the goroutines of a
-	// window's instants on every core. Zero advances one instant at a time.
+	// ClockCoalesce widens the virtual clock's per-advance coalescing
+	// window (clock.Virtual.SetCoalesce). Population-scale specs set it so
+	// one quiescent advance drains a whole batch of deliveries instead of
+	// paying a grace wait per event instant; zero keeps the clock default.
 	ClockCoalesce time.Duration
 
 	Expect Expect

@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"p2pstream/internal/bwe"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/pacing"
@@ -53,7 +53,7 @@ func (t *trafficState) result(elapsed time.Duration) TrafficResult {
 // them while the clock still runs, and the teardown stops them otherwise
 // and then closes the sinks.
 func (h *harness) startTraffic() ([]*trafficState, func()) {
-	ctx, cancel := clock.ContextWithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	sinks := map[string]string{} // sink host -> listen address
 	for _, tf := range h.spec.Traffic {
 		if _, ok := sinks[tf.To]; ok {
@@ -65,10 +65,10 @@ func (h *harness) startTraffic() ([]*trafficState, func()) {
 		}
 		h.onClose(func() { l.Close() })
 		sinks[tf.To] = l.Addr().String()
-		clock.Go(h.clk, func() { sinkLoop(h.clk, l) })
+		go sinkLoop(l)
 	}
 	states := make([]*trafficState, len(h.spec.Traffic))
-	var flows clock.Group
+	var wg sync.WaitGroup
 	for i, tf := range h.spec.Traffic {
 		st := &trafficState{flow: tf}
 		states[i] = st
@@ -76,15 +76,18 @@ func (h *harness) startTraffic() ([]*trafficState, func()) {
 		if !ok {
 			continue
 		}
-		flows.Go(h.clk, func() {
-			if clock.SleepCtx(ctx, h.clk, tf.Start) == nil {
+		wg.Add(1)
+		h.clk.AfterFunc(tf.Start, func() {
+			// Never block the clock's advancing goroutine.
+			go func() {
+				defer wg.Done()
 				h.runFlow(ctx, st, addr)
-			}
+			}()
 		})
 	}
 	stop := func() {
 		cancel()
-		flows.Wait()
+		wg.Wait()
 	}
 	h.onClose(stop)
 	return states, stop
@@ -93,13 +96,13 @@ func (h *harness) startTraffic() ([]*trafficState, func()) {
 // sinkLoop accepts sink connections until the listener closes. Each
 // connection's reader acknowledges every read with the cumulative byte
 // count received — 8 bytes upstream per chunk, the flow's feedback channel.
-func sinkLoop(clk clock.Clock, l net.Listener) {
+func sinkLoop(l net.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		clock.Go(clk, func() {
+		go func() {
 			defer conn.Close()
 			buf := make([]byte, 32<<10)
 			var ack [8]byte
@@ -117,7 +120,7 @@ func sinkLoop(clk clock.Clock, l net.Listener) {
 					return
 				}
 			}
-		})
+		}()
 	}
 }
 
@@ -134,8 +137,9 @@ func (h *harness) runFlow(ctx context.Context, st *trafficState, addr string) {
 
 	// Ack reader: each cumulative count from the sink closes RTT samples
 	// for every chunk it covers and credits the delivered bytes.
-	var reader clock.Group
-	reader.Go(h.clk, func() {
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
 		var ack [8]byte
 		for {
 			if _, err := io.ReadFull(conn, ack[:]); err != nil {
@@ -145,7 +149,7 @@ func (h *harness) runFlow(ctx context.Context, st *trafficState, addr string) {
 			flow.Acked(total)
 			st.acked.Store(total)
 		}
-	})
+	}()
 
 	buf := make([]byte, st.flow.Chunk)
 	var end time.Time
@@ -165,7 +169,7 @@ func (h *harness) runFlow(ctx context.Context, st *trafficState, addr string) {
 		st.bytes.Add(int64(len(buf)))
 	}
 	conn.Close() // unblocks the ack reader
-	reader.Wait()
+	<-readerDone
 }
 
 // The congestion-control flow family. All three scenarios route the

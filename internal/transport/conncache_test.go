@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"p2pstream/internal/clock"
 	"p2pstream/internal/netx"
@@ -23,13 +24,13 @@ func echoServer(t *testing.T, v *netx.Virtual, maxPerConn int, failWith string) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	clock.Go(netx.ClockOf(l), func() {
+	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			clock.Go(netx.ClockOf(l), func() {
+			go func(conn net.Conn) {
 				defer conn.Close()
 				for n := 0; maxPerConn == 0 || n < maxPerConn; n++ {
 					env, err := Read(conn)
@@ -46,9 +47,9 @@ func echoServer(t *testing.T, v *netx.Virtual, maxPerConn int, failWith string) 
 					}
 					Write(conn, KindCandidates, Candidates{Len: q.M})
 				}
-			})
+			}(conn)
 		}
-	})
+	}()
 	return l.Addr().String()
 }
 
@@ -150,8 +151,17 @@ func TestConnCacheHonorsContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Call = %v, want context.Canceled", err)
 	}
-	if err := cc.Call(context.Background(), addr, KindLookup, Lookup{M: 2}, KindCandidates, nil); err != nil {
-		t.Fatalf("Call after cancelled Call: %v", err)
+	done := make(chan error, 1)
+	go func() {
+		done <- cc.Call(context.Background(), addr, KindLookup, Lookup{M: 2}, KindCandidates, nil)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Call after cancelled Call: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("slot wedged after cancellation")
 	}
 }
 
@@ -174,13 +184,13 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		clock.Go(netx.ClockOf(l), func() {
+		go func() {
 			for {
 				conn, err := l.Accept()
 				if err != nil {
 					return
 				}
-				clock.Go(netx.ClockOf(l), func() {
+				go func() {
 					defer conn.Close()
 					for {
 						if _, err := Read(conn); err != nil {
@@ -188,9 +198,9 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 						}
 						conn.Write(reply.raw)
 					}
-				})
+				}()
 			}
-		})
+		}()
 		cc := NewConnCache(v.Host("cli"))
 		for i := 0; i < 3; i++ {
 			err := cc.Call(context.Background(), l.Addr().String(), KindLookup, Lookup{M: 1}, KindCandidates, &Candidates{})
@@ -213,17 +223,12 @@ func TestConnCacheDropsConnOnBadFrame(t *testing.T) {
 func TestConnCacheDropsDeadSiblings(t *testing.T) {
 	v := cacheTestNet(t)
 	const addr, burst = "srv:9000", 3
-	clk := netx.ClockOf(v.Host("srv"))
-	// arrived is a barrier the clock can see: a handler parked on it does
-	// not hold virtual time still.
-	var mu sync.Mutex
-	var arrived clock.Cond
-	arrived.Init(clk, &mu)
-	waiting := 0
+	var arrived sync.WaitGroup
+	arrived.Add(burst)
 	var next atomic.Int64
 	// The first three requests wait for each other, so the burst holds
 	// three connections at once.
-	srv := NewEndpoint("srv", nil, nil)
+	srv := NewEndpoint("srv", nil)
 	handler := func(barrier bool) func(net.Conn) {
 		return func(conn net.Conn) {
 			for {
@@ -231,13 +236,8 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 					return
 				}
 				if barrier && next.Add(1) <= burst {
-					mu.Lock()
-					waiting++
-					arrived.Broadcast()
-					for waiting < burst {
-						arrived.Wait()
-					}
-					mu.Unlock()
+					arrived.Done()
+					arrived.Wait()
 				}
 				Write(conn, KindCandidates, Candidates{})
 			}
@@ -251,13 +251,15 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 	call := func() error {
 		return cc.Call(context.Background(), addr, KindLookup, Lookup{M: 1}, KindCandidates, nil)
 	}
-	var calls clock.Group
+	var calls sync.WaitGroup
 	for i := 0; i < burst; i++ {
-		calls.Go(clk, func() {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
 			if err := call(); err != nil {
 				t.Error(err)
 			}
-		})
+		}()
 	}
 	calls.Wait()
 	pooled := func() int {
@@ -271,7 +273,7 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 
 	// The peer restarts on the same address: every pooled connection dies.
 	srv.Close()
-	reborn := NewEndpoint("srv", nil, nil)
+	reborn := NewEndpoint("srv", nil)
 	if err := reborn.Start(v.Host("srv"), addr, handler(false)); err != nil {
 		t.Fatal(err)
 	}

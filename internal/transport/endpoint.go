@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"p2pstream/internal/clock"
 	"p2pstream/internal/errs"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/observe"
@@ -38,18 +37,14 @@ type Endpoint struct {
 	listener net.Listener // nil until that bind has a listener
 	conns    map[net.Conn]struct{}
 	closed   bool
-	clk      clock.Clock // handlers start on it: the owner's, else the listener's
-	grp      clock.Group // the accept loop and every handler
+	wg       sync.WaitGroup // the accept loop and every handler
 }
 
 // NewEndpoint returns an unbound endpoint. component names it in errors and
-// in the WriteError events observer (nil for none) receives. The accept loop
-// and the handlers run on goroutines started on clk (clock.Go); nil means
-// the clock of the listener, netx.ClockOf.
-func NewEndpoint(component string, clk clock.Clock, observer observe.Observer) *Endpoint {
+// in the WriteError events observer (nil for none) receives.
+func NewEndpoint(component string, observer observe.Observer) *Endpoint {
 	return &Endpoint{
 		component: component,
-		clk:       clk,
 		observer:  observer,
 		timeout:   exchangeTimeout,
 		conns:     make(map[net.Conn]struct{}),
@@ -74,7 +69,7 @@ func (e *Endpoint) Start(nw netx.Network, addr string, handle func(net.Conn)) er
 	if err := e.install(l); err != nil {
 		return err
 	}
-	e.grp.Go(e.clk, func() { e.accept(l, handle) })
+	go e.accept(l, handle)
 	return nil
 }
 
@@ -90,9 +85,8 @@ func (e *Endpoint) Serve(l net.Listener, handle func(net.Conn)) error {
 	if err := e.install(l); err != nil {
 		return err
 	}
-	var err error
-	e.grp.Go(e.clk, func() { err = e.accept(l, handle) })
-	e.grp.Wait()
+	err := e.accept(l, handle)
+	e.wg.Wait()
 	return err
 }
 
@@ -110,9 +104,9 @@ func (e *Endpoint) claim() error {
 	return nil
 }
 
-// install gives the claimed bind its listener (and, lacking an owner's
-// clock, the listener's). A Close that ran
-// since the claim found no listener to close, so l is closed here.
+// install gives the claimed bind its listener and accounts for the accept
+// loop about to run. A Close that ran since the claim found no listener to
+// close, so l is closed here.
 func (e *Endpoint) install(l net.Listener) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -121,9 +115,7 @@ func (e *Endpoint) install(l net.Listener) error {
 		return fmt.Errorf("%s: %w", e.component, errs.ErrClosed)
 	}
 	e.listener = l
-	if e.clk == nil {
-		e.clk = netx.ClockOf(l)
-	}
+	e.wg.Add(1)
 	return nil
 }
 
@@ -132,16 +124,7 @@ func (e *Endpoint) install(l net.Listener) error {
 // Close snapshotted the tracked set — is refused, and the loop drains until
 // the dying listener surfaces the close as the Accept error it returns.
 func (e *Endpoint) accept(l net.Listener, handle func(net.Conn)) error {
-	serve := func(conn net.Conn) {
-		defer func() {
-			conn.Close()
-			e.mu.Lock()
-			delete(e.conns, conn)
-			e.mu.Unlock()
-		}()
-		e.Arm(conn)
-		handle(conn)
-	}
+	defer e.wg.Done()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -154,8 +137,19 @@ func (e *Endpoint) accept(l net.Listener, handle func(net.Conn)) error {
 			continue
 		}
 		e.conns[conn] = struct{}{}
+		e.wg.Add(1)
 		e.mu.Unlock()
-		clock.GoWith(e.clk, &e.grp, serve, conn)
+		go func() {
+			defer func() {
+				conn.Close()
+				e.mu.Lock()
+				delete(e.conns, conn)
+				e.mu.Unlock()
+				e.wg.Done()
+			}()
+			e.Arm(conn)
+			handle(conn)
+		}()
 	}
 }
 
@@ -230,6 +224,6 @@ func (e *Endpoint) Close() error {
 	for _, conn := range conns {
 		conn.Close()
 	}
-	e.grp.Wait()
+	e.wg.Wait()
 	return err
 }

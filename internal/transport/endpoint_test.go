@@ -75,7 +75,7 @@ func within(t *testing.T, what string, f func()) {
 // refuse without opening one.
 func TestShutdownServeAfterClose(t *testing.T) {
 	onSubstrates(t, func(t *testing.T, s substrate) {
-		e := NewEndpoint("test", nil, nil)
+		e := NewEndpoint("test", nil)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestShutdownServeAfterClose(t *testing.T) {
 func TestShutdownCloseDuringStart(t *testing.T) {
 	onSubstrates(t, func(t *testing.T, s substrate) {
 		for i := 0; i < 20; i++ {
-			e := NewEndpoint("test", nil, nil)
+			e := NewEndpoint("test", nil)
 			started := make(chan error, 1)
 			go func() { started <- e.Start(s.srv, "", answerLookups(e)) }()
 			within(t, "Close", func() {
@@ -129,7 +129,7 @@ func TestShutdownCloseDuringStart(t *testing.T) {
 // promptly — after the handler has — instead of wedging on the drain.
 func TestShutdownStalledClientClose(t *testing.T) {
 	onSubstrates(t, func(t *testing.T, s substrate) {
-		e := NewEndpoint("test", nil, nil)
+		e := NewEndpoint("test", nil)
 		l, err := s.srv.Listen("")
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
 // snapshotted the tracked set is refused — closed, never handled — and the
 // loop keeps draining until the listener reports the close.
 func TestShutdownAcceptAfterClose(t *testing.T) {
-	e := NewEndpoint("test", nil, nil)
+	e := NewEndpoint("test", nil)
 	server, client := net.Pipe()
 	l := &lateListener{entered: make(chan struct{}), closed: make(chan struct{}), late: make(chan net.Conn, 1)}
 	l.late <- server
@@ -214,7 +214,7 @@ func TestShutdownAcceptAfterClose(t *testing.T) {
 // writes, and one that goes silent after an exchange, while the endpoint
 // keeps answering. Real TCP only: virtual connections ignore deadlines.
 func TestShutdownStalledClientDeadline(t *testing.T) {
-	e := NewEndpoint("test", nil, nil)
+	e := NewEndpoint("test", nil)
 	e.timeout = 100 * time.Millisecond
 	if err := e.Start(nil, "", answerLookups(e)); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestShutdownStalledClientDeadline(t *testing.T) {
 // listener — still the only one — closes with the endpoint.
 func TestShutdownSecondBindRefused(t *testing.T) {
 	onSubstrates(t, func(t *testing.T, s substrate) {
-		e := NewEndpoint("test", nil, nil)
+		e := NewEndpoint("test", nil)
 		if err := e.Start(s.srv, "", answerLookups(e)); err != nil {
 			t.Fatal(err)
 		}
@@ -289,12 +289,12 @@ func TestShutdownSecondBindRefused(t *testing.T) {
 // endpoint unbound and lets a later Start bind.
 func TestStartListenFailure(t *testing.T) {
 	onSubstrates(t, func(t *testing.T, s substrate) {
-		taken := NewEndpoint("taken", nil, nil)
+		taken := NewEndpoint("taken", nil)
 		if err := taken.Start(s.srv, "", answerLookups(taken)); err != nil {
 			t.Fatal(err)
 		}
 		defer taken.Close()
-		e := NewEndpoint("test", nil, nil)
+		e := NewEndpoint("test", nil)
 		defer e.Close()
 		if err := e.Start(s.srv, taken.Addr(), answerLookups(e)); err == nil {
 			t.Fatal("Start on an address in use succeeded")
@@ -313,7 +313,7 @@ func TestStartListenFailure(t *testing.T) {
 // exactly once, named after the component and the frame, and returned.
 func TestReplyFailureCountedOnce(t *testing.T) {
 	var events []observe.Event
-	e := NewEndpoint("comp", nil, observe.Func(func(ev observe.Event) { events = append(events, ev) }))
+	e := NewEndpoint("comp", observe.Func(func(ev observe.Event) { events = append(events, ev) }))
 	server, client := net.Pipe()
 	go ReadExpect(client, KindRegisterOK, nil)
 	if err := e.Reply(server, KindRegisterOK, nil); err != nil {

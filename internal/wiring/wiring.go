@@ -13,7 +13,6 @@ import (
 
 	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/chordnet"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/node"
@@ -54,11 +53,8 @@ type Builder struct {
 	// founder is held, from bootstrap snapshot to publication, by a peer
 	// created against an empty bootstrap list: two such peers running
 	// concurrently would each found a singleton ring and partition the
-	// overlay. Peers joining a founded ring never touch it. It is held
-	// across the founder's start-up round trips, so it is a lock the clock
-	// sees (bound to the template's clock on first use).
-	founder     clock.Mutex
-	founderInit sync.Once
+	// overlay. Peers joining a founded ring never touch it.
+	founder sync.Mutex
 }
 
 // Peer is the per-peer half of the wiring: what differs between two peers
@@ -192,7 +188,6 @@ func (b *Builder) bootstrap() (boots []string, release func()) {
 	if boots = snapshot(); len(boots) > 0 {
 		return boots, func() {}
 	}
-	b.founderInit.Do(func() { b.founder.Init(clock.Or(b.Node.Clock)) })
 	b.founder.Lock()
 	if boots = snapshot(); len(boots) > 0 {
 		b.founder.Unlock()

@@ -43,7 +43,7 @@ func (c *cluster) serveDirectory(host string) (*directory.Server, string) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	clock.Go(c.clk, func() { srv.Serve(l) })
+	go srv.Serve(l)
 	c.t.Cleanup(func() { srv.Close() })
 	return srv, l.Addr().String()
 }
@@ -232,8 +232,9 @@ func TestConcurrentFoundersShareOneRing(t *testing.T) {
 	}
 	rings := make(map[string]*chordnet.Peer)
 	var mu sync.Mutex
-	var wg clock.Group
+	var wg sync.WaitGroup
 	start := func(id string) {
+		defer wg.Done()
 		n, disc, err := b.Start(context.Background(), Peer{
 			ID: id, Class: 1, Seed: 1, ListenAddr: overlayPort,
 			Network: &gate{Network: c.net.Host(id), hook: hooks[id]},
@@ -247,9 +248,10 @@ func TestConcurrentFoundersShareOneRing(t *testing.T) {
 		rings[id] = disc.(*chordnet.Peer)
 		mu.Unlock()
 	}
-	wg.Go(c.clk, func() { start("a") })
+	wg.Add(2)
+	go start("a")
 	<-aHeld
-	wg.Go(c.clk, func() { start("b") })
+	go start("b")
 	select {
 	case <-bListening:
 		t.Error("second founder read the bootstrap list while the first was unpublished")
@@ -290,36 +292,24 @@ func TestJoinsOfFoundedRingRunConcurrently(t *testing.T) {
 	}
 	defer seed.Close()
 
-	// A barrier the clock can see: a joiner parked on it lets the other's
-	// join round trips run in virtual time, and a second of virtual time
-	// with only one arrival means the joins are serialized.
-	var mu sync.Mutex
-	var arrived clock.Cond
-	arrived.Init(c.clk, &mu)
-	waiting, timedOut := 0, false
-	timeout := c.clk.AfterFunc(time.Second, func() {
-		mu.Lock()
-		timedOut = true
-		arrived.Broadcast()
-		mu.Unlock()
-	})
-	defer timeout.Stop()
+	var arrived sync.WaitGroup
+	arrived.Add(2)
 	rendezvous := func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		waiting++
-		arrived.Broadcast()
-		for waiting < 2 && !timedOut {
-			arrived.Wait()
-		}
-		if waiting < 2 {
+		arrived.Done()
+		both := make(chan struct{})
+		go func() { arrived.Wait(); close(both) }()
+		select {
+		case <-both:
+			return nil
+		case <-time.After(10 * time.Second):
 			return errors.New("the other joiner never reached its listener: joins are serialized")
 		}
-		return nil
 	}
-	var wg clock.Group
+	var wg sync.WaitGroup
 	for _, id := range []string{"r1", "r2"} {
-		wg.Go(c.clk, func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			n, _, err := b.Start(ctx, Peer{
 				ID: id, Class: 1, Seed: 1, ListenAddr: overlayPort,
 				Network: &gate{Network: c.net.Host(id), hook: rendezvous},
@@ -329,7 +319,7 @@ func TestJoinsOfFoundedRingRunConcurrently(t *testing.T) {
 				return
 			}
 			n.Close()
-		})
+		}()
 	}
 	wg.Wait()
 }
@@ -378,7 +368,13 @@ func TestSecondStartRefused(t *testing.T) {
 			if len(log.addrs) != 1 {
 				t.Errorf("listened on %v, want one address", log.addrs)
 			}
-			stop() // a Close wedged on an orphaned accept loop hangs here
+			stopped := make(chan struct{})
+			go func() { defer close(stopped); stop() }()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close wedged on an orphaned accept loop")
+			}
 			for _, addr := range log.addrs {
 				if conn, err := c.net.Host("tester").Dial(addr); err == nil {
 					conn.Close()

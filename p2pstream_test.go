@@ -104,15 +104,16 @@ func TestPublicOverlayDirectory(t *testing.T) {
 	vnet.SetDefaultLink(p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Jitter: 100 * time.Microsecond})
 
 	dir := p2pstream.NewDirectoryServer(1)
-	addr, err := dir.Start(vnet.Host("dir"), ":0")
+	l, err := vnet.Host("dir").Listen(":0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go dir.Serve(l)
 	t.Cleanup(func() { dir.Close() })
 
 	file := &p2pstream.MediaFile{Name: "v", Segments: 16, SegmentBytes: 64, SegmentTime: 4 * time.Millisecond}
 	ov, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory(addr),
+		p2pstream.WithDirectory(l.Addr().String()),
 		p2pstream.WithClock(clk),
 		p2pstream.WithNetworkFor(func(id string) p2pstream.Network { return vnet.Host(id) }),
 		p2pstream.WithIdleTimeout(50*time.Millisecond),
@@ -297,12 +298,13 @@ func TestPublicOverlaySharded(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		srv := p2pstream.NewDirectoryServer(int64(i + 1))
-		addr, err := srv.Start(vnet.Host(p2pstream.ScenarioShardHost(i)), ":0")
+		l, err := vnet.Host(p2pstream.ScenarioShardHost(i)).Listen(":0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
-		addrs = append(addrs, addr)
+		addrs = append(addrs, l.Addr().String())
 	}
 
 	var shardLegs atomic.Int64
@@ -399,14 +401,15 @@ func TestPublicOverlayElastic(t *testing.T) {
 	spawn := func(seq int) (p2pstream.ReshardMember, error) {
 		name := fmt.Sprintf("shard-%d", seq)
 		srv := p2pstream.NewDirectoryServer(int64(seq + 1))
-		addr, err := srv.Start(vnet.Host(name), ":0")
+		l, err := vnet.Host(name).Listen(":0")
 		if err != nil {
 			return p2pstream.ReshardMember{}, err
 		}
+		go srv.Serve(l)
 		srvMu.Lock()
 		servers = append(servers, srv)
 		srvMu.Unlock()
-		return p2pstream.ReshardMember{Name: name, Addr: addr, Server: srv}, nil
+		return p2pstream.ReshardMember{Name: name, Addr: l.Addr().String(), Server: srv}, nil
 	}
 	first, err := spawn(0)
 	if err != nil {
@@ -578,15 +581,16 @@ func TestPublicOverlayCongestion(t *testing.T) {
 	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 105 << 10})
 
 	dir := p2pstream.NewDirectoryServer(1)
-	addr, err := dir.Start(vnet.Host("dir"), ":0")
+	l, err := vnet.Host("dir").Listen(":0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go dir.Serve(l)
 	t.Cleanup(func() { dir.Close() })
 
 	file := &p2pstream.MediaFile{Name: "v", Segments: 16, SegmentBytes: 1024, SegmentTime: 8 * time.Millisecond}
 	ov, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory(addr),
+		p2pstream.WithDirectory(l.Addr().String()),
 		p2pstream.WithClock(clk),
 		p2pstream.WithNetworkFor(func(id string) p2pstream.Network { return vnet.Host(id) }),
 		p2pstream.WithStartupBuffer(32*time.Millisecond),
@@ -621,13 +625,13 @@ func TestPublicOverlayCongestion(t *testing.T) {
 
 	// The option constructors validate their domain.
 	if _, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory(addr),
+		p2pstream.WithDirectory(l.Addr().String()),
 		p2pstream.WithPriority(-1),
 	); err == nil {
 		t.Error("negative priority accepted")
 	}
 	if _, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory(addr),
+		p2pstream.WithDirectory(l.Addr().String()),
 		p2pstream.WithStartupBuffer(-time.Millisecond),
 	); err == nil {
 		t.Error("negative startup buffer accepted")
@@ -648,15 +652,16 @@ func TestPublicOverlayNoAdaptation(t *testing.T) {
 	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 105 << 10})
 
 	dir := p2pstream.NewDirectoryServer(1)
-	addr, err := dir.Start(vnet.Host("dir"), ":0")
+	l, err := vnet.Host("dir").Listen(":0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go dir.Serve(l)
 	t.Cleanup(func() { dir.Close() })
 
 	file := &p2pstream.MediaFile{Name: "v", Segments: 16, SegmentBytes: 1024, SegmentTime: 8 * time.Millisecond}
 	ov, err := p2pstream.NewOverlay(file,
-		p2pstream.WithDirectory(addr),
+		p2pstream.WithDirectory(l.Addr().String()),
 		p2pstream.WithClock(clk),
 		p2pstream.WithNetworkFor(func(id string) p2pstream.Network { return vnet.Host(id) }),
 		p2pstream.WithoutAdaptation(),

@@ -6,11 +6,6 @@
 // whose Register/Candidates/Request forgets the context fails the build,
 // not the review.
 //
-// It also rejects a bare go statement in the packages that run under the
-// virtual clock: a goroutine there starts with clock.Go (or a
-// clock.Group), so the clock counts it, or virtual time moves on while it
-// still has work to do.
-//
 // Run from the repository root:
 //
 //	go run ./tools/ctxcheck
@@ -40,17 +35,6 @@ var packages = []string{
 	"internal/transport",
 }
 
-// clocked are the packages whose goroutines must start through the clock.
-var clocked = map[string]bool{
-	"internal/node":      true,
-	"internal/netx":      true,
-	"internal/transport": true,
-	"internal/directory": true,
-	"internal/chordnet":  true,
-	"internal/reshard":   true,
-	"internal/scenario":  true,
-}
-
 // verbs are the request/discovery method names that must be context-first
 // wherever they are exported: on concrete types, as free functions, and in
 // interface declarations.
@@ -72,9 +56,9 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var violations, bare []string
+	var violations []string
 	fset := token.NewFileSet()
-	for _, pkg := range append(packages, "internal/netx", "internal/reshard") {
+	for _, pkg := range packages {
 		dir := filepath.Join(root, pkg)
 		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -87,10 +71,6 @@ func main() {
 			for _, f := range p.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
 					switch d := n.(type) {
-					case *ast.GoStmt:
-						if clocked[pkg] {
-							bare = append(bare, fset.Position(d.Pos()).String())
-						}
 					case *ast.FuncDecl:
 						if d.Name.IsExported() && verbs[d.Name.Name] && !ctxFirst(d.Type) {
 							violations = append(violations, describe(fset, d.Pos(), receiver(d), d.Name.Name))
@@ -117,14 +97,6 @@ func main() {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "  "+v)
 		}
-	}
-	if len(bare) > 0 {
-		fmt.Fprintln(os.Stderr, "ctxcheck: bare go statements where goroutines must start with clock.Go:")
-		for _, v := range bare {
-			fmt.Fprintln(os.Stderr, "  "+v)
-		}
-	}
-	if len(violations)+len(bare) > 0 {
 		os.Exit(1)
 	}
 	fmt.Println("ctxcheck: request/discovery path is context-first")
