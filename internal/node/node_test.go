@@ -450,6 +450,49 @@ func TestStatsSurviveEviction(t *testing.T) {
 	}
 }
 
+// TestCachingFailureKeepsTheSession: a session that succeeds while every
+// object the node caches is pinned cannot be cached — the request fails
+// with the caching error, the node holds no store of the object at all, and
+// the report still carries the complete store the session filled.
+func TestCachingFailureKeepsTheSession(t *testing.T) {
+	c := newCluster(t)
+	ctx := context.Background()
+	a, b := testFile(), testFile()
+	a.Name, b.Name = "a", "b"
+	config := func(id string, budget int64) Config {
+		cfg := c.config(id, 1)
+		cfg.File, cfg.Objects, cfg.CacheBudget = nil, []*media.File{a, b}, budget
+		return cfg
+	}
+	for _, id := range []string{"s1", "s2"} {
+		c.start(NewSeed(config(id, 0)))
+	}
+	x := c.start(NewRequester(config("x", a.TotalBytes()))) // one object at a time
+	if _, err := x.Request(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	// What a session x supplies of a does for as long as it runs.
+	x.Library().Acquire("a")
+	defer x.Library().Release("a")
+
+	report, err := x.Request(ctx, "b")
+	if err == nil || !strings.Contains(err.Error(), "caching b") {
+		t.Fatalf("Request(b) = %v, want the caching error", err)
+	}
+	if report == nil || report.Store == nil || !report.Store.Complete() {
+		t.Fatalf("report %+v: want the complete store of the session", report)
+	}
+	if s := x.StoreOf("b"); s != nil {
+		t.Errorf("x holds a store of b it could not cache: %d segments", s.Count())
+	}
+	for id := range media.SegmentID(b.Segments) {
+		got, _ := report.Store.Get(id)
+		if !bytes.Equal(got.Data, media.SegmentContent(b, id).Data) {
+			t.Fatalf("segment %d of the report's store is not the file's", id)
+		}
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	c := newCluster(t)
 	s := c.seed("seed", 1)

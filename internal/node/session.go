@@ -54,6 +54,9 @@ type SessionReport struct {
 	// MaxQuality is the deepest bitrate class any segment arrived at
 	// (0 = the whole file arrived at full quality).
 	MaxQuality media.Quality
+	// Store is the store the session filled, complete. It stays the
+	// session's even when the node could not cache it, or evicted it since.
+	Store *media.Store
 }
 
 // Request performs one admission attempt for one media object (paper
@@ -505,5 +508,6 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		Duration:         n.clk.Since(start),
 		Downgraded:       downgraded,
 		MaxQuality:       maxQuality,
+		Store:            store,
 	}, nil
 }

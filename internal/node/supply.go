@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"p2pstream/internal/bwe"
@@ -139,7 +140,9 @@ func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
 	// The plane is the supplier's choice, made here and nowhere else; the
 	// requester acks exactly when this reply says so.
 	feedback := !n.cfg.NoAdapt
-	if err := n.ep.Reply(conn, transport.KindStartReply, transport.StartReply{OK: true, Feedback: feedback}); err != nil {
+	out := &burst{ep: n.ep, conn: conn, eager: feedback}
+	defer out.flush()
+	if out.add(transport.KindStartReply, transport.StartReply{OK: true, Feedback: feedback}) != nil {
 		return nil
 	}
 	// The connection is a session stream from here on: it lives as long as
@@ -159,7 +162,7 @@ func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
 		acks = make(chan struct{})
 		go n.readAcks(conn, flow, acks)
 	}
-	n.stream(conn, req, file, store, flow)
+	n.stream(out, req, file, store, flow)
 	return acks
 }
 
@@ -190,13 +193,14 @@ const minPace = 100 * time.Microsecond
 
 // stream sends a session's assigned segments, the i-th released no earlier
 // than its transmission deadline on the class schedule. Without feedback
-// (flow nil) each goes out whole at the quality this node holds it at. With
-// feedback its bytes are paced to the send-side bandwidth estimate the
-// requester's acks feed, so a session sharing a bottleneck converges to its
-// fair share instead of standing on the queue, and the ABR ladder steps the
-// quality down rather than stalling when the estimate sustains below the
-// committed offer.
-func (n *Node) stream(conn net.Conn, req transport.Start, f *media.File, store *media.Store, flow *pacing.Flow) {
+// (flow nil) each goes out whole at the quality this node holds it at, and
+// the segments no wait separates leave in one write with the frames around
+// them. With feedback its bytes are paced to the send-side bandwidth
+// estimate the requester's acks feed, so a session sharing a bottleneck
+// converges to its fair share instead of standing on the queue, and the ABR
+// ladder steps the quality down rather than stalling when the estimate
+// sustains below the committed offer.
+func (n *Node) stream(out *burst, req transport.Start, f *media.File, store *media.Store, flow *pacing.Flow) {
 	var abr ladder
 	if flow != nil {
 		abr = newLadder(n.committed(f), f.SegmentTime, req.Priority)
@@ -204,13 +208,16 @@ func (n *Node) stream(conn net.Conn, req transport.Start, f *media.File, store *
 	start := n.clk.Now()
 	sent := 0
 	// One frame for the session, passed by address: a Segment by value
-	// would be boxed into Reply's any once per segment.
+	// would be boxed into add's any once per segment.
 	var frame transport.Segment
 	for i, segID := range req.Segments {
 		// Pace against the absolute schedule to avoid drift: transmission
 		// of the i-th assigned segment completes at its protocol deadline.
 		deadline := start.Add(protocol.TransmissionDeadline(i, n.cfg.Class, f.SegmentTime))
 		if d := deadline.Sub(n.clk.Now()); d >= minPace {
+			if out.flush() != nil {
+				return // requester hung up (session aborted)
+			}
 			n.clk.Sleep(d)
 		}
 		var rate int64
@@ -229,7 +236,7 @@ func (n *Node) stream(conn net.Conn, req transport.Start, f *media.File, store *
 			// requester's store on every retry.
 			var ok bool
 			if seg, ok = store.Get(media.SegmentID(segID)); !ok {
-				n.ep.Reply(conn, transport.KindError,
+				out.add(transport.KindError,
 					transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
 				return
 			}
@@ -249,13 +256,70 @@ func (n *Node) stream(conn net.Conn, req transport.Start, f *media.File, store *
 			flow.Pace(context.Background(), rate+rate/4, len(seg.Data))
 		}
 		frame = transport.Segment{ID: segID, Quality: int(seg.Quality), Data: seg.Data}
-		if err := n.ep.Reply(conn, transport.KindSegment, &frame); err != nil {
+		if out.add(transport.KindSegment, &frame) != nil {
 			return // requester hung up (session aborted)
 		}
 		sent++
 	}
-	observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.SessionServed})
-	n.ep.Reply(conn, transport.KindSessionDone, transport.SessionDone{Sent: sent})
+	if out.add(transport.KindSessionDone, transport.SessionDone{Sent: sent}) == nil && out.flush() == nil {
+		observe.Emit(n.cfg.Observer, observe.Event{Component: n.comp, Type: observe.SessionServed})
+	}
+}
+
+// maxBurst is the size at which a burst is written without waiting for the
+// loop's next wait: four of a bulk session's 16 KiB segments. No write of a
+// session holds more than maxBurst plus one frame.
+const maxBurst = 64 << 10
+
+// burstPool holds the buffers of bursts. A burst takes one at its first
+// frame and gives it back at its write, so a session asleep on its schedule
+// holds none.
+var burstPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// burst is the frames of a supplied session that no wait separates — the
+// StartReply, the segments already due, the SessionDone or a KindError —
+// written through the endpoint in one Write when the session is about to
+// wait, when they reach maxBurst bytes, and when it ends. One write is one
+// syscall and one wake-up of the reader, and a failed one is counted once.
+type burst struct {
+	ep    *transport.Endpoint
+	conn  net.Conn
+	eager bool    // every frame is written on its own: the feedback plane paces each
+	bp    *[]byte // the frames not yet written; nil when there are none
+}
+
+// add appends one frame to the burst and writes the burst if it is eager or
+// has reached maxBurst bytes.
+func (b *burst) add(kind transport.Kind, body any) error {
+	if b.bp == nil {
+		b.bp = burstPool.Get().(*[]byte)
+	}
+	var err error
+	if *b.bp, err = transport.Append(*b.bp, kind, body); err != nil {
+		return err
+	}
+	if b.eager || len(*b.bp) >= maxBurst {
+		return b.flush()
+	}
+	return nil
+}
+
+// flush writes the pending frames, if there are any, in one Write.
+func (b *burst) flush() error {
+	bp := b.bp
+	if bp == nil {
+		return nil
+	}
+	b.bp = nil
+	var err error
+	if len(*bp) > 0 {
+		err = b.ep.Send(b.conn, *bp)
+	}
+	if cap(*bp) <= 2*maxBurst {
+		*bp = (*bp)[:0]
+		burstPool.Put(bp)
+	}
+	return err
 }
 
 // committed is the out-bound rate admission granted a session of f: this

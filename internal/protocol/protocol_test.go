@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -359,8 +360,8 @@ func TestSupplierSharedSlots(t *testing.T) {
 	if err := supA.StartSession(); err != nil {
 		t.Fatal(err)
 	}
-	if err := supB.StartSession(); err == nil {
-		t.Fatal("object B claimed a session past the shared budget")
+	if err := supB.StartSession(); !errors.Is(err, ErrSlotsExhausted) {
+		t.Fatalf("object B past the shared budget: StartSession = %v, want ErrSlotsExhausted", err)
 	}
 	dec, favors := supB.HandleProbe(1, 0)
 	if dec != dac.DeniedBusy || !favors {

@@ -1,7 +1,7 @@
 package protocol
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 	"time"
 
@@ -170,6 +170,10 @@ func (s *Supplier) LeaveReminder(reqClass bandwidth.Class) bool {
 	return kept
 }
 
+// ErrSlotsExhausted is StartSession's refusal while every slot of the
+// node's shared session budget is held.
+var ErrSlotsExhausted = errors.New("protocol: node session budget exhausted")
+
 // StartSession claims the supplier for one streaming session — one slot
 // of the node's shared budget plus this stream's dac state — and
 // suspends the idle elevation timer.
@@ -177,7 +181,7 @@ func (s *Supplier) StartSession() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.slots != nil && !s.slots.TryAcquire() {
-		return fmt.Errorf("protocol: node session budget exhausted")
+		return ErrSlotsExhausted
 	}
 	if err := s.adm.StartSession(); err != nil {
 		if s.slots != nil {

@@ -39,9 +39,10 @@ const retryDelay = 25 * time.Millisecond
 // same-instant flash crowd in lockstep forever (every cohort re-collides
 // at every wake), and jitter is what desynchronizes it. The budget is the
 // spec's MaxAttempts. It returns the successful session report and the
-// number of Request calls made. A session whose only failure was the
-// post-session directory registration (possible behind a lossy link)
-// counts as served: the node holds the file and supplies locally.
+// number of Request calls made. A session whose only failure came after
+// it — caching the object (every resident one pinned by a live session) or
+// the directory registration (possible behind a lossy link) — counts as
+// served: the report carries the store the session filled.
 func (h *harness) requestUntilHeld(ctx context.Context, n *node.Node, object string, rng *splitmix.Rand) (*node.SessionReport, int, error) {
 	maxAttempts := h.spec.MaxAttempts
 	if maxAttempts < 1 {
@@ -471,7 +472,7 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 		res.ThroughputBps = float64(report.Bytes) / report.Duration.Seconds()
 	}
 	res.TheoremOK = report.TheoreticalDelay == time.Duration(len(report.Suppliers))*file.SegmentTime
-	res.StoreOK = storeExact(n.StoreOf(file.Name), file)
+	res.StoreOK = storeExact(report.Store, file)
 	res.SupplierLevel = h.supplierLevel()
 }
 
@@ -538,9 +539,9 @@ func expandLink(l Link, hosts []string) [][2]string {
 // storeExact reports whether the store holds the complete file with
 // byte-exact content at each segment's recorded quality: a downgraded
 // segment must match its rendition on the ladder exactly, not the
-// full-quality bytes it replaced.
+// full-quality bytes it replaced. No store is not an exact one.
 func storeExact(s *media.Store, f *media.File) bool {
-	if !s.Complete() {
+	if s == nil || !s.Complete() {
 		return false
 	}
 	for id := 0; id < f.Segments; id++ {

@@ -12,6 +12,7 @@ import (
 	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
+	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/node"
 	"p2pstream/internal/wiring"
@@ -104,6 +105,71 @@ func TestRequestUntilHeldGivesUp(t *testing.T) {
 	h.spec.MaxAttempts = 0
 	if _, _, err := h.requestUntilHeld(context.Background(), req, "", nil); err == nil {
 		t.Error("maxAttempts 0 accepted")
+	}
+}
+
+// TestCachingFailureCountsAsServed: a requester whose session succeeds while
+// the one object its cache has room for is pinned by a session it supplies
+// gets the caching error from Request, holds no store of the new object, and
+// is still served — its store checked from the report, not from the node,
+// where looking crashed the run.
+func TestCachingFailureCountsAsServed(t *testing.T) {
+	clk := clock.NewVirtual()
+	stop := clk.AutoRun()
+	defer stop()
+	vnet := netx.NewVirtual(clk, 1)
+	vnet.SetDefaultLink(netx.LinkConfig{Latency: 200 * time.Microsecond})
+	dirSrv := directory.NewServer(1)
+	dirAddr, err := dirSrv.Start(vnet.Host("dir"), ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirSrv.Close()
+
+	a, b := defaultFile(), defaultFile()
+	a.Name, b.Name = "a", "b"
+	wire := &wiring.Builder{
+		Node: node.Config{
+			NumClasses: 4, Policy: dac.DAC, Objects: []*media.File{a, b}, M: 8,
+			CacheBudget: a.TotalBytes(), // one object at a time
+			TOut:        40 * time.Millisecond,
+			Backoff:     dac.BackoffConfig{Base: 20 * time.Millisecond, Factor: 2},
+			Clock:       clk,
+		},
+		DirectoryAddr: dirAddr,
+	}
+	start := func(id string, held ...string) *node.Node {
+		n, _, err := wire.Start(context.Background(), wiring.Peer{ID: id, Class: 1, Seed: 1, Held: held, Network: vnet.Host(id)}, held != nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	for _, obj := range []string{"a", "b"} {
+		start("s1"+obj, obj)
+		start("s2"+obj, obj)
+	}
+	x := start("x")
+	h := &harness{spec: &Spec{MaxAttempts: 3, Backoff: dac.BackoffConfig{Base: 5 * time.Millisecond, Factor: 1}}, clk: clk}
+	if _, _, err := h.requestUntilHeld(context.Background(), x, "a", nil); err != nil {
+		t.Fatal(err)
+	}
+	x.Library().Acquire("a") // what a session x supplies of a does while it runs
+	defer x.Library().Release("a")
+
+	report, attempts, err := h.requestUntilHeld(context.Background(), x, "b", nil)
+	if err != nil || report == nil || attempts != 1 {
+		t.Fatalf("requestUntilHeld(b) = %v after %d attempts, %v; want the first session's report", report, attempts, err)
+	}
+	if x.Library().Len() != 1 || x.StoreOf("b") != nil {
+		t.Fatalf("x caches %v and a store of b: %v; want a alone", x.Library().Names(), x.StoreOf("b") != nil)
+	}
+	if storeExact(x.StoreOf("b"), b) {
+		t.Error("no store reads as exact")
+	}
+	if !storeExact(report.Store, b) {
+		t.Error("the store the session filled is not exact")
 	}
 }
 

@@ -166,7 +166,22 @@ func (e *Endpoint) Arm(conn net.Conn) {
 // the request/response flow, so a failure is counted in WriteFailures and
 // reported to the observer as a WriteError event before it is returned.
 func (e *Endpoint) Reply(conn net.Conn, kind Kind, body any) error {
-	err := Write(conn, kind, body)
+	return e.counted(kind, Write(conn, kind, body))
+}
+
+// Send writes frames — whole frames Append built, back to back — in one
+// Write, and counts a failure as Reply does, once for the lot; the event
+// names the first frame's kind.
+func (e *Endpoint) Send(conn net.Conn, frames []byte) error {
+	kind := Kind(frames[5])
+	_, err := conn.Write(frames)
+	if err != nil {
+		err = fmt.Errorf("transport: writing %s: %w", kind, err)
+	}
+	return e.counted(kind, err)
+}
+
+func (e *Endpoint) counted(kind Kind, err error) error {
 	if err != nil {
 		e.writeFails.Add(1)
 		observe.Emit(e.observer, observe.Event{

@@ -46,25 +46,37 @@ func putBuf(bp *[]byte) {
 // The frame goes out in one Write: one syscall, one virtual delivery.
 func Write(w io.Writer, kind Kind, body any) error {
 	bp := bufPool.Get().(*[]byte)
-	c := coder{b: append((*bp)[:0], 0, 0, 0, 0, wireVersion, byte(kind))}
+	defer putBuf(bp)
+	var err error
+	if *bp, err = Append((*bp)[:0], kind, body); err != nil {
+		return err
+	}
+	if _, err := w.Write(*bp); err != nil {
+		return fmt.Errorf("transport: writing %s: %w", kind, err)
+	}
+	return nil
+}
+
+// Append appends the frame of one message to b and returns the extended
+// slice; body is as for Write. Frames appended back to back read back one
+// by one, so a batch of them can leave in a single Write. On failure the
+// frames already in b are returned as they were.
+func Append(b []byte, kind Kind, body any) ([]byte, error) {
+	at := len(b)
+	c := coder{b: append(b, 0, 0, 0, 0, wireVersion, byte(kind))}
 	ok := c.fields(body)
 	if !ok && kind.known() {
 		c.b, ok = kinds[kind].byValue(c.b, body)
 	}
-	*bp = c.b
-	defer putBuf(bp)
-	n := len(c.b) - 4
-	if !ok {
-		return fmt.Errorf("transport: writing %s: body is not a wire message", kind)
+	n := len(c.b) - at - 4
+	switch {
+	case !ok:
+		return c.b[:at], fmt.Errorf("transport: writing %s: body is not a wire message", kind)
+	case n > MaxMessageSize:
+		return c.b[:at], ErrMessageTooLarge
 	}
-	if n > MaxMessageSize {
-		return ErrMessageTooLarge
-	}
-	binary.BigEndian.PutUint32(c.b, uint32(n))
-	if _, err := w.Write(c.b); err != nil {
-		return fmt.Errorf("transport: writing %s: %w", kind, err)
-	}
-	return nil
+	binary.BigEndian.PutUint32(c.b[at:], uint32(n))
+	return c.b, nil
 }
 
 // readFrame reads one frame in two reads — the length, then the rest —

@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -107,6 +109,71 @@ func FuzzReadCorruptFrame(f *testing.F) {
 		rerr := ReadExpect(bytes.NewReader(data), env.Kind, kinds[env.Kind].body())
 		if env.Kind != KindError && (derr == nil) != (rerr == nil) {
 			t.Fatalf("%s: Decode = %v but ReadExpect = %v", env.Kind, derr, rerr)
+		}
+	})
+}
+
+// FuzzReadFrameStream reads arbitrary bytes as a stream of frames, the way a
+// requester reads a supplier's session when several of its frames left in
+// one write: Read and ReadExpect step through the stream side by side, agree
+// frame by frame on whether each decodes, never fall out of step, and stop
+// at the first frame that is cut off or malformed with one of the frame
+// errors, never a panic. The seeds are batches Append built, whole and with
+// one frame inside them corrupted.
+func FuzzReadFrameStream(f *testing.F) {
+	batch := func() []byte {
+		var b []byte
+		for _, m := range []struct {
+			kind Kind
+			body any
+		}{
+			{KindStartReply, StartReply{OK: true}},
+			{KindSegment, Segment{ID: 0, Data: []byte("segment zero")}},
+			{KindSegment, Segment{ID: 1, Quality: 1, Data: []byte("one")}},
+			{KindSessionDone, SessionDone{Sent: 2}},
+		} {
+			var err error
+			if b, err = Append(b, m.kind, m.body); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return b
+	}
+	second := 4 + int(binary.BigEndian.Uint32(batch())) // where the first segment's frame starts
+	f.Add(batch())
+	f.Add(batch()[:len(batch())-3])
+	for _, corrupt := range []func(b []byte){
+		func(b []byte) { b[second+3]++ },                 // a length one past the frame
+		func(b []byte) { b[second+3]-- },                 // a length one short of it
+		func(b []byte) { b[second] = 0xff },              // a length past MaxMessageSize
+		func(b []byte) { b[second+4] = wireVersion + 1 }, // another wire version
+		func(b []byte) { b[second+5] = byte(kindEnd) },   // an unknown kind
+		func(b []byte) { b[second+8] = 0x7f },            // a payload count past the frame
+	} {
+		b := batch()
+		corrupt(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		byRead, byExpect := bytes.NewReader(data), bytes.NewReader(data)
+		for {
+			env, err := Read(byRead)
+			if err != nil {
+				for _, clean := range []error{io.EOF, io.ErrUnexpectedEOF, ErrMalformedFrame, ErrMessageTooLarge, ErrWireVersion} {
+					if errors.Is(err, clean) {
+						return
+					}
+				}
+				t.Fatalf("Read failed with %v, not a frame error", err)
+			}
+			derr := env.Decode(kinds[env.Kind].body())
+			rerr := ReadExpect(byExpect, env.Kind, kinds[env.Kind].body())
+			if env.Kind != KindError && (derr == nil) != (rerr == nil) {
+				t.Fatalf("%s: Decode = %v but ReadExpect = %v", env.Kind, derr, rerr)
+			}
+			if byRead.Len() != byExpect.Len() {
+				t.Fatalf("after a %s frame Read left %d bytes and ReadExpect %d", env.Kind, byRead.Len(), byExpect.Len())
+			}
 		}
 	})
 }

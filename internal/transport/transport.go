@@ -23,7 +23,9 @@
 // against the bytes that remain, at its elements' least wire size, before
 // anything is sized by it, so a frame makes decoding allocate at most 16
 // times its length (a list of empty strings: a byte each on the wire, a
-// 16-byte header each in memory).
+// 16-byte header each in memory). Write boundaries are not part of the
+// format: Write sends one frame per write, and frames Append puts back to
+// back in one buffer leave in one write and read back one by one.
 //
 // # Ownership
 //

@@ -225,3 +225,79 @@ func TestReadBodyOutlivesPooledBuffer(t *testing.T) {
 		t.Errorf("strings decoded by ReadExpect mutated after buffer reuse: %+v", reg)
 	}
 }
+
+// TestAppendBackToBack: frames Append puts one after another in a single
+// buffer are the bytes Write sends for each, and read back one by one and in
+// order through Read and ReadExpect alike.
+func TestAppendBackToBack(t *testing.T) {
+	msgs := []struct {
+		kind Kind
+		body any
+	}{
+		{KindStartReply, StartReply{OK: true}},
+		{KindSegment, &Segment{ID: 0, Data: []byte("zero")}},
+		{KindSegment, Segment{ID: 1, Quality: 2, Data: []byte("one")}},
+		{KindSessionDone, SessionDone{Sent: 2}},
+	}
+	var b []byte
+	var each bytes.Buffer
+	for _, m := range msgs {
+		var err error
+		if b, err = Append(b, m.kind, m.body); err != nil {
+			t.Fatalf("Append(%s): %v", m.kind, err)
+		}
+		if err := Write(&each, m.kind, m.body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(b, each.Bytes()) {
+		t.Fatalf("batch %x, frames written one by one %x", b, each.Bytes())
+	}
+	r := bytes.NewReader(b)
+	for i, m := range msgs {
+		if i%2 == 0 {
+			env, err := Read(r)
+			if err != nil || env.Kind != m.kind {
+				t.Fatalf("frame %d: Read = %v, %v; want %s", i, env, err, m.kind)
+			}
+			continue
+		}
+		out := kinds[m.kind].body()
+		if err := ReadExpect(r, m.kind, out); err != nil {
+			t.Fatalf("frame %d: ReadExpect(%s) = %v", i, m.kind, err)
+		}
+		got, _ := Append(nil, m.kind, out)
+		if want, _ := Append(nil, m.kind, m.body); !bytes.Equal(got, want) {
+			t.Errorf("frame %d decoded as %+v", i, out)
+		}
+	}
+	if _, err := Read(r); !errors.Is(err, io.EOF) {
+		t.Errorf("after the batch: %v, want EOF", err)
+	}
+}
+
+// TestAppendFailureKeepsEarlierFrames: an Append that fails — a body that is
+// no message, a frame past MaxMessageSize — returns the frames already in
+// the buffer exactly as they were, and the next Append goes on from them.
+func TestAppendFailureKeepsEarlierFrames(t *testing.T) {
+	b, err := Append(nil, KindStartReply, StartReply{OK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(b)
+	if b, err = Append(b, KindSegment, make(chan int)); err == nil || !bytes.Equal(b, before) {
+		t.Errorf("not a message: err = %v, buffer %x, want %x", err, b, before)
+	}
+	if b, err = Append(b, KindSegment, &Segment{Data: make([]byte, MaxMessageSize)}); !errors.Is(err, ErrMessageTooLarge) || !bytes.Equal(b, before) {
+		t.Errorf("oversized: err = %v, buffer of %d bytes, want ErrMessageTooLarge and %x", err, len(b), before)
+	}
+	if b, err = Append(b, KindSessionDone, SessionDone{}); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(b)
+	for _, want := range []Kind{KindStartReply, KindSessionDone} {
+		if env, err := Read(r); err != nil || env.Kind != want {
+			t.Fatalf("Read = %v, %v; want %s", env, err, want)
+		}
+	}
+}
