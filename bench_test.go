@@ -1,7 +1,7 @@
 // Whole-cluster benchmarks of the live overlay. The micro-benchmarks of the
 // underlying mechanisms sit beside their packages (internal/chord,
 // internal/lookup, internal/core, internal/dac, ...); the paper's tables
-// and figures are regenerated by cmd/p2pbench, and bench/ measures the
+// and figures are regenerated by cmd/p2psim, and bench/ measures the
 // paper's full-scale simulation end to end (sim-day).
 package p2pstream_test
 

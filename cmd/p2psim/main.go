@@ -1,30 +1,44 @@
-// Command p2psim runs one whole-system simulation of the peer-to-peer
-// streaming system and prints its headline metrics, optionally emitting the
-// sampled series as CSV.
+// Command p2psim runs the paper's evaluation (Section 5): one whole-system
+// simulation by default, or any of the paper's figures and tables, the
+// ablations and the replication, all from one base configuration.
 //
-// Example (the paper's Figure 4(a) DAC curve):
+// Examples:
 //
-//	p2psim -policy dac -pattern 2 -requesters 50000 -seeds 100
+//	p2psim -policy ndac -pattern 4     # one run under NDAC_p2p, arrival Pattern 4
+//	p2psim -exp fig4                   # Figure 4 at the paper's scale
+//	p2psim -exp all -out results       # every paper artifact, CSVs under results/
+//	p2psim -exp all-ext -requesters 5000 -seeds 50 -window 36h -horizon 72h
 //
-// -cpuprofile and -memprofile write pprof profiles of the simulation itself
-// (not of flag parsing or report printing).
+// The flags set the base config of every experiment: with none, it is the
+// paper's (100 seeds, 50,000 requesters over 72 h, 144 h simulated). Each
+// figure then sets the policy, pattern and parameter it plots itself.
+// Reports go to stdout; with -out, their raw series are written as CSV files
+// under the output directory, one subdirectory per experiment.
+//
+// -cpuprofile and -memprofile write pprof profiles of the experiments
+// themselves (not of flag parsing or report printing).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
 	"time"
 
 	"p2pstream/internal/arrival"
 	"p2pstream/internal/dac"
-	"p2pstream/internal/metrics"
+	"p2pstream/internal/experiments"
 	"p2pstream/internal/profiling"
 	"p2pstream/internal/system"
 )
 
 func main() {
 	cfg := system.DefaultConfig()
+	exp := flag.String("exp", "run", "experiment: 'run' (one simulation), 'all' (the paper's artifacts), 'all-ext' (and the ablations and replication) or one ID")
+	out := flag.String("out", "", "write every report's CSV series under this directory (default: print only)")
 	policy := flag.String("policy", "dac", "admission policy: dac or ndac")
 	pattern := flag.Int("pattern", 2, "arrival pattern 1-4")
 	flag.IntVar(&cfg.NumRequesters, "requesters", cfg.NumRequesters, "number of requesting peers")
@@ -37,8 +51,6 @@ func main() {
 	flag.DurationVar(&cfg.ArrivalWindow, "window", cfg.ArrivalWindow, "first-request arrival window")
 	flag.DurationVar(&cfg.Horizon, "horizon", cfg.Horizon, "simulated time")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
-	csvPath := flag.String("csv", "", "write capacity/admission/delay series to this CSV file")
-	chart := flag.Bool("chart", true, "print an ASCII capacity chart")
 	profiles := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -57,7 +69,7 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
-	res, err := system.Run(cfg)
+	reports, err := experiments.NewRunner(cfg).Run(*exp)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,37 +78,24 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("policy=%v pattern=%v peers=%d+%d horizon=%v (wall %v, %d events)\n",
-		cfg.Policy, cfg.Pattern, cfg.NumSeeds, cfg.NumRequesters, cfg.Horizon, wall.Round(time.Millisecond), res.Events)
-	last, _ := res.Capacity.Last()
-	fmt.Printf("capacity: final %.0f of max %d (%.1f%%)\n", last, res.MaxCapacity, 100*last/float64(res.MaxCapacity))
-	fmt.Printf("requests=%d probes=%d reminders=%d\n\n", res.TotalRequests, res.TotalProbes, res.TotalReminders)
-	fmt.Printf("%-8s %-10s %-10s %-12s %-10s %-10s %-12s\n",
-		"class", "arrived", "admitted", "admission%", "avg rej", "delay*dt", "avg wait")
-	for c := 0; c < len(res.Arrived); c++ {
-		rate, _ := res.AdmissionRate[c].Last()
-		fmt.Printf("%-8d %-10d %-10d %-12.1f %-10.2f %-10.2f %-12v\n",
-			c+1, res.Arrived[c], res.Admitted[c], rate, res.AvgRejections[c], res.AvgDelaySlots[c],
-			res.AvgWait[c].Round(time.Minute))
-	}
-
-	if *chart {
+	for _, rep := range reports {
+		fmt.Printf("==== %s: %s ====\n\n%s\n", rep.ID, rep.Title, rep.Text)
+		if *out == "" {
+			continue
+		}
+		for _, name := range slices.Sorted(maps.Keys(rep.CSV)) {
+			path := filepath.Join(*out, rep.ID, name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(rep.CSV[name]), 0o644); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("wrote %s\n", path)
+		}
 		fmt.Println()
-		fmt.Print(metrics.Chart("total system capacity", 64, 14, res.Capacity))
 	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		series := append([]*metrics.Series{res.Capacity, res.OverallAdmissionRate}, res.AdmissionRate...)
-		series = append(series, res.BufferingDelay...)
-		if err := metrics.WriteCSV(f, series...); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *csvPath)
-	}
+	fmt.Printf("completed %d experiment(s) in %v\n", len(reports), wall.Round(time.Millisecond))
 }
 
 func fatal(err error) {

@@ -6,7 +6,7 @@ import (
 
 // ExhaustiveMinDelaySlots searches every legal assignment of one window for
 // the given suppliers and returns the minimum buffering delay any of them
-// achieves. It exists to validate Theorem 1 in tests and in p2pbench's
+// achieves. It exists to validate Theorem 1 in tests and in p2psim's
 // fig1; it refuses windows larger than 16 segments.
 //
 // Every supplier transmits its assigned segments in ascending order (for a

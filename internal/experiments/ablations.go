@@ -16,31 +16,8 @@ import (
 // The extension experiments go beyond the paper's artifacts: ablations of
 // the design choices each Ablation* doc below names (the optimal segment
 // assignment, candidates that are down, the lookup substrate), plus a
-// replication harness that
-// reruns the headline results under several seeds and reports confidence
-// intervals.
-
-// ExtensionIDs lists the experiments beyond the paper's figures/tables.
-func ExtensionIDs() []string {
-	return []string{"ablation-assign", "ablation-down", "ablation-lookup", "replication"}
-}
-
-// runExtension dispatches an extension experiment.
-func (r *Runner) runExtension(id string) (*Report, error) {
-	switch id {
-	case "ablation-assign":
-		return r.AblationAssign()
-	case "ablation-down":
-		return r.AblationDown()
-	case "ablation-lookup":
-		return r.AblationLookup()
-	case "replication":
-		return r.Replication()
-	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)",
-			id, strings.Join(append(IDs(), ExtensionIDs()...), ", "))
-	}
-}
+// replication harness that reruns the headline results under several seeds
+// and reports confidence intervals.
 
 // AblationAssign quantifies how much the optimal assignment matters:
 // across random supplier mixes it compares OTS_p2p against the contiguous
@@ -48,7 +25,7 @@ func (r *Runner) runExtension(id string) (*Report, error) {
 // average delay, worst-case delay, and the fraction of mixes where each
 // strategy is optimal.
 func (r *Runner) AblationAssign() (*Report, error) {
-	rng := rand.New(rand.NewSource(r.Scale.Seed))
+	rng := rand.New(rand.NewSource(r.base.Seed))
 	const trials = 2000
 	type agg struct {
 		name    string
@@ -136,8 +113,9 @@ func (r *Runner) AblationDown() (*Report, error) {
 	var capSeries, admSeries []*metrics.Series
 	var b strings.Builder
 	for _, down := range []float64{0, 0.1, 0.3, 0.5} {
-		down := down
-		res, err := r.run(dac.DAC, arrival.Pattern2RampUpDown, func(c *system.Config) { c.DownProb = down })
+		cfg := r.config(dac.DAC, arrival.Pattern2RampUpDown)
+		cfg.DownProb = down
+		res, err := r.run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +124,7 @@ func (r *Runner) AblationDown() (*Report, error) {
 		admSeries = append(admSeries, renameSeries(res.OverallAdmissionRate, name))
 	}
 	b.WriteString(metrics.Chart("Capacity vs transient supplier unavailability (Pattern 2, DAC)", 64, 14, capSeries...))
-	b.WriteString(sweepMidpointTable("down prob", capSeries, r.Scale.ArrivalWindow/2))
+	b.WriteString(sweepMidpointTable("down prob", capSeries, r.base.ArrivalWindow/2))
 	b.WriteString("\n")
 	b.WriteString(metrics.Chart("Overall admission rate vs unavailability", 64, 12, admSeries...))
 	csvCap, err := seriesCSV(capSeries...)
@@ -174,18 +152,18 @@ func (r *Runner) AblationDown() (*Report, error) {
 // Chord adds only routing cost, which the live benchmarks quantify.
 func (r *Runner) AblationLookup() (*Report, error) {
 	// Chord rebuilds are O(n log n); keep this ablation at a bounded size
-	// so it stays fast even when the runner is at full scale.
-	scale := r.Scale
-	if scale.Requesters > ReducedScale.Requesters {
-		scale = ReducedScale
+	// so it stays fast even when the base config is at full scale.
+	cfg := r.config(dac.DAC, arrival.Pattern2RampUpDown)
+	if s := ReducedScale; cfg.NumRequesters > s.Requesters {
+		cfg.NumRequesters, cfg.NumSeeds = s.Requesters, s.Seeds
+		cfg.ArrivalWindow, cfg.Horizon = s.ArrivalWindow, s.Horizon
 	}
 	var series []*metrics.Series
 	var b strings.Builder
 	var finals []float64
 	for _, kind := range []system.LookupKind{system.LookupDirectory, system.LookupChord} {
-		cfg := scale.Config(dac.DAC, arrival.Pattern2RampUpDown)
 		cfg.Lookup = kind
-		res, err := system.Run(cfg)
+		res, err := r.run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +175,7 @@ func (r *Runner) AblationLookup() (*Report, error) {
 			kind, last, res.MaxCapacity, adm)
 	}
 	b.WriteString("\n")
-	b.WriteString(metrics.Chart(fmt.Sprintf("Capacity: directory vs chord lookup (%d peers)", scale.Requesters), 64, 14, series...))
+	b.WriteString(metrics.Chart(fmt.Sprintf("Capacity: directory vs chord lookup (%d peers)", cfg.NumRequesters), 64, 14, series...))
 	rel := 0.0
 	if finals[0] > 0 {
 		rel = 100 * (finals[1] - finals[0]) / finals[0]
@@ -231,9 +209,9 @@ func (r *Runner) Replication() (*Report, error) {
 	collect := func(policy dac.Policy) (*sample, error) {
 		var out sample
 		for i := 0; i < replicas; i++ {
-			cfg := r.Scale.Config(policy, arrival.Pattern2RampUpDown)
-			cfg.Seed = r.Scale.Seed + int64(100*i)
-			res, err := system.Run(cfg)
+			cfg := r.config(policy, arrival.Pattern2RampUpDown)
+			cfg.Seed = r.base.Seed + int64(100*i)
+			res, err := r.run(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +233,7 @@ func (r *Runner) Replication() (*Report, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d replicas per policy, Pattern 2, seeds %d..%d\n\n",
-		replicas, r.Scale.Seed, r.Scale.Seed+int64(100*(replicas-1)))
+		replicas, r.base.Seed, r.base.Seed+int64(100*(replicas-1)))
 	fmt.Fprintf(&b, "final capacity: DAC %s vs NDAC %s\n\n", dacS.capacity.MeanCI(), ndacS.capacity.MeanCI())
 	fmt.Fprintf(&b, "%-8s %-24s %-24s\n", "class", "DAC avg rejections", "NDAC avg rejections")
 	ordered := true

@@ -5,21 +5,25 @@ import (
 	"testing"
 )
 
+// TestExtensionIDs checks that "all-ext" runs the paper's artifacts, then
+// the extensions, each in order.
 func TestExtensionIDs(t *testing.T) {
-	want := []string{"ablation-assign", "ablation-down", "ablation-lookup", "replication"}
-	got := ExtensionIDs()
-	if len(got) != len(want) {
-		t.Fatalf("ExtensionIDs = %v", got)
+	reports, err := NewRunner(tiny).Run("all-ext")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExtensionIDs = %v, want %v", got, want)
-		}
+	want := append(IDs(), "ablation-assign", "ablation-down", "ablation-lookup", "replication")
+	var got []string
+	for _, rep := range reports {
+		got = append(got, rep.ID)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("all-ext ran %v, want %v", got, want)
 	}
 }
 
 func TestAblationAssign(t *testing.T) {
-	rep, err := NewRunner(tinyScale).AblationAssign()
+	rep, err := NewRunner(tiny).AblationAssign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestAblationAssign(t *testing.T) {
 }
 
 func TestAblationDown(t *testing.T) {
-	rep, err := NewRunner(tinyScale).AblationDown()
+	rep, err := NewRunner(tiny).AblationDown()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestAblationDown(t *testing.T) {
 }
 
 func TestAblationLookup(t *testing.T) {
-	rep, err := NewRunner(tinyScale).AblationLookup()
+	rep, err := NewRunner(tiny).AblationLookup()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +86,7 @@ func TestAblationLookup(t *testing.T) {
 }
 
 func TestReplication(t *testing.T) {
-	rep, err := NewRunner(tinyScale).Replication()
+	rep, err := NewRunner(tiny).Replication()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +98,24 @@ func TestReplication(t *testing.T) {
 }
 
 func TestRunDispatchesExtensions(t *testing.T) {
-	r := NewRunner(tinyScale)
-	rep, err := r.Run("ablation-assign")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ID != "ablation-assign" {
-		t.Errorf("ID = %s", rep.ID)
-	}
+	r := NewRunner(tiny)
+	runOne(t, r, "ablation-assign")
 	if _, err := r.Run("nonsense"); err == nil {
 		t.Error("unknown id should fail")
 	}
 }
 
+// TestAllWithExtensions checks that "all-ext" simulates each distinct config
+// once: the extensions reuse the paper's runs where their configs agree
+// (down=0%, the directory lookup, the first replica of each policy).
 func TestAllWithExtensions(t *testing.T) {
-	reports, err := NewRunner(tinyScale).AllWithExtensions()
-	if err != nil {
+	r := NewRunner(tiny)
+	if _, err := r.Run("all-ext"); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(IDs()) + len(ExtensionIDs()); len(reports) != want {
-		t.Fatalf("got %d reports, want %d", len(reports), want)
+	// Figure 4: 4 runs; Figures 8(a), 8(b) and 9: 3, 4 and 3 more; the
+	// down sweep 3, the chord lookup 1 and the other replicas 8.
+	if got, want := len(r.cache), 4+3+4+3+3+1+8; got != want {
+		t.Errorf("all-ext ran %d simulations, want %d", got, want)
 	}
 }

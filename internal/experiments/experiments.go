@@ -1,13 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 5). Each experiment returns a Report containing a
+// evaluation (Section 5), its ablations and replication, and the single
+// whole-system run. Each experiment returns a Report containing a
 // human-readable rendering (tables and ASCII charts mirroring the paper's
-// plots) plus CSV files with the raw series, and is exposed through
-// cmd/p2pbench and the root-level benchmarks.
+// plots) plus CSV files with the raw series; cmd/p2psim runs them. Every
+// simulation they need goes through one cached Runner.run.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -78,32 +78,28 @@ type Report struct {
 	CSV map[string]string
 }
 
-// Runner executes experiments, caching simulation runs so experiments that
-// share a configuration (e.g. Figure 5 and Figure 6) reuse them. Runner is
-// safe for sequential use; experiments themselves run one simulation at a
-// time.
+// Runner executes experiments against one base config, caching simulation
+// runs so experiments that share a configuration (e.g. Figure 5 and Figure 6)
+// reuse them. Runner is safe for sequential use; experiments themselves run
+// one simulation at a time.
 type Runner struct {
-	Scale Scale
+	base system.Config
 
 	mu    sync.Mutex
 	cache map[string]*system.Result
 }
 
-// NewRunner returns a Runner at the given scale.
-func NewRunner(scale Scale) *Runner {
-	return &Runner{Scale: scale, cache: make(map[string]*system.Result)}
+// NewRunner returns a Runner whose experiments vary base: each sets the
+// policy, pattern and parameter it plots and keeps every other field.
+func NewRunner(base system.Config) *Runner {
+	return &Runner{base: base, cache: make(map[string]*system.Result)}
 }
 
-// run executes (or reuses) a simulation with the given overrides applied to
-// the scale's paper-parameter config.
-func (r *Runner) run(policy dac.Policy, pattern arrival.Pattern, mutate func(*system.Config)) (*system.Result, error) {
-	cfg := r.Scale.Config(policy, pattern)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	key := fmt.Sprintf("%v|%v|M=%d|tout=%v|bkf=%v/%d|n=%d|down=%g|lookup=%v|seed=%d",
-		cfg.Policy, cfg.Pattern, cfg.M, cfg.TOut, cfg.Backoff.Base, cfg.Backoff.Factor,
-		cfg.NumRequesters, cfg.DownProb, cfg.Lookup, cfg.Seed)
+// run executes (or reuses) the simulation of cfg. Every simulation of the
+// package starts here. The cache is keyed by the whole config, so two runs
+// share a result only if their configs are equal.
+func (r *Runner) run(cfg system.Config) (*system.Result, error) {
+	key := fmt.Sprintf("%#v", cfg)
 	r.mu.Lock()
 	cached, ok := r.cache[key]
 	r.mu.Unlock()
@@ -120,60 +116,116 @@ func (r *Runner) run(policy dac.Policy, pattern arrival.Pattern, mutate func(*sy
 	return res, nil
 }
 
-// IDs lists every experiment in paper order.
+// config is the base config under policy and pattern.
+func (r *Runner) config(policy dac.Policy, pattern arrival.Pattern) system.Config {
+	cfg := r.base
+	cfg.Policy, cfg.Pattern = policy, pattern
+	return cfg
+}
+
+// The sets an experiment belongs to: "all" runs the paper's artifacts,
+// "all-ext" those and the extensions, and one that is alone runs only when
+// named.
+const (
+	alone = iota
+	paper
+	extension
+)
+
+// catalog is every experiment in the order a set runs them: the single run,
+// the paper's artifacts in paper order, then the extensions.
+var catalog = []struct {
+	id  string
+	set int
+	run func(*Runner) (*Report, error)
+}{
+	{"run", alone, (*Runner).Simulation},
+	{"fig1", paper, (*Runner).Fig1},
+	{"fig3", paper, (*Runner).Fig3},
+	{"fig4", paper, (*Runner).Fig4},
+	{"fig5", paper, (*Runner).Fig5},
+	{"fig6", paper, (*Runner).Fig6},
+	{"table1", paper, (*Runner).Table1},
+	{"fig7", paper, (*Runner).Fig7},
+	{"fig8a", paper, (*Runner).Fig8a},
+	{"fig8b", paper, (*Runner).Fig8b},
+	{"fig9", paper, (*Runner).Fig9},
+	{"ablation-assign", extension, (*Runner).AblationAssign},
+	{"ablation-down", extension, (*Runner).AblationDown},
+	{"ablation-lookup", extension, (*Runner).AblationLookup},
+	{"replication", extension, (*Runner).Replication},
+}
+
+// IDs lists the paper's artifacts in paper order: what "all" runs.
 func IDs() []string {
-	return []string{"fig1", "fig3", "fig4", "fig5", "fig6", "table1", "fig7", "fig8a", "fig8b", "fig9"}
-}
-
-// Run executes the experiment with the given ID.
-func (r *Runner) Run(id string) (*Report, error) {
-	switch id {
-	case "fig1":
-		return r.Fig1()
-	case "fig3":
-		return r.Fig3()
-	case "fig4":
-		return r.Fig4()
-	case "fig5":
-		return r.Fig5()
-	case "fig6":
-		return r.Fig6()
-	case "table1":
-		return r.Table1()
-	case "fig7":
-		return r.Fig7()
-	case "fig8a":
-		return r.Fig8a()
-	case "fig8b":
-		return r.Fig8b()
-	case "fig9":
-		return r.Fig9()
-	default:
-		return r.runExtension(id)
+	var ids []string
+	for _, e := range catalog {
+		if e.set == paper {
+			ids = append(ids, e.id)
+		}
 	}
+	return ids
 }
 
-// All runs every paper experiment in paper order. Extension experiments
-// (ablations, replication) are run individually or via AllWithExtensions.
-func (r *Runner) All() ([]*Report, error) {
-	return r.runSet(IDs())
-}
-
-// AllWithExtensions runs the paper experiments followed by the extensions.
-func (r *Runner) AllWithExtensions() ([]*Report, error) {
-	return r.runSet(append(IDs(), ExtensionIDs()...))
-}
-
-func (r *Runner) runSet(ids []string) ([]*Report, error) {
+// Run executes the experiment with the given ID, or a set: "all" runs the
+// paper's artifacts and "all-ext" adds the extensions (ablations,
+// replication).
+func (r *Runner) Run(exp string) ([]*Report, error) {
 	var reports []*Report
-	for _, id := range ids {
-		rep, err := r.Run(id)
+	var ids []string
+	for _, e := range catalog {
+		ids = append(ids, e.id)
+		if exp != e.id && !(exp == "all" && e.set == paper) && !(exp == "all-ext" && e.set != alone) {
+			continue
+		}
+		rep, err := e.run(r)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
+			return nil, fmt.Errorf("experiments: %s: %w", e.id, err)
 		}
 		reports = append(reports, rep)
 	}
+	if reports == nil {
+		return nil, fmt.Errorf("experiments: unknown experiment %q (want all, all-ext or one of %s)",
+			exp, strings.Join(ids, ", "))
+	}
 	return reports, nil
+}
+
+// Simulation is the "run" experiment: one simulation of the base config as
+// given, its counters, per-class outcomes and capacity chart, and every
+// sampled series but Figure 7's as CSV.
+func (r *Runner) Simulation() (*Report, error) {
+	res, err := r.run(r.base)
+	if err != nil {
+		return nil, err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "policy=%v pattern=%v peers=%d+%d horizon=%v (%d events)\n",
+		r.base.Policy, r.base.Pattern, r.base.NumSeeds, r.base.NumRequesters, r.base.Horizon, res.Events)
+	last, _ := res.Capacity.Last()
+	fmt.Fprintf(&b, "capacity: final %.0f of max %d (%.1f%%)\n", last, res.MaxCapacity, 100*last/float64(res.MaxCapacity))
+	fmt.Fprintf(&b, "requests=%d probes=%d reminders=%d\n\n", res.TotalRequests, res.TotalProbes, res.TotalReminders)
+	fmt.Fprintf(&b, "%-8s %-10s %-10s %-12s %-10s %-10s %-12s\n",
+		"class", "arrived", "admitted", "admission%", "avg rej", "delay*dt", "avg wait")
+	for c := range res.Arrived {
+		rate, _ := res.AdmissionRate[c].Last()
+		fmt.Fprintf(&b, "%-8d %-10d %-10d %-12.1f %-10.2f %-10.2f %-12v\n",
+			c+1, res.Arrived[c], res.Admitted[c], rate, res.AvgRejections[c], res.AvgDelaySlots[c],
+			res.AvgWait[c].Round(time.Minute))
+	}
+	b.WriteString("\n")
+	b.WriteString(metrics.Chart("total system capacity", 64, 14, res.Capacity))
+	series := append([]*metrics.Series{res.Capacity, res.OverallAdmissionRate}, res.AdmissionRate...)
+	csv, err := seriesCSV(append(series, res.BufferingDelay...)...)
+	if err != nil {
+		return nil, err
+	}
+	return &Report{
+		ID:    "run",
+		Title: "Whole-system simulation of the base config",
+		Text:  b.String(),
+		CSV:   map[string]string{"run.csv": csv},
+	}, nil
 }
 
 // Fig1 reproduces Figure 1: the buffering delay of the naive contiguous
@@ -276,11 +328,11 @@ func (r *Runner) Fig4() (*Report, error) {
 	}
 	var b strings.Builder
 	for _, pattern := range []arrival.Pattern{arrival.Pattern2RampUpDown, arrival.Pattern4PeriodicBursts} {
-		dacRes, err := r.run(dac.DAC, pattern, nil)
+		dacRes, err := r.run(r.config(dac.DAC, pattern))
 		if err != nil {
 			return nil, err
 		}
-		ndacRes, err := r.run(dac.NDAC, pattern, nil)
+		ndacRes, err := r.run(r.config(dac.NDAC, pattern))
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +371,7 @@ func (r *Runner) perClassSeries(id, title string, pick func(*system.Result) []*m
 	rep := &Report{ID: id, Title: title, CSV: map[string]string{}}
 	var b strings.Builder
 	for _, policy := range []dac.Policy{dac.DAC, dac.NDAC} {
-		res, err := r.run(policy, arrival.Pattern2RampUpDown, nil)
+		res, err := r.run(r.config(policy, arrival.Pattern2RampUpDown))
 		if err != nil {
 			return nil, err
 		}
@@ -344,34 +396,27 @@ func (r *Runner) perClassSeries(id, title string, pick func(*system.Result) []*m
 // Table1 reproduces Table 1: per-class average number of rejections before
 // admission, DAC_p2p/NDAC_p2p, Patterns 2 and 4.
 func (r *Runner) Table1() (*Report, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-14s %-14s\n", "Avg. rej.", "Pattern 2", "Pattern 4")
-	type cell struct{ dac, ndac float64 }
-	cells := make(map[arrival.Pattern][]cell)
-	for _, pattern := range []arrival.Pattern{arrival.Pattern2RampUpDown, arrival.Pattern4PeriodicBursts} {
-		dacRes, err := r.run(dac.DAC, pattern, nil)
-		if err != nil {
-			return nil, err
-		}
-		ndacRes, err := r.run(dac.NDAC, pattern, nil)
-		if err != nil {
-			return nil, err
-		}
-		for c := 0; c < 4; c++ {
-			cells[pattern] = append(cells[pattern], cell{dacRes.AvgRejections[c], ndacRes.AvgRejections[c]})
+	var rej [2][2][]float64 // [Pattern 2, Pattern 4][DAC, NDAC], per class
+	for i, pattern := range []arrival.Pattern{arrival.Pattern2RampUpDown, arrival.Pattern4PeriodicBursts} {
+		for j, policy := range []dac.Policy{dac.DAC, dac.NDAC} {
+			res, err := r.run(r.config(policy, pattern))
+			if err != nil {
+				return nil, err
+			}
+			rej[i][j] = res.AvgRejections
 		}
 	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s %-14s %-14s\n", "Avg. rej.", "Pattern 2", "Pattern 4")
 	for c := 0; c < 4; c++ {
-		p2 := cells[arrival.Pattern2RampUpDown][c]
-		p4 := cells[arrival.Pattern4PeriodicBursts][c]
-		fmt.Fprintf(&b, "Class %-6d %.2f/%-9.2f %.2f/%-9.2f\n", c+1, p2.dac, p2.ndac, p4.dac, p4.ndac)
+		fmt.Fprintf(&b, "Class %-6d %.2f/%-9.2f %.2f/%-9.2f\n", c+1, rej[0][0][c], rej[0][1][c], rej[1][0][c], rej[1][1][c])
 	}
 	b.WriteString("\n(cells are 'DAC_p2p/NDAC_p2p'; paper reports e.g. 1.77/3.73 for class 1, Pattern 2)\n")
 	// Waiting time implied by the backoff schedule.
-	cfg := r.Scale.Config(dac.DAC, arrival.Pattern2RampUpDown)
-	b.WriteString("\nImplied average waiting time (T_bkf=10min, E_bkf=2):\n")
+	bkf := r.base.Backoff
+	fmt.Fprintf(&b, "\nImplied average waiting time (T_bkf=%gmin, E_bkf=%d):\n", bkf.Base.Minutes(), bkf.Factor)
 	for c := 0; c < 4; c++ {
-		w, err := cfg.Backoff.TotalWait(int(cells[arrival.Pattern2RampUpDown][c].dac + 0.5))
+		w, err := bkf.TotalWait(int(rej[0][0][c] + 0.5))
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +432,7 @@ func (r *Runner) Table1() (*Report, error) {
 // Fig7 reproduces Figure 7: the lowest requesting-peer class favored by
 // each class of supplying peers over time (3-hour snapshots), Pattern 4.
 func (r *Runner) Fig7() (*Report, error) {
-	res, err := r.run(dac.DAC, arrival.Pattern4PeriodicBursts, nil)
+	res, err := r.run(r.config(dac.DAC, arrival.Pattern4PeriodicBursts))
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +489,9 @@ func (r *Runner) capacitySweep(id, title, param string, points []sweepPoint) (*R
 	var series []*metrics.Series
 	var overhead []string
 	for _, p := range points {
-		res, err := r.run(dac.DAC, arrival.Pattern2RampUpDown, p.mutate)
+		cfg := r.config(dac.DAC, arrival.Pattern2RampUpDown)
+		p.mutate(&cfg)
+		res, err := r.run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +507,7 @@ func (r *Runner) capacitySweep(id, title, param string, points []sweepPoint) (*R
 	}
 	var b strings.Builder
 	b.WriteString(metrics.Chart(title, 64, 14, series...))
-	b.WriteString(sweepMidpointTable(param, series, r.Scale.ArrivalWindow/2))
+	b.WriteString(sweepMidpointTable(param, series, r.base.ArrivalWindow/2))
 	if len(overhead) > 0 {
 		// The paper (Section 5.2(6)) notes that a large M "may increase the
 		// probing overhead and traffic"; quantify it.
@@ -482,8 +529,9 @@ func (r *Runner) capacitySweep(id, title, param string, points []sweepPoint) (*R
 func (r *Runner) Fig9() (*Report, error) {
 	var series []*metrics.Series
 	for _, factor := range []int{1, 2, 3, 4} {
-		factor := factor
-		res, err := r.run(dac.DAC, arrival.Pattern2RampUpDown, func(c *system.Config) { c.Backoff.Factor = factor })
+		cfg := r.config(dac.DAC, arrival.Pattern2RampUpDown)
+		cfg.Backoff.Factor = factor
+		res, err := r.run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -492,7 +540,7 @@ func (r *Runner) Fig9() (*Report, error) {
 	var b strings.Builder
 	title := "Figure 9: impact of E_bkf on overall admission rate (%)"
 	b.WriteString(metrics.Chart(title, 64, 14, series...))
-	b.WriteString(sweepMidpointTable("E_bkf", series, r.Scale.ArrivalWindow/2))
+	b.WriteString(sweepMidpointTable("E_bkf", series, r.base.ArrivalWindow/2))
 	csv, err := seriesCSV(series...)
 	if err != nil {
 		return nil, err
@@ -526,14 +574,4 @@ func seriesCSV(series ...*metrics.Series) (string, error) {
 		return "", err
 	}
 	return b.String(), nil
-}
-
-// SortedCSVNames returns a report's CSV file names in stable order.
-func (rep *Report) SortedCSVNames() []string {
-	names := make([]string, 0, len(rep.CSV))
-	for name := range rep.CSV {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

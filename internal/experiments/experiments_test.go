@@ -1,23 +1,31 @@
 package experiments
 
 import (
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"p2pstream/internal/arrival"
 	"p2pstream/internal/dac"
+	"p2pstream/internal/system"
 )
 
-// tinyScale keeps the whole experiment suite runnable in a few seconds.
-var tinyScale = Scale{
-	Name:          "tiny",
-	Requesters:    800,
-	Seeds:         20,
-	ArrivalWindow: 12 * time.Hour,
-	Horizon:       24 * time.Hour,
-	Seed:          7,
-}
+// tinyScale keeps the whole experiment suite runnable in a few seconds;
+// tiny is its base config.
+var (
+	tinyScale = Scale{
+		Name:          "tiny",
+		Requesters:    800,
+		Seeds:         20,
+		ArrivalWindow: 12 * time.Hour,
+		Horizon:       24 * time.Hour,
+		Seed:          7,
+	}
+	tiny = tinyScale.Config(dac.DAC, arrival.Pattern2RampUpDown)
+)
 
 func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig1", "fig3", "fig4", "fig5", "fig6", "table1", "fig7", "fig8a", "fig8b", "fig9"}
@@ -33,14 +41,64 @@ func TestIDsCoverEveryPaperArtifact(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	r := NewRunner(tinyScale)
+	r := NewRunner(tiny)
 	if _, err := r.Run("fig99"); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
 
+// runOne runs the single experiment id.
+func runOne(t *testing.T, r *Runner, id string) *Report {
+	t.Helper()
+	reports, err := r.Run(id)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if len(reports) != 1 || reports[0].ID != id {
+		t.Fatalf("%s ran %d reports", id, len(reports))
+	}
+	return reports[0]
+}
+
+func TestSimulationReport(t *testing.T) {
+	rep := runOne(t, NewRunner(tiny), "run")
+	for _, want := range []string{
+		"policy=DAC_p2p pattern=", "peers=20+800", "capacity: final", "requests=",
+		"admission%", "total system capacity",
+	} {
+		if !strings.Contains(rep.Text, want) {
+			t.Errorf("run report missing %q:\n%s", want, rep.Text)
+		}
+	}
+	if csv := rep.CSV["run.csv"]; !strings.HasPrefix(csv, "hours,capacity,") {
+		t.Errorf("run.csv header wrong: %.60q", csv)
+	}
+}
+
+// TestRunCacheKeyIsWholeConfig runs two configs that differ only in a field
+// the cache key once left out: each must get its own simulation.
+func TestRunCacheKeyIsWholeConfig(t *testing.T) {
+	r := NewRunner(tiny)
+	longer := tiny
+	longer.SessionDuration = 2 * tiny.SessionDuration
+	a, err := r.run(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.run(longer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || a.Events == b.Events {
+		t.Errorf("SessionDuration %v and %v share one result (%d events)", tiny.SessionDuration, longer.SessionDuration, a.Events)
+	}
+	if again, _ := r.run(tiny); again != a {
+		t.Error("an equal config ran again instead of reusing the cached result")
+	}
+}
+
 func TestFig1Report(t *testing.T) {
-	rep, err := NewRunner(tinyScale).Fig1()
+	rep, err := NewRunner(tiny).Fig1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +114,7 @@ func TestFig1Report(t *testing.T) {
 }
 
 func TestFig3Report(t *testing.T) {
-	rep, err := NewRunner(tinyScale).Fig3()
+	rep, err := NewRunner(tiny).Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +128,7 @@ func TestFig3Report(t *testing.T) {
 }
 
 func TestFig4ReportAndCache(t *testing.T) {
-	r := NewRunner(tinyScale)
+	r := NewRunner(tiny)
 	rep, err := r.Fig4()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +136,7 @@ func TestFig4ReportAndCache(t *testing.T) {
 	if len(rep.CSV) != 2 {
 		t.Errorf("Fig4 CSV count = %d, want 2 (patterns 2 and 4)", len(rep.CSV))
 	}
-	for _, name := range rep.SortedCSVNames() {
+	for _, name := range slices.Sorted(maps.Keys(rep.CSV)) {
 		if !strings.HasPrefix(rep.CSV[name], "hours,DAC_p2p,NDAC_p2p\n") {
 			t.Errorf("%s header wrong: %q", name, rep.CSV[name][:40])
 		}
@@ -98,24 +156,31 @@ func TestFig4ReportAndCache(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rep, err := NewRunner(tinyScale).Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Class 1", "Class 4", "Pattern 2", "Pattern 4", "waiting time"} {
-		if !strings.Contains(rep.Text, want) {
-			t.Errorf("Table1 missing %q:\n%s", want, rep.Text)
+	quick := tiny
+	quick.Backoff.Base, quick.Backoff.Factor = 5*time.Minute, 3
+	for _, tt := range []struct {
+		base  system.Config
+		label string
+	}{
+		{tiny, "waiting time (T_bkf=10min, E_bkf=2)"},
+		{quick, "waiting time (T_bkf=5min, E_bkf=3)"},
+	} {
+		rep, err := NewRunner(tt.base).Table1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"Class 1", "Class 4", "Pattern 2", "Pattern 4", tt.label} {
+			if !strings.Contains(rep.Text, want) {
+				t.Errorf("Table1 missing %q:\n%s", want, rep.Text)
+			}
 		}
 	}
 }
 
 func TestPerClassReports(t *testing.T) {
-	r := NewRunner(tinyScale)
+	r := NewRunner(tiny)
 	for _, id := range []string{"fig5", "fig6"} {
-		rep, err := r.Run(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		rep := runOne(t, r, id)
 		if len(rep.CSV) != 2 {
 			t.Errorf("%s CSV count = %d, want 2 (DAC and NDAC)", id, len(rep.CSV))
 		}
@@ -128,7 +193,7 @@ func TestPerClassReports(t *testing.T) {
 }
 
 func TestSweepReports(t *testing.T) {
-	r := NewRunner(tinyScale)
+	r := NewRunner(tiny)
 	tests := []struct {
 		id    string
 		names []string
@@ -139,10 +204,7 @@ func TestSweepReports(t *testing.T) {
 		{"fig7", []string{"lowest-favored"}},
 	}
 	for _, tt := range tests {
-		rep, err := r.Run(tt.id)
-		if err != nil {
-			t.Fatalf("%s: %v", tt.id, err)
-		}
+		rep := runOne(t, r, tt.id)
 		for _, name := range tt.names {
 			if !strings.Contains(rep.Text, name) {
 				t.Errorf("%s missing %q", tt.id, name)
@@ -155,12 +217,12 @@ func TestSweepReports(t *testing.T) {
 }
 
 func TestAllRunsEveryExperiment(t *testing.T) {
-	reports, err := NewRunner(tinyScale).All()
+	reports, err := NewRunner(tiny).Run("all")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != len(IDs()) {
-		t.Fatalf("All returned %d reports, want %d", len(reports), len(IDs()))
+		t.Fatalf("all returned %d reports, want %d", len(reports), len(IDs()))
 	}
 	for i, rep := range reports {
 		if rep.ID != IDs()[i] {
@@ -182,6 +244,11 @@ func TestScaleConfig(t *testing.T) {
 	}
 	if cfg.Policy != dac.NDAC || cfg.Pattern != arrival.Pattern4PeriodicBursts {
 		t.Error("policy/pattern not applied")
+	}
+	// p2psim's flags default to system.DefaultConfig, so with no flags its
+	// experiments run at the paper's scale.
+	if !reflect.DeepEqual(FullScale.Config(dac.DAC, arrival.Pattern2RampUpDown), system.DefaultConfig()) {
+		t.Error("FullScale.Config(DAC, Pattern 2) differs from system.DefaultConfig()")
 	}
 	if err := ReducedScale.Config(dac.DAC, arrival.Pattern1Constant).Validate(); err != nil {
 		t.Fatal(err)
