@@ -72,12 +72,13 @@ func (d Decision) String() string {
 // two, so the vector rendered from the anchor is exact.
 //
 // Supplier is not safe for concurrent use; callers serialize access (the
-// simulator is single-threaded, the live node guards it with its own mutex).
+// simulator is single-threaded, the live node reaches it only through
+// protocol.Supplier's mutex).
 // The zero value is not usable: build one with NewSupplier, or Init storage
 // the caller already owns.
 type Supplier struct {
 	// Classes are at most bandwidth.MaxClass = 20: a byte each keeps the
-	// whole machine inside one word of its owner's record.
+	// whole machine inside one word, so a slab of them is 8 B a peer.
 	class  int8
 	k      int8 // number of classes
 	anchor int8 // lowest favored class: Pb[j] = 1 for j <= anchor, 1/2^(j-anchor) below
@@ -149,24 +150,33 @@ func (s *Supplier) Favors(j bandwidth.Class) bool { return j >= 1 && j <= s.Lowe
 // elevation can change the vector, so idle timers may stop).
 func (s *Supplier) AllOpen() bool { return s.anchor == s.k }
 
-// HandleProbe processes a streaming-service probe from a class-reqClass
-// requesting peer. u must be a uniform random value in [0, 1) drawn by the
-// caller. A grant is a permission, not a commitment: the requester triggers
-// the suppliers it selects via StartSession.
-func (s *Supplier) HandleProbe(reqClass bandwidth.Class, u float64) Decision {
-	if reqClass < 1 || reqClass > bandwidth.Class(s.k) {
-		return DeniedProbability
-	}
-	if s.busy {
-		if s.Favors(reqClass) {
+// Probe serves a streaming-service probe from a class-reqClass requesting
+// peer: the decision, and whether the supplier currently favors that class
+// (a busy supplier's denial carries it, so the requester knows where a
+// reminder would count). u must be a uniform random value in [0, 1) drawn
+// by the caller. A grant is a permission, not a commitment: the requester
+// triggers the suppliers it selects via StartSession. A probe never moves
+// the anchor.
+func (s *Supplier) Probe(reqClass bandwidth.Class, u float64) (dec Decision, favors bool) {
+	favors = s.Favors(reqClass)
+	switch {
+	case reqClass < 1 || reqClass > bandwidth.Class(s.k):
+		return DeniedProbability, false
+	case s.busy:
+		if favors {
 			s.sawFavoredRequest = true
 		}
-		return DeniedBusy
+		return DeniedBusy, favors
+	case u < prob(reqClass, s.LowestFavored()):
+		return Granted, favors
 	}
-	if u < prob(reqClass, s.LowestFavored()) {
-		return Granted
-	}
-	return DeniedProbability
+	return DeniedProbability, favors
+}
+
+// HandleProbe is Probe's decision alone.
+func (s *Supplier) HandleProbe(reqClass bandwidth.Class, u float64) Decision {
+	dec, _ := s.Probe(reqClass, u)
+	return dec
 }
 
 // LeaveReminder records a reminder from a rejected class-reqClass requester

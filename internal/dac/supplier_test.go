@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"p2pstream/internal/bandwidth"
 )
@@ -33,6 +34,37 @@ func TestNewSupplier(t *testing.T) {
 	}
 	if got := s.LowestFavored(); got != 2 {
 		t.Errorf("LowestFavored = %d", got)
+	}
+}
+
+// TestSupplierFitsOneWord pins the admission state at one machine word.
+// The simulator lays every peer's out in one dense slab, 8 B a peer, which
+// is what keeps a paper-scale run's slab (about 400 KB) inside L2.
+func TestSupplierFitsOneWord(t *testing.T) {
+	if got := unsafe.Sizeof(Supplier{}); got > 8 {
+		t.Errorf("dac.Supplier is %d bytes, want at most 8", got)
+	}
+}
+
+// TestProbeReportsFavors checks Probe's favor bit against Favors on
+// suppliers of every class under both policies, idle and busy, for every
+// requester class and two out of range.
+func TestProbeReportsFavors(t *testing.T) {
+	for _, p := range []Policy{DAC, NDAC} {
+		for own := bandwidth.Class(1); own <= 4; own++ {
+			for _, busy := range []bool{false, true} {
+				s := mustSupplier(t, own, 4, p)
+				if busy {
+					_ = s.StartSession()
+				}
+				for req := bandwidth.Class(0); req <= 5; req++ {
+					want := s.Favors(req)
+					if _, favors := s.Probe(req, 0.5); favors != want {
+						t.Errorf("%v class %d busy=%v: Probe(%d) favors = %v, Favors says %v", p, own, busy, req, favors, want)
+					}
+				}
+			}
+		}
 	}
 }
 

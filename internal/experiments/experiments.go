@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -80,40 +81,55 @@ type Report struct {
 
 // Runner executes experiments against one base config, caching simulation
 // runs so experiments that share a configuration (e.g. Figure 5 and Figure 6)
-// reuse them. Runner is safe for sequential use; experiments themselves run
-// one simulation at a time.
+// reuse them. Runner is safe for concurrent use, and Run runs the
+// experiments of a set concurrently: at most GOMAXPROCS simulations at a
+// time, each config simulated once however many experiments ask for it.
 type Runner struct {
 	base system.Config
+	sims chan struct{} // one token per simulation in progress
 
 	mu    sync.Mutex
-	cache map[string]*system.Result
+	cache map[string]*flight
+}
+
+// flight is one config's simulation: done closes once res and err are set.
+type flight struct {
+	done chan struct{}
+	res  *system.Result
+	err  error
 }
 
 // NewRunner returns a Runner whose experiments vary base: each sets the
 // policy, pattern and parameter it plots and keeps every other field.
 func NewRunner(base system.Config) *Runner {
-	return &Runner{base: base, cache: make(map[string]*system.Result)}
+	return &Runner{
+		base:  base,
+		sims:  make(chan struct{}, runtime.GOMAXPROCS(0)),
+		cache: make(map[string]*flight),
+	}
 }
 
 // run executes (or reuses) the simulation of cfg. Every simulation of the
 // package starts here. The cache is keyed by the whole config, so two runs
-// share a result only if their configs are equal.
+// share a result only if their configs are equal; a caller that asks for a
+// config already being simulated waits for that simulation.
 func (r *Runner) run(cfg system.Config) (*system.Result, error) {
 	key := fmt.Sprintf("%#v", cfg)
 	r.mu.Lock()
-	cached, ok := r.cache[key]
-	r.mu.Unlock()
-	if ok {
-		return cached, nil
+	f, ok := r.cache[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		r.cache[key] = f
 	}
-	res, err := system.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.cache[key] = res
 	r.mu.Unlock()
-	return res, nil
+	if !ok {
+		r.sims <- struct{}{}
+		f.res, f.err = system.Run(cfg)
+		<-r.sims
+		close(f.done)
+	}
+	<-f.done
+	return f.res, f.err
 }
 
 // config is the base config under policy and pattern.
@@ -169,24 +185,36 @@ func IDs() []string {
 
 // Run executes the experiment with the given ID, or a set: "all" runs the
 // paper's artifacts and "all-ext" adds the extensions (ablations,
-// replication).
+// replication). The experiments of a set run concurrently; the reports come
+// back in catalog order.
 func (r *Runner) Run(exp string) ([]*Report, error) {
-	var reports []*Report
 	var ids []string
-	for _, e := range catalog {
+	var picked []int // indices into catalog
+	for i, e := range catalog {
 		ids = append(ids, e.id)
-		if exp != e.id && !(exp == "all" && e.set == paper) && !(exp == "all-ext" && e.set != alone) {
-			continue
+		if exp == e.id || (exp == "all" && e.set == paper) || (exp == "all-ext" && e.set != alone) {
+			picked = append(picked, i)
 		}
-		rep, err := e.run(r)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", e.id, err)
-		}
-		reports = append(reports, rep)
 	}
-	if reports == nil {
+	if picked == nil {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (want all, all-ext or one of %s)",
 			exp, strings.Join(ids, ", "))
+	}
+	reports := make([]*Report, len(picked))
+	errs := make([]error, len(picked))
+	var wg sync.WaitGroup
+	for i, c := range picked {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reports[i], errs[i] = catalog[c].run(r)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", catalog[picked[i]].id, err)
+		}
 	}
 	return reports, nil
 }

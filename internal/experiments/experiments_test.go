@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -94,6 +95,34 @@ func TestRunCacheKeyIsWholeConfig(t *testing.T) {
 	}
 	if again, _ := r.run(tiny); again != a {
 		t.Error("an equal config ran again instead of reusing the cached result")
+	}
+}
+
+// TestRunOnceUnderConcurrency asks for one config from several goroutines
+// at once: one simulation runs and every caller gets its result.
+func TestRunOnceUnderConcurrency(t *testing.T) {
+	r := NewRunner(tiny)
+	results := make([]*system.Result, 8)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := r.run(tiny)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if res == nil || res != results[0] {
+			t.Fatalf("caller %d got result %p, caller 0 got %p: the config ran more than once", i, res, results[0])
+		}
+	}
+	if len(r.cache) != 1 {
+		t.Errorf("%d cache entries for one config", len(r.cache))
 	}
 }
 

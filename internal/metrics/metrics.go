@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -42,6 +43,14 @@ func (s *Series) AddMissing(t time.Duration) {
 	s.Times = append(s.Times, t)
 	s.Values = append(s.Values, math.NaN())
 	s.missing = append(s.missing, true)
+}
+
+// Grow makes room for n more samples, so that many Add and AddMissing
+// calls allocate nothing.
+func (s *Series) Grow(n int) {
+	s.Times = slices.Grow(s.Times, n)
+	s.Values = slices.Grow(s.Values, n)
+	s.missing = slices.Grow(s.missing, n)
 }
 
 // Len returns the number of samples (including missing placeholders).

@@ -24,17 +24,19 @@ func TestAttemptSweepAllocs(t *testing.T) {
 }
 
 // TestSupplierInitAllocs pins Init on caller-owned storage at zero
-// allocations — admission machine by value, idle alarm armed in place —
-// which is what lets a simulator promote a peer inside its own record.
+// allocations — admission state in the caller's slab, idle alarm armed in
+// place — which is what lets a simulator promote a peer inside its own
+// record.
 func TestSupplierInitAllocs(t *testing.T) {
 	var eng sim.Engine
 	clk := clock.ForEngine(&eng)
 	const runs = 1000
 	eng.Grow(runs + 1)
 	sups := make([]Supplier, runs+1) // AllocsPerRun adds a warm-up call
+	adm := make([]dac.Supplier, runs+1)
 	i := 0
 	got := testing.AllocsPerRun(runs, func() {
-		if err := sups[i].Init(2, 4, dac.DAC, clk, 20*time.Minute); err != nil {
+		if err := sups[i].Init(&adm[i], 2, 4, dac.DAC, clk, 20*time.Minute); err != nil {
 			t.Fatal(err)
 		}
 		i++

@@ -24,6 +24,7 @@ func TestCensusMatchesWalk(t *testing.T) {
 			clk := clock.ForEngine(&eng)
 			rng := rand.New(rand.NewSource(int64(policy) + 1))
 			sups := make([]Supplier, n)
+			adm := make([]dac.Supplier, n)
 			promoted := make([]bool, n)
 			var census Census
 			class := func() bandwidth.Class { return 1 + bandwidth.Class(rng.Intn(int(k))) }
@@ -53,7 +54,7 @@ func TestCensusMatchesWalk(t *testing.T) {
 				switch r := rng.Intn(7); {
 				case !promoted[i]:
 					op = "promote"
-					if err := s.Init(class(), k, policy, clk, time.Minute); err != nil {
+					if err := s.Init(&adm[i], class(), k, policy, clk, time.Minute); err != nil {
 						t.Fatal(err)
 					}
 					s.SetCensus(&census)

@@ -18,14 +18,18 @@ import (
 // here exactly once.
 //
 // Supplier is safe for concurrent use (the live node serves probes,
-// reminders and sessions from independent connection goroutines; the
-// single-threaded simulator pays one uncontended lock).
+// reminders and sessions from independent connection goroutines).
+//
+// The §4.1 admission state itself, the one-word dac.Supplier, lives in
+// storage the caller hands to Init, and the Supplier keeps a pointer to it.
+// NewSupplier puts it in the Supplier's own allocation. The simulator keeps
+// every peer's in one dense slab instead, and being single-threaded it
+// serves probes and reminders straight on its slot, with no lock; those
+// never move the anchor, so the sessions, the idle alarm and the census
+// stay here.
 type Supplier struct {
-	// What a probe reads and writes comes first and fits one cache line:
-	// the simulator keeps tens of thousands of these and touches them in
-	// random order.
 	mu     sync.Mutex
-	adm    dac.Supplier
+	adm    *dac.Supplier
 	closed bool
 	probes int
 	// slots, when non-nil, is the node's shared outbound session budget:
@@ -39,28 +43,36 @@ type Supplier struct {
 	tout      time.Duration
 	idle      clock.Alarm // the elevation timeout, re-armed in place: no allocation per arm
 	// census, when non-nil, tallies this supplier's class and anchor. It is
-	// touched only where the anchor moves, so it sits off the probe's line.
+	// touched only where the anchor moves.
 	census *Census
 }
 
 // NewSupplier returns a supplying peer of the given class in a system with
-// numClasses classes, with its idle elevation timer armed on clk.
+// numClasses classes, with its idle elevation timer armed on clk. Its
+// admission state shares the Supplier's allocation.
 func NewSupplier(class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) (*Supplier, error) {
-	s := new(Supplier)
-	if err := s.Init(class, numClasses, policy, clk, tout); err != nil {
+	b := new(struct {
+		sup Supplier
+		adm dac.Supplier
+	})
+	if err := b.sup.Init(&b.adm, class, numClasses, policy, clk, tout); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &b.sup, nil
 }
 
-// Init is NewSupplier into zeroed storage the caller owns: a simulator with
-// one record per peer embeds the Supplier in it and promotes the peer
-// without allocating. A Supplier holds a mutex and is its own alarm's
-// handler, so it must not be copied or moved afterwards.
-func (s *Supplier) Init(class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) error {
-	if err := s.adm.Init(class, numClasses, policy); err != nil {
+// Init is NewSupplier into zeroed storage the caller owns, with the
+// admission state in adm: a simulator with one record per peer promotes the
+// peer without allocating. Init sets *adm up; from then on adm belongs to
+// the Supplier, and a caller that reads or writes it directly must
+// serialize those accesses with the Supplier's own. A Supplier holds a
+// mutex and is its own alarm's handler, so it must not be copied or moved
+// afterwards, nor may adm.
+func (s *Supplier) Init(adm *dac.Supplier, class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) error {
+	if err := adm.Init(class, numClasses, policy); err != nil {
 		return err
 	}
+	s.adm = adm
 	s.tout = tout
 	s.idle.Init(clk, (*idleTimeout)(s))
 	s.mu.Lock()
@@ -146,16 +158,15 @@ func (s *Supplier) HandleProbe(reqClass bandwidth.Class, u float64) (dec dac.Dec
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probes++
-	favors = s.adm.Favors(reqClass)
 	if !s.adm.Busy() && s.slots != nil && !s.slots.Available() {
 		// Another object's session holds the node's last outbound slot:
 		// from this stream's perspective the peer is busy. The stream's
 		// own vector state is untouched — no session on this stream will
 		// end to apply a post-session update, and idle elevation keeps
 		// running per stream.
-		return dac.DeniedBusy, favors
+		return dac.DeniedBusy, s.adm.Favors(reqClass)
 	}
-	return s.adm.HandleProbe(reqClass, u), favors
+	return s.adm.Probe(reqClass, u)
 }
 
 // LeaveReminder records a rejected requester's reminder; it reports

@@ -8,6 +8,7 @@ import (
 	"p2pstream/internal/bandwidth"
 	"p2pstream/internal/clock"
 	"p2pstream/internal/core"
+	"p2pstream/internal/dac"
 	"p2pstream/internal/lookup"
 	"p2pstream/internal/metrics"
 	"p2pstream/internal/protocol"
@@ -67,11 +68,13 @@ type Result struct {
 }
 
 // peer is the simulator's one record per peer, seed or requester: the
-// shared protocol layer's supplier state (admission machine, idle elevation
-// timer, counters) embedded by value beside the bookkeeping behind the
-// paper's metrics. The records are laid out once, in simulation.peers, and
-// referred to by address from then on — a Supplier holds a mutex and is its
-// own alarm's handler, so a peer is never copied.
+// shared protocol layer's supplier (idle elevation timer, session
+// lifecycle, counters) embedded by value beside the bookkeeping behind the
+// paper's metrics. The supplier's admission state is not here but in the
+// peer's slot of simulation.adm, which is what a probe reads. The records
+// are laid out once, in simulation.peers, and referred to by address from
+// then on — a Supplier holds a mutex and is its own alarm's handler, so a
+// peer is never copied.
 type peer struct {
 	// sup is zero until the peer becomes a supplier; only suppliers are
 	// registered with the candidate source, so only theirs is ever probed.
@@ -83,9 +86,10 @@ type peer struct {
 	arrival time.Duration
 
 	rejections int
-	// chosen are the suppliers of the peer's own session, from its admission
-	// to the session's end.
-	chosen []*peer
+	// chosenLo and chosenHi bound, in simulation.chosen, the IDs of the
+	// suppliers of the peer's own session, from its admission to the
+	// session's end.
+	chosenLo, chosenHi int32
 }
 
 // Fire implements sim.Handler: the peer is its own request event, first
@@ -105,7 +109,15 @@ type simulation struct {
 	clk clock.Clock // engine-backed; drives the shared protocol timers
 	rng *rand.Rand  // protocol randomness (probes, sampling)
 
-	peers    []peer // seeds, then requesters, indexed by id; sized once, never moved
+	peers []peer // seeds, then requesters, indexed by id; sized once, never moved
+	// adm is every peer's §4.1 admission state, indexed by id like peers and
+	// sized once: one word a peer, so the whole slab stays in cache. A
+	// supplier's protocol.Supplier points at its slot; probes and reminders
+	// go to the slot directly.
+	adm []dac.Supplier
+	// chosen holds the supplier IDs of every admitted session, appended at
+	// admission; a peer keeps its range.
+	chosen   []int32
 	src      candidateSource
 	census   protocol.Census // suppliers and their anchors per class (Figure 7)
 	aggOffer bandwidth.Fraction
@@ -123,7 +135,25 @@ type simulation struct {
 	suppliers  []core.Supplier
 	assignment core.Assignment
 
-	res *Result
+	samplers []sampler // every metric sample of the run, scheduled up front
+	res      *Result
+}
+
+// sampler is one scheduled metric sample at time t: the accumulative series
+// of Figures 4–6 and 9, or Figure 7's census snapshot.
+type sampler struct {
+	s       *simulation
+	t       time.Duration
+	favored bool
+}
+
+// Fire implements sim.Handler.
+func (e *sampler) Fire() {
+	if e.favored {
+		e.s.sampleFavored(e.t)
+	} else {
+		e.s.sampleAccumulative(e.t)
+	}
 }
 
 // Run executes one complete simulation and returns its metrics.
@@ -132,6 +162,15 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	k := int(cfg.NumClasses())
+	// Every table whose size follows from the configuration is laid out
+	// once, the metric series included.
+	samples := int(cfg.Horizon/cfg.SampleEvery) + 1
+	favoredSamples := int(cfg.Horizon/cfg.FavoredSampleEvery) + 1
+	series := func(n int, name string, args ...any) *metrics.Series {
+		ser := &metrics.Series{Name: fmt.Sprintf(name, args...)}
+		ser.Grow(n)
+		return ser
+	}
 	s := &simulation{
 		cfg:           cfg,
 		rng:           sim.NewRNG(sim.ChildSeed(cfg.Seed, "protocol")),
@@ -142,19 +181,21 @@ func Run(cfg Config) (*Result, error) {
 		waitSum:       make([]time.Duration, k+1),
 		res: &Result{
 			Config:               cfg,
-			Capacity:             &metrics.Series{Name: "capacity"},
-			OverallAdmissionRate: &metrics.Series{Name: "overall-admission-%"},
+			Capacity:             series(samples, "capacity"),
+			OverallAdmissionRate: series(samples, "overall-admission-%%"),
 		},
 	}
 	s.clk = clock.ForEngine(&s.eng)
-	// The tables whose size follows from the configuration are laid out
-	// once. The queue starts at its largest — one event per peer (a seed's
-	// idle alarm, a requester's arrival) beside the sampling events — and
-	// each peer keeps about one in flight from then on: a retry, a session
-	// end, an idle alarm.
+	// The queue starts at its largest — one event per peer (a seed's idle
+	// alarm, a requester's arrival) beside the sampling events — and each
+	// peer keeps about one in flight from then on: a retry, a session end,
+	// an idle alarm.
 	numPeers := cfg.NumSeeds + cfg.NumRequesters
 	s.peers = make([]peer, numPeers)
-	s.eng.Grow(numPeers + int(cfg.Horizon/cfg.SampleEvery) + int(cfg.Horizon/cfg.FavoredSampleEvery) + 2)
+	s.adm = make([]dac.Supplier, numPeers)
+	s.chosen = make([]int32, 0, cfg.NumRequesters)
+	s.samplers = make([]sampler, 0, samples+favoredSamples)
+	s.eng.Grow(numPeers + samples + favoredSamples)
 	switch cfg.Lookup {
 	case LookupChord:
 		s.src = newChordSource(s.eng.Now, cfg.ChordStabilizeEvery)
@@ -162,9 +203,9 @@ func Run(cfg Config) (*Result, error) {
 		s.src = newDirectorySource(numPeers)
 	}
 	for c := 1; c <= k; c++ {
-		s.res.AdmissionRate = append(s.res.AdmissionRate, &metrics.Series{Name: fmt.Sprintf("class%d-admission-%%", c)})
-		s.res.BufferingDelay = append(s.res.BufferingDelay, &metrics.Series{Name: fmt.Sprintf("class%d-delay-slots", c)})
-		s.res.LowestFavored = append(s.res.LowestFavored, &metrics.Series{Name: fmt.Sprintf("class%d-lowest-favored", c)})
+		s.res.AdmissionRate = append(s.res.AdmissionRate, series(samples, "class%d-admission-%%", c))
+		s.res.BufferingDelay = append(s.res.BufferingDelay, series(samples, "class%d-delay-slots", c))
+		s.res.LowestFavored = append(s.res.LowestFavored, series(favoredSamples, "class%d-lowest-favored", c))
 	}
 
 	if err := s.populate(); err != nil {
@@ -212,14 +253,13 @@ func (s *simulation) populate() error {
 // scheduleProbes installs the periodic metric sampling events.
 func (s *simulation) scheduleProbes() error {
 	for t := time.Duration(0); t <= s.cfg.Horizon; t += s.cfg.SampleEvery {
-		t := t
-		if err := s.eng.At(t, func() { s.sampleAccumulative(t) }); err != nil {
-			return err
-		}
+		s.samplers = append(s.samplers, sampler{s: s, t: t})
 	}
 	for t := time.Duration(0); t <= s.cfg.Horizon; t += s.cfg.FavoredSampleEvery {
-		t := t
-		if err := s.eng.At(t, func() { s.sampleFavored(t) }); err != nil {
+		s.samplers = append(s.samplers, sampler{s: s, t: t, favored: true})
+	}
+	for i := range s.samplers {
+		if err := s.eng.Schedule(s.samplers[i].t, &s.samplers[i]); err != nil {
 			return err
 		}
 	}
@@ -230,7 +270,7 @@ func (s *simulation) scheduleProbes() error {
 // with the directory. The shared protocol layer arms the idle elevation
 // timer on the engine-backed clock.
 func (s *simulation) becomeSupplier(p *peer) error {
-	if err := p.sup.Init(p.class, s.cfg.NumClasses(), s.cfg.Policy, s.clk, s.cfg.TOut); err != nil {
+	if err := p.sup.Init(&s.adm[p.id], p.class, s.cfg.NumClasses(), s.cfg.Policy, s.clk, s.cfg.TOut); err != nil {
 		return err
 	}
 	if err := s.src.register(p.id, p.class); err != nil {
@@ -242,7 +282,8 @@ func (s *simulation) becomeSupplier(p *peer) error {
 }
 
 // handleRequest performs one admission attempt of peer p (Section 4.2),
-// driving the shared protocol.Attempt sweep with in-memory probes.
+// driving the shared protocol.Attempt sweep with probes served straight on
+// the candidates' admission slots.
 func (s *simulation) handleRequest(p *peer) {
 	if p.rejections == 0 {
 		s.arrived[p.class]++ // the first request: every retry follows a rejection
@@ -261,7 +302,6 @@ func (s *simulation) handleRequest(p *peer) {
 		if !ok {
 			break
 		}
-		cand := &s.peers[candidates[idx].ID]
 		if s.cfg.DownProb > 0 && s.rng.Float64() < s.cfg.DownProb {
 			// Transiently unreachable: neither a grant nor a reminder
 			// target (the paper's "down" case).
@@ -269,7 +309,7 @@ func (s *simulation) handleRequest(p *peer) {
 			att.Down(idx)
 			continue
 		}
-		dec, favors := cand.sup.HandleProbe(p.class, s.rng.Float64())
+		dec, favors := s.adm[candidates[idx].ID].Probe(p.class, s.rng.Float64())
 		s.res.TotalProbes++
 		att.Record(idx, dec, favors)
 	}
@@ -278,31 +318,32 @@ func (s *simulation) handleRequest(p *peer) {
 		s.reject(p, att, candidates)
 		return
 	}
-	p.chosen = make([]*peer, len(att.Chosen()))
-	for i, idx := range att.Chosen() {
-		p.chosen[i] = &s.peers[candidates[idx].ID]
+	p.chosenLo = int32(len(s.chosen))
+	for _, idx := range att.Chosen() {
+		s.chosen = append(s.chosen, int32(candidates[idx].ID))
 	}
+	p.chosenHi = int32(len(s.chosen))
 	s.admit(p)
 }
 
+// chosenBy returns the IDs of the suppliers of p's session.
+func (s *simulation) chosenBy(p *peer) []int32 { return s.chosen[p.chosenLo:p.chosenHi] }
+
 // admit triggers the suppliers p chose and starts the streaming session.
 func (s *simulation) admit(p *peer) {
+	chosen := s.chosenBy(p)
 	if s.cfg.ValidateAssignments {
 		s.suppliers = s.suppliers[:0]
-		for _, c := range p.chosen {
-			s.suppliers = append(s.suppliers, core.Supplier{Class: c.class})
+		for _, id := range chosen {
+			s.suppliers = append(s.suppliers, core.Supplier{Class: s.peers[id].class})
 		}
 		if err := protocol.AssignSessionInto(&s.assignment, s.suppliers); err != nil {
-			ids := make([]int, len(p.chosen))
-			for i, c := range p.chosen {
-				ids[i] = c.id
-			}
-			panic(fmt.Sprintf("system: OTS_p2p on admission, suppliers %v: %v", ids, err))
+			panic(fmt.Sprintf("system: OTS_p2p on admission, suppliers %v: %v", chosen, err))
 		}
 	}
-	for _, c := range p.chosen {
-		if err := c.sup.StartSession(); err != nil {
-			panic(fmt.Sprintf("system: triggering supplier %d: %v", c.id, err))
+	for _, id := range chosen {
+		if err := s.peers[id].sup.StartSession(); err != nil {
+			panic(fmt.Sprintf("system: triggering supplier %d: %v", id, err))
 		}
 	}
 	waited := s.eng.Now() - p.arrival
@@ -319,7 +360,7 @@ func (s *simulation) admit(p *peer) {
 		}
 	}
 	s.admitted[p.class]++
-	s.delaySum[p.class] += float64(len(p.chosen))
+	s.delaySum[p.class] += float64(len(chosen))
 	s.rejectionsSum[p.class] += int64(p.rejections)
 	s.waitSum[p.class] += waited
 
@@ -332,12 +373,11 @@ func (s *simulation) admit(p *peer) {
 // their post-session vector updates and re-arms their idle timers) and
 // turns the requester into a supplying peer.
 func (s *simulation) endSession(p *peer) {
-	for _, c := range p.chosen {
-		if err := c.sup.EndSession(); err != nil {
-			panic(fmt.Sprintf("system: releasing supplier %d: %v", c.id, err))
+	for _, id := range s.chosenBy(p) {
+		if err := s.peers[id].sup.EndSession(); err != nil {
+			panic(fmt.Sprintf("system: releasing supplier %d: %v", id, err))
 		}
 	}
-	p.chosen = nil
 	if err := s.becomeSupplier(p); err != nil {
 		panic(fmt.Sprintf("system: promoting peer %d: %v", p.id, err))
 	}
@@ -348,8 +388,7 @@ func (s *simulation) endSession(p *peer) {
 func (s *simulation) reject(p *peer, att *protocol.Attempt, candidates []lookup.Entry[int]) {
 	p.rejections++
 	for _, idx := range att.ReminderTargets() {
-		target := &s.peers[candidates[idx].ID]
-		if target.sup.LeaveReminder(p.class) {
+		if s.adm[candidates[idx].ID].LeaveReminder(p.class) {
 			s.res.TotalReminders++
 		}
 	}
