@@ -146,7 +146,9 @@ func (c BackoffConfig) Validate() error {
 const maxBackoff = 7 * 24 * time.Hour
 
 // After returns the backoff duration following the rejections-th rejection
-// (rejections >= 1).
+// (rejections >= 1): min(Base·Factor^(rejections-1), cap), where cap is Cap
+// when set and one week at most. The product is compared against the cap
+// before it is formed, so no factor overflows it.
 func (c BackoffConfig) After(rejections int) (time.Duration, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
@@ -158,15 +160,16 @@ func (c BackoffConfig) After(rejections int) (time.Duration, error) {
 	if c.Cap > 0 && c.Cap < cap {
 		cap = c.Cap
 	}
-	d := c.Base
-	for i := 1; i < rejections; i++ {
-		d *= time.Duration(c.Factor)
-		if d > cap || d < 0 {
+	d := min(c.Base, cap)
+	if c.Factor == 1 {
+		return d, nil
+	}
+	f := time.Duration(c.Factor)
+	for i := 1; i < rejections && d < cap; i++ {
+		if d > cap/f {
 			return cap, nil
 		}
-	}
-	if d > cap {
-		return cap, nil
+		d *= f
 	}
 	return d, nil
 }

@@ -150,6 +150,13 @@ func (s *Supplier) Favors(j bandwidth.Class) bool { return j >= 1 && j <= s.Lowe
 // elevation can change the vector, so idle timers may stop).
 func (s *Supplier) AllOpen() bool { return s.anchor == s.k }
 
+// IdleTimerRuns reports whether the T_out idle elevation timer of Section
+// 4.1(b) runs: the supplier is idle, runs DAC and still has a class to open.
+// A driver arms the timer when a supplier is promoted, after a session ends
+// and after a timeout that elevated, each time only if this holds, and stops
+// it when a session starts.
+func (s *Supplier) IdleTimerRuns() bool { return !s.busy && !s.pinned && !s.AllOpen() }
+
 // Probe serves a streaming-service probe from a class-reqClass requesting
 // peer: the decision, and whether the supplier currently favors that class
 // (a busy supplier's denial carries it, so the requester knows where a

@@ -23,26 +23,21 @@ func TestAttemptSweepAllocs(t *testing.T) {
 	}
 }
 
-// TestSupplierInitAllocs pins Init on caller-owned storage at zero
-// allocations — admission state in the caller's slab, idle alarm armed in
-// place — which is what lets a simulator promote a peer inside its own
-// record.
-func TestSupplierInitAllocs(t *testing.T) {
+// TestNewSupplierAllocs pins NewSupplier at one allocation, the Supplier
+// itself: the admission state is a field of it and the idle alarm is armed in
+// place, with no closure or timer beside it.
+func TestNewSupplierAllocs(t *testing.T) {
 	var eng sim.Engine
 	clk := clock.ForEngine(&eng)
 	const runs = 1000
-	eng.Grow(runs + 1)
-	sups := make([]Supplier, runs+1) // AllocsPerRun adds a warm-up call
-	adm := make([]dac.Supplier, runs+1)
-	i := 0
+	eng.Grow(runs + 1) // AllocsPerRun adds a warm-up call
 	got := testing.AllocsPerRun(runs, func() {
-		if err := sups[i].Init(&adm[i], 2, 4, dac.DAC, clk, 20*time.Minute); err != nil {
+		if _, err := NewSupplier(2, 4, dac.DAC, clk, 20*time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		i++
 	})
-	if got != 0 {
-		t.Errorf("%.0f allocs per Supplier.Init, want 0", got)
+	if got != 1 {
+		t.Errorf("%.0f allocs per NewSupplier, want 1", got)
 	}
 	if eng.Pending() != runs+1 {
 		t.Errorf("%d idle alarms armed, want %d", eng.Pending(), runs+1)

@@ -5,8 +5,15 @@
 // (internal/system) and the live overlay node (internal/node) are thin
 // drivers over this package: the simulator feeds it in-memory probe
 // results under virtual time, the node feeds it wire messages — the
-// admission decisions, candidate ordering, reminder targeting, supplier
-// lifecycle and assignment checks are implemented exactly once.
+// admission decisions, candidate ordering, reminder targeting and
+// assignment checks are implemented exactly once.
+//
+// The supplier lifecycle rules — probe, reminder, session start, the
+// post-session vector update, idle elevation and when the idle timer runs —
+// are dac.Supplier methods. Supplier is the node's locked driver of them,
+// with its timer on a clock.Alarm; the single-threaded simulator drives the
+// same methods on its own compact per-peer record, with the timer as an
+// engine event.
 package protocol
 
 import (

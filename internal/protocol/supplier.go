@@ -10,26 +10,19 @@ import (
 	"p2pstream/internal/dac"
 )
 
-// Supplier is the supplying-peer side of the session layer: the DAC_p2p
-// admission state machine (internal/dac) combined with the clock-driven
-// idle elevation timer of Section 4.1(b) and the session lifecycle. The
-// simulator runs it on an engine-backed clock, the live node on the wall
-// clock or a virtual one; the elevation and post-session vector rules live
-// here exactly once.
+// Supplier is the live node's driver of the DAC_p2p supplier lifecycle: the
+// §4.1 admission state machine (internal/dac) behind a mutex, with the idle
+// elevation timer of Section 4.1(b) on a clock.Alarm, the node's shared
+// session budget and its protocol counters. The lifecycle rules themselves
+// — session start, the post-session vector update, elevation and when the
+// idle timer runs — are dac.Supplier methods, so this driver and the
+// simulator's own apply them identically.
 //
 // Supplier is safe for concurrent use (the live node serves probes,
 // reminders and sessions from independent connection goroutines).
-//
-// The §4.1 admission state itself, the one-word dac.Supplier, lives in
-// storage the caller hands to Init, and the Supplier keeps a pointer to it.
-// NewSupplier puts it in the Supplier's own allocation. The simulator keeps
-// every peer's in one dense slab instead, and being single-threaded it
-// serves probes and reminders straight on its slot, with no lock; those
-// never move the anchor, so the sessions, the idle alarm and the census
-// stay here.
 type Supplier struct {
 	mu     sync.Mutex
-	adm    *dac.Supplier
+	adm    dac.Supplier
 	closed bool
 	probes int
 	// slots, when non-nil, is the node's shared outbound session budget:
@@ -42,43 +35,20 @@ type Supplier struct {
 	reminders int
 	tout      time.Duration
 	idle      clock.Alarm // the elevation timeout, re-armed in place: no allocation per arm
-	// census, when non-nil, tallies this supplier's class and anchor. It is
-	// touched only where the anchor moves.
-	census *Census
 }
 
 // NewSupplier returns a supplying peer of the given class in a system with
-// numClasses classes, with its idle elevation timer armed on clk. Its
-// admission state shares the Supplier's allocation.
+// numClasses classes, with its idle elevation timer armed on clk.
 func NewSupplier(class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) (*Supplier, error) {
-	b := new(struct {
-		sup Supplier
-		adm dac.Supplier
-	})
-	if err := b.sup.Init(&b.adm, class, numClasses, policy, clk, tout); err != nil {
+	s := &Supplier{tout: tout}
+	if err := s.adm.Init(class, numClasses, policy); err != nil {
 		return nil, err
 	}
-	return &b.sup, nil
-}
-
-// Init is NewSupplier into zeroed storage the caller owns, with the
-// admission state in adm: a simulator with one record per peer promotes the
-// peer without allocating. Init sets *adm up; from then on adm belongs to
-// the Supplier, and a caller that reads or writes it directly must
-// serialize those accesses with the Supplier's own. A Supplier holds a
-// mutex and is its own alarm's handler, so it must not be copied or moved
-// afterwards, nor may adm.
-func (s *Supplier) Init(adm *dac.Supplier, class, numClasses bandwidth.Class, policy dac.Policy, clk clock.Clock, tout time.Duration) error {
-	if err := adm.Init(class, numClasses, policy); err != nil {
-		return err
-	}
-	s.adm = adm
-	s.tout = tout
 	s.idle.Init(clk, (*idleTimeout)(s))
 	s.mu.Lock()
 	s.armLocked()
 	s.mu.Unlock()
-	return nil
+	return s, nil
 }
 
 // SetSlots attaches the node's shared session budget. Call before the
@@ -88,36 +58,6 @@ func (s *Supplier) SetSlots(slots *Slots) {
 	s.mu.Lock()
 	s.slots = slots
 	s.mu.Unlock()
-}
-
-// SetCensus counts the supplier in census (nil detaches it), which from
-// then on follows every move of its lowest favored class. The simulator
-// attaches one census to all its suppliers for Figure 7; the live node
-// attaches none.
-func (s *Supplier) SetCensus(census *Census) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.censusLocked(-1)
-	s.census = census
-	s.censusLocked(1)
-}
-
-// censusLocked adds the supplier to its census (sign 1) or takes it out
-// (sign -1).
-func (s *Supplier) censusLocked(sign int64) {
-	if s.census != nil {
-		s.census.add(s.adm.Class(), sign, sign*int64(s.adm.LowestFavored()))
-	}
-}
-
-// recountLocked tells the census the anchor moved from before.
-func (s *Supplier) recountLocked(before bandwidth.Class) {
-	if s.census == nil {
-		return
-	}
-	if d := s.adm.LowestFavored() - before; d != 0 {
-		s.census.add(s.adm.Class(), 0, int64(d))
-	}
 }
 
 // Class returns the supplier's bandwidth class.
@@ -209,11 +149,9 @@ func (s *Supplier) StartSession() error {
 func (s *Supplier) EndSession() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	before := s.adm.LowestFavored()
 	if err := s.adm.EndSession(); err != nil {
 		return err
 	}
-	s.recountLocked(before)
 	if s.slots != nil {
 		s.slots.Release()
 	}
@@ -230,24 +168,12 @@ func (s *Supplier) Close() {
 	s.idle.Stop()
 }
 
-// armLocked schedules the next elevate-after-timeout step (Section 4.1(b)).
-// NDAC suppliers never elevate, and an all-open vector cannot change, so
-// neither schedules a timer.
+// armLocked schedules the next elevate-after-timeout step (Section 4.1(b))
+// when the dac rule says the idle timer runs.
 func (s *Supplier) armLocked() {
-	if s.closed || s.adm.Busy() || s.adm.AllOpen() {
-		return
+	if !s.closed && s.adm.IdleTimerRuns() {
+		s.idle.Reset(s.tout)
 	}
-	if !s.elevates() {
-		return
-	}
-	s.idle.Reset(s.tout)
-}
-
-// elevates reports whether idle timeouts can still change the vector.
-func (s *Supplier) elevates() bool {
-	// OnIdleTimeout on an NDAC supplier is a no-op; probing that via a
-	// dry-run would mutate DAC state, so consult the policy directly.
-	return s.adm.Policy() == dac.DAC
 }
 
 // idleTimeout is the Supplier as its idle alarm's handler, kept off the
@@ -263,9 +189,7 @@ func (s *Supplier) onIdleTimeout() {
 	if s.closed || s.adm.Busy() {
 		return
 	}
-	before := s.adm.LowestFavored()
 	if s.adm.OnIdleTimeout() {
-		s.recountLocked(before)
 		s.armLocked()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"p2pstream/internal/bandwidth"
-	"p2pstream/internal/clock"
 	"p2pstream/internal/core"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/lookup"
@@ -67,29 +66,31 @@ type Result struct {
 	Events uint64
 }
 
-// peer is the simulator's one record per peer, seed or requester: the
-// shared protocol layer's supplier (idle elevation timer, session
-// lifecycle, counters) embedded by value beside the bookkeeping behind the
-// paper's metrics. The supplier's admission state is not here but in the
-// peer's slot of simulation.adm, which is what a probe reads. The records
-// are laid out once, in simulation.peers, and referred to by address from
-// then on — a Supplier holds a mutex and is its own alarm's handler, so a
-// peer is never copied.
+// peer is the simulator's one record per peer, seed or requester: what the
+// paper's metrics and the peer's own events need, and no more. Its §4.1
+// admission state is not here but in its slot of simulation.adm, which is
+// what a probe reads; a supplier's lifecycle — sessions, the post-session
+// update, idle elevation — is those dac.Supplier methods driven from the
+// peer's events, with no lock (the simulation is single-threaded) and the
+// idle timer as an engine event of its own. At 48 bytes the records of a
+// full-scale run, laid out once in simulation.peers, stay in cache beside
+// the admission slab and the event queue; TestPeerRecordSize pins that. The
+// records are referred to by address from then on, so a peer is never
+// copied.
 type peer struct {
-	// sup is zero until the peer becomes a supplier; only suppliers are
-	// registered with the candidate source, so only theirs is ever probed.
-	sup protocol.Supplier
-
 	sim     *simulation
-	id      int
-	class   bandwidth.Class
 	arrival time.Duration
-
-	rejections int
+	// idleSeq is the engine sequence number of the peer's live idle
+	// elevation arm, 0 when none runs: an arm it no longer names was stopped
+	// or superseded and pops as a no-op, as clock.Alarm's do.
+	idleSeq uint64
 	// chosenLo and chosenHi bound, in simulation.chosen, the IDs of the
 	// suppliers of the peer's own session, from its admission to the
 	// session's end.
 	chosenLo, chosenHi int32
+	rejections         int32
+	id                 int32
+	class              bandwidth.Class
 }
 
 // Fire implements sim.Handler: the peer is its own request event, first
@@ -97,30 +98,46 @@ type peer struct {
 func (p *peer) Fire() { p.sim.handleRequest(p) }
 
 // sessionEnd is the peer as the event that ends its session, kept off
-// peer's method set: a peer is two events and Fire is taken.
+// peer's method set: a peer is three events and Fire is taken.
 type sessionEnd peer
 
 // Fire implements sim.Handler.
 func (e *sessionEnd) Fire() { p := (*peer)(e); p.sim.endSession(p) }
 
+// idleTimeout is the peer as its supplier's idle elevation timer (Section
+// 4.1(b)).
+type idleTimeout peer
+
+// Fire implements sim.Handler.
+func (e *idleTimeout) Fire() {
+	p := (*peer)(e)
+	if p.idleSeq != p.sim.eng.FiringSeq() {
+		return // a stopped or superseded arm
+	}
+	p.idleSeq = 0
+	p.sim.onIdleTimeout(p)
+}
+
 type simulation struct {
 	cfg Config
 	eng sim.Engine
-	clk clock.Clock // engine-backed; drives the shared protocol timers
-	rng *rand.Rand  // protocol randomness (probes, sampling)
+	rng *rand.Rand // protocol randomness (probes, sampling)
 
 	peers []peer // seeds, then requesters, indexed by id; sized once, never moved
 	// adm is every peer's §4.1 admission state, indexed by id like peers and
-	// sized once: one word a peer, so the whole slab stays in cache. A
-	// supplier's protocol.Supplier points at its slot; probes and reminders
-	// go to the slot directly.
+	// sized once: one word a peer, so the whole slab stays in cache.
 	adm []dac.Supplier
 	// chosen holds the supplier IDs of every admitted session, appended at
 	// admission; a peer keeps its range.
 	chosen   []int32
 	src      candidateSource
-	census   protocol.Census // suppliers and their anchors per class (Figure 7)
 	aggOffer bandwidth.Fraction
+
+	// suppliers and anchorSum are Figure 7's census, per class: how many
+	// peers supply and the sum of their lowest favored classes. They change
+	// only where an anchor moves — a promotion, a session end, an idle
+	// timeout — never per probe.
+	suppliers, anchorSum [bandwidth.MaxClass + 1]int64
 
 	arrived       []int64
 	admitted      []int64
@@ -132,7 +149,7 @@ type simulation struct {
 	// single-threaded and a request is handled within one event.
 	att        protocol.Attempt
 	classes    []bandwidth.Class
-	suppliers  []core.Supplier
+	session    []core.Supplier
 	assignment core.Assignment
 
 	samplers []sampler // every metric sample of the run, scheduled up front
@@ -158,6 +175,18 @@ func (e *sampler) Fire() {
 
 // Run executes one complete simulation and returns its metrics.
 func Run(cfg Config) (*Result, error) {
+	s, err := newSimulation(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.eng.RunUntil(cfg.Horizon)
+	s.finalize()
+	return s.res, nil
+}
+
+// newSimulation lays out a simulation of cfg with its seeds promoted and
+// every first request and metric sample scheduled, ready to step.
+func newSimulation(cfg Config) (*simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -185,11 +214,10 @@ func Run(cfg Config) (*Result, error) {
 			OverallAdmissionRate: series(samples, "overall-admission-%%"),
 		},
 	}
-	s.clk = clock.ForEngine(&s.eng)
 	// The queue starts at its largest — one event per peer (a seed's idle
-	// alarm, a requester's arrival) beside the sampling events — and each
+	// timer, a requester's arrival) beside the sampling events — and each
 	// peer keeps about one in flight from then on: a retry, a session end,
-	// an idle alarm.
+	// an idle timer.
 	numPeers := cfg.NumSeeds + cfg.NumRequesters
 	s.peers = make([]peer, numPeers)
 	s.adm = make([]dac.Supplier, numPeers)
@@ -214,9 +242,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := s.scheduleProbes(); err != nil {
 		return nil, err
 	}
-	s.eng.RunUntil(cfg.Horizon)
-	s.finalize()
-	return s.res, nil
+	return s, nil
 }
 
 // populate creates seed suppliers and requesting peers, and schedules every
@@ -227,7 +253,7 @@ func (s *simulation) populate() error {
 
 	for i := 0; i < s.cfg.NumSeeds; i++ {
 		p := &s.peers[i]
-		p.sim, p.id, p.class = s, i, s.cfg.SeedClass
+		p.sim, p.id, p.class = s, int32(i), s.cfg.SeedClass
 		if err := s.becomeSupplier(p); err != nil {
 			return err
 		}
@@ -239,7 +265,7 @@ func (s *simulation) populate() error {
 	maxOffer := bandwidth.Fraction(s.cfg.NumSeeds) * s.cfg.SeedClass.Offer()
 	for i := 0; i < s.cfg.NumRequesters; i++ {
 		p := &s.peers[s.cfg.NumSeeds+i]
-		p.sim, p.id, p.class = s, s.cfg.NumSeeds+i, s.cfg.ClassDist.Pick(classRng.Float64())
+		p.sim, p.id, p.class = s, int32(s.cfg.NumSeeds+i), s.cfg.ClassDist.Pick(classRng.Float64())
 		p.arrival = times[i]
 		maxOffer += p.class.Offer()
 		if err := s.eng.Schedule(p.arrival, p); err != nil {
@@ -266,19 +292,46 @@ func (s *simulation) scheduleProbes() error {
 	return nil
 }
 
-// becomeSupplier converts a peer into a supplying peer and registers it
-// with the directory. The shared protocol layer arms the idle elevation
-// timer on the engine-backed clock.
+// becomeSupplier converts a peer into a supplying peer, arms its idle
+// elevation timer, registers it with the directory and counts it in the
+// census.
 func (s *simulation) becomeSupplier(p *peer) error {
-	if err := p.sup.Init(&s.adm[p.id], p.class, s.cfg.NumClasses(), s.cfg.Policy, s.clk, s.cfg.TOut); err != nil {
+	a := &s.adm[p.id]
+	if err := a.Init(p.class, s.cfg.NumClasses(), s.cfg.Policy); err != nil {
 		return err
 	}
-	if err := s.src.register(p.id, p.class); err != nil {
+	s.armIdle(p)
+	if err := s.src.register(int(p.id), p.class); err != nil {
 		return err
 	}
-	p.sup.SetCensus(&s.census)
+	s.suppliers[p.class]++
+	s.anchorSum[p.class] += int64(a.LowestFavored())
 	s.aggOffer += p.class.Offer()
 	return nil
+}
+
+// armIdle schedules p's next elevate-after-timeout step (Section 4.1(b)),
+// superseding any arm still pending, when the dac rule says its idle timer
+// runs.
+func (s *simulation) armIdle(p *peer) {
+	if !s.adm[p.id].IdleTimerRuns() {
+		return
+	}
+	if err := s.eng.Schedule(s.eng.Now()+s.cfg.TOut, (*idleTimeout)(p)); err != nil {
+		panic(fmt.Sprintf("system: arming idle timer: %v", err))
+	}
+	p.idleSeq = s.eng.LastSeq()
+}
+
+// onIdleTimeout applies the elevate-after-timeout rule to supplier p and
+// re-arms its timer while the vector can still open.
+func (s *simulation) onIdleTimeout(p *peer) {
+	a := &s.adm[p.id]
+	before := a.LowestFavored()
+	if a.OnIdleTimeout() {
+		s.anchorSum[p.class] += int64(a.LowestFavored() - before)
+		s.armIdle(p)
+	}
 }
 
 // handleRequest performs one admission attempt of peer p (Section 4.2),
@@ -333,24 +386,25 @@ func (s *simulation) chosenBy(p *peer) []int32 { return s.chosen[p.chosenLo:p.ch
 func (s *simulation) admit(p *peer) {
 	chosen := s.chosenBy(p)
 	if s.cfg.ValidateAssignments {
-		s.suppliers = s.suppliers[:0]
+		s.session = s.session[:0]
 		for _, id := range chosen {
-			s.suppliers = append(s.suppliers, core.Supplier{Class: s.peers[id].class})
+			s.session = append(s.session, core.Supplier{Class: s.peers[id].class})
 		}
-		if err := protocol.AssignSessionInto(&s.assignment, s.suppliers); err != nil {
+		if err := protocol.AssignSessionInto(&s.assignment, s.session); err != nil {
 			panic(fmt.Sprintf("system: OTS_p2p on admission, suppliers %v: %v", chosen, err))
 		}
 	}
 	for _, id := range chosen {
-		if err := s.peers[id].sup.StartSession(); err != nil {
+		if err := s.adm[id].StartSession(); err != nil {
 			panic(fmt.Sprintf("system: triggering supplier %d: %v", id, err))
 		}
+		s.peers[id].idleSeq = 0 // a session suspends the idle timer
 	}
 	waited := s.eng.Now() - p.arrival
 	if s.cfg.ValidateAssignments {
 		// The waiting time must equal the exact sum of the backoffs served
 		// (retries fire exactly when their backoff expires).
-		want, err := s.cfg.Backoff.TotalWait(p.rejections)
+		want, err := s.cfg.Backoff.TotalWait(int(p.rejections))
 		if err != nil {
 			panic(fmt.Sprintf("system: backoff total: %v", err))
 		}
@@ -369,14 +423,18 @@ func (s *simulation) admit(p *peer) {
 	}
 }
 
-// endSession releases p's suppliers (the shared protocol layer applies
-// their post-session vector updates and re-arms their idle timers) and
-// turns the requester into a supplying peer.
+// endSession releases p's suppliers — each applies the post-session vector
+// update and re-arms its idle timer — and turns the requester into a
+// supplying peer.
 func (s *simulation) endSession(p *peer) {
 	for _, id := range s.chosenBy(p) {
-		if err := s.peers[id].sup.EndSession(); err != nil {
+		a := &s.adm[id]
+		before := a.LowestFavored()
+		if err := a.EndSession(); err != nil {
 			panic(fmt.Sprintf("system: releasing supplier %d: %v", id, err))
 		}
+		s.anchorSum[a.Class()] += int64(a.LowestFavored() - before)
+		s.armIdle(&s.peers[id])
 	}
 	if err := s.becomeSupplier(p); err != nil {
 		panic(fmt.Sprintf("system: promoting peer %d: %v", p.id, err))
@@ -392,7 +450,7 @@ func (s *simulation) reject(p *peer, att *protocol.Attempt, candidates []lookup.
 			s.res.TotalReminders++
 		}
 	}
-	wait, err := s.cfg.Backoff.After(p.rejections)
+	wait, err := s.cfg.Backoff.After(int(p.rejections))
 	if err != nil {
 		panic(fmt.Sprintf("system: backoff: %v", err))
 	}
@@ -435,14 +493,13 @@ func (s *simulation) sampleAccumulative(t time.Duration) {
 // across that class's current suppliers (Figure 7), read off the running
 // census.
 func (s *simulation) sampleFavored(t time.Duration) {
-	k := s.cfg.NumClasses()
-	for c := bandwidth.Class(1); c <= k; c++ {
-		n, sum := s.census.Class(c)
-		if n == 0 {
+	k := int(s.cfg.NumClasses())
+	for c := 1; c <= k; c++ {
+		if s.suppliers[c] == 0 {
 			s.res.LowestFavored[c-1].AddMissing(t)
 			continue
 		}
-		s.res.LowestFavored[c-1].Add(t, float64(sum)/float64(n))
+		s.res.LowestFavored[c-1].Add(t, float64(s.anchorSum[c])/float64(s.suppliers[c]))
 	}
 }
 
