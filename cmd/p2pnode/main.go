@@ -22,6 +22,12 @@
 //	p2pnode -id seed1 -class 1 -seed-peer -discovery chord -chord-listen 127.0.0.1:7100
 //	p2pnode -id peer1 -class 2 -discovery chord -chord-bootstrap 127.0.0.1:7100
 //
+// A requesting peer runs the overlay's one retry loop
+// (Node.RequestUntilAdmitted), at most -attempts attempts: a rejection
+// backs off on the paper's T_bkf·E_bkf^(i-1) schedule, and a supplier that
+// dies mid-session, a failed lookup or a dead shard is retried after T_bkf
+// with a fresh admission that resumes the partial download.
+//
 // The whole request path is context-driven: Ctrl-C cancels an in-flight
 // request (probes, session streams and discovery RPCs abort) instead of
 // leaving the process wedged, and -timeout bounds the request end to end.

@@ -21,30 +21,27 @@ func (f HandlerFunc) Fire() { f() }
 // Alarm is a caller-owned, re-armable one-shot: the owner embeds the
 // storage, Inits it once and Resets it for every firing, so a recurring
 // timeout (an inbox's flush, a supplier's idle elevation) costs no
-// allocation per arm. It is the one timer mechanism of the virtual
-// backends — AfterFunc there is an Alarm allocated around a func.
+// allocation per arm. It is the one timer mechanism of the Virtual clock —
+// AfterFunc there is an Alarm allocated around a func.
 //
 //   - On a Virtual clock the alarm is itself the event in the clock's heap;
 //     an advance pops it under the clock's lock, queues it into the
 //     instant's batch and runs its handler with the lock released.
-//   - On a ForEngine clock it is the engine's event and the handler runs
-//     inline, in event order.
 //   - On the System clock it re-arms one time.Timer; the handler runs on
 //     its own goroutine.
 //
-// The engine has no event removal, so every Reset is exactly one heap push
-// and a superseded or stopped arm pops later as a no-op: event counts are
-// those of Stop + AfterFunc. The owner serialises Reset and Stop (its users
+// The heap has no event removal, so every Reset is exactly one push and a
+// superseded or stopped arm pops later as a no-op: event counts are those
+// of Stop + AfterFunc. The owner serialises Reset and Stop (its users
 // all hold their own lock); the handler runs with no clock lock held and
 // may take that lock and Reset its own alarm. An Alarm must not be copied
 // after Init.
 type Alarm struct {
 	h Handler
 
-	// Init sets the backend: v and eng on a Virtual clock (eng is v's
-	// heap), eng alone on a ForEngine clock, neither on the System clock.
+	// v is the Virtual clock Init bound the alarm to; nil on the System
+	// clock.
 	v   *Virtual
-	eng *sim.Engine
 	sys *time.Timer // System: created by the first Reset, re-armed after
 
 	// seq is the engine sequence number of the live arm, 0 when there is
@@ -63,9 +60,7 @@ func (a *Alarm) Init(clk Clock, h Handler) {
 	a.h = h
 	switch c := clk.(type) {
 	case *Virtual:
-		a.v, a.eng = c, &c.eng
-	case engineClock:
-		a.eng = c.eng
+		a.v = c
 	case systemClock:
 	default:
 		panic("clock: Alarm on an unknown Clock implementation")
@@ -87,8 +82,6 @@ func (a *Alarm) Reset(d time.Duration) {
 		}
 		a.push(d)
 		a.v.mu.Unlock()
-	case a.eng != nil:
-		a.push(d)
 	case a.sys != nil:
 		a.sys.Reset(d)
 	default:
@@ -97,10 +90,11 @@ func (a *Alarm) Reset(d time.Duration) {
 }
 
 func (a *Alarm) push(d time.Duration) {
-	if err := a.eng.Schedule(a.eng.Now()+d, (*alarmEvent)(a)); err != nil {
+	eng := &a.v.eng
+	if err := eng.Schedule(eng.Now()+d, (*alarmEvent)(a)); err != nil {
 		panic("clock: scheduling alarm: " + err.Error())
 	}
-	a.seq = a.eng.LastSeq()
+	a.seq = eng.LastSeq()
 }
 
 // Stop cancels the pending arm. It reports whether the call prevented a
@@ -108,47 +102,32 @@ func (a *Alarm) push(d time.Duration) {
 // alarm was due at the very instant being fired; false means it already
 // fired (or is firing), was stopped, or was never armed.
 func (a *Alarm) Stop() bool {
-	if a.eng == nil {
+	if a.v == nil {
 		return a.sys != nil && a.sys.Stop()
 	}
-	if a.v != nil {
-		a.v.mu.Lock()
-		defer a.v.mu.Unlock()
-	}
+	a.v.mu.Lock()
+	defer a.v.mu.Unlock()
 	if a.seq != 0 {
 		a.seq = 0
 		return true
 	}
 	// Popped into the batch now running, handler not yet started: claim
 	// the firing from the runner.
-	return a.v != nil && a.queued.CompareAndSwap(true, false)
+	return a.queued.CompareAndSwap(true, false)
 }
 
 // alarmEvent is the Alarm as the engine's event, kept off Alarm's method
 // set: owners embed an Alarm beside a Fire of their own.
 type alarmEvent Alarm
 
-// Fire implements sim.Handler: the engine popped one of the alarm's heap
-// entries (under v.mu on a Virtual clock).
+// Fire implements sim.Handler: the clock's heap popped one of the alarm's
+// entries, under v.mu.
 func (e *alarmEvent) Fire() {
 	a := (*Alarm)(e)
-	if a.seq != a.eng.FiringSeq() {
+	if a.seq != a.v.eng.FiringSeq() {
 		return // a superseded or stopped arm
 	}
 	a.seq = 0
-	if a.v == nil {
-		a.h.Fire()
-		return
-	}
 	a.queued.Store(true)
 	a.v.due = append(a.v.due, a)
-}
-
-// newTimer is AfterFunc on the virtual backends: one allocation, the Alarm,
-// which is also the Timer handed back.
-func newTimer(clk Clock, d time.Duration, fn func()) Timer {
-	a := new(Alarm)
-	a.Init(clk, HandlerFunc(fn))
-	a.Reset(d)
-	return a
 }

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"p2pstream/internal/sim"
 )
 
 // backend is one Clock an Alarm runs on, with the means to let d of its
@@ -17,14 +15,11 @@ type backend struct {
 	pass func(d time.Duration)
 }
 
-// virtualBackends are the two engine-backed clocks, driven by hand.
+// virtualBackends is the Virtual clock driven by hand: Advance fires the
+// handlers inline on the caller.
 func virtualBackends() []backend {
 	v := NewVirtual()
-	eng := new(sim.Engine)
-	return []backend{
-		{"Virtual", v, v.Advance},
-		{"ForEngine", ForEngine(eng), func(d time.Duration) { eng.RunUntil(eng.Now() + d) }},
-	}
+	return []backend{{"Virtual", v, v.Advance}}
 }
 
 func TestAlarmFiresOncePerReset(t *testing.T) {

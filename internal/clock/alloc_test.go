@@ -5,26 +5,15 @@ package clock
 import (
 	"testing"
 	"time"
-
-	"p2pstream/internal/sim"
 )
 
 // TestTimerAllocs pins a virtual timer at one allocation from AfterFunc to
-// firing, on both virtual clocks: the timer handle is itself the event the
-// engine queues, so there is no closure and no event object beside it. Not
-// built under -race, which instruments allocation.
+// firing: the timer handle is itself the event the clock's heap queues, so
+// there is no closure and no event object beside it. Not built under -race,
+// which instruments allocation.
 func TestTimerAllocs(t *testing.T) {
 	fired := 0
 	fn := func() { fired++ }
-
-	var eng sim.Engine
-	onEngine := ForEngine(&eng)
-	if got := testing.AllocsPerRun(1000, func() {
-		onEngine.AfterFunc(time.Millisecond, fn)
-		eng.Step()
-	}); got > 1 {
-		t.Errorf("engine clock: %.0f allocs per AfterFunc + fire, want at most 1", got)
-	}
 
 	virtual := NewVirtual()
 	virtual.AfterFunc(time.Millisecond, fn) // sizes the due-callback buffer
@@ -35,27 +24,17 @@ func TestTimerAllocs(t *testing.T) {
 	}); got > 1 {
 		t.Errorf("virtual clock: %.0f allocs per AfterFunc + fire, want at most 1", got)
 	}
-	if fired != 2*1001+1 {
-		t.Errorf("%d timers fired, want %d", fired, 2*1001+1)
+	if fired != 1001+1 {
+		t.Errorf("%d timers fired, want %d", fired, 1001+1)
 	}
 }
 
 // TestAlarmAllocs pins a re-armed Alarm at zero allocations from Reset to
-// firing on all three backends: the owner's storage is the heap entry (or,
-// on the wall clock, holds the one time.Timer that is re-armed).
+// firing on both clocks: the owner's storage is the heap entry (or, on the
+// wall clock, holds the one time.Timer that is re-armed).
 func TestAlarmAllocs(t *testing.T) {
 	fired := 0
 	count := HandlerFunc(func() { fired++ })
-
-	var eng sim.Engine
-	var onEngine Alarm
-	onEngine.Init(ForEngine(&eng), count)
-	if got := testing.AllocsPerRun(1000, func() {
-		onEngine.Reset(time.Millisecond)
-		eng.Step()
-	}); got != 0 {
-		t.Errorf("engine clock: %.0f allocs per Reset + fire, want 0", got)
-	}
 
 	virtual := NewVirtual()
 	var onVirtual Alarm
@@ -68,8 +47,8 @@ func TestAlarmAllocs(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("virtual clock: %.0f allocs per Reset + fire, want 0", got)
 	}
-	if fired != 2*1001+1 {
-		t.Errorf("%d alarms fired, want %d", fired, 2*1001+1)
+	if fired != 1001+1 {
+		t.Errorf("%d alarms fired, want %d", fired, 1001+1)
 	}
 
 	rang := make(chan struct{}, 1)

@@ -1,17 +1,16 @@
 // Package clock abstracts time for the protocol stack: the same session
 // code runs against the wall clock in a live deployment and against a
 // virtual clock (backed by the discrete-event engine in internal/sim) in
-// tests and simulations, where hours of protocol time elapse in
+// tests and scenario runs, where hours of protocol time elapse in
 // milliseconds of wall time.
 //
-// Three implementations are provided:
+// Two implementations are provided:
 //
 //   - System: the real wall clock (time.Now, time.Sleep, time.AfterFunc);
-//   - ForEngine: a thin adapter over a caller-driven sim.Engine for
-//     single-threaded simulators, with synchronous inline callbacks;
 //   - Virtual: a concurrency-safe virtual clock for driving real,
 //     multi-goroutine code (the live node over a virtual network) under
-//     virtual time, with an auto-advance driver.
+//     virtual time, with an auto-advance driver, or by hand with Advance,
+//     which fires the handlers inline on the caller.
 package clock
 
 import "time"

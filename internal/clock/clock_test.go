@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"p2pstream/internal/sim"
 )
 
 func TestSystemClockBasics(t *testing.T) {
@@ -36,37 +34,6 @@ func TestOrDefaults(t *testing.T) {
 	if Or(v) != Clock(v) {
 		t.Error("Or did not pass through a non-nil clock")
 	}
-}
-
-func TestForEngineFiresInline(t *testing.T) {
-	var eng sim.Engine
-	c := ForEngine(&eng)
-	epoch := c.Now()
-
-	var fired []time.Duration
-	c.AfterFunc(3*time.Second, func() { fired = append(fired, c.Since(epoch)) })
-	c.AfterFunc(time.Second, func() { fired = append(fired, c.Since(epoch)) })
-	stopped := c.AfterFunc(2*time.Second, func() { t.Error("stopped timer fired") })
-	if !stopped.Stop() {
-		t.Error("Stop on pending timer reported false")
-	}
-	if stopped.Stop() {
-		t.Error("second Stop reported true")
-	}
-	eng.Run()
-	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 3*time.Second {
-		t.Errorf("fired at %v, want [1s 3s]", fired)
-	}
-}
-
-func TestForEngineSleepPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Sleep on engine clock did not panic")
-		}
-	}()
-	var eng sim.Engine
-	ForEngine(&eng).Sleep(time.Second)
 }
 
 func TestVirtualManualAdvance(t *testing.T) {

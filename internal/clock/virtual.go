@@ -120,8 +120,14 @@ func (v *Virtual) Sleep(d time.Duration) {
 // AfterFunc schedules fn to run once, d of virtual time from now. fn runs
 // on the advancing goroutine with no clock lock held, so it may freely call
 // back into the clock; it must not block indefinitely, or it stalls every
-// other timer. The handle is an Alarm allocated around fn.
-func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer { return newTimer(v, d, fn) }
+// other timer. The handle is an Alarm allocated around fn: one
+// allocation, and the Timer handed back.
+func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
+	a := new(Alarm)
+	a.Init(v, HandlerFunc(fn))
+	a.Reset(d)
+	return a
+}
 
 // NoteWake registers an out-of-band wake-up: the virtual network calls it
 // when a scheduled delivery unblocks a waiting reader, so the driver holds
@@ -158,6 +164,15 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.eng.RunUntil(target)
 	v.now.Store(int64(target))
 	v.mu.Unlock()
+}
+
+// Pending returns the number of events in the clock's heap: every live arm
+// (alarm, timer or sleeper), and every superseded or stopped one that has
+// not yet popped as a no-op.
+func (v *Virtual) Pending() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.eng.Pending()
 }
 
 // fireThroughLocked fires every pending instant up to and including end,

@@ -122,6 +122,13 @@ type BackoffConfig struct {
 	// so scale scenarios cap it. Zero keeps the legacy overflow guard
 	// (one week) as the only bound.
 	Cap time.Duration
+	// Jitter, in [0, 1), scales each wait a live requester sleeps by a
+	// uniform factor in [1-Jitter, 1+Jitter), drawn from a stream seeded
+	// by the node. Zero keeps the paper's exact schedule. A same-instant
+	// flash crowd needs it: a deterministic schedule keeps rejection
+	// cohorts in lockstep, so the same peers re-collide at every wake.
+	// After and TotalWait ignore it; the simulator refuses it.
+	Jitter float64
 }
 
 // Validate returns an error if the configuration is unusable.
@@ -137,6 +144,9 @@ func (c BackoffConfig) Validate() error {
 	}
 	if c.Cap > 0 && c.Cap < c.Base {
 		return fmt.Errorf("dac: backoff cap %v below base %v", c.Cap, c.Base)
+	}
+	if !(c.Jitter >= 0 && c.Jitter < 1) { // NaN fails both
+		return fmt.Errorf("dac: backoff jitter %v outside [0, 1)", c.Jitter)
 	}
 	return nil
 }

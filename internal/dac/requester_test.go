@@ -1,6 +1,7 @@
 package dac
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -166,6 +167,9 @@ func TestBackoffValidate(t *testing.T) {
 		{Base: -time.Second, Factor: 2},
 		{Base: time.Second, Factor: 0},
 		{Base: time.Second, Factor: -1},
+		{Base: time.Second, Factor: 2, Jitter: -0.1},
+		{Base: time.Second, Factor: 2, Jitter: 1},
+		{Base: time.Second, Factor: 2, Jitter: math.NaN()},
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v) should fail", c)
@@ -260,14 +264,16 @@ func TestBackoffLargeFactor(t *testing.T) {
 // FuzzBackoff checks After against min(Base·Factor^(r-1), cap) computed in
 // math/big, that After never decreases as r grows, and that TotalWait is the
 // sum of the Afters capped at one week, for every config Validate accepts.
+// Jitter is part of the config space and changes none of it: want below
+// never reads it, since only a live requester scales the waits it sleeps.
 func FuzzBackoff(f *testing.F) {
-	f.Add(int64(10*time.Minute), 2, int64(0), uint16(5))
-	f.Add(int64(3*time.Second), 1<<62, int64(0), uint16(2))
-	f.Add(int64(1<<32), 1<<32+1, int64(0), uint16(2))
-	f.Add(int64(time.Second), 1, int64(time.Hour), uint16(9999))
-	f.Add(int64(time.Minute), 3, int64(time.Hour), uint16(40))
-	f.Fuzz(func(t *testing.T, base int64, factor int, capNS int64, rn uint16) {
-		c := BackoffConfig{Base: time.Duration(base), Factor: factor, Cap: time.Duration(capNS)}
+	f.Add(int64(10*time.Minute), 2, int64(0), 0.0, uint16(5))
+	f.Add(int64(3*time.Second), 1<<62, int64(0), 0.5, uint16(2))
+	f.Add(int64(1<<32), 1<<32+1, int64(0), 0.0, uint16(2))
+	f.Add(int64(time.Second), 1, int64(time.Hour), 0.999, uint16(9999))
+	f.Add(int64(time.Minute), 3, int64(time.Hour), 0.25, uint16(40))
+	f.Fuzz(func(t *testing.T, base int64, factor int, capNS int64, jitter float64, rn uint16) {
+		c := BackoffConfig{Base: time.Duration(base), Factor: factor, Cap: time.Duration(capNS), Jitter: jitter}
 		if c.Validate() != nil {
 			t.Skip()
 		}

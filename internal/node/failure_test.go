@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -12,6 +13,7 @@ import (
 
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
+	"p2pstream/internal/errs"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/transport"
@@ -47,6 +49,104 @@ func TestSupplierCrashMidSession(t *testing.T) {
 	}
 	if req.Store().Complete() {
 		t.Error("store should be incomplete after crash")
+	}
+}
+
+// TestRequestUntilAdmittedSurvivesSupplierCrash: one of the two suppliers
+// of a session crashes mid-stream — its host goes down, its directory
+// registration stays behind — while a fresh seed joins. The session fails
+// with a transport error; the retry loop waits one Backoff.Base, runs a
+// fresh admission that routes around the dead registration, resumes the
+// partial store and returns it complete and byte-exact.
+func TestRequestUntilAdmittedSurvivesSupplierCrash(t *testing.T) {
+	c := newCluster(t)
+	c.seed("seed1", 1)
+	c.seed("seed2", 1)
+	fresh, err := NewSeed(c.config("seed3", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fresh.Close() })
+	req := c.requester("r", 1)
+
+	// Each class-1 seed offers R0/2, so the first session is seed1 + seed2,
+	// ~128ms of virtual time: a crash 25ms in lands mid-stream.
+	joined := make(chan error, 1)
+	go func() {
+		c.clk.Sleep(25 * time.Millisecond)
+		c.net.SetDown("seed1")
+		joined <- fresh.Start(context.Background())
+	}()
+	report, err := req.RequestUntilAdmitted(context.Background(), "", 10)
+	if jerr := <-joined; jerr != nil {
+		t.Fatal(jerr)
+	}
+	if err != nil {
+		t.Fatalf("RequestUntilAdmitted = %v, want a session from the survivors", err)
+	}
+	for _, s := range report.Suppliers {
+		if s.ID == "seed1" {
+			t.Error("the crashed supplier served the final session")
+		}
+	}
+	// The crash cost one attempt that is not a rejection.
+	if requests := req.Stats().Requests; requests < 2 || report.Rejections > requests-2 {
+		t.Errorf("%d attempts, %d rejections: want a retry the crash caused, not counted as a rejection",
+			requests, report.Rejections)
+	}
+	f := testFile()
+	if !report.Store.Complete() || req.Store() != report.Store {
+		t.Fatal("the node does not hold the complete store of the session")
+	}
+	for id := range media.SegmentID(f.Segments) {
+		got, _ := report.Store.Get(id)
+		if !bytes.Equal(got.Data, media.SegmentContent(f, id).Data) {
+			t.Fatalf("segment %d is not the file's", id)
+		}
+	}
+	if !req.Supplying() {
+		t.Error("served requester does not supply")
+	}
+	// Neither the object it now holds nor one it does not know is retried.
+	before := req.Stats().Requests
+	for _, obj := range []string{"", "nope"} {
+		if _, err := req.RequestUntilAdmitted(context.Background(), obj, 10); err == nil {
+			t.Errorf("RequestUntilAdmitted(%q) accepted", obj)
+		}
+	}
+	if got := req.Stats().Requests - before; got != 0 {
+		t.Errorf("refused objects cost %d attempts", got)
+	}
+}
+
+// TestRequestUntilAdmittedStopsWhenClosed: a node closed while its retry
+// loop sleeps out a rejection backoff makes one more attempt, which finds
+// the node closed, and returns ErrClosed instead of spending the rest of
+// its budget.
+func TestRequestUntilAdmittedStopsWhenClosed(t *testing.T) {
+	c := newCluster(t)
+	c.seed("onlyseed", 2) // offers R0/4: can never admit alone
+	req := c.requester("r", 4)
+
+	// The first attempt is rejected within a few link latencies; its
+	// backoff is 20ms, so a close at 10ms lands inside it.
+	closed := make(chan struct{})
+	go func() {
+		c.clk.Sleep(10 * time.Millisecond)
+		req.Close()
+		close(closed)
+	}()
+	start := c.clk.Now()
+	_, err := req.RequestUntilAdmitted(context.Background(), "", 50)
+	<-closed
+	if !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if got := req.Stats().Requests; got != 2 {
+		t.Errorf("%d attempts, want the rejected one and the one that found the node closed", got)
+	}
+	if elapsed := c.clk.Since(start); elapsed >= 40*time.Millisecond {
+		t.Errorf("returned after %v of virtual time, past the second backoff", elapsed)
 	}
 }
 

@@ -203,6 +203,10 @@ type Stats struct {
 	// supplied, Reminders reminders kept — all zero while the node is
 	// still a requesting peer.
 	Probes, Sessions, Reminders int
+	// Requests counts the admission attempts the node made as a
+	// requester: each Request call, and each one RequestUntilAdmitted
+	// makes, that got past the context and object checks.
+	Requests int
 	// WriteFailures counts reply writes that failed mid-exchange (the
 	// remote hung up while a reply was in flight).
 	WriteFailures int64
@@ -244,6 +248,8 @@ type Node struct {
 	// retired accumulates the protocol counters of suppliers torn down by
 	// eviction, so Stats stays monotonic over the node's lifetime.
 	retired Stats
+	// requests counts admission attempts (Stats.Requests).
+	requests int
 	// pending holds partially received stores of in-flight requests, by
 	// object name; a completed store moves into lib.
 	pending map[string]*media.Store
@@ -417,6 +423,7 @@ func (n *Node) SupplyingObject(name string) bool {
 func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	st := n.retired
+	st.Requests = n.requests
 	sups := make([]*protocol.Supplier, 0, len(n.sups))
 	for _, sup := range n.sups {
 		sups = append(sups, sup)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -224,6 +225,9 @@ func TestRejectionWhenInsufficientBandwidth(t *testing.T) {
 	}
 }
 
+// TestRequestUntilAdmittedGivesUp: a requester that can never be admitted
+// (the only supplier offers R0/4 < R0) spends its whole attempt budget and
+// reports the final rejection; a budget of 0 is refused before any attempt.
 func TestRequestUntilAdmittedGivesUp(t *testing.T) {
 	c := newCluster(t)
 	c.seed("onlyseed", 2)
@@ -233,12 +237,82 @@ func TestRequestUntilAdmittedGivesUp(t *testing.T) {
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
+	if got := req.Stats().Requests; got != 3 {
+		t.Errorf("%d attempts, want the whole budget of 3", got)
+	}
 	// Backoff 20ms + 40ms of virtual time between the three attempts.
 	if elapsed := c.clk.Since(start); elapsed < 60*time.Millisecond {
 		t.Errorf("elapsed %v of virtual time, want >= 60ms of backoff", elapsed)
 	}
 	if _, err := req.RequestUntilAdmitted(context.Background(), "", 0); err == nil {
 		t.Error("maxAttempts 0 should fail")
+	}
+	if got := req.Stats().Requests; got != 3 {
+		t.Errorf("maxAttempts 0 made %d attempts", got-3)
+	}
+}
+
+// lookupClock is a Discovery with an empty registry that records the
+// virtual instant of every lookup: each attempt is rejected at once
+// (ErrNoSuppliers) in zero virtual time, so the gaps between lookups are
+// exactly the waits the retry loop slept.
+type lookupClock struct {
+	stubDiscovery
+	clk *clock.Virtual
+	at  []time.Duration
+}
+
+func (d *lookupClock) Candidates(context.Context, string, int, string) ([]transport.Candidate, error) {
+	d.at = append(d.at, d.clk.Elapsed())
+	return nil, nil
+}
+
+// TestRequestUntilAdmittedJitter: two nodes with the same seed and Jitter
+// 0.5 sleep identical waits, each the schedule's After(i) scaled into
+// [0.5, 1.5), and not all of them the unscaled value.
+func TestRequestUntilAdmittedJitter(t *testing.T) {
+	backoff := dac.BackoffConfig{Base: 10 * time.Millisecond, Factor: 2, Jitter: 0.5}
+	const attempts = 8
+	waits := func(id string) []time.Duration {
+		clk := clock.NewVirtual()
+		defer clk.AutoRun()()
+		disc := &lookupClock{clk: clk}
+		cfg := discCfg(disc, "")
+		cfg.ID, cfg.Seed, cfg.Clock, cfg.Backoff = id, 7, clk, backoff
+		n, err := NewRequester(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if _, err := n.RequestUntilAdmitted(context.Background(), "", attempts); !errors.Is(err, ErrNoSuppliers) {
+			t.Fatalf("%s: err = %v, want ErrNoSuppliers", id, err)
+		}
+		if len(disc.at) != attempts {
+			t.Fatalf("%s: %d lookups, want %d", id, len(disc.at), attempts)
+		}
+		out := make([]time.Duration, attempts-1)
+		for i := range out {
+			out[i] = disc.at[i+1] - disc.at[i]
+		}
+		return out
+	}
+	a, b := waits("a"), waits("b")
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed, different waits:\n  a: %v\n  b: %v", a, b)
+	}
+	scaled := false
+	for i, got := range a {
+		w, err := backoff.After(i + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got < w/2 || got >= w*3/2 {
+			t.Errorf("wait %d = %v, want in [%v, %v)", i+1, got, w/2, w*3/2)
+		}
+		scaled = scaled || got != w
+	}
+	if !scaled {
+		t.Errorf("waits %v are the unscaled schedule", a)
 	}
 }
 
@@ -453,7 +527,8 @@ func TestStatsSurviveEviction(t *testing.T) {
 // TestCachingFailureKeepsTheSession: a session that succeeds while every
 // object the node caches is pinned cannot be cached — the request fails
 // with the caching error, the node holds no store of the object at all, and
-// the report still carries the complete store the session filled.
+// the report still carries the complete store the session filled. The
+// retry loop returns the same at once: the session was served.
 func TestCachingFailureKeepsTheSession(t *testing.T) {
 	c := newCluster(t)
 	ctx := context.Background()
@@ -490,6 +565,20 @@ func TestCachingFailureKeepsTheSession(t *testing.T) {
 		if !bytes.Equal(got.Data, media.SegmentContent(b, id).Data) {
 			t.Fatalf("segment %d of the report's store is not the file's", id)
 		}
+	}
+
+	// The retry loop counts such a session as served: it returns the report
+	// beside the caching error after its one attempt, retrying nothing.
+	before := x.Stats().Requests
+	report, err = x.RequestUntilAdmitted(ctx, "b", 3)
+	if err == nil || !strings.Contains(err.Error(), "caching b") {
+		t.Fatalf("RequestUntilAdmitted(b) = %v, want the caching error", err)
+	}
+	if report == nil || !report.Store.Complete() || report.Rejections != 0 {
+		t.Fatalf("report %+v: want the complete store of a first-try session", report)
+	}
+	if got := x.Stats().Requests - before; got != 1 {
+		t.Errorf("%d attempts for a served session, want 1", got)
 	}
 }
 

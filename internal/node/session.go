@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"p2pstream/internal/netx"
 	"p2pstream/internal/observe"
 	"p2pstream/internal/protocol"
+	"p2pstream/internal/splitmix"
 	"p2pstream/internal/transport"
 )
 
@@ -45,8 +47,9 @@ type SessionReport struct {
 	Bytes int64
 	// Duration is the session length on the node's clock.
 	Duration time.Duration
-	// Rejections counts failed attempts before this session (set by
-	// RequestUntilAdmitted).
+	// Rejections counts the rejected attempts (ErrRejected,
+	// ErrNoSuppliers) before this session, set by RequestUntilAdmitted;
+	// attempts lost to a transport failure are not among them.
 	Rejections int
 	// Downgraded counts segments that arrived below full quality — the
 	// suppliers' ABR ladder stepping down under congestion.
@@ -104,23 +107,19 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	name := n.objectKey(object)
-	file := n.files[name]
-	if file == nil {
-		return nil, fmt.Errorf("node %s: unknown object %q", n.cfg.ID, name)
+	name, file, err := n.requestable(object)
+	if err != nil {
+		return nil, err
 	}
 	n.mu.Lock()
+	n.requests++
 	closed := n.closed
 	store := n.pending[name]
 	n.mu.Unlock()
 	if closed {
 		return nil, fmt.Errorf("node %s: %w", n.cfg.ID, errs.ErrClosed)
 	}
-	if _, _, ok := n.lib.Get(name); ok {
-		return nil, fmt.Errorf("node %s: already holds %s", n.cfg.ID, name)
-	}
 	if store == nil {
-		var err error
 		store, err = media.NewStore(file)
 		if err != nil {
 			return nil, err
@@ -222,6 +221,21 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 	return report, nil
 }
 
+// requestable resolves a requested object ("" is the primary) to its
+// catalog name and file, or says why the node cannot request it: the object
+// is unknown, or the node already holds it.
+func (n *Node) requestable(object string) (string, *media.File, error) {
+	name := n.objectKey(object)
+	f := n.files[name]
+	if f == nil {
+		return name, nil, fmt.Errorf("node %s: unknown object %q", n.cfg.ID, name)
+	}
+	if _, _, ok := n.lib.Get(name); ok {
+		return name, nil, fmt.Errorf("node %s: already holds %s", n.cfg.ID, name)
+	}
+	return name, f, nil
+}
+
 // pick maps candidate indices back to candidates, preserving order.
 func pick(cands []transport.Candidate, idxs []int) []transport.Candidate {
 	out := make([]transport.Candidate, len(idxs))
@@ -231,44 +245,67 @@ func pick(cands []transport.Candidate, idxs []int) []transport.Candidate {
 	return out
 }
 
-// RequestUntilAdmitted retries Request for one object with the configured
-// backoff until admitted, the context is cancelled, or maxAttempts
-// attempts have failed (the error then wraps the last attempt's). Only
-// protocol rejections (ErrRejected, ErrNoSuppliers) are retried;
-// cancellation and hard transport failures surface immediately.
+// RequestUntilAdmitted is the requester's retry loop (paper Section 4.2):
+// it runs Request for one object until a session is served, and gives up
+// after maxAttempts attempts (the error then wraps the last attempt's). Every
+// retry is a fresh admission — lookup, probes, trigger — and resumes the
+// partial store of the attempts before it.
+//
+//   - The i-th rejection (ErrRejected, ErrNoSuppliers) waits
+//     Backoff.After(i), scaled by Backoff.Jitter with a stream seeded by
+//     Config.Seed anew on every call.
+//   - Any other failure — a supplier that crashed mid-session, a failed
+//     lookup, a dead shard — waits Backoff.Base and is not counted as a
+//     rejection: it says nothing about admission contention.
+//   - Cancellation (the context's error) and a closed node (ErrClosed)
+//     surface at once. So does a report with an error: the session was
+//     served, and only caching the object or the post-session registration
+//     failed.
+//   - An object the node cannot request — unknown, or already held — is
+//     refused before the first attempt.
 func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttempts int) (*SessionReport, error) {
 	if maxAttempts < 1 {
 		return nil, fmt.Errorf("node %s: maxAttempts %d, want >= 1", n.cfg.ID, maxAttempts)
 	}
+	if _, _, err := n.requestable(object); err != nil {
+		return nil, err
+	}
+	// One splitmix64 word, not a math/rand table: a crowd runs ten
+	// thousand of these loops.
+	rng := splitmix.Rand(n.cfg.Seed)
 	rejections := 0
 	sw := new(sweep)
 	for attempt := 1; ; attempt++ {
 		report, err := n.request(ctx, object, sw)
-		if err == nil {
+		if report != nil {
+			// Served. err is set when caching the object or the
+			// post-session registration failed (a sharded registry's owner
+			// shard can be down right then; the lease re-registers when it
+			// returns): the caller decides how hard that is.
 			report.Rejections = rejections
-			return report, nil
-		}
-		if !errs.Retryable(err) {
-			// The session may have completed with only the post-session
-			// registration failing (a sharded registry's owner shard can be
-			// down right then; the lease re-registers when it returns).
-			// Surface the report with the error: the node holds the file
-			// and supplies locally, and the caller decides how hard the
-			// missing registration is.
-			if report != nil {
-				report.Rejections = rejections
-			}
 			return report, err
 		}
-		rejections++
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		if errors.Is(err, errs.ErrClosed) {
+			return nil, err
+		}
 		if attempt == maxAttempts {
 			// err already names the node and wraps the last attempt's own
 			// sentinel: an empty registry exhausts as ErrNoSuppliers.
-			return nil, fmt.Errorf("%w after %d attempts", err, rejections)
+			return nil, fmt.Errorf("%w after %d attempts", err, attempt)
 		}
-		wait, err := n.cfg.Backoff.After(rejections)
-		if err != nil {
-			return nil, err
+		wait := n.cfg.Backoff.Base
+		if errs.Retryable(err) {
+			rejections++
+			if wait, err = n.cfg.Backoff.After(rejections); err != nil {
+				return nil, err
+			}
+			if j := n.cfg.Backoff.Jitter; j > 0 {
+				scale := 1 + j*(2*rng.Float64()-1)
+				wait = max(time.Duration(float64(wait)*scale), time.Microsecond)
+			}
 		}
 		if err := clock.SleepCtx(ctx, n.clk, wait); err != nil {
 			return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
-	"p2pstream/internal/sim"
 )
 
 // TestAttemptSweepAllocs pins a reused Attempt at zero allocations per
@@ -27,10 +26,8 @@ func TestAttemptSweepAllocs(t *testing.T) {
 // itself: the admission state is a field of it and the idle alarm is armed in
 // place, with no closure or timer beside it.
 func TestNewSupplierAllocs(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	const runs = 1000
-	eng.Grow(runs + 1) // AllocsPerRun adds a warm-up call
 	got := testing.AllocsPerRun(runs, func() {
 		if _, err := NewSupplier(2, 4, dac.DAC, clk, 20*time.Minute); err != nil {
 			t.Fatal(err)
@@ -39,7 +36,7 @@ func TestNewSupplierAllocs(t *testing.T) {
 	if got != 1 {
 		t.Errorf("%.0f allocs per NewSupplier, want 1", got)
 	}
-	if eng.Pending() != runs+1 {
-		t.Errorf("%d idle alarms armed, want %d", eng.Pending(), runs+1)
+	if n := clk.Pending(); n != runs+1 { // AllocsPerRun adds a warm-up call
+		t.Errorf("%d idle alarms armed, want %d", n, runs+1)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"p2pstream/internal/clock"
 	"p2pstream/internal/core"
 	"p2pstream/internal/dac"
-	"p2pstream/internal/sim"
 )
 
 // sweep drives an Attempt against in-memory suppliers, granting per the
@@ -193,31 +192,31 @@ func TestSessionTiming(t *testing.T) {
 	}
 }
 
-// TestSupplierIdleElevation: under an engine clock, idle timeouts elevate
+// TestSupplierIdleElevation: under a virtual clock, idle timeouts elevate
 // the vector step by step until all classes are favored, then stop.
 func TestSupplierIdleElevation(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	sup, err := NewSupplier(1, 4, dac.DAC, clk, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A class-1 supplier in K=4 favors classes down to its own and must
-	// elevate (4-1) = 3 times to favor everyone.
-	eng.Run()
-	if got := sup.LowestFavored(); got != 4 {
-		t.Errorf("LowestFavored = %d after all elevations, want 4", got)
+	// elevate (4-1) = 3 times to favor everyone, one per T_out.
+	for want := bandwidth.Class(2); want <= 4; want++ {
+		clk.Advance(10 * time.Second)
+		if got := sup.LowestFavored(); got != want {
+			t.Fatalf("LowestFavored = %d after %d idle timeouts, want %d", got, want-1, want)
+		}
 	}
-	if eng.Processed() != 3 {
-		t.Errorf("processed %d idle timeouts, want 3 (timer must stop when all-open)", eng.Processed())
+	if n := clk.Pending(); n != 0 {
+		t.Errorf("%d timers pending once all-open, want 0 (the timer must stop)", n)
 	}
 }
 
 // TestSupplierSessionSuspendsTimer: a session stops the pending idle
 // timeout; EndSession re-arms it.
 func TestSupplierSessionSuspendsTimer(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	sup, err := NewSupplier(1, 4, dac.DAC, clk, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +224,7 @@ func TestSupplierSessionSuspendsTimer(t *testing.T) {
 	if err := sup.StartSession(); err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(time.Minute)
+	clk.Advance(time.Minute)
 	if got := sup.LowestFavored(); got != 1 {
 		t.Errorf("vector elevated during a session: LowestFavored = %d", got)
 	}
@@ -234,7 +233,7 @@ func TestSupplierSessionSuspendsTimer(t *testing.T) {
 	}
 	// No reminders and no favored request: end-of-session elevates once,
 	// then idle timeouts (re-armed) elevate the rest.
-	eng.Run()
+	clk.Advance(time.Minute)
 	if got := sup.LowestFavored(); got != 4 {
 		t.Errorf("LowestFavored = %d, want 4", got)
 	}
@@ -247,8 +246,7 @@ func TestSupplierSessionSuspendsTimer(t *testing.T) {
 // TestSupplierBusyReminderTighten: a favored-class reminder during a
 // session tightens the vector at end of session (Section 4.1(c)).
 func TestSupplierBusyReminderTighten(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	sup, err := NewSupplier(1, 4, dac.DAC, clk, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -278,14 +276,13 @@ func TestSupplierBusyReminderTighten(t *testing.T) {
 // TestSupplierNDACNeverArms: the baseline never schedules idle timeouts
 // and ignores reminders.
 func TestSupplierNDACNeverArms(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	sup, err := NewSupplier(2, 4, dac.NDAC, clk, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Pending() != 0 {
-		t.Errorf("NDAC supplier scheduled %d timers", eng.Pending())
+	if n := clk.Pending(); n != 0 {
+		t.Errorf("NDAC supplier scheduled %d timers", n)
 	}
 	dec, favors := sup.HandleProbe(4, 0)
 	if dec != dac.Granted || !favors {
@@ -296,14 +293,13 @@ func TestSupplierNDACNeverArms(t *testing.T) {
 
 // TestSupplierCloseStopsTimer: Close cancels the pending elevation.
 func TestSupplierCloseStopsTimer(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	sup, err := NewSupplier(1, 4, dac.DAC, clk, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup.Close()
-	eng.Run()
+	clk.Advance(time.Minute)
 	if got := sup.LowestFavored(); got != 1 {
 		t.Errorf("closed supplier elevated to %d", got)
 	}
@@ -345,8 +341,7 @@ func TestSlotsBudget(t *testing.T) {
 // probes DeniedBusy without touching its own dac state — and B's
 // admissions resume the instant A's session ends.
 func TestSupplierSharedSlots(t *testing.T) {
-	var eng sim.Engine
-	clk := clock.ForEngine(&eng)
+	clk := clock.NewVirtual()
 	slots := NewSlots(1)
 	newSup := func() *Supplier {
 		sup, err := NewSupplier(1, 4, dac.DAC, clk, time.Hour)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"p2pstream/internal/bandwidth"
+	"p2pstream/internal/dac"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 )
@@ -492,7 +493,7 @@ func reshardFlash() Spec {
 		MaxAttempts: 80,
 		// A 16-peer same-instant crowd in a deterministic backoff schedule
 		// re-collides forever (see megacrowd); jitter desynchronizes it.
-		BackoffJitter: 0.5,
+		Backoff: dac.BackoffConfig{Base: 20 * time.Millisecond, Factor: 2, Jitter: 0.5},
 		Expect: Expect{
 			MinAttempts:         2,
 			MinEpochFlips:       3,

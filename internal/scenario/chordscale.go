@@ -77,8 +77,7 @@ func ChordScale(n int) Spec {
 		DefaultLink:   netx.LinkConfig{Latency: 300 * time.Microsecond},
 		ClockCoalesce: time.Millisecond,
 		M:             4,
-		Backoff:       dac.BackoffConfig{Base: 2 * time.Millisecond, Factor: 2, Cap: 40 * time.Millisecond},
-		BackoffJitter: 0.5,
+		Backoff:       dac.BackoffConfig{Base: 2 * time.Millisecond, Factor: 2, Cap: 40 * time.Millisecond, Jitter: 0.5},
 		MaxAttempts:   400,
 		NoAdapt:       true,
 		// Population-scale wall-clock scheduling skew exceeds the

@@ -3,7 +3,6 @@ package scenario
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -19,65 +18,9 @@ import (
 	"p2pstream/internal/netx"
 	"p2pstream/internal/node"
 	"p2pstream/internal/observe"
-	"p2pstream/internal/splitmix"
 	"p2pstream/internal/transport"
 	"p2pstream/internal/wiring"
 )
-
-// retryDelay is the flat wait of the run's requesters after a transport
-// failure.
-const retryDelay = 25 * time.Millisecond
-
-// requestUntilHeld keeps attempting until the node holds the object,
-// tolerating both protocol rejections and transport failures such as a
-// supplier crashing mid-session — the client loop a churn-prone overlay
-// needs. Rejections back off on the paper's T_bkf · E_bkf^(i-1) schedule
-// (Section 4.2); transport failures wait retryDelay instead, since they say
-// nothing about admission contention. Given the requester's own stream,
-// each rejection wait is scaled by a uniform factor in [1-j, 1+j), j the
-// spec's BackoffJitter: the paper's deterministic schedule keeps a
-// same-instant flash crowd in lockstep forever (every cohort re-collides
-// at every wake), and jitter is what desynchronizes it. The budget is the
-// spec's MaxAttempts. It returns the successful session report and the
-// number of Request calls made. A session whose only failure came after
-// it — caching the object (every resident one pinned by a live session) or
-// the directory registration (possible behind a lossy link) — counts as
-// served: the report carries the store the session filled.
-func (h *harness) requestUntilHeld(ctx context.Context, n *node.Node, object string, rng *splitmix.Rand) (*node.SessionReport, int, error) {
-	maxAttempts := h.spec.MaxAttempts
-	if maxAttempts < 1 {
-		return nil, 0, fmt.Errorf("scenario: maxAttempts %d, want >= 1", maxAttempts)
-	}
-	var lastErr error
-	rejections := 0
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		report, err := n.Request(ctx, object)
-		if err == nil || report != nil {
-			return report, attempt, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, attempt, cerr
-		}
-		lastErr = err
-		if attempt < maxAttempts {
-			wait := retryDelay
-			if errors.Is(err, node.ErrRejected) || errors.Is(err, node.ErrNoSuppliers) {
-				rejections++
-				if w, berr := h.spec.Backoff.After(rejections); berr == nil {
-					wait = w
-					if rng != nil {
-						scale := 1 + h.spec.BackoffJitter*(2*rng.Float64()-1)
-						wait = max(time.Duration(float64(wait)*scale), time.Microsecond)
-					}
-				}
-			}
-			if err := clock.SleepCtx(ctx, h.clk, wait); err != nil {
-				return nil, attempt, err
-			}
-		}
-	}
-	return nil, maxAttempts, fmt.Errorf("node %s: gave up after %d attempts: %w", n.ID(), maxAttempts, lastErr)
-}
 
 // workItem is one requester of the workload: a declared requester or a
 // churn joiner (which revives its host name before starting).
@@ -419,18 +362,13 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 		return
 	}
 	h.track(w.ID, n)
-	var rng *splitmix.Rand
-	if h.spec.BackoffJitter > 0 {
-		// One splitmix64 word per requester, not a math/rand table: seeding
-		// ten thousand 5KB generators showed up in the crowd profile.
-		r := splitmix.Rand(w.seed)
-		rng = &r
-	}
 	// The request sequence: one object in single-object mode (the empty
 	// name routes to the node's primary), or the peer's declared Objects
 	// in order — requesting past the cache budget is what forces an
 	// eviction mid-run. Attempts accumulate across the sequence; the
-	// recorded session and invariants are the last object's.
+	// recorded session and invariants are the last object's. A report
+	// with an error is a served session whose caching or registration
+	// failed after it: the store it filled is checked from the report.
 	objects := w.Peer.Objects
 	if len(objects) == 0 {
 		objects = []string{""}
@@ -438,19 +376,17 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 	var report *node.SessionReport
 	var rerr error
 	for _, obj := range objects {
-		var a int
-		report, a, rerr = h.requestUntilHeld(context.Background(), n, obj, rng)
-		res.Attempts += a
-		if rerr != nil {
+		if report, rerr = n.RequestUntilAdmitted(context.Background(), obj, h.spec.MaxAttempts); report == nil {
 			break
 		}
 	}
+	res.Attempts = n.Stats().Requests
 	res.Done = h.clk.Since(base)
 	if chordPeer != nil {
 		res.Lookups, res.LookupHops, res.SampleRounds = chordPeer.LookupStats()
 	}
 	res.Events = h.tally.Snapshot()
-	if rerr != nil {
+	if report == nil {
 		res.Err = rerr
 		return
 	}

@@ -59,9 +59,8 @@ func Megacrowd(n int) Spec {
 		// Short capped backoff with jitter: the cap keeps stragglers from
 		// sleeping past the crowd's absorption, the jitter desynchronizes
 		// rejection cohorts so trigger races don't recur every wake.
-		Backoff:       dac.BackoffConfig{Base: 2 * time.Millisecond, Factor: 2, Cap: 40 * time.Millisecond},
-		BackoffJitter: 0.5,
-		MaxAttempts:   400,
+		Backoff:     dac.BackoffConfig{Base: 2 * time.Millisecond, Factor: 2, Cap: 40 * time.Millisecond, Jitter: 0.5},
+		MaxAttempts: 400,
 		// One advance per millisecond of virtual time, not per event
 		// instant: the wall-clock lever that makes six digits feasible.
 		ClockCoalesce: time.Millisecond,

@@ -386,15 +386,9 @@ type Spec struct {
 	Policy      dac.Policy        // admission policy (default DAC)
 	M           int               // candidates per lookup (default 8)
 	TOut        time.Duration     // idle elevation timeout (default 40ms)
-	Backoff     dac.BackoffConfig // rejection backoff (default 20ms, ×2)
+	Backoff     dac.BackoffConfig // rejection backoff (default 20ms, ×2, no jitter)
 	MaxAttempts int               // resilient-request budget (default 60)
 	Seed        int64             // network/directory randomness (default 1)
-	// BackoffJitter scales each rejection wait by a uniform factor in
-	// [1-j, 1+j), seeded per requester. Zero keeps the paper's exact
-	// T_bkf·E_bkf^(i-1) schedule. Same-instant flash crowds need it: a
-	// deterministic schedule keeps rejection cohorts in lockstep, so the
-	// same peers re-collide on the trigger race at every wake.
-	BackoffJitter float64
 	// ClockCoalesce widens the virtual clock's per-advance coalescing
 	// window (clock.Virtual.SetCoalesce). Population-scale specs set it so
 	// one quiescent advance drains a whole batch of deliveries instead of

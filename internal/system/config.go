@@ -34,7 +34,7 @@ type Config struct {
 	// TOut is the idle timeout after which a supplier elevates lower-class
 	// admission probabilities.
 	TOut time.Duration
-	// Backoff holds T_bkf and E_bkf.
+	// Backoff holds T_bkf and E_bkf; its Jitter must be 0.
 	Backoff dac.BackoffConfig
 	// SessionDuration is the media show time T (streaming session length).
 	SessionDuration time.Duration
@@ -153,6 +153,11 @@ func (c Config) Validate() error {
 	}
 	if err := c.Backoff.Validate(); err != nil {
 		return err
+	}
+	if c.Backoff.Jitter != 0 {
+		// The simulator runs the paper's deterministic T_bkf·E_bkf^(i-1)
+		// schedule; its golden digests pin it.
+		return fmt.Errorf("system: backoff jitter %v, want 0", c.Backoff.Jitter)
 	}
 	if c.SessionDuration <= 0 {
 		return fmt.Errorf("system: session duration %v, want > 0", c.SessionDuration)

@@ -49,6 +49,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero M", func(c *Config) { c.M = 0 }},
 		{"zero timeout", func(c *Config) { c.TOut = 0 }},
 		{"bad backoff", func(c *Config) { c.Backoff.Factor = 0 }},
+		{"jittered backoff", func(c *Config) { c.Backoff.Jitter = 0.5 }},
 		{"zero session", func(c *Config) { c.SessionDuration = 0 }},
 		{"bad pattern", func(c *Config) { c.Pattern = arrival.Pattern(0) }},
 		{"window beyond horizon", func(c *Config) { c.ArrivalWindow = c.Horizon + 1 }},

@@ -137,7 +137,8 @@ func NewAdmissionSupplier(own, numClasses Class, policy Policy) (*AdmissionSuppl
 	return dac.NewSupplier(own, numClasses, policy)
 }
 
-// BackoffConfig holds the requester retry parameters T_bkf and E_bkf.
+// BackoffConfig holds the requester retry parameters T_bkf and E_bkf, and
+// the optional jitter of the live retry loop.
 type BackoffConfig = dac.BackoffConfig
 
 // SimConfig parameterizes a whole-system simulation run.
