@@ -1,14 +1,21 @@
 package scenario
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"p2pstream/internal/bandwidth"
+	"p2pstream/internal/clock"
+	"p2pstream/internal/dac"
+	"p2pstream/internal/directory"
+	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/node"
+	"p2pstream/internal/wiring"
 )
 
 // TestRunDeterministic: two identically-seeded runs of a jitter-free spec
@@ -46,6 +53,130 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(first, "r0<-") {
 		t.Fatalf("trace missing r0: %s", first)
+	}
+}
+
+// TestRequestUntilHeldGivesUp: a requester the harness wires that can never
+// be admitted (the only supplier offers R0/4 < R0) burns its whole attempt
+// budget in the retry loop the harness calls, reports the final rejection,
+// and its node counts every attempt the harness records as Attempts.
+func TestRequestUntilHeldGivesUp(t *testing.T) {
+	clk := clock.NewVirtual()
+	stop := clk.AutoRun()
+	defer stop()
+	vnet := netx.NewVirtual(clk, 1)
+	vnet.SetDefaultLink(netx.LinkConfig{Latency: 200 * time.Microsecond})
+
+	dirSrv := directory.NewServer(1)
+	dl, err := vnet.Host("dir").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go dirSrv.Serve(dl)
+	defer dirSrv.Close()
+
+	wire := &wiring.Builder{
+		Node: node.Config{
+			NumClasses: 4, Policy: dac.DAC, File: defaultFile(), M: 8,
+			TOut:    40 * time.Millisecond,
+			Backoff: dac.BackoffConfig{Base: 5 * time.Millisecond, Factor: 1},
+			Clock:   clk,
+		},
+		DirectoryAddr: dl.Addr().String(),
+	}
+	start := func(id string, class bandwidth.Class, isSeed bool) *node.Node {
+		n, _, err := wire.Start(context.Background(), wiring.Peer{ID: id, Class: class, Seed: 1, Network: vnet.Host(id)}, isSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	start("onlyseed", 2, true)
+	req := start("r", 1, false)
+
+	const maxAttempts = 3
+	report, err := req.RequestUntilAdmitted(context.Background(), "", maxAttempts)
+	if !errors.Is(err, node.ErrRejected) || report != nil {
+		t.Fatalf("RequestUntilAdmitted = %v, %v; want ErrRejected and no report", report, err)
+	}
+	if attempts := req.Stats().Requests; attempts != maxAttempts {
+		t.Errorf("attempts = %d, want the whole budget of %d", attempts, maxAttempts)
+	}
+	if _, err := req.RequestUntilAdmitted(context.Background(), "", 0); err == nil {
+		t.Error("maxAttempts 0 accepted")
+	}
+	if attempts := req.Stats().Requests; attempts != maxAttempts {
+		t.Errorf("maxAttempts 0 made %d attempts", attempts-maxAttempts)
+	}
+}
+
+// TestCachingFailureCountsAsServed: a requester whose session succeeds while
+// the one object its cache has room for is pinned by a session it supplies
+// gets the caching error beside the session's report, holds no store of the
+// new object, and is still served — its store checked from the report, as
+// the harness checks it, not from the node, where looking crashed the run.
+func TestCachingFailureCountsAsServed(t *testing.T) {
+	clk := clock.NewVirtual()
+	stop := clk.AutoRun()
+	defer stop()
+	vnet := netx.NewVirtual(clk, 1)
+	vnet.SetDefaultLink(netx.LinkConfig{Latency: 200 * time.Microsecond})
+	dirSrv := directory.NewServer(1)
+	dirAddr, err := dirSrv.Start(vnet.Host("dir"), ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirSrv.Close()
+
+	a, b := defaultFile(), defaultFile()
+	a.Name, b.Name = "a", "b"
+	wire := &wiring.Builder{
+		Node: node.Config{
+			NumClasses: 4, Policy: dac.DAC, Objects: []*media.File{a, b}, M: 8,
+			CacheBudget: a.TotalBytes(), // one object at a time
+			TOut:        40 * time.Millisecond,
+			Backoff:     dac.BackoffConfig{Base: 5 * time.Millisecond, Factor: 1},
+			Clock:       clk,
+		},
+		DirectoryAddr: dirAddr,
+	}
+	start := func(id string, held ...string) *node.Node {
+		n, _, err := wire.Start(context.Background(), wiring.Peer{ID: id, Class: 1, Seed: 1, Held: held, Network: vnet.Host(id)}, held != nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	for _, obj := range []string{"a", "b"} {
+		start("s1"+obj, obj)
+		start("s2"+obj, obj)
+	}
+	x := start("x")
+	if _, err := x.RequestUntilAdmitted(context.Background(), "a", 3); err != nil {
+		t.Fatal(err)
+	}
+	x.Library().Acquire("a") // what a session x supplies of a does while it runs
+	defer x.Library().Release("a")
+
+	before := x.Stats().Requests
+	report, err := x.RequestUntilAdmitted(context.Background(), "b", 3)
+	attempts := x.Stats().Requests - before
+	if report == nil || attempts != 1 {
+		t.Fatalf("RequestUntilAdmitted(b) = %v after %d attempts, %v; want the first session's report", report, attempts, err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "caching b") {
+		t.Errorf("RequestUntilAdmitted(b) error = %v, want the caching error", err)
+	}
+	if x.Library().Len() != 1 || x.StoreOf("b") != nil {
+		t.Fatalf("x caches %v and a store of b: %v; want a alone", x.Library().Names(), x.StoreOf("b") != nil)
+	}
+	if storeExact(x.StoreOf("b"), b) {
+		t.Error("no store reads as exact")
+	}
+	if !storeExact(report.Store, b) {
+		t.Error("the store the session filled is not exact")
 	}
 }
 
