@@ -25,8 +25,10 @@
 // A requesting peer runs the overlay's one retry loop
 // (Node.RequestUntilAdmitted), at most -attempts attempts: a rejection
 // backs off on the paper's T_bkf·E_bkf^(i-1) schedule, and a supplier that
-// dies mid-session, a failed lookup or a dead shard is retried after T_bkf
-// with a fresh admission that resumes the partial download.
+// dies mid-session, a failed lookup or a dead shard is retried with a
+// fresh admission that resumes the partial download, after T_bkf·E_bkf^(k-1)
+// for the k-th such failure in a row: with the defaults below a directory
+// that stays down is retried 0.5 s, 1 s, 2 s, ... apart.
 //
 // The whole request path is context-driven: Ctrl-C cancels an in-flight
 // request (probes, session streams and discovery RPCs abort) instead of

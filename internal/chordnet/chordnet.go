@@ -262,14 +262,14 @@ func (p *Peer) LookupStats() (lookups, hops, sampleRounds int64) {
 }
 
 // Register joins the ring as a supplying peer: reg.Addr is the overlay
-// (probe/session) address carried to candidates, reg.Object the supplied
-// media object ("" for the single-object default). A peer that is already
-// a member registers further objects without re-joining — the grown set
-// spreads with its contact through the next stabilization round. With no
-// bootstrap the peer founds a new singleton ring; otherwise it routes a
-// lookup of its own position to find its successor and splices in,
-// retrying briefly if the routed successor is a stale entry for a
-// crashed peer.
+// (probe/session) address carried to candidates, reg.Object the name of
+// the supplied media object, which the member's contact lists from the
+// first Register on. A peer that is already a member registers further
+// objects without re-joining — the grown set spreads with its contact
+// through the next stabilization round. With no bootstrap the peer founds
+// a new singleton ring; otherwise it routes a lookup of its own position
+// to find its successor and splices in, retrying briefly if the routed
+// successor is a stale entry for a crashed peer.
 func (p *Peer) Register(ctx context.Context, reg transport.Register) error {
 	if reg.ID != p.cfg.ID {
 		return fmt.Errorf("chordnet %s: register for foreign id %q", p.cfg.ID, reg.ID)
@@ -283,7 +283,7 @@ func (p *Peer) Register(ctx context.Context, reg transport.Register) error {
 		p.mu.Unlock()
 		return fmt.Errorf("chordnet %s: not started", p.cfg.ID)
 	case p.joined:
-		if reg.Object != "" && !p.objects[reg.Object] {
+		if !p.objects[reg.Object] {
 			p.objects[reg.Object] = true
 			p.refreshObjectsLocked()
 			p.mu.Unlock()
@@ -301,10 +301,8 @@ func (p *Peer) Register(ctx context.Context, reg transport.Register) error {
 	// a strictly higher epoch, so record upserts and candidate merges
 	// everywhere prefer this contact over stale copies of the old one.
 	p.ring.self.Epoch = p.clk.Now().UnixNano()
-	if reg.Object != "" {
-		p.objects[reg.Object] = true
-		p.refreshObjectsLocked()
-	}
+	p.objects[reg.Object] = true
+	p.refreshObjectsLocked()
 	self := p.ring.self
 	p.mu.Unlock()
 
@@ -372,12 +370,12 @@ func (p *Peer) joinVia(ctx context.Context, self member) error {
 // Unregister withdraws the peer from one object. While other objects
 // remain the peer stays a ring member with a shrunken object set (cached
 // contacts lag; probed anyway, it refuses the gone object and the sweep
-// retries elsewhere). Withdrawing the last object — or "", everything —
-// leaves the ring gracefully: the peer hands its key range to its
-// successor with a chord-leave notice (the successor adopts the leaver's
-// predecessor, the predecessor splices the leaver's successor list in
-// place of the leaver), so the ring is whole the instant the notices land
-// — no staleness window, no stabilization round, no eviction churn.
+// retries elsewhere). Withdrawing the last object leaves the ring
+// gracefully: the peer hands its key range to its successor with a
+// chord-leave notice (the successor adopts the leaver's predecessor, the
+// predecessor splices the leaver's successor list in place of the leaver),
+// so the ring is whole the instant the notices land — no staleness window,
+// no stabilization round, no eviction churn.
 // Neighbors that cannot be reached fall back to the crash healing path as
 // before. An object the peer does not supply is nothing to withdraw.
 func (p *Peer) Unregister(ctx context.Context, id, object string) error {
@@ -385,13 +383,13 @@ func (p *Peer) Unregister(ctx context.Context, id, object string) error {
 		return fmt.Errorf("chordnet %s: unregister for foreign id %q", p.cfg.ID, id)
 	}
 	p.mu.Lock()
-	if object != "" && !p.objects[object] {
+	if !p.objects[object] {
 		p.mu.Unlock()
 		return nil
 	}
 	delete(p.objects, object)
 	p.refreshObjectsLocked()
-	if object != "" && p.joined && len(p.objects) > 0 {
+	if p.joined && len(p.objects) > 0 {
 		p.mu.Unlock()
 		// Re-publish so remote copies shrink their object set too.
 		p.publishRecords(ctx)

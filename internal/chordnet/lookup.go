@@ -12,9 +12,9 @@ import (
 
 // Candidates samples up to m distinct peers supplying the given object by
 // routing lookups of random keys — owners are hit proportionally to arc
-// length. Owners whose contact names an object set without the requested
-// object are skipped (an empty set means unknown — such contacts pass,
-// and the probe's own refusal sorts them out). Each round issues the
+// length. Owners whose contact does not list the object are skipped (a
+// cached contact can lag its member's set by a stabilization round; the
+// probe's own refusal sorts that out). Each round issues the
 // missing draws in parallel; with fewer ring members than m the sample
 // simply comes back short, and the admission sweep retries later against
 // a grown ring.
@@ -30,10 +30,7 @@ func (p *Peer) Candidates(ctx context.Context, object string, m int, exclude str
 	index := make(map[string]int)
 	var contacts []transport.ChordContact
 	eligible := func(c transport.ChordContact) bool {
-		if c.NodeAddr == "" {
-			return false
-		}
-		return object == "" || len(c.Objects) == 0 || slices.Contains(c.Objects, object)
+		return c.NodeAddr != "" && slices.Contains(c.Objects, object)
 	}
 	for round := 0; round < sampleRounds; round++ {
 		need := m

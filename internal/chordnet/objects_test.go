@@ -1,8 +1,10 @@
 package chordnet
 
 import (
+	"slices"
 	"testing"
 
+	"p2pstream/internal/chord"
 	"p2pstream/internal/transport"
 )
 
@@ -34,9 +36,9 @@ func (f *fixture) sampleIDs(p *Peer, object string, m int) map[string]bool {
 }
 
 // TestCandidatesFilterByObject: contacts carry their supplied-object
-// sets, and Candidates skips owners whose set names other objects only.
-// A contact with an empty set is unknown — it passes the filter, and the
-// probe's own refusal sorts it out; filtering is advisory, not a gate.
+// sets, and Candidates skips owners whose set does not list the object.
+// Every member's contact lists its objects from its first Register on, so
+// the filter never has to guess.
 func TestCandidatesFilterByObject(t *testing.T) {
 	f := newFixture(t)
 	members := []string{"s0", "s1", "s2", "s3"}
@@ -76,11 +78,18 @@ func TestCandidatesFilterByObject(t *testing.T) {
 		}, "exact supplier pool for "+object)
 	}
 
-	// An unfiltered draw ("" = the single-object default) still samples
-	// the whole ring regardless of object sets.
-	f.waitFor(func() bool {
-		return len(f.sampleIDs(r, "", len(members))) == len(members)
-	}, "unfiltered sample of the whole ring")
+	// Every registered member advertises every object it registered: the
+	// contact a lookup of its own position answers lists them all (the
+	// fixture joins each member under the name "").
+	advertised := map[string][]string{
+		"s0": {"", "v1"}, "s1": {"", "v1", "v2"}, "s2": {"", "v2"}, "s3": {"", "v3"},
+	}
+	for name, objects := range advertised {
+		f.waitFor(func() bool {
+			c, err := r.LookupKey(ctx, chord.VirtualPosition(name, 0))
+			return err == nil && c.Name == name && slices.Equal(c.Objects, objects)
+		}, name+"'s advertised object set")
+	}
 
 	// Withdrawing one object of a multi-object member narrows the filter
 	// without leaving the ring: s1 drops v2, v2's pool shrinks to s2, and
@@ -96,15 +105,6 @@ func TestCandidatesFilterByObject(t *testing.T) {
 	f.waitFor(func() bool {
 		return f.sampleIDs(r, "v1", len(members))["s1"]
 	}, "s1 still supplying v1")
-
-	// A member with an empty object set passes any object filter: unknown
-	// contacts are sampled, not silently dropped.
-	f.addMember("blank", 1)
-	all := append(members, "blank")
-	f.waitFor(func() bool { return ringHealthy(f.peers, all) }, "ring with blank member")
-	f.waitFor(func() bool {
-		return f.sampleIDs(r, "v3", len(all))["blank"]
-	}, "empty-set member passing the v3 filter")
 }
 
 // TestUnregisterUnknownObjectKeepsMembership: withdrawing an object the

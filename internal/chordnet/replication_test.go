@@ -204,14 +204,14 @@ func TestCandidatesPreferNewestContact(t *testing.T) {
 		Pos: base + 1<<63,
 		Peer: transport.ChordContact{
 			Name: "ghost", Addr: p.Addr(), NodeAddr: "overlay-ghost:1",
-			Class: 1, Epoch: now + 1,
+			Class: 1, Epoch: now + 1, Objects: []string{"video"},
 		},
 	}
 	fresh := transport.ChordRecord{
 		Pos: base + 3<<62,
 		Peer: transport.ChordContact{
 			Name: "ghost", Addr: p.Addr(), NodeAddr: "overlay-ghost:2",
-			Class: 1, Epoch: now + 2,
+			Class: 1, Epoch: now + 2, Objects: []string{"video"},
 		},
 	}
 	p.mu.Lock()
@@ -221,7 +221,7 @@ func TestCandidatesPreferNewestContact(t *testing.T) {
 
 	sawBoth := false
 	for tries := 0; tries < 8 && !sawBoth; tries++ {
-		cands, err := p.Candidates(ctx, "", 4, "")
+		cands, err := p.Candidates(ctx, "video", 4, "")
 		if err != nil {
 			t.Fatal(err)
 		}

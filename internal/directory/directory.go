@@ -37,9 +37,8 @@ type Server struct {
 	stats struct{ registers, refreshes, unregisters, lookups atomic.Int64 }
 
 	mu sync.Mutex
-	// dirs holds one supplier registry per media object; the "" key is the
-	// default registry, serving clients that predate multi-object lookups
-	// (their wire frames carry no object field at all).
+	// dirs holds one supplier registry per media object, by object name;
+	// a registry exists while it holds a supplier.
 	dirs map[string]*lookup.Directory[string]
 	// addrs maps peer ID -> dial address; addrRefs counts how many object
 	// registries hold the peer, so withdrawing one object keeps the address
@@ -69,7 +68,7 @@ type epochWatcher struct {
 // sampling for reproducible tests.
 func NewServer(seed int64) *Server {
 	s := &Server{
-		dirs:     map[string]*lookup.Directory[string]{"": lookup.NewDirectory[string]()},
+		dirs:     make(map[string]*lookup.Directory[string]),
 		addrs:    make(map[string]string),
 		addrRefs: make(map[string]int),
 		rng:      rand.New(rand.NewSource(seed)),
@@ -94,8 +93,7 @@ func (s *Server) Len() int {
 	return n
 }
 
-// ObjectLen returns the number of suppliers registered for one object
-// ("" is the default registry).
+// ObjectLen returns the number of suppliers registered for one object.
 func (s *Server) ObjectLen(object string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -106,8 +104,7 @@ func (s *Server) ObjectLen(object string) int {
 }
 
 // Has reports whether the given peer is registered in one object's
-// registry ("" is the default one) — the zero-loss audit hook of the
-// resharding scenarios.
+// registry — the zero-loss audit hook of the resharding scenarios.
 func (s *Server) Has(id, object string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,7 +381,7 @@ func (s *Server) unregister(id, object string) {
 		delete(s.addrRefs, id)
 		delete(s.addrs, id)
 	}
-	if dir.Len() == 0 && object != "" {
+	if dir.Len() == 0 {
 		delete(s.dirs, object)
 	}
 	s.stats.unregisters.Add(1)
@@ -445,8 +442,8 @@ func NewClientOn(network netx.Network, addr string) *Client {
 	return &Client{net: nw, addr: addr, cache: transport.NewConnCache(nw)}
 }
 
-// Register announces a supplying peer (reg.Object selects the object
-// registry; "" is the default one). ctx bounds the exchange.
+// Register announces a supplying peer in the registry of reg.Object. ctx
+// bounds the exchange.
 func (c *Client) Register(ctx context.Context, reg transport.Register) error {
 	return c.call(ctx, transport.KindRegister, reg, transport.KindRegisterOK, nil)
 }

@@ -8,16 +8,16 @@ import (
 )
 
 // TestPerObjectRegistries: one peer registered under two named objects
-// and the default registry lives in three independent registries —
-// lookups never cross object boundaries, and unregistering one object's
-// entry leaves the others standing.
+// and under the empty name, an ordinary key, lives in three independent
+// registries — lookups never cross object boundaries, and unregistering
+// one object's entry leaves the others standing.
 func TestPerObjectRegistries(t *testing.T) {
 	ctx := context.Background()
 	addr, srv := startServer(t)
 	c := NewClient(addr)
 
 	regs := []transport.Register{
-		{ID: "p", Addr: "127.0.0.1:1", Class: 1},               // default registry
+		{ID: "p", Addr: "127.0.0.1:1", Class: 1},               // object ""
 		{ID: "p", Addr: "127.0.0.1:1", Class: 1, Object: "v1"}, // same peer, object v1
 		{ID: "p", Addr: "127.0.0.1:1", Class: 1, Object: "v2"}, // same peer, object v2
 		{ID: "q", Addr: "127.0.0.1:2", Class: 2, Object: "v1"}, // second v1 supplier
@@ -28,7 +28,7 @@ func TestPerObjectRegistries(t *testing.T) {
 		}
 	}
 	// Len weighs registry size: the same peer supplying two objects plus
-	// the default entry counts three times, q once.
+	// the "" entry counts three times, q once.
 	if got := srv.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4 registrations across registries", got)
 	}
@@ -64,7 +64,7 @@ func TestPerObjectRegistries(t *testing.T) {
 		t.Errorf("ObjectLen(v2) = %d: unregistering v1 must not touch v2", got)
 	}
 	if got := srv.ObjectLen(""); got != 1 {
-		t.Errorf("ObjectLen(\"\") = %d: unregistering v1 must not touch the default registry", got)
+		t.Errorf("ObjectLen(\"\") = %d: unregistering v1 must not touch the \"\" registry", got)
 	}
 }
 

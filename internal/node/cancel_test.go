@@ -37,7 +37,7 @@ func (c *cluster) blackholeSupplier(id string, class bandwidth.Class) {
 		}
 	}()
 	cl := directory.NewClientOn(c.net.Host("registrar-"+id), c.dirAddr)
-	if err := cl.Register(context.Background(), transport.Register{ID: id, Addr: l.Addr().String(), Class: class}); err != nil {
+	if err := cl.Register(context.Background(), transport.Register{ID: id, Addr: l.Addr().String(), Class: class, Object: testFile().Name}); err != nil {
 		c.t.Fatal(err)
 	}
 }

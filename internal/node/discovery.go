@@ -24,9 +24,9 @@ import (
 // endpoint and hands it over as Config.Discovery — the one wiring path under
 // both the public Overlay and the scenario harness.
 //
-// Registrations are per media object: reg.Object ("" is the single-object
-// default) selects the registry, and a peer supplying several objects
-// holds one registration per object, withdrawn independently.
+// Registrations are per media object: reg.Object, the object's catalog
+// name, selects the registry, and a peer supplying several objects holds
+// one registration per object, withdrawn independently.
 type Discovery interface {
 	// Register announces the peer as a supplier of reg.Object; reg.Addr is
 	// the overlay address candidates will be probed and streamed from.

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"p2pstream/internal/bandwidth"
+	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/media"
@@ -111,6 +113,52 @@ func TestRequestUntilAdmittedServedWithoutRegistration(t *testing.T) {
 	}
 	if !req.Supplying() {
 		t.Error("node should supply locally while its registration is pending")
+	}
+}
+
+// flakyLookupDiscovery fails the lookups its script marks and answers the
+// others with an empty sample, logging the virtual instant of every one.
+type flakyLookupDiscovery struct {
+	stubDiscovery
+	clk  clock.Clock
+	fail []bool // by lookup; past its end every lookup fails
+	at   []time.Time
+}
+
+func (d *flakyLookupDiscovery) Candidates(context.Context, string, int, string) ([]transport.Candidate, error) {
+	i := len(d.at)
+	d.at = append(d.at, d.clk.Now())
+	if i < len(d.fail) && !d.fail[i] {
+		return nil, nil
+	}
+	return nil, errors.New("directory unreachable")
+}
+
+// TestFailedLookupsBackOff: the k-th failure in a row that is not a
+// rejection waits Backoff.After(k), and an answered attempt — here an empty
+// sample, a rejection with its own schedule — starts the count over.
+func TestFailedLookupsBackOff(t *testing.T) {
+	clk := clock.NewVirtual()
+	t.Cleanup(clk.AutoRun())
+	disc := &flakyLookupDiscovery{clk: clk, fail: []bool{true, true, true, false, true, true}}
+	cfg := discCfg(disc, "")
+	cfg.Clock = clk
+	n, err := NewRequester(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.RequestUntilAdmitted(context.Background(), "", 6); err == nil {
+		t.Fatal("a requester with no reachable discovery was served")
+	}
+	base := cfg.Backoff.Base
+	want := []time.Duration{base, 2 * base, 4 * base, base, base}
+	var got []time.Duration
+	for i := 1; i < len(disc.at); i++ {
+		got = append(got, disc.at[i].Sub(disc.at[i-1]))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("waits between lookups = %v, want %v", got, want)
 	}
 }
 

@@ -149,7 +149,7 @@ func TestHeldLineDialBudget(t *testing.T) {
 func probeFor(conn net.Conn, id string) (transport.ProbeReply, error) {
 	var reply transport.ProbeReply
 	err := transport.Exchange(context.Background(), conn, transport.KindProbe,
-		transport.Probe{RequesterID: id, Class: 1}, transport.KindProbeReply, &reply)
+		transport.Probe{RequesterID: id, Class: 1, Object: testFile().Name}, transport.KindProbeReply, &reply)
 	return reply, err
 }
 

@@ -62,9 +62,9 @@ type Config struct {
 	// DirectoryAddr is the address of the directory server; required only
 	// when Discovery is nil.
 	DirectoryAddr string
-	// File describes the media item being streamed — the single-object
-	// overlay. Exactly one of File and Objects must be set; with File the
-	// node speaks the legacy wire format (no object field anywhere).
+	// File describes the media item being streamed: a catalog of one,
+	// which travels by its name exactly as an Objects entry does. Exactly
+	// one of File and Objects must be set.
 	File *media.File
 	// Objects is the multi-object catalog: every media object this node
 	// may hold, supply or request, each with a distinct name. Seeds start
@@ -219,13 +219,8 @@ type Node struct {
 	net  netx.Network
 	disc Discovery
 	comp string // observer component name, precomputed off the hot paths
-	// multi reports multi-object mode (Config.Objects). In single-object
-	// mode every wire frame carries an empty object field and discovery
-	// uses the default registry; in multi-object mode the real object
-	// names go on the wire.
-	multi bool
-	// primary is the default object name: the single File's, or the first
-	// catalog entry's (legacy frames with no object field route to it).
+	// primary is the object the API's empty name selects: the single
+	// File's, or the first catalog entry's.
 	primary string
 	// files is the catalog by object name.
 	files map[string]*media.File
@@ -314,7 +309,6 @@ func newNode(cfg Config) (*Node, error) {
 		clk:     clock.Or(cfg.Clock),
 		net:     network,
 		disc:    disc,
-		multi:   len(cfg.Objects) > 0,
 		files:   make(map[string]*media.File),
 		lib:     media.NewLibrary(cfg.CacheBudget),
 		slots:   protocol.NewSlots(cfg.SessionSlots),
@@ -331,25 +325,6 @@ func newNode(cfg Config) (*Node, error) {
 	}
 	n.lib.SetOnEvict(n.onEvict)
 	return n, nil
-}
-
-// wireObject translates a catalog object name to its wire spelling: the
-// empty string in single-object mode (the default registry and admission
-// state everywhere), the name itself in multi-object mode.
-func (n *Node) wireObject(name string) string {
-	if !n.multi {
-		return ""
-	}
-	return name
-}
-
-// objectKey resolves a wire object field to a catalog name: legacy frames
-// carry none and route to the primary object.
-func (n *Node) objectKey(wire string) string {
-	if wire == "" {
-		return n.primary
-	}
-	return wire
 }
 
 // Start begins listening for peer connections. Seeds also register with
@@ -371,7 +346,7 @@ func (n *Node) Start(ctx context.Context) error {
 			regs := make([]transport.Register, 0, len(held))
 			for _, name := range held {
 				regs = append(regs, transport.Register{
-					ID: n.cfg.ID, Addr: n.Addr(), Class: n.cfg.Class, Object: n.wireObject(name),
+					ID: n.cfg.ID, Addr: n.Addr(), Class: n.cfg.Class, Object: name,
 				})
 			}
 			if err := br.RegisterBatch(ctx, regs); err != nil {
@@ -487,7 +462,7 @@ func (n *Node) Close() error {
 	for name, sup := range sups {
 		sup.Close()
 		// Best effort; the discovery backend may already be gone.
-		_ = n.disc.Unregister(context.Background(), n.cfg.ID, n.wireObject(name))
+		_ = n.disc.Unregister(context.Background(), n.cfg.ID, name)
 	}
 	// Abort in-flight sessions: a closed node behaves like a crashed peer,
 	// which is exactly what the failure tests simulate.
@@ -510,7 +485,7 @@ func (n *Node) becomeSupplier(ctx context.Context, name string) error {
 	if n.cfg.Preregistered {
 		return nil
 	}
-	reg := transport.Register{ID: n.cfg.ID, Addr: n.Addr(), Class: n.cfg.Class, Object: n.wireObject(name)}
+	reg := transport.Register{ID: n.cfg.ID, Addr: n.Addr(), Class: n.cfg.Class, Object: name}
 	if err := n.disc.Register(ctx, reg); err != nil {
 		return fmt.Errorf("node %s: registering: %w", n.cfg.ID, err)
 	}
@@ -566,7 +541,7 @@ func (n *Node) onEvict(f *media.File) {
 	}
 	sup.Close()
 	if !closed {
-		_ = n.disc.Unregister(context.Background(), n.cfg.ID, n.wireObject(f.Name))
+		_ = n.disc.Unregister(context.Background(), n.cfg.ID, f.Name)
 	}
 	observe.Emit(n.cfg.Observer, observe.Event{
 		Component: n.comp, Type: observe.SupplierWithdrawn, Object: f.Name,

@@ -393,10 +393,72 @@ func TestProbeNonSupplierFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	transport.Write(conn, transport.KindProbe, transport.Probe{RequesterID: "x", Class: 1})
+	transport.Write(conn, transport.KindProbe, transport.Probe{RequesterID: "x", Class: 1, Object: testFile().Name})
 	err = transport.ReadExpect(conn, transport.KindProbeReply, nil)
 	if err == nil || !strings.Contains(err.Error(), "not a supplying peer") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestOneFileTravelsByName: a one-File overlay is a catalog of one. The
+// seeds and the requester they served all register under the file's name,
+// and a frame naming no object names nothing a seed supplies.
+func TestOneFileTravelsByName(t *testing.T) {
+	c := newCluster(t)
+	// A directory of the test's own, whose registries it can read.
+	dir := directory.NewServer(1)
+	l, err := c.net.Host("named-dir").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go dir.Serve(l)
+	t.Cleanup(func() { dir.Close() })
+	c.dirAddr = l.Addr().String()
+
+	s := c.seed("seed1", 1)
+	c.seed("seed2", 1)
+	req := c.requester("peer1", 1)
+	if _, err := req.Request(context.Background(), ""); err != nil {
+		t.Fatal(err)
+	}
+	name := testFile().Name
+	if got := dir.ObjectLen(name); got != 3 {
+		t.Errorf("ObjectLen(%q) = %d, want both seeds and the served requester", name, got)
+	}
+	if got := dir.ObjectLen(""); got != 0 {
+		t.Errorf(`ObjectLen("") = %d, want 0`, got)
+	}
+
+	conn, err := c.dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = transport.Exchange(context.Background(), conn, transport.KindProbe,
+		transport.Probe{RequesterID: "x", Class: 1}, transport.KindProbeReply, nil)
+	conn.Close()
+	if err == nil || !strings.Contains(err.Error(), "not a supplying peer") {
+		t.Errorf("probe naming no object: err = %v, want not a supplying peer", err)
+	}
+	// A reminder is kept only by a busy supplier: hold the seed in a session.
+	all := make([]int, testFile().Segments)
+	for i := range all {
+		all[i] = i
+	}
+	sess, err := c.dialStart(s.Addr(), transport.Start{RequesterID: "y", FileName: name, Segments: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.close()
+	for _, obj := range []string{"", name} {
+		var reply transport.ReminderReply
+		err := transport.Call(context.Background(), c.net.Host("tester"), s.Addr(), transport.KindReminder,
+			transport.Reminder{RequesterID: "x", Class: 1, Object: obj}, transport.KindReminderOK, &reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Kept != (obj == name) {
+			t.Errorf("reminder naming %q: kept = %v", obj, reply.Kept)
+		}
 	}
 }
 
@@ -445,7 +507,7 @@ func TestIdleElevationOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		transport.Write(conn, transport.KindProbe, transport.Probe{RequesterID: "x", Class: 4})
+		transport.Write(conn, transport.KindProbe, transport.Probe{RequesterID: "x", Class: 4, Object: testFile().Name})
 		var reply transport.ProbeReply
 		err = transport.ReadExpect(conn, transport.KindProbeReply, &reply)
 		conn.Close()

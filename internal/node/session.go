@@ -68,9 +68,9 @@ type SessionReport struct {
 // permissions reach exactly R0 — then run the OTS_p2p session. On
 // rejection it leaves reminders on the busy favoring candidates the sweep
 // selected and returns ErrRejected. object "" requests the primary (the
-// single-object default); a completed object joins the node's library,
-// evicting the least-recently-used idle object if the budget overflows,
-// and the node registers as its supplier.
+// single File, or the first catalog entry); a completed object joins the
+// node's library, evicting the least-recently-used idle object if the
+// budget overflows, and the node registers as its supplier.
 //
 // ctx cancels or deadlines the whole attempt: the candidate lookup, every
 // probe dial, the session streams and the post-session registration. A
@@ -134,7 +134,7 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 		}
 		n.mu.Unlock()
 	}
-	cands, err := n.disc.Candidates(ctx, n.wireObject(name), n.cfg.M, n.cfg.ID)
+	cands, err := n.disc.Candidates(ctx, name, n.cfg.M, n.cfg.ID)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: lookup: %w", n.cfg.ID, err)
 	}
@@ -163,7 +163,7 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 		if !ok {
 			break
 		}
-		reply, line, err := n.probe(ctx, cands[idx], n.wireObject(name))
+		reply, line, err := n.probe(ctx, cands[idx], name)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, cerr // cancelled mid-probe
@@ -186,7 +186,7 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 		}
 	}
 	if !att.Admitted() {
-		n.leaveReminders(ctx, pick(cands, att.ReminderTargets()), n.wireObject(name))
+		n.leaveReminders(ctx, pick(cands, att.ReminderTargets()), name)
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
@@ -221,19 +221,22 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 	return report, nil
 }
 
-// requestable resolves a requested object ("" is the primary) to its
-// catalog name and file, or says why the node cannot request it: the object
-// is unknown, or the node already holds it.
+// requestable resolves a requested object to its catalog name and file, or
+// says why the node cannot request it: the object is unknown, or the node
+// already holds it. The API's empty name is the primary object; it is
+// resolved here and never reaches the wire.
 func (n *Node) requestable(object string) (string, *media.File, error) {
-	name := n.objectKey(object)
-	f := n.files[name]
+	if object == "" {
+		object = n.primary
+	}
+	f := n.files[object]
 	if f == nil {
-		return name, nil, fmt.Errorf("node %s: unknown object %q", n.cfg.ID, name)
+		return object, nil, fmt.Errorf("node %s: unknown object %q", n.cfg.ID, object)
 	}
-	if _, _, ok := n.lib.Get(name); ok {
-		return name, nil, fmt.Errorf("node %s: already holds %s", n.cfg.ID, name)
+	if _, _, ok := n.lib.Get(object); ok {
+		return object, nil, fmt.Errorf("node %s: already holds %s", n.cfg.ID, object)
 	}
-	return name, f, nil
+	return object, f, nil
 }
 
 // pick maps candidate indices back to candidates, preserving order.
@@ -255,8 +258,11 @@ func pick(cands []transport.Candidate, idxs []int) []transport.Candidate {
 //     Backoff.After(i), scaled by Backoff.Jitter with a stream seeded by
 //     Config.Seed anew on every call.
 //   - Any other failure — a supplier that crashed mid-session, a failed
-//     lookup, a dead shard — waits Backoff.Base and is not counted as a
-//     rejection: it says nothing about admission contention.
+//     lookup, a dead shard — is not counted as a rejection: it says nothing
+//     about admission contention. The k-th such failure in a row waits
+//     Backoff.After(k), jittered the same way, so a requester cut off from
+//     discovery backs off instead of spending its budget at one T_bkf
+//     apart. A rejection, an attempt the overlay answered, resets k.
 //   - Cancellation (the context's error) and a closed node (ErrClosed)
 //     surface at once. So does a report with an error: the session was
 //     served, and only caching the object or the post-session registration
@@ -273,7 +279,7 @@ func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttem
 	// One splitmix64 word, not a math/rand table: a crowd runs ten
 	// thousand of these loops.
 	rng := splitmix.Rand(n.cfg.Seed)
-	rejections := 0
+	rejections, failures := 0, 0
 	sw := new(sweep)
 	for attempt := 1; ; attempt++ {
 		report, err := n.request(ctx, object, sw)
@@ -296,16 +302,21 @@ func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttem
 			// sentinel: an empty registry exhausts as ErrNoSuppliers.
 			return nil, fmt.Errorf("%w after %d attempts", err, attempt)
 		}
-		wait := n.cfg.Backoff.Base
+		var k int
 		if errs.Retryable(err) {
 			rejections++
-			if wait, err = n.cfg.Backoff.After(rejections); err != nil {
-				return nil, err
-			}
-			if j := n.cfg.Backoff.Jitter; j > 0 {
-				scale := 1 + j*(2*rng.Float64()-1)
-				wait = max(time.Duration(float64(wait)*scale), time.Microsecond)
-			}
+			k, failures = rejections, 0
+		} else {
+			failures++
+			k = failures
+		}
+		wait, err := n.cfg.Backoff.After(k)
+		if err != nil {
+			return nil, err
+		}
+		if j := n.cfg.Backoff.Jitter; j > 0 {
+			scale := 1 + j*(2*rng.Float64()-1)
+			wait = max(time.Duration(float64(wait)*scale), time.Microsecond)
 		}
 		if err := clock.SleepCtx(ctx, n.clk, wait); err != nil {
 			return nil, err
@@ -313,7 +324,7 @@ func (n *Node) RequestUntilAdmitted(ctx context.Context, object string, maxAttem
 	}
 }
 
-// probe asks one candidate for permission to stream the given wire object
+// probe asks one candidate for permission to stream the named object
 // and returns the answer with the connection it came on, still open: the
 // caller keeps the line of a grant it chose and closes every other.
 // Cancellation aborts the dial and the exchange.

@@ -74,7 +74,7 @@ func (n *Node) replyUnexpected(conn net.Conn, kind transport.Kind) {
 // handleProbe answers one admission probe and reports whether the answer
 // was a grant that reached the wire — the one answer that keeps the line.
 func (n *Node) handleProbe(conn net.Conn, req transport.Probe) (granted bool) {
-	sup := n.supplier(n.objectKey(req.Object))
+	sup := n.supplier(req.Object)
 	if sup == nil {
 		n.ep.Reply(conn, transport.KindError, transport.Error{Message: "not a supplying peer"})
 		return false
@@ -90,7 +90,7 @@ func (n *Node) handleProbe(conn net.Conn, req transport.Probe) (granted bool) {
 
 func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
 	kept := false
-	if sup := n.supplier(n.objectKey(req.Object)); sup != nil {
+	if sup := n.supplier(req.Object); sup != nil {
 		kept = sup.LeaveReminder(req.Class)
 	}
 	n.ep.Reply(conn, transport.KindReminderOK, transport.ReminderReply{Kept: kept})

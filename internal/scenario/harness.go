@@ -235,11 +235,7 @@ func (h *harness) bootSeeds() error {
 		h.suppliers.Add(1)
 		h.track(p.ID, n)
 		for _, name := range n.Library().Names() {
-			obj := ""
-			if len(h.spec.Objects) > 0 {
-				obj = name
-			}
-			regs = append(regs, transport.Register{ID: p.ID, Addr: n.Addr(), Class: p.Class, Object: obj})
+			regs = append(regs, transport.Register{ID: p.ID, Addr: n.Addr(), Class: p.Class, Object: name})
 		}
 	}
 	if !h.batchedSeeds() {
@@ -362,16 +358,15 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 		return
 	}
 	h.track(w.ID, n)
-	// The request sequence: one object in single-object mode (the empty
-	// name routes to the node's primary), or the peer's declared Objects
-	// in order — requesting past the cache budget is what forces an
-	// eviction mid-run. Attempts accumulate across the sequence; the
+	// The request sequence: the peer's declared Objects in order, or the
+	// first catalog object — requesting past the cache budget is what
+	// forces an eviction mid-run. Attempts accumulate across the sequence; the
 	// recorded session and invariants are the last object's. A report
 	// with an error is a served session whose caching or registration
 	// failed after it: the store it filled is checked from the report.
 	objects := w.Peer.Objects
 	if len(objects) == 0 {
-		objects = []string{""}
+		objects = []string{h.spec.catalog()[0].Name}
 	}
 	var report *node.SessionReport
 	var rerr error
@@ -391,9 +386,7 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 		return
 	}
 	file := h.spec.objectFile(objects[len(objects)-1])
-	if len(h.spec.Objects) > 0 {
-		res.Object = file.Name
-	}
+	res.Object = file.Name
 	h.suppliers.Add(1)
 	res.Session = report
 	res.Suppliers = make([]string, len(report.Suppliers))

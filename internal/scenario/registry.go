@@ -103,8 +103,8 @@ type registry struct {
 	net  *netx.Virtual
 	seed int64
 	// objects are the catalog objects counted per object at the end: set
-	// in multi-object directory-backed runs (the chord census does not
-	// split by object).
+	// in directory-backed runs (the chord census does not split by
+	// object).
 	objects []*media.File
 	ctrl    *reshard.Controller
 
@@ -125,8 +125,8 @@ func (h *harness) bootRegistry() error {
 	}
 	r := &h.reg
 	r.net, r.seed = h.net, h.spec.Seed
-	if !h.chordBacked() && len(h.spec.Objects) > 0 {
-		r.objects = h.spec.Objects
+	if !h.chordBacked() {
+		r.objects = h.spec.catalog()
 	}
 	names := directory.DefaultShardNames(h.spec.shardCount())
 	r.slots = make([]shardSlot, len(names))
@@ -338,7 +338,7 @@ func (h *harness) settle() {
 // lostRegistrations audits the elastic registry's zero-loss contract at
 // the end of the run: every live supplier's registration must be present
 // on the shard owning its peer ID under the final epoch's ring. It
-// returns the missing id (or id/object) keys, sorted; nil when the
+// returns the missing id/object keys, sorted; nil when the
 // registry is not elastic.
 func (h *harness) lostRegistrations() []string {
 	if !h.elastic() {
@@ -360,13 +360,7 @@ func (h *harness) lostRegistrations() []string {
 	for _, id := range slices.Sorted(maps.Keys(nodes)) {
 		n := nodes[id]
 		owner := members[ring.Owner(id)].Server
-		if len(h.spec.Objects) == 0 {
-			if n.Supplying() && !owner.Has(id, "") {
-				lost = append(lost, id)
-			}
-			continue
-		}
-		for _, f := range h.spec.Objects {
+		for _, f := range h.spec.catalog() {
 			if n.SupplyingObject(f.Name) && !owner.Has(id, f.Name) {
 				lost = append(lost, id+"/"+f.Name)
 			}

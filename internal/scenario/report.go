@@ -20,8 +20,7 @@ type NodeResult struct {
 	ID    string
 	Class bandwidth.Class
 	// Object is the media object this requester streamed (the last of its
-	// sequence, for a peer declaring several); empty in single-object
-	// runs.
+	// sequence, for a peer declaring several).
 	Object string
 	// Start and Done are the virtual instants (from the run start) of the
 	// peer's first request and of its completion or abandonment.
@@ -114,8 +113,8 @@ type Report struct {
 	// migrated registrations and .MaxLatency the slowest flip convergence.
 	Events observe.Snapshot
 	// ObjectSuppliers is the final per-object supplier registration count
-	// from the directory registries in multi-object mode; nil otherwise
-	// (the chord census does not split by object).
+	// from the directory registries; nil under chord discovery (the chord
+	// census does not split by object).
 	ObjectSuppliers map[string]int
 	// LostRegistrations lists the live suppliers whose registration the
 	// end-of-run zero-loss audit could not find on the owning shard of the

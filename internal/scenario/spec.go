@@ -469,19 +469,20 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// objectFile resolves a workload object name to its entry in the spec's
-// media catalog (Objects in multi-object mode, the single File otherwise);
-// the empty name selects the first catalog object. Nil for undeclared
-// names (Validate rejects those up front).
+// catalog returns the spec's media catalog: Objects, or the single File
+// as a catalog of one. Every object, the single File's included, travels
+// by its name.
+func (s *Spec) catalog() []*media.File {
+	if len(s.Objects) > 0 {
+		return s.Objects
+	}
+	return []*media.File{s.File}
+}
+
+// objectFile resolves a workload object name to its catalog entry. Nil
+// for undeclared names (Validate rejects those up front).
 func (s *Spec) objectFile(name string) *media.File {
-	cat := s.Objects
-	if len(cat) == 0 {
-		cat = []*media.File{s.File}
-	}
-	if name == "" {
-		return cat[0]
-	}
-	for _, f := range cat {
+	for _, f := range s.catalog() {
 		if f != nil && f.Name == name {
 			return f
 		}

@@ -282,7 +282,7 @@ func (s *Spec) validateObjects(map[string]bool) error {
 	}
 	for _, p := range s.Requesters {
 		for _, name := range p.Objects {
-			if name == "" || !declared[name] {
+			if !declared[name] {
 				return fmt.Errorf("scenario %s: requester %s requests undeclared object %q", s.Name, p.ID, name)
 			}
 		}

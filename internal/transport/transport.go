@@ -126,9 +126,8 @@ type Register struct {
 	// the duplicate. Sharded clients re-send registrations periodically so
 	// a registry shard that crashed and returned empty is repopulated.
 	Refresh bool
-	// Object names the media object this registration supplies. Empty
-	// selects the directory's default registry, as single-object overlays
-	// do.
+	// Object names the media object this registration supplies; each
+	// name has a registry of its own.
 	Object string
 }
 
@@ -138,9 +137,8 @@ type RegisterBatch struct {
 	Regs []Register
 }
 
-// Unregister removes a supplying peer from the directory. A non-empty
-// Object withdraws only that object's registration (the cache-eviction
-// path); empty withdraws from the default registry.
+// Unregister withdraws a supplying peer from the registry of one media
+// object, leaving its registrations for other objects standing.
 type Unregister struct {
 	ID     string
 	Object string
@@ -175,8 +173,7 @@ type Lookup struct {
 	M int
 	// Exclude names a peer to omit (a requester never probes itself).
 	Exclude string
-	// Object restricts the sample to suppliers of that media object;
-	// empty samples the default registry.
+	// Object names the media object whose suppliers are sampled.
 	Object string
 }
 
@@ -196,9 +193,9 @@ type Candidates struct {
 	Len int
 }
 
-// Probe asks a supplier for streaming-service permission. Object routes
-// the probe to the supplier's per-object admission state; empty means
-// the supplier's default (single) object.
+// Probe asks a supplier for streaming-service permission. Object names
+// the media object and routes the probe to the supplier's admission state
+// for it; a supplier that does not supply the object refuses the probe.
 type Probe struct {
 	RequesterID string
 	Class       bandwidth.Class
@@ -213,7 +210,8 @@ type ProbeReply struct {
 	Favors bool
 }
 
-// Reminder is left on a busy supplier by a rejected requester.
+// Reminder is left on a busy supplier of the media object Object by a
+// rejected requester.
 type Reminder struct {
 	RequesterID string
 	Class       bandwidth.Class
@@ -282,10 +280,9 @@ type ChordContact struct {
 	Addr     string
 	NodeAddr string
 	Class    bandwidth.Class
-	// Objects lists the media objects the member supplies, sorted. Empty
-	// means the set is unknown (a pre-multi-object member, or one that
-	// registered without naming an object): candidate filters must keep
-	// such contacts and let the probe's own refusal sort them out.
+	// Objects lists the media objects the member supplies, sorted; a
+	// member's contact lists them from its first registration on, and a
+	// candidate sample keeps only contacts that list the sampled object.
 	// Propagated with the contact through join/notify/lookup replies, so
 	// cached copies can lag a peer's latest set by a stabilization round.
 	Objects []string
