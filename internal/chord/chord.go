@@ -1,45 +1,47 @@
-// Package chord implements a Chord-style consistent-hashing lookup ring
-// (Stoica et al., SIGCOMM 2001), the decentralized peer-discovery substrate
-// the paper names as an alternative to a centralized directory (Section
-// 4.2, footnote 4: "by querying a centralized directory server as in
-// Napster, or by using a distributed lookup service such as Chord").
+// Package chord holds the identifier geometry of a Chord-style
+// consistent-hashing ring (Stoica et al., SIGCOMM 2001), the decentralized
+// peer-discovery substrate the paper names as an alternative to a
+// centralized directory (Section 4.2, footnote 4: "by querying a
+// centralized directory server as in Napster, or by using a distributed
+// lookup service such as Chord").
 //
 // Peers own positions on a 64-bit identifier circle; a key is owned by its
-// successor (the first peer clockwise from the key's hash). Each peer keeps
-// a finger table — peer i's j-th finger is the owner of id + 2^j — giving
-// O(log n) routing hops. This implementation models the ring in-process
-// (routing walks real finger tables and counts hops) and supports joins and
-// departures; candidate discovery for the streaming system samples the
-// owners of random keys.
+// successor (the first peer clockwise from the key's hash). The package
+// holds only that geometry — the hash, virtual positions, finger targets
+// and the circular-interval tests — shared by the wire-level ring
+// (internal/chordnet, which routes over finger tables and counts hops),
+// the sharded directory's ring and the simulator, whose Chord source takes
+// the owner of a random key from a sorted slab of positions.
 package chord
-
-import (
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"sort"
-
-	"p2pstream/internal/bandwidth"
-)
 
 // FingerBits is the identifier size in bits; a peer keeps one finger per
 // bit. Exported so wire-level ring implementations (internal/chordnet)
-// share the identifier space and finger geometry of the in-process ring.
+// share the identifier space and finger geometry.
 const FingerBits = 64
 
 // FingerTarget returns the ring position peer id's j-th finger points at:
 // id + 2^j, wrapping mod 2^64.
 func FingerTarget(id uint64, j int) uint64 { return id + 1<<uint(j) }
 
-// HashKey maps a string key onto the identifier circle. FNV-1a alone
-// clusters similar keys ("peer-1", "peer-2", ...) on a tiny arc, so a
-// splitmix64-style avalanche finalizer scatters the positions; deployed
-// Chord uses SHA-1 for the same reason.
-func HashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	z := h.Sum64()
+// HashKey maps a string key onto the identifier circle: HashBytes of its
+// bytes.
+func HashKey(key string) uint64 { return HashBytes([]byte(key)) }
+
+// HashBytes maps a byte key onto the identifier circle without allocating.
+// FNV-1a alone clusters similar keys ("peer-1", "peer-2", ...) on a tiny
+// arc, so a splitmix64-style avalanche finalizer scatters the positions;
+// deployed Chord uses SHA-1 for the same reason.
+func HashBytes(key []byte) uint64 {
+	z := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, b := range key {
+		z ^= uint64(b)
+		z *= 1099511628211 // FNV-1a prime
+	}
+	return avalanche(z)
+}
+
+// avalanche is the splitmix64 finalizer.
+func avalanche(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -62,206 +64,7 @@ func VirtualPosition(name string, i int) uint64 {
 	}
 	// One golden-ratio stride per index, then the avalanche finalizer:
 	// positions of the same peer land independently, not on a tight arc.
-	z += uint64(i) * 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// Peer is one ring member.
-type Peer struct {
-	// Name is the peer's stable name; its hash is the ring position.
-	Name string
-	// ID is the ring position.
-	ID uint64
-	// Class is carried so streaming-system lookups return candidate
-	// classes, as the paper assumes.
-	Class bandwidth.Class
-
-	successor   *Peer
-	predecessor *Peer
-	fingers     [FingerBits]*Peer
-}
-
-// Successor returns the peer's current successor.
-func (p *Peer) Successor() *Peer { return p.successor }
-
-// Predecessor returns the peer's current predecessor.
-func (p *Peer) Predecessor() *Peer { return p.predecessor }
-
-// Ring is a Chord ring. It is not safe for concurrent use.
-type Ring struct {
-	peers  []*Peer // sorted by ID
-	byName map[string]*Peer
-}
-
-// New builds a ring from the given members. Unlike repeated Join calls
-// (which repair the ring eagerly after every insertion), New inserts every
-// member first and repairs once, so bootstrapping a large ring is
-// O(n·log n·FingerBits) instead of O(n²·FingerBits).
-func New(members []Member) (*Ring, error) {
-	r := &Ring{byName: make(map[string]*Peer)}
-	seenID := make(map[uint64]string, len(members))
-	for _, m := range members {
-		if m.Name == "" {
-			return nil, errors.New("chord: empty peer name")
-		}
-		if _, dup := r.byName[m.Name]; dup {
-			return nil, fmt.Errorf("chord: %q already joined", m.Name)
-		}
-		if !m.Class.Valid(bandwidth.MaxClass) {
-			return nil, fmt.Errorf("chord: %q has invalid %v", m.Name, m.Class)
-		}
-		p := &Peer{Name: m.Name, ID: HashKey(m.Name), Class: m.Class}
-		if other, collision := seenID[p.ID]; collision {
-			return nil, fmt.Errorf("chord: hash collision between %q and %q", m.Name, other)
-		}
-		seenID[p.ID] = m.Name
-		r.byName[m.Name] = p
-		r.peers = append(r.peers, p)
-	}
-	sort.Slice(r.peers, func(i, j int) bool { return r.peers[i].ID < r.peers[j].ID })
-	r.rebuild()
-	return r, nil
-}
-
-// Member describes a peer to add to the ring.
-type Member struct {
-	Name  string
-	Class bandwidth.Class
-}
-
-// Join adds a peer to the ring and repairs successors, predecessors and all
-// finger tables. (A deployed Chord repairs lazily via stabilization; the
-// eager repair here keeps lookups exact, which is what the streaming system
-// needs from its substrate.)
-func (r *Ring) Join(m Member) error {
-	if m.Name == "" {
-		return errors.New("chord: empty peer name")
-	}
-	if _, dup := r.byName[m.Name]; dup {
-		return fmt.Errorf("chord: %q already joined", m.Name)
-	}
-	if !m.Class.Valid(bandwidth.MaxClass) {
-		return fmt.Errorf("chord: %q has invalid %v", m.Name, m.Class)
-	}
-	p := &Peer{Name: m.Name, ID: HashKey(m.Name), Class: m.Class}
-	for _, q := range r.peers {
-		if q.ID == p.ID {
-			return fmt.Errorf("chord: hash collision between %q and %q", m.Name, q.Name)
-		}
-	}
-	r.byName[m.Name] = p
-	idx := sort.Search(len(r.peers), func(i int) bool { return r.peers[i].ID >= p.ID })
-	r.peers = append(r.peers, nil)
-	copy(r.peers[idx+1:], r.peers[idx:])
-	r.peers[idx] = p
-	r.rebuild()
-	return nil
-}
-
-// Leave removes a peer. It reports whether the peer was a member.
-func (r *Ring) Leave(name string) bool {
-	p, ok := r.byName[name]
-	if !ok {
-		return false
-	}
-	delete(r.byName, name)
-	for i, q := range r.peers {
-		if q == p {
-			r.peers = append(r.peers[:i], r.peers[i+1:]...)
-			break
-		}
-	}
-	r.rebuild()
-	return true
-}
-
-// Len returns the ring size.
-func (r *Ring) Len() int { return len(r.peers) }
-
-// Peer returns a member by name.
-func (r *Ring) Peer(name string) (*Peer, bool) {
-	p, ok := r.byName[name]
-	return p, ok
-}
-
-// Peers returns the members sorted by ring position.
-func (r *Ring) Peers() []*Peer { return append([]*Peer(nil), r.peers...) }
-
-// rebuild recomputes successors, predecessors and finger tables.
-func (r *Ring) rebuild() {
-	n := len(r.peers)
-	if n == 0 {
-		return
-	}
-	for i, p := range r.peers {
-		p.successor = r.peers[(i+1)%n]
-		p.predecessor = r.peers[(i-1+n)%n]
-		for j := 0; j < FingerBits; j++ {
-			target := p.ID + 1<<uint(j) // wraps mod 2^64 naturally
-			p.fingers[j] = r.successorOf(target)
-		}
-	}
-}
-
-// successorOf returns the owner of an identifier: the first peer whose ID
-// is >= id, wrapping to the smallest peer.
-func (r *Ring) successorOf(id uint64) *Peer {
-	idx := sort.Search(len(r.peers), func(i int) bool { return r.peers[i].ID >= id })
-	if idx == len(r.peers) {
-		idx = 0
-	}
-	return r.peers[idx]
-}
-
-// Owner returns the peer responsible for key (the successor of its hash).
-func (r *Ring) Owner(key string) (*Peer, error) {
-	if len(r.peers) == 0 {
-		return nil, errors.New("chord: empty ring")
-	}
-	return r.successorOf(HashKey(key)), nil
-}
-
-// Lookup routes a key lookup from the given start peer using finger tables
-// and returns the owner plus the number of routing hops taken. Hops grow
-// O(log n) with the ring size.
-func (r *Ring) Lookup(from string, key string) (*Peer, int, error) {
-	start, ok := r.byName[from]
-	if !ok {
-		return nil, 0, fmt.Errorf("chord: unknown peer %q", from)
-	}
-	target := HashKey(key)
-	cur := start
-	hops := 0
-	for !InHalfOpen(target, cur.ID, cur.successor.ID) {
-		next := cur.closestPrecedingFinger(target)
-		if next == cur {
-			// Fingers degenerate (tiny ring): fall to the successor.
-			next = cur.successor
-		}
-		cur = next
-		hops++
-		if hops > 2*FingerBits {
-			return nil, hops, errors.New("chord: routing did not converge")
-		}
-	}
-	return cur.successor, hops, nil
-}
-
-// closestPrecedingFinger returns the furthest finger strictly between the
-// peer and the target.
-func (p *Peer) closestPrecedingFinger(target uint64) *Peer {
-	for j := FingerBits - 1; j >= 0; j-- {
-		f := p.fingers[j]
-		if f != nil && InOpen(f.ID, p.ID, target) {
-			return f
-		}
-	}
-	return p
+	return avalanche(z + uint64(i)*0x9e3779b97f4a7c15)
 }
 
 // InHalfOpen reports whether x lies in the circular interval (lo, hi] —
@@ -283,41 +86,4 @@ func InOpen(x, lo, hi uint64) bool {
 		return x > lo && x < hi
 	}
 	return x > lo || x < hi
-}
-
-// SampleCandidates discovers up to m distinct candidate peers by routing
-// lookups of random keys from the given peer — the decentralized
-// realization of the paper's "M randomly selected candidate supplying
-// peers". It returns the candidates and the total routing hops expended.
-func (r *Ring) SampleCandidates(from string, m int, rng *rand.Rand) ([]*Peer, int, error) {
-	if _, ok := r.byName[from]; !ok {
-		return nil, 0, fmt.Errorf("chord: unknown peer %q", from)
-	}
-	if m <= 0 {
-		return nil, 0, nil
-	}
-	if m > len(r.peers)-1 {
-		m = len(r.peers) - 1 // everyone but the requester
-	}
-	seen := make(map[string]struct{}, m+1)
-	seen[from] = struct{}{}
-	var out []*Peer
-	totalHops := 0
-	// Random keys hit peers proportionally to arc length; retry until m
-	// distinct candidates are found (bounded to keep pathological rings
-	// from looping forever).
-	for attempts := 0; len(out) < m && attempts < 64*m; attempts++ {
-		key := fmt.Sprintf("sample-%d", rng.Int63())
-		owner, hops, err := r.Lookup(from, key)
-		if err != nil {
-			return nil, totalHops, err
-		}
-		totalHops += hops
-		if _, dup := seen[owner.Name]; dup {
-			continue
-		}
-		seen[owner.Name] = struct{}{}
-		out = append(out, owner)
-	}
-	return out, totalHops, nil
 }

@@ -1,9 +1,10 @@
 // Package chordnet implements the wire-level Chord discovery backend of
 // the live overlay: the decentralized realization of the paper's peer
 // lookup (Section 4.2, footnote 4 — "a distributed lookup service such as
-// Chord", Stoica et al., SIGCOMM 2001). Where internal/chord models the
-// ring in-process for the simulator, chordnet runs it over the overlay's
-// real substrate: every supplying peer is a ring member with its own
+// Chord", Stoica et al., SIGCOMM 2001). Where the simulator's chordSource
+// keeps only the ring's sorted positions and takes the owner of a key
+// directly, chordnet runs the ring over the overlay's real substrate and
+// routes to that owner: every supplying peer is a ring member with its own
 // listener on an internal/netx network, maintains a successor list,
 // predecessor and finger table through periodic stabilization driven by an
 // internal/clock, and answers the chord message kinds of

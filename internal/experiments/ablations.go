@@ -147,9 +147,11 @@ func (r *Runner) AblationDown() (*Report, error) {
 }
 
 // AblationLookup swaps the candidate-discovery substrate: centralized
-// directory vs Chord-style distributed lookup. The admission dynamics
-// should be indistinguishable (both sample supplying peers ~uniformly);
-// Chord adds only routing cost, which the live benchmarks quantify.
+// directory vs Chord-style distributed lookup, where each candidate is the
+// owner of a random key. The admission dynamics should be close (both
+// sample supplying peers about uniformly); Chord differs by its
+// stabilization lag and by sampling suppliers in proportion to their arcs.
+// Routing cost (hops) belongs to the live ring, internal/chordnet.
 func (r *Runner) AblationLookup() (*Report, error) {
 	// Chord rebuilds are O(n log n); keep this ablation at a bounded size
 	// so it stays fast even when the base config is at full scale.

@@ -58,12 +58,12 @@ type Config struct {
 	ValidateAssignments bool
 
 	// Lookup selects the candidate-discovery substrate: the Napster-style
-	// directory (default) or the Chord-style ring the paper cites as its
-	// decentralized alternative.
+	// directory (default) or the Chord-style consistent-hashing ring the
+	// paper cites as its decentralized alternative.
 	Lookup LookupKind
 	// ChordStabilizeEvery batches ring joins: pending suppliers enter the
 	// ring when a lookup occurs at least this long after the previous
-	// stabilization (deployed Chord repairs fingers periodically the same
+	// stabilization (deployed Chord repairs its ring periodically the same
 	// way). Only used with LookupChord; default one hour.
 	ChordStabilizeEvery time.Duration
 
@@ -80,8 +80,8 @@ type LookupKind int
 const (
 	// LookupDirectory samples candidates from a centralized directory.
 	LookupDirectory LookupKind = iota
-	// LookupChord discovers candidates by routing random-key lookups on a
-	// Chord-style ring.
+	// LookupChord takes each candidate as the owner of a random key on a
+	// Chord-style ring: the supplier whose position follows the key's hash.
 	LookupChord
 )
 
