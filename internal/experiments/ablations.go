@@ -153,13 +153,7 @@ func (r *Runner) AblationDown() (*Report, error) {
 // stabilization lag and by sampling suppliers in proportion to their arcs.
 // Routing cost (hops) belongs to the live ring, internal/chordnet.
 func (r *Runner) AblationLookup() (*Report, error) {
-	// Chord rebuilds are O(n log n); keep this ablation at a bounded size
-	// so it stays fast even when the base config is at full scale.
 	cfg := r.config(dac.DAC, arrival.Pattern2RampUpDown)
-	if s := ReducedScale; cfg.NumRequesters > s.Requesters {
-		cfg.NumRequesters, cfg.NumSeeds = s.Requesters, s.Seeds
-		cfg.ArrivalWindow, cfg.Horizon = s.ArrivalWindow, s.Horizon
-	}
 	var series []*metrics.Series
 	var b strings.Builder
 	var finals []float64
