@@ -54,16 +54,22 @@ func (d *directorySource) sample(m int, rng *rand.Rand) []lookup.Entry[int] {
 // most once per stabilizeEvery of simulated time), mirroring deployed
 // Chord's periodic repair; a lookup meanwhile cannot find them.
 type chordSource struct {
-	ring, spare    []ringMember // ring is sorted by pos; spare is stabilize's merge buffer
-	pending        []ringMember
-	first          []int32 // first[b]: index of the first member in bucket b or past it
-	shift          uint    // a position's bucket is pos >> shift
+	ring    []ringMember // sorted by pos
+	spare   []ringMember // stabilize's merge buffer
+	pending []ringMember
+	// first[b] is the index of the first member in bucket b or past it,
+	// with one more entry ending the last bucket; a position's bucket is
+	// pos >> shift.
+	first          []int32
+	shift          uint
 	now            func() time.Duration
 	stabilizeEvery time.Duration
 	lastStabilize  time.Duration
-	bootstrap      int                 // the first supplier's id; lookups start there
-	key            []byte              // hash's key buffer
-	sampled        []lookup.Entry[int] // sample's result buffer
+	// bootstrap is the first supplier. Requesters' lookups enter the ring
+	// through it, so no sample returns it.
+	bootstrap int
+	key       []byte              // hash's key buffer
+	sampled   []lookup.Entry[int] // sample's result buffer
 }
 
 // ringMember is one supplier on the circle, at pos = HashKey("p"+id).
@@ -115,10 +121,10 @@ func (c *chordSource) stabilize() {
 
 	// At least as many buckets as members: positions are uniform hashes,
 	// so owner's search inside one bucket is about one member long.
-	bits := bits.Len(uint(len(c.ring)))
-	c.shift = uint(64 - bits)
+	width := bits.Len(uint(len(c.ring)))
+	c.shift = uint(64 - width)
 	c.first, i = c.first[:0], 0
-	for b := uint64(0); b <= 1<<bits; b++ {
+	for b := uint64(0); b <= 1<<width; b++ {
 		for i < len(c.ring) && c.ring[i].pos>>c.shift < b {
 			if i > 0 && c.ring[i-1].pos == c.ring[i].pos {
 				panic(fmt.Sprintf("system: chord position collision between p%d and p%d", c.ring[i-1].id, c.ring[i].id))

@@ -258,16 +258,18 @@ func TestChordSample(t *testing.T) {
 		t.Fatalf("a ring of the bootstrap alone sampled %v", got)
 	}
 	c.stabilize()
-	got := c.sample(8, rng)
-	if len(got) != 8 {
-		t.Fatalf("sampled %d of 60, want 8", len(got))
-	}
-	seen := map[int]bool{}
-	for _, e := range got {
-		if e.ID == 0 || seen[e.ID] {
-			t.Fatalf("sample %v holds the bootstrap or a duplicate", got)
+	for range 200 { // 1,600 draws: the bootstrap's arc is hit about 27 times
+		got := c.sample(8, rng)
+		if len(got) != 8 {
+			t.Fatalf("sampled %d of 60, want 8", len(got))
 		}
-		seen[e.ID] = true
+		seen := map[int]bool{}
+		for _, e := range got {
+			if e.ID == 0 || seen[e.ID] {
+				t.Fatalf("sample %v holds the bootstrap or a duplicate", got)
+			}
+			seen[e.ID] = true
+		}
 	}
 
 	small := newChordSource(func() time.Duration { return 0 }, time.Hour)
