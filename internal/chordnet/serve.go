@@ -14,13 +14,15 @@ import (
 // pooled connection survives the refusal and they treat the departed peer
 // as gone and heal around it. Malformed frames close the connection.
 func (p *Peer) handleConn(conn net.Conn) {
+	rd := transport.NewReader(conn)
+	defer rd.Close()
 	for {
 		p.ep.Arm(conn)
-		env, err := transport.Read(conn)
+		env, err := rd.Next()
 		if err != nil {
 			return
 		}
-		kind, body, keep := p.serve(env)
+		kind, body, keep := p.serve(&env)
 		if body != nil {
 			p.ep.Reply(conn, kind, body)
 		}

@@ -229,6 +229,8 @@ func (s *Server) Stats() Stats {
 // Malformed frames close the connection; application-level refusals
 // (duplicate registration) answer an error frame and keep serving.
 func (s *Server) handle(conn net.Conn) {
+	rd := transport.NewReader(conn)
+	defer rd.Close()
 	var watch *epochWatcher
 	defer func() {
 		if watch != nil {
@@ -242,7 +244,7 @@ func (s *Server) handle(conn net.Conn) {
 			// exchanges under the per-exchange deadline.
 			s.ep.Arm(conn)
 		}
-		env, err := transport.Read(conn)
+		env, err := rd.Next()
 		if err != nil {
 			return // hangup, idle timeout, or garbage framing
 		}

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"context"
+	"net"
 
 	"p2pstream/internal/clock"
 	"p2pstream/internal/netx"
@@ -138,21 +139,29 @@ func (c *ShardedClient) watchLoop(ctx context.Context, addr string) {
 		if conn, err := c.network.Dial(addr); err == nil {
 			release := netx.Guard(ctx, conn)
 			if err := transport.Write(conn, transport.KindDirEpochWatch, transport.DirEpochWatch{}); err == nil {
-				for {
-					env, err := transport.Read(conn)
-					if err != nil || env.Kind != transport.KindDirEpoch {
-						break
-					}
-					var ep transport.DirEpoch
-					if err := env.Decode(&ep); err != nil {
-						break
-					}
-					c.applyEpoch(ep)
-				}
+				c.readEpochs(conn)
 			}
 			release()
 			conn.Close()
 		}
 		_ = clock.SleepCtx(ctx, c.clk, c.refresh/2) // cancelled: the loop condition ends it
+	}
+}
+
+// readEpochs applies every epoch pushed on a subscribed connection until it
+// fails or carries anything else.
+func (c *ShardedClient) readEpochs(conn net.Conn) {
+	rd := transport.NewReader(conn)
+	defer rd.Close()
+	for {
+		env, err := rd.Next()
+		if err != nil || env.Kind != transport.KindDirEpoch {
+			return
+		}
+		var ep transport.DirEpoch
+		if err := env.Decode(&ep); err != nil {
+			return
+		}
+		c.applyEpoch(ep)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"p2pstream/internal/chord"
 )
@@ -82,6 +83,7 @@ func NewShardRingOf(epoch int64, names []string, points int) (*ShardRing, error)
 	}
 	seen := make(map[uint64]bool, len(names)*points)
 	byName := make(map[string]bool, len(names))
+	var key []byte // "name/rep", the point's key
 	for shard, name := range names {
 		if name == "" {
 			return nil, fmt.Errorf("directory: shard %d has an empty name", shard)
@@ -91,7 +93,8 @@ func NewShardRingOf(epoch int64, names []string, points int) (*ShardRing, error)
 		}
 		byName[name] = true
 		for rep := 0; rep < points; rep++ {
-			pos := chord.HashKey(fmt.Sprintf("%s/%d", name, rep))
+			key = strconv.AppendInt(append(append(key[:0], name...), '/'), int64(rep), 10)
+			pos := chord.HashBytes(key)
 			if seen[pos] {
 				continue // astronomically unlikely; first point keeps the arc
 			}

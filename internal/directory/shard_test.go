@@ -537,3 +537,30 @@ func shardCount(placed []int) int {
 	}
 	return n
 }
+
+// TestShardPointKeys: a shard's virtual points sit where they always have,
+// at the hash of "name/rep", whatever builds that key.
+func TestShardPointKeys(t *testing.T) {
+	names := make([]string, 50)
+	for i := range names {
+		names[i] = fmt.Sprintf("shard-%d%s", i, strings.Repeat("x", i%5))
+	}
+	r, err := NewShardRingOf(1, names, ShardPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint64]int, len(names)*ShardPoints)
+	for shard, name := range names {
+		for rep := 0; rep < ShardPoints; rep++ {
+			want[chord.HashKey(fmt.Sprintf("%s/%d", name, rep))] = shard
+		}
+	}
+	if len(r.points) != len(want) {
+		t.Fatalf("ring has %d points, want %d", len(r.points), len(want))
+	}
+	for _, p := range r.points {
+		if shard, ok := want[p.pos]; !ok || shard != p.shard {
+			t.Fatalf("point %#x of shard %d is not one of the \"name/rep\" points", p.pos, p.shard)
+		}
+	}
+}

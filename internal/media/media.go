@@ -83,37 +83,63 @@ type Segment struct {
 // peer fills its store during a session; a supplying peer serves from a
 // complete store. The zero value is an empty store for a nil file; use
 // NewStore.
+//
+// A store keeps its segments in memory of its own, allocated in chunks of
+// chunkBytes (the whole file when that is smaller) the first time a segment
+// of the chunk is written: each segment has a fixed slot of SegmentBytes in
+// its chunk. A receiver reads a payload straight into Slot and then Commits
+// it; Put copies a segment in, so the store never keeps a caller's buffer.
+// Get returns a view of the slot, valid for as long as the store.
 type Store struct {
-	file *File
-	data [][]byte  // indexed by SegmentID; nil means missing
-	qual []Quality // quality class each stored segment arrived at
-	have int
+	file   *File
+	chunks [][]byte // nil until a segment of the chunk is first written
+	per    int      // segments per chunk
+	segs   []stored // indexed by SegmentID
+	have   int
 	// downgraded counts stored segments whose quality is below full.
 	downgraded int
 }
+
+// stored describes one slot: the bytes it holds (0 means missing: no
+// stored segment is empty) and the quality class they arrived at.
+type stored struct {
+	n int
+	q Quality
+}
+
+// chunkBytes is the size a store allocates its memory in: one allocation
+// per chunk instead of one per segment, and no zeroing of a whole file
+// before a session's first segment can be read.
+const chunkBytes = 256 << 10
 
 // NewStore returns an empty store for the given file.
 func NewStore(f *File) (*Store, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	return &Store{file: f, data: make([][]byte, f.Segments), qual: make([]Quality, f.Segments)}, nil
+	per := max(1, chunkBytes/f.SegmentBytes)
+	return &Store{
+		file:   f,
+		chunks: make([][]byte, (f.Segments+per-1)/per),
+		per:    per,
+		segs:   make([]stored, f.Segments),
+	}, nil
 }
 
 // NewSeededStore returns a store pre-filled with deterministic synthetic
-// content for every segment, as held by a "seed" supplying peer. Segment s
-// is filled with the repeated byte pattern derived from s so that transfers
-// can be verified end to end.
+// content for every segment, as held by a "seed" supplying peer: each slot
+// is filled in place with SegmentContent, so that transfers can be
+// verified end to end.
 func NewSeededStore(f *File) (*Store, error) {
 	s, err := NewStore(f)
 	if err != nil {
 		return nil, err
 	}
-	for id := 0; id < f.Segments; id++ {
-		if err := s.Put(SegmentContent(f, SegmentID(id))); err != nil {
-			return nil, err
-		}
+	for id := range s.segs {
+		fillCanonical(s.slot(SegmentID(id)), SegmentID(id))
+		s.segs[id] = stored{n: f.SegmentBytes}
 	}
+	s.have = f.Segments
 	return s, nil
 }
 
@@ -128,62 +154,118 @@ func SegmentContent(f *File, id SegmentID) Segment {
 // renditions from.
 func canonicalContent(f *File, id SegmentID) []byte {
 	data := make([]byte, f.SegmentBytes)
-	for i := range data {
-		data[i] = byte((int(id)*131 + i*31) % 251)
-	}
+	fillCanonical(data, id)
 	return data
+}
+
+// contentPeriod is the period of the canonical content: byte i of segment
+// id is (id·131 + i·31) mod 251, and 31 and 251 are coprime.
+const contentPeriod = 251
+
+// fillCanonical writes the canonical content of segment id (id ≥ 0) into
+// dst: one period by the formula, then doubled by copy until dst is full.
+func fillCanonical(dst []byte, id SegmentID) {
+	p := min(len(dst), contentPeriod)
+	for i := range p {
+		dst[i] = byte((int(id)*131 + i*31) % contentPeriod)
+	}
+	for p < len(dst) {
+		p += copy(dst[p:], dst[:p])
+	}
 }
 
 // File returns the file description the store belongs to.
 func (s *Store) File() *File { return s.file }
 
-// Put stores a segment. It rejects out-of-range IDs; re-putting an
-// existing segment is an error (it indicates a protocol bug: no supplier
-// should send a segment twice). A full-quality segment must match the
-// file's segment size exactly; a downgraded rendition (Quality > 0) only
-// has to fit under it — variable-bitrate codecs make low-class sizes
-// codec-dependent, and per-quality byte verification is VerifyAt's job.
-func (s *Store) Put(seg Segment) error {
-	if seg.ID < 0 || int(seg.ID) >= s.file.Segments {
-		return fmt.Errorf("media: segment %d out of range [0,%d)", seg.ID, s.file.Segments)
+// Slot returns the first n bytes of segment id's slot, for a payload of n
+// bytes at quality q to be read into and then committed, once the store has
+// checked that it would accept that segment (see Put). The slot's chunk is
+// allocated on first touch.
+func (s *Store) Slot(id SegmentID, q Quality, n int) ([]byte, error) {
+	if err := s.check(id, q, n); err != nil {
+		return nil, err
 	}
-	if !seg.Quality.Valid() {
-		return fmt.Errorf("media: segment %d quality %d out of range [0,%d]", seg.ID, seg.Quality, MaxQuality)
+	return s.slot(id)[:n], nil
+}
+
+// Commit records segment id as held: the n bytes at quality q now in its
+// slot. It refuses what Put refuses.
+func (s *Store) Commit(id SegmentID, q Quality, n int) error {
+	if err := s.check(id, q, n); err != nil {
+		return err
 	}
-	if seg.Quality == 0 && len(seg.Data) != s.file.SegmentBytes {
-		return fmt.Errorf("media: segment %d has %d bytes, want %d", seg.ID, len(seg.Data), s.file.SegmentBytes)
-	}
-	if seg.Quality > 0 && (len(seg.Data) == 0 || len(seg.Data) > s.file.SegmentBytes) {
-		return fmt.Errorf("media: segment %d q%d has %d bytes, want 1..%d",
-			seg.ID, seg.Quality, len(seg.Data), s.file.SegmentBytes)
-	}
-	if s.data[seg.ID] != nil {
-		return fmt.Errorf("media: segment %d already stored", seg.ID)
-	}
-	s.data[seg.ID] = seg.Data
-	s.qual[seg.ID] = seg.Quality
-	if seg.Quality > 0 {
+	s.segs[id] = stored{n: n, q: q}
+	if q > 0 {
 		s.downgraded++
 	}
 	s.have++
 	return nil
 }
 
+// Put copies a segment into its slot and commits it. It rejects
+// out-of-range IDs; re-putting an existing segment is an error (it
+// indicates a protocol bug: no supplier should send a segment twice). A
+// full-quality segment must match the file's segment size exactly; a
+// downgraded rendition (Quality > 0) only has to fit under it —
+// variable-bitrate codecs make low-class sizes codec-dependent, and
+// per-quality byte verification is VerifyAt's job.
+func (s *Store) Put(seg Segment) error {
+	dst, err := s.Slot(seg.ID, seg.Quality, len(seg.Data))
+	if err != nil {
+		return err
+	}
+	copy(dst, seg.Data)
+	return s.Commit(seg.ID, seg.Quality, len(seg.Data))
+}
+
+// check reports why the store would refuse segment id of n bytes at
+// quality q, or nil.
+func (s *Store) check(id SegmentID, q Quality, n int) error {
+	if id < 0 || int(id) >= s.file.Segments {
+		return fmt.Errorf("media: segment %d out of range [0,%d)", id, s.file.Segments)
+	}
+	if !q.Valid() {
+		return fmt.Errorf("media: segment %d quality %d out of range [0,%d]", id, q, MaxQuality)
+	}
+	if q == 0 && n != s.file.SegmentBytes {
+		return fmt.Errorf("media: segment %d has %d bytes, want %d", id, n, s.file.SegmentBytes)
+	}
+	if q > 0 && (n == 0 || n > s.file.SegmentBytes) {
+		return fmt.Errorf("media: segment %d q%d has %d bytes, want 1..%d", id, q, n, s.file.SegmentBytes)
+	}
+	if s.segs[id].n != 0 {
+		return fmt.Errorf("media: segment %d already stored", id)
+	}
+	return nil
+}
+
+// slot returns the whole slot of segment id, allocating its chunk if this
+// is the chunk's first touch.
+func (s *Store) slot(id SegmentID) []byte {
+	c, at := int(id)/s.per, int(id)%s.per*s.file.SegmentBytes
+	if s.chunks[c] == nil {
+		s.chunks[c] = make([]byte, min(s.per, s.file.Segments-c*s.per)*s.file.SegmentBytes)
+	}
+	return s.chunks[c][at : at+s.file.SegmentBytes : at+s.file.SegmentBytes]
+}
+
 // Get returns the segment with the given ID, or false if it is missing.
+// Its Data is a view of the store's slot.
 func (s *Store) Get(id SegmentID) (Segment, bool) {
-	if id < 0 || int(id) >= s.file.Segments || s.data[id] == nil {
+	if !s.Has(id) {
 		return Segment{}, false
 	}
-	return Segment{ID: id, Quality: s.qual[id], Data: s.data[id]}, true
+	st := s.segs[id]
+	return Segment{ID: id, Quality: st.q, Data: s.slot(id)[:st.n:st.n]}, true
 }
 
 // QualityOf returns the quality class a stored segment arrived at, or -1 if
 // the segment is missing.
 func (s *Store) QualityOf(id SegmentID) Quality {
-	if id < 0 || int(id) >= s.file.Segments || s.data[id] == nil {
+	if !s.Has(id) {
 		return -1
 	}
-	return s.qual[id]
+	return s.segs[id].q
 }
 
 // Downgraded returns how many stored segments arrived below full quality —
@@ -192,7 +274,7 @@ func (s *Store) Downgraded() int { return s.downgraded }
 
 // Has reports whether the segment is present.
 func (s *Store) Has(id SegmentID) bool {
-	return id >= 0 && int(id) < s.file.Segments && s.data[id] != nil
+	return id >= 0 && int(id) < s.file.Segments && s.segs[id].n != 0
 }
 
 // Count returns how many segments are present.
@@ -208,7 +290,7 @@ func (s *Store) MissingBefore(limit SegmentID) SegmentID {
 		limit = SegmentID(s.file.Segments)
 	}
 	for id := SegmentID(0); id < limit; id++ {
-		if s.data[id] == nil {
+		if s.segs[id].n == 0 {
 			return id
 		}
 	}

@@ -251,3 +251,84 @@ func TestMinimalDelayAllEarly(t *testing.T) {
 		t.Error("invalid file should fail")
 	}
 }
+
+// TestCanonicalFill: the period-doubling fill is byte for byte the formula
+// the canonical content is defined by.
+func TestCanonicalFill(t *testing.T) {
+	for _, n := range []int{1, 250, 251, 252, 502, 4096, 16384, 16385} {
+		for _, id := range []SegmentID{0, 1, 250, 1023} {
+			got := make([]byte, n)
+			fillCanonical(got, id)
+			for i, b := range got {
+				if want := byte((int(id)*131 + i*31) % 251); b != want {
+					t.Fatalf("segment %d, %d bytes: byte %d is %d, want %d", id, n, i, b, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreSlots: a store spread over several chunks, the last one short,
+// and one whose segments are each larger than a chunk, keep every segment
+// in a slot of its own; Slot refuses what Put refuses before anything is
+// written, and Put copies, so the caller's buffer is never the store's.
+func TestStoreSlots(t *testing.T) {
+	for _, f := range []*File{
+		{Name: "chunked", Segments: 5, SegmentBytes: chunkBytes/2 - 3, SegmentTime: time.Second},
+		{Name: "large", Segments: 3, SegmentBytes: chunkBytes + 5, SegmentTime: time.Second},
+	} {
+		seeded, err := NewSeededStore(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := NewStore(f)
+		for id := SegmentID(0); id < SegmentID(f.Segments); id++ {
+			want := SegmentContent(f, id).Data
+			if got, _ := seeded.Get(id); !bytes.Equal(got.Data, want) {
+				t.Fatalf("%s: seeded segment %d differs from SegmentContent", f.Name, id)
+			}
+			if id == 1 {
+				// Downgraded, through Slot and Commit.
+				dst, err := s.Slot(id, 2, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(dst, want)
+				if err := s.Commit(id, 2, 7); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			buf := append([]byte(nil), want...)
+			if err := s.Put(Segment{ID: id, Data: buf}); err != nil {
+				t.Fatal(err)
+			}
+			buf[0]++
+		}
+		for id := SegmentID(0); id < SegmentID(f.Segments); id++ {
+			got, _ := s.Get(id)
+			want := SegmentContent(f, id).Data
+			if id == 1 {
+				want = want[:7]
+			}
+			if !bytes.Equal(got.Data, want) || cap(got.Data) != len(want) {
+				t.Fatalf("%s: segment %d holds %d bytes (cap %d) that differ from what was put", f.Name, id, len(got.Data), cap(got.Data))
+			}
+		}
+		if s.QualityOf(1) != 2 || s.Downgraded() != 1 || !s.Complete() {
+			t.Fatalf("%s: quality %d, %d downgraded, complete %v", f.Name, s.QualityOf(1), s.Downgraded(), s.Complete())
+		}
+		for _, bad := range []struct {
+			id SegmentID
+			q  Quality
+			n  int
+		}{{-1, 0, f.SegmentBytes}, {SegmentID(f.Segments), 0, f.SegmentBytes}, {0, 0, f.SegmentBytes}, {0, 1, f.SegmentBytes + 1}, {0, MaxQuality + 1, 1}} {
+			if _, err := s.Slot(bad.id, bad.q, bad.n); err == nil {
+				t.Errorf("%s: Slot(%d, q%d, %d bytes) accepted", f.Name, bad.id, bad.q, bad.n)
+			}
+			if err := s.Commit(bad.id, bad.q, bad.n); err == nil {
+				t.Errorf("%s: Commit(%d, q%d, %d bytes) accepted", f.Name, bad.id, bad.q, bad.n)
+			}
+		}
+	}
+}

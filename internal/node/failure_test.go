@@ -414,3 +414,86 @@ func TestSilentClientCutOff(t *testing.T) {
 		t.Errorf("store complete = %v with %d suppliers, want a whole file from 2", req.Store().Complete(), len(report.Suppliers))
 	}
 }
+
+// cutOffSupplier registers a fake class-1 supplier that grants every probe
+// and accepts its Start, then sends one Segment frame, seg's, cut off after
+// the first 64 bytes of its payload, and hangs up.
+func (c *cluster) cutOffSupplier(id string, seg transport.Segment) {
+	c.t.Helper()
+	l, err := c.net.Host(id).Listen(":0")
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.t.Cleanup(func() { l.Close() })
+	frame, err := transport.Append(nil, transport.KindSegment, &seg)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				for {
+					env, err := transport.Read(conn)
+					if err != nil {
+						return
+					}
+					switch env.Kind {
+					case transport.KindProbe:
+						transport.Write(conn, transport.KindProbeReply, transport.ProbeReply{Decision: dac.Granted, Favors: true})
+					case transport.KindStart:
+						transport.Write(conn, transport.KindStartReply, transport.StartReply{OK: true})
+						conn.Write(frame[:len(frame)-len(seg.Data)+64])
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	cl := directory.NewClientOn(c.net.Host("registrar-"+id), c.dirAddr)
+	if err := cl.Register(context.Background(), transport.Register{ID: id, Addr: l.Addr().String(), Class: 1, Object: testFile().Name}); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// TestSessionRefusesSegmentBeforeItsPayload: a segment out of range, or
+// longer than a segment where the store already holds it (a retry's
+// re-received segment), fails the session on its header: the error is the
+// refusal, not the cut-off payload, of which the requester reads no more
+// than its header read takes along (segmentHead bytes of the frame).
+func TestSessionRefusesSegmentBeforeItsPayload(t *testing.T) {
+	f := testFile()
+	for _, tc := range []struct {
+		name string
+		seg  transport.Segment
+		want string
+	}{
+		{"out of range", transport.Segment{ID: f.Segments, Data: make([]byte, f.SegmentBytes)}, "out of range"},
+		{"held and too long", transport.Segment{ID: 0, Data: make([]byte, f.SegmentBytes+1)}, "more than"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t)
+			c.seed("seed1", 1)
+			c.cutOffSupplier("liar", tc.seg)
+			req := c.requester("r", 1)
+			partial, err := media.NewStore(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := partial.Put(media.SegmentContent(f, 0)); err != nil {
+				t.Fatal(err)
+			}
+			req.mu.Lock()
+			req.pending[f.Name] = partial
+			req.mu.Unlock()
+			_, err = req.Request(context.Background(), "")
+			if err == nil || !strings.Contains(err.Error(), tc.want) || errors.Is(err, transport.ErrMalformedFrame) {
+				t.Fatalf("Request = %v, want the refusal of the segment (%q)", err, tc.want)
+			}
+		})
+	}
+}

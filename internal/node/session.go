@@ -459,31 +459,56 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		rcvErrs = append(rcvErrs, err)
 		mu.Unlock()
 	}
+	// claimed marks the segments a stream of this session has taken a slot
+	// for, so that no two streams read into one slot.
+	claimed := make([]bool, file.Segments)
 	receive := func(conn net.Conn, st stream) {
 		defer wg.Done()
+		rd := transport.NewReader(conn)
+		defer rd.Close()
+		var (
+			fresh   bool   // the last segment was read into the store, not discarded
+			discard []byte // where a segment the store holds is read, made on first use
+		)
+		// slot picks where a segment's payload is read to, before any of
+		// it is read: its slot in the store, or, idempotent under retries,
+		// the discard buffer for a segment a session after a failed one
+		// re-receives (content is deterministic per segment ID).
+		slot := func(id, quality, size int) ([]byte, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			sid := media.SegmentID(id)
+			fresh = !(store.Has(sid) || 0 <= id && id < len(claimed) && claimed[id])
+			if fresh {
+				dst, err := store.Slot(sid, media.Quality(quality), size)
+				if err == nil {
+					claimed[id] = true
+				}
+				return dst, err
+			}
+			if size > file.SegmentBytes {
+				return nil, fmt.Errorf("node %s: segment %d has %d bytes, more than %d", n.cfg.ID, id, size, file.SegmentBytes)
+			}
+			if discard == nil {
+				discard = make([]byte, file.SegmentBytes)
+			}
+			return discard[:size], nil
+		}
 		received, acked := 0, 0
 		for {
-			env, err := transport.Read(conn)
+			env, seg, err := rd.NextSegment(slot)
 			if err != nil {
 				fail(fmt.Errorf("node %s: receiving: %w", n.cfg.ID, err))
 				return
 			}
 			switch env.Kind {
 			case transport.KindSegment:
-				var seg transport.Segment
-				if err := env.Decode(&seg); err != nil {
-					fail(err)
-					return
-				}
 				at := n.clk.Since(start)
 				q := media.Quality(seg.Quality)
 				mu.Lock()
 				var err error
-				if !store.Has(media.SegmentID(seg.ID)) {
-					// Idempotent under retries: a session after a failed
-					// one re-receives segments the partial store already
-					// holds (content is deterministic per segment ID).
-					err = store.Put(media.Segment{ID: media.SegmentID(seg.ID), Quality: q, Data: seg.Data})
+				if fresh {
+					err = store.Commit(media.SegmentID(seg.ID), q, len(seg.Data))
 				}
 				if err == nil {
 					arrivals[seg.ID] = at

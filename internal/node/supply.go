@@ -27,7 +27,9 @@ import (
 // line claims nothing: the Start takes the slot, whichever connection it
 // arrives on.
 func (n *Node) handleConn(conn net.Conn) {
-	env, err := transport.Read(conn)
+	rd := transport.NewReader(conn)
+	defer rd.Close()
+	env, err := rd.Next()
 	if err != nil {
 		return
 	}
@@ -41,7 +43,7 @@ func (n *Node) handleConn(conn net.Conn) {
 			return
 		}
 		n.ep.Arm(conn)
-		if env, err = transport.Read(conn); err != nil {
+		if env, err = rd.Next(); err != nil {
 			return
 		}
 		if env.Kind != transport.KindStart {
@@ -171,8 +173,10 @@ func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
 // when the requester hangs up or the connection dies.
 func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow, done chan<- struct{}) {
 	defer close(done)
+	rd := transport.NewReader(conn)
+	defer rd.Close()
 	for {
-		env, err := transport.Read(conn)
+		env, err := rd.Next()
 		if err != nil || env.Kind != transport.KindAck {
 			return
 		}

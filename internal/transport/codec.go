@@ -81,12 +81,11 @@ func (k Kind) String() string {
 // records the first one and i jumps to the end, so the fields that follow
 // find nothing left to read.
 type coder struct {
-	b     []byte
-	i     int    // decoding: the read cursor in b
-	dec   bool   // decoding, not encoding
-	alias bool   // decoding: []byte fields may alias b instead of copying
-	s     string // decoding: b as a string, made on the first string field; every decoded string is a slice of it
-	bad   string // decoding: why b is malformed, "" while it is not
+	b   []byte
+	i   int    // decoding: the read cursor in b
+	dec bool   // decoding, not encoding
+	s   string // decoding: b as a string, made on the first string field; every decoded string is a slice of it
+	bad string // decoding: why b is malformed, "" while it is not
 }
 
 func (c *coder) fail(why string) {
@@ -175,10 +174,8 @@ func (c *coder) bytes(p *[]byte) {
 		return
 	case n == 0:
 		*p = nil
-	case c.alias:
-		*p = c.b[c.i : c.i+n : c.i+n]
 	default:
-		*p = append([]byte(nil), c.b[c.i:c.i+n]...)
+		*p = c.b[c.i : c.i+n : c.i+n]
 	}
 	c.i += n
 }

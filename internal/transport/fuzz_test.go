@@ -121,38 +121,8 @@ func FuzzReadCorruptFrame(f *testing.F) {
 // errors, never a panic. The seeds are batches Append built, whole and with
 // one frame inside them corrupted.
 func FuzzReadFrameStream(f *testing.F) {
-	batch := func() []byte {
-		var b []byte
-		for _, m := range []struct {
-			kind Kind
-			body any
-		}{
-			{KindStartReply, StartReply{OK: true}},
-			{KindSegment, Segment{ID: 0, Data: []byte("segment zero")}},
-			{KindSegment, Segment{ID: 1, Quality: 1, Data: []byte("one")}},
-			{KindSessionDone, SessionDone{Sent: 2}},
-		} {
-			var err error
-			if b, err = Append(b, m.kind, m.body); err != nil {
-				f.Fatal(err)
-			}
-		}
-		return b
-	}
-	second := 4 + int(binary.BigEndian.Uint32(batch())) // where the first segment's frame starts
-	f.Add(batch())
-	f.Add(batch()[:len(batch())-3])
-	for _, corrupt := range []func(b []byte){
-		func(b []byte) { b[second+3]++ },                 // a length one past the frame
-		func(b []byte) { b[second+3]-- },                 // a length one short of it
-		func(b []byte) { b[second] = 0xff },              // a length past MaxMessageSize
-		func(b []byte) { b[second+4] = wireVersion + 1 }, // another wire version
-		func(b []byte) { b[second+5] = byte(kindEnd) },   // an unknown kind
-		func(b []byte) { b[second+8] = 0x7f },            // a payload count past the frame
-	} {
-		b := batch()
-		corrupt(b)
-		f.Add(b)
+	for _, seed := range frameStreamSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		byRead, byExpect := bytes.NewReader(data), bytes.NewReader(data)
@@ -173,6 +143,152 @@ func FuzzReadFrameStream(f *testing.F) {
 			}
 			if byRead.Len() != byExpect.Len() {
 				t.Fatalf("after a %s frame Read left %d bytes and ReadExpect %d", env.Kind, byRead.Len(), byExpect.Len())
+			}
+		}
+	})
+}
+
+// frameStreamSeeds are the seeds of the stream fuzzers: batches Append
+// built, whole, cut off, and with one frame inside them corrupted.
+func frameStreamSeeds(f *testing.F) [][]byte {
+	batch := func() []byte {
+		var b []byte
+		for _, m := range []struct {
+			kind Kind
+			body any
+		}{
+			{KindStartReply, StartReply{OK: true}},
+			{KindSegment, Segment{ID: 0, Data: []byte("segment zero")}},
+			{KindSegment, Segment{ID: 1, Quality: 1, Data: []byte("one")}},
+			{KindSessionDone, SessionDone{Sent: 2}},
+		} {
+			var err error
+			if b, err = Append(b, m.kind, m.body); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return b
+	}
+	second := 4 + int(binary.BigEndian.Uint32(batch())) // where the first segment's frame starts
+	seeds := [][]byte{batch(), batch()[:len(batch())-3]}
+	for _, corrupt := range []func(b []byte){
+		func(b []byte) { b[second+3]++ },                 // a length one past the frame
+		func(b []byte) { b[second+3]-- },                 // a length one short of it
+		func(b []byte) { b[second] = 0xff },              // a length past MaxMessageSize
+		func(b []byte) { b[second+4] = wireVersion + 1 }, // another wire version
+		func(b []byte) { b[second+5] = byte(kindEnd) },   // an unknown kind
+		func(b []byte) { b[second+8] = 0x7f },            // a payload count past the frame
+	} {
+		b := batch()
+		corrupt(b)
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+// The model store of FuzzSegmentStream: slotSegs segments of at most
+// slotBytes each, refusing a segment out of range, longer than a slot or
+// already held, as media.Store does.
+const (
+	slotSegs  = 4
+	slotBytes = 16
+)
+
+var errRefused = errors.New("slot refused")
+
+func refuseSlot(held map[int]bool, id, n int) error {
+	if id < 0 || id >= slotSegs || n > slotBytes || held[id] {
+		return errRefused
+	}
+	held[id] = true
+	return nil
+}
+
+// streamEnd classifies how a read of a stream stopped: "" while it has not.
+func streamEnd(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, errRefused):
+		return "refused"
+	case errors.Is(err, ErrMalformedFrame), errors.Is(err, ErrMessageTooLarge), errors.Is(err, ErrWireVersion):
+		return "frame error"
+	case err == io.EOF:
+		return "end"
+	}
+	return err.Error()
+}
+
+// FuzzSegmentStream reads arbitrary bytes as a session stream twice: with
+// a Reader whose NextSegment reads each payload straight into a slot of a
+// model store, and with Read and Decode, putting each decoded segment into
+// a second model store. Frame by frame the two must agree on the kind, a
+// segment's ID, quality and payload bytes, or any other frame's fields,
+// and never fall out of step; and they must stop at the same frame for
+// the same reason. The one difference allowed is the order of two checks:
+// NextSegment asks for the slot before it reads the payload, so a frame
+// whose slot is refused and whose payload is cut off reads as a refusal
+// there and as a frame error through Read.
+func FuzzSegmentStream(f *testing.F) {
+	for _, seed := range frameStreamSeeds(f) {
+		f.Add(seed)
+	}
+	frames := func(segs ...Segment) []byte {
+		var b []byte
+		for _, seg := range segs {
+			var err error
+			if b, err = Append(b, KindSegment, &seg); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return b
+	}
+	payload := bytes.Repeat([]byte{0xa5}, slotBytes+1)
+	f.Add(frames(Segment{ID: 2, Data: payload[:4]}, Segment{ID: 2, Data: payload[:4]}))    // a duplicate
+	f.Add(frames(Segment{ID: 0, Data: payload[:1]}, Segment{ID: slotSegs, Data: payload})) // out of range
+	f.Add(frames(Segment{ID: -1, Quality: 3, Data: payload[:2]}))                          // out of range, below
+	f.Add(frames(Segment{ID: 1, Data: payload}))                                           // longer than a slot
+	f.Add(frames(Segment{ID: 3, Data: payload})[:12])                                      // refused, and cut off
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store := make([]byte, slotSegs*slotBytes)
+		held, refHeld := map[int]bool{}, map[int]bool{}
+		src, ref := bytes.NewReader(data), bytes.NewReader(data)
+		rd := NewReader(src)
+		defer rd.Close()
+		for frame := 0; ; frame++ {
+			env, seg, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) {
+				if err := refuseSlot(held, id, n); err != nil {
+					return nil, err
+				}
+				return store[id*slotBytes : id*slotBytes+n], nil
+			})
+			renv, rerr := Read(ref)
+			var rseg Segment
+			if rerr == nil && renv.Kind == KindSegment {
+				if rerr = renv.Decode(&rseg); rerr == nil {
+					rerr = refuseSlot(refHeld, rseg.ID, len(rseg.Data))
+				}
+			}
+			got, want := streamEnd(err), streamEnd(rerr)
+			if got == "refused" && want == "frame error" {
+				return
+			}
+			if got != want {
+				t.Fatalf("frame %d: NextSegment stopped with %v, Read and Decode with %v", frame, err, rerr)
+			}
+			if got != "" {
+				return
+			}
+			switch {
+			case env.Kind != renv.Kind:
+				t.Fatalf("frame %d: NextSegment read a %s, Read a %s", frame, env.Kind, renv.Kind)
+			case env.Kind != KindSegment && !bytes.Equal(env.Body, renv.Body):
+				t.Fatalf("frame %d: %s fields differ: %x against %x", frame, env.Kind, env.Body, renv.Body)
+			case seg.ID != rseg.ID || seg.Quality != rseg.Quality || !bytes.Equal(seg.Data, rseg.Data):
+				t.Fatalf("frame %d: NextSegment read segment %d q%d %x, Read and Decode %d q%d %x",
+					frame, seg.ID, seg.Quality, seg.Data, rseg.ID, rseg.Quality, rseg.Data)
+			case src.Len() != ref.Len():
+				t.Fatalf("frame %d: after a %s NextSegment left %d bytes and Read %d", frame, env.Kind, src.Len(), ref.Len())
 			}
 		}
 	})

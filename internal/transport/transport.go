@@ -29,15 +29,22 @@
 //
 // # Ownership
 //
-// Read returns an Envelope whose Body is a buffer of exactly the frame's
-// size that the caller owns, and Envelope.Decode aliases it: Segment.Data
-// is a sub-slice of Body. ReadExpect decodes out of a pooled buffer and
-// copies []byte fields out of it. Nothing decoded refers to a pooled
-// buffer. Decoded strings are slices of one string copy of the body, so
-// keeping one keeps the frame's worth (at most MaxMessageSize): harmless
-// where a frame's strings are stored and dropped together — a registration,
-// a peer's batch of them, the contacts of one stabilization reply — and a
-// reason to clone a string that must far outlive the rest of its frame.
+// A Reader reads the frames of one connection into one buffer from the
+// package's pool. Reader.Next returns an Envelope by value whose Body is
+// borrowed from that buffer until the next frame; decoding copies out of
+// it, so a message keeps nothing of the buffer and a frame whose message
+// keeps nothing costs no allocation. Reader.NextSegment reads a Segment
+// frame's header, then its payload straight into the buffer the caller
+// picks for it from that header — a requester's slot in its media store.
+// Read makes one owned copy of the body, and Envelope.Decode aliases
+// Segment.Data, the one []byte field, into it on an envelope from Read
+// only. ReadExpect decodes out of a pooled buffer. Nothing decoded refers
+// to a pooled buffer. Decoded strings are slices of one string copy of the
+// body, so keeping one keeps the frame's worth (at most MaxMessageSize):
+// harmless where a frame's strings are stored and dropped together — a
+// registration, a peer's batch of them, the contacts of one stabilization
+// reply — and a reason to clone a string that must far outlive the rest of
+// its frame.
 package transport
 
 import (
