@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -84,7 +84,7 @@ func (p Pattern) Times(n int, window time.Duration, rng *rand.Rand) ([]time.Dura
 			times[i] = window - 1
 		}
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	slices.Sort(times)
 	return times, nil
 }
 

@@ -19,37 +19,32 @@ func (p *Peer) handleConn(conn net.Conn) {
 	for {
 		p.ep.Arm(conn)
 		env, err := rd.Next()
-		if err != nil {
-			return
-		}
-		kind, body, keep := p.serve(&env)
-		if body != nil {
-			p.ep.Reply(conn, kind, body)
-		}
-		if !keep {
+		if err != nil || !p.serve(conn, &env) {
 			return
 		}
 	}
 }
 
-// serve dispatches one request frame to its handler and returns the reply
-// frame and whether the connection stays open.
-func (p *Peer) serve(env *transport.Envelope) (transport.Kind, any, bool) {
+// serve dispatches one request frame to its handler, writes the reply on
+// conn and reports whether the connection stays open. Every reply is
+// written where it is made, so none is boxed on its way out.
+func (p *Peer) serve(conn net.Conn, env *transport.Envelope) bool {
 	if !p.Joined() {
-		return transport.KindError, transport.Error{Message: fmt.Sprintf("chordnet %s: not a ring member", p.cfg.ID)}, true
+		p.ep.Reply(conn, transport.KindError, transport.Error{Message: fmt.Sprintf("chordnet %s: not a ring member", p.cfg.ID)})
+		return true
 	}
 	switch env.Kind {
 	case transport.KindChordFingerQuery:
-		return answer(env, transport.KindChordFingerOK, func(req transport.ChordFingerQuery) (rep transport.ChordFingerReply, _ error) {
+		return answer(p.ep, conn, env, transport.KindChordFingerOK, func(req transport.ChordFingerQuery) (rep transport.ChordFingerReply, _ error) {
 			rep.Done, rep.Next, rep.Backups = p.step(req.Key)
 			return rep, nil
 		})
 	case transport.KindChordLookup:
-		return answer(env, transport.KindChordLookupOK, p.serveLookup)
+		return answer(p.ep, conn, env, transport.KindChordLookupOK, p.serveLookup)
 	case transport.KindChordReplicate:
-		return answer(env, transport.KindChordReplicateOK, p.applyReplicate)
+		return answer(p.ep, conn, env, transport.KindChordReplicateOK, p.applyReplicate)
 	case transport.KindChordReplicaPull:
-		return answer(env, transport.KindChordReplicaPullOK, func(req transport.ChordReplicaPull) (rep transport.ChordReplicaPullReply, _ error) {
+		return answer(p.ep, conn, env, transport.KindChordReplicaPullOK, func(req transport.ChordReplicaPull) (rep transport.ChordReplicaPullReply, _ error) {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			if req.All {
@@ -60,33 +55,35 @@ func (p *Peer) serve(env *transport.Envelope) (transport.Kind, any, bool) {
 			return rep, nil
 		})
 	case transport.KindChordJoin:
-		return answer(env, transport.KindChordJoinOK, func(req transport.ChordJoin) (transport.ChordJoinReply, error) {
+		return answer(p.ep, conn, env, transport.KindChordJoinOK, func(req transport.ChordJoin) (transport.ChordJoinReply, error) {
 			rep := p.adopt(req.Peer)
 			return transport.ChordJoinReply{Predecessor: rep.Predecessor, Successors: rep.Successors}, nil
 		})
 	case transport.KindChordNotify:
-		return answer(env, transport.KindChordNotifyOK, func(req transport.ChordNotify) (transport.ChordNotifyReply, error) {
+		return answer(p.ep, conn, env, transport.KindChordNotifyOK, func(req transport.ChordNotify) (transport.ChordNotifyReply, error) {
 			return p.adopt(req.Peer), nil
 		})
 	case transport.KindChordLeave:
-		return answer(env, transport.KindChordLeaveOK, p.spliceLeave)
+		return answer(p.ep, conn, env, transport.KindChordLeaveOK, p.spliceLeave)
 	}
-	return transport.KindError, transport.Error{Message: fmt.Sprintf("chordnet %s: unexpected %s", p.cfg.ID, env.Kind)}, false
+	p.ep.Reply(conn, transport.KindError, transport.Error{Message: fmt.Sprintf("chordnet %s: unexpected %s", p.cfg.ID, env.Kind)})
+	return false
 }
 
-// answer decodes one request and runs its handler. A malformed frame
-// yields no reply and closes the connection; a handler error travels back
-// as an error frame on the still-synchronized stream.
-func answer[Req, Rep any](env *transport.Envelope, ok transport.Kind, handle func(Req) (Rep, error)) (transport.Kind, any, bool) {
+// answer decodes one request, runs its handler and replies through ep. A
+// malformed frame gets no reply and closes the connection; a handler error
+// travels back as an error frame on the still-synchronized stream.
+func answer[Req, Rep any](ep *transport.Endpoint, conn net.Conn, env *transport.Envelope, ok transport.Kind, handle func(Req) (Rep, error)) bool {
 	var req Req
 	if env.Decode(&req) != nil {
-		return 0, nil, false
+		return false
 	}
-	rep, err := handle(req)
-	if err != nil {
-		return transport.KindError, transport.Error{Message: err.Error()}, true
+	if rep, err := handle(req); err != nil {
+		ep.Reply(conn, transport.KindError, transport.Error{Message: err.Error()})
+	} else {
+		ep.Reply(conn, ok, rep)
 	}
-	return ok, rep, true
+	return true
 }
 
 // serveLookup routes a full lookup on behalf of a caller that is not a

@@ -219,6 +219,9 @@ type Node struct {
 	net  netx.Network
 	disc Discovery
 	comp string // observer component name, precomputed off the hot paths
+	// rejected is ErrRejected wrapped with the node's ID, made once: a
+	// requester in a crowd is rejected over and over.
+	rejected error
 	// primary is the object the API's empty name selects: the single
 	// File's, or the first catalog entry's.
 	primary string
@@ -317,6 +320,7 @@ func newNode(cfg Config) (*Node, error) {
 		rng:     splitmix.Rand(cfg.Seed),
 	}
 	n.ep = transport.NewEndpoint(n.comp, cfg.Observer)
+	n.rejected = fmt.Errorf("node %s: %w", cfg.ID, ErrRejected)
 	for i, f := range cfg.catalog() {
 		if i == 0 {
 			n.primary = f.Name

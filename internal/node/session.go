@@ -186,11 +186,11 @@ func (n *Node) request(ctx context.Context, object string, sw *sweep) (*SessionR
 		}
 	}
 	if !att.Admitted() {
-		n.leaveReminders(ctx, pick(cands, att.ReminderTargets()), name)
+		n.leaveReminders(ctx, cands, att.ReminderTargets(), name)
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		return nil, fmt.Errorf("node %s: %w", n.cfg.ID, ErrRejected)
+		return nil, n.rejected
 	}
 	if n.testHookAdmitted != nil {
 		n.testHookAdmitted()
@@ -344,16 +344,16 @@ func (n *Node) probe(ctx context.Context, cand transport.Candidate, object strin
 	return reply, conn, nil
 }
 
-// leaveReminders deposits reminders on the candidates the shared sweep
-// selected (busy favoring candidates, high class first, up to R0). Best
-// effort; a cancelled context stops the round.
-func (n *Node) leaveReminders(ctx context.Context, targets []transport.Candidate, object string) {
-	for _, cand := range targets {
+// leaveReminders deposits reminders on the candidates at the indices the
+// shared sweep selected (busy favoring candidates, high class first, up to
+// R0). Best effort; a cancelled context stops the round.
+func (n *Node) leaveReminders(ctx context.Context, cands []transport.Candidate, targets []int, object string) {
+	for _, idx := range targets {
 		if ctx.Err() != nil {
 			return
 		}
 		var reply transport.ReminderReply
-		_ = transport.Call(ctx, n.net, cand.Addr, transport.KindReminder,
+		_ = transport.Call(ctx, n.net, cands[idx].Addr, transport.KindReminder,
 			transport.Reminder{RequesterID: n.cfg.ID, Class: n.cfg.Class, Object: object},
 			transport.KindReminderOK, &reply)
 	}
@@ -446,24 +446,26 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	// Receive phase.
 	start := n.clk.Now()
 	arrivals := make([]time.Duration, file.Segments)
-	var (
-		mu         sync.Mutex // guards store, arrivals and the four below
+	// rx is the state the receivers share, in one object: the closures
+	// below capture it whole instead of moving each variable to the heap.
+	var rx struct {
+		mu         sync.Mutex // guards store, arrivals, claimed and the four below
 		bytes      int64
 		downgraded int
 		maxQuality media.Quality
-		rcvErrs    []error
+		errs       []error
 		wg         sync.WaitGroup
-	)
+	}
 	fail := func(err error) {
-		mu.Lock()
-		rcvErrs = append(rcvErrs, err)
-		mu.Unlock()
+		rx.mu.Lock()
+		rx.errs = append(rx.errs, err)
+		rx.mu.Unlock()
 	}
 	// claimed marks the segments a stream of this session has taken a slot
 	// for, so that no two streams read into one slot.
 	claimed := make([]bool, file.Segments)
 	receive := func(conn net.Conn, st stream) {
-		defer wg.Done()
+		defer rx.wg.Done()
 		rd := transport.NewReader(conn)
 		defer rd.Close()
 		var (
@@ -475,8 +477,8 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		// the discard buffer for a segment a session after a failed one
 		// re-receives (content is deterministic per segment ID).
 		slot := func(id, quality, size int) ([]byte, error) {
-			mu.Lock()
-			defer mu.Unlock()
+			rx.mu.Lock()
+			defer rx.mu.Unlock()
 			sid := media.SegmentID(id)
 			fresh = !(store.Has(sid) || 0 <= id && id < len(claimed) && claimed[id])
 			if fresh {
@@ -505,20 +507,20 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 			case transport.KindSegment:
 				at := n.clk.Since(start)
 				q := media.Quality(seg.Quality)
-				mu.Lock()
+				rx.mu.Lock()
 				var err error
 				if fresh {
 					err = store.Commit(media.SegmentID(seg.ID), q, len(seg.Data))
 				}
 				if err == nil {
 					arrivals[seg.ID] = at
-					bytes += int64(len(seg.Data))
+					rx.bytes += int64(len(seg.Data))
 					if q > 0 {
-						downgraded++
-						maxQuality = max(maxQuality, q)
+						rx.downgraded++
+						rx.maxQuality = max(rx.maxQuality, q)
 					}
 				}
-				mu.Unlock()
+				rx.mu.Unlock()
 				if err != nil {
 					fail(err)
 					return
@@ -544,15 +546,15 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		}
 	}
 	// One goroutine per stream but the last, which this one receives.
-	wg.Add(len(chosen))
+	rx.wg.Add(len(chosen))
 	last := len(chosen) - 1
 	for i := 0; i < last; i++ {
 		go receive(lines[at[i]], streams[i])
 	}
 	receive(lines[at[last]], streams[last])
-	wg.Wait()
-	if len(rcvErrs) > 0 {
-		return nil, transport.CtxErr(ctx, rcvErrs[0])
+	rx.wg.Wait()
+	if len(rx.errs) > 0 {
+		return nil, transport.CtxErr(ctx, rx.errs[0])
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
@@ -577,10 +579,10 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		TheoreticalDelay: theoretical,
 		MeasuredDelay:    measured,
 		Report:           playback,
-		Bytes:            bytes,
+		Bytes:            rx.bytes,
 		Duration:         n.clk.Since(start),
-		Downgraded:       downgraded,
-		MaxQuality:       maxQuality,
+		Downgraded:       rx.downgraded,
+		MaxQuality:       rx.maxQuality,
 		Store:            store,
 	}, nil
 }

@@ -4,6 +4,8 @@ package transport
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"testing"
 )
 
@@ -77,3 +79,92 @@ func TestReaderAllocs(t *testing.T) {
 		t.Errorf("reading a segment frame into its slot allocated %v times, want 0", got)
 	}
 }
+
+// TestWriteAllocs pins every kind's by-value encode path at zero
+// allocations: nothing on the way out keeps the body, so a message passed by
+// value is boxed on its caller's stack. It covers Append into a buffer with
+// room, Write to a writer that discards and Endpoint.Reply to a connection
+// that does, each with the kind's zero message.
+func TestWriteAllocs(t *testing.T) {
+	ep := NewEndpoint("alloc-test", nil)
+	var conn net.Conn = discardConn{}
+	for k := Kind(1); k < kindEnd; k++ {
+		check := byValue[k]
+		if check == nil {
+			t.Errorf("%s has no entry in byValue", k)
+			continue
+		}
+		check(t, k, ep, conn)
+	}
+}
+
+// byValue has, for every kind, writeAllocs of its message type.
+var byValue = map[Kind]func(*testing.T, Kind, *Endpoint, net.Conn){
+	KindRegister:           writeAllocs[Register],
+	KindRegisterOK:         writeAllocs[struct{}],
+	KindLookup:             writeAllocs[Lookup],
+	KindCandidates:         writeAllocs[Candidates],
+	KindProbe:              writeAllocs[Probe],
+	KindProbeReply:         writeAllocs[ProbeReply],
+	KindReminder:           writeAllocs[Reminder],
+	KindReminderOK:         writeAllocs[ReminderReply],
+	KindStart:              writeAllocs[Start],
+	KindStartReply:         writeAllocs[StartReply],
+	KindSegment:            writeAllocs[Segment],
+	KindAck:                writeAllocs[Ack],
+	KindSessionDone:        writeAllocs[SessionDone],
+	KindError:              writeAllocs[Error],
+	KindUnregister:         writeAllocs[Unregister],
+	KindUnregisterOK:       writeAllocs[struct{}],
+	KindRegisterBatch:      writeAllocs[RegisterBatch],
+	KindRegisterBatchOK:    writeAllocs[struct{}],
+	KindChordJoin:          writeAllocs[ChordJoin],
+	KindChordJoinOK:        writeAllocs[ChordJoinReply],
+	KindChordNotify:        writeAllocs[ChordNotify],
+	KindChordNotifyOK:      writeAllocs[ChordNotifyReply],
+	KindChordFingerQuery:   writeAllocs[ChordFingerQuery],
+	KindChordFingerOK:      writeAllocs[ChordFingerReply],
+	KindChordLookup:        writeAllocs[ChordLookup],
+	KindChordLookupOK:      writeAllocs[ChordLookupReply],
+	KindChordLeave:         writeAllocs[ChordLeave],
+	KindChordLeaveOK:       writeAllocs[ChordLeaveReply],
+	KindChordReplicate:     writeAllocs[ChordReplicate],
+	KindChordReplicateOK:   writeAllocs[ChordReplicateReply],
+	KindChordReplicaPull:   writeAllocs[ChordReplicaPull],
+	KindChordReplicaPullOK: writeAllocs[ChordReplicaPullReply],
+	KindDirEpochWatch:      writeAllocs[DirEpochWatch],
+	KindDirEpoch:           writeAllocs[DirEpoch],
+}
+
+// writeAllocs checks that T is kind's message type and that sending its
+// zero value by value allocates nothing. The conversion to any happens
+// inside each measured call, where a boxed copy that escaped would count.
+func writeAllocs[T any](t *testing.T, kind Kind, ep *Endpoint, conn net.Conn) {
+	t.Helper()
+	if _, ok := kinds[kind].body().(*T); !ok {
+		t.Errorf("%s: byValue sends %T, the kind's message is %T", kind, *new(T), kinds[kind].body())
+		return
+	}
+	var m T
+	b := make([]byte, 0, 512)
+	for _, path := range []struct {
+		name string
+		send func() error
+	}{
+		{"Append", func() (err error) { b, err = Append(b[:0], kind, m); return err }},
+		{"Write", func() error { return Write(io.Discard, kind, m) }},
+		{"Endpoint.Reply", func() error { return ep.Reply(conn, kind, m) }},
+	} {
+		if err := path.send(); err != nil {
+			t.Fatalf("%s %s: %v", path.name, kind, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { path.send() }); got != 0 {
+			t.Errorf("%s of a %s by value allocated %v times, want 0", path.name, kind, got)
+		}
+	}
+}
+
+// discardConn is a net.Conn whose writes succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }

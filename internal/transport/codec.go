@@ -5,9 +5,9 @@ import (
 	"strconv"
 )
 
-// kinds is the codec's registry: every kind byte, the name it prints as,
-// a constructor of its (empty) body, and the encoder of that body passed by
-// value. Only a kind's row names its message type; only fields lays it out.
+// kinds is the codec's registry: every kind byte, the name it prints as and
+// a constructor of its (empty) body. Only a kind's row and coder.value name
+// its message type; only fields lays it out.
 var kinds = [...]kindRow{
 	KindRegister:           row[Register]("register"),
 	KindRegisterOK:         row[struct{}]("register-ok"),
@@ -46,21 +46,13 @@ var kinds = [...]kindRow{
 }
 
 type kindRow struct {
-	name    string
-	body    func() any
-	byValue func(b []byte, body any) ([]byte, bool)
+	name string
+	body func() any
 }
 
-// row builds the kind's row for message type T. Its byValue appends the
-// fields of body to b if body is a T: the type assertion yields a copy
-// whose address fields can take, which only code that names T can do.
+// row builds the kind's row for message type T.
 func row[T any](name string) kindRow {
-	return kindRow{name, func() any { return new(T) }, func(b []byte, body any) ([]byte, bool) {
-		m, ok := body.(T)
-		c := coder{b: b}
-		ok = ok && c.fields(&m)
-		return c.b, ok
-	}}
+	return kindRow{name, func() any { return new(T) }}
 }
 
 func (k Kind) known() bool { return int(k) < len(kinds) && kinds[k].name != "" }
@@ -214,6 +206,90 @@ func (c *coder) optContact(p **ChordContact) {
 	if *p != nil {
 		c.fields(*p)
 	}
+}
+
+// value passes the fields of a message passed by value through c, and
+// reports false for anything else. Every case hands body to copied, which
+// takes the copy whose address fields needs: a switch that made the copies
+// itself would carry a slot for each in its own frame. Nothing here keeps
+// body, so a message boxed for Append or Write stays on its caller's stack.
+func (c *coder) value(body any) bool {
+	switch body.(type) {
+	case struct{}:
+		return copied[struct{}](c, body)
+	case Register:
+		return copied[Register](c, body)
+	case Lookup:
+		return copied[Lookup](c, body)
+	case Candidates:
+		return copied[Candidates](c, body)
+	case Probe:
+		return copied[Probe](c, body)
+	case ProbeReply:
+		return copied[ProbeReply](c, body)
+	case Reminder:
+		return copied[Reminder](c, body)
+	case ReminderReply:
+		return copied[ReminderReply](c, body)
+	case Start:
+		return copied[Start](c, body)
+	case StartReply:
+		return copied[StartReply](c, body)
+	case Segment:
+		return copied[Segment](c, body)
+	case Ack:
+		return copied[Ack](c, body)
+	case SessionDone:
+		return copied[SessionDone](c, body)
+	case Error:
+		return copied[Error](c, body)
+	case Unregister:
+		return copied[Unregister](c, body)
+	case RegisterBatch:
+		return copied[RegisterBatch](c, body)
+	case ChordJoin:
+		return copied[ChordJoin](c, body)
+	case ChordJoinReply:
+		return copied[ChordJoinReply](c, body)
+	case ChordNotify:
+		return copied[ChordNotify](c, body)
+	case ChordNotifyReply:
+		return copied[ChordNotifyReply](c, body)
+	case ChordFingerQuery:
+		return copied[ChordFingerQuery](c, body)
+	case ChordFingerReply:
+		return copied[ChordFingerReply](c, body)
+	case ChordLookup:
+		return copied[ChordLookup](c, body)
+	case ChordLookupReply:
+		return copied[ChordLookupReply](c, body)
+	case ChordLeave:
+		return copied[ChordLeave](c, body)
+	case ChordLeaveReply:
+		return copied[ChordLeaveReply](c, body)
+	case ChordReplicate:
+		return copied[ChordReplicate](c, body)
+	case ChordReplicateReply:
+		return copied[ChordReplicateReply](c, body)
+	case ChordReplicaPull:
+		return copied[ChordReplicaPull](c, body)
+	case ChordReplicaPullReply:
+		return copied[ChordReplicaPullReply](c, body)
+	case DirEpochWatch:
+		return copied[DirEpochWatch](c, body)
+	case DirEpoch:
+		return copied[DirEpoch](c, body)
+	}
+	return false
+}
+
+// copied passes the fields of a copy of body, a T, through c. It is kept
+// out of line so that value's frame holds no T.
+//
+//go:noinline
+func copied[T any](c *coder, body any) bool {
+	m := body.(T)
+	return c.fields(&m)
 }
 
 // fields is the wire layout of every message: it passes the fields of

@@ -35,6 +35,7 @@ type Endpoint struct {
 	mu       sync.Mutex
 	bound    bool         // a Start or Serve has claimed the one bind
 	listener net.Listener // nil until that bind has a listener
+	addr     string       // listener's address, formatted once at the bind
 	conns    map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup // the accept loop and every handler
@@ -115,6 +116,7 @@ func (e *Endpoint) install(l net.Listener) error {
 		return fmt.Errorf("%s: %w", e.component, errs.ErrClosed)
 	}
 	e.listener = l
+	e.addr = l.Addr().String()
 	e.wg.Add(1)
 	return nil
 }
@@ -210,10 +212,7 @@ func (e *Endpoint) Tracked() int {
 func (e *Endpoint) Addr() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.listener == nil {
-		return ""
-	}
-	return e.listener.Addr().String()
+	return e.addr
 }
 
 // Close closes the listener and every connection in flight — a stalled

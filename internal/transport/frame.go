@@ -69,10 +69,7 @@ func Write(w io.Writer, kind Kind, body any) error {
 func Append(b []byte, kind Kind, body any) ([]byte, error) {
 	at := len(b)
 	c := coder{b: append(b, 0, 0, 0, 0, wireVersion, byte(kind))}
-	ok := c.fields(body)
-	if !ok && kind.known() {
-		c.b, ok = kinds[kind].byValue(c.b, body)
-	}
+	ok := c.fields(body) || c.value(body)
 	n := len(c.b) - at - 4
 	switch {
 	case !ok:

@@ -13,6 +13,9 @@
 // A frame is a 4-byte big-endian length, a version byte (wireVersion), a
 // kind byte, and the message's fields in the order coder.fields lists
 // them — the one place the per-kind layout lives, for both directions.
+// The kinds table maps each kind byte to its name and body type. A body is
+// sent by value or by pointer, and nothing on the way out keeps it, so a
+// message built at the call site stays on its caller's stack.
 // Integers are varints (zig-zag when signed), booleans and the presence
 // marker of an optional *ChordContact one byte, strings, []byte and lists
 // a varint length or count and then the content. There is one format and
