@@ -59,20 +59,6 @@ func (c Class) String() string { return fmt.Sprintf("class-%d", int(c)) }
 // (i.e. offers strictly more bandwidth).
 func (c Class) HigherThan(other Class) bool { return c < other }
 
-// ClassOf returns the class whose offer equals f, or an error if f is not a
-// legal class offer.
-func ClassOf(f Fraction) (Class, error) {
-	if f <= 0 || f > R0/2 {
-		return 0, fmt.Errorf("bandwidth: %v is not a class offer", f)
-	}
-	for c := Class(1); c <= MaxClass; c++ {
-		if c.Offer() == f {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("bandwidth: %v is not a power-of-two fraction of R0", f)
-}
-
 // String renders the fraction as a multiple of R0 ("0.25*R0").
 func (f Fraction) String() string {
 	return fmt.Sprintf("%g*R0", float64(f)/float64(R0))
@@ -109,42 +95,10 @@ func Sessions(f Fraction) int {
 	return int(f / R0)
 }
 
-// ErrNoExactSubset is returned by ExactSubset when no subset of the given
-// offers sums to the target.
-var ErrNoExactSubset = errors.New("bandwidth: no subset of offers sums to target")
-
-// GreedyExact selects, scanning classes in the given order, a subset whose
-// offers sum to exactly target. A class is skipped when adding its offer
-// would overshoot the target. It returns the indices of the selected
-// classes. Because offers are binary fractions of R0 (denominations
-// 1/2, 1/4, ...), this greedy scan over a descending-offer ordering finds
-// an exact subset whenever one exists; see ExactSubsetExists for the
-// exhaustive check used in tests.
-//
-// The scan order is the caller's: the DAC_p2p requesting peer contacts
-// candidates from high class to low class, so it passes candidates already
-// sorted by descending offer.
-func GreedyExact(offers []Fraction, target Fraction) (indices []int, got Fraction) {
-	var sum Fraction
-	for i, off := range offers {
-		if off <= 0 {
-			continue
-		}
-		if sum+off > target {
-			continue
-		}
-		sum += off
-		indices = append(indices, i)
-		if sum == target {
-			break
-		}
-	}
-	return indices, sum
-}
-
 // ExactSubsetExists reports whether any subset of offers sums to exactly
-// target. It runs in O(2^n) and exists to validate GreedyExact in tests and
-// small scenarios; do not call it on large inputs.
+// target. It runs in O(2^n) and exists as the exhaustive reference the
+// requester's greedy admission sweep is tested against; do not call it on
+// large inputs.
 func ExactSubsetExists(offers []Fraction, target Fraction) bool {
 	if target == 0 {
 		return true

@@ -3,7 +3,6 @@ package bandwidth
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestClassOffer(t *testing.T) {
@@ -70,23 +69,6 @@ func TestClassHigherThan(t *testing.T) {
 	}
 }
 
-func TestClassOf(t *testing.T) {
-	for c := Class(1); c <= MaxClass; c++ {
-		got, err := ClassOf(c.Offer())
-		if err != nil {
-			t.Fatalf("ClassOf(%v): %v", c.Offer(), err)
-		}
-		if got != c {
-			t.Errorf("ClassOf(Offer(%d)) = %d", c, got)
-		}
-	}
-	for _, f := range []Fraction{0, -1, R0, R0 + 1, 3, R0/2 + 1} {
-		if _, err := ClassOf(f); err == nil {
-			t.Errorf("ClassOf(%v) should fail", f)
-		}
-	}
-}
-
 func TestSumAndSumOffers(t *testing.T) {
 	if got := Sum(); got != 0 {
 		t.Errorf("Sum() = %v, want 0", got)
@@ -135,107 +117,6 @@ func TestFigure3Capacity(t *testing.T) {
 	// Admitting a class-2 requester instead leaves capacity at 1.
 	if got := Sessions(agg + Class(2).Offer()); got != 1 {
 		t.Errorf("Figure 3 capacity after admitting class-2 = %d, want 1", got)
-	}
-}
-
-func TestGreedyExactBasic(t *testing.T) {
-	tests := []struct {
-		name    string
-		classes []Class
-		target  Fraction
-		wantIdx []int
-		wantGot Fraction
-	}{
-		{
-			name:    "paper example 1,2,3,3",
-			classes: []Class{1, 2, 3, 3},
-			target:  R0,
-			wantIdx: []int{0, 1, 2, 3},
-			wantGot: R0,
-		},
-		{
-			name:    "skip overshooting candidate",
-			classes: []Class{1, 1, 1}, // 1/2+1/2 reaches R0, third skipped
-			target:  R0,
-			wantIdx: []int{0, 1},
-			wantGot: R0,
-		},
-		{
-			name:    "insufficient aggregate",
-			classes: []Class{3, 3}, // 1/8+1/8 < 1
-			target:  R0,
-			wantIdx: []int{0, 1},
-			wantGot: R0 / 4,
-		},
-		{
-			name:    "skip middle, use later small ones",
-			classes: []Class{1, 1, 2, 4, 4, 4, 4}, // 1/2+1/2=1; rest skipped
-			target:  R0,
-			wantIdx: []int{0, 1},
-			wantGot: R0,
-		},
-		{
-			name:    "empty",
-			classes: nil,
-			target:  R0,
-			wantIdx: nil,
-			wantGot: 0,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			offers := make([]Fraction, len(tt.classes))
-			for i, c := range tt.classes {
-				offers[i] = c.Offer()
-			}
-			idx, got := GreedyExact(offers, tt.target)
-			if got != tt.wantGot {
-				t.Errorf("got sum %v, want %v", got, tt.wantGot)
-			}
-			if len(idx) != len(tt.wantIdx) {
-				t.Fatalf("got indices %v, want %v", idx, tt.wantIdx)
-			}
-			for i := range idx {
-				if idx[i] != tt.wantIdx[i] {
-					t.Errorf("got indices %v, want %v", idx, tt.wantIdx)
-					break
-				}
-			}
-		})
-	}
-}
-
-// TestGreedyExactMatchesExhaustive is the key correctness property: on
-// descending-sorted class offers, the greedy scan finds an exact-R0 subset
-// if and only if one exists.
-func TestGreedyExactMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const trials = 2000
-	for trial := 0; trial < trials; trial++ {
-		n := 1 + rng.Intn(10)
-		classes := make([]Class, n)
-		offers := make([]Fraction, n)
-		for i := range classes {
-			classes[i] = Class(1 + rng.Intn(5))
-		}
-		// Descending offers == ascending class number.
-		sortClassesAscending(classes)
-		for i, c := range classes {
-			offers[i] = c.Offer()
-		}
-		_, got := GreedyExact(offers, R0)
-		exists := ExactSubsetExists(offers, R0)
-		if (got == R0) != exists {
-			t.Fatalf("classes %v: greedy exact=%v, exhaustive exists=%v", classes, got == R0, exists)
-		}
-	}
-}
-
-func sortClassesAscending(cs []Class) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j] < cs[j-1]; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
 	}
 }
 
@@ -336,33 +217,5 @@ func TestFractionString(t *testing.T) {
 	}
 	if got := Class(3).String(); got != "class-3" {
 		t.Errorf("Class.String = %q", got)
-	}
-}
-
-// Property: GreedyExact never overshoots and returns indices in scan order.
-func TestGreedyExactProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		offers := make([]Fraction, 0, len(raw))
-		for _, r := range raw {
-			c := Class(1 + int(r)%6)
-			offers = append(offers, c.Offer())
-		}
-		idx, got := GreedyExact(offers, R0)
-		if got > R0 {
-			return false
-		}
-		var sum Fraction
-		prev := -1
-		for _, i := range idx {
-			if i <= prev || i >= len(offers) {
-				return false
-			}
-			prev = i
-			sum += offers[i]
-		}
-		return sum == got
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

@@ -3,159 +3,9 @@ package dac
 import (
 	"math"
 	"math/big"
-	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"time"
-
-	"p2pstream/internal/bandwidth"
 )
-
-func TestProbeOrder(t *testing.T) {
-	classes := []bandwidth.Class{3, 1, 4, 1, 2}
-	got := ProbeOrder(nil, classes)
-	want := []int{1, 3, 4, 0, 2} // both class-1 peers first (stable), then 2, 3, 4
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ProbeOrder = %v, want %v", got, want)
-	}
-	if got := ProbeOrder(nil, nil); len(got) != 0 {
-		t.Errorf("ProbeOrder(nil, nil) = %v", got)
-	}
-}
-
-func outcome(idx int, c bandwidth.Class, d Decision, favors bool) ProbeOutcome {
-	return ProbeOutcome{Index: idx, Class: c, Decision: d, FavorsUs: favors}
-}
-
-func TestSelectSuppliersExactSum(t *testing.T) {
-	outcomes := []ProbeOutcome{
-		outcome(0, 1, Granted, true),
-		outcome(1, 2, Granted, true),
-		outcome(2, 3, Granted, true),
-		outcome(3, 3, Granted, true),
-	}
-	chosen, admitted := SelectSuppliers(outcomes)
-	if !admitted {
-		t.Fatal("should be admitted: 1/2+1/4+1/8+1/8 = R0")
-	}
-	if !reflect.DeepEqual(chosen, []int{0, 1, 2, 3}) {
-		t.Errorf("chosen = %v", chosen)
-	}
-}
-
-func TestSelectSuppliersSkipsOvershoot(t *testing.T) {
-	// Grants: 1/2, 1/2, 1/2 — the third would overshoot and is skipped; the
-	// first two reach exactly R0.
-	outcomes := []ProbeOutcome{
-		outcome(0, 1, Granted, true),
-		outcome(1, 1, Granted, true),
-		outcome(2, 1, Granted, true),
-	}
-	chosen, admitted := SelectSuppliers(outcomes)
-	if !admitted || len(chosen) != 2 {
-		t.Fatalf("chosen = %v admitted = %v, want first two", chosen, admitted)
-	}
-}
-
-func TestSelectSuppliersIgnoresNonGrants(t *testing.T) {
-	outcomes := []ProbeOutcome{
-		outcome(0, 1, DeniedBusy, true),
-		outcome(1, 1, Granted, true),
-		outcome(2, 2, DeniedProbability, false),
-		outcome(3, 2, Granted, true),
-		outcome(4, 2, Granted, true),
-	}
-	chosen, admitted := SelectSuppliers(outcomes)
-	if !admitted {
-		t.Fatal("1/2 + 1/4 + 1/4 = R0: should be admitted")
-	}
-	want := []int{1, 3, 4}
-	if !reflect.DeepEqual(chosen, want) {
-		t.Errorf("chosen = %v, want %v", chosen, want)
-	}
-}
-
-func TestSelectSuppliersInsufficient(t *testing.T) {
-	outcomes := []ProbeOutcome{
-		outcome(0, 2, Granted, true),
-		outcome(1, 3, Granted, true),
-	}
-	chosen, admitted := SelectSuppliers(outcomes)
-	if admitted || chosen != nil {
-		t.Errorf("should be rejected, got chosen=%v admitted=%v", chosen, admitted)
-	}
-	if _, admitted := SelectSuppliers(nil); admitted {
-		t.Error("no outcomes should reject")
-	}
-}
-
-func TestSelectSuppliersHighClassFirst(t *testing.T) {
-	// Out-of-order outcomes: selection must scan high class first, so with
-	// grants 1/8, 1/2, 1/4, 1/8 all four are needed and order is by class.
-	outcomes := []ProbeOutcome{
-		outcome(0, 3, Granted, true),
-		outcome(1, 1, Granted, true),
-		outcome(2, 2, Granted, true),
-		outcome(3, 3, Granted, true),
-	}
-	chosen, admitted := SelectSuppliers(outcomes)
-	if !admitted {
-		t.Fatal("should be admitted")
-	}
-	want := []int{1, 2, 0, 3}
-	if !reflect.DeepEqual(chosen, want) {
-		t.Errorf("chosen = %v, want %v", chosen, want)
-	}
-}
-
-func TestReminderTargets(t *testing.T) {
-	// Busy candidates favoring us accumulate to exactly R0; the non-favoring
-	// one is skipped; idle candidates are not reminded.
-	outcomes := []ProbeOutcome{
-		outcome(0, 1, DeniedBusy, true),
-		outcome(1, 1, DeniedBusy, false), // busy but does not favor us
-		outcome(2, 1, DeniedBusy, true),
-		outcome(3, 1, DeniedBusy, true), // would overshoot R0
-		outcome(4, 2, DeniedProbability, true),
-	}
-	got := ReminderTargets(nil, outcomes)
-	want := []int{0, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReminderTargets = %v, want %v", got, want)
-	}
-}
-
-func TestReminderTargetsPartialPrefix(t *testing.T) {
-	// If the favoring busy candidates cannot reach R0, the accumulated
-	// prefix is still reminded (documented substitution).
-	outcomes := []ProbeOutcome{
-		outcome(0, 3, DeniedBusy, true),
-		outcome(1, 4, DeniedBusy, true),
-	}
-	got := ReminderTargets(nil, outcomes)
-	want := []int{0, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReminderTargets = %v, want %v", got, want)
-	}
-	if got := ReminderTargets(nil, nil); got != nil {
-		t.Errorf("ReminderTargets(nil, nil) = %v", got)
-	}
-}
-
-func TestReminderTargetsHighClassFirst(t *testing.T) {
-	outcomes := []ProbeOutcome{
-		outcome(0, 4, DeniedBusy, true),
-		outcome(1, 1, DeniedBusy, true),
-		outcome(2, 1, DeniedBusy, true),
-	}
-	got := ReminderTargets(nil, outcomes)
-	// 1/2 + 1/2 = R0: the two class-1 candidates, scanned first.
-	want := []int{1, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReminderTargets = %v, want %v", got, want)
-	}
-}
 
 func TestBackoffValidate(t *testing.T) {
 	valid := BackoffConfig{Base: 10 * time.Minute, Factor: 2}
@@ -342,132 +192,5 @@ func TestBackoffTotalWait(t *testing.T) {
 	}
 	if _, err := (BackoffConfig{}).TotalWait(1); err == nil {
 		t.Error("invalid config should fail")
-	}
-}
-
-// TestSelectSuppliersGreedyComplete: with class offers (binary fractions),
-// the selection admits whenever ANY subset of the grants reaches exactly R0.
-func TestSelectSuppliersGreedyComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + rng.Intn(9)
-		outcomes := make([]ProbeOutcome, n)
-		offers := make([]bandwidth.Fraction, 0, n)
-		for i := range outcomes {
-			c := bandwidth.Class(1 + rng.Intn(5))
-			d := Granted
-			if rng.Intn(4) == 0 {
-				d = DeniedBusy
-			}
-			outcomes[i] = outcome(i, c, d, true)
-			if d == Granted {
-				offers = append(offers, c.Offer())
-			}
-		}
-		_, admitted := SelectSuppliers(outcomes)
-		exists := bandwidth.ExactSubsetExists(offers, bandwidth.R0)
-		if admitted != exists {
-			t.Fatalf("trial %d: admitted=%v but exact subset exists=%v (outcomes %+v)", trial, admitted, exists, outcomes)
-		}
-	}
-}
-
-// TestChosenSuppliersSumExactly: whenever admitted, the chosen offers sum to
-// exactly R0 (precondition of OTS_p2p).
-func TestChosenSuppliersSumExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + rng.Intn(12)
-		outcomes := make([]ProbeOutcome, n)
-		for i := range outcomes {
-			outcomes[i] = outcome(i, bandwidth.Class(1+rng.Intn(5)), Granted, true)
-		}
-		chosen, admitted := SelectSuppliers(outcomes)
-		if !admitted {
-			continue
-		}
-		var sum bandwidth.Fraction
-		for _, i := range chosen {
-			sum += outcomes[i].Class.Offer()
-		}
-		if sum != bandwidth.R0 {
-			t.Fatalf("trial %d: chosen sum %v != R0", trial, sum)
-		}
-	}
-}
-
-// byClassThenPosition is the reference order: a sort keyed on (class,
-// position) needs no stability to be stable.
-func byClassThenPosition(idx []int, class func(i int) bandwidth.Class) {
-	sort.Slice(idx, func(a, b int) bool {
-		if ca, cb := class(idx[a]), class(idx[b]); ca != cb {
-			return ca < cb
-		}
-		return idx[a] < idx[b]
-	})
-}
-
-// TestOrderingMatchesStableSort: the in-place sort behind ProbeOrder,
-// SelectSuppliers and ReminderTargets must order high class first with ties
-// in position order, and must leave a caller's prefix of dst alone.
-// ProbeOrder's classes come from the whole int range around the legal one,
-// so the sort may not assume a class is valid; the outcomes' stay in
-// [1, MaxClass], where the greedy scans can take their offers.
-func TestOrderingMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for round := 0; round < 2000; round++ {
-		classes := make([]bandwidth.Class, rng.Intn(40))
-		outcomes := make([]ProbeOutcome, len(classes))
-		for i := range classes {
-			classes[i] = bandwidth.Class(-2 + rng.Intn(bandwidth.MaxClass+6))
-			valid := bandwidth.Class(1 + rng.Intn(bandwidth.MaxClass))
-			if rng.Intn(2) == 0 {
-				valid = 1 + bandwidth.Class(rng.Intn(5)) // plenty of ties
-			}
-			outcomes[i] = outcome(i, valid, Decision(rng.Intn(3)), rng.Intn(3) > 0)
-		}
-
-		want := make([]int, len(classes))
-		for i := range want {
-			want[i] = i
-		}
-		byClassThenPosition(want, func(i int) bandwidth.Class { return classes[i] })
-		got := ProbeOrder([]int{-7}, classes)
-		if got[0] != -7 || !reflect.DeepEqual(got[1:], want) {
-			t.Fatalf("classes %v: ProbeOrder = %v, stable sort gives %v", classes, got, want)
-		}
-
-		// The reference greedy scan over a filter in reference order.
-		scan := func(keep func(ProbeOutcome) bool) (picked []int, sum bandwidth.Fraction) {
-			var idx []int
-			for i, o := range outcomes {
-				if keep(o) {
-					idx = append(idx, i)
-				}
-			}
-			byClassThenPosition(idx, func(i int) bandwidth.Class { return outcomes[i].Class })
-			for _, i := range idx {
-				offer := outcomes[i].Class.Offer()
-				if sum+offer > bandwidth.R0 {
-					continue
-				}
-				sum += offer
-				picked = append(picked, i)
-				if sum == bandwidth.R0 {
-					break
-				}
-			}
-			return picked, sum
-		}
-		wantTargets, _ := scan(func(o ProbeOutcome) bool { return o.Decision == DeniedBusy && o.FavorsUs })
-		gotTargets := ReminderTargets([]int{-7}, outcomes)
-		if gotTargets[0] != -7 || !reflect.DeepEqual(append([]int(nil), gotTargets[1:]...), append([]int(nil), wantTargets...)) {
-			t.Fatalf("outcomes %v: ReminderTargets = %v, reference %v", outcomes, gotTargets, wantTargets)
-		}
-		wantChosen, sum := scan(func(o ProbeOutcome) bool { return o.Decision == Granted })
-		gotChosen, admitted := SelectSuppliers(outcomes)
-		if admitted != (sum == bandwidth.R0) || (admitted && !reflect.DeepEqual(gotChosen, wantChosen)) || (!admitted && gotChosen != nil) {
-			t.Fatalf("outcomes %v: SelectSuppliers = %v, %v; reference %v (sum %v)", outcomes, gotChosen, admitted, wantChosen, sum)
-		}
 	}
 }

@@ -15,7 +15,9 @@
 // candidates from high class to low class, accumulates grants until the
 // aggregate offer is exactly R0, and on failure leaves reminders on the
 // busy candidates that currently favor class j (again accumulating offers
-// up to R0), then backs off T_bkf · E_bkf^(i-1) after its i-th rejection.
+// up to R0). That sweep is protocol.Attempt; this package holds only the
+// side's retry schedule, BackoffConfig: after its i-th rejection the
+// requester backs off T_bkf · E_bkf^(i-1).
 package dac
 
 import (

@@ -32,7 +32,7 @@ func (c *ShardedClient) applyEpoch(ep transport.DirEpoch) {
 	if c.closed || ep.Epoch <= c.cur.ring.Epoch() {
 		return
 	}
-	ring, err := NewShardRingOf(ep.Epoch, names, c.cur.ring.Points())
+	ring, err := NewShardRingOf(ep.Epoch, names)
 	if err != nil {
 		return
 	}

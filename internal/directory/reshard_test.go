@@ -21,11 +21,11 @@ import (
 func TestShardRingRemapProperty(t *testing.T) {
 	const keys = 4096
 	for n := 1; n <= 7; n++ {
-		old, err := NewShardRingOf(1, DefaultShardNames(n), ShardPoints)
+		old, err := NewShardRingOf(1, DefaultShardNames(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		grown, err := NewShardRingOf(2, DefaultShardNames(n+1), ShardPoints)
+		grown, err := NewShardRingOf(2, DefaultShardNames(n+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,27 +62,21 @@ func TestShardRingRemapProperty(t *testing.T) {
 	}
 }
 
-// TestShardRingOfValidation: the parameterized constructor enforces its
-// comparability contract, and the canonical NewShardRing is exactly
-// NewShardRingOf over the default names and point count.
+// TestShardRingOfValidation: the named-set constructor rejects a negative
+// epoch and an empty, blank or duplicate name, and the canonical
+// NewShardRing is exactly NewShardRingOf over the default names.
 func TestShardRingOfValidation(t *testing.T) {
 	names := DefaultShardNames(3)
-	if _, err := NewShardRingOf(-1, names, ShardPoints); err == nil {
+	if _, err := NewShardRingOf(-1, names); err == nil {
 		t.Error("negative epoch accepted")
 	}
-	if _, err := NewShardRingOf(0, nil, ShardPoints); err == nil {
+	if _, err := NewShardRingOf(0, nil); err == nil {
 		t.Error("empty shard set accepted")
 	}
-	if _, err := NewShardRingOf(0, names, 0); err == nil {
-		t.Error("zero points accepted")
-	}
-	if _, err := NewShardRingOf(0, names, maxShardPoints+1); err == nil {
-		t.Error("oversized points accepted")
-	}
-	if _, err := NewShardRingOf(0, []string{"a", "", "c"}, ShardPoints); err == nil {
+	if _, err := NewShardRingOf(0, []string{"a", "", "c"}); err == nil {
 		t.Error("empty shard name accepted")
 	}
-	if _, err := NewShardRingOf(0, []string{"a", "b", "a"}, ShardPoints); err == nil {
+	if _, err := NewShardRingOf(0, []string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate shard name accepted")
 	}
 
@@ -90,7 +84,7 @@ func TestShardRingOfValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := NewShardRingOf(0, names, ShardPoints)
+	explicit, err := NewShardRingOf(0, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +94,10 @@ func TestShardRingOfValidation(t *testing.T) {
 			t.Fatalf("NewShardRing and NewShardRingOf disagree on %q", key)
 		}
 	}
-	if got := explicit.Points(); got != ShardPoints {
-		t.Errorf("Points() = %d, want %d", got, ShardPoints)
-	}
 	if got := canonical.Names(); len(got) != 3 || got[0] != "shard-0" {
 		t.Errorf("Names() = %v", got)
 	}
-	if ep, err := NewShardRingOf(7, names, ShardPoints); err != nil || ep.Epoch() != 7 {
+	if ep, err := NewShardRingOf(7, names); err != nil || ep.Epoch() != 7 {
 		t.Errorf("Epoch() = %d (err %v), want 7", ep.Epoch(), err)
 	}
 }
@@ -181,8 +172,8 @@ func TestEpochFlipMigratesRegistrations(t *testing.T) {
 	}))
 	f.addrs = addrs3
 
-	oldRing, _ := NewShardRingOf(1, DefaultShardNames(2), ShardPoints)
-	newRing, _ := NewShardRingOf(2, DefaultShardNames(3), ShardPoints)
+	oldRing, _ := NewShardRingOf(1, DefaultShardNames(2))
+	newRing, _ := NewShardRingOf(2, DefaultShardNames(3))
 	var movedIDs, stayIDs []string
 	for i := 0; i < 24; i++ {
 		id := fmt.Sprintf("sup-%d", i)
@@ -263,8 +254,8 @@ func TestEpochOverlapWindowLookup(t *testing.T) {
 	c := elasticClient(f, 1, nil)
 	f.addrs = addrs3
 
-	oldRing, _ := NewShardRingOf(1, DefaultShardNames(2), ShardPoints)
-	newRing, _ := NewShardRingOf(2, DefaultShardNames(3), ShardPoints)
+	oldRing, _ := NewShardRingOf(1, DefaultShardNames(2))
+	newRing, _ := NewShardRingOf(2, DefaultShardNames(3))
 	want := make(map[string]bool)
 	direct := make([]*Client, len(f.addrs))
 	for i, a := range f.addrs {
@@ -321,8 +312,8 @@ func TestShardedCloseMidFlip(t *testing.T) {
 	c := elasticClient(f, 1, nil)
 	f.addrs = addrs3
 
-	oldRing, _ := NewShardRingOf(1, DefaultShardNames(2), ShardPoints)
-	newRing, _ := NewShardRingOf(2, DefaultShardNames(3), ShardPoints)
+	oldRing, _ := NewShardRingOf(1, DefaultShardNames(2))
+	newRing, _ := NewShardRingOf(2, DefaultShardNames(3))
 	var movedIDs []string
 	for i := 0; i < 16; i++ {
 		id := fmt.Sprintf("sup-%d", i)
@@ -421,8 +412,8 @@ func twoThenThree(t *testing.T, f *shardFixture, n int) (c *ShardedClient, moved
 	f.addrs = f.addrs[:2]
 	c = elasticClientEvery(f, 1, nil, time.Second)
 	f.addrs = addrs3
-	two, _ = NewShardRingOf(1, DefaultShardNames(2), ShardPoints)
-	three, _ = NewShardRingOf(2, DefaultShardNames(3), ShardPoints)
+	two, _ = NewShardRingOf(1, DefaultShardNames(2))
+	three, _ = NewShardRingOf(2, DefaultShardNames(3))
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("sup-%d", i)
 		if err := c.Register(context.Background(), reg(id)); err != nil {

@@ -9,16 +9,12 @@ import (
 	"p2pstream/internal/chord"
 )
 
-// ShardPoints is the canonical number of virtual points each shard owns
-// on the identifier circle. A single point per shard makes arc lengths —
-// and so key load — wildly uneven for small shard counts; spreading each
-// shard over many points flattens the spread (the classic
-// consistent-hashing virtual-node trick).
+// ShardPoints is the number of virtual points each shard owns on the
+// identifier circle. A single point per shard makes arc lengths — and so
+// key load — wildly uneven for small shard counts; spreading each shard
+// over many points flattens the spread (the classic consistent-hashing
+// virtual-node trick).
 const ShardPoints = 16
-
-// maxShardPoints bounds the per-shard point parameter: past a few hundred
-// points the balance gain is noise and the ring build cost dominates.
-const maxShardPoints = 1024
 
 // ShardRing deterministically maps supplier keys to registry shards by
 // consistent hashing on the chord identifier circle. Every client builds
@@ -27,10 +23,9 @@ const maxShardPoints = 1024
 // live resharding. The zero value is unusable; use NewShardRing or
 // NewShardRingOf.
 type ShardRing struct {
-	epoch      int64
-	names      []string
-	pointCount int
-	points     []shardPoint // sorted by ring position
+	epoch  int64
+	names  []string
+	points []shardPoint // sorted by ring position
 }
 
 type shardPoint struct {
@@ -49,39 +44,33 @@ func DefaultShardNames(n int) []string {
 }
 
 // NewShardRing returns the canonical epoch-0 ring over n shards
-// (numbered 0..n-1) with the canonical ShardPoints virtual points each.
+// (numbered 0..n-1).
 func NewShardRing(n int) (*ShardRing, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("directory: shard ring needs >= 1 shard, got %d", n)
 	}
-	return NewShardRingOf(0, DefaultShardNames(n), ShardPoints)
+	return NewShardRingOf(0, DefaultShardNames(n))
 }
 
 // NewShardRingOf builds the ring of one resharding epoch over an explicit
 // named shard set. Arc placement hashes names (not addresses or indices),
 // so a shard keeps its arcs when its address changes and removing one
-// shard leaves every other shard's points exactly where they were. points
-// is the virtual-point count per shard: every ring of one deployment must
-// be built with the same count (ShardPoints canonically) or rings across
-// an epoch flip stop being comparable — it is validated, not defaulted,
-// to keep that contract explicit.
-func NewShardRingOf(epoch int64, names []string, points int) (*ShardRing, error) {
+// shard leaves every other shard's points exactly where they were. Every
+// shard of every epoch owns ShardPoints virtual points, so rings across an
+// epoch flip stay comparable.
+func NewShardRingOf(epoch int64, names []string) (*ShardRing, error) {
 	if epoch < 0 {
 		return nil, fmt.Errorf("directory: shard ring epoch must be >= 0, got %d", epoch)
 	}
 	if len(names) < 1 {
 		return nil, errors.New("directory: shard ring needs >= 1 shard name")
 	}
-	if points < 1 || points > maxShardPoints {
-		return nil, fmt.Errorf("directory: shard points must be in [1, %d], got %d", maxShardPoints, points)
-	}
 	r := &ShardRing{
-		epoch:      epoch,
-		names:      append([]string(nil), names...),
-		pointCount: points,
-		points:     make([]shardPoint, 0, len(names)*points),
+		epoch:  epoch,
+		names:  append([]string(nil), names...),
+		points: make([]shardPoint, 0, len(names)*ShardPoints),
 	}
-	seen := make(map[uint64]bool, len(names)*points)
+	seen := make(map[uint64]bool, len(names)*ShardPoints)
 	byName := make(map[string]bool, len(names))
 	var key []byte // "name/rep", the point's key
 	for shard, name := range names {
@@ -92,7 +81,7 @@ func NewShardRingOf(epoch int64, names []string, points int) (*ShardRing, error)
 			return nil, fmt.Errorf("directory: duplicate shard name %q", name)
 		}
 		byName[name] = true
-		for rep := 0; rep < points; rep++ {
+		for rep := 0; rep < ShardPoints; rep++ {
 			key = strconv.AppendInt(append(append(key[:0], name...), '/'), int64(rep), 10)
 			pos := chord.HashBytes(key)
 			if seen[pos] {
@@ -114,10 +103,6 @@ func (r *ShardRing) Shards() int { return len(r.names) }
 
 // Names returns the shard names, in shard order.
 func (r *ShardRing) Names() []string { return append([]string(nil), r.names...) }
-
-// Points returns the virtual-point count per shard the ring was built
-// with.
-func (r *ShardRing) Points() int { return r.pointCount }
 
 // Owner returns the shard that owns key: the shard of the first ring point
 // at or clockwise past chord.HashKey(key), exactly the successor rule of

@@ -150,7 +150,7 @@ func NewShardedClient(cfg ShardedConfig) (*ShardedClient, error) {
 	if len(names) != len(cfg.Addrs) {
 		return nil, fmt.Errorf("directory: %d shard names for %d addresses", len(names), len(cfg.Addrs))
 	}
-	ring, err := NewShardRingOf(cfg.Epoch, names, ShardPoints)
+	ring, err := NewShardRingOf(cfg.Epoch, names)
 	if err != nil {
 		return nil, err
 	}

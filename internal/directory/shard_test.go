@@ -545,7 +545,7 @@ func TestShardPointKeys(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("shard-%d%s", i, strings.Repeat("x", i%5))
 	}
-	r, err := NewShardRingOf(1, names, ShardPoints)
+	r, err := NewShardRingOf(1, names)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,6 +425,137 @@ func TestAttemptResetMatchesFresh(t *testing.T) {
 	}
 }
 
+func TestProbeOrder(t *testing.T) {
+	classes := []bandwidth.Class{3, 1, 4, 1, 2}
+	got := probeOrder(nil, classes)
+	want := []int{1, 3, 4, 0, 2} // both class-1 peers first (stable), then 2, 3, 4
+	if !slices.Equal(got, want) {
+		t.Errorf("probeOrder = %v, want %v", got, want)
+	}
+	if got := probeOrder(nil, nil); len(got) != 0 {
+		t.Errorf("probeOrder(nil, nil) = %v", got)
+	}
+}
+
+// maxSweepTable bounds an answer table: bandwidth.ExactSubsetExists, the
+// exhaustive reference, takes at most 24 offers.
+const maxSweepTable = 24
+
+// checkSweep drives an Attempt over an answer table, one candidate a byte b
+// (the first maxSweepTable are read): class 1 + b%5, and from a = b/5 the
+// answer — a%4 is Granted, DeniedBusy, DeniedProbability or, at 3, down —
+// and whether the candidate favors the requester, a/4 odd. It checks the
+// Attempt against Section 4.2's rule written out over every answer: a
+// stable sort high class first, then one greedy pass over the grants and
+// one over the busy favoring candidates, each skipping an offer that would
+// overshoot R0 and stopping at exactly R0. It returns the finished Attempt.
+func checkSweep(t *testing.T, table []byte) *Attempt {
+	t.Helper()
+	table = table[:min(len(table), maxSweepTable)]
+	classes := make([]bandwidth.Class, len(table))
+	for i, b := range table {
+		classes[i] = bandwidth.Class(1 + b%5)
+	}
+	answer := func(i int) (dec dac.Decision, down, favors bool) {
+		a := table[i] / 5
+		return dac.Decision(a % 4), a%4 == 3, a/4%2 == 1
+	}
+
+	order := make([]int, len(table))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return int(classes[x] - classes[y]) })
+	scan := func(want dac.Decision, favoring bool) (picked []int, sum bandwidth.Fraction) {
+		for _, i := range order {
+			if dec, down, favors := answer(i); down || dec != want || (favoring && !favors) {
+				continue
+			}
+			offer := classes[i].Offer()
+			if sum+offer > bandwidth.R0 {
+				continue
+			}
+			sum += offer
+			picked = append(picked, i)
+			if sum == bandwidth.R0 {
+				break
+			}
+		}
+		return picked, sum
+	}
+	wantChosen, granted := scan(dac.Granted, false)
+	wantTargets, _ := scan(dac.DeniedBusy, true)
+	var grants []bandwidth.Fraction
+	for i, c := range classes {
+		if dec, down, _ := answer(i); !down && dec == dac.Granted {
+			grants = append(grants, c.Offer())
+		}
+	}
+
+	att := NewAttempt(classes)
+	var probed []int
+	for {
+		idx, ok := att.Next()
+		if !ok {
+			break
+		}
+		probed = append(probed, idx)
+		if dec, down, favors := answer(idx); down {
+			att.Down(idx)
+		} else {
+			att.Record(idx, dec, favors)
+		}
+	}
+	if !slices.Equal(probed, order[:len(probed)]) {
+		t.Fatalf("table %v: probed %v, want a prefix of %v", table, probed, order)
+	}
+	if want := granted == bandwidth.R0; att.Admitted() != want {
+		t.Fatalf("table %v: admitted %v, reference scan reached %v", table, att.Admitted(), granted)
+	}
+	if exists := bandwidth.ExactSubsetExists(grants, bandwidth.R0); att.Admitted() != exists {
+		t.Fatalf("table %v: admitted %v, but an exact-R0 subset of the grants exists: %v", table, att.Admitted(), exists)
+	}
+	if att.Admitted() && !slices.Equal(att.Chosen(), wantChosen) {
+		t.Fatalf("table %v: chosen %v, reference %v", table, att.Chosen(), wantChosen)
+	}
+	if !att.Admitted() && !slices.Equal(att.ReminderTargets(), wantTargets) {
+		t.Fatalf("table %v: reminder targets %v, reference %v", table, att.ReminderTargets(), wantTargets)
+	}
+	return att
+}
+
+// TestAttemptMatchesReferenceScan runs checkSweep over random answer tables
+// of every width up to maxSweepTable, and checks that they exercised both
+// an admission and a rejection that leaves reminders.
+func TestAttemptMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	admitted, reminded := 0, 0
+	for round := 0; round < 5000; round++ {
+		table := make([]byte, rng.Intn(maxSweepTable+1))
+		rng.Read(table)
+		att := checkSweep(t, table)
+		switch {
+		case att.Admitted():
+			admitted++
+		case len(att.ReminderTargets()) > 0:
+			reminded++
+		}
+	}
+	if admitted < 500 || reminded < 500 {
+		t.Errorf("%d admissions and %d reminded rejections in 5000 tables, want 500 of each", admitted, reminded)
+	}
+}
+
+// FuzzAttemptSweep is checkSweep over answer tables read from the fuzz
+// bytes.
+func FuzzAttemptSweep(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 2})                       // classes 1, 2, 3, 3 granted: exactly R0
+	f.Add([]byte{5, 25, 5, 5, 25, 5})               // class-1 busy, favoring and not
+	f.Add([]byte{15, 0, 16, 11, 2, 21, 27, 40, 44}) // down, granted and denied mixed
+	f.Fuzz(func(t *testing.T, table []byte) { checkSweep(t, table) })
+}
+
 // sweepOp returns one reused-Attempt admission over M = 8 candidates: the
 // first sweep meets only busy suppliers and ends in reminder targeting, the
 // second is granted through to admission.

@@ -43,10 +43,9 @@ type Attempt struct {
 
 	sum      bandwidth.Fraction
 	rest     bandwidth.Fraction // aggregate offer of the not-yet-probed tail
-	remSum   bandwidth.Fraction // reminder accumulation: busy favoring offers up to R0
+	remSum   bandwidth.Fraction // aggregate offer of targets, at most R0
 	chosen   []int
-	targets  []int              // ReminderTargets' result
-	outcomes []dac.ProbeOutcome // every answered probe, for reminder targeting
+	targets  []int // busy candidates favoring the requester, up to R0
 	admitted bool
 }
 
@@ -67,16 +66,15 @@ func (a *Attempt) Reset(classes []bandwidth.Class) {
 		// One backing array for the three index lists, each bounded by n.
 		idx := make([]int, 3*n)
 		a.order, a.chosen, a.targets = idx[:0:n], idx[n:n:2*n], idx[2*n:2*n:3*n]
-		a.outcomes = make([]dac.ProbeOutcome, 0, n)
 	}
 	a.classes = classes
-	a.order = dac.ProbeOrder(a.order[:0], classes)
+	a.order = probeOrder(a.order, classes)
 	a.pos = 0
 	a.sum, a.rest, a.remSum = 0, 0, 0
 	for _, c := range classes {
 		a.rest += c.Offer()
 	}
-	a.chosen, a.targets, a.outcomes = a.chosen[:0], a.targets[:0], a.outcomes[:0]
+	a.chosen, a.targets = a.chosen[:0], a.targets[:0]
 	a.admitted = false
 }
 
@@ -118,34 +116,23 @@ func (a *Attempt) consume() {
 // reminder target.
 func (a *Attempt) Down(idx int) { a.consume() }
 
-// Record feeds the probe response of the candidate returned by Next. A
-// grant is accumulated unless it would push the aggregate beyond R0; the
-// attempt is admitted the moment the aggregate hits R0 exactly.
+// Record feeds the probe response of the candidate returned by Next. Probes
+// arrive high class first, so one greedy pass per set is the whole of
+// Section 4.2's rule: a grant, or a busy candidate favoring the requester,
+// is kept unless its offer would push that set's aggregate beyond R0. The
+// attempt is admitted the moment the grants hit R0 exactly; once the
+// reminder set does, it is final whatever the rest of the sweep answers.
 func (a *Attempt) Record(idx int, decision dac.Decision, favorsUs bool) {
 	a.consume()
-	a.outcomes = append(a.outcomes, dac.ProbeOutcome{
-		Index:    idx,
-		Class:    a.classes[idx],
-		Decision: decision,
-		FavorsUs: favorsUs,
-	})
 	offer := a.classes[idx].Offer()
-	if decision == dac.DeniedBusy && favorsUs && a.remSum+offer <= bandwidth.R0 {
-		// Mirror dac.ReminderTargets' greedy accumulation (probe order is
-		// already high class first): once this hits exactly R0 the reminder
-		// set is final, whatever the rest of the sweep would answer.
+	switch {
+	case decision == dac.DeniedBusy && favorsUs && a.remSum+offer <= bandwidth.R0:
 		a.remSum += offer
-	}
-	if decision != dac.Granted {
-		return
-	}
-	if a.sum+offer > bandwidth.R0 {
-		return
-	}
-	a.sum += offer
-	a.chosen = append(a.chosen, idx)
-	if a.sum == bandwidth.R0 {
-		a.admitted = true
+		a.targets = append(a.targets, idx)
+	case decision == dac.Granted && a.sum+offer <= bandwidth.R0:
+		a.sum += offer
+		a.chosen = append(a.chosen, idx)
+		a.admitted = a.sum == bandwidth.R0
 	}
 }
 
@@ -158,13 +145,30 @@ func (a *Attempt) Chosen() []int { return a.chosen }
 
 // ReminderTargets returns the candidate indices on which the rejected
 // requester leaves reminders (Section 4.2): busy candidates that favor the
-// requester's class, high class first, accumulated up to R0.
-func (a *Attempt) ReminderTargets() []int {
-	a.targets = dac.ReminderTargets(a.targets[:0], a.outcomes)
-	for i, t := range a.targets {
-		a.targets[i] = a.outcomes[t].Index
+// requester's class, high class first, accumulated up to R0 with the same
+// overshoot-skipping rule as the grants. If R0 is unreachable the
+// accumulated prefix is still reminded (a substitution: the paper requires
+// the subset's aggregate to equal R0 but does not say what to do when the
+// busy favoring candidates cannot reach it).
+func (a *Attempt) ReminderTargets() []int { return a.targets }
+
+// probeOrder returns, in order's backing array, the candidate indices
+// sorted high class first (descending offer), ties broken by position — the
+// order in which a requesting peer contacts its candidates (Section 4.2).
+func probeOrder(order []int, classes []bandwidth.Class) []int {
+	order = order[:0]
+	for i, c := range classes {
+		// Insertion sort on the class, at most M candidates: an index moves
+		// only past strictly lower classes, so equal classes keep their
+		// positions.
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && classes[order[j-1]] > c; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
-	return a.targets
+	return order
 }
 
 // AssignSession computes the OTS_p2p assignment for a session's chosen

@@ -349,7 +349,7 @@ func (h *harness) lostRegistrations() []string {
 	for i, m := range members {
 		names[i] = m.Name
 	}
-	ring, err := directory.NewShardRingOf(epoch, names, directory.ShardPoints)
+	ring, err := directory.NewShardRingOf(epoch, names)
 	if err != nil {
 		return []string{fmt.Sprintf("audit ring: %v", err)}
 	}

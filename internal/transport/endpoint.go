@@ -173,14 +173,11 @@ func (e *Endpoint) Reply(conn net.Conn, kind Kind, body any) error {
 
 // Send writes frames — whole frames Append built, back to back — in one
 // Write, and counts a failure as Reply does, once for the lot; the event
-// names the first frame's kind.
+// names the first frame's kind, so the connection's error goes back as it
+// came.
 func (e *Endpoint) Send(conn net.Conn, frames []byte) error {
-	kind := Kind(frames[5])
 	_, err := conn.Write(frames)
-	if err != nil {
-		err = fmt.Errorf("transport: writing %s: %w", kind, err)
-	}
-	return e.counted(kind, err)
+	return e.counted(Kind(frames[5]), err)
 }
 
 func (e *Endpoint) counted(kind Kind, err error) error {
