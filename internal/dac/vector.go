@@ -44,12 +44,6 @@ func NewVector(own bandwidth.Class, numClasses bandwidth.Class) (Vector, error) 
 	return render(own, numClasses), nil
 }
 
-// NewOpenVector returns the all-ones vector used by every supplier under
-// NDAC_p2p (and reached by DAC_p2p suppliers after enough relaxation).
-func NewOpenVector(numClasses bandwidth.Class) (Vector, error) {
-	return NewVector(numClasses, numClasses)
-}
-
 func checkClasses(own, numClasses bandwidth.Class) error {
 	if numClasses < 1 || numClasses > bandwidth.MaxClass {
 		return fmt.Errorf("dac: numClasses %d outside [1, %d]", numClasses, bandwidth.MaxClass)

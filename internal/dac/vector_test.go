@@ -59,22 +59,19 @@ func TestNewVectorErrors(t *testing.T) {
 		own, k bandwidth.Class
 	}{
 		{0, 4}, {5, 4}, {-1, 4}, {1, 0}, {1, bandwidth.MaxClass + 1},
+		{0, 0}, {bandwidth.MaxClass + 1, bandwidth.MaxClass + 1},
 	}
 	for _, tt := range tests {
 		if _, err := NewVector(tt.own, tt.k); err == nil {
 			t.Errorf("NewVector(%d,%d) should fail", tt.own, tt.k)
 		}
 	}
-	if _, err := NewOpenVector(0); err == nil {
-		t.Error("NewOpenVector(0) should fail")
-	}
-	if _, err := NewOpenVector(bandwidth.MaxClass + 1); err == nil {
-		t.Error("NewOpenVector(too many) should fail")
-	}
 }
 
+// TestNewOpenVector checks the all-ones vector of every NDAC_p2p supplier
+// (and of a DAC_p2p supplier after enough relaxation): a class-K vector.
 func TestNewOpenVector(t *testing.T) {
-	v, err := NewOpenVector(4)
+	v, err := NewVector(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestElevateCapsAtOne(t *testing.T) {
 }
 
 func TestTighten(t *testing.T) {
-	v, _ := NewOpenVector(4)
+	v, _ := NewVector(4, 4)
 	if err := v.Tighten(2); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestTighten(t *testing.T) {
 }
 
 func TestTightenErrors(t *testing.T) {
-	v, _ := NewOpenVector(4)
+	v, _ := NewVector(4, 4)
 	for _, anchor := range []bandwidth.Class{0, 5, -1} {
 		if err := v.Tighten(anchor); err == nil {
 			t.Errorf("Tighten(%d) should fail", anchor)

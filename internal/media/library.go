@@ -1,6 +1,7 @@
 package media
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -46,6 +47,29 @@ func NewLibrary(budget int64) *Library {
 	l.root.prev = &l.root
 	l.root.next = &l.root
 	return l
+}
+
+// CheckCatalog reports the first reason files cannot be a node's media
+// catalog under a library of the given budget (0 = unbounded): a nil or
+// invalid file, two files of one name, or a file the budget cannot hold.
+func CheckCatalog(files []*File, budget int64) error {
+	seen := make(map[string]bool, len(files))
+	for _, f := range files {
+		if f == nil {
+			return errors.New("media: nil object in catalog")
+		}
+		if err := f.Validate(); err != nil {
+			return fmt.Errorf("media: object %q: %w", f.Name, err)
+		}
+		if seen[f.Name] {
+			return fmt.Errorf("media: duplicate object %q", f.Name)
+		}
+		seen[f.Name] = true
+		if budget > 0 && f.TotalBytes() > budget {
+			return fmt.Errorf("media: object %q (%d bytes) exceeds cache budget %d", f.Name, f.TotalBytes(), budget)
+		}
+	}
+	return nil
 }
 
 // SetOnEvict installs the eviction callback. It is invoked once per

@@ -3,6 +3,7 @@ package media
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,35 @@ func TestLibraryRejectsOversizeAndDuplicates(t *testing.T) {
 	}
 	if err := l.Add(a, seededStore(t, a)); err == nil {
 		t.Fatal("duplicate name admitted")
+	}
+}
+
+// TestCheckCatalog pins CheckCatalog's verdict on each malformed catalog
+// and its acceptance of a well-formed one, including the empty catalog.
+func TestCheckCatalog(t *testing.T) {
+	a, b := libFile("a", 8), libFile("b", 4) // 512 and 256 bytes
+	tests := []struct {
+		name   string
+		files  []*File
+		budget int64
+		want   string // "" = accepted
+	}{
+		{"empty", nil, 0, ""},
+		{"unbounded", []*File{a, b}, 0, ""},
+		{"fits budget", []*File{a, b}, a.TotalBytes(), ""},
+		{"nil", []*File{a, nil}, 0, "nil object in catalog"},
+		{"invalid", []*File{{Name: "z", SegmentBytes: 1, SegmentTime: time.Second}}, 0, `object "z"`},
+		{"duplicate", []*File{a, b, libFile("a", 1)}, 0, `duplicate object "a"`},
+		{"over budget", []*File{b, a}, a.TotalBytes() - 1, `object "a" (512 bytes) exceeds cache budget 511`},
+	}
+	for _, tt := range tests {
+		err := CheckCatalog(tt.files, tt.budget)
+		switch {
+		case tt.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tt.name, err)
+		case tt.want != "" && (err == nil || !strings.Contains(err.Error(), tt.want)):
+			t.Errorf("%s: err = %v, want it to contain %q", tt.name, err, tt.want)
+		}
 	}
 }
 

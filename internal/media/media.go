@@ -59,18 +59,6 @@ func (f *File) PlaybackRateBps() float64 {
 	return float64(f.SegmentBytes) / f.SegmentTime.Seconds()
 }
 
-// StandardFile builds the paper's simulation media item: a 60-minute video
-// with 1-second segments. The byte size is arbitrary in the simulator (only
-// timing matters) but is set so the live stack can stream real data.
-func StandardFile() *File {
-	return &File{
-		Name:         "popular-video",
-		Segments:     3600,
-		SegmentBytes: 4096,
-		SegmentTime:  time.Second,
-	}
-}
-
 // Segment is one unit of media data, carrying the quality class it was
 // encoded at (0 = full quality; see Quality).
 type Segment struct {
@@ -150,8 +138,8 @@ func SegmentContent(f *File, id SegmentID) Segment {
 	return Segment{ID: id, Data: canonicalContent(f, id)}
 }
 
-// canonicalContent is the full-quality byte pattern codecs derive their
-// renditions from.
+// canonicalContent is the full-quality byte pattern every rendition of a
+// segment is a subsample of (see SegmentContentAt).
 func canonicalContent(f *File, id SegmentID) []byte {
 	data := make([]byte, f.SegmentBytes)
 	fillCanonical(data, id)
@@ -203,12 +191,11 @@ func (s *Store) Commit(id SegmentID, q Quality, n int) error {
 }
 
 // Put copies a segment into its slot and commits it. It rejects
-// out-of-range IDs; re-putting an existing segment is an error (it
-// indicates a protocol bug: no supplier should send a segment twice). A
-// full-quality segment must match the file's segment size exactly; a
-// downgraded rendition (Quality > 0) only has to fit under it —
-// variable-bitrate codecs make low-class sizes codec-dependent, and
-// per-quality byte verification is VerifyAt's job.
+// out-of-range IDs and qualities off the ladder; re-putting an existing
+// segment is an error (it indicates a protocol bug: no supplier should
+// send a segment twice). A segment at quality q must be exactly
+// SizeAt(q) bytes, the only size SegmentContentAt produces; checking its
+// bytes is the receiver's job.
 func (s *Store) Put(seg Segment) error {
 	dst, err := s.Slot(seg.ID, seg.Quality, len(seg.Data))
 	if err != nil {
@@ -227,11 +214,8 @@ func (s *Store) check(id SegmentID, q Quality, n int) error {
 	if !q.Valid() {
 		return fmt.Errorf("media: segment %d quality %d out of range [0,%d]", id, q, MaxQuality)
 	}
-	if q == 0 && n != s.file.SegmentBytes {
-		return fmt.Errorf("media: segment %d has %d bytes, want %d", id, n, s.file.SegmentBytes)
-	}
-	if q > 0 && (n == 0 || n > s.file.SegmentBytes) {
-		return fmt.Errorf("media: segment %d q%d has %d bytes, want 1..%d", id, q, n, s.file.SegmentBytes)
+	if want := s.file.SizeAt(q); n != want {
+		return fmt.Errorf("media: segment %d q%d has %d bytes, want %d", id, q, n, want)
 	}
 	if s.segs[id].n != 0 {
 		return fmt.Errorf("media: segment %d already stored", id)

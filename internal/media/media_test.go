@@ -48,16 +48,6 @@ func TestFileDerivedQuantities(t *testing.T) {
 	}
 }
 
-func TestStandardFile(t *testing.T) {
-	f := StandardFile()
-	if err := f.Validate(); err != nil {
-		t.Fatalf("StandardFile invalid: %v", err)
-	}
-	if got := f.Duration(); got != time.Hour {
-		t.Errorf("StandardFile duration = %v, want 1h (the paper's 60-minute video)", got)
-	}
-}
-
 func TestStorePutGet(t *testing.T) {
 	f := testFile()
 	s, err := NewStore(f)
@@ -288,13 +278,18 @@ func TestStoreSlots(t *testing.T) {
 				t.Fatalf("%s: seeded segment %d differs from SegmentContent", f.Name, id)
 			}
 			if id == 1 {
-				// Downgraded, through Slot and Commit.
-				dst, err := s.Slot(id, 2, 7)
+				// Downgraded, through Slot and Commit: a q2 slot takes
+				// SizeAt(2) bytes and no other length.
+				down := SegmentContentAt(f, id, 2).Data
+				if _, err := s.Slot(id, 2, len(down)-1); err == nil {
+					t.Fatalf("%s: Slot took %d q2 bytes, want only %d", f.Name, len(down)-1, len(down))
+				}
+				dst, err := s.Slot(id, 2, len(down))
 				if err != nil {
 					t.Fatal(err)
 				}
-				copy(dst, want)
-				if err := s.Commit(id, 2, 7); err != nil {
+				copy(dst, down)
+				if err := s.Commit(id, 2, len(down)); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -309,7 +304,7 @@ func TestStoreSlots(t *testing.T) {
 			got, _ := s.Get(id)
 			want := SegmentContent(f, id).Data
 			if id == 1 {
-				want = want[:7]
+				want = SegmentContentAt(f, id, 2).Data
 			}
 			if !bytes.Equal(got.Data, want) || cap(got.Data) != len(want) {
 				t.Fatalf("%s: segment %d holds %d bytes (cap %d) that differ from what was put", f.Name, id, len(got.Data), cap(got.Data))

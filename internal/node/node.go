@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -115,9 +116,6 @@ type Config struct {
 	// shared congestion a high-priority flow holds full quality while
 	// best-effort flows step down first. 0 is best effort.
 	Priority int
-	// Codec produces downgraded segment renditions when the data plane
-	// adapts; nil means media.PerfectCodec.
-	Codec media.Codec
 	// ExtraBuffer is additional client-side startup buffering: playback
 	// continuity is verified at Theorem 1's n·δt plus one segment-time of
 	// scheduling jitter plus this. Zero keeps the bare theoretical bound;
@@ -159,25 +157,12 @@ func (c *Config) validate() error {
 	if c.File != nil && len(c.Objects) > 0 {
 		return errors.New("node: File and Objects are mutually exclusive")
 	}
-	seen := make(map[string]bool, len(c.Objects))
-	for _, f := range c.catalog() {
-		if f == nil {
-			return errors.New("node: nil object in catalog")
-		}
-		if err := f.Validate(); err != nil {
-			return err
-		}
-		if seen[f.Name] {
-			return fmt.Errorf("node: duplicate object %q", f.Name)
-		}
-		seen[f.Name] = true
-		if c.CacheBudget > 0 && f.TotalBytes() > c.CacheBudget {
-			return fmt.Errorf("node: object %q (%d bytes) exceeds cache budget %d",
-				f.Name, f.TotalBytes(), c.CacheBudget)
-		}
+	catalog := c.catalog()
+	if err := media.CheckCatalog(catalog, c.CacheBudget); err != nil {
+		return fmt.Errorf("node: %w", err)
 	}
 	for _, name := range c.Held {
-		if !seen[name] {
+		if !slices.ContainsFunc(catalog, func(f *media.File) bool { return f.Name == name }) {
 			return fmt.Errorf("node: held object %q not in catalog", name)
 		}
 	}

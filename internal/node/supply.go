@@ -245,7 +245,7 @@ func (n *Node) stream(out *burst, req transport.Start, f *media.File, store *med
 				return
 			}
 		} else {
-			seg = n.codec().EncodeAt(f, media.SegmentID(segID), abr.q)
+			seg = media.SegmentContentAt(f, media.SegmentID(segID), abr.q)
 		}
 		if flow != nil {
 			// Pace with 25% headroom over the estimate. At exactly the
@@ -330,14 +330,6 @@ func (b *burst) flush() error {
 // node's R0/2^c offer, in bytes per second.
 func (n *Node) committed(f *media.File) int64 {
 	return max(1, int64(f.PlaybackRateBps()/float64(int64(1)<<n.cfg.Class)))
-}
-
-// codec returns the configured rendition codec (PerfectCodec by default).
-func (n *Node) codec() media.Codec {
-	if n.cfg.Codec != nil {
-		return n.cfg.Codec
-	}
-	return media.PerfectCodec{}
 }
 
 // downgradeMargin is the fraction of the current quality target the

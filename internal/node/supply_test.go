@@ -36,7 +36,7 @@ func TestRelayedDowngradeKeepsItsQuality(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, id := range []media.SegmentID{4, 5} {
-				if err := partial.Put(media.PerfectCodec{}.EncodeAt(f, id, 1)); err != nil {
+				if err := partial.Put(media.SegmentContentAt(f, id, 1)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -67,7 +67,7 @@ func TestRelayedDowngradeKeepsItsQuality(t *testing.T) {
 				}
 				relayed++
 				got, _ := third.Store().Get(id)
-				if want := (media.PerfectCodec{}).EncodeAt(f, id, 1); !bytes.Equal(got.Data, want.Data) {
+				if want := media.SegmentContentAt(f, id, 1); !bytes.Equal(got.Data, want.Data) {
 					t.Errorf("relayed segment %d is not the quality-1 rendition", id)
 				}
 			}

@@ -376,7 +376,7 @@ func replicatedChurn() Spec {
 		// scenario studies the discovery plane's churn window, so the data
 		// plane is kept at its wall-clock minimum (this entry runs under
 		// -race -count=2 with the rest of the catalog).
-		File:          &media.File{Name: "clip", Segments: 4, SegmentBytes: 64, SegmentTime: 2 * time.Millisecond},
+		Objects:       []*media.File{{Name: "clip", Segments: 4, SegmentBytes: 64, SegmentTime: 2 * time.Millisecond}},
 		DefaultLink:   netx.LinkConfig{Latency: 300 * time.Microsecond},
 		ClockCoalesce: time.Millisecond,
 		NoAdapt:       true,

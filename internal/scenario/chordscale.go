@@ -71,7 +71,7 @@ func ChordScale(n int) Spec {
 		},
 		// A short clip keeps one session a few δt, so discovery cost — not
 		// stream length — dominates the run.
-		File: &media.File{Name: "clip", Segments: 4, SegmentBytes: 64, SegmentTime: 2 * time.Millisecond},
+		Objects: []*media.File{{Name: "clip", Segments: 4, SegmentBytes: 64, SegmentTime: 2 * time.Millisecond}},
 		// Jitter-free LAN plus a coalescing clock: the megacrowd levers that
 		// make four-digit host counts wall-clock cheap.
 		DefaultLink:   netx.LinkConfig{Latency: 300 * time.Microsecond},

@@ -134,7 +134,6 @@ func (h *harness) newBuilder() *wiring.Builder {
 	b := &wiring.Builder{Node: node.Config{
 		NumClasses:   h.spec.NumClasses,
 		Policy:       h.spec.Policy,
-		File:         h.spec.File,
 		Objects:      h.spec.Objects,
 		CacheBudget:  h.spec.CacheBudget,
 		SessionSlots: h.spec.SessionSlots,
@@ -366,7 +365,7 @@ func (h *harness) runRequester(base time.Time, w workItem, res *NodeResult) {
 	// failed after it: the store it filled is checked from the report.
 	objects := w.Peer.Objects
 	if len(objects) == 0 {
-		objects = []string{h.spec.catalog()[0].Name}
+		objects = []string{h.spec.Objects[0].Name}
 	}
 	var report *node.SessionReport
 	var rerr error

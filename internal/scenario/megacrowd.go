@@ -51,7 +51,7 @@ func Megacrowd(n int) Spec {
 		Requesters: reqs,
 		// A short clip keeps one session ~4·δt so capacity amplification —
 		// not stream length — dominates the admission tail.
-		File: &media.File{Name: "clip", Segments: 4, SegmentBytes: 64, SegmentTime: 2 * time.Millisecond},
+		Objects: []*media.File{{Name: "clip", Segments: 4, SegmentBytes: 64, SegmentTime: 2 * time.Millisecond}},
 		// Jitter-free LAN: deliveries land on shared instants, so the
 		// clock's coalescing window drains whole crowd waves per advance.
 		DefaultLink: netx.LinkConfig{Latency: 300 * time.Microsecond},

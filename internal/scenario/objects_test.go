@@ -78,9 +78,6 @@ func TestObjectSpecValidation(t *testing.T) {
 		{"object exceeds budget", func(s *Spec) {
 			s.CacheBudget = 256 // object "a" is 4×128 = 512 bytes
 		}, `object "a" (512 bytes) exceeds cache budget 256`},
-		{"file and objects", func(s *Spec) {
-			s.File = obj("solo")
-		}, "set File or Objects, not both"},
 		{"nil object", func(s *Spec) {
 			s.Objects = append(s.Objects, nil)
 		}, "nil object in catalog"},

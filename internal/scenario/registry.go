@@ -126,7 +126,7 @@ func (h *harness) bootRegistry() error {
 	r := &h.reg
 	r.net, r.seed = h.net, h.spec.Seed
 	if !h.chordBacked() {
-		r.objects = h.spec.catalog()
+		r.objects = h.spec.Objects
 	}
 	names := directory.DefaultShardNames(h.spec.shardCount())
 	r.slots = make([]shardSlot, len(names))
@@ -360,7 +360,7 @@ func (h *harness) lostRegistrations() []string {
 	for _, id := range slices.Sorted(maps.Keys(nodes)) {
 		n := nodes[id]
 		owner := members[ring.Owner(id)].Server
-		for _, f := range h.spec.catalog() {
+		for _, f := range h.spec.Objects {
 			if n.SupplyingObject(f.Name) && !owner.Has(id, f.Name) {
 				lost = append(lost, id+"/"+f.Name)
 			}

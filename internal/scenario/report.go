@@ -118,8 +118,8 @@ type Report struct {
 	ObjectSuppliers map[string]int
 	// LostRegistrations lists the live suppliers whose registration the
 	// end-of-run zero-loss audit could not find on the owning shard of the
-	// final epoch's ring (id, or id/object in multi-object mode); nil when
-	// the registry is not elastic or nothing was lost.
+	// final epoch's ring, as id/object; nil when the registry is not
+	// elastic or nothing was lost.
 	LostRegistrations []string
 	// QueueDrops counts chunks tail-dropped at bandwidth-limited link
 	// queues — congestion the data plane failed to avoid.

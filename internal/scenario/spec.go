@@ -76,14 +76,14 @@ type Peer struct {
 	// sessions down the bitrate ladder, so under a shared bottleneck the
 	// best-effort (priority-0) flows yield capacity first.
 	Priority int
-	// Objects names the media objects a multi-object requester streams,
-	// in order (each must be declared in Spec.Objects; empty requests the
-	// first catalog object). A sequence longer than the node's cache
-	// budget is how a scenario forces evictions. Ignored for seeds.
+	// Objects names the media objects a requester streams, in order
+	// (each must be declared in Spec.Objects; empty requests the first
+	// catalog object). A sequence longer than the node's cache budget is
+	// how a scenario forces evictions. Ignored for seeds.
 	Objects []string
-	// Held names the objects a multi-object seed initially holds and
-	// supplies (a subset of Spec.Objects; empty means the whole catalog).
-	// Ignored for requesters, which start with nothing.
+	// Held names the objects a seed initially holds and supplies (a
+	// subset of Spec.Objects; empty means the whole catalog). Ignored for
+	// requesters, which start with nothing.
 	Held []string
 }
 
@@ -291,22 +291,21 @@ type Spec struct {
 	// Stresses is one line of documentation: what the scenario stresses.
 	Stresses string
 
-	// File is the streamed media item; nil selects the 16-segment default
-	// that keeps whole-cluster runs fast. Mutually exclusive with Objects.
-	File *media.File
-	// Objects selects multi-object mode: the overlay's media catalog.
-	// Every node knows the catalog; seeds hold their Peer.Held subset,
-	// requesters stream their Peer.Objects sequence, and supplier
-	// registration, discovery and admission run independently per object.
+	// Objects is the overlay's media catalog; empty selects a catalog of
+	// one 16-segment default file that keeps whole-cluster runs fast.
+	// Every node knows the catalog and every object travels by its name;
+	// seeds hold their Peer.Held subset, requesters stream their
+	// Peer.Objects sequence, and supplier registration, discovery and
+	// admission run independently per object.
 	Objects []*media.File
 	// CacheBudget bounds every node's media library to that many bytes:
 	// caching one more object past the budget evicts the least recently
 	// used unpinned object and withdraws its supplier registration
-	// gracefully. Zero means unbounded. Multi-object mode only.
+	// gracefully. Zero means unbounded.
 	CacheBudget int64
 	// SessionSlots caps each node's concurrent supplying sessions across
 	// all of its objects — the shared out-bound class budget. Zero selects
-	// the single-session default. Multi-object mode only.
+	// the single-session default.
 	SessionSlots int
 
 	// Seeds supply the file from the start; Requesters arrive per their
@@ -406,8 +405,8 @@ func defaultFile() *media.File {
 // withDefaults returns a copy of the spec with every zero tuning field
 // replaced by its default.
 func (s Spec) withDefaults() Spec {
-	if s.File == nil && len(s.Objects) == 0 {
-		s.File = defaultFile()
+	if len(s.Objects) == 0 {
+		s.Objects = []*media.File{defaultFile()}
 	}
 	if s.DefaultLink == (netx.LinkConfig{}) {
 		s.DefaultLink = netx.LinkConfig{Latency: 300 * time.Microsecond, Jitter: 200 * time.Microsecond}
@@ -469,20 +468,10 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// catalog returns the spec's media catalog: Objects, or the single File
-// as a catalog of one. Every object, the single File's included, travels
-// by its name.
-func (s *Spec) catalog() []*media.File {
-	if len(s.Objects) > 0 {
-		return s.Objects
-	}
-	return []*media.File{s.File}
-}
-
 // objectFile resolves a workload object name to its catalog entry. Nil
 // for undeclared names (Validate rejects those up front).
 func (s *Spec) objectFile(name string) *media.File {
-	for _, f := range s.catalog() {
+	for _, f := range s.Objects {
 		if f != nil && f.Name == name {
 			return f
 		}

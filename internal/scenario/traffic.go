@@ -219,7 +219,7 @@ func competingMediaFlows() Spec {
 	return Spec{
 		Name:     "competing-media-flows",
 		Stresses: "two paced media flows sharing one bottleneck: both downgrade to a fair share and play continuously",
-		File:     congestionFile(),
+		Objects:  []*media.File{congestionFile()},
 		Buffer:   24 * time.Millisecond, // 3·δt startup buffer absorbs the pre-downgrade queue transient
 		Seeds: []Peer{
 			{ID: "s1", Class: 1}, {ID: "s2", Class: 1},
@@ -250,7 +250,7 @@ func mediaVsTCPFlows() Spec {
 	return Spec{
 		Name:     "media-vs-tcp-flows",
 		Stresses: "a media flow sharing a bottleneck with a greedy long flow: ABR defends continuity without starving the elastic traffic",
-		File:     congestionFile(),
+		Objects:  []*media.File{congestionFile()},
 		Buffer:   24 * time.Millisecond,
 		Seeds:    []Peer{{ID: "s1", Class: 1}, {ID: "s2", Class: 1}},
 		Requesters: []Peer{
@@ -279,7 +279,7 @@ func priorityFlows() Spec {
 	return Spec{
 		Name:     "priority-flows",
 		Stresses: "a priority flow and a best-effort flow on one bottleneck: the best-effort flow yields (downgrades) and the priority flow keeps full quality",
-		File:     congestionFile(),
+		Objects:  []*media.File{congestionFile()},
 		Buffer:   40 * time.Millisecond, // 5·δt: the priority flow never yields, so it rides the deepest queue on buffer alone
 		Seeds: []Peer{
 			{ID: "s1", Class: 1}, {ID: "s2", Class: 1},

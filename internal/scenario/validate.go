@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"p2pstream/internal/media"
 )
 
 // Validate reports the first structural problem of the spec. Run validates
@@ -241,9 +243,9 @@ func (s *Spec) validateExpect(ids map[string]bool) error {
 	return nil
 }
 
-// validateObjects checks the multi-object half of the spec: a well-formed
-// catalog (unique names, each object within the cache budget) and a
-// workload that only references declared objects.
+// validateObjects checks the media half of the spec: a well-formed
+// catalog (media.CheckCatalog) and a workload that only references
+// declared objects.
 func (s *Spec) validateObjects(map[string]bool) error {
 	if s.CacheBudget < 0 {
 		return fmt.Errorf("scenario %s: CacheBudget %d, want >= 0", s.Name, s.CacheBudget)
@@ -251,38 +253,19 @@ func (s *Spec) validateObjects(map[string]bool) error {
 	if s.SessionSlots < 0 {
 		return fmt.Errorf("scenario %s: SessionSlots %d, want >= 0", s.Name, s.SessionSlots)
 	}
-	declared := map[string]bool{}
-	if len(s.Objects) > 0 {
-		if s.File != nil {
-			return fmt.Errorf("scenario %s: set File or Objects, not both", s.Name)
-		}
-		for _, f := range s.Objects {
-			if f == nil {
-				return fmt.Errorf("scenario %s: nil object in catalog", s.Name)
-			}
-			if err := f.Validate(); err != nil {
-				return fmt.Errorf("scenario %s: object %q: %w", s.Name, f.Name, err)
-			}
-			if declared[f.Name] {
-				return fmt.Errorf("scenario %s: duplicate object %q", s.Name, f.Name)
-			}
-			declared[f.Name] = true
-			if s.CacheBudget > 0 && f.TotalBytes() > s.CacheBudget {
-				return fmt.Errorf("scenario %s: object %q (%d bytes) exceeds cache budget %d",
-					s.Name, f.Name, f.TotalBytes(), s.CacheBudget)
-			}
-		}
+	if err := media.CheckCatalog(s.Objects, s.CacheBudget); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	for _, p := range s.Seeds {
 		for _, name := range p.Held {
-			if !declared[name] {
+			if s.objectFile(name) == nil {
 				return fmt.Errorf("scenario %s: seed %s holds undeclared object %q", s.Name, p.ID, name)
 			}
 		}
 	}
 	for _, p := range s.Requesters {
 		for _, name := range p.Objects {
-			if !declared[name] {
+			if s.objectFile(name) == nil {
 				return fmt.Errorf("scenario %s: requester %s requests undeclared object %q", s.Name, p.ID, name)
 			}
 		}

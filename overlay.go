@@ -279,13 +279,6 @@ func WithPriority(p int) OverlayOption {
 	}
 }
 
-// WithCodec supplies the rendition codec the data plane downgrades with
-// (default a perfect transcoder producing exact fractional-size
-// renditions).
-func WithCodec(codec Codec) OverlayOption {
-	return func(c *overlayConfig) error { c.wire.Node.Codec = codec; return nil }
-}
-
 // WithStartupBuffer adds client-side startup buffering on top of the
 // Theorem 1 playback deadline: continuity is verified at n·δt plus one
 // segment-time plus this. Sessions expecting congestion set a few

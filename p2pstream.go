@@ -260,10 +260,6 @@ type ChordDiscoveryConfig = chordnet.Config
 // MediaFile describes the streamed media item.
 type MediaFile = media.File
 
-// Codec produces downgraded segment renditions for the congestion-aware
-// data plane's bitrate ladder; see WithCodec.
-type Codec = media.Codec
-
 // Declarative scenarios: whole-cluster runs described as data — hosts,
 // link schedules, churn schedules, workloads — executed on the virtual
 // substrate with invariant checks (internal/scenario).
