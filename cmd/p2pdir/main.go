@@ -24,6 +24,11 @@
 //
 // The initial -shards servers are the stable bootstrap set and are never
 // drained; the controller scales between that floor and -autoscale-max.
+// With base port 0 (-listen 127.0.0.1:0) every shard, spawned ones too,
+// binds a free port of its own; peers learn the bound addresses from the
+// printed -dir-addrs line and from epoch pushes. On SIGINT or SIGTERM the
+// process stops the controller, closes every live shard server (each
+// reported as retired under -autoscale) and exits 0.
 package main
 
 import (
@@ -43,7 +48,7 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7000", "address to listen on (with -shards or -autoscale, the base: shard i adds i to the port)")
+	listen := flag.String("listen", "127.0.0.1:7000", "address to listen on (with -shards or -autoscale, the base: shard i adds i to the port, or binds a free port when the base is 0)")
 	shards := flag.Int("shards", 1, "number of registry shards to serve from this process")
 	seed := flag.Int64("seed", 1, "random seed for candidate sampling (shard i adds i)")
 	autoscale := flag.Bool("autoscale", false, "run the elastic registry: an autoscaling controller grows and drains the shard set under lookup load (peers follow with p2pnode -dir-epochs)")
@@ -57,73 +62,35 @@ func main() {
 		fmt.Fprintf(os.Stderr, "p2pdir: -shards %d, want >= 1\n", *shards)
 		os.Exit(2)
 	}
-	// Shard i listens on the base port + i, so any mode that can run more
-	// than one shard needs an explicit numeric base port; a plain single
-	// server takes -listen verbatim (service names and port 0 keep
-	// working).
-	var host string
-	var port int
-	if *shards > 1 || *autoscale {
-		h, portStr, err := net.SplitHostPort(*listen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pdir: bad -listen %q: %v\n", *listen, err)
-			os.Exit(2)
-		}
-		p, err := strconv.Atoi(portStr)
-		if err != nil || p == 0 {
-			fmt.Fprintf(os.Stderr, "p2pdir: -shards/-autoscale need an explicit numeric base port, got %q\n", portStr)
-			os.Exit(2)
-		}
-		host, port = h, p
+	// Shard i listens on the base port + i, or on a free port of its own
+	// when the base is 0, so any mode that can run more than one shard
+	// needs a numeric port; a plain single server takes -listen verbatim
+	// (service names keep working).
+	multi := *shards > 1 || *autoscale
+	host, portStr, err := net.SplitHostPort(*listen)
+	port, perr := strconv.Atoi(portStr)
+	if multi && (err != nil || perr != nil) {
+		fmt.Fprintf(os.Stderr, "p2pdir: -shards/-autoscale need a numeric base port, got -listen %q\n", *listen)
+		os.Exit(2)
 	}
-
-	// boot starts shard i of this process: an advertised one at start-up,
-	// a spawned one when the autoscaler grows the set.
-	boot := func(i int) (reshard.Member, error) {
+	boot := func(i int, _ string) (*directory.Server, string, error) {
 		srv := directory.NewServer(*seed + int64(i))
 		addr := *listen
-		if *shards > 1 || *autoscale {
+		if multi && port != 0 {
 			addr = net.JoinHostPort(host, strconv.Itoa(port+i))
 		}
 		bound, err := srv.Start(nil, addr)
-		return reshard.Member{Name: fmt.Sprintf("shard-%d", i), Addr: bound, Server: srv}, err
-	}
-	addrs := make([]string, *shards)
-	members := make([]reshard.Member, *shards)
-	for i := range members {
-		// The advertised shards are what booting peers dial: one that
-		// cannot listen is a process failure, not churn.
-		m, err := boot(i)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pdir: shard %d: %v\n", i, err)
-			os.Exit(1)
-		}
-		addrs[i], members[i] = m.Addr, m
-		fmt.Printf("p2pdir: shard %d serving on %s\n", i, m.Addr)
-	}
-	if *shards > 1 {
-		fmt.Printf("p2pdir: peers route with -dir-addrs %s\n", strings.Join(addrs, ","))
+		return srv, bound, err
 	}
 
+	var elastic *reshard.Config
 	if *autoscale {
-		if *asMax < *shards {
-			fmt.Fprintf(os.Stderr, "p2pdir: -autoscale-max %d below -shards %d\n", *asMax, *shards)
-			os.Exit(2)
-		}
-		ctrl, err := reshard.New(reshard.Config{
+		elastic = &reshard.Config{
 			Interval:  *asInterval,
 			HighWater: *asHigh,
 			LowWater:  *asLow,
-			MinShards: *shards,
-			// The advertised -dir-addrs bootstrap set must stay live: a
-			// booting peer dials those addresses, so the initial servers
-			// are pinned and only spawned shards ever drain.
-			Pinned:    *shards,
 			MaxShards: *asMax,
-			Members:   members,
-			Spawn:     boot,
 			Retire: func(m reshard.Member) {
-				m.Server.Close()
 				fmt.Printf("p2pdir: retired %s (%s)\n", m.Name, m.Addr)
 			},
 			Observer: observe.Func(func(ev observe.Event) {
@@ -136,18 +103,31 @@ func main() {
 					fmt.Printf("p2pdir: epoch %d: drained %s (retires after grace)\n", ev.Epoch, ev.Object)
 				}
 			}),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pdir: %v\n", err)
-			os.Exit(2)
 		}
-		defer ctrl.Close()
-		ctrl.Start()
+	}
+	// The -shards servers are the advertised bootstrap set: one that
+	// cannot listen is a process failure, not churn, and the deployment
+	// pins them all so only spawned shards ever drain.
+	dep, err := reshard.Deploy(*shards, boot, elastic)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "p2pdir: %v\n", err)
+		os.Exit(1)
+	}
+	defer dep.Close()
+	addrs := dep.Addrs()[:*shards]
+	for i, addr := range addrs {
+		fmt.Printf("p2pdir: shard %d serving on %s\n", i, addr)
+	}
+	if *shards > 1 {
+		fmt.Printf("p2pdir: peers route with -dir-addrs %s\n", strings.Join(addrs, ","))
+	}
+	if *autoscale {
 		fmt.Printf("p2pdir: autoscaling %d..%d shards (high %.3g, low %.3g lookups/shard per %v); peers follow with -dir-addrs %s -dir-epochs\n",
 			*shards, *asMax, *asHigh, *asLow, *asInterval, strings.Join(addrs, ","))
 	}
 
-	// The servers run in the background until the process is told to stop.
+	// The servers run in the background until the process is told to
+	// stop; then every live shard server closes.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop

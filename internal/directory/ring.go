@@ -33,12 +33,17 @@ type shardPoint struct {
 	shard int
 }
 
+// ShardName is the canonical ring name of shard i: "shard-<i>". A
+// deployment's bootstrap shards and the shards it spawns later share the
+// spelling, so clients routing by DefaultShardNames agree with it.
+func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
+
 // DefaultShardNames returns the canonical shard names of a fixed n-shard
-// deployment: "shard-0" .. "shard-<n-1>".
+// deployment: ShardName(0) .. ShardName(n-1).
 func DefaultShardNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
-		names[i] = fmt.Sprintf("shard-%d", i)
+		names[i] = ShardName(i)
 	}
 	return names
 }

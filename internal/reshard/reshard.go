@@ -7,11 +7,12 @@
 // their registrations in one batched round — see internal/directory).
 //
 // The controller owns membership and the epoch number; it does not own
-// the servers' lifecycles. The deployment plugs those in: Spawn boots a
-// fresh shard server and returns its member record, Retire tears a
-// drained one down — but only after DrainGrace, which must exceed the
-// clients' overlap window so no client still double-reading the old
-// shard set dials a dead server.
+// the servers' lifecycles. A Deployment (Deploy) owns those, for p2pdir
+// and the scenario harness alike: it boots and names the shards, pins
+// the bootstrap set, and plugs in the controller's hooks — Spawn boots a
+// fresh shard server, Retire tears a drained one down, but only after
+// DrainGrace, which must exceed the clients' overlap window so no client
+// still double-reading the old shard set dials a dead server.
 package reshard
 
 import (
@@ -61,16 +62,17 @@ type Config struct {
 	// before the controller acts (default 2) — one hot sample is noise,
 	// not a flash crowd.
 	Sustain int
-	// MinShards and MaxShards bound the shard count (defaults: 1, and
-	// the initial member count).
-	MinShards, MaxShards int
+	// MaxShards caps the shard count (default: the initial member
+	// count). The floor is max(Pinned, 1).
+	MaxShards int
 	// Pinned protects the first Pinned initial members from draining.
 	// They are the deployment's advertised bootstrap set — the addresses
 	// every booting client dials — so the drain victim is always chosen
 	// among the spawned tail, even when a pinned shard is the coldest.
 	// Pinned members are never removed, which keeps them at the head of
-	// the shard order. At most len(Members); default 0 (any shard may
-	// drain).
+	// the shard order and the shard count at or above Pinned. At most
+	// len(Members); default 0 (any shard may drain, down to one). Deploy
+	// pins the whole bootstrap set.
 	Pinned int
 	// DrainGrace is how long a drained shard's server outlives its flip
 	// before Retire (default 2×Interval). It must exceed the clients'
@@ -120,8 +122,6 @@ type Controller struct {
 	hot      int
 	cold     int
 	flips    int64
-	added    int64
-	drained  int64
 	flipping bool
 	retires  []*pendingRetire
 	timer    clock.Timer
@@ -157,23 +157,23 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Sustain <= 0 {
 		cfg.Sustain = 2
 	}
-	if cfg.MinShards <= 0 {
-		cfg.MinShards = 1
+	if cfg.Pinned < 0 || cfg.Pinned > len(cfg.Members) {
+		return nil, fmt.Errorf("reshard: Pinned (%d) must be within the %d initial members", cfg.Pinned, len(cfg.Members))
 	}
 	if cfg.MaxShards <= 0 {
 		cfg.MaxShards = len(cfg.Members)
 	}
-	if cfg.MaxShards < cfg.MinShards {
-		return nil, fmt.Errorf("reshard: MaxShards (%d) below MinShards (%d)", cfg.MaxShards, cfg.MinShards)
-	}
-	if cfg.Pinned < 0 || cfg.Pinned > len(cfg.Members) {
-		return nil, fmt.Errorf("reshard: Pinned (%d) must be within the %d initial members", cfg.Pinned, len(cfg.Members))
+	if cfg.MaxShards < cfg.Pinned {
+		return nil, fmt.Errorf("reshard: MaxShards (%d) below the %d pinned members", cfg.MaxShards, cfg.Pinned)
 	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 2 * cfg.Interval
 	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 1
+	}
+	if cfg.Retire == nil {
+		cfg.Retire = func(Member) {}
 	}
 	return &Controller{
 		cfg:     cfg,
@@ -260,10 +260,8 @@ func (c *Controller) Close() {
 	if t != nil {
 		t.Stop()
 	}
-	if c.cfg.Retire != nil {
-		for _, m := range retire {
-			c.cfg.Retire(m)
-		}
+	for _, m := range retire {
+		c.cfg.Retire(m)
 	}
 	c.wg.Wait()
 }
@@ -315,7 +313,8 @@ func (c *Controller) tick() {
 	// Pinned members are never drain candidates. They stay at the head
 	// of the member order (drains only ever remove later indices, spawns
 	// append), so skipping the first Pinned indices skips exactly the
-	// initial bootstrap set.
+	// initial bootstrap set — and a drain needs more than max(Pinned, 1)
+	// members.
 	coldest, coldLoad := -1, int64(0)
 	for i, m := range c.members {
 		cum := load(m)
@@ -343,7 +342,7 @@ func (c *Controller) tick() {
 		c.flipping = true
 		c.wg.Add(1)
 		go c.grow()
-	case c.cold >= c.cfg.Sustain && len(c.members) > c.cfg.MinShards && coldest >= 0:
+	case c.cold >= c.cfg.Sustain && coldest >= 0:
 		c.hot, c.cold = 0, 0
 		c.flipping = true
 		c.wg.Add(1)
@@ -368,16 +367,13 @@ func (c *Controller) grow() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		if c.cfg.Retire != nil {
-			c.cfg.Retire(m)
-		}
+		c.cfg.Retire(m)
 		return
 	}
 	c.members = append(c.members, m)
 	c.epoch++
 	c.last[m.Name] = load(m)
 	c.flips++
-	c.added++
 	ep := c.epochLocked()
 	targets := append([]Member(nil), c.members...)
 	idx := len(c.members) - 1
@@ -417,7 +413,6 @@ func (c *Controller) drain(idx int) {
 	c.epoch++
 	delete(c.last, victim.Name)
 	c.flips++
-	c.drained++
 	ep := c.epochLocked()
 	targets := append([]Member(nil), c.members...)
 	p := &pendingRetire{m: victim}
@@ -466,8 +461,6 @@ func (c *Controller) retire(p *pendingRetire) {
 	c.mu.Unlock()
 	go func() {
 		defer c.wg.Done()
-		if c.cfg.Retire != nil {
-			c.cfg.Retire(p.m)
-		}
+		c.cfg.Retire(p.m)
 	}()
 }

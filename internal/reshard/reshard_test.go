@@ -2,7 +2,6 @@ package reshard
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -37,7 +36,7 @@ func newFixture(t *testing.T) *fixture {
 }
 
 func (f *fixture) spawn(seq int) (Member, error) {
-	name := fmt.Sprintf("shard-%d", seq)
+	name := directory.ShardName(seq)
 	srv := directory.NewServer(int64(100 + seq))
 	l, err := f.vnet.Host(name).Listen(":0")
 	if err != nil {
@@ -93,14 +92,15 @@ func TestControllerGrowsAndDrains(t *testing.T) {
 	// ~900µs of virtual time: 500µs sleep + the RPC's link latency), all
 	// on shard-0. Mean load is ~11 at one shard and ~5.5 at two — above
 	// the high-water mark either way, so the controller climbs to the
-	// cap; with the load stopped the mean falls to 0 and it drains home.
+	// cap; with the load stopped the mean falls to 0 and it drains home
+	// to the one pinned member.
 	ctrl, err := New(Config{
 		Clock:      f.clk,
 		Interval:   10 * time.Millisecond,
 		HighWater:  4,
 		LowWater:   2,
 		Sustain:    2,
-		MinShards:  1,
+		Pinned:     1,
 		MaxShards:  3,
 		DrainGrace: 30 * time.Millisecond,
 		Members:    []Member{first},
@@ -187,7 +187,7 @@ func TestControllerGrowsAndDrains(t *testing.T) {
 }
 
 // TestControllerFloorAndValidation: the controller never drains below
-// MinShards, never grows past MaxShards, and New rejects nonsense.
+// its pinned floor, never grows past MaxShards, and New rejects nonsense.
 func TestControllerFloorAndValidation(t *testing.T) {
 	f := newFixture(t)
 	first, err := f.spawn(0)
@@ -200,7 +200,7 @@ func TestControllerFloorAndValidation(t *testing.T) {
 		HighWater: 1e9, // never hot
 		LowWater:  1,   // always cold
 		Sustain:   1,
-		MinShards: 1,
+		Pinned:    1,
 		MaxShards: 1,
 		Members:   []Member{first},
 		Spawn:     f.spawn,
@@ -220,12 +220,14 @@ func TestControllerFloorAndValidation(t *testing.T) {
 	ctrl.Close()
 	ctrl.Close() // idempotent
 
+	// Distinct names over one server: enough members to pin three.
+	alias := func(name string) Member { return Member{Name: name, Addr: first.Addr, Server: first.Server} }
 	bad := []Config{
 		{Interval: 0, HighWater: 2, LowWater: 1, Members: []Member{first}},
 		{Interval: time.Second, HighWater: 2, LowWater: 1},
 		{Interval: time.Second, HighWater: 1, LowWater: 1, Members: []Member{first}},
 		{Interval: time.Second, HighWater: 2, LowWater: 1, Members: []Member{first, first}},
-		{Interval: time.Second, HighWater: 2, LowWater: 1, MinShards: 3, MaxShards: 2, Members: []Member{first}},
+		{Interval: time.Second, HighWater: 2, LowWater: 1, Pinned: 3, MaxShards: 2, Members: []Member{first, alias("a"), alias("b")}},
 		{Interval: time.Second, HighWater: 2, LowWater: 1, Pinned: -1, Members: []Member{first}},
 		{Interval: time.Second, HighWater: 2, LowWater: 1, Pinned: 2, Members: []Member{first}},
 	}
@@ -259,7 +261,6 @@ func TestControllerPinnedBootstrap(t *testing.T) {
 		HighWater:  1e9, // never hot
 		LowWater:   1e6, // always cold: every tick counts toward the drain
 		Sustain:    3,
-		MinShards:  1,
 		Pinned:     1,
 		MaxShards:  2,
 		DrainGrace: 20 * time.Millisecond,
@@ -319,7 +320,7 @@ func TestControllerCloseRetiresPending(t *testing.T) {
 		HighWater:  1e9,
 		LowWater:   1,
 		Sustain:    1,
-		MinShards:  1,
+		Pinned:     1,
 		MaxShards:  2,
 		DrainGrace: time.Hour, // never expires on its own
 		Members:    []Member{first, second},
@@ -336,8 +337,8 @@ func TestControllerCloseRetiresPending(t *testing.T) {
 	// The drained server still answers inside the grace period — a
 	// client fanning over the old shard set depends on that.
 	drained := second
-	if ctrl.Members()[0].Name == second.Name {
-		drained = first
+	if got := ctrl.Members()[0].Name; got != first.Name {
+		t.Fatalf("surviving member is %s, want pinned %s", got, first.Name)
 	}
 	dc := directory.NewClientOn(f.vnet.Host("late"), drained.Addr)
 	if err := dc.Register(ctx, transport.Register{ID: "x", Addr: "x:1", Class: 1}); err != nil {

@@ -504,30 +504,35 @@ func reshardFlash() Spec {
 	}
 }
 
-// reshardDrain starts three shards under load too light to justify them:
-// the controller drains the coldest shard twice (down to the floor) while
-// sessions are still live, each drained server outliving its flip by the
-// grace period so clients still inside the overlap window read it safely
-// — and late requesters, booting from the controller's current
-// membership, are never routed to a drained shard at all (zero failed
+// reshardDrain runs p2pdir -shards 2 -autoscale's own path: the two
+// bootstrap shards are pinned, an early burst of lookups grows the
+// registry past them, and once the burst is absorbed the controller
+// drains the spawned shards — and only those — while the burst's last
+// sessions are still streaming, each drained server outliving its flip
+// by the grace period so clients still inside the overlap window read it
+// safely. Late requesters boot from the controller's current membership
+// after the drains and are never routed to a drained shard (zero failed
 // fan-out legs for the whole run).
 func reshardDrain() Spec {
 	return Spec{
 		Name:            "reshard-drain",
-		Stresses:        "live scale-in with sessions in flight: three shards drain to one, late arrivals never touch a drained shard",
-		DirectoryShards: 3,
+		Stresses:        "live scale-in with sessions in flight: a burst grows two pinned shards, the spawned ones drain, late arrivals never touch a drained shard",
+		DirectoryShards: 2,
 		Autoscale: &Autoscale{
-			HighWater: 50, // never grow
-			LowWater:  2,
-			MaxShards: 3,
+			HighWater: 3,
+			LowWater:  1,
+			Sustain:   1,
+			MaxShards: 4,
 		},
 		Seeds: []Peer{{ID: "s1", Class: 1}, {ID: "s2", Class: 1}},
-		Requesters: []Peer{
-			{ID: "n0", Class: 1, Start: 0},
-			{ID: "n1", Class: 1, Start: 50 * time.Millisecond},
-			{ID: "n2", Class: 2, Start: 400 * time.Millisecond}, // arrives after the drains
-			{ID: "n3", Class: 1, Start: 480 * time.Millisecond},
-		},
+		Requesters: append(classOneSeeds("n", 8),
+			Peer{ID: "late1", Class: 2, Start: 600 * time.Millisecond}, // arrives after the drains
+			Peer{ID: "late2", Class: 1, Start: 680 * time.Millisecond},
+		),
+		MaxAttempts: 80,
+		// The same-instant burst needs jitter to desynchronize its retries
+		// (see reshard-flash).
+		Backoff: dac.BackoffConfig{Base: 20 * time.Millisecond, Factor: 2, Jitter: 0.5},
 		Expect: Expect{
 			MinEpochFlips:       2,
 			NoLostRegistrations: true,

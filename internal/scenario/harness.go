@@ -109,7 +109,7 @@ func (h *harness) supplierLevel() int {
 	if h.chordBacked() {
 		return int(h.suppliers.Load())
 	}
-	return h.reg.census(nil)
+	return h.reg.dep.Len()
 }
 
 // batchedSeeds marks the batched seed-boot path: against the single
@@ -154,11 +154,11 @@ func (h *harness) newBuilder() *wiring.Builder {
 		}
 	case h.elastic():
 		b.Sharded = &directory.ShardedConfig{Refresh: shardRefresh}
-		b.Autoscale = h.reg.ctrl
+		b.Autoscale = h.reg.dep.Controller()
 	case h.spec.shardCount() > 1:
-		b.Sharded = &directory.ShardedConfig{Addrs: h.reg.addrs(), Refresh: shardRefresh}
+		b.Sharded = &directory.ShardedConfig{Addrs: h.reg.dep.Addrs(), Refresh: shardRefresh}
 	default:
-		b.DirectoryAddr = h.reg.addrs()[0]
+		b.DirectoryAddr = h.reg.dep.Addrs()[0]
 	}
 	return b
 }
@@ -272,20 +272,30 @@ func (h *harness) schedule() []workItem {
 		shard := h.spec.shardIndex(ev.Node)
 		switch ev.Action {
 		case Crash:
-			if shard >= 0 {
-				h.clk.AfterFunc(ev.At, func() { h.reg.crash(shard) })
-				continue
-			}
-			h.clk.AfterFunc(ev.At, func() { h.net.SetDown(ev.Node) })
+			h.clk.AfterFunc(ev.At, func() {
+				if shard >= 0 {
+					// A hard-killed registry shard loses its in-memory
+					// state with the server.
+					h.reg.dep.Crash(shard)
+				}
+				h.net.SetDown(ev.Node)
+			})
 		case Leave:
 			// Close blocks on connection handlers; never block the
 			// clock's advancing goroutine.
 			h.clk.AfterFunc(ev.At, func() { go h.closeNode(ev.Node) })
 		case Join:
 			if shard >= 0 {
-				// Rebirth of a crashed registry shard, not a peer: a fresh
-				// empty server re-listens on the shard's fixed address.
-				h.clk.AfterFunc(ev.At, func() { go h.reg.revive(shard) })
+				// Rebirth of a crashed registry shard, not a peer: the host
+				// revives and a fresh, empty server re-listens on the
+				// shard's fixed address, where the clients' lease
+				// re-registrations repopulate it within one refresh. A
+				// failed rebirth (the run is over) leaves the shard dead
+				// for the invariant checks to surface.
+				h.clk.AfterFunc(ev.At, func() {
+					h.net.SetUp(ev.Node)
+					go h.reg.dep.Restart(shard)
+				})
 				continue
 			}
 			work = append(work, workItem{

@@ -519,34 +519,35 @@ func reshardFlashDetails(t *testing.T, spec Spec, report *Report) {
 	}
 }
 
-// reshardDrainDetails: the scale-in story. Three shards under load too
-// light to justify them drain to the floor while sessions are in flight;
-// the two flips happen early enough that the late arrivals boot straight
-// into the shrunken ring, and no client ever fans out to a drained shard
-// (zero failed legs).
+// reshardDrainDetails: the scale-in story on p2pdir's own path. Two
+// pinned bootstrap shards grow under an early burst; once it is absorbed
+// the controller drains every spawned shard — never a bootstrap one —
+// while burst sessions are still in flight; the late arrivals boot
+// straight into the shrunken ring, and no client ever fans out to a
+// drained shard (zero failed legs).
 func reshardDrainDetails(t *testing.T, spec Spec, report *Report) {
 	if got, want := report.Served(), len(spec.Requesters); got != want {
 		t.Fatalf("served %d of %d requesters", got, want)
 	}
-	// With HighWater unreachably high the controller can only drain: two
-	// flips exactly, from three shards down to the one-shard floor.
 	ev := report.Events
 	flips, added, drained := ev.Of(observe.EpochFlip).N, ev.Of(observe.ShardAdded).N, ev.Of(observe.ShardDrained).N
-	if flips != 2 || added != 0 || drained != 2 {
-		t.Errorf("flips=%d added=%d drained=%d, want exactly 2 drains and nothing else", flips, added, drained)
+	if added < 1 || drained != added || flips != added+drained {
+		t.Errorf("flips=%d added=%d drained=%d, want >= 1 add, every spawned shard drained, and nothing else", flips, added, drained)
 	}
-	if len(report.ShardSuppliers) != 3 {
-		t.Fatalf("ShardSuppliers = %v, want the 3 declared slots", report.ShardSuppliers)
+	// Slots are append-only: the bootstrap set, then one per spawn. The
+	// pinned bootstrap shards end live and hold every supplier; every
+	// spawned shard ends retired, so the drains took exactly those.
+	boot := spec.shardCount()
+	if got, want := len(report.ShardSuppliers), boot+int(added); got != want || len(report.ShardStats) != want {
+		t.Fatalf("ShardSuppliers = %v, ShardStats has %d slots, want %d (%d bootstrap + %d spawned)",
+			report.ShardSuppliers, len(report.ShardStats), want, boot, added)
 	}
-	live, sum := 0, 0
-	for _, n := range report.ShardSuppliers {
+	sum := 0
+	for i, n := range report.ShardSuppliers {
 		sum += n
-		if n > 0 {
-			live++
+		if live := report.ShardStats[i] != (directory.Stats{}); live != (i < boot) {
+			t.Errorf("shard %d live at the end = %v, want %v (only the pinned bootstrap shards survive)", i, live, i < boot)
 		}
-	}
-	if live != 1 {
-		t.Errorf("suppliers ended on %d shards (%v), want all on the lone survivor", live, report.ShardSuppliers)
 	}
 	if all := len(spec.Seeds) + len(spec.Requesters); sum != all || report.FinalSuppliers != all {
 		t.Errorf("suppliers %v sum to %d, FinalSuppliers = %d, want %d", report.ShardSuppliers, sum, report.FinalSuppliers, all)
@@ -564,16 +565,22 @@ func reshardDrainDetails(t *testing.T, spec Spec, report *Report) {
 	if failed := ev.Of(observe.ShardLookup).Errs; failed != 0 {
 		t.Errorf("%d failed fan-out legs, want 0: late arrivals must never be routed to a drained shard", failed)
 	}
-	// The late arrivals (n2 at 400ms, n3 at 480ms) booted after both
-	// drains and finished with the full flip count on their axis sample.
-	for _, id := range []string{"n2", "n3"} {
-		n := report.Node(id)
-		if n == nil {
-			t.Fatalf("no result for %s", id)
+	// A burst requester still streaming when a drain flipped finished
+	// having seen it; the late arrivals booted after every drain and
+	// finished with the full flip count.
+	inFlight := false
+	for _, n := range report.Nodes {
+		if n.Start == 0 && n.Events.Of(observe.ShardDrained).N > 0 {
+			inFlight = true
 		}
-		if seen := n.Events.Of(observe.EpochFlip).N; seen != 2 {
-			t.Errorf("%s finished having seen %d flips, want 2 (it arrived after both drains)", id, seen)
+		if n.Start > 0 {
+			if seen := n.Events.Of(observe.EpochFlip).N; seen != flips {
+				t.Errorf("%s finished having seen %d flips, want all %d (it arrived after the drains)", n.ID, seen, flips)
+			}
 		}
+	}
+	if !inFlight {
+		t.Error("no burst requester was still in flight at a drain")
 	}
 }
 

@@ -169,21 +169,23 @@ type ChurnEvent struct {
 	Class bandwidth.Class
 }
 
-// Autoscale turns the sharded registry elastic: the harness runs a
-// reshard.Controller over the directory shards, sampling per-shard load
-// (lookups per interval — the one demand signal an epoch flip's own
-// migration traffic cannot inflate) on the virtual clock and
-// flipping resharding epochs live — growing the shard set under sustained
-// load, draining the coldest shard when load falls away, and retiring
-// drained servers after a grace period. Every node's discovery client
-// watches epoch pushes, migrates its registrations to the new owners in
-// one batched round, and double-reads candidates from the old and new
-// shard sets for one lease-refresh overlap window. Directory backend
-// only; DirectoryShards is the initial shard count (1 starts from the
-// single centralized server) and the spec's shard hosts extend to
-// MaxShards so every shard the controller may spawn has its virtual host
-// from the start. Incompatible with shard-host churn — the controller
-// owns shard lifecycles.
+// Autoscale turns the sharded registry elastic: the harness deploys it
+// through reshard.Deploy, exactly as p2pdir -autoscale does, so a
+// reshard.Controller samples per-shard load (lookups per interval — the
+// one demand signal an epoch flip's own migration traffic cannot inflate)
+// on the virtual clock and flips resharding epochs live — growing the
+// shard set under sustained load, draining the coldest spawned shard when
+// load falls away, and retiring drained servers after a grace period.
+// Every node's discovery client watches epoch pushes, migrates its
+// registrations to the new owners in one batched round, and double-reads
+// candidates from the old and new shard sets for one lease-refresh
+// overlap window. Directory backend only. DirectoryShards is the
+// bootstrap set (1 starts from the single centralized server): those
+// shards are pinned, as p2pdir pins its -shards servers, so they never
+// drain and the live count never falls below them. The spec's shard hosts
+// extend to MaxShards so every shard the controller may spawn has its
+// virtual host from the start. Incompatible with shard-host churn — the
+// controller owns shard lifecycles.
 type Autoscale struct {
 	// Interval is the controller's load-sampling period (default 40ms,
 	// the scenario lease-refresh period).
@@ -196,10 +198,10 @@ type Autoscale struct {
 	// Sustain is how many consecutive intervals a watermark must hold
 	// before the controller flips (default 2).
 	Sustain int
-	// MinShards and MaxShards bound the live shard count (defaults: 1,
-	// and the initial shard count plus 2). MaxShards also sizes the
-	// spec's shard host set.
-	MinShards, MaxShards int
+	// MaxShards caps the live shard count (default: the initial shard
+	// count plus 2) and sizes the spec's shard host set. The floor is the
+	// initial count: those shards are pinned.
+	MaxShards int
 	// DrainGrace is how long a drained shard's server outlives its flip
 	// before the harness retires it (default 3 lease-refresh periods; it
 	// must exceed the clients' one-refresh overlap window, during which
@@ -431,8 +433,8 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Autoscale != nil {
 		// Copy before defaulting: the caller's Autoscale must not be
-		// mutated through the shared pointer. Sustain and MinShards keep
-		// their zero values, which reshard.New defaults the same way.
+		// mutated through the shared pointer. Sustain keeps its zero
+		// value, which reshard.New defaults the same way.
 		a := *s.Autoscale
 		if a.Interval == 0 {
 			a.Interval = shardRefresh

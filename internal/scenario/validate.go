@@ -293,14 +293,8 @@ func (s *Spec) validateAutoscale(map[string]bool) error {
 	if a.HighWater != 0 && a.HighWater <= a.LowWater {
 		return fmt.Errorf("scenario %s: Autoscale HighWater %g must exceed LowWater %g", s.Name, a.HighWater, a.LowWater)
 	}
-	if a.MinShards < 0 || a.MaxShards < 0 {
-		return fmt.Errorf("scenario %s: Autoscale shard bounds %d/%d, want >= 0", s.Name, a.MinShards, a.MaxShards)
-	}
 	if a.MaxShards != 0 && a.MaxShards < s.shardCount() {
 		return fmt.Errorf("scenario %s: Autoscale MaxShards %d below the initial %d shards", s.Name, a.MaxShards, s.shardCount())
-	}
-	if a.MinShards > s.shardCount() {
-		return fmt.Errorf("scenario %s: Autoscale MinShards %d above the initial %d shards", s.Name, a.MinShards, s.shardCount())
 	}
 	for _, ev := range s.Churn {
 		if shardHostIndex(ev.Node, s.maxShards()) >= 0 {

@@ -113,15 +113,15 @@ func WithShardedDirectory(cfg ShardedDirectoryConfig) OverlayOption {
 	}
 }
 
-// WithAutoscale attaches a resharding controller (NewReshardController) to
-// the overlay: every peer's sharded directory client boots from the
-// controller's live epoch and shard set — not a fixed address list — and
-// watches for epoch pushes, migrating its registrations as the controller
-// grows and drains the registry. On its own it selects the sharded
-// backend; combine with WithShardedDirectory only to tune the lease
-// period (the controller overrides its Addrs, Names and Epoch per peer).
-// The controller's lifecycle stays with the caller: Start it before
-// creating peers and Close it after the overlay.
+// WithAutoscale attaches a resharding controller (the Controller of an
+// elastic DeployDirectory) to the overlay: every peer's sharded directory
+// client boots from the controller's live epoch and shard set — not a
+// fixed address list — and watches for epoch pushes, migrating its
+// registrations as the controller grows and drains the registry. On its
+// own it selects the sharded backend; combine with WithShardedDirectory
+// only to tune the lease period (the controller overrides its Addrs,
+// Names and Epoch per peer). The deployment's lifecycle stays with the
+// caller: Close it after the overlay.
 func WithAutoscale(ctrl *ReshardController) OverlayOption {
 	return func(c *overlayConfig) error {
 		if ctrl == nil {

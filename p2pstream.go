@@ -230,16 +230,16 @@ type ShardedDirectoryConfig = directory.ShardedConfig
 // ReshardController is the elastic-directory autoscaling loop: it samples
 // per-shard load (lookups per interval) on the shared clock, spawns a
 // registry shard when mean load sustains above a high-water mark, drains
-// the coldest shard when it sustains below a low-water mark, and announces
-// every change as a resharding epoch that watching sharded clients migrate
-// to with zero lost registrations and zero lookup misses. Attach one to an
-// overlay with WithAutoscale; Start arms it, Close stops it.
+// the coldest spawned shard when it sustains below a low-water mark, and
+// announces every change as a resharding epoch that watching sharded
+// clients migrate to with zero lost registrations and zero lookup misses.
+// A DirectoryDeployment runs one; attach it to an overlay with
+// WithAutoscale.
 type ReshardController = reshard.Controller
 
 // ReshardConfig parameterizes a resharding controller: the sampling
-// interval, the load watermarks, the initial shard membership, and the
-// Spawn/Retire hooks through which the deployment boots and tears down
-// shard servers.
+// interval, the load watermarks and the shard ceiling. DeployDirectory
+// fills in the membership and the hooks that boot and retire shards.
 type ReshardConfig = reshard.Config
 
 // ReshardMember is one registry shard under a resharding controller: its
@@ -247,9 +247,19 @@ type ReshardConfig = reshard.Config
 // feed the load loop.
 type ReshardMember = reshard.Member
 
-// NewReshardController validates cfg and returns an idle controller; arm
-// the sampling loop with Start and stop it with Close.
-func NewReshardController(cfg ReshardConfig) (*ReshardController, error) { return reshard.New(cfg) }
+// DirectoryDeployment is a directory registry as it runs: its bootstrap
+// shards, the shards spawned since, and the autoscaling controller, if
+// any. Close stops the controller and closes every shard server once.
+type DirectoryDeployment = reshard.Deployment
+
+// DeployDirectory boots shards registry shards through boot — called with
+// the shard index and "" for a first boot — and, given an autoscale
+// config, starts a resharding controller over them. The bootstrap shards
+// are pinned: only shards the controller spawned ever drain. This is the
+// deployment p2pdir runs.
+func DeployDirectory(shards int, boot func(i int, addr string) (*DirectoryServer, string, error), autoscale *ReshardConfig) (*DirectoryDeployment, error) {
+	return reshard.Deploy(shards, boot, autoscale)
+}
 
 // ChordDiscoveryConfig parameterizes a chord discovery peer: a wire-level
 // Chord ring member that joins on registration, maintains successors and

@@ -3,7 +3,6 @@ package p2pstream_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -389,32 +388,6 @@ func TestPublicOverlayElastic(t *testing.T) {
 	vnet := p2pstream.NewVirtualNetwork(clk, 1)
 	vnet.SetDefaultLink(p2pstream.LinkConfig{Latency: 300 * time.Microsecond})
 
-	var srvMu sync.Mutex
-	var servers []*p2pstream.DirectoryServer
-	t.Cleanup(func() {
-		srvMu.Lock()
-		defer srvMu.Unlock()
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	spawn := func(seq int) (p2pstream.ReshardMember, error) {
-		name := fmt.Sprintf("shard-%d", seq)
-		srv := p2pstream.NewDirectoryServer(int64(seq + 1))
-		l, err := vnet.Host(name).Listen(":0")
-		if err != nil {
-			return p2pstream.ReshardMember{}, err
-		}
-		go srv.Serve(l)
-		srvMu.Lock()
-		servers = append(servers, srv)
-		srvMu.Unlock()
-		return p2pstream.ReshardMember{Name: name, Addr: l.Addr().String(), Server: srv}, nil
-	}
-	first, err := spawn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var flips, added, moves, misses atomic.Int64
 	obs := p2pstream.ObserverFunc(func(ev p2pstream.ObserverEvent) {
 		switch ev.Type {
@@ -428,21 +401,25 @@ func TestPublicOverlayElastic(t *testing.T) {
 			misses.Add(1)
 		}
 	})
-	ctrl, err := p2pstream.NewReshardController(p2pstream.ReshardConfig{
+	boot := func(i int, addr string) (*p2pstream.DirectoryServer, string, error) {
+		srv := p2pstream.NewDirectoryServer(int64(i + 1))
+		bound, err := srv.Start(vnet.Host(fmt.Sprintf("shard-%d", i)), addr)
+		return srv, bound, err
+	}
+	dep, err := p2pstream.DeployDirectory(1, boot, &p2pstream.ReshardConfig{
 		Clock:     clk,
 		Interval:  20 * time.Millisecond,
 		HighWater: 0.5,
 		LowWater:  0,
 		Sustain:   1,
 		MaxShards: 2,
-		Members:   []p2pstream.ReshardMember{first},
-		Spawn:     spawn,
 		Observer:  obs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ctrl.Close)
+	t.Cleanup(dep.Close)
+	ctrl := dep.Controller()
 
 	file := &p2pstream.MediaFile{Name: "v", Segments: 16, SegmentBytes: 64, SegmentTime: 4 * time.Millisecond}
 	ov, err := p2pstream.NewOverlay(file,
@@ -457,7 +434,6 @@ func TestPublicOverlayElastic(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ov.Close() })
-	ctrl.Start()
 
 	for _, id := range []string{"s1", "s2"} {
 		if _, err := ov.Seed(ctx, p2pstream.OverlayPeer{ID: id, Class: 1}); err != nil {
@@ -513,20 +489,19 @@ func TestPublicOverlayElasticOptionErrors(t *testing.T) {
 	if _, err := p2pstream.NewOverlay(file, p2pstream.WithAutoscale(nil)); err == nil {
 		t.Error("WithAutoscale(nil) built an overlay, want error")
 	}
-	srv := p2pstream.NewDirectoryServer(1)
-	defer srv.Close()
-	ctrl, err := p2pstream.NewReshardController(p2pstream.ReshardConfig{
-		Interval:  time.Second,
-		HighWater: 1,
-		Members:   []p2pstream.ReshardMember{{Name: "shard-0", Addr: "127.0.0.1:7000", Server: srv}},
-	})
+	vnet := p2pstream.NewVirtualNetwork(p2pstream.NewVirtualClock(), 1)
+	dep, err := p2pstream.DeployDirectory(1, func(_ int, addr string) (*p2pstream.DirectoryServer, string, error) {
+		srv := p2pstream.NewDirectoryServer(1)
+		bound, err := srv.Start(vnet.Host("dir"), addr)
+		return srv, bound, err
+	}, &p2pstream.ReshardConfig{Interval: time.Second, HighWater: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ctrl.Close()
+	defer dep.Close()
 	if _, err := p2pstream.NewOverlay(file,
 		p2pstream.WithChord(p2pstream.ChordDiscoveryConfig{}),
-		p2pstream.WithAutoscale(ctrl),
+		p2pstream.WithAutoscale(dep.Controller()),
 	); err == nil {
 		t.Error("WithAutoscale over chord discovery built an overlay, want error")
 	}
