@@ -9,8 +9,10 @@
 package media
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -124,7 +126,7 @@ func NewSeededStore(f *File) (*Store, error) {
 		return nil, err
 	}
 	for id := range s.segs {
-		fillCanonical(s.slot(SegmentID(id)), SegmentID(id))
+		fillCanonical(s.slot(SegmentID(id)), SegmentID(id), 0)
 		s.segs[id] = stored{n: f.SegmentBytes}
 	}
 	s.have = f.Segments
@@ -132,38 +134,44 @@ func NewSeededStore(f *File) (*Store, error) {
 }
 
 // SegmentContent generates the canonical synthetic content of a segment at
-// full quality. Both ends of a transfer can regenerate it, which lets tests
-// verify byte-exact delivery without shipping a real media file.
+// full quality, which lets tests verify byte-exact delivery without
+// shipping a real media file.
 func SegmentContent(f *File, id SegmentID) Segment {
-	return Segment{ID: id, Data: canonicalContent(f, id)}
+	return SegmentContentAt(f, id, 0)
 }
 
-// canonicalContent is the full-quality byte pattern every rendition of a
-// segment is a subsample of (see SegmentContentAt).
-func canonicalContent(f *File, id SegmentID) []byte {
-	data := make([]byte, f.SegmentBytes)
-	fillCanonical(data, id)
-	return data
-}
-
-// contentPeriod is the period of the canonical content: byte i of segment
-// id is (id·131 + i·31) mod 251, and 31 and 251 are coprime.
+// contentPeriod is the period of the canonical content: byte j of segment
+// id at quality q is (id·131 + j·2^q·31) mod 251, and 31 and 251 are
+// coprime, so the period is 251 at every stride 2^q.
 const contentPeriod = 251
 
-// fillCanonical writes the canonical content of segment id (id ≥ 0) into
-// dst: one period by the formula, then doubled by copy until dst is full.
-func fillCanonical(dst []byte, id SegmentID) {
+// fillCanonical writes the canonical rendition of segment id (id ≥ 0) at
+// quality q into dst: one period by the formula, then doubled by copy until
+// dst is full.
+func fillCanonical(dst []byte, id SegmentID, q Quality) {
 	p := min(len(dst), contentPeriod)
-	for i := range p {
-		dst[i] = byte((int(id)*131 + i*31) % contentPeriod)
+	for j := range p {
+		dst[j] = byte((int(id)*131 + j<<uint(q)*31) % contentPeriod)
 	}
 	for p < len(dst) {
 		p += copy(dst[p:], dst[:p])
 	}
 }
 
-// File returns the file description the store belongs to.
-func (s *Store) File() *File { return s.file }
+// IsSegmentContent reports whether seg is SegmentContentAt(f, seg.ID,
+// seg.Quality) byte for byte, without building it: SizeAt bytes whose
+// first period is fillCanonical's, on the stack, and which repeat with
+// that period.
+func IsSegmentContent(f *File, seg Segment) bool {
+	d := seg.Data
+	if !seg.Quality.Valid() || len(d) != f.SizeAt(seg.Quality) {
+		return false
+	}
+	var period [contentPeriod]byte
+	p := min(len(d), contentPeriod)
+	fillCanonical(period[:p], seg.ID, seg.Quality)
+	return bytes.Equal(d[:p], period[:p]) && bytes.Equal(d[p:], d[:len(d)-p])
+}
 
 // Slot returns the first n bytes of segment id's slot, for a payload of n
 // bytes at quality q to be read into and then committed, once the store has
@@ -241,6 +249,31 @@ func (s *Store) Get(id SegmentID) (Segment, bool) {
 	}
 	st := s.segs[id]
 	return Segment{ID: id, Quality: st.q, Data: s.slot(id)[:st.n:st.n]}, true
+}
+
+// Rendition returns segment id as a supplier sends it at quality q, read
+// from the store alone. Held at quality q or better, it is the held view
+// as it is, labelled with the quality it is held at. Held at a worse
+// quality q_h < q, it is every 2^(q−q_h)-th held byte, SizeAt(q) of them,
+// written into *buf, which the caller owns and Rendition grows when it is
+// short: that Data is valid until the next call with the same buffer.
+// Every 2^a-th byte of every 2^b-th byte is every 2^(a+b)-th byte,
+// so a subsample of SegmentContentAt(q_h) is SegmentContentAt(q). It
+// reports false if the store does not hold the segment.
+func (s *Store) Rendition(id SegmentID, q Quality, buf *[]byte) (Segment, bool) {
+	seg, ok := s.Get(id)
+	if !ok || seg.Quality >= q {
+		return seg, ok
+	}
+	n, stride := s.file.SizeAt(q), 1<<uint(q-seg.Quality)
+	out := slices.Grow((*buf)[:0], n)[:n]
+	*buf = out
+	// The store holds exactly SizeAt(q_h) bytes, and SizeAt(q)−1 strides
+	// fall short of that: (SegmentBytes>>q)<<(q−q_h) ≤ SegmentBytes>>q_h.
+	for j := range out {
+		out[j] = seg.Data[j*stride]
+	}
+	return Segment{ID: id, Quality: q, Data: out}, true
 }
 
 // QualityOf returns the quality class a stored segment arrived at, or -1 if

@@ -243,15 +243,17 @@ func TestMinimalDelayAllEarly(t *testing.T) {
 }
 
 // TestCanonicalFill: the period-doubling fill is byte for byte the formula
-// the canonical content is defined by.
+// the canonical content is defined by, at every stride on the ladder.
 func TestCanonicalFill(t *testing.T) {
 	for _, n := range []int{1, 250, 251, 252, 502, 4096, 16384, 16385} {
 		for _, id := range []SegmentID{0, 1, 250, 1023} {
-			got := make([]byte, n)
-			fillCanonical(got, id)
-			for i, b := range got {
-				if want := byte((int(id)*131 + i*31) % 251); b != want {
-					t.Fatalf("segment %d, %d bytes: byte %d is %d, want %d", id, n, i, b, want)
+			for q := Quality(0); q <= MaxQuality; q++ {
+				got := make([]byte, n)
+				fillCanonical(got, id, q)
+				for j, b := range got {
+					if want := byte((int(id)*131 + j<<uint(q)*31) % 251); b != want {
+						t.Fatalf("segment %d q%d, %d bytes: byte %d is %d, want %d", id, q, n, j, b, want)
+					}
 				}
 			}
 		}

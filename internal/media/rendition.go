@@ -16,28 +16,17 @@ func (q Quality) Valid() bool { return q >= 0 && q <= MaxQuality }
 // SizeAt returns the byte size of one segment encoded at quality q: the
 // full segment size halved once per class.
 func (f *File) SizeAt(q Quality) int {
-	n := f.SegmentBytes >> uint(q)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, f.SegmentBytes>>uint(q))
 }
 
 // SegmentContentAt returns the rendition of segment id at quality q: every
 // 2^q-th byte of the canonical full-quality content, SizeAt(q) bytes in
 // all, so a downgraded rendition is a strict subsample of the full one.
-// Both ends of a transfer regenerate it from (file, id, q) alone, which
-// lets the receiver check delivery byte for byte at any class.
-// SegmentContent is the full-quality special case.
+// It is the reference a receiver checks delivery against byte for byte at
+// any class (see IsSegmentContent), filled straight from the content
+// formula. SegmentContent is the full-quality special case.
 func SegmentContentAt(f *File, id SegmentID, q Quality) Segment {
-	full := canonicalContent(f, id)
-	if q <= 0 {
-		return Segment{ID: id, Data: full}
-	}
-	stride := 1 << uint(q)
-	out := make([]byte, 0, f.SizeAt(q))
-	for i := 0; i < len(full) && len(out) < cap(out); i += stride {
-		out = append(out, full[i])
-	}
-	return Segment{ID: id, Quality: q, Data: out}
+	data := make([]byte, f.SizeAt(q))
+	fillCanonical(data, id, q)
+	return Segment{ID: id, Quality: q, Data: data}
 }

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"p2pstream/internal/clock"
 	"p2pstream/internal/dac"
 	"p2pstream/internal/directory"
 	"p2pstream/internal/errs"
 	"p2pstream/internal/media"
 	"p2pstream/internal/netx"
+	"p2pstream/internal/observe"
 	"p2pstream/internal/transport"
 )
 
@@ -238,48 +242,72 @@ func TestConcurrentRequesters(t *testing.T) {
 }
 
 // TestSupplierMissingSegment: a supplier asked for a segment it does not
-// hold reports an error instead of streaming garbage.
+// hold reports an error instead of streaming garbage, at full quality and
+// after its ladder has stepped down alike, whether the segment is one the
+// file has (9) or one past its end (16). The stepped-down rows ack each
+// segment late, so the supplier's estimate reads a growing queue and its
+// ladder steps down before it reaches the missing segment.
 func TestSupplierMissingSegment(t *testing.T) {
-	c := newCluster(t)
-	// A "seed" built from a requester store with only a few segments: use
-	// a requester node and manually mark it supplying via becomeSupplier
-	// after a partial fill.
-	partial := c.requester("partial", 1)
-	f := testFile()
-	store, err := media.NewStore(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 4; id++ {
-		if err := store.Put(media.SegmentContent(f, media.SegmentID(id))); err != nil {
-			t.Fatal(err)
+	f := &media.File{Name: "video", Segments: 16, SegmentBytes: 256, SegmentTime: 4 * time.Millisecond}
+	held := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15}
+	for _, missing := range []int{9, 16} {
+		for _, tc := range []struct {
+			name string
+			want []int         // the held segments asked for before missing
+			lag  time.Duration // how late each segment is acked
+		}{
+			{"full-quality", held[:2], 0},
+			{"stepped-down", held, 12 * time.Millisecond},
+		} {
+			t.Run(fmt.Sprintf("%s/segment-%d", tc.name, missing), func(t *testing.T) {
+				c := newCluster(t)
+				store, err := media.NewStore(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range held {
+					if err := store.Put(media.SegmentContent(f, media.SegmentID(id))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				partial := c.holder("partial", f, store, nil)
+				sess, err := c.dialStart(partial.Addr(), transport.Start{
+					RequesterID: "x", FileName: f.Name, Segments: append(slices.Clone(tc.want), missing),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.close()
+				segs, err := sess.readAll(c.clk, tc.lag)
+				if len(segs) != len(tc.want) {
+					t.Fatalf("got %d segments before the end, want the %d held ones", len(segs), len(tc.want))
+				}
+				if last := segs[len(segs)-1].Quality; (last > 0) != (tc.lag > 0) {
+					t.Fatalf("last held segment went out at q%d: the row does not test %s", last, tc.name)
+				}
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("segment %d not held", missing)) {
+					t.Errorf("err = %v, want 'segment %d not held'", err, missing)
+				}
+			})
 		}
 	}
-	if err := partial.lib.Add(f, store); err != nil {
-		t.Fatal(err)
-	}
-	if err := partial.becomeSupplier(context.Background(), f.Name); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	sess, err := c.dialStart(partial.Addr(), transport.Start{
-		RequesterID: "x", FileName: "video", Segments: []int{0, 1, 9},
-	})
-	if err != nil {
-		t.Fatal(err)
+// holder starts a supplier of f that holds exactly store: a requester node
+// given the store and made supplying by hand, as if a session had filled
+// it.
+func (c *cluster) holder(id string, f *media.File, store *media.Store, obs observe.Observer) *Node {
+	c.t.Helper()
+	cfg := c.config(id, 1)
+	cfg.File, cfg.Observer = f, obs
+	n := c.start(NewRequester(cfg))
+	if err := n.lib.Add(f, store); err != nil {
+		c.t.Fatal(err)
 	}
-	defer sess.close()
-	// Segments 0 and 1 arrive, then an error for 9.
-	if err := sess.readOne(); err != nil {
-		t.Fatal(err)
+	if err := n.becomeSupplier(context.Background(), f.Name); err != nil {
+		c.t.Fatal(err)
 	}
-	if err := sess.readOne(); err != nil {
-		t.Fatal(err)
-	}
-	err = sess.readOne()
-	if err == nil || !strings.Contains(err.Error(), "not held") {
-		t.Errorf("err = %v, want 'not held'", err)
-	}
+	return n
 }
 
 // abortableSession is a hand-rolled requester side of one Start exchange.
@@ -314,17 +342,55 @@ func (s *abortableSession) readOne() error {
 	if err != nil {
 		return err
 	}
-	if env.Kind == transport.KindError {
-		var e transport.Error
-		if derr := env.Decode(&e); derr != nil {
-			return derr
-		}
-		return errors.New(e.Message)
-	}
 	if env.Kind != transport.KindSegment {
-		return errors.New("unexpected " + env.Kind.String())
+		return frameErr(env)
 	}
 	return nil
+}
+
+// frameErr is the error a session frame other than a segment surfaces as:
+// an error frame's message, or the unexpected kind.
+func frameErr(env *transport.Envelope) error {
+	if env.Kind != transport.KindError {
+		return errors.New("unexpected " + env.Kind.String())
+	}
+	var e transport.Error
+	if err := env.Decode(&e); err != nil {
+		return err
+	}
+	return errors.New(e.Message)
+}
+
+// readAll reads the session to its end as a requester on the feedback
+// plane that acks each segment lag after reading it, falling behind the
+// schedule when lag is longer than the supplier's send interval. It returns
+// the segments read and nil at SessionDone, or the error frame's message.
+func (s *abortableSession) readAll(clk clock.Clock, lag time.Duration) ([]transport.Segment, error) {
+	var segs []transport.Segment
+	acked := 0
+	for {
+		env, err := transport.Read(s.conn)
+		if err != nil {
+			return segs, err
+		}
+		switch env.Kind {
+		case transport.KindSegment:
+			var seg transport.Segment
+			if err := env.Decode(&seg); err != nil {
+				return segs, err
+			}
+			segs = append(segs, seg)
+			clk.Sleep(lag)
+			acked += len(seg.Data)
+			if err := transport.Write(s.conn, transport.KindAck, transport.Ack{Seq: seg.ID, Bytes: acked}); err != nil {
+				return segs, err
+			}
+		case transport.KindSessionDone:
+			return segs, nil
+		default:
+			return segs, frameErr(env)
+		}
+	}
 }
 
 func (s *abortableSession) close() { s.conn.Close() }

@@ -196,14 +196,16 @@ func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow, done chan<- struct{}) 
 const minPace = 100 * time.Microsecond
 
 // stream sends a session's assigned segments, the i-th released no earlier
-// than its transmission deadline on the class schedule. Without feedback
-// (flow nil) each goes out whole at the quality this node holds it at, and
-// the segments no wait separates leave in one write with the frames around
-// them. With feedback its bytes are paced to the send-side bandwidth
-// estimate the requester's acks feed, so a session sharing a bottleneck
-// converges to its fair share instead of standing on the queue, and the ABR
-// ladder steps the quality down rather than stalling when the estimate
-// sustains below the committed offer.
+// than its transmission deadline on the class schedule, each read from the
+// store: a segment it does not hold ends the session with an error frame.
+// Without feedback (flow nil) each goes out whole at the quality this node
+// holds it at, and the segments no wait separates leave in one write with
+// the frames around them. With feedback its bytes are paced to the
+// send-side bandwidth estimate the requester's acks feed, so a session
+// sharing a bottleneck converges to its fair share instead of standing on
+// the queue, and the ABR ladder steps the quality down rather than stalling
+// when the estimate sustains below the committed offer; a segment the store
+// holds at a worse quality than the ladder's goes out as held, never better.
 func (n *Node) stream(out *burst, req transport.Start, f *media.File, store *media.Store, flow *pacing.Flow) {
 	var abr ladder
 	if flow != nil {
@@ -214,6 +216,7 @@ func (n *Node) stream(out *burst, req transport.Start, f *media.File, store *med
 	// One frame for the session, passed by address: a Segment by value
 	// would be boxed into add's any once per segment.
 	var frame transport.Segment
+	var down []byte // the session's subsampled renditions, reused: Append copies
 	for i, segID := range req.Segments {
 		// Pace against the absolute schedule to avoid drift: transmission
 		// of the i-th assigned segment completes at its protocol deadline.
@@ -233,19 +236,15 @@ func (n *Node) stream(out *burst, req transport.Start, f *media.File, store *med
 				})
 			}
 		}
-		var seg media.Segment
-		if abr.q == 0 {
-			// The stored rendition, labelled with the quality it arrived at:
-			// a relayed downgrade sent as full quality is refused by the
-			// requester's store on every retry.
-			var ok bool
-			if seg, ok = store.Get(media.SegmentID(segID)); !ok {
-				out.add(transport.KindError,
-					transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
-				return
-			}
-		} else {
-			seg = media.SegmentContentAt(f, media.SegmentID(segID), abr.q)
+		// The store is the one source of bytes at every quality: the held
+		// rendition, labelled with the quality it arrived at (a relayed
+		// downgrade sent as full quality is refused by the requester's
+		// store on every retry), or its subsample at the ladder's quality.
+		seg, ok := store.Rendition(media.SegmentID(segID), abr.q, &down)
+		if !ok {
+			out.add(transport.KindError,
+				transport.Error{Message: fmt.Sprintf("segment %d not held", segID)})
+			return
 		}
 		if flow != nil {
 			// Pace with 25% headroom over the estimate. At exactly the
@@ -348,14 +347,10 @@ type ladder struct {
 }
 
 // newLadder starts a session's ladder at full quality. The requester's
-// Start.Priority doubles the sustain window per step, so best-effort flows
-// yield first.
+// Start.Priority, clamped to [0, 4], doubles the sustain window per step,
+// so best-effort flows yield first.
 func newLadder(committed int64, dt time.Duration, priority int) ladder {
-	l := ladder{committed: committed, sustain: 2 * dt}
-	for s := 0; s < priority && s < 4; s++ {
-		l.sustain *= 2
-	}
-	return l
+	return ladder{committed: committed, sustain: 2 * dt << min(max(priority, 0), 4)}
 }
 
 // step weighs the estimate at now and reports whether the session stepped

@@ -3,10 +3,14 @@ package node
 import (
 	"bytes"
 	"context"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"p2pstream/internal/media"
+	"p2pstream/internal/observe"
+	"p2pstream/internal/transport"
 )
 
 // TestRelayedDowngradeKeepsItsQuality: a peer that once took a downgraded
@@ -76,6 +80,59 @@ func TestRelayedDowngradeKeepsItsQuality(t *testing.T) {
 					relayed, third.Store().Downgraded(), third.Store().Complete())
 			}
 		})
+	}
+}
+
+// TestDowngradeSubsamplesTheStore: a supplier sends only what it holds.
+// It holds every segment at quality 2 and is driven down its ladder by a
+// requester that acks each segment 12 ms late, against a send interval of
+// 8 ms. While its ladder stands at q1 it sends the q2 renditions it holds,
+// not better ones it does not have; past q2 it sends their subsamples. Every
+// frame is the canonical rendition at the quality it is labelled with.
+func TestDowngradeSubsamplesTheStore(t *testing.T) {
+	c := newCluster(t)
+	f := testFile()
+	store, err := media.NewStore(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, f.Segments)
+	for id := range ids {
+		ids[id] = id
+		if err := store.Put(media.SegmentContentAt(f, media.SegmentID(id), 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	var steps []int
+	relay := c.holder("relay", f, store, observe.Func(func(ev observe.Event) {
+		if ev.Type == observe.BitrateDowngrade {
+			mu.Lock()
+			steps = append(steps, ev.Quality)
+			mu.Unlock()
+		}
+	}))
+	sess, err := c.dialStart(relay.Addr(), transport.Start{RequesterID: "x", FileName: f.Name, Segments: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.close()
+	segs, err := sess.readAll(c.clk, 12*time.Millisecond)
+	if err != nil || len(segs) != f.Segments {
+		t.Fatalf("read %d of %d segments: %v", len(segs), f.Segments, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Contains(steps, 1) {
+		t.Fatalf("ladder steps %v never reached q1", steps)
+	}
+	for _, seg := range segs {
+		want := media.SegmentContentAt(f, media.SegmentID(seg.ID), media.Quality(seg.Quality))
+		if seg.Quality < 2 {
+			t.Errorf("segment %d went out at q%d, better than the q2 it is held at", seg.ID, seg.Quality)
+		} else if !bytes.Equal(seg.Data, want.Data) {
+			t.Errorf("segment %d at q%d is not its rendition (%d bytes)", seg.ID, seg.Quality, len(seg.Data))
+		}
 	}
 }
 

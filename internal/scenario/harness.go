@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"maps"
@@ -477,14 +476,15 @@ func expandLink(l Link, hosts []string) [][2]string {
 // storeExact reports whether the store holds the complete file with
 // byte-exact content at each segment's recorded quality: a downgraded
 // segment must match its rendition on the ladder exactly, not the
-// full-quality bytes it replaced. No store is not an exact one.
+// full-quality bytes it replaced. Each is checked against the content
+// formula in place, with no segment built. No store is not an exact one.
 func storeExact(s *media.Store, f *media.File) bool {
 	if s == nil || !s.Complete() {
 		return false
 	}
 	for id := 0; id < f.Segments; id++ {
 		got, ok := s.Get(media.SegmentID(id))
-		if !ok || !bytes.Equal(got.Data, media.SegmentContentAt(f, media.SegmentID(id), got.Quality).Data) {
+		if !ok || !media.IsSegmentContent(f, got) {
 			return false
 		}
 	}
