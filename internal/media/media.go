@@ -299,17 +299,3 @@ func (s *Store) Count() int { return s.have }
 
 // Complete reports whether every segment of the file is present.
 func (s *Store) Complete() bool { return s.have == s.file.Segments }
-
-// MissingBefore returns the first missing segment ID below limit, or -1 if
-// all segments in [0, limit) are present.
-func (s *Store) MissingBefore(limit SegmentID) SegmentID {
-	if int(limit) > s.file.Segments {
-		limit = SegmentID(s.file.Segments)
-	}
-	for id := SegmentID(0); id < limit; id++ {
-		if s.segs[id].n == 0 {
-			return id
-		}
-	}
-	return -1
-}

@@ -139,28 +139,6 @@ func TestSeededStoreComplete(t *testing.T) {
 	}
 }
 
-func TestStoreMissingBefore(t *testing.T) {
-	f := testFile()
-	s, _ := NewStore(f)
-	if got := s.MissingBefore(4); got != 0 {
-		t.Errorf("MissingBefore(4) = %d, want 0", got)
-	}
-	for _, id := range []SegmentID{0, 1, 3} {
-		if err := s.Put(SegmentContent(f, id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.MissingBefore(4); got != 2 {
-		t.Errorf("MissingBefore(4) = %d, want 2", got)
-	}
-	if got := s.MissingBefore(2); got != -1 {
-		t.Errorf("MissingBefore(2) = %d, want -1", got)
-	}
-	if got := s.MissingBefore(100); got != 2 {
-		t.Errorf("MissingBefore(100) = %d, want 2 (clamped)", got)
-	}
-}
-
 func TestVerifyPlaybackContinuous(t *testing.T) {
 	f := testFile()
 	// Segment s arrives at (s+1)·δt: continuous with delay 1·δt.

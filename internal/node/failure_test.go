@@ -529,8 +529,8 @@ func (c *cluster) cutOffSupplier(id string, seg transport.Segment) {
 // TestSessionRefusesSegmentBeforeItsPayload: a segment out of range, or
 // longer than a segment where the store already holds it (a retry's
 // re-received segment), fails the session on its header: the error is the
-// refusal, not the cut-off payload, of which the requester reads no more
-// than its header read takes along (segmentHead bytes of the frame).
+// refusal, not the cut-off payload, of which the requester consumes
+// nothing.
 func TestSessionRefusesSegmentBeforeItsPayload(t *testing.T) {
 	f := testFile()
 	for _, tc := range []struct {

@@ -244,6 +244,9 @@ type Node struct {
 	// seam cancellation tests use to land a cancel exactly in the
 	// admission-to-session-start window.
 	testHookAdmitted func()
+	// testHookAck, when non-nil, is called with every Ack a supplied
+	// session's ack reader has fed to its pacing.Flow.
+	testHookAck func(transport.Ack)
 }
 
 // NewSeed creates a node that already possesses its held objects complete

@@ -364,10 +364,13 @@ func (n *Node) leaveReminders(ctx context.Context, cands []transport.Candidate, 
 // supplier is parked on it waiting for exactly this frame. With no held
 // line, or one that fails before the supplier answered (it restarted, its
 // exchange deadline passed, it is a peer that hangs up after every reply),
-// the same exchange runs once on a fresh dial, left in *line. On success the
-// connection is the session stream, guarded by ctx until release is called,
-// and feedback is the plane the supplier chose for it: whether it reads acks.
-func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.Conn, start *transport.Start) (release func(), feedback bool, err error) {
+// the same exchange runs once on a fresh dial, left in *line. The answer is
+// read through *rd, the connection's Reader, which the session's segments
+// then come out of: the supplier may send them in the StartReply's write.
+// On success the connection is the session stream, guarded by ctx until
+// release is called, and feedback is the plane the supplier chose for it:
+// whether it reads acks. On failure *rd is closed.
+func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.Conn, rd *transport.Reader, start *transport.Start) (release func(), feedback bool, err error) {
 	held := *line != nil
 	for {
 		if *line == nil {
@@ -377,14 +380,16 @@ func (n *Node) trigger(ctx context.Context, cand transport.Candidate, line *net.
 			}
 		}
 		release = netx.Guard(ctx, *line)
+		*rd = transport.NewReader(*line)
 		var reply transport.StartReply
 		if err = transport.Write(*line, transport.KindStart, start); err == nil {
-			err = transport.ReadExpect(*line, transport.KindStartReply, &reply)
+			err = rd.Expect(transport.KindStartReply, &reply)
 		}
 		if err == nil && reply.OK {
 			return release, reply.Feedback, nil
 		}
 		release()
+		rd.Close()
 		switch {
 		case err == nil:
 			// A race took this supplier (granted, then claimed by another
@@ -421,16 +426,27 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	// chosen[i]. Write, then read: a refusal spares every later supplier
 	// its claim. All must accept before any data is consumed.
 	type stream struct {
-		want     int  // segments the supplier was told to send
-		feedback bool // whether it reads acks: the plane it chose
+		rd       transport.Reader // the connection's one Reader: the StartReply, then the session
+		release  func()           // ends ctx's guard of the connection
+		want     int              // segments the supplier was told to send
+		feedback bool             // whether it reads acks: the plane it chose
 	}
 	streams := make([]stream, len(chosen))
+	defer func() {
+		for i := range streams {
+			if st := &streams[i]; st.release != nil {
+				st.release()
+				st.rd.Close()
+			}
+		}
+	}()
 	for i, s := range assignment.Suppliers {
 		if s.ID != chosen[i].ID {
 			return nil, fmt.Errorf("node %s: assignment reordered the sweep: supplier %d is %s, chosen %s", n.cfg.ID, i, s.ID, chosen[i].ID)
 		}
 		segs := assignment.TransmissionList(i, file.Segments)
-		release, feedback, err := n.trigger(ctx, chosen[i], &lines[at[i]], &transport.Start{
+		st := &streams[i]
+		release, feedback, err := n.trigger(ctx, chosen[i], &lines[at[i]], &st.rd, &transport.Start{
 			RequesterID: n.cfg.ID,
 			FileName:    file.Name,
 			Segments:    segs,
@@ -439,8 +455,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		if err != nil {
 			return nil, transport.CtxErr(ctx, err)
 		}
-		defer release()
-		streams[i] = stream{len(segs), feedback}
+		st.release, st.want, st.feedback = release, len(segs), feedback
 	}
 
 	// Receive phase.
@@ -464,10 +479,8 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	// claimed marks the segments a stream of this session has taken a slot
 	// for, so that no two streams read into one slot.
 	claimed := make([]bool, file.Segments)
-	receive := func(conn net.Conn, st stream) {
+	receive := func(conn net.Conn, st *stream) {
 		defer rx.wg.Done()
-		rd := transport.NewReader(conn)
-		defer rd.Close()
 		var (
 			fresh   bool   // the last segment was read into the store, not discarded
 			discard []byte // where a segment the store holds is read, made on first use
@@ -498,7 +511,7 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 		}
 		received, acked := 0, 0
 		for {
-			env, seg, err := rd.NextSegment(slot)
+			env, seg, err := st.rd.NextSegment(slot)
 			if err != nil {
 				fail(fmt.Errorf("node %s: receiving: %w", n.cfg.ID, err))
 				return
@@ -549,9 +562,9 @@ func (n *Node) runSession(ctx context.Context, file *media.File, store *media.St
 	rx.wg.Add(len(chosen))
 	last := len(chosen) - 1
 	for i := 0; i < last; i++ {
-		go receive(lines[at[i]], streams[i])
+		go receive(lines[at[i]], &streams[i])
 	}
-	receive(lines[at[last]], streams[last])
+	receive(lines[at[last]], &streams[last])
 	rx.wg.Wait()
 	if len(rx.errs) > 0 {
 		return nil, transport.CtxErr(ctx, rx.errs[0])

@@ -56,7 +56,7 @@ func (n *Node) handleConn(conn net.Conn) {
 		if err := env.Decode(&req); err != nil {
 			return
 		}
-		n.handleStart(conn, req)
+		n.handleStart(conn, &rd, req)
 	case transport.KindReminder:
 		var req transport.Reminder
 		if err := env.Decode(&req); err != nil {
@@ -98,15 +98,16 @@ func (n *Node) handleReminder(conn net.Conn, req transport.Reminder) {
 	n.ep.Reply(conn, transport.KindReminderOK, transport.ReminderReply{Kept: kept})
 }
 
-// handleStart runs the supplier side of a streaming session and, when the
+// handleStart runs the supplier side of a streaming session, reading the
+// connection on through rd, the Reader its Start came out of, and, when the
 // session had feedback, keeps the connection until the requester hangs up.
 // Closing it with acks still unread in the socket makes the kernel answer
 // with a reset instead of a FIN, and a reset destroys whatever the requester
 // has not read yet: the session's last segments and its SessionDone. The
 // slot and the pin are already released during that wait; the re-armed
 // exchange deadline and Node.Close bound it.
-func (n *Node) handleStart(conn net.Conn, req transport.Start) {
-	if acks := n.supply(conn, req); acks != nil {
+func (n *Node) handleStart(conn net.Conn, rd *transport.Reader, req transport.Start) {
+	if acks := n.supply(conn, rd, req); acks != nil {
 		n.ep.Arm(conn)
 		<-acks
 	}
@@ -116,9 +117,9 @@ func (n *Node) handleStart(conn net.Conn, req transport.Start) {
 // strand the session), claims the busy state, tells the requester which
 // plane the session runs on and streams the assignment; the deferred
 // EndSession applies the post-session vector update. For a session with
-// feedback it returns the channel its ack reader closes once the requester
-// hangs up, and nil otherwise.
-func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
+// feedback it hands rd to the ack reader and returns the channel that reader
+// closes once the requester hangs up, and nil otherwise.
+func (n *Node) supply(conn net.Conn, rd *transport.Reader, req transport.Start) <-chan struct{} {
 	file, store, ok := n.lib.Acquire(req.FileName)
 	if !ok {
 		// Not held (never was, or evicted since the requester's lookup):
@@ -162,7 +163,11 @@ func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
 			HoldTime: 2 * file.SegmentTime,
 		}, file.SegmentBytes)
 		acks = make(chan struct{})
-		go n.readAcks(conn, flow, acks)
+		// The Reader goes to the ack reader by value, which keeps
+		// handleConn's on its stack; this side's copy is emptied, so only
+		// the ack reader uses and closes it.
+		go n.readAcks(*rd, flow, acks)
+		*rd = transport.Reader{}
 	}
 	n.stream(out, req, file, store, flow)
 	return acks
@@ -170,10 +175,11 @@ func (n *Node) supply(conn net.Conn, req transport.Start) <-chan struct{} {
 
 // readAcks feeds the requester's acknowledgments — each the bytes it has
 // stored from this stream so far — to the session's flow, and closes done
-// when the requester hangs up or the connection dies.
-func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow, done chan<- struct{}) {
+// when the requester hangs up or the connection dies. rd is the Reader the
+// session's Start came out of — an ack that arrived with the Start is
+// already in its buffer — and readAcks closes it.
+func (n *Node) readAcks(rd transport.Reader, flow *pacing.Flow, done chan<- struct{}) {
 	defer close(done)
-	rd := transport.NewReader(conn)
 	defer rd.Close()
 	for {
 		env, err := rd.Next()
@@ -185,6 +191,9 @@ func (n *Node) readAcks(conn net.Conn, flow *pacing.Flow, done chan<- struct{}) 
 			return
 		}
 		flow.Acked(int64(ack.Bytes))
+		if n.testHookAck != nil {
+			n.testHookAck(ack)
+		}
 	}
 }
 

@@ -181,3 +181,61 @@ func TestFixedScheduleWaits(t *testing.T) {
 		})
 	}
 }
+
+// TestAckWithStartReachesTheFlow: a requester may write its first Ack in the
+// same write as its Start. The supplier's connection Reader takes both in at
+// once, and the session's ack reader is handed that Reader, so the Ack still
+// reaches the session's pacing.Flow, ahead of the acks that follow.
+func TestAckWithStartReachesTheFlow(t *testing.T) {
+	c := newCluster(t)
+	seed, err := NewSeed(c.config("seed", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var acks []transport.Ack
+	seed.testHookAck = func(ack transport.Ack) {
+		mu.Lock()
+		acks = append(acks, ack)
+		mu.Unlock()
+	}
+	c.start(seed, nil)
+
+	f := testFile()
+	ids := make([]int, f.Segments)
+	for id := range ids {
+		ids[id] = id
+	}
+	early := transport.Ack{Seq: -1, Bytes: 0}
+	burst, err := transport.Append(nil, transport.KindStart, &transport.Start{RequesterID: "x", FileName: f.Name, Segments: ids})
+	if err == nil {
+		burst, err = transport.Append(burst, transport.KindAck, early)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := c.dial(seed.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	var reply transport.StartReply
+	if err := transport.ReadExpect(conn, transport.KindStartReply, &reply); err != nil || !reply.OK || !reply.Feedback {
+		t.Fatalf("start reply %+v, %v; want a feedback session", reply, err)
+	}
+	sess := &abortableSession{conn: conn}
+	segs, err := sess.readAll(c.clk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.close()
+	c.waitIdle(seed) // the ack reader has seen the hangup: every ack is in
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(acks) != len(segs)+1 || acks[0] != early {
+		t.Fatalf("the flow was fed %d acks starting %v, want the %d segments' acks after %v", len(acks), acks[:min(len(acks), 1)], len(segs), early)
+	}
+}

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"testing"
@@ -29,7 +30,7 @@ func TestAppendAllocs(t *testing.T) {
 // TestReaderAllocs pins what reading a frame through a Reader costs: its
 // buffer is the Reader's own, so a frame whose message keeps nothing costs
 // nothing, a Probe costs the one copy its strings share, and a segment read
-// into its slot costs nothing either.
+// into its slot costs nothing either; nor does an Exchange's reply.
 func TestReaderAllocs(t *testing.T) {
 	var src bytes.Reader
 	rd := NewReader(&src)
@@ -77,6 +78,38 @@ func TestReaderAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("reading a segment frame into its slot allocated %v times, want 0", got)
+	}
+
+	// An Exchange reads its reply through a Reader of its own, at what
+	// reading it with ReadExpect cost: nothing.
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	reply, err := Append(nil, KindProbeReply, ProbeReply{Decision: 1, Favors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer srv.Close()
+		rd := NewReader(srv)
+		defer rd.Close()
+		for {
+			if _, err := rd.Next(); err != nil {
+				return
+			}
+			if _, err := srv.Write(reply); err != nil {
+				return
+			}
+		}
+	}()
+	probe := &Probe{RequesterID: "r1", Class: 2, Object: "clip"}
+	var out ProbeReply
+	got = testing.AllocsPerRun(1000, func() {
+		if err := Exchange(context.Background(), cli, KindProbe, probe, KindProbeReply, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("a probe exchange over net.Pipe allocated %v times, want 0", got)
 	}
 }
 

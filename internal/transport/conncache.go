@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 
@@ -181,14 +182,22 @@ func CtxErr(ctx context.Context, err error) error {
 }
 
 // Exchange runs one write/read pair over an open connection under ctx and
-// leaves it open. Its errors are the connection's own; callers map them
-// with CtxErr.
+// leaves it open. It reads the reply through a Reader, and a byte read past
+// the reply is a stream out of step: ErrMalformedFrame, which makes
+// ConnCache drop the connection. Its errors are the connection's own;
+// callers map them with CtxErr.
 func Exchange(ctx context.Context, conn net.Conn, kind Kind, req any, want Kind, out any) error {
 	defer netx.Guard(ctx, conn)()
 	if err := Write(conn, kind, req); err != nil {
 		return err
 	}
-	return ReadExpect(conn, want, out)
+	rd := NewReader(conn)
+	defer rd.Close()
+	err := rd.Expect(want, out)
+	if rd.buffered() > 0 && (err == nil || isRemote(err)) {
+		return fmt.Errorf("%w: %d bytes after the %s reply", ErrMalformedFrame, rd.buffered(), want)
+	}
+	return err
 }
 
 func isRemote(err error) bool {

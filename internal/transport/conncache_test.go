@@ -285,3 +285,55 @@ func TestConnCacheDropsDeadSiblings(t *testing.T) {
 		t.Errorf("%d connections pooled after the restart, want only the fresh one", got)
 	}
 }
+
+// TestExchangeRefusesTrailingBytes: a reply with stray bytes after it in the
+// same write — after a good reply or a refusal alike — leaves the stream out
+// of step, so the exchange fails with ErrMalformedFrame and the cache holds
+// no idle connection afterwards.
+func TestExchangeRefusesTrailingBytes(t *testing.T) {
+	for _, reply := range []struct {
+		kind Kind
+		body any
+	}{
+		{KindCandidates, Candidates{Len: 1}},
+		{KindError, Error{Message: "no"}},
+	} {
+		v := cacheTestNet(t)
+		l, err := v.Host("srv").Listen(":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		raw, err := Append(nil, reply.kind, reply.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, 0, 0)
+		go func() {
+			for {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					if _, err := Read(conn); err == nil {
+						conn.Write(raw)
+					}
+				}()
+			}
+		}()
+		cc := NewConnCache(v.Host("cli"))
+		err = cc.Call(context.Background(), l.Addr().String(), KindLookup, Lookup{M: 1}, KindCandidates, &Candidates{})
+		if !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s reply and 2 stray bytes: err = %v, want ErrMalformedFrame", reply.kind, err)
+		}
+		cc.mu.Lock()
+		idle := len(cc.idle[l.Addr().String()])
+		cc.mu.Unlock()
+		if idle != 0 {
+			t.Errorf("%s reply and 2 stray bytes: %d idle connections pooled, want none", reply.kind, idle)
+		}
+		cc.Close()
+	}
+}

@@ -83,15 +83,20 @@ func Append(b []byte, kind Kind, body any) ([]byte, error) {
 
 // readFrame reads one frame into *bp, grown if need be, in two reads — the
 // length, then the rest — and returns its kind and fields, which are valid
-// until *bp is read into again or returns to bufPool.
+// until *bp is read into again or returns to bufPool. It never reads past the
+// frame: it is Read's and ReadExpect's, the exact one-frame reads.
 func readFrame(r io.Reader, bp *[]byte) (Kind, []byte, error) {
-	n, err := readLength(r, bp)
+	buf := grow(bp, 4)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, lengthErr(err)
+	}
+	n, err := frameLength(buf)
 	if err != nil {
 		return 0, nil, err
 	}
-	buf := grow(bp, n)
-	if err := readBody(r, buf, n); err != nil {
-		return 0, nil, err
+	buf = grow(bp, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, bodyErr(err, n)
 	}
 	kind, err := frameKind(buf)
 	if err != nil {
@@ -100,17 +105,10 @@ func readFrame(r io.Reader, bp *[]byte) (Kind, []byte, error) {
 	return kind, buf[2:], nil
 }
 
-// readLength reads a frame's length prefix and checks that it can hold a
-// version and a kind and stays within MaxMessageSize.
-func readLength(r io.Reader, bp *[]byte) (int, error) {
-	buf := grow(bp, 4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, io.EOF
-		}
-		return 0, fmt.Errorf("transport: reading length: %w", err)
-	}
-	n := int(binary.BigEndian.Uint32(buf))
+// frameLength decodes a frame's length prefix and checks that the frame can
+// hold a version and a kind and stays within MaxMessageSize.
+func frameLength(b []byte) (int, error) {
+	n := int(binary.BigEndian.Uint32(b))
 	switch {
 	case n > MaxMessageSize:
 		return 0, ErrMessageTooLarge
@@ -120,6 +118,24 @@ func readLength(r io.Reader, bp *[]byte) (int, error) {
 	return n, nil
 }
 
+// lengthErr is the error of a read that stopped inside a length prefix:
+// io.EOF where the stream ended before it, between frames.
+func lengthErr(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.EOF
+	}
+	return fmt.Errorf("transport: reading length: %w", err)
+}
+
+// bodyErr is the error of a read that stopped inside an n-byte frame; a
+// stream that ends there is a malformed frame.
+func bodyErr(err error, n int) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: stream ended inside a %d-byte frame", ErrMalformedFrame, n)
+	}
+	return fmt.Errorf("transport: reading body: %w", err)
+}
+
 // grow returns the first n bytes of *bp, replacing *bp by a larger buffer
 // first if it cannot hold them.
 func grow(bp *[]byte, n int) []byte {
@@ -127,18 +143,6 @@ func grow(bp *[]byte, n int) []byte {
 		*bp = make([]byte, n)
 	}
 	return (*bp)[:n]
-}
-
-// readBody fills buf with part of an n-byte frame; a stream that ends
-// inside it is a malformed frame.
-func readBody(r io.Reader, buf []byte, n int) error {
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: stream ended inside a %d-byte frame", ErrMalformedFrame, n)
-		}
-		return fmt.Errorf("transport: reading body: %w", err)
-	}
-	return nil
 }
 
 // frameKind checks the version byte heading a frame's body and returns the
@@ -154,15 +158,29 @@ func frameKind(buf []byte) (Kind, error) {
 	return kind, nil
 }
 
-// Reader reads the frames of one connection, each into the one buffer it
-// took from bufPool: an envelope's Body, and anything that aliases it, is
-// valid until the next call to Next or NextSegment. Decoding copies out of
-// it, so a decoded message keeps nothing of the buffer. A Reader never reads
-// past the frame it returns, so two Readers may take turns on one stream.
+// readAhead is what a Reader's buffer grows to when a segment's payload is
+// larger than it: room for a bulk burst of segments per fill, and no more
+// than a buffer may carry back into bufPool.
+const readAhead = maxPooledFrame
+
+// Reader reads the frames of one connection through the one buffer it took
+// from bufPool. Each fill is one Read of whatever the connection has, up to
+// the buffer's room, and frames are decoded out of the buffer, so a burst of
+// frames that left in one write costs about one read. The buffer starts at
+// the pool's size and grows only for a frame that does not fit: to the
+// frame's size, or to readAhead for a segment payload larger than it.
+//
+// An envelope's Body, and anything that aliases it, is valid until the next
+// call to Next, NextSegment or Expect. Decoding copies out of the buffer, so
+// a decoded message keeps nothing of it. A Reader owns the rest of its
+// connection — the bytes it has read ahead are buffered in it — so whoever
+// reads the connection next must be handed the Reader, never open another.
 // Close gives the buffer back.
 type Reader struct {
 	r  io.Reader
 	bp *[]byte
+	// at and end bound the bytes read and not yet consumed: (*bp)[at:end].
+	at, end int
 }
 
 // NewReader returns a Reader of r.
@@ -171,16 +189,101 @@ func NewReader(r io.Reader) Reader {
 }
 
 // Close returns the Reader's buffer to bufPool; the Reader must not be used
-// after it.
+// after it. Closing a zero Reader, or one closed before, does nothing.
 func (rd *Reader) Close() {
-	putBuf(rd.bp)
-	rd.bp = nil
+	if rd.bp != nil {
+		putBuf(rd.bp)
+		rd.bp = nil
+	}
+}
+
+// buffered is the number of bytes read from the connection and not yet
+// consumed.
+func (rd *Reader) buffered() int { return rd.end - rd.at }
+
+// fill reads until at least need bytes are buffered. It moves the buffered
+// bytes to the front of the buffer when need does not fit behind them,
+// growing the buffer to need bytes when it is smaller. A Read error that
+// leaves fewer buffered is returned as io.ReadFull would return it:
+// io.ErrUnexpectedEOF for a stream that ended with some of them read.
+func (rd *Reader) fill(need int) error {
+	if rd.buffered() >= need {
+		return nil
+	}
+	if rd.at == rd.end {
+		rd.at, rd.end = 0, 0
+	}
+	if rd.at+need > cap(*rd.bp) {
+		rd.compact(need)
+	}
+	buf := (*rd.bp)[:cap(*rd.bp)]
+	for {
+		m, err := rd.r.Read(buf[rd.end:])
+		rd.end += m
+		switch {
+		case rd.buffered() >= need:
+			return nil
+		case err == io.EOF && rd.end > rd.at:
+			return io.ErrUnexpectedEOF
+		case err != nil:
+			return err
+		}
+	}
+}
+
+// compact moves the buffered bytes to the front of the buffer, replacing it
+// first by one of size bytes if it is smaller.
+func (rd *Reader) compact(size int) {
+	buf := *rd.bp
+	if size > cap(buf) {
+		buf = make([]byte, size)
+	}
+	rd.end = copy(buf[:cap(buf)], (*rd.bp)[rd.at:rd.end])
+	rd.at = 0
+	*rd.bp = buf
+}
+
+// length buffers the next frame's length prefix and returns the length.
+func (rd *Reader) length() (int, error) {
+	if err := rd.fill(4); err != nil {
+		return 0, lengthErr(err)
+	}
+	return frameLength((*rd.bp)[rd.at:rd.end])
+}
+
+// frame buffers the rest of the n-byte frame whose length prefix is
+// buffered, consumes it and returns its envelope.
+func (rd *Reader) frame(n int) (Envelope, error) {
+	if err := rd.fill(4 + n); err != nil {
+		return Envelope{}, bodyErr(err, n)
+	}
+	body := (*rd.bp)[rd.at+4 : rd.at+4+n]
+	kind, err := frameKind(body)
+	if err != nil {
+		return Envelope{}, err
+	}
+	rd.at += 4 + n
+	return Envelope{Kind: kind, Body: body[2:]}, nil
 }
 
 // Next reads one frame.
 func (rd *Reader) Next() (Envelope, error) {
-	kind, body, err := readFrame(rd.r, rd.bp)
-	return Envelope{Kind: kind, Body: body}, err
+	n, err := rd.length()
+	if err != nil {
+		return Envelope{}, err
+	}
+	return rd.frame(n)
+}
+
+// Expect reads one frame, which must be of the given kind, and decodes it
+// into out unless out is nil. A KindError frame is returned as a
+// *RemoteError.
+func (rd *Reader) Expect(kind Kind, out any) error {
+	env, err := rd.Next()
+	if err != nil {
+		return err
+	}
+	return env.expect(kind, out)
 }
 
 // segmentHead is the most of a Segment frame's body that comes before its
@@ -188,39 +291,30 @@ func (rd *Reader) Next() (Envelope, error) {
 const segmentHead = 2 + 3*binary.MaxVarintLen64
 
 // NextSegment reads one frame as Next does, except that a Segment frame's
-// payload goes straight into the buffer slot returns for it. slot is called
-// with the segment's ID, quality and payload length once the frame's header
-// has been read and checked — in one read of at most segmentHead bytes, so
-// with no more of the payload than fits beside the header — and returns at
-// least n bytes to read the payload into, or an error, which NextSegment
-// returns as it is with the rest of the payload left unread. For a Segment
-// frame the envelope carries only the kind, and the segment's Data is the
-// payload in the slot.
+// payload goes into the buffer slot returns for it. slot is called with the
+// segment's ID, quality and payload length once the frame's header has been
+// checked, before any of the payload is consumed, and returns at least n
+// bytes to put the payload in, or an error, which NextSegment returns as it
+// is. The payload bytes already buffered are copied into the slot; the rest
+// is read through the buffer, or straight into the slot when it is at least
+// the buffer's size. For a Segment frame the envelope carries only the kind,
+// and the segment's Data is the payload in the slot.
 func (rd *Reader) NextSegment(slot func(id, quality, n int) ([]byte, error)) (Envelope, Segment, error) {
-	n, err := readLength(rd.r, rd.bp)
+	n, err := rd.length()
 	if err != nil {
 		return Envelope{}, Segment{}, err
 	}
-	head := grow(rd.bp, min(n, segmentHead))
-	if err := readBody(rd.r, head, n); err != nil {
-		return Envelope{}, Segment{}, err
+	if err := rd.fill(4 + min(n, segmentHead)); err != nil {
+		return Envelope{}, Segment{}, bodyErr(err, n)
 	}
+	head := (*rd.bp)[rd.at+4 : rd.at+4+min(n, segmentHead)]
 	kind, err := frameKind(head)
 	if err != nil {
 		return Envelope{}, Segment{}, err
 	}
 	if kind != KindSegment {
-		buf := *rd.bp
-		if n > cap(buf) {
-			buf = make([]byte, n)
-			copy(buf, head)
-			*rd.bp = buf
-		}
-		buf = buf[:n]
-		if err := readBody(rd.r, buf[len(head):], n); err != nil {
-			return Envelope{}, Segment{}, err
-		}
-		return Envelope{Kind: kind, Body: buf[2:]}, Segment{}, nil
+		env, err := rd.frame(n)
+		return env, Segment{}, err
 	}
 	var seg Segment
 	var size uint64
@@ -239,17 +333,39 @@ func (rd *Reader) NextSegment(slot func(id, quality, n int) ([]byte, error)) (En
 		return Envelope{}, Segment{}, err
 	}
 	seg.Data = dst[:size]
-	got := copy(seg.Data, head[2+c.i:])
-	if err := readBody(rd.r, seg.Data[got:], n); err != nil {
-		return Envelope{}, Segment{}, err
+	rd.at += 6 + c.i
+	got := copy(seg.Data, (*rd.bp)[rd.at:rd.end])
+	rd.at += got
+	if rest := seg.Data[got:]; len(rest) > 0 {
+		if len(seg.Data) > cap(*rd.bp) {
+			rd.compact(readAhead) // nothing is buffered: this only grows a smaller buffer
+		}
+		if err := rd.readInto(rest); err != nil {
+			return Envelope{}, Segment{}, bodyErr(err, n)
+		}
 	}
 	return Envelope{Kind: kind}, seg, nil
+}
+
+// readInto fills p, the rest of a payload, with nothing buffered: through the
+// buffer, or straight into p when p is at least the buffer's size.
+func (rd *Reader) readInto(p []byte) error {
+	if len(p) >= cap(*rd.bp) {
+		_, err := io.ReadFull(rd.r, p)
+		return err
+	}
+	if err := rd.fill(len(p)); err != nil {
+		return err
+	}
+	rd.at += copy(p, (*rd.bp)[rd.at:rd.end])
+	return nil
 }
 
 // Read receives one framed message envelope whose Body is the caller's own
 // copy, so []byte fields Decode yields may alias it. It is small enough to
 // inline, so an envelope that does not outlive its caller costs no
-// allocation beyond its body.
+// allocation beyond its body. It never reads past the frame, so the next read
+// of r starts at the next one.
 func Read(r io.Reader) (*Envelope, error) {
 	var env Envelope
 	if err := env.read(r); err != nil {
@@ -259,37 +375,45 @@ func Read(r io.Reader) (*Envelope, error) {
 }
 
 func (e *Envelope) read(r io.Reader) error {
-	rd := NewReader(r)
-	defer rd.Close()
-	env, err := rd.Next()
-	*e = Envelope{Kind: env.Kind, Body: bytes.Clone(env.Body), owned: true}
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
+	kind, body, err := readFrame(r, bp)
+	*e = Envelope{Kind: kind, Body: bytes.Clone(body), owned: true}
 	return err
 }
 
 // ReadExpect receives one message and requires it to be of the given kind,
-// decoding its body (out of a pooled buffer) into out. A received
-// KindError is surfaced as a *RemoteError.
+// decoding its body (out of a pooled buffer) into out unless out is nil. A
+// received KindError is surfaced as a *RemoteError. Like Read, it never reads
+// past the frame.
 func ReadExpect(r io.Reader, kind Kind, out any) error {
-	rd := NewReader(r)
-	defer rd.Close()
-	env, err := rd.Next()
+	bp := bufPool.Get().(*[]byte)
+	defer putBuf(bp)
+	got, body, err := readFrame(r, bp)
 	if err != nil {
 		return err
 	}
-	if env.Kind == KindError {
-		var e Error
-		if err := env.Decode(&e); err != nil {
+	env := Envelope{Kind: got, Body: body}
+	return env.expect(kind, out)
+}
+
+// expect requires the envelope to be of the given kind and decodes it into
+// out unless out is nil; a KindError envelope is returned as a *RemoteError.
+func (e *Envelope) expect(kind Kind, out any) error {
+	if e.Kind == KindError {
+		var re Error
+		if err := e.Decode(&re); err != nil {
 			return err
 		}
-		return &RemoteError{Message: e.Message}
+		return &RemoteError{Message: re.Message}
 	}
-	if env.Kind != kind {
-		return fmt.Errorf("transport: got %s, want %s", env.Kind, kind)
+	if e.Kind != kind {
+		return fmt.Errorf("transport: got %s, want %s", e.Kind, kind)
 	}
 	if out == nil {
 		return nil
 	}
-	return env.Decode(out)
+	return e.Decode(out)
 }
 
 // Decode decodes the envelope's fields into out, a pointer to the message

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // frameOf assembles the frame Write would for already-encoded fields.
@@ -115,9 +116,12 @@ func FuzzReadCorruptFrame(f *testing.F) {
 
 // FuzzReadFrameStream reads arbitrary bytes as a stream of frames, the way a
 // requester reads a supplier's session when several of its frames left in
-// one write: Read and ReadExpect step through the stream side by side, agree
-// frame by frame on whether each decodes, never fall out of step, and stop
-// at the first frame that is cut off or malformed with one of the frame
+// one write: Read, ReadExpect and a Reader's Next step through the stream
+// side by side. Read and ReadExpect agree frame by frame on whether each
+// decodes; Next returns the very frame Read does and stops where and as Read
+// does; the bytes each has consumed — for the Reader, those taken from the
+// stream less those it still buffers — are the same after every frame. Read
+// stops at the first frame that is cut off or malformed with one of the frame
 // errors, never a panic. The seeds are batches Append built, whole and with
 // one frame inside them corrupted.
 func FuzzReadFrameStream(f *testing.F) {
@@ -125,9 +129,14 @@ func FuzzReadFrameStream(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		byRead, byExpect := bytes.NewReader(data), bytes.NewReader(data)
+		byRead, byExpect, byNext := bytes.NewReader(data), bytes.NewReader(data), bytes.NewReader(data)
+		rd := freshReader(byNext)
 		for {
 			env, err := Read(byRead)
+			next, nerr := rd.Next()
+			if got, want := streamEnd(nerr), streamEnd(err); got != want {
+				t.Fatalf("Next stopped with %v, Read with %v", nerr, err)
+			}
 			if err != nil {
 				for _, clean := range []error{io.EOF, io.ErrUnexpectedEOF, ErrMalformedFrame, ErrMessageTooLarge, ErrWireVersion} {
 					if errors.Is(err, clean) {
@@ -135,6 +144,9 @@ func FuzzReadFrameStream(f *testing.F) {
 					}
 				}
 				t.Fatalf("Read failed with %v, not a frame error", err)
+			}
+			if next.Kind != env.Kind || !bytes.Equal(next.Body, env.Body) {
+				t.Fatalf("Next read a %s %x, Read a %s %x", next.Kind, next.Body, env.Kind, env.Body)
 			}
 			derr := env.Decode(kinds[env.Kind].body())
 			rerr := ReadExpect(byExpect, env.Kind, kinds[env.Kind].body())
@@ -144,8 +156,19 @@ func FuzzReadFrameStream(f *testing.F) {
 			if byRead.Len() != byExpect.Len() {
 				t.Fatalf("after a %s frame Read left %d bytes and ReadExpect %d", env.Kind, byRead.Len(), byExpect.Len())
 			}
+			if left := byNext.Len() + rd.buffered(); left != byRead.Len() {
+				t.Fatalf("after a %s frame Next left %d bytes unconsumed and Read %d", env.Kind, left, byRead.Len())
+			}
 		}
 	})
+}
+
+// freshReader is a Reader of r on a buffer of the pool's starting size, not
+// one from the pool, which may have grown: every growth of it happens in
+// the stream under test.
+func freshReader(r io.Reader) Reader {
+	buf := make([]byte, 0, 512)
+	return Reader{r: r, bp: &buf}
 }
 
 // frameStreamSeeds are the seeds of the stream fuzzers: batches Append
@@ -169,8 +192,8 @@ func frameStreamSeeds(f *testing.F) [][]byte {
 		}
 		return b
 	}
-	second := 4 + int(binary.BigEndian.Uint32(batch())) // where the first segment's frame starts
-	seeds := [][]byte{batch(), batch()[:len(batch())-3]}
+	second := 4 + int(binary.BigEndian.Uint32(batch()))                      // where the first segment's frame starts
+	seeds := [][]byte{batch(), batch()[:len(batch())-3], batch()[:second+1]} // the last cut one byte into a length
 	for _, corrupt := range []func(b []byte){
 		func(b []byte) { b[second+3]++ },                 // a length one past the frame
 		func(b []byte) { b[second+3]-- },                 // a length one short of it
@@ -187,11 +210,12 @@ func frameStreamSeeds(f *testing.F) [][]byte {
 }
 
 // The model store of FuzzSegmentStream: slotSegs segments of at most
-// slotBytes each, refusing a segment out of range, longer than a slot or
-// already held, as media.Store does.
+// slotBytes each — room for a payload larger than the pool's 512-byte
+// buffer — refusing a segment out of range, longer than a slot or already
+// held, as media.Store does.
 const (
 	slotSegs  = 4
-	slotBytes = 16
+	slotBytes = 1 << 10
 )
 
 var errRefused = errors.New("slot refused")
@@ -220,15 +244,19 @@ func streamEnd(err error) string {
 }
 
 // FuzzSegmentStream reads arbitrary bytes as a session stream twice: with
-// a Reader whose NextSegment reads each payload straight into a slot of a
-// model store, and with Read and Decode, putting each decoded segment into
-// a second model store. Frame by frame the two must agree on the kind, a
-// segment's ID, quality and payload bytes, or any other frame's fields,
-// and never fall out of step; and they must stop at the same frame for
-// the same reason. The one difference allowed is the order of two checks:
-// NextSegment asks for the slot before it reads the payload, so a frame
+// a Reader whose NextSegment puts each payload into a slot of a model store,
+// and with Read and Decode, putting each decoded segment into a second model
+// store. Frame by frame the two must agree on the kind, a segment's ID,
+// quality and payload bytes, or any other frame's fields; the bytes the
+// Reader has consumed — taken from the stream less those it still buffers —
+// must be those Read has; and they must stop at the same frame for the same
+// reason. The one difference allowed is the order of two checks:
+// NextSegment asks for the slot before it consumes the payload, so a frame
 // whose slot is refused and whose payload is cut off reads as a refusal
-// there and as a frame error through Read.
+// there and as a frame error through Read. The Reader reads each input
+// three ways — the whole stream per Read, one byte per Read and half of what
+// it asks for per Read — which reach every fill, compaction and growth of
+// its buffer.
 func FuzzSegmentStream(f *testing.F) {
 	for _, seed := range frameStreamSeeds(f) {
 		f.Add(seed)
@@ -244,52 +272,84 @@ func FuzzSegmentStream(f *testing.F) {
 		return b
 	}
 	payload := bytes.Repeat([]byte{0xa5}, slotBytes+1)
-	f.Add(frames(Segment{ID: 2, Data: payload[:4]}, Segment{ID: 2, Data: payload[:4]}))    // a duplicate
-	f.Add(frames(Segment{ID: 0, Data: payload[:1]}, Segment{ID: slotSegs, Data: payload})) // out of range
-	f.Add(frames(Segment{ID: -1, Quality: 3, Data: payload[:2]}))                          // out of range, below
-	f.Add(frames(Segment{ID: 1, Data: payload}))                                           // longer than a slot
-	f.Add(frames(Segment{ID: 3, Data: payload})[:12])                                      // refused, and cut off
+	f.Add(frames(Segment{ID: 2, Data: payload[:4]}, Segment{ID: 2, Data: payload[:4]}))        // a duplicate
+	f.Add(frames(Segment{ID: 0, Data: payload[:1]}, Segment{ID: slotSegs, Data: payload[:5]})) // out of range
+	f.Add(frames(Segment{ID: -1, Quality: 3, Data: payload[:2]}))                              // out of range, below
+	f.Add(frames(Segment{ID: 1, Data: payload}))                                               // longer than a slot
+	f.Add(frames(Segment{ID: 3, Data: payload})[:12])                                          // refused, and cut off
+	f.Add(frameOf(KindSegment, []byte{0x80, 0x00, 0, 1, 0xa5}))                                // a non-minimal ID
+	// Past the pool's 512-byte buffer: a burst of frames longer than it, a
+	// frame larger than it, and a payload larger than it, whole and cut off.
+	var burst []byte
+	for i := range 100 {
+		burst, _ = Append(burst, KindAck, Ack{Seq: i, Bytes: i << 10})
+	}
+	f.Add(append(burst, frames(Segment{ID: 0, Data: payload[:16]})...))
+	long, _ := Append(nil, KindError, Error{Message: string(payload[:1000])})
+	f.Add(append(long, frames(Segment{ID: 0, Data: payload[:16]})...))
+	large := frames(Segment{ID: 1, Data: payload[:1000]})
+	f.Add(large)
+	f.Add(large[:len(large)-10])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		store := make([]byte, slotSegs*slotBytes)
-		held, refHeld := map[int]bool{}, map[int]bool{}
-		src, ref := bytes.NewReader(data), bytes.NewReader(data)
-		rd := NewReader(src)
-		defer rd.Close()
-		for frame := 0; ; frame++ {
-			env, seg, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) {
-				if err := refuseSlot(held, id, n); err != nil {
-					return nil, err
-				}
-				return store[id*slotBytes : id*slotBytes+n], nil
-			})
-			renv, rerr := Read(ref)
-			var rseg Segment
-			if rerr == nil && renv.Kind == KindSegment {
-				if rerr = renv.Decode(&rseg); rerr == nil {
-					rerr = refuseSlot(refHeld, rseg.ID, len(rseg.Data))
-				}
-			}
-			got, want := streamEnd(err), streamEnd(rerr)
-			if got == "refused" && want == "frame error" {
-				return
-			}
-			if got != want {
-				t.Fatalf("frame %d: NextSegment stopped with %v, Read and Decode with %v", frame, err, rerr)
-			}
-			if got != "" {
-				return
-			}
-			switch {
-			case env.Kind != renv.Kind:
-				t.Fatalf("frame %d: NextSegment read a %s, Read a %s", frame, env.Kind, renv.Kind)
-			case env.Kind != KindSegment && !bytes.Equal(env.Body, renv.Body):
-				t.Fatalf("frame %d: %s fields differ: %x against %x", frame, env.Kind, env.Body, renv.Body)
-			case seg.ID != rseg.ID || seg.Quality != rseg.Quality || !bytes.Equal(seg.Data, rseg.Data):
-				t.Fatalf("frame %d: NextSegment read segment %d q%d %x, Read and Decode %d q%d %x",
-					frame, seg.ID, seg.Quality, seg.Data, rseg.ID, rseg.Quality, rseg.Data)
-			case src.Len() != ref.Len():
-				t.Fatalf("frame %d: after a %s NextSegment left %d bytes and Read %d", frame, env.Kind, src.Len(), ref.Len())
-			}
+		for _, way := range readWays {
+			t.Run(way.name, func(t *testing.T) { segmentStream(t, data, way.wrap) })
 		}
 	})
+}
+
+// readWays are the ways a stream reaches a Reader under test: whole per
+// Read, one byte per Read, and half of what each Read asks for.
+var readWays = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+}
+
+// segmentStream runs FuzzSegmentStream's comparison on data, the Reader
+// reading it through wrap.
+func segmentStream(t *testing.T, data []byte, wrap func(io.Reader) io.Reader) {
+	var store [slotSegs][]byte
+	held, refHeld := map[int]bool{}, map[int]bool{}
+	src, ref := bytes.NewReader(data), bytes.NewReader(data)
+	rd := freshReader(wrap(src))
+	for frame := 0; ; frame++ {
+		env, seg, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) {
+			if err := refuseSlot(held, id, n); err != nil {
+				return nil, err
+			}
+			store[id] = make([]byte, n)
+			return store[id], nil
+		})
+		renv, rerr := Read(ref)
+		var rseg Segment
+		if rerr == nil && renv.Kind == KindSegment {
+			if rerr = renv.Decode(&rseg); rerr == nil {
+				rerr = refuseSlot(refHeld, rseg.ID, len(rseg.Data))
+			}
+		}
+		got, want := streamEnd(err), streamEnd(rerr)
+		if got == "refused" && want == "frame error" {
+			return
+		}
+		if got != want {
+			t.Fatalf("frame %d: NextSegment stopped with %v, Read and Decode with %v", frame, err, rerr)
+		}
+		if got != "" {
+			return
+		}
+		switch {
+		case env.Kind != renv.Kind:
+			t.Fatalf("frame %d: NextSegment read a %s, Read a %s", frame, env.Kind, renv.Kind)
+		case env.Kind != KindSegment && !bytes.Equal(env.Body, renv.Body):
+			t.Fatalf("frame %d: %s fields differ: %x against %x", frame, env.Kind, env.Body, renv.Body)
+		case seg.ID != rseg.ID || seg.Quality != rseg.Quality || !bytes.Equal(seg.Data, rseg.Data):
+			t.Fatalf("frame %d: NextSegment read segment %d q%d %x, Read and Decode %d q%d %x",
+				frame, seg.ID, seg.Quality, seg.Data, rseg.ID, rseg.Quality, rseg.Data)
+		case src.Len()+rd.buffered() != ref.Len():
+			t.Fatalf("frame %d: after a %s NextSegment left %d bytes unconsumed and Read %d", frame, env.Kind, src.Len()+rd.buffered(), ref.Len())
+		}
+	}
 }

@@ -32,17 +32,22 @@
 //
 // # Ownership
 //
-// A Reader reads the frames of one connection into one buffer from the
-// package's pool. Reader.Next returns an Envelope by value whose Body is
-// borrowed from that buffer until the next frame; decoding copies out of
-// it, so a message keeps nothing of the buffer and a frame whose message
-// keeps nothing costs no allocation. Reader.NextSegment reads a Segment
-// frame's header, then its payload straight into the buffer the caller
-// picks for it from that header — a requester's slot in its media store.
-// Read makes one owned copy of the body, and Envelope.Decode aliases
-// Segment.Data, the one []byte field, into it on an envelope from Read
-// only. ReadExpect decodes out of a pooled buffer. Nothing decoded refers
-// to a pooled buffer. Decoded strings are slices of one string copy of the
+// A Reader reads the frames of one connection through one buffer from the
+// package's pool, each fill one Read of whatever the connection has. It
+// reads ahead, so it owns the rest of its connection: hand it on to
+// whoever reads the connection next, never open a second one. Exchange
+// reads its reply through one and refuses a byte past it. Reader.Next
+// returns an Envelope by value whose Body is borrowed from that buffer
+// until the next frame; decoding copies out of it, so a message keeps
+// nothing of the buffer and a frame whose message keeps nothing costs no
+// allocation. Reader.NextSegment decodes a Segment frame's header, then
+// puts its payload into the buffer the caller picks for it from that
+// header — a requester's slot in its media store. Read and ReadExpect are
+// the exact one-frame reads: they never read past the frame. Read makes
+// one owned copy of the body, and Envelope.Decode aliases Segment.Data,
+// the one []byte field, into it on an envelope from Read only. ReadExpect
+// decodes out of a pooled buffer. Nothing decoded refers to a pooled
+// buffer. Decoded strings are slices of one string copy of the
 // body, so keeping one keeps the frame's worth (at most MaxMessageSize):
 // harmless where a frame's strings are stored and dropped together — a
 // registration, a peer's batch of them, the contacts of one stabilization

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -298,6 +299,99 @@ func TestAppendFailureKeepsEarlierFrames(t *testing.T) {
 	for _, want := range []Kind{KindStartReply, KindSessionDone} {
 		if env, err := Read(r); err != nil || env.Kind != want {
 			t.Fatalf("Read = %v, %v; want %s", env, err, want)
+		}
+	}
+}
+
+// countingReader counts the Read calls made of it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReaderReadsAhead: a supplier's burst — its StartReply, four bulk
+// segments and the SessionDone, Appended into one write — comes out of a
+// Reader's NextSegment in at most three Reads: the pool's starting 512-byte
+// buffer, then two fills of the buffer grown to readAhead. A reader that
+// never read past a frame took two or three per frame.
+func TestReaderReadsAhead(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x3c}, 16<<10)
+	burst, err := Append(nil, KindStartReply, StartReply{OK: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range 4 {
+		if burst, err = Append(burst, KindSegment, &Segment{ID: id, Data: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if burst, err = Append(burst, KindSessionDone, SessionDone{Sent: 4}); err != nil {
+		t.Fatal(err)
+	}
+	src := &countingReader{r: bytes.NewReader(burst)}
+	rd := freshReader(src)
+	slots := make([][]byte, 4)
+	var got []Kind
+	for {
+		env, seg, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) {
+			slots[id] = make([]byte, n)
+			return slots[id], nil
+		})
+		if err != nil {
+			t.Fatalf("after %v: %v", got, err)
+		}
+		got = append(got, env.Kind)
+		if env.Kind == KindSegment && !bytes.Equal(seg.Data, payload) {
+			t.Fatalf("segment %d arrived as %d other bytes", seg.ID, len(seg.Data))
+		}
+		if env.Kind == KindSessionDone {
+			break
+		}
+	}
+	if want := []Kind{KindStartReply, KindSegment, KindSegment, KindSegment, KindSegment, KindSessionDone}; !slices.Equal(got, want) {
+		t.Fatalf("read %v, want %v", got, want)
+	}
+	if src.reads > 3 {
+		t.Errorf("a burst of %d bytes in %d frames took %d Reads, want at most 3", len(burst), len(got), src.reads)
+	}
+}
+
+// TestReaderLargePayload: a payload at least as large as a Reader's grown
+// buffer is read straight into its slot, over a stream that gives it whole,
+// a byte or half a request per Read, and the frame after it reads on; cut
+// off inside, it is a malformed frame.
+func TestReaderLargePayload(t *testing.T) {
+	payload := make([]byte, 2*readAhead)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	stream, err := Append(nil, KindSegment, &Segment{ID: 3, Data: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(stream) - 10
+	if stream, err = Append(stream, KindSessionDone, SessionDone{Sent: 1}); err != nil {
+		t.Fatal(err)
+	}
+	slot := make([]byte, len(payload))
+	into := func(id, quality, n int) ([]byte, error) { return slot[:n], nil }
+	for _, way := range readWays {
+		rd := freshReader(way.wrap(bytes.NewReader(stream)))
+		clear(slot)
+		if _, seg, err := rd.NextSegment(into); err != nil || seg.ID != 3 || !bytes.Equal(seg.Data, payload) {
+			t.Fatalf("%s: read segment %d of %d bytes, err %v", way.name, seg.ID, len(seg.Data), err)
+		}
+		if env, err := rd.Next(); err != nil || env.Kind != KindSessionDone {
+			t.Errorf("%s: after the segment read %s, %v; want session-done", way.name, env.Kind, err)
+		}
+		rd = freshReader(way.wrap(bytes.NewReader(stream[:cut])))
+		if _, _, err := rd.NextSegment(into); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s: a payload cut off read as %v, want ErrMalformedFrame", way.name, err)
 		}
 	}
 }
