@@ -13,7 +13,7 @@
 //	p2pdir -listen 127.0.0.1:7000 -shards 3
 //	p2pnode -id peer1 -class 2 -dir-addrs 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002
 //
-// An elastic registry adds an in-process autoscaling controller
+// An elastic registry runs its deployment's autoscale loop in-process
 // (internal/reshard): sustained lookup load above the high-water mark
 // spawns a shard on the next port and announces a new resharding epoch,
 // sustained underload drains the coldest spawned shard back out. Peers
@@ -23,11 +23,11 @@
 //	p2pnode -id peer1 -class 2 -dir-addrs 127.0.0.1:7000 -dir-epochs
 //
 // The initial -shards servers are the stable bootstrap set and are never
-// drained; the controller scales between that floor and -autoscale-max.
+// drained; the deployment scales between that floor and -autoscale-max.
 // With base port 0 (-listen 127.0.0.1:0) every shard, spawned ones too,
 // binds a free port of its own; peers learn the bound addresses from the
 // printed -dir-addrs line and from epoch pushes. On SIGINT or SIGTERM the
-// process stops the controller, closes every live shard server (each
+// process stops the autoscale loop, closes every live shard server (each
 // reported as retired under -autoscale) and exits 0.
 package main
 

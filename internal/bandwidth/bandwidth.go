@@ -55,10 +55,6 @@ func (c Class) Offer() Fraction {
 // String implements fmt.Stringer ("class-3").
 func (c Class) String() string { return fmt.Sprintf("class-%d", int(c)) }
 
-// HigherThan reports whether c is a strictly higher class than other
-// (i.e. offers strictly more bandwidth).
-func (c Class) HigherThan(other Class) bool { return c < other }
-
 // String renders the fraction as a multiple of R0 ("0.25*R0").
 func (f Fraction) String() string {
 	return fmt.Sprintf("%g*R0", float64(f)/float64(R0))
@@ -170,15 +166,4 @@ func (d Distribution) Pick(u float64) Class {
 		}
 	}
 	return Class(len(d)) // u==~1 or rounding: last class
-}
-
-// MeanOffer returns the expected offer of a peer drawn from the
-// distribution, as an exact Fraction scaled by 1/2^FracBits per unit
-// (i.e. the float64 expectation rounded to the nearest Fraction unit).
-func (d Distribution) MeanOffer() float64 {
-	var mean float64
-	for i, share := range d {
-		mean += share * Class(i+1).Offer().OfR0()
-	}
-	return mean
 }

@@ -57,18 +57,6 @@ func TestClassValid(t *testing.T) {
 	}
 }
 
-func TestClassHigherThan(t *testing.T) {
-	if !Class(1).HigherThan(2) {
-		t.Error("class 1 should be higher than class 2")
-	}
-	if Class(3).HigherThan(3) {
-		t.Error("a class is not higher than itself")
-	}
-	if Class(4).HigherThan(1) {
-		t.Error("class 4 should not be higher than class 1")
-	}
-}
-
 func TestSumAndSumOffers(t *testing.T) {
 	if got := Sum(); got != 0 {
 		t.Errorf("Sum() = %v, want 0", got)
@@ -199,15 +187,6 @@ func TestDistributionPickFrequencies(t *testing.T) {
 		if diff := got - share; diff > 0.01 || diff < -0.01 {
 			t.Errorf("class %d frequency %.3f, want ~%.3f", i+1, got, share)
 		}
-	}
-}
-
-func TestDistributionMeanOffer(t *testing.T) {
-	// Paper setup: 10% class1 + 10% class2 + 40% class3 + 40% class4
-	// = .1*.5 + .1*.25 + .4*.125 + .4*.0625 = 0.15
-	d := Distribution{0.1, 0.1, 0.4, 0.4}
-	if got := d.MeanOffer(); got < 0.1499 || got > 0.1501 {
-		t.Errorf("MeanOffer = %g, want 0.15", got)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"sync"
 
+	"p2pstream/internal/clock"
 	"p2pstream/internal/directory"
+	"p2pstream/internal/transport"
 )
 
 // BootFunc starts the server of shard i and returns it with the address
@@ -14,65 +16,100 @@ import (
 // fixed address on a Restart, where every client's ring still routes.
 type BootFunc func(i int, addr string) (*directory.Server, string, error)
 
-// Deployment is one directory registry as it runs: the bootstrap shards,
-// the shards spawned since and, when it autoscales, the Controller over
-// them. Every shard is named directory.ShardName(i), booted through one
-// BootFunc and closed exactly once.
+// Deployment is one directory registry as it runs: the bootstrap shards
+// and the shards spawned since, in one table by shard index. Every shard
+// is named directory.ShardName(i), booted through one BootFunc and closed
+// exactly once. An elastic deployment also keeps the current epoch's live
+// shard set and runs the autoscale loop over it.
 type Deployment struct {
-	boot    BootFunc
-	ctrl    *Controller
-	retired func(Member)
+	boot   BootFunc
+	cfg    Config // the zero Config for a fixed deployment
+	clk    clock.Clock
+	pinned int // the bootstrap shards, indices below pinned, never drain
 
-	mu     sync.Mutex
-	closed bool     // Close has begun: a late boot must not leak its server
-	shards []Member // by shard index; Server is nil while down and once closed
+	mu       sync.Mutex
+	closed   bool    // Close has begun: a late boot must not leak its server
+	shards   []shard // by shard index
+	live     []int   // the current epoch's shard indices, in shard order
+	epoch    int64   // 0 for a fixed deployment
+	hot      int     // consecutive intervals above HighWater
+	cold     int     // consecutive intervals below LowWater
+	flipping bool    // a grow or drain is under way
+	timer    clock.Timer
+	wg       sync.WaitGroup // grows, drains and retires in flight
+}
+
+// shard is one entry of a Deployment's shard table.
+type shard struct {
+	Member             // Server is nil while down and once closed
+	last   int64       // cumulative lookups at the previous tick
+	retire clock.Timer // a drained shard's grace timer, until it fires
 }
 
 // Deploy boots the bootstrap shards and, given an autoscale config,
-// starts a Controller over them. The bootstrap shards are the addresses
-// booting peers dial, so all of them are pinned: only spawned shards
-// drain, and the count never falls below the bootstrap count. Deploy
-// fills autoscale's Members, Pinned, Spawn and Retire; a Retire the caller
-// set is told of every shard the deployment retires: a drained one after
-// its grace period, every live one at Close. A failed boot closes what
-// was started.
+// announces epoch 1 over them and arms the autoscale loop. The bootstrap
+// shards are the addresses booting peers dial, so all of them are pinned:
+// only spawned shards drain, and the count never falls below the
+// bootstrap count. An autoscale config is checked before any shard boots.
+// A failed boot closes what was started.
 func Deploy(bootstrap int, boot BootFunc, autoscale *Config) (*Deployment, error) {
-	d := &Deployment{boot: boot}
+	d := &Deployment{boot: boot, pinned: bootstrap}
+	if autoscale != nil {
+		cfg, err := autoscale.check(bootstrap)
+		if err != nil {
+			return nil, err
+		}
+		d.cfg, d.clk = cfg, clock.Or(cfg.Clock)
+	}
 	for i := range bootstrap {
 		if _, err := d.start(i, ""); err != nil {
 			d.Close()
 			return nil, err
 		}
+		d.live = append(d.live, i)
 	}
-	if autoscale == nil {
-		return d, nil
+	if autoscale != nil {
+		// Nothing else holds d until the loop is armed.
+		d.epoch = 1
+		announce(d.epochLocked())
+		d.mu.Lock()
+		d.timer = d.clk.AfterFunc(d.cfg.Interval, d.tick)
+		d.mu.Unlock()
 	}
-	cfg := *autoscale
-	cfg.Members, cfg.Pinned = d.Shards(), bootstrap
-	cfg.Spawn = func(seq int) (Member, error) { return d.start(seq, "") }
-	cfg.Retire = d.retire
-	ctrl, err := New(cfg)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.ctrl, d.retired = ctrl, autoscale.Retire
-	ctrl.Start()
 	return d, nil
 }
 
-// Controller returns the autoscaling controller, nil for a fixed
-// deployment.
-func (d *Deployment) Controller() *Controller { return d.ctrl }
+// Epoch returns the current epoch number: 0 for a fixed deployment.
+func (d *Deployment) Epoch() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.epoch
+}
+
+// Snapshot returns the current epoch and its shard set, in shard order, in
+// one consistent read — what a client booting mid-run must route by.
+func (d *Deployment) Snapshot() (int64, []Member) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	live := make([]Member, len(d.live))
+	for j, i := range d.live {
+		live[j] = d.shards[i].Member
+	}
+	return d.epoch, live
+}
 
 // Shards returns every shard the deployment has booted, by index: the
-// bootstrap set, then each spawned shard (a spawn that failed to boot
-// leaves its index empty). Server is nil while a shard is down and after
-// its server closed.
+// bootstrap set, then each spawned shard (a spawn still booting, or that
+// failed to boot, leaves its index empty). Server is nil while a shard is
+// down and after its server closed.
 func (d *Deployment) Shards() []Member {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return slices.Clone(d.shards)
+	ms := make([]Member, len(d.shards))
+	for i, s := range d.shards {
+		ms[i] = s.Member
+	}
+	return ms
 }
 
 // Addrs returns every shard's address, by index.
@@ -91,16 +128,17 @@ func (d *Deployment) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, m := range d.shards {
-		if m.Server != nil {
-			n += m.Server.Len()
+	for _, s := range d.shards {
+		if s.Server != nil {
+			n += s.Server.Len()
 		}
 	}
 	return n
 }
 
 // start boots shard i on addr ("" on its first boot) and files it under
-// its index.
+// its index. A shard restarted while its epoch is current hears the epoch
+// at once, and its load is sampled from its fresh server on.
 func (d *Deployment) start(i int, addr string) (Member, error) {
 	srv, bound, err := d.boot(i, addr)
 	if err != nil {
@@ -110,20 +148,29 @@ func (d *Deployment) start(i int, addr string) (Member, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		srv.Close()
+		d.retire(m)
 		return Member{}, errors.New("reshard: deployment is closed")
 	}
 	for len(d.shards) <= i {
-		d.shards = append(d.shards, Member{})
+		d.shards = append(d.shards, shard{})
 	}
-	d.shards[i] = m
+	d.shards[i].Member, d.shards[i].last = m, load(srv)
+	var ep transport.DirEpoch
+	rejoin := d.epoch > 0 && slices.Contains(d.live, i)
+	if rejoin {
+		ep, _ = d.epochLocked()
+	}
 	d.mu.Unlock()
+	if rejoin {
+		srv.SetEpoch(ep)
+	}
 	return m, nil
 }
 
 // Crash takes shard i's server out of the deployment and closes it in the
 // background, as a killed process loses its in-memory registry. Close
-// will not close it again; Restart brings the shard back.
+// will not close it again, and the autoscale loop skips the shard until
+// Restart brings it back.
 func (d *Deployment) Crash(i int) {
 	d.mu.Lock()
 	srv := d.shards[i].Server
@@ -144,39 +191,44 @@ func (d *Deployment) Restart(i int) error {
 	return err
 }
 
-// retire closes m's server unless another caller already took it: the
-// controller's Retire hook (a drained shard, DrainGrace after its flip)
-// and Close share it, so every server closes exactly once.
+// retire closes m's server, which its caller took out of the table, and
+// tells Config.Retire.
 func (d *Deployment) retire(m Member) {
-	d.mu.Lock()
-	i := slices.IndexFunc(d.shards, func(s Member) bool { return s.Server == m.Server })
-	if i >= 0 {
-		d.shards[i].Server = nil
-	}
-	d.mu.Unlock()
-	if i < 0 {
-		return
-	}
 	m.Server.Close()
-	if d.retired != nil {
-		d.retired(m)
+	if d.cfg.Retire != nil {
+		d.cfg.Retire(m)
 	}
 }
 
-// Close stops the controller first, which retires the drained shards
-// still inside their grace period, then closes every live shard server.
-// Idempotent.
+// Close stops the autoscale loop, retires every shard server still open —
+// the drained ones inside their grace period too — and waits for the
+// flips and retires in flight; a spawn that loses the race retires its own
+// server. Idempotent.
 func (d *Deployment) Close() {
-	if d.ctrl != nil {
-		d.ctrl.Close()
-	}
 	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
+	}
 	d.closed = true
-	shards := slices.Clone(d.shards)
-	d.mu.Unlock()
-	for _, m := range shards {
-		if m.Server != nil {
-			d.retire(m)
+	timers := []clock.Timer{d.timer}
+	var open []Member
+	for i := range d.shards {
+		s := &d.shards[i]
+		timers = append(timers, s.retire)
+		if s.Server != nil {
+			open = append(open, s.Member)
+			s.Server = nil
 		}
 	}
+	d.mu.Unlock()
+	for _, t := range timers {
+		if t != nil {
+			t.Stop()
+		}
+	}
+	for _, m := range open {
+		d.retire(m)
+	}
+	d.wg.Wait()
 }

@@ -9,6 +9,7 @@ import (
 
 	"p2pstream/internal/directory"
 	"p2pstream/internal/observe"
+	"p2pstream/internal/transport"
 )
 
 // deployment is one Deploy on the fixture's substrate, shard i on virtual
@@ -55,9 +56,10 @@ func (f *fixture) boot(i int, addr string) (*directory.Server, string, error) {
 	return srv, bound, err
 }
 
-// load drives lookups at the first shard until the returned stop runs.
-func (d *deployment) load() (stop func()) {
-	cl := directory.NewClientOn(d.f.vnet.Host("load"), d.Shards()[0].Addr)
+// load drives lookups at shard i, one per pause, until the returned stop
+// runs or the shard stops answering.
+func (d *deployment) load(i int, pause time.Duration) (stop func()) {
+	cl := directory.NewClientOn(d.f.vnet.Host("load"), d.Shards()[i].Addr)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -72,16 +74,17 @@ func (d *deployment) load() (stop func()) {
 			if _, err := cl.Lookup(context.Background(), "", 4, ""); err != nil {
 				return
 			}
-			d.f.clk.Sleep(500 * time.Microsecond)
+			d.f.clk.Sleep(pause)
 		}
 	}()
 	return func() { close(done); wg.Wait(); cl.Close() }
 }
 
-// members is the controller's live shard set by name.
+// members is the current epoch's shard set by name.
 func (d *deployment) members() []string {
 	var names []string
-	for _, m := range d.Controller().Members() {
+	_, live := d.Snapshot()
+	for _, m := range live {
 		names = append(names, m.Name)
 	}
 	return names
@@ -93,7 +96,7 @@ func (d *deployment) named(typ observe.Type) []string {
 	var names []string
 	for _, ev := range d.events {
 		if ev.Type == typ {
-			names = append(names, ev.Object)
+			names = append(names, ev.Object) // "" for an EpochFlip
 		}
 	}
 	return names
@@ -121,11 +124,11 @@ func TestDeployPinsBootstrap(t *testing.T) {
 		MaxShards:  4,
 		DrainGrace: 20 * time.Millisecond,
 	})
-	stop := d.load()
+	stop := d.load(0, 500*time.Microsecond)
 	f.waitFor("scale-out to 4 shards", func() bool { return len(d.members()) == 4 })
 	stop()
 	f.waitFor("scale-in to the bootstrap set", func() bool { return len(d.members()) == 2 })
-	stop = d.load()
+	stop = d.load(0, 500*time.Microsecond)
 	f.waitFor("a second scale-out", func() bool { return len(d.members()) == 3 })
 	stop()
 	f.waitFor("the second scale-in", func() bool { return len(d.members()) == 2 })
@@ -162,8 +165,8 @@ func TestDeployPinsBootstrap(t *testing.T) {
 }
 
 // TestDeployCloseRetiresOnce closes a deployment with a drained shard
-// still inside its grace period: every server it ever booted closes
-// exactly once, and none still listens.
+// still inside its grace period, where it still answers: every server the
+// deployment ever booted closes exactly once, and none still listens.
 func TestDeployCloseRetiresOnce(t *testing.T) {
 	f := newFixture(t)
 	d := f.deploy(2, nil, Config{
@@ -174,13 +177,21 @@ func TestDeployCloseRetiresOnce(t *testing.T) {
 		MaxShards:  4,
 		DrainGrace: time.Hour, // retired only by Close
 	})
-	stop := d.load()
+	stop := d.load(0, 500*time.Microsecond)
 	f.waitFor("scale-out to 4 shards", func() bool { return len(d.members()) == 4 })
 	stop()
 	f.waitFor("one drain", func() bool { return len(d.members()) == 3 })
 	if got := d.retiredNames(); len(got) != 0 {
 		t.Fatalf("retired %v inside the grace period", got)
 	}
+	// A client fanning over the old shard set depends on the drained
+	// server answering until its grace period ends.
+	drained := d.Shards()[slices.Index(directory.DefaultShardNames(4), d.named(observe.ShardDrained)[0])]
+	dc := directory.NewClientOn(f.vnet.Host("late"), drained.Addr)
+	if err := dc.Register(context.Background(), transport.Register{ID: "x", Addr: "x:1", Class: 1}); err != nil {
+		t.Errorf("drained %s unreachable inside its grace period: %v", drained.Name, err)
+	}
+	dc.Close()
 	d.Close()
 	d.Close() // idempotent
 	got := d.retiredNames()
@@ -221,17 +232,17 @@ func TestDeploySpawnRacingClose(t *testing.T) {
 		Sustain:   1,
 		MaxShards: 3,
 	})
-	stop := d.load()
+	stop := d.load(0, 500*time.Microsecond)
 	<-entered
 	stop()
 	closed := make(chan struct{})
 	go func() { d.Close(); close(closed) }()
-	// Release the spawn only once Close has shut the controller, so the
-	// spawned server lands in a deployment that is going away.
-	for ctrl := d.Controller(); ; time.Sleep(time.Millisecond) {
-		ctrl.mu.Lock()
-		shut := ctrl.closed
-		ctrl.mu.Unlock()
+	// Release the spawn only once Close has begun, so the spawned server
+	// lands in a deployment that is going away.
+	for ; ; time.Sleep(time.Millisecond) {
+		d.Deployment.mu.Lock()
+		shut := d.Deployment.closed
+		d.Deployment.mu.Unlock()
 		if shut {
 			break
 		}
@@ -244,5 +255,38 @@ func TestDeploySpawnRacingClose(t *testing.T) {
 	if c, err := f.vnet.Host("probe").Dial(spawnedAddr); err == nil {
 		c.Close()
 		t.Errorf("the spawn that raced Close still listens on %s", spawnedAddr)
+	}
+}
+
+// TestDeployRestartedShardJoinsTheLoop crashes and restarts the one shard
+// of an autoscaling deployment: the reborn server hears the current epoch,
+// and its lookup load — not the dead server's frozen counters — grows the
+// deployment.
+func TestDeployRestartedShardJoinsTheLoop(t *testing.T) {
+	f := newFixture(t)
+	d := f.deploy(1, nil, Config{
+		Interval:  10 * time.Millisecond,
+		HighWater: 2,
+		LowWater:  1,
+		Sustain:   1,
+		MaxShards: 2,
+	})
+	dead := d.Shards()[0].Server
+	d.Crash(0)
+	// The crashed server closes in the background; until it has released
+	// the shard's address a Restart cannot bind it.
+	f.waitFor("shard-0 to restart", func() bool { return d.Restart(0) == nil })
+	reborn := d.Shards()[0].Server
+	if reborn == nil || reborn == dead {
+		t.Fatalf("Restart left shard-0 with server %p (dead %p)", reborn, dead)
+	}
+	if got := reborn.Epoch().Epoch; got != 1 {
+		t.Errorf("the restarted shard booted at epoch %d, want the current 1", got)
+	}
+	stop := d.load(0, 500*time.Microsecond)
+	f.waitFor("scale-out to 2 shards", func() bool { return len(d.members()) == 2 })
+	stop()
+	if got, want := reborn.Epoch().Epoch, d.Epoch(); got != want {
+		t.Errorf("the restarted shard is at epoch %d, the deployment at %d", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package reshard
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,20 +9,15 @@ import (
 	"p2pstream/internal/directory"
 	"p2pstream/internal/netx"
 	"p2pstream/internal/observe"
-	"p2pstream/internal/transport"
 )
 
-// fixture is one elastic deployment on a virtual substrate: servers boot
-// on demand (the Spawn path), retire on request, and a plain directory
-// client drives load against whichever shard the test wants hot.
+// fixture is the virtual substrate of an elastic deployment: shard i
+// boots on virtual host ShardName(i), and plain directory clients drive
+// load against whichever shard a test wants hot.
 type fixture struct {
 	t    *testing.T
 	clk  *clock.Virtual
 	vnet *netx.Virtual
-
-	mu      sync.Mutex
-	servers map[string]*directory.Server
-	retired []string
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -32,35 +26,7 @@ func newFixture(t *testing.T) *fixture {
 	t.Cleanup(clk.AutoRun())
 	vnet := netx.NewVirtual(clk, 1)
 	vnet.SetDefaultLink(netx.LinkConfig{Latency: 200 * time.Microsecond})
-	return &fixture{t: t, clk: clk, vnet: vnet, servers: make(map[string]*directory.Server)}
-}
-
-func (f *fixture) spawn(seq int) (Member, error) {
-	name := directory.ShardName(seq)
-	srv := directory.NewServer(int64(100 + seq))
-	l, err := f.vnet.Host(name).Listen(":0")
-	if err != nil {
-		return Member{}, err
-	}
-	go srv.Serve(l)
-	f.t.Cleanup(func() { srv.Close() })
-	f.mu.Lock()
-	f.servers[name] = srv
-	f.mu.Unlock()
-	return Member{Name: name, Addr: l.Addr().String(), Server: srv}, nil
-}
-
-func (f *fixture) retire(m Member) {
-	f.mu.Lock()
-	f.retired = append(f.retired, m.Name)
-	f.mu.Unlock()
-	m.Server.Close()
-}
-
-func (f *fixture) retiredNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.retired...)
+	return &fixture{t: t, clk: clk, vnet: vnet}
 }
 
 func (f *fixture) waitFor(what string, cond func() bool) {
@@ -75,278 +41,151 @@ func (f *fixture) waitFor(what string, cond func() bool) {
 }
 
 // TestControllerGrowsAndDrains drives the whole loop: sustained lookup
-// load adds shards (epoch flips announced to every member), load falling
-// away drains back down to the floor, and drained servers are retired
-// only after the grace period.
+// load adds shards (epoch flips announced to every live shard), load
+// falling away drains back down to the floor, and drained servers are
+// retired only after the grace period.
 func TestControllerGrowsAndDrains(t *testing.T) {
-	ctx := context.Background()
 	f := newFixture(t)
-	first, err := f.spawn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var events []observe.Event
 	// The load loop below lands ~11 lookups per interval (one every
 	// ~900µs of virtual time: 500µs sleep + the RPC's link latency), all
 	// on shard-0. Mean load is ~11 at one shard and ~5.5 at two — above
-	// the high-water mark either way, so the controller climbs to the
+	// the high-water mark either way, so the deployment climbs to the
 	// cap; with the load stopped the mean falls to 0 and it drains home
-	// to the one pinned member.
-	ctrl, err := New(Config{
-		Clock:      f.clk,
+	// to the one bootstrap shard.
+	d := f.deploy(1, nil, Config{
 		Interval:   10 * time.Millisecond,
 		HighWater:  4,
 		LowWater:   2,
 		Sustain:    2,
-		Pinned:     1,
 		MaxShards:  3,
 		DrainGrace: 30 * time.Millisecond,
-		Members:    []Member{first},
-		Spawn:      f.spawn,
-		Retire:     f.retire,
-		Observer: observe.Func(func(ev observe.Event) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		}),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Start()
-	defer ctrl.Close()
-
-	if got := ctrl.Epoch(); got != 1 {
+	if got := d.Epoch(); got != 1 {
 		t.Fatalf("initial epoch %d, want 1", got)
 	}
-	if got := first.Server.Epoch(); got.Epoch != 1 || len(got.Shards) != 1 {
-		t.Fatalf("Start did not announce the initial epoch: %+v", got)
+	if got := d.Shards()[0].Server.Epoch(); got.Epoch != 1 || len(got.Shards) != 1 {
+		t.Fatalf("Deploy did not announce the initial epoch: %+v", got)
 	}
 
-	// Flash crowd: hammer lookups until the controller scales to the cap.
-	cl := directory.NewClientOn(f.vnet.Host("load"), first.Addr)
-	defer cl.Close()
-	stop := make(chan struct{})
-	var loadWG sync.WaitGroup
-	loadWG.Add(1)
-	go func() {
-		defer loadWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := cl.Lookup(ctx, "", 4, ""); err != nil {
-				return
-			}
-			f.clk.Sleep(500 * time.Microsecond)
-		}
-	}()
-	f.waitFor("scale-out to 3 shards", func() bool { return len(ctrl.Members()) == 3 })
-	close(stop)
-	loadWG.Wait()
+	// Flash crowd: hammer lookups until the deployment scales to the cap.
+	stop := d.load(0, 500*time.Microsecond)
+	f.waitFor("scale-out to 3 shards", func() bool { return len(d.members()) == 3 })
+	stop()
 
-	epochAfterGrowth := ctrl.Epoch()
+	epochAfterGrowth := d.Epoch()
 	if epochAfterGrowth != 3 { // two growth flips past the initial epoch
 		t.Errorf("epoch after growth = %d, want 3", epochAfterGrowth)
 	}
-	// Every member (spawned ones included) heard the newest epoch.
-	for _, m := range ctrl.Members() {
+	// Every live shard (spawned ones included) heard the newest epoch.
+	_, live := d.Snapshot()
+	for _, m := range live {
 		if got := m.Server.Epoch().Epoch; got != epochAfterGrowth {
-			t.Errorf("member %s at epoch %d, want %d", m.Name, got, epochAfterGrowth)
+			t.Errorf("shard %s at epoch %d, want %d", m.Name, got, epochAfterGrowth)
 		}
 	}
 
-	// Load gone: the controller drains back to the floor, coldest first,
+	// Load gone: the deployment drains back to the floor, coldest first,
 	// and retires each victim after the grace period.
-	f.waitFor("scale-in to 1 shard", func() bool { return len(ctrl.Members()) == 1 })
-	f.waitFor("retirement of both drained shards", func() bool { return len(f.retiredNames()) == 2 })
-	if got := ctrl.Flips(); got != 4 {
-		t.Errorf("flips = %d, want 4 (two grows, two drains)", got)
-	}
-
-	mu.Lock()
-	var adds, drains, flips int
-	for _, ev := range events {
-		switch ev.Type {
-		case observe.ShardAdded:
-			adds++
-		case observe.ShardDrained:
-			drains++
-		case observe.EpochFlip:
-			flips++
-		}
-	}
-	mu.Unlock()
-	if adds != 2 || drains != 2 || flips != 4 {
+	f.waitFor("scale-in to 1 shard", func() bool { return len(d.members()) == 1 })
+	f.waitFor("retirement of both drained shards", func() bool { return len(d.retiredNames()) == 2 })
+	if adds, drains, flips := len(d.named(observe.ShardAdded)), len(d.named(observe.ShardDrained)), len(d.named(observe.EpochFlip)); adds != 2 || drains != 2 || flips != 4 {
 		t.Errorf("events: %d adds, %d drains, %d flips; want 2/2/4", adds, drains, flips)
 	}
 }
 
-// TestControllerFloorAndValidation: the controller never drains below
-// its pinned floor, never grows past MaxShards, and New rejects nonsense.
+// TestControllerFloorAndValidation: a deployment never drains below its
+// bootstrap floor and never grows past MaxShards, even when every sample
+// is cold. (The configs Deploy rejects are TestDeployRejectsBeforeBoot's.)
 func TestControllerFloorAndValidation(t *testing.T) {
 	f := newFixture(t)
-	first, err := f.spawn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := New(Config{
-		Clock:     f.clk,
+	d := f.deploy(1, nil, Config{
 		Interval:  5 * time.Millisecond,
 		HighWater: 1e9, // never hot
 		LowWater:  1,   // always cold
 		Sustain:   1,
-		Pinned:    1,
 		MaxShards: 1,
-		Members:   []Member{first},
-		Spawn:     f.spawn,
-		Retire:    f.retire,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Start()
 	f.clk.Sleep(100 * time.Millisecond)
-	if got := len(ctrl.Members()); got != 1 {
-		t.Errorf("controller left the floor: %d members", got)
+	if got := len(d.members()); got != 1 {
+		t.Errorf("deployment left the floor: %d shards", got)
 	}
-	if got := ctrl.Flips(); got != 0 {
+	if got := len(d.named(observe.EpochFlip)); got != 0 {
 		t.Errorf("flips at the floor = %d, want 0", got)
 	}
-	ctrl.Close()
-	ctrl.Close() // idempotent
-
-	// Distinct names over one server: enough members to pin three.
-	alias := func(name string) Member { return Member{Name: name, Addr: first.Addr, Server: first.Server} }
-	bad := []Config{
-		{Interval: 0, HighWater: 2, LowWater: 1, Members: []Member{first}},
-		{Interval: time.Second, HighWater: 2, LowWater: 1},
-		{Interval: time.Second, HighWater: 1, LowWater: 1, Members: []Member{first}},
-		{Interval: time.Second, HighWater: 2, LowWater: 1, Members: []Member{first, first}},
-		{Interval: time.Second, HighWater: 2, LowWater: 1, Pinned: 3, MaxShards: 2, Members: []Member{first, alias("a"), alias("b")}},
-		{Interval: time.Second, HighWater: 2, LowWater: 1, Pinned: -1, Members: []Member{first}},
-		{Interval: time.Second, HighWater: 2, LowWater: 1, Pinned: 2, Members: []Member{first}},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
+	d.Close()
+	d.Close() // idempotent
 }
 
-// TestControllerPinnedBootstrap: a pinned member is never the drain
-// victim, even when it is strictly the coldest shard. The pinned member
-// here takes zero lookups while the unpinned one absorbs a burst, so
-// pure coldest-first selection would drain the pinned shard — which is
-// exactly what a deployment advertising it as the bootstrap address
-// cannot afford.
+// TestControllerPinnedBootstrap: a bootstrap shard is never the drain
+// victim, even when it is strictly the coldest shard. Once the deployment
+// has grown, the bootstrap shard takes no lookups while the spawned one
+// takes a steady trickle, so pure coldest-first selection would drain the
+// bootstrap shard — which is exactly what a deployment advertising it as
+// the bootstrap address cannot afford.
 func TestControllerPinnedBootstrap(t *testing.T) {
-	ctx := context.Background()
 	f := newFixture(t)
-	pinned, err := f.spawn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawned, err := f.spawn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := New(Config{
-		Clock:      f.clk,
-		Interval:   20 * time.Millisecond,
-		HighWater:  1e9, // never hot
-		LowWater:   1e6, // always cold: every tick counts toward the drain
+	// ~11 lookups per interval on shard-0 grow the deployment to its cap
+	// of two. A lookup every ~3.2ms on shard-1 then holds the mean at
+	// ~1.5, below LowWater, with shard-1 strictly the hotter shard on
+	// every tick of the sustain window.
+	d := f.deploy(1, nil, Config{
+		Interval:   10 * time.Millisecond,
+		HighWater:  5,
+		LowWater:   4,
 		Sustain:    3,
-		Pinned:     1,
 		MaxShards:  2,
 		DrainGrace: 20 * time.Millisecond,
-		Members:    []Member{pinned, spawned},
-		Retire:     f.retire,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Start()
-	defer ctrl.Close()
+	stop := d.load(0, 500*time.Microsecond)
+	f.waitFor("scale-out to 2 shards", func() bool { return len(d.members()) == 2 })
+	stop()
+	stop = d.load(1, 3*time.Millisecond)
+	defer stop()
 
-	// Make the unpinned shard strictly hotter than the pinned one before
-	// the sustain window elapses: the drain tick must see the pinned
-	// member as the coldest and still pass it over.
-	cl := directory.NewClientOn(f.vnet.Host("load"), spawned.Addr)
-	for i := 0; i < 10; i++ {
-		if _, err := cl.Lookup(ctx, "", 4, ""); err != nil {
-			t.Fatal(err)
-		}
+	bootstrap, spawned := directory.ShardName(0), directory.ShardName(1)
+	f.waitFor("drain to 1 shard", func() bool { return len(d.members()) == 1 })
+	if got := d.members()[0]; got != bootstrap {
+		t.Fatalf("surviving shard is %s, want the bootstrap %s", got, bootstrap)
 	}
-	cl.Close()
-
-	f.waitFor("drain to 1 shard", func() bool { return len(ctrl.Members()) == 1 })
-	if got := ctrl.Members()[0].Name; got != pinned.Name {
-		t.Fatalf("surviving member is %s, want pinned %s", got, pinned.Name)
+	f.waitFor("retirement of the spawned shard", func() bool { return len(d.retiredNames()) == 1 })
+	if got := d.retiredNames(); got[0] != spawned {
+		t.Fatalf("retired %v, want [%s]", got, spawned)
 	}
-	f.waitFor("retirement of the spawned shard", func() bool { return len(f.retiredNames()) == 1 })
-	if got := f.retiredNames(); got[0] != spawned.Name {
-		t.Fatalf("retired %v, want [%s]", got, spawned.Name)
-	}
-	// With only the pinned member left there is no drain candidate: the
-	// controller idles at the floor instead of flipping again.
+	// With only the bootstrap shard left there is no drain candidate: the
+	// deployment idles at the floor instead of flipping again.
 	f.clk.Sleep(200 * time.Millisecond)
-	if got := ctrl.Flips(); got != 1 {
-		t.Errorf("flips = %d, want 1", got)
+	if got := len(d.named(observe.EpochFlip)); got != 2 {
+		t.Errorf("flips = %d, want 2 (one grow, one drain)", got)
 	}
 }
 
-// TestControllerCloseRetiresPending: a Close inside the drain grace
-// period retires the victim immediately — the deployment is going away,
-// nothing may leak.
-func TestControllerCloseRetiresPending(t *testing.T) {
-	ctx := context.Background()
-	f := newFixture(t)
-	first, err := f.spawn(0)
-	if err != nil {
-		t.Fatal(err)
+// TestDeployRejectsBeforeBoot: an autoscale config Deploy rejects boots no
+// shard — in p2pdir, binds no port.
+func TestDeployRejectsBeforeBoot(t *testing.T) {
+	boots := 0
+	boot := func(int, string) (*directory.Server, string, error) {
+		boots++
+		return nil, "", context.Canceled
 	}
-	second, err := f.spawn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := New(Config{
-		Clock:      f.clk,
-		Interval:   10 * time.Millisecond,
-		HighWater:  1e9,
-		LowWater:   1,
-		Sustain:    1,
-		Pinned:     1,
-		MaxShards:  2,
-		DrainGrace: time.Hour, // never expires on its own
-		Members:    []Member{first, second},
-		Retire:     f.retire,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Start()
-	f.waitFor("one drain", func() bool { return len(ctrl.Members()) == 1 })
-	if got := f.retiredNames(); len(got) != 0 {
-		t.Fatalf("victim retired before its grace period: %v", got)
-	}
-	// The drained server still answers inside the grace period — a
-	// client fanning over the old shard set depends on that.
-	drained := second
-	if got := ctrl.Members()[0].Name; got != first.Name {
-		t.Fatalf("surviving member is %s, want pinned %s", got, first.Name)
-	}
-	dc := directory.NewClientOn(f.vnet.Host("late"), drained.Addr)
-	if err := dc.Register(ctx, transport.Register{ID: "x", Addr: "x:1", Class: 1}); err != nil {
-		t.Errorf("drained shard unreachable inside its grace period: %v", err)
-	}
-	dc.Close()
-	ctrl.Close()
-	if got := f.retiredNames(); len(got) != 1 || got[0] != drained.Name {
-		t.Errorf("Close retired %v, want [%s]", got, drained.Name)
+	for _, tc := range []struct {
+		name      string
+		bootstrap int
+		cfg       Config
+	}{
+		{"no interval", 1, Config{HighWater: 2, LowWater: 1}},
+		{"negative interval", 1, Config{Interval: -time.Second, HighWater: 2, LowWater: 1}},
+		{"high below low", 2, Config{Interval: time.Millisecond, HighWater: 1, LowWater: 2}},
+		{"high at low", 1, Config{Interval: time.Second, HighWater: 1, LowWater: 1}},
+		{"negative low", 1, Config{Interval: time.Second, HighWater: 1, LowWater: -1}},
+		{"cap below bootstrap", 3, Config{Interval: time.Second, HighWater: 2, LowWater: 1, MaxShards: 2}},
+		{"no bootstrap", 0, Config{Interval: time.Second, HighWater: 2, LowWater: 1}},
+	} {
+		boots = 0
+		if _, err := Deploy(tc.bootstrap, boot, &tc.cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if boots != 0 {
+			t.Errorf("%s: booted %d shards before rejecting the config", tc.name, boots)
+		}
 	}
 }

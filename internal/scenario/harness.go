@@ -48,7 +48,7 @@ type harness struct {
 	suppliers atomic.Int64
 
 	// tally is the run's only observer: every node, discovery endpoint and
-	// the reshard controller emit on it, and every event count the report
+	// the registry deployment emit on it, and every event count the report
 	// carries is read back from its snapshots.
 	tally observe.Tally
 
@@ -128,7 +128,7 @@ func (h *harness) batchedSeeds() bool {
 // newBuilder fills the run's peer builder once from the spec: the node
 // template every peer shares, and the discovery backend — the chord ring,
 // an elastic or static sharded registry, or the single centralized
-// directory. The registry shards (and the controller) must be up.
+// directory. The registry shards must be up.
 func (h *harness) newBuilder() *wiring.Builder {
 	b := &wiring.Builder{Node: node.Config{
 		NumClasses:   h.spec.NumClasses,
@@ -153,7 +153,7 @@ func (h *harness) newBuilder() *wiring.Builder {
 		}
 	case h.elastic():
 		b.Sharded = &directory.ShardedConfig{Refresh: shardRefresh}
-		b.Autoscale = h.reg.dep.Controller()
+		b.Autoscale = h.reg.dep
 	case h.spec.shardCount() > 1:
 		b.Sharded = &directory.ShardedConfig{Addrs: h.reg.dep.Addrs(), Refresh: shardRefresh}
 	default:

@@ -86,8 +86,7 @@ func Retarget(spec Spec, backend string, shards int) (Spec, error) {
 
 // registry is the run's directory side: the deployment of its registry
 // shards (one for the centralized directory, none under pure chord
-// discovery) and, when the registry is elastic, the controller that
-// grows and drains it.
+// discovery), which grows and drains itself when the registry is elastic.
 type registry struct {
 	dep *reshard.Deployment
 	// objects are the catalog objects counted per object at the end: set
@@ -100,8 +99,8 @@ type registry struct {
 // at all; a scenario may still ask for one (KeepDirectory) purely to
 // crash it and prove the point. The directory backend deploys shardCount
 // registry shards (1 = the plain centralized server), pinned as p2pdir
-// pins its -shards set, and, when the spec autoscales, the controller
-// over them. The registry closes at teardown.
+// pins its -shards set, and elastic when the spec autoscales. The
+// registry closes at teardown.
 func (h *harness) bootRegistry() error {
 	if h.chordBacked() && !h.spec.KeepDirectory {
 		return nil
@@ -183,9 +182,9 @@ func (h *harness) settle() {
 		return
 	}
 	for i := 0; i < 8; i++ {
-		e := h.reg.dep.Controller().Epoch()
+		e := h.reg.dep.Epoch()
 		h.clk.Sleep(2 * shardRefresh)
-		if h.reg.dep.Controller().Epoch() == e {
+		if h.reg.dep.Epoch() == e {
 			break
 		}
 	}
@@ -200,7 +199,7 @@ func (h *harness) lostRegistrations() []string {
 	if !h.elastic() {
 		return nil
 	}
-	epoch, members := h.reg.dep.Controller().Snapshot()
+	epoch, members := h.reg.dep.Snapshot()
 	names := make([]string, len(members))
 	for i, m := range members {
 		names[i] = m.Name

@@ -170,8 +170,8 @@ type ChurnEvent struct {
 }
 
 // Autoscale turns the sharded registry elastic: the harness deploys it
-// through reshard.Deploy, exactly as p2pdir -autoscale does, so a
-// reshard.Controller samples per-shard load (lookups per interval — the
+// through reshard.Deploy, exactly as p2pdir -autoscale does, so the
+// deployment samples per-shard load (lookups per interval — the
 // one demand signal an epoch flip's own migration traffic cannot inflate)
 // on the virtual clock and flips resharding epochs live — growing the
 // shard set under sustained load, draining the coldest spawned shard when
@@ -183,11 +183,11 @@ type ChurnEvent struct {
 // bootstrap set (1 starts from the single centralized server): those
 // shards are pinned, as p2pdir pins its -shards servers, so they never
 // drain and the live count never falls below them. The spec's shard hosts
-// extend to MaxShards so every shard the controller may spawn has its
+// extend to MaxShards so every shard the deployment may spawn has its
 // virtual host from the start. Incompatible with shard-host churn — the
-// controller owns shard lifecycles.
+// autoscale loop owns shard lifecycles.
 type Autoscale struct {
-	// Interval is the controller's load-sampling period (default 40ms,
+	// Interval is the deployment's load-sampling period (default 40ms,
 	// the scenario lease-refresh period).
 	Interval time.Duration
 	// HighWater and LowWater are the mean per-shard load watermarks in
@@ -196,7 +196,7 @@ type Autoscale struct {
 	// LowWater (defaults 12 and 2).
 	HighWater, LowWater float64
 	// Sustain is how many consecutive intervals a watermark must hold
-	// before the controller flips (default 2).
+	// before the deployment flips (default 2).
 	Sustain int
 	// MaxShards caps the live shard count (default: the initial shard
 	// count plus 2) and sizes the spec's shard host set. The floor is the
@@ -262,7 +262,7 @@ type Expect struct {
 	// assertion that a replication scenario actually exercised the
 	// fail-over path.
 	MinReplicaAnswered int
-	// MinEpochFlips, when > 0, requires the autoscaling controller to
+	// MinEpochFlips, when > 0, requires the autoscaling registry to
 	// have flipped the resharding epoch at least that many times — the
 	// assertion that an elastic scenario actually scaled.
 	MinEpochFlips int
@@ -359,8 +359,8 @@ type Spec struct {
 	// Ignored under BackendChord — a chord overlay runs no directory, and
 	// the KeepDirectory decoy stays a single server.
 	DirectoryShards int
-	// Autoscale, when non-nil, turns the sharded registry elastic: a
-	// reshard.Controller grows and drains the shard set live, flipping
+	// Autoscale, when non-nil, turns the sharded registry elastic: its
+	// reshard.Deployment grows and drains the shard set live, flipping
 	// resharding epochs that every node's watching client migrates
 	// across. See the Autoscale type. Directory backend only.
 	Autoscale *Autoscale
@@ -434,7 +434,7 @@ func (s Spec) withDefaults() Spec {
 	if s.Autoscale != nil {
 		// Copy before defaulting: the caller's Autoscale must not be
 		// mutated through the shared pointer. Sustain keeps its zero
-		// value, which reshard.New defaults the same way.
+		// value, which reshard.Deploy defaults the same way.
 		a := *s.Autoscale
 		if a.Interval == 0 {
 			a.Interval = shardRefresh

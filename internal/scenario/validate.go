@@ -275,7 +275,7 @@ func (s *Spec) validateObjects(map[string]bool) error {
 
 // validateAutoscale checks the elastic-registry half of the spec: a
 // directory-backed run with sane watermarks and bounds, and no churn
-// aimed at shard hosts (the controller owns shard lifecycles).
+// aimed at shard hosts (the autoscale loop owns shard lifecycles).
 func (s *Spec) validateAutoscale(map[string]bool) error {
 	a := s.Autoscale
 	if a == nil {

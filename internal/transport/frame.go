@@ -38,7 +38,10 @@ const maxPooledFrame = 64 << 10
 // A buffer is free the moment the call or the Reader that took it is done:
 // io.Writer must not retain its argument, and decoding copies out of a
 // pooled buffer.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, pooledFrame); return &b }}
+
+// pooledFrame is the size bufPool's buffers start at.
+const pooledFrame = 512
 
 func putBuf(bp *[]byte) {
 	if cap(*bp) <= maxPooledFrame {
@@ -158,17 +161,19 @@ func frameKind(buf []byte) (Kind, error) {
 	return kind, nil
 }
 
-// readAhead is what a Reader's buffer grows to when a segment's payload is
-// larger than it: room for a bulk burst of segments per fill, and no more
-// than a buffer may carry back into bufPool.
+// readAhead is what a Reader's buffer grows to for a segment payload larger
+// than the pool's starting buffer: room for a bulk burst of segments per
+// fill, and no more than a buffer may carry back into bufPool.
 const readAhead = maxPooledFrame
 
 // Reader reads the frames of one connection through the one buffer it took
 // from bufPool. Each fill is one Read of whatever the connection has, up to
 // the buffer's room, and frames are decoded out of the buffer, so a burst of
-// frames that left in one write costs about one read. The buffer starts at
-// the pool's size and grows only for a frame that does not fit: to the
-// frame's size, or to readAhead for a segment payload larger than it.
+// frames that left in one write costs about one read. The buffer is the
+// pool's, at whatever size a past user grew it to, and grows only for a
+// frame that does not fit, to the frame's size, or for a segment payload
+// larger than pooledFrame, to readAhead: a bulk stream reads ahead alike
+// whichever buffer it drew, and a stream of small segments never grows it.
 //
 // An envelope's Body, and anything that aliases it, is valid until the next
 // call to Next, NextSegment or Expect. Decoding copies out of the buffer, so
@@ -337,7 +342,7 @@ func (rd *Reader) NextSegment(slot func(id, quality, n int) ([]byte, error)) (En
 	got := copy(seg.Data, (*rd.bp)[rd.at:rd.end])
 	rd.at += got
 	if rest := seg.Data[got:]; len(rest) > 0 {
-		if len(seg.Data) > cap(*rd.bp) {
+		if len(seg.Data) > pooledFrame {
 			rd.compact(readAhead) // nothing is buffered: this only grows a smaller buffer
 		}
 		if err := rd.readInto(rest); err != nil {

@@ -316,9 +316,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // TestReaderReadsAhead: a supplier's burst — its StartReply, four bulk
 // segments and the SessionDone, Appended into one write — comes out of a
-// Reader's NextSegment in at most three Reads: the pool's starting 512-byte
-// buffer, then two fills of the buffer grown to readAhead. A reader that
-// never read past a frame took two or three per frame.
+// Reader's NextSegment in at most three Reads: one fill of the buffer the
+// Reader drew, then two of the buffer grown to readAhead. That holds for
+// the pool's starting buffer and for one a large Write grew past a
+// segment's size alike. A reader that never read past a frame took two or
+// three Reads per frame.
 func TestReaderReadsAhead(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x3c}, 16<<10)
 	burst, err := Append(nil, KindStartReply, StartReply{OK: true})
@@ -333,31 +335,67 @@ func TestReaderReadsAhead(t *testing.T) {
 	if burst, err = Append(burst, KindSessionDone, SessionDone{Sent: 4}); err != nil {
 		t.Fatal(err)
 	}
-	src := &countingReader{r: bytes.NewReader(burst)}
-	rd := freshReader(src)
-	slots := make([][]byte, 4)
-	var got []Kind
-	for {
-		env, seg, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) {
-			slots[id] = make([]byte, n)
-			return slots[id], nil
+	for _, tc := range []struct {
+		name string
+		buf  int
+	}{
+		{"fresh buffer", pooledFrame},
+		{"buffer grown by a write", 20 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &countingReader{r: bytes.NewReader(burst)}
+			buf := make([]byte, 0, tc.buf)
+			rd := Reader{r: src, bp: &buf}
+			slots := make([][]byte, 4)
+			var got []Kind
+			for {
+				env, seg, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) {
+					slots[id] = make([]byte, n)
+					return slots[id], nil
+				})
+				if err != nil {
+					t.Fatalf("after %v: %v", got, err)
+				}
+				got = append(got, env.Kind)
+				if env.Kind == KindSegment && !bytes.Equal(seg.Data, payload) {
+					t.Fatalf("segment %d arrived as %d other bytes", seg.ID, len(seg.Data))
+				}
+				if env.Kind == KindSessionDone {
+					break
+				}
+			}
+			if want := []Kind{KindStartReply, KindSegment, KindSegment, KindSegment, KindSegment, KindSessionDone}; !slices.Equal(got, want) {
+				t.Fatalf("read %v, want %v", got, want)
+			}
+			if src.reads > 3 {
+				t.Errorf("a burst of %d bytes in %d frames took %d Reads, want at most 3", len(burst), len(got), src.reads)
+			}
 		})
-		if err != nil {
-			t.Fatalf("after %v: %v", got, err)
-		}
-		got = append(got, env.Kind)
-		if env.Kind == KindSegment && !bytes.Equal(seg.Data, payload) {
-			t.Fatalf("segment %d arrived as %d other bytes", seg.ID, len(seg.Data))
-		}
-		if env.Kind == KindSessionDone {
-			break
-		}
 	}
-	if want := []Kind{KindStartReply, KindSegment, KindSegment, KindSegment, KindSegment, KindSessionDone}; !slices.Equal(got, want) {
-		t.Fatalf("read %v, want %v", got, want)
-	}
-	if src.reads > 3 {
-		t.Errorf("a burst of %d bytes in %d frames took %d Reads, want at most 3", len(burst), len(got), src.reads)
+}
+
+// TestReaderSmallSegments: a stream of control-plane-sized segments — 256
+// and 64 bytes, as the admission and crowd workloads send — never grows the
+// pool's starting buffer to readAhead.
+func TestReaderSmallSegments(t *testing.T) {
+	for _, size := range []int{256, 64} {
+		var stream []byte
+		var err error
+		for id := range 16 {
+			if stream, err = Append(stream, KindSegment, &Segment{ID: id, Data: make([]byte, size)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rd := freshReader(bytes.NewReader(stream))
+		slot := make([]byte, size)
+		for range 16 {
+			if _, _, err := rd.NextSegment(func(id, quality, n int) ([]byte, error) { return slot[:n], nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := cap(*rd.bp); got != pooledFrame {
+			t.Errorf("%d-byte segments grew the Reader's buffer to %d bytes", size, got)
+		}
 	}
 }
 

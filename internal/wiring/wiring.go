@@ -37,10 +37,10 @@ type Builder struct {
 	// peer; Network, Clock, Seed and Observer are filled per peer.
 	Sharded *directory.ShardedConfig
 	// Autoscale, set alongside Sharded, makes the registry elastic: every
-	// client boots from the controller's live epoch and shard set (which
+	// client boots from the deployment's live epoch and shard set (which
 	// override the template's Addrs, Names and Epoch) and watches for epoch
-	// pushes. The controller's lifecycle stays with the caller.
-	Autoscale *reshard.Controller
+	// pushes. The deployment's lifecycle stays with the caller.
+	Autoscale *reshard.Deployment
 	// Chord selects the wire-level chord ring. It is a template: Bootstrap
 	// (external ring members), ListenAddr, Stabilize, Replication and
 	// VirtualNodes apply to every peer; ID, Class, Network, Clock, Seed and
@@ -155,7 +155,7 @@ func (b *Builder) discovery(p Peer, boots []string) (node.Discovery, error) {
 		cfg.Network, cfg.Seed = p.Network, p.Seed
 		cfg.Clock, cfg.Observer = b.Node.Clock, b.Node.Observer
 		if b.Autoscale != nil {
-			// Boot from the controller's live state: a peer created after a
+			// Boot from the deployment's live state: a peer created after a
 			// flip must route by the current shard set. A flip racing the
 			// snapshot is caught up on subscription (the server replies its
 			// epoch to every new watcher).

@@ -91,21 +91,24 @@ var shapes = []struct {
 		b.Sharded = &directory.ShardedConfig{Addrs: []string{a0, a1}, Refresh: 40 * time.Millisecond}
 	}, "*directory.ShardedClient 2@0"},
 	{"elastic", func(c *cluster, b *Builder) {
-		srv, addr := c.serveDirectory("shard-0")
-		ctrl, err := reshard.New(reshard.Config{
+		boot := func(i int, addr string) (*directory.Server, string, error) {
+			srv := directory.NewServer(1)
+			bound, err := srv.Start(c.net.Host(directory.ShardName(i)), addr)
+			return srv, bound, err
+		}
+		dep, err := reshard.Deploy(1, boot, &reshard.Config{
 			Clock:     c.clk,
 			Interval:  time.Hour, // never samples: only its snapshot is needed
 			HighWater: 1,
-			Epoch:     7,
-			Members:   []reshard.Member{{Name: "shard-0", Addr: addr, Server: srv}},
 		})
 		if err != nil {
 			c.t.Fatal(err)
 		}
-		// The template's own shard list must lose to the controller's.
+		c.t.Cleanup(dep.Close)
+		// The template's own shard list must lose to the deployment's.
 		b.Sharded = &directory.ShardedConfig{Addrs: []string{"stale:1", "stale:2"}, Refresh: 40 * time.Millisecond}
-		b.Autoscale = ctrl
-	}, "*directory.ShardedClient 1@7"},
+		b.Autoscale = dep
+	}, "*directory.ShardedClient 1@1"},
 	{"chord", chordBackend, "*chordnet.Peer"},
 }
 

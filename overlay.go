@@ -20,8 +20,8 @@ import (
 // discovery backends — the centralized directory (WithDirectory, one
 // address), the consistent-hash sharded directory (WithDirectory with
 // several addresses, or WithShardedDirectory for full control; elastic
-// under a resharding controller via WithAutoscale or the config's
-// WatchEpochs) and
+// under an autoscaling DirectoryDeployment via WithAutoscale or the
+// config's WatchEpochs) and
 // the decentralized wire-level Chord ring (WithChord) — behind one type.
 //
 //	ov, err := p2pstream.NewOverlay(file,
@@ -99,7 +99,7 @@ func WithDirectory(addrs ...string) OverlayOption {
 // filled per peer from the overlay's; set Addrs (and Refresh, if the
 // default lease period does not suit the deployment). Set WatchEpochs to
 // follow an elastic deployment managed elsewhere (p2pdir -autoscale, or a
-// ReshardController in another process); WithAutoscale implies it.
+// DirectoryDeployment in another process); WithAutoscale implies it.
 func WithShardedDirectory(cfg ShardedDirectoryConfig) OverlayOption {
 	return func(c *overlayConfig) error {
 		if c.hasBackend() {
@@ -113,21 +113,21 @@ func WithShardedDirectory(cfg ShardedDirectoryConfig) OverlayOption {
 	}
 }
 
-// WithAutoscale attaches a resharding controller (the Controller of an
-// elastic DeployDirectory) to the overlay: every peer's sharded directory
-// client boots from the controller's live epoch and shard set — not a
-// fixed address list — and watches for epoch pushes, migrating its
-// registrations as the controller grows and drains the registry. On its
-// own it selects the sharded backend; combine with WithShardedDirectory
-// only to tune the lease period (the controller overrides its Addrs,
-// Names and Epoch per peer). The deployment's lifecycle stays with the
-// caller: Close it after the overlay.
-func WithAutoscale(ctrl *ReshardController) OverlayOption {
+// WithAutoscale attaches an elastic registry (an autoscaling
+// DeployDirectory) to the overlay: every peer's sharded directory client
+// boots from the deployment's live epoch and shard set — not a fixed
+// address list — and watches for epoch pushes, migrating its
+// registrations as the deployment grows and drains. On its own it selects
+// the sharded backend; combine with WithShardedDirectory only to tune the
+// lease period (the deployment overrides its Addrs, Names and Epoch per
+// peer). The deployment's lifecycle stays with the caller: Close it after
+// the overlay.
+func WithAutoscale(dep *DirectoryDeployment) OverlayOption {
 	return func(c *overlayConfig) error {
-		if ctrl == nil {
-			return errors.New("p2pstream: WithAutoscale needs a non-nil controller")
+		if dep == nil {
+			return errors.New("p2pstream: WithAutoscale needs a non-nil deployment")
 		}
-		c.wire.Autoscale = ctrl
+		c.wire.Autoscale = dep
 		return nil
 	}
 }
@@ -512,15 +512,15 @@ const (
 	// EventLookupMiss: a node's candidate lookup came back empty — under
 	// replication this means the churn window opened.
 	EventLookupMiss = observe.LookupMiss
-	// EventEpochFlip: the resharding controller flipped the directory
-	// deployment to a new epoch (Epoch; Count is the new shard count). See
+	// EventEpochFlip: an autoscaling directory deployment flipped to a new
+	// epoch (Epoch; Count is the new shard count). See
 	// WithAutoscale.
 	EventEpochFlip = observe.EpochFlip
-	// EventShardAdded: the resharding controller spawned a registry shard
+	// EventShardAdded: an autoscaling deployment spawned a registry shard
 	// under sustained load (Object is the shard's name, Epoch the epoch
 	// announcing it).
 	EventShardAdded = observe.ShardAdded
-	// EventShardDrained: the resharding controller drained the coldest
+	// EventShardDrained: an autoscaling deployment drained the coldest
 	// registry shard under sustained underload (Object, Epoch).
 	EventShardDrained = observe.ShardDrained
 	// EventReshardMove: a sharded client finished migrating its

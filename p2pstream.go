@@ -227,36 +227,32 @@ func NewDirectoryShardRing(n int) (*DirectoryShardRing, error) { return director
 // shard returning empty from a crash. See WithShardedDirectory.
 type ShardedDirectoryConfig = directory.ShardedConfig
 
-// ReshardController is the elastic-directory autoscaling loop: it samples
-// per-shard load (lookups per interval) on the shared clock, spawns a
-// registry shard when mean load sustains above a high-water mark, drains
-// the coldest spawned shard when it sustains below a low-water mark, and
-// announces every change as a resharding epoch that watching sharded
-// clients migrate to with zero lost registrations and zero lookup misses.
-// A DirectoryDeployment runs one; attach it to an overlay with
-// WithAutoscale.
-type ReshardController = reshard.Controller
-
-// ReshardConfig parameterizes a resharding controller: the sampling
-// interval, the load watermarks and the shard ceiling. DeployDirectory
-// fills in the membership and the hooks that boot and retire shards.
+// ReshardConfig makes a DirectoryDeployment elastic: the sampling clock
+// and interval, the load watermarks, the shard ceiling, the drain grace
+// period, and the hooks told of retired shards and of every flip.
 type ReshardConfig = reshard.Config
 
-// ReshardMember is one registry shard under a resharding controller: its
-// stable ring name, the address clients dial, and the server whose stats
-// feed the load loop.
+// ReshardMember is one registry shard of a deployment: its stable ring
+// name, the address clients dial, and the server whose stats feed the
+// load loop.
 type ReshardMember = reshard.Member
 
 // DirectoryDeployment is a directory registry as it runs: its bootstrap
-// shards, the shards spawned since, and the autoscaling controller, if
-// any. Close stops the controller and closes every shard server once.
+// shards and the shards spawned since. An elastic one samples per-shard
+// load (lookups per interval) on the shared clock, spawns a registry
+// shard when mean load sustains above a high-water mark, drains the
+// coldest spawned shard when it sustains below a low-water mark, and
+// announces every change as a resharding epoch that watching sharded
+// clients migrate to with zero lost registrations and zero lookup misses;
+// attach it to an overlay with WithAutoscale. Close stops the loop and
+// closes every shard server once.
 type DirectoryDeployment = reshard.Deployment
 
 // DeployDirectory boots shards registry shards through boot — called with
 // the shard index and "" for a first boot — and, given an autoscale
-// config, starts a resharding controller over them. The bootstrap shards
-// are pinned: only shards the controller spawned ever drain. This is the
-// deployment p2pdir runs.
+// config, checked before any shard boots, makes the deployment elastic.
+// The bootstrap shards are pinned: only shards the deployment spawned
+// ever drain. This is the deployment p2pdir runs.
 func DeployDirectory(shards int, boot func(i int, addr string) (*DirectoryServer, string, error), autoscale *ReshardConfig) (*DirectoryDeployment, error) {
 	return reshard.Deploy(shards, boot, autoscale)
 }

@@ -376,7 +376,7 @@ func TestPublicOverlaySharded(t *testing.T) {
 }
 
 // TestPublicOverlayElastic drives the elastic directory through the
-// facade: a resharding controller attached with WithAutoscale grows the
+// facade: an autoscaling deployment attached with WithAutoscale grows the
 // registry from one shard to two under a requester's lookup load, every
 // peer's sharded client migrates across the flip, and a peer created
 // after the flip boots straight into the new epoch — zero lookup misses
@@ -419,11 +419,10 @@ func TestPublicOverlayElastic(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(dep.Close)
-	ctrl := dep.Controller()
 
 	file := &p2pstream.MediaFile{Name: "v", Segments: 16, SegmentBytes: 64, SegmentTime: 4 * time.Millisecond}
 	ov, err := p2pstream.NewOverlay(file,
-		p2pstream.WithAutoscale(ctrl),
+		p2pstream.WithAutoscale(dep),
 		p2pstream.WithClock(clk),
 		p2pstream.WithNetworkFor(func(id string) p2pstream.Network { return vnet.Host(id) }),
 		p2pstream.WithObserver(obs),
@@ -451,20 +450,20 @@ func TestPublicOverlayElastic(t *testing.T) {
 	// r1's lookups put the single shard over the high-water mark; the next
 	// sampling tick must spawn shard-1 and flip the epoch.
 	deadline := time.Now().Add(10 * time.Second)
-	for ctrl.Flips() < 1 || moves.Load() < 1 {
+	for flips.Load() < 1 || moves.Load() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("controller never flipped: flips=%d moves=%d", ctrl.Flips(), moves.Load())
+			t.Fatalf("deployment never flipped: flips=%d moves=%d", flips.Load(), moves.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if epoch, members := ctrl.Snapshot(); epoch < 2 || len(members) != 2 {
+	if epoch, members := dep.Snapshot(); epoch < 2 || len(members) != 2 {
 		t.Fatalf("post-flip snapshot epoch=%d shards=%d, want epoch >= 2 with 2 shards", epoch, len(members))
 	}
 	if flips.Load() < 1 || added.Load() < 1 {
 		t.Errorf("observer saw %d flips and %d shard-adds, want >= 1 each", flips.Load(), added.Load())
 	}
 
-	// A peer created after the flip boots from the controller's live
+	// A peer created after the flip boots from the deployment's live
 	// snapshot and must still find both seeds on the grown shard set.
 	r2, err := ov.Requester(ctx, p2pstream.OverlayPeer{ID: "r2", Class: 1})
 	if err != nil {
@@ -483,7 +482,7 @@ func TestPublicOverlayElastic(t *testing.T) {
 }
 
 // TestPublicOverlayElasticOptionErrors pins WithAutoscale's misuse errors:
-// it rejects a nil controller and requires the sharded directory backend.
+// it rejects a nil deployment and requires the sharded directory backend.
 func TestPublicOverlayElasticOptionErrors(t *testing.T) {
 	file := &p2pstream.MediaFile{Name: "v", Segments: 4, SegmentBytes: 16, SegmentTime: time.Millisecond}
 	if _, err := p2pstream.NewOverlay(file, p2pstream.WithAutoscale(nil)); err == nil {
@@ -501,7 +500,7 @@ func TestPublicOverlayElasticOptionErrors(t *testing.T) {
 	defer dep.Close()
 	if _, err := p2pstream.NewOverlay(file,
 		p2pstream.WithChord(p2pstream.ChordDiscoveryConfig{}),
-		p2pstream.WithAutoscale(dep.Controller()),
+		p2pstream.WithAutoscale(dep),
 	); err == nil {
 		t.Error("WithAutoscale over chord discovery built an overlay, want error")
 	}
